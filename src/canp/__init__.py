@@ -28,6 +28,7 @@ from .operators import (
     QuadraticOperator,
     commutator,
     derive_critical_structure,
+    flow_weights,
     from_quadrature_form,
     generator,
     preparation_weights,
@@ -62,6 +63,7 @@ from .models import (
 )
 from .metrology import (
     MetrologyReport,
+    Protocol,
     ProtocolSpec,
     cfi_homodyne,
     direct_baseline,

@@ -5,8 +5,9 @@ Usage:
 
 Any config field can be overridden with a flag of the same dotted name,
 e.g. --model.g=0.9 or --sweep.g.points=50. Exit codes: 0 success,
-1 validation failure, 2 configuration error. The CANP_THREADS environment
-variable caps worker parallelism.
+1 validation failure, 2 configuration error. Sweeps run in this process as
+array evaluations; the CANP_THREADS environment variable caps only the
+process pool of the `validate` oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from ._version import __version__
 from .errors import CanpError, ConfigError
-from .experiments import EXPERIMENTS, apply_overrides, config_from_dict, run_experiment
+from .experiments import EXPERIMENTS, load_config, run_experiment
 
 
 def _split_overrides(extras: list[str]) -> dict[str, str]:
@@ -46,15 +47,12 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
 
     try:
-        overrides = _split_overrides(extras)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["experiment"] = args.experiment
+        # Override values are parsed as JSON, so the two strings go in encoded.
+        fixed = {"experiment": json.dumps(args.experiment)}
         if args.out is not None:
-            raw["out"] = args.out
-        raw = apply_overrides(raw, overrides)
-        cfg = config_from_dict(raw)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            fixed["out"] = json.dumps(args.out)
+        cfg = load_config(args.config, {**fixed, **_split_overrides(extras)})
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,14 @@
 """Sweep drivers that generate the figure data and validation reports.
 
 Each experiment maps a JSON run configuration onto a deterministic CSV (or a
-JSON report for `validate`). Grid points are pure function evaluations, so
-sweeps parallelize over processes with results gathered in input order; the
-output bytes are identical regardless of the parallelism cap. Every CSV
-starts with a comment line carrying the tool version and a hash of the
-resolved configuration (the output path and parallelism cap are excluded
-from the hash precisely because they must not affect the data).
+JSON report for `validate`). A sweep is a single-process array evaluation:
+each runner builds one :class:`canp.metrology.Protocol` per model value and
+evaluates that value's whole time grid in closed form. The `parallelism`
+field and the CANP_THREADS environment variable cap only the process pool
+of the `validate` oracle. Every CSV starts with a comment line carrying the
+tool version and a hash of the resolved configuration (the output path and
+parallelism cap are excluded from the hash precisely because they must not
+affect the data).
 """
 
 from __future__ import annotations
@@ -15,26 +17,20 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError
 from .metrology import (
+    Protocol,
     ProtocolSpec,
-    cfi_homodyne,
     enhancement_ratio,
     find_threshold,
     qfi_displacement,
-    qfi_exact,
-    skew_information,
 )
 from .models import ModelParams
-from .gaussian import quadrature_stats
-from . import metrology
 
 EXPERIMENTS = (
     "fig2a",
@@ -226,6 +222,8 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     if overrides:
         obj = apply_overrides(obj, overrides)
     return config_from_dict(obj)
@@ -240,15 +238,6 @@ def effective_parallelism(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"CANP_THREADS={env!r} is not an integer") from exc
     return max(1, cap)
-
-
-def _pmap(fn, tasks: list, workers: int) -> list:
-    """Order-preserving map, optionally over a process pool."""
-    if workers <= 1 or len(tasks) < 64:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def _fmt(value) -> str:
@@ -271,77 +260,33 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
         fh.write("\n".join(lines) + "\n")
 
 
-def _spec_at(params: ModelParams, sqrt_delta_tc: float, t_theta: float,
-             alpha: complex, theta0: float) -> ProtocolSpec:
-    delta = params.published_delta()
-    t_c = sqrt_delta_tc / math.sqrt(delta)
+def _protocol(cfg: RunConfig, params: ModelParams) -> Protocol:
+    return Protocol(params.preparation(), params.encoding(), cfg.alpha)
+
+
+def _t_c(params: ModelParams, sqrt_delta_tc):
+    """Preparation time(s) at the given √Δ·t_c, with the model's published Δ."""
+    return sqrt_delta_tc / math.sqrt(params.published_delta())
+
+
+def _spec_at(cfg: RunConfig, params: ModelParams, sqrt_delta_tc: float) -> ProtocolSpec:
+    """The one protocol instance of a model value at the given √Δ·t_c."""
     return ProtocolSpec(
-        Hc=params.preparation(),
-        Htheta=params.encoding(),
-        t_c=t_c,
-        t_theta=t_theta,
-        alpha=alpha,
-        theta0=theta0,
-        omega=params.omega,
+        Hc=params.preparation(), Htheta=params.encoding(), t_c=_t_c(params, sqrt_delta_tc),
+        t_theta=cfg.t_theta, alpha=cfg.alpha, theta0=cfg.theta0, omega=params.omega,
     )
 
 
-# Grid-point workers (top level so they pickle for the process pool).
-
-
-def _fig2a_point(cfg: RunConfig, point: tuple[float, float]) -> tuple:
-    sdtc, tth = point
-    spec = _spec_at(cfg.model, sdtc, tth, cfg.alpha, cfg.theta0)
-    ratio = enhancement_ratio(spec)
-    return (sdtc, tth, ratio, ratio > 1.0)
-
-
-def _fig2b_point(cfg: RunConfig, point: tuple[float, float]) -> tuple:
-    g, sdtc = point
-    spec = _spec_at(cfg.model.replace(g=g), sdtc, cfg.t_theta, cfg.alpha, cfg.theta0)
-    return (g, sdtc, enhancement_ratio(spec))
-
-
-def _fig2b_inset_point(cfg: RunConfig, g: float) -> tuple:
-    spec = _spec_at(cfg.model.replace(g=g), math.pi, cfg.t_theta, cfg.alpha, cfg.theta0)
-    return (g, enhancement_ratio(spec))
-
-
-def _fig3a_point(cfg: RunConfig, point: tuple[float, float]) -> tuple:
-    g, sdtc = point
-    spec = _spec_at(cfg.model.replace(g=g), sdtc, cfg.t_theta, cfg.alpha, cfg.theta0)
-    return (g, sdtc, skew_information(spec), qfi_exact(spec))
-
-
-def _fig3b_point(cfg: RunConfig, g: float) -> tuple:
-    spec = _spec_at(cfg.model.replace(g=g), math.pi, cfg.t_theta, cfg.alpha, cfg.theta0)
-    mean_p, _ = quadrature_stats(metrology.protocol_state(spec))
-    cfi = cfi_homodyne(spec, cfg.dtheta)
-    qfi = qfi_exact(spec)
-    return (g, mean_p, cfi, qfi, cfi / qfi)
-
-
-def _lmg_point(cfg: RunConfig, lam: float) -> tuple:
-    params = cfg.model.replace(lam=lam)
-    spec = _spec_at(params, math.pi, cfg.t_theta, cfg.alpha, cfg.theta0)
-    return (lam, enhancement_ratio(spec))
-
-
-def _displacement_point(cfg: RunConfig, g: float) -> tuple:
-    params = cfg.model.replace(g=g)
-    delta_p = params.published_delta()
-    # Quarter period: the point where the asymptotic sin² formula is exact.
-    spec = _spec_at(params, 0.5 * math.pi, cfg.t_theta, cfg.alpha, cfg.theta0)
-    formula = qfi_displacement(spec)
-    exact = qfi_exact(spec)
-    return (g, delta_p, formula, exact, enhancement_ratio(spec))
+def _rows(*columns) -> list[tuple]:
+    """Broadcast the columns against each other and zip them into CSV rows."""
+    return list(zip(*(np.ravel(c).tolist() for c in np.broadcast_arrays(*columns))))
 
 
 def run_fig2a(cfg: RunConfig) -> list[tuple]:
-    sdtc = cfg.axis("sqrtDelta_tc").values()
-    tth = cfg.axis("t_theta").values()
-    tasks = [(float(s), float(t)) for s in sdtc for t in tth]
-    rows = _pmap(partial(_fig2a_point, cfg), tasks, effective_parallelism(cfg))
+    sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
+    tth = cfg.axis("t_theta").values()[None, :]
+    ratio = _protocol(cfg, cfg.model).ratio(_t_c(cfg.model, sdtc), tth, cfg.theta0)
+    rows = _rows(sdtc, tth, ratio, ratio > 1.0)
     write_csv(cfg.out, cfg, ("sqrtDelta_tc", "t_theta", "R", "enhanced"), rows)
     return rows
 
@@ -349,16 +294,18 @@ def run_fig2a(cfg: RunConfig) -> list[tuple]:
 def run_fig2b(cfg: RunConfig) -> list[tuple]:
     g_values = cfg.g_values or (0.80, 0.90, 0.96, 0.98)
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    tasks = [(float(g), float(s)) for g in g_values for s in sdtc]
-    rows = _pmap(partial(_fig2b_point, cfg), tasks, effective_parallelism(cfg))
+    rows = []
+    for g in g_values:
+        params = cfg.model.replace(g=g)
+        ratio = _protocol(cfg, params).ratio(_t_c(params, sdtc), cfg.t_theta, cfg.theta0)
+        rows += _rows(g, sdtc, ratio)
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "R"), rows)
     return rows
 
 
 def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
-    g_values = cfg.axis("g").values()
-    rows = _pmap(partial(_fig2b_inset_point, cfg), [float(g) for g in g_values],
-                 effective_parallelism(cfg))
+    rows = [(g, enhancement_ratio(_spec_at(cfg, cfg.model.replace(g=g), math.pi)))
+            for g in cfg.axis("g").values().tolist()]
     write_csv(cfg.out, cfg, ("g", "R_tau"), rows)
     return rows
 
@@ -366,15 +313,20 @@ def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
 def run_fig3a(cfg: RunConfig) -> list[tuple]:
     g_values = cfg.g_values or (0.90, 0.95, 0.98)
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    tasks = [(float(g), float(s)) for g in g_values for s in sdtc]
-    rows = _pmap(partial(_fig3a_point, cfg), tasks, effective_parallelism(cfg))
+    rows = []
+    for g in g_values:
+        params = cfg.model.replace(g=g)
+        protocol, t_c = _protocol(cfg, params), _t_c(params, sdtc)
+        rows += _rows(g, sdtc, protocol.skew(t_c), protocol.qfi(t_c, cfg.t_theta))
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "S", "F"), rows)
     return rows
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    spec = _spec_at(cfg.model.replace(g=g), math.pi, cfg.t_theta, cfg.alpha, cfg.theta0)
-    return quadrature_stats(metrology.protocol_state(spec))[0]
+    params = cfg.model.replace(g=g)
+    mean_p, _ = _protocol(cfg, params).quadrature_stats(
+        _t_c(params, math.pi), cfg.t_theta, cfg.theta0)
+    return float(mean_p)
 
 
 def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> list[float]:
@@ -405,8 +357,14 @@ def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> li
 
 def run_fig3b(cfg: RunConfig) -> list[tuple]:
     g_values = cfg.axis("g").values()
-    rows = _pmap(partial(_fig3b_point, cfg), [float(g) for g in g_values],
-                 effective_parallelism(cfg))
+    rows = []
+    for g in g_values.tolist():
+        params = cfg.model.replace(g=g)
+        protocol, t_c = _protocol(cfg, params), _t_c(params, math.pi)
+        mean_p, _ = protocol.quadrature_stats(t_c, cfg.t_theta, cfg.theta0)
+        cfi = float(protocol.cfi_homodyne(t_c, cfg.t_theta, cfg.theta0, cfg.dtheta))
+        qfi = float(protocol.qfi(t_c, cfg.t_theta))
+        rows.append((g, float(mean_p), cfi, qfi, cfi / qfi))
     crossings = _zero_crossings(cfg, g_values, [row[1] for row in rows])
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
@@ -418,8 +376,8 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
 
 def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     lam_axis = cfg.axis("lambda").values()
-    rows = _pmap(partial(_lmg_point, cfg), [float(x) for x in lam_axis],
-                 effective_parallelism(cfg))
+    rows = [(lam, enhancement_ratio(_spec_at(cfg, cfg.model.replace(lam=lam), math.pi)))
+            for lam in lam_axis.tolist()]
     bracket = cfg.bracket or (float(lam_axis[0]), float(lam_axis[-1]))
     lam_star = find_threshold(
         "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
@@ -431,9 +389,15 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
 
 
 def run_displacement(cfg: RunConfig) -> list[tuple]:
-    g_values = cfg.axis("g").values()
-    rows = _pmap(partial(_displacement_point, cfg), [float(g) for g in g_values],
-                 effective_parallelism(cfg))
+    rows = []
+    for g in cfg.axis("g").values().tolist():
+        params = cfg.model.replace(g=g)
+        # Quarter period: the point where the asymptotic sin² formula is exact.
+        spec = _spec_at(cfg, params, 0.5 * math.pi)
+        protocol = Protocol.from_spec(spec)
+        exact = float(protocol.qfi(spec.t_c, spec.t_theta))
+        ratio = float(protocol.ratio(spec.t_c, spec.t_theta, spec.theta0))
+        rows.append((g, params.published_delta(), qfi_displacement(spec), exact, ratio))
     write_csv(cfg.out, cfg, ("g", "delta_p", "qfi_formula", "qfi_exact", "R"), rows)
     return rows
 

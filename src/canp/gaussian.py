@@ -4,19 +4,19 @@ A single-mode Gaussian state is the pair (mu, sigma): the mean quadrature
 vector (⟨X⟩, ⟨P⟩) and the symmetrized covariance matrix
 sigma_jk = ½⟨{r_j − mu_j, r_k − mu_k}⟩, so the vacuum is (0, I/2).
 Quadratic Hamiltonians act as affine symplectic maps on (mu, sigma), which
-this module computes exactly via a single 3×3 homogeneous matrix exponential
-(linear Hamiltonian terms and singular quadratic parts are handled uniformly
-that way).
+this module computes in closed form (see :class:`Flow`) for whole arrays of
+times at once; linear terms, singular and hyperbolic quadratic parts all go
+through the same three-branch formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from .operators import QuadraticOperator, to_quadrature_form
+from .operators import QuadraticOperator, flow_weights, to_quadrature_form
 
 # Symplectic form for r = (X, P): [r_j, r_k] = i * OMEGA_jk.
 OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -35,9 +35,6 @@ class GaussianState:
         if np.max(np.abs(sigma - sigma.T)) > 1e-13 * max(1.0, float(np.max(np.abs(sigma)))):
             raise ValueError("covariance matrix must be symmetric")
         self.sigma = 0.5 * (sigma + sigma.T)
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mu.copy(), self.sigma.copy())
 
     def uncertainty_defect(self) -> float:
         """−min eigenvalue of sigma + iΩ/2 (≤ ~1e-12 for physical states)."""
@@ -60,35 +57,122 @@ def vacuum() -> GaussianState:
     return coherent(0j)
 
 
+class Moments(NamedTuple):
+    """Mean (⟨X⟩, ⟨P⟩) and covariance entries (σ_xx, σ_xp, σ_pp) of a state.
+
+    Each field is a scalar or an array over a grid of protocol times; the
+    array functions below broadcast them like numpy operands.
+    """
+
+    mx: np.ndarray
+    mp: np.ndarray
+    sxx: np.ndarray
+    sxp: np.ndarray
+    spp: np.ndarray
+
+    @classmethod
+    def of(cls, state: GaussianState) -> "Moments":
+        (mx, mp), ((sxx, sxp), (_, spp)) = state.mu, state.sigma
+        return cls(mx, mp, sxx, sxp, spp)
+
+    def to_state(self) -> GaussianState:
+        """The GaussianState of scalar moments."""
+        return GaussianState([self.mx, self.mp], [[self.sxx, self.sxp], [self.sxp, self.spp]])
+
+
+class Form(NamedTuple):
+    """Entries (G_xx, G_xp, G_pp, v_x, v_p) of O = ½ rᵀG r + vᵀr + c0.
+
+    Either floats (one operator) or arrays (a family of operators over a
+    grid); c0 is left out because no variance depends on it.
+    """
+
+    gxx: np.ndarray
+    gxp: np.ndarray
+    gpp: np.ndarray
+    vx: np.ndarray
+    vp: np.ndarray
+
+    @classmethod
+    def of(cls, op: QuadraticOperator) -> "Form":
+        g_mat, v, _ = to_quadrature_form(op)
+        return cls(float(g_mat[0, 0]), float(g_mat[0, 1]), float(g_mat[1, 1]),
+                   float(v[0]), float(v[1]))
+
+
+class Flow:
+    """Closed-form phase-space flow of one Hermitian quadratic Hamiltonian.
+
+    Writing H = ½ rᵀG r + vᵀr + c0 gives dr/dt = Ω(G r + v). M = ΩG is
+    traceless for symmetric G, so M² = −det G · I and
+
+        exp(Mt) = c·I + s·M,   ∫₀ᵗ exp(Mτ) dτ = s·I + q·M,
+
+    with (c, s, q) = flow_weights(det G, t) (Weedbrook et al., "Gaussian
+    quantum information", Rev. Mod. Phys. 84, 621). The quadrature form
+    is taken once, by the caller (``Flow(Form.of(H))``); :meth:`map` then
+    costs a few dozen elementwise operations for any number of times.
+    """
+
+    def __init__(self, f: Form):
+        # M = ΩG, u = Ωv and M u, with Ω = [[0, 1], [−1, 0]].
+        self.m = (f.gxp, f.gpp, -f.gxx, -f.gxp)
+        self.u = (f.vp, -f.vx)
+        self.m_u = (f.gxp * f.vp - f.gpp * f.vx, -f.gxx * f.vp + f.gxp * f.vx)
+        self.det = f.gxx * f.gpp - f.gxp * f.gxp
+
+    def map(self, t) -> tuple[tuple, tuple]:
+        """Entries ((S_xx, S_xp, S_px, S_pp), (d_x, d_p)) of exp(−iHt): r ↦ S r + d.
+
+        Each entry has the shape of t. At t = 0, S is exactly I and d = 0.
+        """
+        c, s, q = flow_weights(self.det, t)
+        m00, m01, m10, m11 = self.m
+        return (
+            (c + s * m00, s * m01, s * m10, c + s * m11),
+            (s * self.u[0] + q * self.m_u[0], s * self.u[1] + q * self.m_u[1]),
+        )
+
+    def apply(self, m: Moments, t) -> Moments:
+        """Moments after exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
+        (s00, s01, s10, s11), (dx, dp) = self.map(t)
+        a00 = s00 * m.sxx + s01 * m.sxp  # A = S sigma
+        a01 = s00 * m.sxp + s01 * m.spp
+        a10 = s10 * m.sxx + s11 * m.sxp
+        a11 = s10 * m.sxp + s11 * m.spp
+        return Moments(
+            s00 * m.mx + s01 * m.mp + dx,
+            s10 * m.mx + s11 * m.mp + dp,
+            a00 * s00 + a01 * s01,
+            a00 * s10 + a01 * s11,
+            a10 * s10 + a11 * s11,
+        )
+
+
 def evolution_map(
     hamiltonian: QuadraticOperator, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Affine phase-space map (S, d) of exp(−iHt): r ↦ S r + d.
 
-    From dr/dt = Ω(G r + v), both pieces come out of one homogeneous
-    exponential exp(t [[ΩG, Ωv], [0, 0]]); S is symplectic by construction.
+    S is symplectic, and exactly the identity (with d = 0) at t = 0.
     """
-    g_mat, v, _ = to_quadrature_form(hamiltonian)
-    m = np.zeros((3, 3))
-    m[:2, :2] = OMEGA @ g_mat
-    m[:2, 2] = OMEGA @ v
-    e = expm(m * float(t))
-    return e[:2, :2], e[:2, 2]
+    (s00, s01, s10, s11), d = Flow(Form.of(hamiltonian)).map(float(t))
+    return np.array([[s00, s01], [s10, s11]]), np.array(d)
 
 
 def evolve(state: GaussianState, hamiltonian: QuadraticOperator, t: float) -> GaussianState:
     """Evolve a Gaussian state under exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
-    s_mat, d = evolution_map(hamiltonian, t)
-    mu = s_mat @ state.mu + d
-    sigma = s_mat @ state.sigma @ s_mat.T
-    return GaussianState(mu, 0.5 * (sigma + sigma.T))
+    return Flow(Form.of(hamiltonian)).apply(Moments.of(state), float(t)).to_state()
 
 
 def mean_photon(state: GaussianState) -> float:
     """⟨a†a⟩ = (sigma_xx + sigma_pp + mu_x² + mu_p² − 1)/2."""
-    return float(
-        0.5 * (state.sigma[0, 0] + state.sigma[1, 1] + state.mu @ state.mu - 1.0)
-    )
+    return float(photon_number(Moments.of(state)))
+
+
+def photon_number(m: Moments) -> np.ndarray:
+    """Array form of :func:`mean_photon`."""
+    return 0.5 * (m.sxx + m.spp + (m.mx * m.mx + m.mp * m.mp) - 1.0)
 
 
 def expectation(state: GaussianState, op: QuadraticOperator) -> float:
@@ -111,22 +195,28 @@ def variance_quadratic(state: GaussianState, op: QuadraticOperator) -> float:
 
         Var[O] = ½ Tr(G sigma G sigma) + ⅛ Tr(G Ω G Ω) + wᵀ sigma w.
 
-    The ⅛ Tr(GΩGΩ) piece is the exact operator-ordering (commutator)
-    correction to the naive symmetric-moment result; it is what makes
-    Var[a†a] vanish on the vacuum and equal |α|² on a coherent state. The
-    formula is validated against the truncated number-basis simulator on the
-    regression grid rather than trusted (see the test suite).
+    The ⅛ Tr(GΩGΩ) = −¼ det G piece is the exact operator-ordering
+    (commutator) correction to the naive symmetric-moment result; it is what
+    makes Var[a†a] vanish on the vacuum and equal |α|² on a coherent state.
+    The formula is validated against the truncated number-basis simulator on
+    the regression grid rather than trusted (see the test suite).
     """
-    g_mat, v, _ = to_quadrature_form(op)
-    w = g_mat @ state.mu + v
-    gs = g_mat @ state.sigma
-    go = g_mat @ OMEGA
-    var = (
-        0.5 * np.trace(gs @ gs)
-        + 0.125 * np.trace(go @ go)
-        + w @ state.sigma @ w
+    return float(quadratic_variance(Form.of(op), Moments.of(state)))
+
+
+def quadratic_variance(f: Form, m: Moments) -> np.ndarray:
+    """Array form of :func:`variance_quadratic`; f and m broadcast together."""
+    wx = f.gxx * m.mx + f.gxp * m.mp + f.vx  # w = G mu + v
+    wp = f.gxp * m.mx + f.gpp * m.mp + f.vp
+    b00 = f.gxx * m.sxx + f.gxp * m.sxp  # B = G sigma
+    b01 = f.gxx * m.sxp + f.gxp * m.spp
+    b10 = f.gxp * m.sxx + f.gpp * m.sxp
+    b11 = f.gxp * m.sxp + f.gpp * m.spp
+    return (
+        0.5 * (b00 * b00 + 2.0 * b01 * b10 + b11 * b11)
+        - 0.25 * (f.gxx * f.gpp - f.gxp * f.gxp)
+        + (m.sxx * wx * wx + 2.0 * m.sxp * wx * wp + m.spp * wp * wp)
     )
-    return float(var)
 
 
 def covariance_quadratic(

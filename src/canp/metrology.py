@@ -4,22 +4,32 @@ The protocol: a coherent probe evolves under a critical Hamiltonian H_c for
 t_c (preparation), then under exp(−i θ t_θ H_θ) (encoding). Because the
 commutator algebra of (H_c, H_θ) closes, the local generator of θ
 translations has a closed form, and every Fisher-information quantity below
-reduces to Gaussian moment arithmetic. All functions are pure; sweeps may
-call them concurrently.
+reduces to Gaussian moment arithmetic.
+
+:class:`Protocol` is the one evaluation path: it is built once per
+(H_c, H_θ, α) and evaluates whole arrays of (t_c, t_θ, θ0) in closed form.
+The scalar functions taking a :class:`ProtocolSpec` are thin wrappers over
+it. All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
+
+import numpy as np
 
 from .errors import CommutingPairError, NoSignChangeError, VacuumProbeError
 from .gaussian import (
+    Flow,
+    Form,
     GaussianState,
+    Moments,
     coherent,
-    evolve,
     mean_photon,
-    quadrature_stats,
+    photon_number,
+    quadratic_variance,
     variance_quadratic,
 )
 from .models import ModelParams
@@ -27,9 +37,14 @@ from .operators import (
     CriticalStructure,
     QuadraticOperator,
     derive_critical_structure,
-    generator,
+    flow_weights,
     preparation_weights,
 )
+
+_SQRT2 = math.sqrt(2.0)
+# θ offsets, in units of dtheta, of the Richardson-refined homodyne derivative:
+# +h, −h, +h/2, −h/2 and the working point itself.
+_RICHARDSON_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5, 0.0])
 
 
 @dataclass(frozen=True)
@@ -61,25 +76,182 @@ class ProtocolSpec:
         return self.t_c + self.t_theta
 
 
-def critical_structure(spec: ProtocolSpec) -> CriticalStructure | None:
-    """Derived structure of the pair, or None when the pair commutes.
+def _durations(t_c, t_theta) -> tuple[np.ndarray, np.ndarray]:
+    """Times as float arrays, with the same checks as ProtocolSpec."""
+    t_c = np.asarray(t_c, dtype=float)
+    t_theta = np.asarray(t_theta, dtype=float)
+    if (t_c < 0.0).any() or (t_theta < 0.0).any():
+        raise ValueError("durations must be nonnegative")
+    if (t_c + t_theta <= 0.0).any():
+        raise ValueError("total time must be positive")
+    return t_c, t_theta
 
-    A commuting pair (e.g. a free-rotation preparation with frequency
-    encoding) is the degenerate protocol whose generator is just t_θ H_θ;
-    callers treat None accordingly instead of failing.
+
+class Protocol:
+    """The protocol of one (H_c, H_θ, α), evaluated on arrays of times.
+
+    Every method broadcasts its time arguments against each other (numpy
+    rules) and returns arrays of the broadcast shape, so one call evaluates a
+    whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
+    grid. Everything derived from the model alone (the critical structure,
+    the quadrature forms of H_c, H_θ, C and D, the probe moments) is computed
+    once, on first use, and reused by every later call.
+
+    The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
+    (s, c) = preparation_weights(Δ, t_c), so QFI = 4 t_θ² Var[H_θ + sC + cD]
+    in the probe; a commuting pair (no critical structure) has h = t_θ H_θ.
+    States follow from :class:`canp.gaussian.Flow`.
     """
-    try:
-        return derive_critical_structure(spec.Hc, spec.Htheta)
-    except CommutingPairError:
-        return None
+
+    def __init__(self, hc: QuadraticOperator, htheta: QuadraticOperator, alpha: complex):
+        self.hc = hc
+        self.htheta = htheta
+        self.alpha = complex(alpha)
+        # Coherent probe: mu = √2 (Re α, Im α), sigma = I/2.
+        self.probe = Moments(_SQRT2 * self.alpha.real, _SQRT2 * self.alpha.imag, 0.5, 0.0, 0.5)
+
+    @classmethod
+    def from_spec(cls, spec: ProtocolSpec) -> "Protocol":
+        return cls(spec.Hc, spec.Htheta, spec.alpha)
+
+    @cached_property
+    def structure(self) -> CriticalStructure | None:
+        """Derived structure of the pair, or None when the pair commutes.
+
+        A commuting pair (e.g. a free-rotation preparation with frequency
+        encoding) is the degenerate protocol whose generator is just t_θ H_θ;
+        callers treat None accordingly instead of failing.
+        """
+        try:
+            return derive_critical_structure(self.hc, self.htheta)
+        except CommutingPairError:
+            return None
+
+    @cached_property
+    def preparation(self) -> Flow:
+        return Flow(Form.of(self.hc))
+
+    @cached_property
+    def encoding_form(self) -> Form:
+        return Form.of(self.htheta)
+
+    @cached_property
+    def encoding(self) -> Flow:
+        return Flow(self.encoding_form)
+
+    @cached_property
+    def _generator_terms(self) -> tuple[float, Form, Form]:
+        """Δ and the quadrature forms of C and D.
+
+        A commuting pair gets Δ = 0 and zero C and D, so its generator is
+        exactly t_θ H_θ.
+        """
+        cs = self.structure
+        if cs is None:
+            zero = Form(0.0, 0.0, 0.0, 0.0, 0.0)
+            return 0.0, zero, zero
+        return cs.Delta, Form.of(cs.C), Form.of(cs.D)
+
+    # --- states ----------------------------------------------------------
+
+    def prepared(self, t_c) -> Moments:
+        """Moments of the probe after the preparation stage."""
+        return self.preparation.apply(self.probe, t_c)
+
+    def state(self, t_c, t_theta, theta) -> Moments:
+        """Moments after preparation and encoding at parameter value theta."""
+        t_c, t_theta = _durations(t_c, t_theta)
+        return self._state(t_c, t_theta, theta)
+
+    def _state(self, t_c, t_theta, theta) -> Moments:
+        return self.encoding.apply(self.prepared(t_c), theta * t_theta)
+
+    def quadrature_stats(self, t_c, t_theta, theta) -> tuple[np.ndarray, np.ndarray]:
+        """(⟨P⟩, Var P) of the final state at parameter value theta."""
+        m = self.state(t_c, t_theta, theta)
+        return m.mp, m.spp
+
+    # --- figures of merit ------------------------------------------------
+
+    def qfi(self, t_c, t_theta) -> np.ndarray:
+        """Exact quantum Fisher information 4 Var[h] in the initial probe.
+
+        The generator already folds the preparation unitary into the encoding
+        Hamiltonian, so the variance is taken in the bare coherent state.
+        """
+        return self._qfi(*_durations(t_c, t_theta))
+
+    def _qfi(self, t_c, t_theta) -> np.ndarray:
+        delta, f_c, f_d = self._generator_terms
+        _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
+        h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
+        return 4.0 * t_theta**2 * quadratic_variance(h, self.probe)
+
+    def direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
+        """QFI of the direct-encoding scheme under matched energy and total time.
+
+        The reference probe is a coherent state carrying the same mean photon
+        number as the protocol's final state, encoded for the whole duration
+        T = t_c + t_θ, so the baseline is 4 T² Var[H_θ] in that reference
+        state. For frequency encoding this is the familiar 4 T² |α₀|²; for
+        pure displacement encoding the coherent-state variance is amplitude
+        independent and the baseline reduces to 4 T² Var[H_θ]_vac.
+        """
+        return self._direct_baseline(*_durations(t_c, t_theta), theta0)
+
+    def _direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
+        nbar = np.maximum(photon_number(self._state(t_c, t_theta, theta0)), 0.0)
+        reference = Moments(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
+        return 4.0 * (t_c + t_theta) ** 2 * quadratic_variance(self.encoding_form, reference)
+
+    def ratio(self, t_c, t_theta, theta0) -> np.ndarray:
+        """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
+        if abs(self.alpha) < 1e-12:
+            raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
+        t_c, t_theta = _durations(t_c, t_theta)
+        return self._qfi(t_c, t_theta) / self._direct_baseline(t_c, t_theta, theta0)
+
+    def skew(self, t_c) -> np.ndarray:
+        """Skew information of the prepared state and H_θ.
+
+        For the pure prepared state it is Var[H_θ] in that state, which
+        equals qfi/(4 t_θ²) identically; the two are computed by independent
+        routes and the tests enforce the identity.
+        """
+        t_c = np.asarray(t_c, dtype=float)
+        if (t_c < 0.0).any():
+            raise ValueError("durations must be nonnegative")
+        return quadratic_variance(self.encoding_form, self.prepared(t_c))
+
+    def cfi_homodyne(self, t_c, t_theta, theta0, dtheta: float = 1e-4) -> np.ndarray:
+        """Classical Fisher information of homodyne detection of P.
+
+        For a Gaussian outcome distribution,
+        I(θ) = (∂_θ⟨P⟩)²/V + ½ (∂_θV)²/V² with V = Var P, both derivatives
+        taken at the working point by Richardson-refined central differences.
+        V is bounded away from zero by the uncertainty relation, so the
+        formula never divides by zero on physical states.
+        """
+        if not (1e-6 <= dtheta <= 1e-2):
+            raise ValueError("dtheta must lie in [1e-6, 1e-2]")
+        t_c, t_theta = _durations(t_c, t_theta)
+        theta = np.asarray(theta0, dtype=float)[..., None] + _RICHARDSON_OFFSETS * dtheta
+        m = self._state(t_c[..., None], t_theta[..., None], theta)
+        var_p = m.spp[..., 4]
+        return (
+            _richardson(m.mp, dtheta) ** 2 / var_p
+            + 0.5 * _richardson(m.spp, dtheta) ** 2 / var_p**2
+        )
 
 
-def protocol_generator(spec: ProtocolSpec) -> QuadraticOperator:
-    """Local generator h of θ translations for the full protocol."""
-    cs = critical_structure(spec)
-    if cs is None:
-        return spec.t_theta * spec.Htheta
-    return generator(spec.Htheta, cs, spec.t_c, spec.t_theta)
+def _richardson(values: np.ndarray, step: float) -> np.ndarray:
+    """Derivative from values at the offsets of _RICHARDSON_OFFSETS (last axis)."""
+    coarse = (values[..., 0] - values[..., 1]) / (2.0 * step)
+    fine = (values[..., 2] - values[..., 3]) / step
+    return (4.0 * fine - coarse) / 3.0
+
+
+# --- scalar API: one protocol instance per call ----------------------------
 
 
 def probe_state(spec: ProtocolSpec) -> GaussianState:
@@ -88,23 +260,18 @@ def probe_state(spec: ProtocolSpec) -> GaussianState:
 
 def prepared_state(spec: ProtocolSpec) -> GaussianState:
     """Probe after the critical preparation stage."""
-    return evolve(probe_state(spec), spec.Hc, spec.t_c)
+    return Protocol.from_spec(spec).prepared(spec.t_c).to_state()
 
 
 def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianState:
     """Probe after preparation and encoding at parameter value theta."""
     theta = spec.theta0 if theta is None else theta
-    return evolve(prepared_state(spec), spec.Htheta, theta * spec.t_theta)
+    return Protocol.from_spec(spec).state(spec.t_c, spec.t_theta, theta).to_state()
 
 
 def qfi_exact(spec: ProtocolSpec) -> float:
-    """Exact quantum Fisher information 4 Var[h] in the initial probe.
-
-    The generator already folds the preparation unitary into the encoding
-    Hamiltonian, so the variance is taken in the bare coherent state.
-    """
-    h = protocol_generator(spec)
-    return 4.0 * variance_quadratic(probe_state(spec), h)
+    """Exact quantum Fisher information 4 Var[h]; see :meth:`Protocol.qfi`."""
+    return float(Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta))
 
 
 def qfi_asymptotic(spec: ProtocolSpec) -> float:
@@ -114,7 +281,7 @@ def qfi_asymptotic(spec: ProtocolSpec) -> float:
     the exact value is reported by callers rather than asserted, since the
     neglected cross terms are only suppressed near the critical point.
     """
-    cs = critical_structure(spec)
+    cs = Protocol.from_spec(spec).structure
     if cs is None:
         return 0.0
     _, cos_weight = preparation_weights(cs.Delta, spec.t_c)
@@ -128,63 +295,25 @@ def final_mean_photon(spec: ProtocolSpec) -> float:
 
 
 def direct_baseline(spec: ProtocolSpec) -> float:
-    """QFI of the direct-encoding scheme under matched energy and total time.
-
-    The reference probe is a coherent state carrying the same mean photon
-    number as the protocol's final state, encoded for the whole duration
-    T = t_c + t_θ, so the baseline is 4 T² Var[H_θ] in that reference state.
-    For frequency encoding this is the familiar 4 T² |α₀|²; for pure
-    displacement encoding the coherent-state variance is amplitude
-    independent and the baseline reduces to 4 T² Var[H_θ]_vac.
-    """
-    nbar = max(final_mean_photon(spec), 0.0)
-    reference = coherent(math.sqrt(nbar))
-    return 4.0 * spec.total_time**2 * variance_quadratic(reference, spec.Htheta)
+    """Energy- and time-matched direct-encoding QFI; see :meth:`Protocol.direct_baseline`."""
+    return float(Protocol.from_spec(spec).direct_baseline(spec.t_c, spec.t_theta, spec.theta0))
 
 
 def enhancement_ratio(spec: ProtocolSpec) -> float:
     """qfi_exact / direct_baseline; > 1 means genuine resource-matched gain."""
-    if abs(spec.alpha) < 1e-12:
-        raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
-    return qfi_exact(spec) / direct_baseline(spec)
+    return float(Protocol.from_spec(spec).ratio(spec.t_c, spec.t_theta, spec.theta0))
 
 
 def skew_information(spec: ProtocolSpec) -> float:
-    """Noncommutativity of the prepared state and the encoding Hamiltonian.
-
-    For the pure prepared state the skew information is simply
-    Var[H_θ] in that state, which equals qfi_exact/(4 t_θ²) identically;
-    both sides are computed independently here and in qfi_exact, and the
-    identity is enforced by the tests.
-    """
-    return variance_quadratic(prepared_state(spec), spec.Htheta)
-
-
-def _richardson_derivative(f, x0: float, step: float) -> float:
-    coarse = (f(x0 + step) - f(x0 - step)) / (2.0 * step)
-    fine = (f(x0 + 0.5 * step) - f(x0 - 0.5 * step)) / step
-    return (4.0 * fine - coarse) / 3.0
+    """Skew information of the prepared state and H_θ; see :meth:`Protocol.skew`."""
+    return float(Protocol.from_spec(spec).skew(spec.t_c))
 
 
 def cfi_homodyne(spec: ProtocolSpec, dtheta: float = 1e-4) -> float:
-    """Classical Fisher information of homodyne detection of P.
-
-    For a Gaussian outcome distribution,
-    I(θ) = (∂_θ⟨P⟩)²/V + ½ (∂_θV)²/V² with V = Var P, both derivatives
-    taken at the working point by Richardson-refined central differences.
-    V is bounded away from zero by the uncertainty relation, so the formula
-    never divides by zero on physical states.
-    """
-    if not (1e-6 <= dtheta <= 1e-2):
-        raise ValueError("dtheta must lie in [1e-6, 1e-2]")
-
-    def stats(theta: float) -> tuple[float, float]:
-        return quadrature_stats(protocol_state(spec, theta))
-
-    d_mean = _richardson_derivative(lambda th: stats(th)[0], spec.theta0, dtheta)
-    d_var = _richardson_derivative(lambda th: stats(th)[1], spec.theta0, dtheta)
-    var_p = stats(spec.theta0)[1]
-    return d_mean**2 / var_p + 0.5 * d_var**2 / var_p**2
+    """Homodyne (P) classical Fisher information; see :meth:`Protocol.cfi_homodyne`."""
+    return float(
+        Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0, dtheta)
+    )
 
 
 def qfi_displacement(spec: ProtocolSpec) -> float:
@@ -198,7 +327,7 @@ def qfi_displacement(spec: ProtocolSpec) -> float:
     """
     if not _is_displacement_encoding(spec.Htheta):
         raise ValueError("displacement formula requires encoding (a† + a)/√2")
-    cs = critical_structure(spec)
+    cs = Protocol.from_spec(spec).structure
     if cs is None:
         return 0.0
     sin_weight, _ = preparation_weights(cs.Delta, spec.t_c)
@@ -295,16 +424,17 @@ class MetrologyReport:
 
 def evaluate_report(spec: ProtocolSpec, dtheta: float = 1e-4) -> MetrologyReport:
     """Compute the full metrology report for one protocol instance."""
-    f_exact = qfi_exact(spec)
-    mean_p, var_p = quadrature_stats(protocol_state(spec))
+    protocol = Protocol.from_spec(spec)
+    times = (spec.t_c, spec.t_theta)
+    final = protocol.state(*times, spec.theta0)
     return MetrologyReport(
-        qfi_exact=f_exact,
+        qfi_exact=float(protocol.qfi(*times)),
         qfi_asymptotic=qfi_asymptotic(spec),
-        qfi_direct_baseline=direct_baseline(spec),
-        ratio=enhancement_ratio(spec),
-        skew=skew_information(spec),
-        cfi_homodyne=cfi_homodyne(spec, dtheta),
-        meanP=mean_p,
-        varP=var_p,
-        final_mean_photon=final_mean_photon(spec),
+        qfi_direct_baseline=float(protocol.direct_baseline(*times, spec.theta0)),
+        ratio=float(protocol.ratio(*times, spec.theta0)),
+        skew=float(protocol.skew(spec.t_c)),
+        cfi_homodyne=float(protocol.cfi_homodyne(*times, spec.theta0, dtheta)),
+        meanP=float(final.mp),
+        varP=float(final.spp),
+        final_mean_photon=float(photon_number(final)),
     )

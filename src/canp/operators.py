@@ -29,8 +29,8 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 # Maximum admissible relative residual of the triple-commutator check.
 RESIDUAL_MAX = 1e-8
-# Below this value of Delta * t_c**2 the trigonometric weights are evaluated
-# by Taylor series so the Delta -> 0 limit is smooth.
+# Below this value of |k t²| the weights of flow_weights are evaluated by
+# Taylor series so the k -> 0 limit is smooth.
 SERIES_SWITCH = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
@@ -106,12 +106,6 @@ class QuadraticOperator:
             and abs(self.c_1.imag) <= tol * scale
             and abs(self.c_adad - self.c_aa.conjugate()) <= tol * scale
             and abs(self.c_ad - self.c_a.conjugate()) <= tol * scale
-        )
-
-    def isclose(self, other: "QuadraticOperator", tol: float = HERMITIAN_TOL) -> bool:
-        return all(
-            abs(x - y) <= tol * max(1.0, self.max_abs(), other.max_abs())
-            for x, y in zip(self.coeffs(), other.coeffs())
         )
 
     # JSON wire format: six {re, im} pairs keyed by term.
@@ -251,23 +245,59 @@ def derive_critical_structure(
     return CriticalStructure(C=c_op, D=d_op, Delta=delta, residual=residual)
 
 
+def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos(√k t), sin(√k t)/√k, (1 − cos(√k t))/k) over an array of times t.
+
+    These are the three scalar functions of every closed two-term flow in
+    this package. A generator M with M² = −k·I has exp(Mt) = c·I + s·M, and
+    s and q are the first and second time integrals of c. The same weights
+    give the critical preparation (k = Δ) and the phase-space map of a
+    quadratic Hamiltonian (k = det G).
+
+    Three branches: k > 0 uses cos/sin, k < 0 uses cosh/sinh, and wherever
+    |k t²| is below the series switch all three are 4-term Taylor series in
+    x = k t², so the k → 0 limit (1, t, t²/2) is smooth. 1 − cos(y) is
+    written 2 sin²(y/2) (and cosh(y) − 1 as 2 sinh²(y/2)) to avoid
+    cancellation near the switch. The outputs have the shape of t (numpy
+    scalars for a scalar t).
+    """
+    t = np.asarray(t, dtype=float)
+    x = k * t * t
+    small = np.abs(x) < SERIES_SWITCH
+    if small.all():  # includes k = 0 and t = 0
+        return _flow_series(t, x)
+    if k > 0.0:
+        root = math.sqrt(k)
+        y = root * t
+        half = np.sin(0.5 * y)
+        c, s, q = np.cos(y), np.sin(y) / root, 2.0 * half * half / k
+    else:
+        root = math.sqrt(-k)
+        y = root * t
+        half = np.sinh(0.5 * y)
+        c, s, q = np.cosh(y), np.sinh(y) / root, -2.0 * half * half / k
+    if small.any():
+        c[small], s[small], q[small] = _flow_series(t[small], x[small])
+    return c, s, q
+
+
+def _flow_series(t, x):
+    """4-term Taylor series of the flow weights in x = k t²."""
+    return (
+        1.0 - x / 2.0 + x * x / 24.0 - x * x * x / 720.0,
+        t * (1.0 - x / 6.0 + x * x / 120.0 - x * x * x / 5040.0),
+        0.5 * t * t * (1.0 - x / 12.0 + x * x / 360.0 - x * x * x / 20160.0),
+    )
+
+
 def preparation_weights(delta: float, t_c: float) -> tuple[float, float]:
     """Weights (sin(√Δ t_c)/√Δ, (cos(√Δ t_c) − 1)/Δ), safe at Δ → 0.
 
-    For Δ t_c² below the series switch both ratios are evaluated by 4-term
-    Taylor series in x = Δ t_c²; otherwise the closed forms are used, with
-    cos(y) − 1 rewritten as −2 sin²(y/2) to avoid cancellation near the
-    switch. Limits at Δ = 0: (t_c, −t_c²/2).
+    The scalar form of :func:`flow_weights` with k = Δ; limits at Δ = 0:
+    (t_c, −t_c²/2).
     """
-    x = delta * t_c * t_c
-    if abs(x) < SERIES_SWITCH:
-        s = t_c * (1.0 - x / 6.0 + x * x / 120.0 - x * x * x / 5040.0)
-        c = -0.5 * t_c * t_c * (1.0 - x / 12.0 + x * x / 360.0 - x * x * x / 20160.0)
-        return s, c
-    root = math.sqrt(delta)
-    y = root * t_c
-    half = math.sin(0.5 * y)
-    return math.sin(y) / root, -2.0 * half * half / delta
+    _, s, q = flow_weights(delta, t_c)
+    return float(s), -float(q)
 
 
 def generator(

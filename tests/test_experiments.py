@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,24 @@ class TestCli:
     def test_missing_config_is_config_error(self, tmp_path):
         rc = cli.main(["fig2a", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"experiment": "fig2a", "model": ')
+        assert cli.main(["fig2a", "--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_object_config_is_config_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["fig2a", "--config", str(path)]) == 2
+
+    def test_runtime_does_not_import_scipy(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, canp.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_bad_override_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"

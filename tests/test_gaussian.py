@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from canp import fock
 from canp.gaussian import (
@@ -18,7 +20,13 @@ from canp.gaussian import (
     variance_quadratic,
 )
 from canp.models import qrm_effective, qrm_commutator_d
-from canp.operators import QuadraticOperator
+from canp.operators import (
+    SERIES_SWITCH,
+    QuadraticOperator,
+    flow_weights,
+    from_quadrature_form,
+    to_quadrature_form,
+)
 
 ALPHA = 0.3 + 1.0j
 N = QuadraticOperator.number()
@@ -157,3 +165,103 @@ class TestMoments:
     def test_quadrature_stats(self):
         assert quadrature_stats(vacuum()) == pytest.approx((0.0, 0.5))
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
+
+
+def expm_map(h: QuadraticOperator, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (S, d) from one 3×3 homogeneous matrix exponential."""
+    g_mat, v, _ = to_quadrature_form(h)
+    m = np.zeros((3, 3))
+    m[:2, :2] = OMEGA @ g_mat
+    m[:2, 2] = OMEGA @ v
+    e = expm(m * t)
+    return e[:2, :2], e[:2, 2]
+
+
+def quadratic(eig1: float, eig2: float, angle: float, v=(0.0, 0.0)) -> QuadraticOperator:
+    """Hermitian quadratic with G = R(angle) diag(eig1, eig2) R(angle)ᵀ, so det G = eig1·eig2."""
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    g_mat = rot @ np.diag([eig1, eig2]) @ rot.T
+    return from_quadrature_form(0.5 * (g_mat + g_mat.T), np.array(v), 0.3)
+
+
+_EIG = st.floats(0.05, 2.0)
+_ANGLE = st.floats(0.0, math.pi)
+_LINEAR = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_FLOW_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestClosedFormFlow:
+    """evolution_map's three-branch closed form against scipy's expm."""
+
+    @staticmethod
+    def assert_matches_expm(h: QuadraticOperator, t: float, tol: float = 1e-11) -> None:
+        s_mat, d = evolution_map(h, t)
+        s_ref, d_ref = expm_map(h, t)
+        scale = max(1.0, float(np.max(np.abs(s_ref))), float(np.max(np.abs(d_ref))))
+        assert np.max(np.abs(s_mat - s_ref)) <= tol * scale
+        assert np.max(np.abs(d - d_ref)) <= tol * scale
+        assert np.max(np.abs(s_mat @ OMEGA @ s_mat.T - OMEGA)) <= tol * scale**2
+
+    @_FLOW_SETTINGS
+    @given(_EIG, _EIG, st.booleans(), _ANGLE, _LINEAR, st.floats(0.0, 3.0))
+    def test_elliptic(self, e1, e2, negative, angle, v, t):
+        sign = -1.0 if negative else 1.0  # det G > 0 for either overall sign
+        h = quadratic(sign * e1, sign * e2, angle, v)
+        self.assert_matches_expm(h, t)
+
+    @_FLOW_SETTINGS
+    @given(_EIG, _EIG, _ANGLE, _LINEAR, st.floats(0.0, 3.0))
+    def test_hyperbolic(self, e1, e2, angle, v, t):
+        h = quadratic(e1, -e2, angle, v)  # det G < 0
+        self.assert_matches_expm(h, t)
+
+    @_FLOW_SETTINGS
+    @given(st.floats(-1.0, 1.0), _EIG, _ANGLE, _LINEAR, st.floats(0.01, 3.0))
+    def test_series_branch(self, frac, e2, angle, v, t):
+        # det G · t² = frac · SERIES_SWITCH lies inside the series window.
+        e1 = frac * SERIES_SWITCH / (e2 * t * t)
+        h = quadratic(e1, e2, angle, v)
+        self.assert_matches_expm(h, t)
+
+    @_FLOW_SETTINGS
+    @given(_LINEAR, st.floats(0.0, 5.0))
+    def test_pure_displacement(self, v, t):
+        h = from_quadrature_form(np.zeros((2, 2)), np.array(v), 0.0)
+        s_mat, d = evolution_map(h, t)
+        assert np.array_equal(s_mat, np.eye(2))
+        assert np.allclose(d, t * (OMEGA @ np.array(v)), rtol=1e-15, atol=0.0)
+        self.assert_matches_expm(h, t)
+
+    @pytest.mark.parametrize("det", [1.0, -1.0, 0.37, -2.5])
+    def test_continuity_across_series_switch(self, det):
+        t_switch = math.sqrt(SERIES_SWITCH / abs(det))
+        h = quadratic(det / 0.8, 0.8, 0.4, (0.6, -1.1))
+        g_mat, v, _ = to_quadrature_form(h)
+        rate = max(1.0, float(np.max(np.abs(g_mat))), float(np.max(np.abs(v))))
+        for eps in (1e-9, 1e-12):
+            lo, hi = t_switch * (1.0 - eps), t_switch * (1.0 + eps)
+            assert abs(det) * lo * lo < SERIES_SWITCH <= abs(det) * hi * hi
+            (s_lo, d_lo), (s_hi, d_hi) = evolution_map(h, lo), evolution_map(h, hi)
+            # No jump beyond the flow's own change over [lo, hi].
+            bound = 2.0 * rate * (hi - lo) + 1e-15
+            assert np.max(np.abs(s_hi - s_lo)) <= bound
+            assert np.max(np.abs(d_hi - d_lo)) <= bound
+            self.assert_matches_expm(h, lo, tol=1e-14)
+            self.assert_matches_expm(h, hi, tol=1e-14)
+            c_lo, s_lo_w, q_lo = flow_weights(det, lo)
+            c_hi, s_hi_w, q_hi = flow_weights(det, hi)
+            # |c'| = |k| s, s' = c, q' = s, with s ≈ t and c ≈ 1 at the switch.
+            step = 1.01 * (hi - lo)
+            assert abs(c_hi - c_lo) <= abs(det) * hi * step + 2e-16
+            assert abs(s_hi_w - s_lo_w) <= step + 2e-16 * hi
+            assert abs(q_hi - q_lo) <= hi * step + 2e-16 * hi * hi
+
+    def test_weights_broadcast_and_mixed_branches(self):
+        # One array holding series and closed-form entries matches the
+        # entries evaluated one at a time (to rounding), for either sign of k.
+        for k in (0.8, -0.8):
+            t = np.array([[0.0, 1e-4, 2.0], [3.0, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9)]])
+            batch = flow_weights(k, t)
+            for idx in np.ndindex(t.shape):
+                single = flow_weights(k, float(t[idx]))
+                assert [w[idx] for w in batch] == pytest.approx(single, rel=1e-15, abs=0.0)

@@ -9,6 +9,7 @@ from canp.errors import NoSignChangeError, VacuumProbeError
 from canp.gaussian import quadrature_stats
 from canp.metrology import (
     MetrologyReport,
+    Protocol,
     ProtocolSpec,
     cfi_homodyne,
     direct_baseline,
@@ -23,6 +24,7 @@ from canp.metrology import (
     skew_information,
 )
 from canp.models import ModelParams, encoding_frequency, qrm_effective
+from canp.operators import QuadraticOperator
 
 ALPHA = 0.3 + 1.0j
 T_THETA = 12.0
@@ -291,3 +293,88 @@ class TestProtocolSpecAndReport:
             shifts.append(abs(peak - math.pi))
             assert peak == pytest.approx(math.pi, abs=0.15)
         assert shifts[0] > shifts[1] > shifts[2]
+
+
+class TestProtocolKernel:
+    """The batched kernel against the scalar wrappers, element by element."""
+
+    CASES = (
+        ("QRM-frequency", 0.96, 0.0),
+        ("QRM-frequency", 0.9, 0.23),
+        ("QRM-frequency", 0.0, 0.1),  # commuting pair: generator t_θ H_θ
+        ("QRM-displacement", 0.9, 0.3),
+    )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("variant, g, theta0", CASES)
+    def test_grid_matches_scalar_wrappers(self, shape, variant, g, theta0):
+        params = ModelParams(variant, g=g)
+        hc, htheta = params.pair()
+        t_c = np.linspace(0.0, 9.0, shape[0])[:, None]
+        t_theta = np.linspace(0.5, 15.0, shape[1])[None, :]
+        protocol = Protocol(hc, htheta, ALPHA)
+        grids = {
+            qfi_exact: protocol.qfi(t_c, t_theta),
+            direct_baseline: protocol.direct_baseline(t_c, t_theta, theta0),
+            enhancement_ratio: protocol.ratio(t_c, t_theta, theta0),
+            skew_information: np.broadcast_to(protocol.skew(t_c), shape),
+            cfi_homodyne: protocol.cfi_homodyne(t_c, t_theta, theta0),
+        }
+        mean_p, var_p = protocol.quadrature_stats(t_c, t_theta, theta0)
+        for grid in (*grids.values(), mean_p, var_p):
+            assert grid.shape == shape
+        for i, j in np.ndindex(shape):
+            spec = ProtocolSpec(Hc=hc, Htheta=htheta, t_c=float(t_c[i, 0]),
+                                t_theta=float(t_theta[0, j]), alpha=ALPHA, theta0=theta0)
+            for wrapper, grid in grids.items():
+                assert grid[i, j] == pytest.approx(wrapper(spec), rel=1e-14, abs=1e-300)
+            final = protocol_state(spec)
+            assert (mean_p[i, j], var_p[i, j]) == pytest.approx(
+                quadrature_stats(final), rel=1e-14, abs=1e-14)
+
+    def test_time_validation_matches_spec(self):
+        protocol = Protocol(qrm_effective(1.0, 0.9), encoding_frequency(), ALPHA)
+        with pytest.raises(ValueError):
+            protocol.ratio(np.array([1.0, -1.0]), 2.0, 0.0)
+        with pytest.raises(ValueError):
+            protocol.qfi(0.0, 0.0)
+        with pytest.raises(VacuumProbeError):
+            Protocol(qrm_effective(1.0, 0.9), encoding_frequency(), 0.0).ratio(1.0, 1.0, 0.0)
+
+    def test_displacement_baseline_at_nonzero_working_point(self):
+        # Encoding exp(−iθ t_θ X) shifts ⟨P⟩ by −θ t_θ, so the final photon
+        # number depends on θ0; the coherent-state variance of X does not,
+        # so the energy-matched baseline stays 4 T² · ½.
+        params = ModelParams("QRM-displacement", g=0.9)
+        t_c, t_theta = 2.0, 3.0
+
+        def spec_at(theta0):
+            return ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
+                                t_c=t_c, t_theta=t_theta, alpha=ALPHA, theta0=theta0)
+
+        nbar = {th: final_mean_photon(spec_at(th)) for th in (0.0, 0.4)}
+        assert abs(nbar[0.4] - nbar[0.0]) > 0.1
+        for theta0 in (0.0, 0.4):
+            spec = spec_at(theta0)
+            psi = fock.converged_protocol_state(spec, theta0)
+            assert nbar[theta0] == pytest.approx(fock.mean_photon_fock(psi), abs=1e-9)
+            reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
+            oracle = 4.0 * (t_c + t_theta) ** 2 * fock.variance_fock(reference, spec.Htheta)
+            assert direct_baseline(spec) == pytest.approx(oracle, rel=1e-9)
+            assert direct_baseline(spec) == pytest.approx(2.0 * (t_c + t_theta) ** 2, rel=1e-13)
+
+    def test_baseline_follows_working_point_for_general_encoding(self):
+        # With a squeezing term in H_θ both the final photon number and the
+        # reference variance depend on θ0; the baseline must use the
+        # photon number at θ0 (checked against the number-basis oracle).
+        htheta = QuadraticOperator(c_n=1.0, c_aa=0.2, c_adad=0.2)
+        values = []
+        for theta0 in (0.0, 0.15):
+            spec = ProtocolSpec(Hc=qrm_effective(1.0, 0.9), Htheta=htheta, t_c=1.5,
+                                t_theta=2.0, alpha=ALPHA, theta0=theta0)
+            psi = fock.converged_protocol_state(spec, theta0)
+            reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
+            oracle = 4.0 * spec.total_time**2 * fock.variance_fock(reference, htheta)
+            values.append(direct_baseline(spec))
+            assert values[-1] == pytest.approx(oracle, rel=1e-8)
+        assert abs(values[1] - values[0]) > 1e-3 * values[0]

@@ -1,0 +1,24 @@
+import pytest
+
+from canp import validate
+
+
+def test_oracle_checks_split_their_wall_time(monkeypatch):
+    # Two cheap grid points; the QFI comparison must report the time it
+    # took, and the two checks together the time of the shared pass.
+    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.5, 0.25)))
+    clock = {"now": 0.0}
+
+    def tick() -> float:
+        clock["now"] += 1.0
+        return clock["now"]
+
+    monkeypatch.setattr(validate.time, "monotonic", tick)
+    moments, qfi = validate.check_oracle_agreement(parallelism=1)
+    assert moments.passed and qfi.passed
+    assert qfi.seconds > 0.0 and moments.seconds > 0.0
+    # Each clock read advances 1 s: one read at the start, four per point
+    # (point start, QFI start, QFI end, point end), one at the end. So the
+    # pass takes 9 s and each point spends 1 of its 3 s on the QFIs.
+    assert moments.seconds + qfi.seconds == pytest.approx(9.0)
+    assert qfi.seconds == pytest.approx(3.0)
