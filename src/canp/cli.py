@@ -5,9 +5,8 @@ Usage:
 
 Any config field can be overridden with a flag of the same dotted name,
 e.g. --model.g=0.9 or --sweep.g.points=50. Exit codes: 0 success,
-1 validation failure, 2 configuration error. Sweeps run in this process as
-array evaluations; the CANP_THREADS environment variable caps only the
-process pool of the `validate` oracle.
+1 validation failure, 2 configuration error. Every experiment, `validate`
+and its number-basis oracle included, runs in this one process.
 """
 
 from __future__ import annotations

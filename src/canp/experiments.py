@@ -3,12 +3,13 @@
 Each experiment maps a JSON run configuration onto a deterministic CSV (or a
 JSON report for `validate`). A sweep is a single-process array evaluation:
 each runner builds one :class:`canp.metrology.Protocol` per model value and
-evaluates that value's whole time grid in closed form. The `parallelism`
-field and the CANP_THREADS environment variable cap only the process pool
-of the `validate` oracle. Every CSV starts with a comment line carrying the
-tool version and a hash of the resolved configuration (the output path and
-parallelism cap are excluded from the hash precisely because they must not
-affect the data).
+evaluates that value's whole time grid in closed form, and `validate` runs
+its number-basis oracle in the same process. The `parallelism` field is
+still accepted (a positive integer) so that older configs keep loading, but
+nothing reads it. Every CSV starts with a comment line carrying the tool
+version and a hash of the resolved configuration (the output path and the
+ignored parallelism field are excluded from the hash precisely because they
+must not affect the data).
 """
 
 from __future__ import annotations
@@ -229,17 +230,6 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig
     return config_from_dict(obj)
 
 
-def effective_parallelism(cfg: RunConfig) -> int:
-    cap = cfg.parallelism or (os.cpu_count() or 1)
-    env = os.environ.get("CANP_THREADS")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CANP_THREADS={env!r} is not an integer") from exc
-    return max(1, cap)
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
@@ -253,7 +243,11 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
     lines = [f"# canp {__version__} experiment={cfg.experiment} config_sha256={cfg.sha256()}"]
     lines.extend(f"# {comment}" for comment in extra_comments)
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # Rows hold mostly Python floats (from ndarray.tolist()), for which
+    # _fmt would return exactly repr(v).
+    lines.extend(
+        ",".join(repr(v) if type(v) is float else _fmt(v) for v in row) for row in rows
+    )
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -407,7 +401,7 @@ def run_validate(cfg: RunConfig) -> dict:
 
     if not cfg.oracle:
         raise ConfigError("the validate experiment requires oracle=true")
-    report = run_checks(parallelism=min(4, effective_parallelism(cfg)))
+    report = run_checks()
     report["version"] = __version__
     report["config_sha256"] = cfg.sha256()
     path = cfg.out

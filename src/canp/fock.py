@@ -3,10 +3,16 @@
 This module is the independent ground truth for everything the Gaussian
 engine and the metrology formulas compute in closed form: states are complex
 amplitude vectors in a truncated Fock basis, Hamiltonians are dense
-Hermitian matrices, and evolution goes through an eigendecomposition (one
-decomposition serves every evolution time). Dense linear algebra caps the
-useful truncation around a few hundred levels, which is all the desk-scale
-parameter ranges here need.
+Hermitian matrices filled band by band from their six coefficients, and
+evolution goes through an eigendecomposition. Each (Hamiltonian, truncation)
+is decomposed once per process: a small bounded memo hands the same
+:class:`Propagator` to every evolution time and every caller of the run, so
+the protocol state and the numeric QFI of one point, the points that share
+H_c and every use of the encoding generator share their decompositions. The
+decomposition is real symmetric (float64) when all six coefficients are
+real, which every shipped H_c, a†a and X are, and complex Hermitian
+otherwise. Dense linear algebra caps the useful truncation around a few
+hundred levels, which is all the desk-scale parameter ranges here need.
 
 Truncation honesty is enforced, not assumed: after every evolution the
 amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +34,10 @@ from .operators import QuadraticOperator
 TAIL_TOL = 1e-10
 DEFAULT_DIM = 60
 MAX_DIM = 480
+# Decompositions kept by the propagator memo. The 20-point validate grid
+# needs 15 distinct (H, dim) pairs; the largest entry (dim 480, complex)
+# holds 3.7 MB of eigenvectors.
+PROPAGATOR_CACHE_SIZE = 16
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -62,19 +73,40 @@ def ladder(dim: int) -> np.ndarray:
 
 
 def build_matrix(op: QuadraticOperator, dim: int) -> np.ndarray:
-    """Dense matrix of a quadratic operator in the first `dim` number states."""
+    """Matrix of a quadratic operator in the first `dim` number states.
+
+    Filled band by band from the coefficients: n on the diagonal (a†a),
+    √(n+1) on the first off-diagonals (a above, a† below) and √((n+1)(n+2))
+    on the second (a² above, a†² below). The matrix is float64 when all six
+    coefficients are real and complex128 otherwise.
+    """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    a = ladder(dim)
-    ad = a.T
-    return (
-        op.c_n * (ad @ a)
-        + op.c_aa * (a @ a)
-        + op.c_adad * (ad @ ad)
-        + op.c_a * a
-        + op.c_ad * ad
-        + op.c_1 * np.eye(dim)
-    ).astype(complex)
+    coeffs = op.coeffs()
+    real = all(c.imag == 0.0 for c in coeffs)
+    c_n, c_aa, c_adad, c_a, c_ad, c_1 = (c.real for c in coeffs) if real else coeffs
+    root = np.sqrt(np.arange(1.0, dim))  # √(n+1), n = 0 … dim−2
+    pair = root[:-1] * root[1:]  # √(n+1)·√(n+2), n = 0 … dim−3
+    i = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=float if real else complex)
+    m[i, i] = c_n * np.arange(float(dim)) + c_1
+    m[i[:-1], i[1:]] = c_a * root
+    m[i[1:], i[:-1]] = c_ad * root
+    m[i[:-2], i[2:]] = c_aa * pair
+    m[i[2:], i[:-2]] = c_adad * pair
+    return m
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a complex vector v.
+
+    A real m multiplies the real and imaginary parts of v in one real
+    product instead of being cast to complex on every call.
+    """
+    if np.iscomplexobj(m):
+        return m @ v
+    parts = m @ np.stack((v.real, v.imag), axis=1)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +138,11 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
 
 
 class Propagator:
-    """exp(−iHt) applied through one reusable eigendecomposition of H."""
+    """exp(−iHt) applied through one reusable eigendecomposition of H.
+
+    The eigenvectors are read-only because one instance is shared by every
+    caller that asks :func:`propagator` for the same (H, dim).
+    """
 
     def __init__(self, hamiltonian: QuadraticOperator, dim: int):
         h = build_matrix(hamiltonian, dim)
@@ -114,11 +150,14 @@ class Propagator:
         if herm_defect > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
             raise ValueError("propagator requires a Hermitian generator")
         self.eigvals, self.eigvecs = np.linalg.eigh(h)
+        self.eigvecs.flags.writeable = False
         self.dim = dim
 
     def apply(self, state: FockState, t: float) -> FockState:
         phases = np.exp(-1j * self.eigvals * float(t))
-        amps = self.eigvecs @ (phases * (self.eigvecs.conj().T @ state.amps))
+        # V†ψ = conj(Vᵀ conj ψ): no conjugated copy of V is made or stored.
+        coeffs = _matvec(self.eigvecs.T, state.amps.conj()).conj()
+        amps = _matvec(self.eigvecs, phases * coeffs)
         out = FockState(amps)
         if out.tail_mass() > TAIL_TOL:
             raise TruncationNotConvergedError(
@@ -127,19 +166,24 @@ class Propagator:
         return out
 
 
+@lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
+def propagator(hamiltonian: QuadraticOperator, dim: int) -> Propagator:
+    """The shared :class:`Propagator` of (H, dim), built on first request."""
+    return Propagator(hamiltonian, dim)
+
+
 def evolve_fock(state: FockState, hamiltonian: QuadraticOperator, t: float) -> FockState:
     """Apply exp(−iHt) to a Fock-basis state (H Hermitian)."""
-    return Propagator(hamiltonian, state.dim).apply(state, t)
+    return propagator(hamiltonian, state.dim).apply(state, t)
 
 
 def expectation_fock(state: FockState, op: QuadraticOperator) -> float:
-    m = build_matrix(op, state.dim)
-    return float(np.real(np.vdot(state.amps, m @ state.amps)))
+    m_psi = _matvec(build_matrix(op, state.dim), state.amps)
+    return float(np.real(np.vdot(state.amps, m_psi)))
 
 
 def variance_fock(state: FockState, op: QuadraticOperator) -> float:
-    m = build_matrix(op, state.dim)
-    m_psi = m @ state.amps
+    m_psi = _matvec(build_matrix(op, state.dim), state.amps)
     mean = np.real(np.vdot(state.amps, m_psi))
     return float(np.real(np.vdot(m_psi, m_psi)) - mean**2)
 
@@ -211,8 +255,8 @@ def qfi_numeric(
 
 def _qfi_numeric_at_dim(spec, dtheta: float, dim: int) -> float:
     psi0 = coherent_fock(spec.alpha, dim)
-    psi_prep = Propagator(spec.Hc, dim).apply(psi0, spec.t_c)
-    encoder = Propagator(spec.Htheta, dim)
+    psi_prep = propagator(spec.Hc, dim).apply(psi0, spec.t_c)
+    encoder = propagator(spec.Htheta, dim)
 
     def fisher(delta: float) -> float:
         lo = encoder.apply(psi_prep, (spec.theta0 - delta) * spec.t_theta)

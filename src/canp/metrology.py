@@ -187,6 +187,19 @@ class Protocol:
         h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
         return 4.0 * t_theta**2 * quadratic_variance(h, self.probe)
 
+    def qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
+        """Leading near-critical QFI 4 t_θ² [(cos(√Δ t_c) − 1)/Δ]² Var[D].
+
+        This keeps only the double-commutator term of the generator; the gap
+        to the exact value is reported by callers rather than asserted, since
+        the neglected cross terms are only suppressed near the critical
+        point. A commuting pair has D = 0 and so gives 0.
+        """
+        t_c, t_theta = _durations(t_c, t_theta)
+        delta, _, f_d = self._generator_terms
+        _, _, q = flow_weights(delta, t_c)  # the cosine weight is −q
+        return 4.0 * t_theta**2 * q**2 * quadratic_variance(f_d, self.probe)
+
     def direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
         """QFI of the direct-encoding scheme under matched energy and total time.
 
@@ -275,18 +288,8 @@ def qfi_exact(spec: ProtocolSpec) -> float:
 
 
 def qfi_asymptotic(spec: ProtocolSpec) -> float:
-    """Leading near-critical QFI 4 t_θ² [(cos(√Δ t_c) − 1)/Δ]² Var[D].
-
-    This keeps only the double-commutator term of the generator; the gap to
-    the exact value is reported by callers rather than asserted, since the
-    neglected cross terms are only suppressed near the critical point.
-    """
-    cs = Protocol.from_spec(spec).structure
-    if cs is None:
-        return 0.0
-    _, cos_weight = preparation_weights(cs.Delta, spec.t_c)
-    var_d = variance_quadratic(probe_state(spec), cs.D)
-    return 4.0 * spec.t_theta**2 * cos_weight**2 * var_d
+    """Leading near-critical QFI; see :meth:`Protocol.qfi_asymptotic`."""
+    return float(Protocol.from_spec(spec).qfi_asymptotic(spec.t_c, spec.t_theta))
 
 
 def final_mean_photon(spec: ProtocolSpec) -> float:

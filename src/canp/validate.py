@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -21,15 +20,7 @@ import numpy as np
 from . import fock
 from .errors import TruncationNotConvergedError
 from .gaussian import coherent, evolve, evolution_map, mean_photon, variance_quadratic, OMEGA
-from .metrology import (
-    ProtocolSpec,
-    enhancement_ratio,
-    find_threshold,
-    qfi_asymptotic,
-    qfi_exact,
-    skew_information,
-    cfi_homodyne,
-)
+from .metrology import Protocol, ProtocolSpec, enhancement_ratio, find_threshold, qfi_exact
 from .models import (
     ModelParams,
     lmg_commutator_d,
@@ -63,6 +54,11 @@ class CheckResult:
     tolerance: dict = field(default_factory=dict)
     details: str = ""
     seconds: float = 0.0
+
+
+def _protocol(params: ModelParams) -> Protocol:
+    """The protocol of a model value with the validation probe."""
+    return Protocol(params.preparation(), params.encoding(), ALPHA)
 
 
 def _agree(a: float, b: float, tol: float) -> bool:
@@ -172,20 +168,18 @@ def _oracle_point(point: tuple[float, float]) -> dict:
     }
 
 
-def check_oracle_agreement(parallelism: int = 1) -> tuple[CheckResult, CheckResult]:
+def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
     """Gaussian moments and exact QFI against the number-basis oracle.
 
-    Both checks share one pass over the grid, so its wall time is split
-    between them in proportion to the time the points spent on each: the
-    QFI comparison gets the share spent computing the two QFIs.
+    Both checks share one in-process pass over the grid, so its wall time is
+    split between them in proportion to the time the points spent on each:
+    the QFI comparison gets the share spent computing the two QFIs. The
+    points share their number-basis decompositions through
+    :func:`canp.fock.propagator`.
     """
     t0 = time.monotonic()
     try:
-        if parallelism > 1:
-            with ProcessPoolExecutor(max_workers=min(4, parallelism)) as pool:
-                results = list(pool.map(_oracle_point, ORACLE_GRID))
-        else:
-            results = [_oracle_point(p) for p in ORACLE_GRID]
+        results = [_oracle_point(p) for p in ORACLE_GRID]
     except TruncationNotConvergedError as exc:
         elapsed = time.monotonic() - t0
         failed = CheckResult(
@@ -267,15 +261,8 @@ def check_thresholds() -> CheckResult:
 def check_short_time_scaling() -> CheckResult:
     """Log-log slope of the asymptotic QFI versus t_c in the short-time window."""
     t0 = time.monotonic()
-    params = ModelParams("QRM-frequency", g=0.96)
     t_grid = np.logspace(-3, -2, 20)
-    values = [
-        qfi_asymptotic(ProtocolSpec(
-            Hc=params.preparation(), Htheta=params.encoding(),
-            t_c=float(t), t_theta=T_THETA, alpha=ALPHA,
-        ))
-        for t in t_grid
-    ]
+    values = _protocol(ModelParams("QRM-frequency", g=0.96)).qfi_asymptotic(t_grid, T_THETA)
     slope = float(np.polyfit(np.log(t_grid), np.log(values), 1)[0])
     return CheckResult(
         name="short_time_scaling",
@@ -298,11 +285,9 @@ def check_near_critical_scaling() -> CheckResult:
     deviations = {}
     for g in (0.98, 0.985, 0.99, 0.995):
         params = ModelParams("QRM-frequency", g=g)
-        spec = ProtocolSpec(
-            Hc=params.preparation(), Htheta=params.encoding(),
-            t_c=params.critical_time(), t_theta=T_THETA, alpha=ALPHA,
-        )
-        deviations[g] = abs(qfi_exact(spec) / qfi_asymptotic(spec) - 1.0)
+        protocol, t_c = _protocol(params), params.critical_time()
+        exact, asymptotic = protocol.qfi(t_c, T_THETA), protocol.qfi_asymptotic(t_c, T_THETA)
+        deviations[g] = float(abs(exact / asymptotic - 1.0))
     devs = list(deviations.values())
     ok = (
         all(b < a for a, b in zip(devs, devs[1:]))
@@ -326,18 +311,10 @@ def check_skew_identity() -> CheckResult:
     sdtc_grid = np.linspace(0.0, 4.0 * math.pi, 160)
     for g in (0.90, 0.95, 0.98):
         params = ModelParams("QRM-frequency", g=g)
-        delta = params.published_delta()
-        skews, qfis = [], []
-        for sdtc in sdtc_grid:
-            spec = ProtocolSpec(
-                Hc=params.preparation(), Htheta=params.encoding(),
-                t_c=float(sdtc) / math.sqrt(delta), t_theta=T_THETA, alpha=ALPHA,
-            )
-            s = skew_information(spec)
-            f = qfi_exact(spec)
-            skews.append(s)
-            qfis.append(f)
-            worst_rel = max(worst_rel, abs(4.0 * T_THETA**2 * s - f) / f)
+        protocol, t_c = _protocol(params), sdtc_grid / math.sqrt(params.published_delta())
+        skews = protocol.skew(t_c)
+        qfis = protocol.qfi(t_c, T_THETA)
+        worst_rel = max(worst_rel, float(np.max(np.abs(4.0 * T_THETA**2 * skews - qfis) / qfis)))
         if int(np.argmax(skews)) != int(np.argmax(qfis)):
             argmax_match = False
     return CheckResult(
@@ -356,12 +333,9 @@ def check_homodyne_efficiency() -> CheckResult:
     bounded = True
     for g in np.linspace(0.90, 0.98, 9):
         params = ModelParams("QRM-frequency", g=float(g))
-        spec = ProtocolSpec(
-            Hc=params.preparation(), Htheta=params.encoding(),
-            t_c=params.critical_time(), t_theta=T_THETA, alpha=ALPHA,
-        )
-        cfi = cfi_homodyne(spec)
-        qfi = qfi_exact(spec)
+        protocol, t_c = _protocol(params), params.critical_time()
+        cfi = float(protocol.cfi_homodyne(t_c, T_THETA, 0.0))
+        qfi = float(protocol.qfi(t_c, T_THETA))
         ratios[round(float(g), 4)] = cfi / qfi
         if cfi > qfi * (1.0 + 1e-6):
             bounded = False
@@ -448,13 +422,13 @@ def check_structural_sanity() -> CheckResult:
     )
 
 
-def run_checks(parallelism: int = 1) -> dict:
-    """Run every check and bundle the outcome as a JSON-ready report."""
+def run_checks() -> dict:
+    """Run every check, in this process, and bundle the outcome as a JSON-ready report."""
     results: list[CheckResult] = [
         check_algebraic_criterion(),
         check_operator_constants(),
     ]
-    results.extend(check_oracle_agreement(parallelism))
+    results.extend(check_oracle_agreement())
     results.extend(
         (
             check_thresholds(),

@@ -37,7 +37,7 @@ def test_criterion_2_operator_constants():
 
 def test_criterion_3_oracle_equivalence():
     t0 = time.monotonic()
-    moments, qfi = checks.check_oracle_agreement(parallelism=2)
+    moments, qfi = checks.check_oracle_agreement()
     detail = json.dumps({**moments.measured, **qfi.measured})
     _finish("criterion-3 oracle-equivalence", moments.passed and qfi.passed,
             time.monotonic() - t0, 120.0, detail)

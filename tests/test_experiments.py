@@ -9,7 +9,6 @@ from canp.errors import ConfigError
 from canp.experiments import (
     apply_overrides,
     config_from_dict,
-    effective_parallelism,
     load_config,
     run_experiment,
     write_csv,
@@ -86,14 +85,16 @@ class TestConfigParsing:
         b = config_from_dict(b_dict)
         assert a.sha256() == b.sha256()
 
-    def test_effective_parallelism_env_cap(self, tmp_path, monkeypatch):
-        cfg = config_from_dict(small_config("fig2b-inset", tmp_path, parallelism=8,
-                                            sweep={"g": {"start": 0.5, "stop": 0.9, "points": 4}}))
-        monkeypatch.setenv("CANP_THREADS", "3")
-        assert effective_parallelism(cfg) == 3
+    def test_parallelism_field_is_accepted_and_ignored(self, tmp_path, monkeypatch):
+        # Nothing reads the field or CANP_THREADS any more: an old config
+        # naming a pool size still loads and runs, whatever the environment.
         monkeypatch.setenv("CANP_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            effective_parallelism(cfg)
+        path = tmp_path / "c.json"
+        sweep = {"g": {"start": 0.5, "stop": 0.9, "points": 4}}
+        path.write_text(json.dumps(small_config("fig2b-inset", tmp_path, parallelism=8,
+                                                sweep=sweep)))
+        assert load_config(str(path)).parallelism == 8
+        assert cli.main(["fig2b-inset", "--config", str(path)]) == 0
 
 
 class TestCsvWriter:
@@ -239,6 +240,26 @@ class TestCli:
                              env={"PYTHONPATH": str(src)}, timeout=60, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_validate_starts_no_worker_process(self, tmp_path):
+        # The oracle runs in-process: a validate run must not even import
+        # the process-pool machinery.
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"experiment": "validate", "oracle": True,
+                                    "model": {"variant": "QRM-frequency", "g": 0.96},
+                                    "out": str(tmp_path / "report.json")}))
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from canp import cli, validate\n"
+            "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
+            f"rc = cli.main(['validate', '--config', {str(path)!r}])\n"
+            "print(rc, 'concurrent.futures.process' in sys.modules,"
+            " 'multiprocessing' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False False"
+
     def test_bad_override_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config("fig2b-inset", tmp_path, sweep={
@@ -282,7 +303,7 @@ class TestCli:
     def test_validate_success_exit_code(self, tmp_path, monkeypatch):
         from canp import validate as validate_mod
 
-        def all_pass(parallelism=1):
+        def all_pass():
             return {"passed": True,
                     "checks": [{"name": "stub", "passed": True, "seconds": 0.0}]}
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
 from canp import fock
 from canp.errors import NotPositiveError, TruncationNotConvergedError
-from canp.gaussian import coherent, mean_photon
+from canp.gaussian import coherent, evolve, mean_photon, to_quadrature_form
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_frequency, qrm_effective
 from canp.operators import QuadraticOperator
@@ -15,7 +16,44 @@ ALPHA = 0.3 + 1.0j
 N = QuadraticOperator.number()
 
 
+def dense_matrix(op: QuadraticOperator, dim: int) -> np.ndarray:
+    """Reference: the operator assembled from dense ladder-matrix products."""
+    a = fock.ladder(dim)
+    ad = a.T
+    return (
+        op.c_n * (ad @ a)
+        + op.c_aa * (a @ a)
+        + op.c_adad * (ad @ ad)
+        + op.c_a * a
+        + op.c_ad * ad
+        + op.c_1 * np.eye(dim)
+    ).astype(complex)
+
+
+_COEFF = st.floats(-2.0, 2.0)
+_OPERATOR = st.booleans().flatmap(
+    lambda real: st.lists(
+        _COEFF.map(complex) if real else st.builds(complex, _COEFF, _COEFF),
+        min_size=6, max_size=6,
+    )
+).map(lambda coeffs: QuadraticOperator(*coeffs))
+
+
 class TestBuildMatrix:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_OPERATOR, st.sampled_from((2, 3, 7, 60)))
+    def test_matches_dense_ladder_products(self, op, dim):
+        m = fock.build_matrix(op, dim)
+        real = all(c.imag == 0.0 for c in op.coeffs())
+        assert m.dtype == (np.float64 if real else np.complex128)
+        want = dense_matrix(op, dim)
+        off = ~np.eye(dim, dtype=bool)
+        assert np.array_equal(m[off], want[off])
+        # The band fill puts n itself on the diagonal; the product (a†a)_nn
+        # is √n·√n, which may be off by an ulp.
+        tol = 4.0 * np.finfo(float).eps * dim * max(1.0, op.max_abs())
+        assert np.max(np.abs(np.diag(m) - np.diag(want))) <= tol
+
     def test_number_operator_diagonal(self):
         m = fock.build_matrix(N, 7)
         assert np.allclose(m, np.diag(np.arange(7.0)))
@@ -86,6 +124,48 @@ class TestEvolveFock:
         assert fock.mean_photon_fock(psi) == pytest.approx(
             mean_photon(protocol_state(spec)), abs=1e-6
         )
+
+
+class TestPropagatorMemo:
+    def test_state_and_qfi_share_decompositions(self, propagator_builds):
+        # g = 0.9 at t_c = 2 escalates past the default truncation, so both
+        # callers walk the same ladder of dims and must share every build.
+        spec = ProtocolSpec(
+            Hc=qrm_effective(1.0, 0.9), Htheta=encoding_frequency(),
+            t_c=2.0, t_theta=12.0, alpha=ALPHA, theta0=0.1,
+        )
+        psi = fock.converged_protocol_state(spec, spec.theta0)
+        fock.qfi_numeric(spec)
+        assert psi.dim > fock.DEFAULT_DIM
+        assert {h for h, _ in propagator_builds} == {spec.Hc, spec.Htheta}
+        assert set(propagator_builds.values()) == {1}
+
+    def test_shared_propagator_is_read_only(self):
+        prop = fock.propagator(N, 8)
+        assert prop is fock.propagator(QuadraticOperator(c_n=1 + 0j), 8)
+        with pytest.raises(ValueError):
+            prop.eigvecs[0, 0] = 2.0
+
+
+class TestGaussianAgreement:
+    """Closed-form Gaussian moments against the oracle for the flows no
+    figure uses: G = 0 and det G < 0."""
+
+    @pytest.mark.parametrize("h, t, det_sign", [
+        (QuadraticOperator.momentum(), 1.3, 0),  # pure displacement, complex matrix
+        (QuadraticOperator(c_aa=0.5, c_adad=0.5), 0.4, -1),  # (X² − P²)/2, real matrix
+        (QuadraticOperator(c_aa=-0.5j, c_adad=0.5j), 0.4, -1),  # i(a†² − a²)/2
+        (QuadraticOperator(c_n=0.3, c_aa=0.6, c_adad=0.6, c_a=0.2 - 0.1j, c_ad=0.2 + 0.1j),
+         0.5, -1),
+    ])
+    def test_moments_match_oracle(self, h, t, det_sign):
+        g_mat, _, _ = to_quadrature_form(h)
+        assert np.sign(round(np.linalg.det(g_mat), 12)) == det_sign
+        gauss = evolve(coherent(ALPHA), h, t)
+        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), h, t)
+        mu, sigma = fock.fock_moments(psi)
+        assert np.max(np.abs(mu - gauss.mu)) <= 1e-9
+        assert np.max(np.abs(sigma - gauss.sigma)) <= 1e-9
 
 
 class TestQfiNumeric:

@@ -6,7 +6,7 @@ import pytest
 
 from canp import fock
 from canp.errors import NoSignChangeError, VacuumProbeError
-from canp.gaussian import quadrature_stats
+from canp.gaussian import coherent, quadrature_stats, variance_quadratic
 from canp.metrology import (
     MetrologyReport,
     Protocol,
@@ -23,7 +23,13 @@ from canp.metrology import (
     qfi_exact,
     skew_information,
 )
-from canp.models import ModelParams, encoding_frequency, qrm_effective
+from canp.models import (
+    ModelParams,
+    encoding_frequency,
+    qrm_commutator_d,
+    qrm_delta_frequency,
+    qrm_effective,
+)
 from canp.operators import QuadraticOperator
 
 ALPHA = 0.3 + 1.0j
@@ -81,6 +87,16 @@ class TestQfiAsymptotic:
     def test_deviation_from_exact_at_098(self):
         spec = qrm_spec_at_tau(0.98)
         assert abs(qfi_asymptotic(spec) - qfi_exact(spec)) / qfi_exact(spec) < 0.1
+
+    @pytest.mark.parametrize("g, t_c", [(0.9, 0.7), (0.96, 3.0), (0.99, 20.0)])
+    def test_matches_printed_closed_form(self, g, t_c):
+        # 4 t_θ² [(cos(√Δ t_c) − 1)/Δ]² Var[D], with Δ and D from the
+        # published forms and Var[D] from the GaussianState route.
+        delta = qrm_delta_frequency(1.0, g)
+        weight = (math.cos(math.sqrt(delta) * t_c) - 1.0) / delta
+        var_d = variance_quadratic(coherent(ALPHA), qrm_commutator_d(1.0, g))
+        want = 4.0 * T_THETA**2 * weight**2 * var_d
+        assert qfi_asymptotic(qrm_spec(g, t_c)) == pytest.approx(want, rel=1e-12)
 
 
 class TestDirectBaseline:
@@ -315,6 +331,7 @@ class TestProtocolKernel:
         protocol = Protocol(hc, htheta, ALPHA)
         grids = {
             qfi_exact: protocol.qfi(t_c, t_theta),
+            qfi_asymptotic: protocol.qfi_asymptotic(t_c, t_theta),
             direct_baseline: protocol.direct_baseline(t_c, t_theta, theta0),
             enhancement_ratio: protocol.ratio(t_c, t_theta, theta0),
             skew_information: np.broadcast_to(protocol.skew(t_c), shape),

@@ -1,6 +1,6 @@
 import pytest
 
-from canp import validate
+from canp import fock, validate
 
 
 def test_oracle_checks_split_their_wall_time(monkeypatch):
@@ -14,7 +14,7 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
         return clock["now"]
 
     monkeypatch.setattr(validate.time, "monotonic", tick)
-    moments, qfi = validate.check_oracle_agreement(parallelism=1)
+    moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
     assert qfi.seconds > 0.0 and moments.seconds > 0.0
     # Each clock read advances 1 s: one read at the start, four per point
@@ -22,3 +22,13 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
     # pass takes 9 s and each point spends 1 of its 3 s on the QFIs.
     assert moments.seconds + qfi.seconds == pytest.approx(9.0)
     assert qfi.seconds == pytest.approx(3.0)
+
+
+def test_oracle_pass_builds_each_decomposition_once(propagator_builds):
+    # 20 points at up to four truncations: one build per (H, dim) pair the
+    # pass needs, instead of two per point and truncation.
+    moments, qfi = validate.check_oracle_agreement()
+    assert moments.passed and qfi.passed
+    assert moments.measured["max_dim"] == fock.MAX_DIM
+    assert set(propagator_builds.values()) == {1}
+    assert sum(propagator_builds.values()) <= 20
