@@ -4,12 +4,10 @@ Each experiment maps a JSON run configuration onto a deterministic CSV (or a
 JSON report for `validate`). A sweep is a single-process array evaluation:
 each runner builds one :class:`canp.metrology.Protocol` per model value and
 evaluates that value's whole time grid in closed form, and `validate` runs
-its number-basis oracle in the same process. The `parallelism` field is
-still accepted (a positive integer) so that older configs keep loading, but
-nothing reads it. Every CSV starts with a comment line carrying the tool
-version and a hash of the resolved configuration (the output path and the
-ignored parallelism field are excluded from the hash precisely because they
-must not affect the data).
+its number-basis oracle in the same process. Every field of a configuration
+can change the data except the output path; a malformed or unknown field is
+a ConfigError. Every CSV starts with a comment line carrying the tool
+version and a hash of the resolved configuration without its output path.
 """
 
 from __future__ import annotations
@@ -70,9 +68,7 @@ class RunConfig:
     theta0: float = 0.0
     g_values: tuple[float, ...] = ()
     bracket: tuple[float, float] | None = None
-    dtheta: float = 1e-4
     out: str = "out.csv"
-    parallelism: int | None = None
     oracle: bool = False
 
     def axis(self, name: str) -> Axis:
@@ -82,7 +78,7 @@ class RunConfig:
         raise ConfigError(f"experiment {self.experiment} requires sweep axis {name!r}")
 
     def hash_dict(self) -> dict:
-        """Everything that can affect computed values (not out/parallelism)."""
+        """Everything that can affect computed values (all but out)."""
         return {
             "experiment": self.experiment,
             "model": self.model.to_dict(),
@@ -95,7 +91,6 @@ class RunConfig:
             "theta0": self.theta0,
             "g_values": list(self.g_values),
             "bracket": None if self.bracket is None else list(self.bracket),
-            "dtheta": self.dtheta,
             "oracle": self.oracle,
         }
 
@@ -112,12 +107,47 @@ def _parse_alpha(obj) -> complex:
     raise ConfigError(f"alpha must be a number or {{re, im}} object, got {obj!r}")
 
 
+def _parse_bracket(obj) -> tuple[float, float] | None:
+    if obj is None:
+        return None
+    lo, hi = obj
+    return float(lo), float(hi)
+
+
+def _parse_flag(obj) -> bool:
+    if not isinstance(obj, bool):
+        raise TypeError("expected true or false")
+    return obj
+
+
+# Optional RunConfig fields and their parsers; an absent field keeps the
+# RunConfig default.
+_FIELD_PARSERS = {
+    "t_theta": float,
+    "alpha": _parse_alpha,
+    "theta0": float,
+    "g_values": lambda obj: tuple(float(g) for g in obj),
+    "bracket": _parse_bracket,
+    "out": str,
+    "oracle": _parse_flag,
+}
+
+
+def _parse_sweep(obj) -> tuple[Axis, ...]:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"sweep must be an object of named axes, got {obj!r}")
+    axes = []
+    for name, ax in obj.items():
+        try:
+            axes.append(Axis(name=name, start=float(ax["start"]), stop=float(ax["stop"]),
+                             points=int(ax["points"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad sweep axis {name!r}: {exc}") from exc
+    return tuple(axes)
+
+
 def config_from_dict(obj: dict) -> RunConfig:
-    known = {
-        "experiment", "model", "sweep", "t_theta", "alpha", "theta0",
-        "g_values", "bracket", "dtheta", "out", "parallelism", "oracle",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - {"experiment", "model", "sweep", *_FIELD_PARSERS}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     experiment = obj.get("experiment")
@@ -130,42 +160,16 @@ def config_from_dict(obj: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
-    axes = []
-    for name, ax in obj.get("sweep", {}).items():
+    fields = {}
+    for name, parse in _FIELD_PARSERS.items():
+        if name not in obj:
+            continue
         try:
-            axes.append(
-                Axis(name=name, start=float(ax["start"]), stop=float(ax["stop"]),
-                     points=int(ax["points"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sweep axis {name!r}: {exc}") from exc
-
-    bracket = obj.get("bracket")
-    if bracket is not None:
-        if len(bracket) != 2:
-            raise ConfigError("bracket must be a [lo, hi] pair")
-        bracket = (float(bracket[0]), float(bracket[1]))
-
-    parallelism = obj.get("parallelism")
-    if parallelism is not None:
-        parallelism = int(parallelism)
-        if parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-
-    cfg = RunConfig(
-        experiment=experiment,
-        model=model,
-        sweep=tuple(axes),
-        t_theta=float(obj.get("t_theta", 12.0)),
-        alpha=_parse_alpha(obj.get("alpha", {"re": 0.3, "im": 1.0})),
-        theta0=float(obj.get("theta0", 0.0)),
-        g_values=tuple(float(g) for g in obj.get("g_values", ())),
-        bracket=bracket,
-        dtheta=float(obj.get("dtheta", 1e-4)),
-        out=str(obj.get("out", "out.csv")),
-        parallelism=parallelism,
-        oracle=bool(obj.get("oracle", False)),
-    )
+            fields[name] = parse(obj[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name} {obj[name]!r}: {exc}") from exc
+    cfg = RunConfig(experiment=experiment, model=model,
+                    sweep=_parse_sweep(obj.get("sweep", {})), **fields)
     _validate_sweep(cfg)
     return cfg
 
@@ -356,7 +360,7 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
         params = cfg.model.replace(g=g)
         protocol, t_c = _protocol(cfg, params), _t_c(params, math.pi)
         mean_p, _ = protocol.quadrature_stats(t_c, cfg.t_theta, cfg.theta0)
-        cfi = float(protocol.cfi_homodyne(t_c, cfg.t_theta, cfg.theta0, cfg.dtheta))
+        cfi = float(protocol.cfi_homodyne(t_c, cfg.t_theta, cfg.theta0))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
         rows.append((g, float(mean_p), cfi, qfi, cfi / qfi))
     crossings = _zero_crossings(cfg, g_values, [row[1] for row in rows])

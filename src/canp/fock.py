@@ -109,14 +109,6 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(X, P) matrices with X = (a + a†)/√2, P = i(a† − a)/√2."""
-    a = ladder(dim)
-    x = (a + a.T) / _SQRT2
-    p = 1j * (a.T - a) / _SQRT2
-    return x, p
-
-
 def coherent_fock(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha⟩ truncated to `dim` levels and renormalized.
 
@@ -189,17 +181,20 @@ def variance_fock(state: FockState, op: QuadraticOperator) -> float:
 
 
 def fock_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean vector and symmetrized covariance matrix of a state."""
-    x, p = quadrature_matrices(state.dim)
+    """Quadrature mean vector and symmetrized covariance matrix of a state.
+
+    Built from ⟨a†a⟩ and the O(dim) sums ⟨a⟩ = Σ √(n+1) ψ̄_n ψ_{n+1} and
+    ⟨a²⟩ = Σ √((n+1)(n+2)) ψ̄_n ψ_{n+2}: ⟨X⟩ + i⟨P⟩ = √2⟨a⟩,
+    ⟨X²⟩, ⟨P²⟩ = ⟨a†a⟩ + ½ ± Re⟨a²⟩ and ½⟨XP + PX⟩ = Im⟨a²⟩.
+    """
     psi = state.amps
-    mx = float(np.real(np.vdot(psi, x @ psi)))
-    mp = float(np.real(np.vdot(psi, p @ psi)))
-    xx = float(np.real(np.vdot(psi, x @ (x @ psi))))
-    pp = float(np.real(np.vdot(psi, p @ (p @ psi))))
-    xp = float(np.real(np.vdot(psi, 0.5 * (x @ (p @ psi) + p @ (x @ psi)))))
-    mu = np.array([mx, mp])
-    sigma = np.array([[xx - mx * mx, xp - mx * mp], [xp - mx * mp, pp - mp * mp]])
-    return mu, sigma
+    root = np.sqrt(np.arange(1.0, state.dim))  # √(n+1), n = 0 … dim−2
+    a1 = np.vdot(psi[:-1], root * psi[1:])
+    a2 = np.vdot(psi[:-2], root[:-1] * root[1:] * psi[2:])
+    nbar = mean_photon_fock(state)
+    mu = _SQRT2 * np.array([a1.real, a1.imag])
+    second = np.array([[nbar + 0.5 + a2.real, a2.imag], [a2.imag, nbar + 0.5 - a2.real]])
+    return mu, second - np.outer(mu, mu)
 
 
 def mean_photon_fock(state: FockState) -> float:
@@ -214,18 +209,23 @@ def protocol_state_fock(spec, theta: float, dim: int) -> FockState:
     return evolve_fock(psi, spec.Htheta, theta * spec.t_theta)
 
 
-def converged_protocol_state(
-    spec, theta: float, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM
-) -> FockState:
-    """Protocol state with the truncation escalated (×2) until the tail check passes."""
+def _escalate(evaluate, start_dim: int, max_dim: int):
+    """evaluate(dim) from start_dim, doubling dim up to max_dim while the tail check fails."""
     dim = start_dim
     while True:
         try:
-            return protocol_state_fock(spec, theta, dim)
+            return evaluate(dim)
         except TruncationNotConvergedError:
             if dim >= max_dim:
                 raise
             dim = min(2 * dim, max_dim)
+
+
+def converged_protocol_state(
+    spec, theta: float, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM
+) -> FockState:
+    """Protocol state with the truncation escalated (×2) until the tail check passes."""
+    return _escalate(lambda dim: protocol_state_fock(spec, theta, dim), start_dim, max_dim)
 
 
 def qfi_numeric(
@@ -243,14 +243,7 @@ def qfi_numeric(
     """
     if not (1e-6 <= dtheta <= 1e-2):
         raise ValueError("dtheta must lie in [1e-6, 1e-2]")
-    dim = start_dim
-    while True:
-        try:
-            return _qfi_numeric_at_dim(spec, dtheta, dim)
-        except TruncationNotConvergedError:
-            if dim >= max_dim:
-                raise
-            dim = min(2 * dim, max_dim)
+    return _escalate(lambda dim: _qfi_numeric_at_dim(spec, dtheta, dim), start_dim, max_dim)
 
 
 def _qfi_numeric_at_dim(spec, dtheta: float, dim: int) -> float:

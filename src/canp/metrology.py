@@ -4,7 +4,9 @@ The protocol: a coherent probe evolves under a critical Hamiltonian H_c for
 t_c (preparation), then under exp(−i θ t_θ H_θ) (encoding). Because the
 commutator algebra of (H_c, H_θ) closes, the local generator of θ
 translations has a closed form, and every Fisher-information quantity below
-reduces to Gaussian moment arithmetic.
+reduces to Gaussian moment arithmetic. The homodyne CFI needs θ-derivatives
+of the final moments, and those are exact as well (the encoding is a
+Gaussian flow), so nothing here is a finite difference.
 
 :class:`Protocol` is the one evaluation path: it is built once per
 (H_c, H_θ, α) and evaluates whole arrays of (t_c, t_θ, θ0) in closed form.
@@ -42,9 +44,6 @@ from .operators import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-# θ offsets, in units of dtheta, of the Richardson-refined homodyne derivative:
-# +h, −h, +h/2, −h/2 and the working point itself.
-_RICHARDSON_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5, 0.0])
 
 
 @dataclass(frozen=True)
@@ -236,32 +235,22 @@ class Protocol:
             raise ValueError("durations must be nonnegative")
         return quadratic_variance(self.encoding_form, self.prepared(t_c))
 
-    def cfi_homodyne(self, t_c, t_theta, theta0, dtheta: float = 1e-4) -> np.ndarray:
+    def cfi_homodyne(self, t_c, t_theta, theta0) -> np.ndarray:
         """Classical Fisher information of homodyne detection of P.
 
         For a Gaussian outcome distribution,
-        I(θ) = (∂_θ⟨P⟩)²/V + ½ (∂_θV)²/V² with V = Var P, both derivatives
-        taken at the working point by Richardson-refined central differences.
+        I(θ) = (∂_θ⟨P⟩)²/V + ½ (∂_θV)²/V² with V = Var P. The derivatives
+        are exact: θ moves the final moments along the flow of H_θ, so with
+        M = ΩG_θ and u = Ωv_θ, ∂_θμ = t_θ(Mμ + u) and ∂_θσ = t_θ(Mσ + σMᵀ).
         V is bounded away from zero by the uncertainty relation, so the
         formula never divides by zero on physical states.
         """
-        if not (1e-6 <= dtheta <= 1e-2):
-            raise ValueError("dtheta must lie in [1e-6, 1e-2]")
         t_c, t_theta = _durations(t_c, t_theta)
-        theta = np.asarray(theta0, dtype=float)[..., None] + _RICHARDSON_OFFSETS * dtheta
-        m = self._state(t_c[..., None], t_theta[..., None], theta)
-        var_p = m.spp[..., 4]
-        return (
-            _richardson(m.mp, dtheta) ** 2 / var_p
-            + 0.5 * _richardson(m.spp, dtheta) ** 2 / var_p**2
-        )
-
-
-def _richardson(values: np.ndarray, step: float) -> np.ndarray:
-    """Derivative from values at the offsets of _RICHARDSON_OFFSETS (last axis)."""
-    coarse = (values[..., 0] - values[..., 1]) / (2.0 * step)
-    fine = (values[..., 2] - values[..., 3]) / step
-    return (4.0 * fine - coarse) / 3.0
+        m = self._state(t_c, t_theta, theta0)
+        f = self.encoding_form  # P rows of the flow: (M)_p = (−G_xx, −G_xp), u_p = −v_x
+        d_mean = -t_theta * (f.gxx * m.mx + f.gxp * m.mp + f.vx)
+        d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
+        return d_mean**2 / m.spp + 0.5 * d_var**2 / m.spp**2
 
 
 # --- scalar API: one protocol instance per call ----------------------------
@@ -312,11 +301,9 @@ def skew_information(spec: ProtocolSpec) -> float:
     return float(Protocol.from_spec(spec).skew(spec.t_c))
 
 
-def cfi_homodyne(spec: ProtocolSpec, dtheta: float = 1e-4) -> float:
+def cfi_homodyne(spec: ProtocolSpec) -> float:
     """Homodyne (P) classical Fisher information; see :meth:`Protocol.cfi_homodyne`."""
-    return float(
-        Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0, dtheta)
-    )
+    return float(Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
 
 
 def qfi_displacement(spec: ProtocolSpec) -> float:
@@ -425,7 +412,7 @@ class MetrologyReport:
         return asdict(self)
 
 
-def evaluate_report(spec: ProtocolSpec, dtheta: float = 1e-4) -> MetrologyReport:
+def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
     """Compute the full metrology report for one protocol instance."""
     protocol = Protocol.from_spec(spec)
     times = (spec.t_c, spec.t_theta)
@@ -436,7 +423,7 @@ def evaluate_report(spec: ProtocolSpec, dtheta: float = 1e-4) -> MetrologyReport
         qfi_direct_baseline=float(protocol.direct_baseline(*times, spec.theta0)),
         ratio=float(protocol.ratio(*times, spec.theta0)),
         skew=float(protocol.skew(spec.t_c)),
-        cfi_homodyne=float(protocol.cfi_homodyne(*times, spec.theta0, dtheta)),
+        cfi_homodyne=float(protocol.cfi_homodyne(*times, spec.theta0)),
         meanP=float(final.mp),
         varP=float(final.spp),
         final_mean_photon=float(photon_number(final)),

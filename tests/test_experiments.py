@@ -36,7 +36,6 @@ class TestConfigParsing:
             "g": {"start": 0.5, "stop": 0.9, "points": 4}}))
         assert cfg.alpha == 0.3 + 1.0j
         assert cfg.theta0 == 0.0
-        assert cfg.dtheta == 1e-4
 
     def test_unknown_field(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -76,25 +75,24 @@ class TestConfigParsing:
         assert out["out"] == "x.csv"
         assert obj["model"]["g"] == 0.9  # original untouched
 
-    def test_hash_excludes_out_and_parallelism(self, tmp_path):
+    def test_hash_excludes_out(self, tmp_path):
         sweep = {"g": {"start": 0.5, "stop": 0.9, "points": 4}}
         a = config_from_dict(small_config("fig2b-inset", tmp_path, sweep=sweep))
         b_dict = small_config("fig2b-inset", tmp_path, sweep=sweep)
         b_dict["out"] = str(tmp_path / "elsewhere.csv")
-        b_dict["parallelism"] = 1
         b = config_from_dict(b_dict)
         assert a.sha256() == b.sha256()
 
-    def test_parallelism_field_is_accepted_and_ignored(self, tmp_path, monkeypatch):
-        # Nothing reads the field or CANP_THREADS any more: an old config
-        # naming a pool size still loads and runs, whatever the environment.
-        monkeypatch.setenv("CANP_THREADS", "junk")
+    @pytest.mark.parametrize("field, value", [("dtheta", 1e-4), ("parallelism", 8)])
+    def test_removed_fields_are_rejected(self, tmp_path, capsys, field, value):
+        # The homodyne CFI is exact and every run is single-process, so
+        # neither field could change a number; naming one is an error.
         path = tmp_path / "c.json"
         sweep = {"g": {"start": 0.5, "stop": 0.9, "points": 4}}
-        path.write_text(json.dumps(small_config("fig2b-inset", tmp_path, parallelism=8,
-                                                sweep=sweep)))
-        assert load_config(str(path)).parallelism == 8
-        assert cli.main(["fig2b-inset", "--config", str(path)]) == 0
+        path.write_text(json.dumps(small_config("fig2b-inset", tmp_path, sweep=sweep,
+                                                **{field: value})))
+        assert cli.main(["fig2b-inset", "--config", str(path)]) == 2
+        assert f"unknown config fields: ['{field}']" in capsys.readouterr().err
 
 
 class TestCsvWriter:
@@ -214,7 +212,7 @@ class TestDeterminism:
         run_experiment(cfg3)
         bytes1 = out1.read_bytes()
         assert bytes1 == out2.read_bytes()
-        assert bytes1 == out3.read_bytes()  # hash excludes out/parallelism
+        assert bytes1 == out3.read_bytes()  # hash excludes out
 
 
 class TestCli:
@@ -232,6 +230,24 @@ class TestCli:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         assert cli.main(["fig2a", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        '--t_theta="abc"',
+        "--theta0=[1,2]",
+        "--bracket=5",
+        '--bracket=["a",1]',
+        '--alpha.re="x"',
+        "--g_values=3",
+        "--sweep=3",
+        '--oracle="no"',
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
+        config = str(CONFIG_DIR / "fig2b_inset.json")
+        rc = cli.main(["fig2b-inset", "--config", config, "--out", str(tmp_path / "x.csv"),
+                       override])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_runtime_does_not_import_scipy(self):
         src = Path(cli.__file__).resolve().parents[1]

@@ -88,6 +88,44 @@ class TestCoherentFock:
             fock.coherent_fock(5.0 + 0j, 20)
 
 
+def dense_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: quadrature moments from dense X and P matrix products."""
+    a = fock.ladder(psi.size)
+    x = (a + a.T) / math.sqrt(2.0)
+    p = 1j * (a.T - a) / math.sqrt(2.0)
+
+    def mean(op):
+        return np.vdot(psi, op @ psi).real
+
+    mu = np.array([mean(x), mean(p)])
+    xp = 0.5 * mean(x @ p + p @ x)
+    sigma = np.array([[mean(x @ x), xp], [xp, mean(p @ p)]]) - np.outer(mu, mu)
+    return mu, sigma
+
+
+class TestFockMoments:
+    @pytest.mark.parametrize("dim", [4, 9, 40])
+    def test_random_states_match_dense_products(self, dim):
+        # The top two levels stay empty, so the truncated dense products
+        # X·X and P·P are exact on these states.
+        rng = np.random.default_rng(dim)
+        amps = np.zeros(dim, dtype=complex)
+        amps[:-2] = rng.standard_normal(dim - 2) + 1j * rng.standard_normal(dim - 2)
+        psi = fock.FockState(amps / np.linalg.norm(amps))
+        mu, sigma = fock.fock_moments(psi)
+        want_mu, want_sigma = dense_moments(psi.amps)
+        np.testing.assert_allclose(mu, want_mu, rtol=0.0, atol=1e-13 * dim)
+        np.testing.assert_allclose(sigma, want_sigma, rtol=0.0, atol=1e-13 * dim)
+
+    def test_squeezed_state_matches_dense_products(self):
+        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), qrm_effective(1.0, 0.9), 2.0)
+        mu, sigma = fock.fock_moments(psi)
+        want_mu, want_sigma = dense_moments(psi.amps)
+        assert abs(sigma[0, 1]) > 0.1  # a genuinely correlated state
+        np.testing.assert_allclose(mu, want_mu, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(sigma, want_sigma, rtol=0.0, atol=1e-11)
+
+
 class TestEvolveFock:
     def test_time_zero(self):
         psi = fock.coherent_fock(ALPHA, 40)
@@ -145,6 +183,26 @@ class TestPropagatorMemo:
         assert prop is fock.propagator(QuadraticOperator(c_n=1 + 0j), 8)
         with pytest.raises(ValueError):
             prop.eigvecs[0, 0] = 2.0
+
+
+class TestEscalation:
+    # The state prepared at g = 0.96, t_c = 3 needs 240 levels, so with
+    # max_dim = 120 both helpers walk 60 → 120 and re-raise there.
+    SPEC = ProtocolSpec(
+        Hc=qrm_effective(1.0, 0.96), Htheta=encoding_frequency(),
+        t_c=3.0, t_theta=1.0, alpha=ALPHA,
+    )
+
+    @pytest.mark.parametrize("helper", [
+        lambda spec, **kw: fock.converged_protocol_state(spec, spec.theta0, **kw),
+        lambda spec, **kw: fock.qfi_numeric(spec, **kw),
+    ])
+    def test_doubles_then_raises_at_max_dim(self, propagator_builds, helper):
+        with pytest.raises(TruncationNotConvergedError, match="dim=120"):
+            helper(self.SPEC, start_dim=60, max_dim=120)
+        assert {dim for _, dim in propagator_builds} == {60, 120}
+        converged = fock.converged_protocol_state(self.SPEC, 0.0, start_dim=60)
+        assert converged.dim == 240
 
 
 class TestGaussianAgreement:

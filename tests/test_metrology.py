@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canp import fock
-from canp.errors import NoSignChangeError, VacuumProbeError
+from canp.errors import NegativeDeltaError, NoSignChangeError, VacuumProbeError
 from canp.gaussian import coherent, quadrature_stats, variance_quadratic
 from canp.metrology import (
     MetrologyReport,
@@ -220,9 +220,90 @@ class TestCfiHomodyne:
             spec = qrm_spec(g, t_c)
             assert cfi_homodyne(spec) <= qfi_exact(spec) * (1.0 + 1e-6)
 
-    def test_dtheta_bounds(self):
-        with pytest.raises(ValueError):
-            cfi_homodyne(qrm_spec(0.9, 1.0), dtheta=1e-7)
+
+def richardson_cfi(protocol, t_c, t_theta, theta0, h=1e-4):
+    """Homodyne CFI with five-point Richardson-refined θ-derivatives of the state."""
+    states = {k: protocol.state(t_c, t_theta, theta0 + k * h) for k in (1.0, -1.0, 0.5, -0.5)}
+
+    def derivative(field):
+        coarse = (getattr(states[1.0], field) - getattr(states[-1.0], field)) / (2.0 * h)
+        fine = (getattr(states[0.5], field) - getattr(states[-0.5], field)) / h
+        return (4.0 * fine - coarse) / 3.0
+
+    var_p = protocol.state(t_c, t_theta, theta0).spp
+    return derivative("mp") ** 2 / var_p + 0.5 * derivative("spp") ** 2 / var_p**2
+
+
+# (H_c, H_θ) pairs whose commutator algebra closes with Δ > 0, each with a
+# working point θ0 and a preparation-time range reaching past π/√Δ.
+CLOSED_PAIRS = {
+    "qrm-frequency-g0.995": (ModelParams("QRM-frequency", g=0.995).pair(), 0.1, 35.0),
+    "qrm-frequency-g0.96": (ModelParams("QRM-frequency", g=0.96).pair(), 0.0, 12.0),
+    "qrm-displacement": (ModelParams("QRM-displacement", g=0.9).pair(), 0.2, 9.0),
+    "lmg": (ModelParams("LMG-frequency", lam=0.4, gamma=2.0).pair(), 0.1, 1.5),
+}
+# Encodings with no closed algebra against H_c; the homodyne CFI needs none.
+OPEN_PAIRS = {
+    # H_θ = (a² + a†²)/2 = (X² − P²)/2: det G_θ < 0.
+    "hyperbolic-encoding": ((qrm_effective(1.0, 0.9), QuadraticOperator(c_aa=0.5, c_adad=0.5)),
+                            0.1, 9.0),
+    "complex-linear-encoding": ((qrm_effective(1.0, 0.9), QuadraticOperator(
+        c_n=0.7, c_aa=0.1 - 0.2j, c_adad=0.1 + 0.2j, c_a=0.3 + 0.4j, c_ad=0.3 - 0.4j)),
+        0.1, 9.0),
+}
+
+
+class TestExactHomodyne:
+    """The analytic θ-derivative against finite differences, and CFI ≤ QFI."""
+
+    @staticmethod
+    def grid(t_c_max):
+        return np.linspace(0.0, t_c_max, 7)[:, None], np.linspace(0.5, 15.0, 3)[None, :]
+
+    @pytest.mark.parametrize("case", [*CLOSED_PAIRS, *OPEN_PAIRS])
+    def test_matches_richardson_difference(self, case):
+        (hc, htheta), theta0, t_c_max = {**CLOSED_PAIRS, **OPEN_PAIRS}[case]
+        protocol = Protocol(hc, htheta, ALPHA)
+        t_c, t_theta = self.grid(t_c_max)
+        got = protocol.cfi_homodyne(t_c, t_theta, theta0)
+        assert got.shape == (7, 3)
+        np.testing.assert_allclose(got, richardson_cfi(protocol, t_c, t_theta, theta0),
+                                   rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("case", CLOSED_PAIRS)
+    def test_bounded_by_qfi_on_grid(self, case):
+        (hc, htheta), theta0, t_c_max = CLOSED_PAIRS[case]
+        protocol = Protocol(hc, htheta, ALPHA)
+        t_c, t_theta = self.grid(t_c_max)
+        assert protocol.structure is not None
+        cfi = protocol.cfi_homodyne(t_c, t_theta, theta0)
+        assert np.all(cfi <= protocol.qfi(t_c, t_theta) * (1.0 + 1e-9))
+
+
+class TestDegenerateAlgebras:
+    def test_zero_gap_pair(self):
+        # H_c = P²/2, H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0 and the
+        # generator is t_θ(X + t_c P), whose coherent-state variance is
+        # (1 + t_c²)/2.
+        hc = QuadraticOperator(c_n=0.5, c_aa=-0.25, c_adad=-0.25, c_1=0.25)  # P²/2
+        x = QuadraticOperator.position()
+        protocol = Protocol(hc, x, ALPHA)
+        assert protocol.structure.Delta == 0.0
+        t_c = np.array([0.0, 0.5, 2.0])[:, None]
+        t_theta = np.array([0.7, 3.0])[None, :]
+        np.testing.assert_allclose(protocol.qfi(t_c, t_theta),
+                                   2.0 * t_theta**2 * (1.0 + t_c**2), rtol=1e-13)
+        spec = ProtocolSpec(Hc=hc, Htheta=x, t_c=0.5, t_theta=2.0, alpha=ALPHA)
+        assert qfi_exact(spec) == pytest.approx(fock.qfi_numeric(spec), rel=1e-6)
+
+    def test_hyperbolic_pair_raises(self):
+        # H_c = (a² + a†²)/2 against H_θ = X closes with Δ = −1.
+        protocol = Protocol(QuadraticOperator(c_aa=0.5, c_adad=0.5),
+                            QuadraticOperator.position(), ALPHA)
+        with pytest.raises(NegativeDeltaError):
+            protocol.qfi(1.0, 1.0)
+        with pytest.raises(NegativeDeltaError):
+            protocol.ratio(1.0, 1.0, 0.0)
 
 
 class TestFindThreshold:
