@@ -29,7 +29,7 @@ from .metrology import (
     find_threshold,
     qfi_displacement,
 )
-from .models import ModelParams
+from .models import ModelParams, config_number
 
 EXPERIMENTS = (
     "fig2a",
@@ -101,9 +101,9 @@ class RunConfig:
 
 def _parse_alpha(obj) -> complex:
     if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        return complex(config_number(obj.get("re", 0.0)), config_number(obj.get("im", 0.0)))
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        return complex(config_number(obj))
     raise ConfigError(f"alpha must be a number or {{re, im}} object, got {obj!r}")
 
 
@@ -111,7 +111,21 @@ def _parse_bracket(obj) -> tuple[float, float] | None:
     if obj is None:
         return None
     lo, hi = obj
-    return float(lo), float(hi)
+    return config_number(lo), config_number(hi)
+
+
+def _parse_duration(obj) -> float:
+    value = config_number(obj)
+    if value <= 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _parse_count(obj) -> int:
+    value = config_number(obj)
+    if value != int(value):
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return int(value)
 
 
 def _parse_flag(obj) -> bool:
@@ -123,10 +137,10 @@ def _parse_flag(obj) -> bool:
 # Optional RunConfig fields and their parsers; an absent field keeps the
 # RunConfig default.
 _FIELD_PARSERS = {
-    "t_theta": float,
+    "t_theta": _parse_duration,
     "alpha": _parse_alpha,
-    "theta0": float,
-    "g_values": lambda obj: tuple(float(g) for g in obj),
+    "theta0": config_number,
+    "g_values": lambda obj: tuple(config_number(g) for g in obj),
     "bracket": _parse_bracket,
     "out": str,
     "oracle": _parse_flag,
@@ -139,8 +153,8 @@ def _parse_sweep(obj) -> tuple[Axis, ...]:
     axes = []
     for name, ax in obj.items():
         try:
-            axes.append(Axis(name=name, start=float(ax["start"]), stop=float(ax["stop"]),
-                             points=int(ax["points"])))
+            axes.append(Axis(name=name, start=config_number(ax["start"]),
+                             stop=config_number(ax["stop"]), points=_parse_count(ax["points"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep axis {name!r}: {exc}") from exc
     return tuple(axes)
@@ -192,6 +206,9 @@ def _validate_sweep(cfg: RunConfig) -> None:
         elif ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
                 raise ConfigError("sqrtDelta_tc sweep must be nonnegative and increasing")
+        elif ax.name == "t_theta":
+            if ax.start <= 0.0 or ax.stop <= 0.0:
+                raise ConfigError("t_theta sweep must stay positive")
     for g in cfg.g_values:
         if not (0.0 <= g < 1.0):
             raise ConfigError(f"g_values entry {g} outside [0, 1)")
@@ -322,9 +339,8 @@ def run_fig3a(cfg: RunConfig) -> list[tuple]:
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
     params = cfg.model.replace(g=g)
-    mean_p, _ = _protocol(cfg, params).quadrature_stats(
-        _t_c(params, math.pi), cfg.t_theta, cfg.theta0)
-    return float(mean_p)
+    state = _protocol(cfg, params).state(_t_c(params, math.pi), cfg.t_theta, cfg.theta0)
+    return float(state.mp)
 
 
 def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> list[float]:
@@ -359,7 +375,7 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
     for g in g_values.tolist():
         params = cfg.model.replace(g=g)
         protocol, t_c = _protocol(cfg, params), _t_c(params, math.pi)
-        mean_p, _ = protocol.quadrature_stats(t_c, cfg.t_theta, cfg.theta0)
+        mean_p = protocol.state(t_c, cfg.t_theta, cfg.theta0).mp
         cfi = float(protocol.cfi_homodyne(t_c, cfg.t_theta, cfg.theta0))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
         rows.append((g, float(mean_p), cfi, qfi, cfi / qfi))

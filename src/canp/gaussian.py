@@ -1,9 +1,9 @@
 """Exact Gaussian-state dynamics under quadratic Hamiltonians.
 
-A single-mode Gaussian state is the pair (mu, sigma): the mean quadrature
-vector (⟨X⟩, ⟨P⟩) and the symmetrized covariance matrix
+A single-mode Gaussian state is five moments (:class:`GaussianState`): the
+means mu = (⟨X⟩, ⟨P⟩) and the entries of the symmetrized covariance matrix
 sigma_jk = ½⟨{r_j − mu_j, r_k − mu_k}⟩, so the vacuum is (0, I/2).
-Quadratic Hamiltonians act as affine symplectic maps on (mu, sigma), which
+Quadratic Hamiltonians act as affine symplectic maps on the moments, which
 this module computes in closed form (see :class:`Flow`) for whole arrays of
 times at once; linear terms, singular and hyperbolic quadratic parts all go
 through the same three-branch formula.
@@ -11,7 +11,6 @@ through the same three-branch formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,17 +23,28 @@ OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass
-class GaussianState:
-    mu: np.ndarray
-    sigma: np.ndarray
+class GaussianState(NamedTuple):
+    """Mean (⟨X⟩, ⟨P⟩) and covariance entries (σ_xx, σ_xp, σ_pp) of a state.
 
-    def __post_init__(self) -> None:
-        self.mu = np.array(self.mu, dtype=float).reshape(2)
-        sigma = np.array(self.sigma, dtype=float).reshape(2, 2)
-        if np.max(np.abs(sigma - sigma.T)) > 1e-13 * max(1.0, float(np.max(np.abs(sigma)))):
-            raise ValueError("covariance matrix must be symmetric")
-        self.sigma = 0.5 * (sigma + sigma.T)
+    Each field is a scalar or an array over a grid of protocol times; the
+    array functions below broadcast them like numpy operands. ``mu`` and
+    ``sigma`` build the mean vector and the covariance matrix on access,
+    quadrature indices first; sigma is symmetric by construction.
+    """
+
+    mx: np.ndarray
+    mp: np.ndarray
+    sxx: np.ndarray
+    sxp: np.ndarray
+    spp: np.ndarray
+
+    @property
+    def mu(self) -> np.ndarray:
+        return np.array([self.mx, self.mp])
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.array([[self.sxx, self.sxp], [self.sxp, self.spp]])
 
     def uncertainty_defect(self) -> float:
         """−min eigenvalue of sigma + iΩ/2 (≤ ~1e-12 for physical states)."""
@@ -49,35 +59,11 @@ class GaussianState:
 def coherent(alpha: complex) -> GaussianState:
     """Coherent state |alpha⟩: mu = √2 (Re α, Im α), sigma = I/2."""
     alpha = complex(alpha)
-    mu = _SQRT2 * np.array([alpha.real, alpha.imag])
-    return GaussianState(mu, 0.5 * np.eye(2))
+    return GaussianState(_SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5)
 
 
 def vacuum() -> GaussianState:
     return coherent(0j)
-
-
-class Moments(NamedTuple):
-    """Mean (⟨X⟩, ⟨P⟩) and covariance entries (σ_xx, σ_xp, σ_pp) of a state.
-
-    Each field is a scalar or an array over a grid of protocol times; the
-    array functions below broadcast them like numpy operands.
-    """
-
-    mx: np.ndarray
-    mp: np.ndarray
-    sxx: np.ndarray
-    sxp: np.ndarray
-    spp: np.ndarray
-
-    @classmethod
-    def of(cls, state: GaussianState) -> "Moments":
-        (mx, mp), ((sxx, sxp), (_, spp)) = state.mu, state.sigma
-        return cls(mx, mp, sxx, sxp, spp)
-
-    def to_state(self) -> GaussianState:
-        """The GaussianState of scalar moments."""
-        return GaussianState([self.mx, self.mp], [[self.sxx, self.sxp], [self.sxp, self.spp]])
 
 
 class Form(NamedTuple):
@@ -133,14 +119,14 @@ class Flow:
             (s * self.u[0] + q * self.m_u[0], s * self.u[1] + q * self.m_u[1]),
         )
 
-    def apply(self, m: Moments, t) -> Moments:
-        """Moments after exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
+    def apply(self, m: GaussianState, t) -> GaussianState:
+        """The state after exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
         (s00, s01, s10, s11), (dx, dp) = self.map(t)
         a00 = s00 * m.sxx + s01 * m.sxp  # A = S sigma
         a01 = s00 * m.sxp + s01 * m.spp
         a10 = s10 * m.sxx + s11 * m.sxp
         a11 = s10 * m.sxp + s11 * m.spp
-        return Moments(
+        return GaussianState(
             s00 * m.mx + s01 * m.mp + dx,
             s10 * m.mx + s11 * m.mp + dp,
             a00 * s00 + a01 * s01,
@@ -162,15 +148,15 @@ def evolution_map(
 
 def evolve(state: GaussianState, hamiltonian: QuadraticOperator, t: float) -> GaussianState:
     """Evolve a Gaussian state under exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
-    return Flow(Form.of(hamiltonian)).apply(Moments.of(state), float(t)).to_state()
+    return Flow(Form.of(hamiltonian)).apply(state, float(t))
 
 
 def mean_photon(state: GaussianState) -> float:
     """⟨a†a⟩ = (sigma_xx + sigma_pp + mu_x² + mu_p² − 1)/2."""
-    return float(photon_number(Moments.of(state)))
+    return float(photon_number(state))
 
 
-def photon_number(m: Moments) -> np.ndarray:
+def photon_number(m: GaussianState) -> np.ndarray:
     """Array form of :func:`mean_photon`."""
     return 0.5 * (m.sxx + m.spp + (m.mx * m.mx + m.mp * m.mp) - 1.0)
 
@@ -201,10 +187,10 @@ def variance_quadratic(state: GaussianState, op: QuadraticOperator) -> float:
     The formula is validated against the truncated number-basis simulator on
     the regression grid rather than trusted (see the test suite).
     """
-    return float(quadratic_variance(Form.of(op), Moments.of(state)))
+    return float(quadratic_variance(Form.of(op), state))
 
 
-def quadratic_variance(f: Form, m: Moments) -> np.ndarray:
+def quadratic_variance(f: Form, m: GaussianState) -> np.ndarray:
     """Array form of :func:`variance_quadratic`; f and m broadcast together."""
     wx = f.gxx * m.mx + f.gxp * m.mp + f.vx  # w = G mu + v
     wp = f.gxp * m.mx + f.gpp * m.mp + f.vp
@@ -237,4 +223,4 @@ def covariance_quadratic(
 
 def quadrature_stats(state: GaussianState) -> tuple[float, float]:
     """(⟨P⟩, Var P) of the momentum quadrature."""
-    return float(state.mu[1]), float(state.sigma[1, 1])
+    return float(state.mp), float(state.spp)

@@ -27,7 +27,6 @@ from .gaussian import (
     Flow,
     Form,
     GaussianState,
-    Moments,
     coherent,
     mean_photon,
     photon_number,
@@ -65,10 +64,7 @@ class ProtocolSpec:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_c < 0.0 or self.t_theta < 0.0:
-            raise ValueError("durations must be nonnegative")
-        if self.t_c + self.t_theta <= 0.0:
-            raise ValueError("total time must be positive")
+        _durations(self.t_c, self.t_theta)
 
     @property
     def total_time(self) -> float:
@@ -76,7 +72,7 @@ class ProtocolSpec:
 
 
 def _durations(t_c, t_theta) -> tuple[np.ndarray, np.ndarray]:
-    """Times as float arrays, with the same checks as ProtocolSpec."""
+    """Times as float arrays; each must be nonnegative and their sum positive."""
     t_c = np.asarray(t_c, dtype=float)
     t_theta = np.asarray(t_theta, dtype=float)
     if (t_c < 0.0).any() or (t_theta < 0.0).any():
@@ -93,8 +89,9 @@ class Protocol:
     rules) and returns arrays of the broadcast shape, so one call evaluates a
     whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
     grid. Everything derived from the model alone (the critical structure,
-    the quadrature forms of H_c, H_θ, C and D, the probe moments) is computed
-    once, on first use, and reused by every later call.
+    the quadrature forms of H_c, H_θ, C and D, the probe) is computed once,
+    on first use, and reused by every later call. A state is one
+    :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
     (s, c) = preparation_weights(Δ, t_c), so QFI = 4 t_θ² Var[H_θ + sC + cD]
@@ -106,8 +103,7 @@ class Protocol:
         self.hc = hc
         self.htheta = htheta
         self.alpha = complex(alpha)
-        # Coherent probe: mu = √2 (Re α, Im α), sigma = I/2.
-        self.probe = Moments(_SQRT2 * self.alpha.real, _SQRT2 * self.alpha.imag, 0.5, 0.0, 0.5)
+        self.probe = coherent(self.alpha)
 
     @classmethod
     def from_spec(cls, spec: ProtocolSpec) -> "Protocol":
@@ -153,22 +149,17 @@ class Protocol:
 
     # --- states ----------------------------------------------------------
 
-    def prepared(self, t_c) -> Moments:
-        """Moments of the probe after the preparation stage."""
+    def prepared(self, t_c) -> GaussianState:
+        """The probe after the preparation stage."""
         return self.preparation.apply(self.probe, t_c)
 
-    def state(self, t_c, t_theta, theta) -> Moments:
-        """Moments after preparation and encoding at parameter value theta."""
+    def state(self, t_c, t_theta, theta) -> GaussianState:
+        """The probe after preparation and encoding at parameter value theta."""
         t_c, t_theta = _durations(t_c, t_theta)
         return self._state(t_c, t_theta, theta)
 
-    def _state(self, t_c, t_theta, theta) -> Moments:
+    def _state(self, t_c, t_theta, theta) -> GaussianState:
         return self.encoding.apply(self.prepared(t_c), theta * t_theta)
-
-    def quadrature_stats(self, t_c, t_theta, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(⟨P⟩, Var P) of the final state at parameter value theta."""
-        m = self.state(t_c, t_theta, theta)
-        return m.mp, m.spp
 
     # --- figures of merit ------------------------------------------------
 
@@ -213,7 +204,7 @@ class Protocol:
 
     def _direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
         nbar = np.maximum(photon_number(self._state(t_c, t_theta, theta0)), 0.0)
-        reference = Moments(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
+        reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
         return 4.0 * (t_c + t_theta) ** 2 * quadratic_variance(self.encoding_form, reference)
 
     def ratio(self, t_c, t_theta, theta0) -> np.ndarray:
@@ -246,7 +237,10 @@ class Protocol:
         formula never divides by zero on physical states.
         """
         t_c, t_theta = _durations(t_c, t_theta)
-        m = self._state(t_c, t_theta, theta0)
+        return self._cfi_homodyne(self._state(t_c, t_theta, theta0), t_theta)
+
+    def _cfi_homodyne(self, m: GaussianState, t_theta) -> np.ndarray:
+        """Homodyne CFI of the final state m of an encoding of duration t_theta."""
         f = self.encoding_form  # P rows of the flow: (M)_p = (−G_xx, −G_xp), u_p = −v_x
         d_mean = -t_theta * (f.gxx * m.mx + f.gxp * m.mp + f.vx)
         d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
@@ -256,19 +250,15 @@ class Protocol:
 # --- scalar API: one protocol instance per call ----------------------------
 
 
-def probe_state(spec: ProtocolSpec) -> GaussianState:
-    return coherent(spec.alpha)
-
-
 def prepared_state(spec: ProtocolSpec) -> GaussianState:
     """Probe after the critical preparation stage."""
-    return Protocol.from_spec(spec).prepared(spec.t_c).to_state()
+    return Protocol.from_spec(spec).prepared(spec.t_c)
 
 
 def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianState:
     """Probe after preparation and encoding at parameter value theta."""
     theta = spec.theta0 if theta is None else theta
-    return Protocol.from_spec(spec).state(spec.t_c, spec.t_theta, theta).to_state()
+    return Protocol.from_spec(spec).state(spec.t_c, spec.t_theta, theta)
 
 
 def qfi_exact(spec: ProtocolSpec) -> float:
@@ -317,11 +307,12 @@ def qfi_displacement(spec: ProtocolSpec) -> float:
     """
     if not _is_displacement_encoding(spec.Htheta):
         raise ValueError("displacement formula requires encoding (a† + a)/√2")
-    cs = Protocol.from_spec(spec).structure
+    protocol = Protocol.from_spec(spec)
+    cs = protocol.structure
     if cs is None:
         return 0.0
     sin_weight, _ = preparation_weights(cs.Delta, spec.t_c)
-    var_p = variance_quadratic(probe_state(spec), QuadraticOperator.momentum())
+    var_p = variance_quadratic(protocol.probe, QuadraticOperator.momentum())
     return 4.0 * spec.t_theta**2 * spec.omega**2 * sin_weight**2 * var_p
 
 
@@ -413,17 +404,17 @@ class MetrologyReport:
 
 
 def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
-    """Compute the full metrology report for one protocol instance."""
+    """The full metrology report of one protocol instance, from one :class:`Protocol`."""
     protocol = Protocol.from_spec(spec)
     times = (spec.t_c, spec.t_theta)
     final = protocol.state(*times, spec.theta0)
     return MetrologyReport(
         qfi_exact=float(protocol.qfi(*times)),
-        qfi_asymptotic=qfi_asymptotic(spec),
+        qfi_asymptotic=float(protocol.qfi_asymptotic(*times)),
         qfi_direct_baseline=float(protocol.direct_baseline(*times, spec.theta0)),
         ratio=float(protocol.ratio(*times, spec.theta0)),
         skew=float(protocol.skew(spec.t_c)),
-        cfi_homodyne=float(protocol.cfi_homodyne(*times, spec.theta0)),
+        cfi_homodyne=float(protocol._cfi_homodyne(final, spec.t_theta)),
         meanP=float(final.mp),
         varP=float(final.spp),
         final_mean_photon=float(photon_number(final)),

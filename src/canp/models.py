@@ -28,6 +28,19 @@ from .operators import QuadraticOperator
 VARIANTS = ("QRM-frequency", "QRM-displacement", "LMG-frequency")
 
 
+def config_number(obj) -> float:
+    """A config value as a finite float; a boolean (JSON true is not 1) is an error."""
+    if isinstance(obj, bool):
+        raise TypeError(f"expected a number, got {obj!r}")
+    try:
+        value = float(obj)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(str(exc)) from exc
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {obj!r}")
+    return value
+
+
 def qrm_effective(omega: float, g: float) -> QuadraticOperator:
     """Normal-phase effective Rabi Hamiltonian ω a†a − (ωg²/4)(a† + a)².
 
@@ -202,8 +215,8 @@ class ModelParams:
             raise ConfigError("model config requires a variant")
         return cls(
             variant=obj["variant"],
-            omega=float(obj.get("omega", 1.0)),
-            g=None if obj.get("g") is None else float(obj["g"]),
-            lam=None if obj.get("lambda") is None else float(obj["lambda"]),
-            gamma=None if obj.get("gamma") is None else float(obj["gamma"]),
+            omega=config_number(obj.get("omega", 1.0)),
+            g=None if obj.get("g") is None else config_number(obj["g"]),
+            lam=None if obj.get("lambda") is None else config_number(obj["lambda"]),
+            gamma=None if obj.get("gamma") is None else config_number(obj["gamma"]),
         )

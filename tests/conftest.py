@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from canp import fock
+from canp import fock, metrology
 
 
 @pytest.fixture
@@ -19,3 +19,17 @@ def propagator_builds(monkeypatch):
     monkeypatch.setattr(fock.Propagator, "__init__", counting)
     yield counts
     fock.propagator.cache_clear()
+
+
+@pytest.fixture
+def structure_derivations(monkeypatch):
+    """Record each derive_critical_structure call made through canp.metrology."""
+    calls: list = []
+    original = metrology.derive_critical_structure
+
+    def counting(hc, htheta):
+        calls.append((hc, htheta))
+        return original(hc, htheta)
+
+    monkeypatch.setattr(metrology, "derive_critical_structure", counting)
+    return calls

@@ -240,6 +240,20 @@ class TestCli:
         "--g_values=3",
         "--sweep=3",
         '--oracle="no"',
+        # JSON true is not the number 1, NaN, ±inf and integers beyond the
+        # float range are not parameter values, a point count must be an
+        # integer and the encoding time positive.
+        "--t_theta=true",
+        "--alpha=true",
+        "--model.omega=true",
+        "--t_theta=NaN",
+        "--theta0=Infinity",
+        "--model.g=-Infinity",
+        pytest.param("--theta0=1" + "0" * 400, id="--theta0=1e400-as-integer"),
+        "--sweep.g.points=2.7",
+        "--t_theta=-1",
+        "--t_theta=0",
+        '--sweep.t_theta={"start": 0, "stop": 20, "points": 3}',
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
         config = str(CONFIG_DIR / "fig2b_inset.json")

@@ -48,15 +48,23 @@ class TestCoherent:
         assert mean_photon(coherent(ALPHA)) == pytest.approx(1.09, abs=1e-12)
         assert mean_photon(vacuum()) == pytest.approx(0.0, abs=1e-12)
 
-    def test_asymmetric_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), np.array([[0.5, 0.2], [0.1, 0.5]]))
+    def test_state_is_five_moments_with_array_views(self):
+        st = coherent(ALPHA)
+        assert isinstance(st, GaussianState) and isinstance(vacuum(), GaussianState)
+        assert tuple(st) == (st.mx, st.mp, 0.5, 0.0, 0.5)
+        assert np.array_equal(st.mu, [st.mx, st.mp])
+        assert np.array_equal(st.sigma, 0.5 * np.eye(2))
+        # Covariance views are symmetric by construction, also over a grid.
+        grid = GaussianState(np.zeros(3), np.ones(3), np.full(3, 2.0), np.arange(3.0), np.ones(3))
+        assert grid.mu.shape == (2, 3) and grid.sigma.shape == (2, 2, 3)
+        assert np.array_equal(grid.sigma[0, 1], grid.sigma[1, 0])
 
 
 class TestEvolve:
     def test_free_rotation(self):
         for t in (0.3, 1.7, 9.2):
             got = evolve(coherent(ALPHA), N, t)
+            assert isinstance(got, GaussianState)
             want = coherent(ALPHA * np.exp(-1j * t))
             assert np.allclose(got.mu, want.mu, atol=1e-12)
             assert np.allclose(got.sigma, want.sigma, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 from canp import fock
 from canp.errors import NegativeDeltaError, NoSignChangeError, VacuumProbeError
-from canp.gaussian import coherent, quadrature_stats, variance_quadratic
+from canp.gaussian import GaussianState, coherent, quadrature_stats, variance_quadratic
 from canp.metrology import (
     MetrologyReport,
     Protocol,
@@ -349,9 +349,9 @@ class TestQfiDisplacement:
 
 class TestProtocolSpecAndReport:
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="durations must be nonnegative"):
             qrm_spec(0.9, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="total time must be positive"):
             ProtocolSpec(
                 Hc=qrm_effective(1.0, 0.9), Htheta=encoding_frequency(),
                 t_c=0.0, t_theta=0.0, alpha=ALPHA,
@@ -367,6 +367,16 @@ class TestProtocolSpecAndReport:
         assert report.ratio == pytest.approx(
             report.qfi_exact / report.qfi_direct_baseline, rel=1e-12
         )
+
+    @pytest.mark.parametrize("g, theta0", [(0.94, 0.0), (0.9, 0.3), (0.0, 0.1)])
+    def test_report_derives_structure_once(self, structure_derivations, g, theta0):
+        spec = qrm_spec(g, 2.0, theta0=theta0)
+        report = evaluate_report(spec)
+        assert len(structure_derivations) == 1
+        # The fields it fills from its own Protocol equal the scalar wrappers bit for bit.
+        assert report.qfi_asymptotic == qfi_asymptotic(spec)
+        assert report.cfi_homodyne == cfi_homodyne(spec)
+        assert report.ratio == enhancement_ratio(spec)
 
     def test_report_serializes_flat(self):
         report = evaluate_report(qrm_spec(0.9, 1.0))
@@ -418,7 +428,9 @@ class TestProtocolKernel:
             skew_information: np.broadcast_to(protocol.skew(t_c), shape),
             cfi_homodyne: protocol.cfi_homodyne(t_c, t_theta, theta0),
         }
-        mean_p, var_p = protocol.quadrature_stats(t_c, t_theta, theta0)
+        state = protocol.state(t_c, t_theta, theta0)
+        assert isinstance(state, GaussianState)
+        mean_p, var_p = state.mp, state.spp
         for grid in (*grids.values(), mean_p, var_p):
             assert grid.shape == shape
         for i, j in np.ndindex(shape):
@@ -427,6 +439,7 @@ class TestProtocolKernel:
             for wrapper, grid in grids.items():
                 assert grid[i, j] == pytest.approx(wrapper(spec), rel=1e-14, abs=1e-300)
             final = protocol_state(spec)
+            assert isinstance(final, GaussianState)
             assert (mean_p[i, j], var_p[i, j]) == pytest.approx(
                 quadrature_stats(final), rel=1e-14, abs=1e-14)
 

@@ -24,7 +24,7 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
     assert qfi.seconds == pytest.approx(3.0)
 
 
-def test_oracle_pass_builds_each_decomposition_once(propagator_builds):
+def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure_derivations):
     # 20 points at up to four truncations: one build per (H, dim) pair the
     # pass needs, instead of two per point and truncation.
     moments, qfi = validate.check_oracle_agreement()
@@ -32,3 +32,12 @@ def test_oracle_pass_builds_each_decomposition_once(propagator_builds):
     assert moments.measured["max_dim"] == fock.MAX_DIM
     assert set(propagator_builds.values()) == {1}
     assert sum(propagator_builds.values()) <= 20
+    # One Protocol per point gives both its Gaussian state and its exact QFI.
+    assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
+
+
+def test_structural_sanity_derives_one_structure_per_model(structure_derivations):
+    # Two models (g = 0 and g = 0.96), one Protocol each.
+    result = validate.check_structural_sanity()
+    assert result.passed
+    assert len(structure_derivations) <= 2
