@@ -29,15 +29,11 @@ from .operators import (
     commutator,
     derive_critical_structure,
     flow_weights,
-    from_quadrature_form,
-    generator,
-    preparation_weights,
     to_quadrature_form,
 )
 from .gaussian import (
     GaussianState,
     coherent,
-    covariance_quadratic,
     evolution_map,
     evolve,
     expectation,
@@ -69,7 +65,6 @@ from .metrology import (
     direct_baseline,
     enhancement_ratio,
     evaluate_report,
-    final_mean_photon,
     find_threshold,
     qfi_asymptotic,
     qfi_displacement,

@@ -27,7 +27,6 @@ from .metrology import (
     ProtocolSpec,
     enhancement_ratio,
     find_threshold,
-    qfi_displacement,
 )
 from .models import ModelParams, config_number
 
@@ -111,7 +110,10 @@ def _parse_bracket(obj) -> tuple[float, float] | None:
     if obj is None:
         return None
     lo, hi = obj
-    return config_number(lo), config_number(hi)
+    lo, hi = config_number(lo), config_number(hi)
+    if not lo < hi:
+        raise ValueError("needs lo < hi")
+    return lo, hi
 
 
 def _parse_duration(obj) -> float:
@@ -375,10 +377,10 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
     for g in g_values.tolist():
         params = cfg.model.replace(g=g)
         protocol, t_c = _protocol(cfg, params), _t_c(params, math.pi)
-        mean_p = protocol.state(t_c, cfg.t_theta, cfg.theta0).mp
-        cfi = float(protocol.cfi_homodyne(t_c, cfg.t_theta, cfg.theta0))
+        final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
+        cfi = float(protocol._cfi_homodyne(final, cfg.t_theta))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
-        rows.append((g, float(mean_p), cfi, qfi, cfi / qfi))
+        rows.append((g, float(final.mp), cfi, qfi, cfi / qfi))
     crossings = _zero_crossings(cfg, g_values, [row[1] for row in rows])
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
@@ -392,7 +394,7 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     lam_axis = cfg.axis("lambda").values()
     rows = [(lam, enhancement_ratio(_spec_at(cfg, cfg.model.replace(lam=lam), math.pi)))
             for lam in lam_axis.tolist()]
-    bracket = cfg.bracket or (float(lam_axis[0]), float(lam_axis[-1]))
+    bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
     lam_star = find_threshold(
         "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
         omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
@@ -407,11 +409,11 @@ def run_displacement(cfg: RunConfig) -> list[tuple]:
     for g in cfg.axis("g").values().tolist():
         params = cfg.model.replace(g=g)
         # Quarter period: the point where the asymptotic sin² formula is exact.
-        spec = _spec_at(cfg, params, 0.5 * math.pi)
-        protocol = Protocol.from_spec(spec)
-        exact = float(protocol.qfi(spec.t_c, spec.t_theta))
-        ratio = float(protocol.ratio(spec.t_c, spec.t_theta, spec.theta0))
-        rows.append((g, params.published_delta(), qfi_displacement(spec), exact, ratio))
+        protocol, t_c = _protocol(cfg, params), _t_c(params, 0.5 * math.pi)
+        formula = float(protocol.qfi_displacement(t_c, cfg.t_theta, params.omega))
+        exact = float(protocol.qfi(t_c, cfg.t_theta))
+        ratio = float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
+        rows.append((g, params.published_delta(), formula, exact, ratio))
     write_csv(cfg.out, cfg, ("g", "delta_p", "qfi_formula", "qfi_exact", "R"), rows)
     return rows
 

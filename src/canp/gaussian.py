@@ -205,22 +205,6 @@ def quadratic_variance(f: Form, m: GaussianState) -> np.ndarray:
     )
 
 
-def covariance_quadratic(
-    state: GaussianState, op_a: QuadraticOperator, op_b: QuadraticOperator
-) -> float:
-    """Symmetrized covariance ½⟨{δA, δB}⟩ of two Hermitian quadratics."""
-    ga, va, _ = to_quadrature_form(op_a)
-    gb, vb, _ = to_quadrature_form(op_b)
-    wa = ga @ state.mu + va
-    wb = gb @ state.mu + vb
-    cov = (
-        0.5 * np.trace(ga @ state.sigma @ gb @ state.sigma)
-        + 0.125 * np.trace(ga @ OMEGA @ gb @ OMEGA)
-        + wa @ state.sigma @ wb
-    )
-    return float(cov)
-
-
 def quadrature_stats(state: GaussianState) -> tuple[float, float]:
     """(⟨P⟩, Var P) of the momentum quadrature."""
     return float(state.mp), float(state.spp)

@@ -28,10 +28,8 @@ from .gaussian import (
     Form,
     GaussianState,
     coherent,
-    mean_photon,
     photon_number,
     quadratic_variance,
-    variance_quadratic,
 )
 from .models import ModelParams
 from .operators import (
@@ -39,7 +37,6 @@ from .operators import (
     QuadraticOperator,
     derive_critical_structure,
     flow_weights,
-    preparation_weights,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -66,10 +63,6 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         _durations(self.t_c, self.t_theta)
 
-    @property
-    def total_time(self) -> float:
-        return self.t_c + self.t_theta
-
 
 def _durations(t_c, t_theta) -> tuple[np.ndarray, np.ndarray]:
     """Times as float arrays; each must be nonnegative and their sum positive."""
@@ -94,7 +87,8 @@ class Protocol:
     :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
-    (s, c) = preparation_weights(Δ, t_c), so QFI = 4 t_θ² Var[H_θ + sC + cD]
+    s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
+    :func:`canp.operators.flow_weights`), so QFI = 4 t_θ² Var[H_θ + sC + cD]
     in the probe; a commuting pair (no critical structure) has h = t_θ H_θ.
     States follow from :class:`canp.gaussian.Flow`.
     """
@@ -246,13 +240,25 @@ class Protocol:
         d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
         return d_mean**2 / m.spp + 0.5 * d_var**2 / m.spp**2
 
+    def qfi_displacement(self, t_c, t_theta, omega=1.0) -> np.ndarray:
+        """Near-critical QFI formula for momentum-displacement encoding.
+
+        4 t_θ² ω² sin²(√Δ t_c)/Δ · Var[P], with Var[P] in the probe (1/2 for
+        any coherent state) and the sin²/Δ ratio evaluated series-safely. It
+        coincides with :meth:`qfi` at √Δ t_c = π/2, where the dropped
+        position-quadrature term vanishes. A commuting pair gives 0.
+        """
+        if not _is_displacement_encoding(self.htheta):
+            raise ValueError("displacement formula requires encoding (a† + a)/√2")
+        t_c, t_theta = _durations(t_c, t_theta)
+        cs = self.structure
+        if cs is None:
+            return np.zeros(np.broadcast(t_c, t_theta).shape)
+        _, s, _ = flow_weights(cs.Delta, t_c)
+        return 4.0 * t_theta**2 * omega**2 * s**2 * self.probe.spp
+
 
 # --- scalar API: one protocol instance per call ----------------------------
-
-
-def prepared_state(spec: ProtocolSpec) -> GaussianState:
-    """Probe after the critical preparation stage."""
-    return Protocol.from_spec(spec).prepared(spec.t_c)
 
 
 def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianState:
@@ -269,11 +275,6 @@ def qfi_exact(spec: ProtocolSpec) -> float:
 def qfi_asymptotic(spec: ProtocolSpec) -> float:
     """Leading near-critical QFI; see :meth:`Protocol.qfi_asymptotic`."""
     return float(Protocol.from_spec(spec).qfi_asymptotic(spec.t_c, spec.t_theta))
-
-
-def final_mean_photon(spec: ProtocolSpec) -> float:
-    """Mean photon number of the fully evolved state at the working point."""
-    return mean_photon(protocol_state(spec))
 
 
 def direct_baseline(spec: ProtocolSpec) -> float:
@@ -297,23 +298,8 @@ def cfi_homodyne(spec: ProtocolSpec) -> float:
 
 
 def qfi_displacement(spec: ProtocolSpec) -> float:
-    """Near-critical QFI formula for momentum-displacement encoding.
-
-    4 t_p² ω² sin²(√Δ_p t_c)/Δ_p · Var[P], with Var[P] in the initial probe
-    (1/2 for any coherent state) and the sin²/Δ_p ratio evaluated
-    series-safely. The exact value for the same spec is available through
-    qfi_exact; the two coincide at √Δ_p t_c = π/2 where the dropped
-    position-quadrature term vanishes.
-    """
-    if not _is_displacement_encoding(spec.Htheta):
-        raise ValueError("displacement formula requires encoding (a† + a)/√2")
-    protocol = Protocol.from_spec(spec)
-    cs = protocol.structure
-    if cs is None:
-        return 0.0
-    sin_weight, _ = preparation_weights(cs.Delta, spec.t_c)
-    var_p = variance_quadratic(protocol.probe, QuadraticOperator.momentum())
-    return 4.0 * spec.t_theta**2 * spec.omega**2 * sin_weight**2 * var_p
+    """Near-critical displacement-encoding QFI; see :meth:`Protocol.qfi_displacement`."""
+    return float(Protocol.from_spec(spec).qfi_displacement(spec.t_c, spec.t_theta, spec.omega))
 
 
 def _is_displacement_encoding(op: QuadraticOperator) -> bool:
@@ -342,8 +328,9 @@ def find_threshold(
     The preparation time is pinned to the critical time π/√Δ of the swept
     parameter. `family` is a model variant name; for the LMG family the
     swept parameter is λ at fixed γ, for the QRM families it is g.
-    Bisection to absolute tolerance `tol`; raises NoSignChangeError when
-    R − 1 has the same sign at both bracket ends.
+    Bisection to absolute tolerance `tol`; raises ValueError unless
+    bracket[0] < bracket[1], and NoSignChangeError when R − 1 has the same
+    sign at both bracket ends.
     """
 
     def ratio_minus_one(value: float) -> float:
@@ -363,6 +350,8 @@ def find_threshold(
         return enhancement_ratio(spec) - 1.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"bracket {bracket} must have lo < hi")
     f_lo = ratio_minus_one(lo)
     f_hi = ratio_minus_one(hi)
     if f_lo == 0.0:

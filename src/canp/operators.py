@@ -108,26 +108,6 @@ class QuadraticOperator:
             and abs(self.c_ad - self.c_a.conjugate()) <= tol * scale
         )
 
-    # JSON wire format: six {re, im} pairs keyed by term.
-    def to_json(self) -> dict:
-        keys = ("n", "aa", "adad", "a", "ad", "one")
-        return {k: {"re": c.real, "im": c.imag} for k, c in zip(keys, self.coeffs())}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadraticOperator":
-        def grab(key: str) -> complex:
-            pair = obj.get(key, {"re": 0.0, "im": 0.0})
-            return complex(float(pair["re"]), float(pair["im"]))
-
-        return cls(
-            c_n=grab("n"),
-            c_aa=grab("aa"),
-            c_adad=grab("adad"),
-            c_a=grab("a"),
-            c_ad=grab("ad"),
-            c_1=grab("one"),
-        )
-
     # Common building blocks.
     @staticmethod
     def number() -> "QuadraticOperator":
@@ -290,39 +270,6 @@ def _flow_series(t, x):
     )
 
 
-def preparation_weights(delta: float, t_c: float) -> tuple[float, float]:
-    """Weights (sin(√Δ t_c)/√Δ, (cos(√Δ t_c) − 1)/Δ), safe at Δ → 0.
-
-    The scalar form of :func:`flow_weights` with k = Δ; limits at Δ = 0:
-    (t_c, −t_c²/2).
-    """
-    _, s, q = flow_weights(delta, t_c)
-    return float(s), -float(q)
-
-
-def generator(
-    htheta: QuadraticOperator,
-    cs: CriticalStructure,
-    t_c: float,
-    t_theta: float,
-) -> QuadraticOperator:
-    """Local generator of parameter translations after critical preparation.
-
-    h = t_theta * (H_theta + sin(√Δ t_c)/√Δ · C + (cos(√Δ t_c) − 1)/Δ · D).
-
-    Its variance in the initial probe, times 4, is the exact pure-state
-    quantum Fisher information of the prepare-then-encode protocol.
-    """
-    if cs.residual >= RESIDUAL_MAX:
-        raise ConditionViolatedError(
-            f"critical structure residual {cs.residual:.3e} exceeds {RESIDUAL_MAX:.1e}"
-        )
-    if t_c < 0.0 or t_theta < 0.0:
-        raise ValueError("durations must be nonnegative")
-    s, c = preparation_weights(cs.Delta, t_c)
-    return t_theta * (htheta + s * cs.C + c * cs.D)
-
-
 def to_quadrature_form(op: QuadraticOperator) -> tuple[np.ndarray, np.ndarray, float]:
     """Write a Hermitian operator as ½ rᵀG r + vᵀr + c0 with r = (X, P).
 
@@ -344,24 +291,3 @@ def to_quadrature_form(op: QuadraticOperator) -> tuple[np.ndarray, np.ndarray, f
     v = np.array([_SQRT2 * op.c_a.real, -_SQRT2 * op.c_a.imag])
     c0 = op.c_1.real - 0.5 * cn
     return g_mat, v, c0
-
-
-def from_quadrature_form(
-    g_mat: np.ndarray, v: np.ndarray, c0: float
-) -> QuadraticOperator:
-    """Inverse of :func:`to_quadrature_form` (G must be symmetric)."""
-    g_mat = np.asarray(g_mat, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if abs(g_mat[0, 1] - g_mat[1, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(g_mat)))):
-        raise ValueError("G must be symmetric")
-    cn = 0.5 * (g_mat[0, 0] + g_mat[1, 1])
-    c_aa = complex(0.25 * (g_mat[0, 0] - g_mat[1, 1]), -0.5 * g_mat[0, 1])
-    c_a = complex(v[0], -v[1]) / _SQRT2
-    return QuadraticOperator(
-        c_n=cn,
-        c_aa=c_aa,
-        c_adad=c_aa.conjugate(),
-        c_a=c_a,
-        c_ad=c_a.conjugate(),
-        c_1=c0 + 0.5 * cn,
-    )

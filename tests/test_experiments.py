@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from canp.experiments import (
     run_experiment,
     write_csv,
 )
-from canp import cli
+from canp import cli, gaussian
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -163,10 +164,12 @@ class TestRunners:
         slopes = [abs(b[1] - a[1]) for a, b in zip(rows, rows[1:])]
         assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
 
-    def test_lmg_threshold_run(self, tmp_path):
-        cfg_dict = small_config("lmg-threshold", tmp_path, t_theta=1.3,
-                                bracket=[0.2, 0.6],
-                                sweep={"lambda": {"start": 0.2, "stop": 0.6, "points": 9}})
+    # Without a bracket the threshold is sought over the sweep's range,
+    # whichever way the sweep runs.
+    @pytest.mark.parametrize("bracket, start, stop", [([0.2, 0.6], 0.2, 0.6), (None, 0.6, 0.2)])
+    def test_lmg_threshold_run(self, tmp_path, bracket, start, stop):
+        cfg_dict = small_config("lmg-threshold", tmp_path, t_theta=1.3, bracket=bracket,
+                                sweep={"lambda": {"start": start, "stop": stop, "points": 9}})
         cfg_dict["model"] = {"variant": "LMG-frequency", "omega": 1.0,
                              "lambda": 0.4, "gamma": 2.0}
         cfg = config_from_dict(cfg_dict)
@@ -187,6 +190,37 @@ class TestRunners:
             # quarter-period point: dropped term vanishes, formula is exact
             assert formula == pytest.approx(exact, rel=1e-10)
             assert ratio > 0.0
+
+    def test_fig2b_inset_commuting_boundary(self, tmp_path):
+        # At g = 0 the pair commutes and no gap can be derived; t_c is the
+        # published π/√Δ = π/(2ω), so R_τ = t_θ²/(t_c + t_θ)².
+        cfg = load_config(str(CONFIG_DIR / "fig2b_inset.json"),
+                          {"out": json.dumps(str(tmp_path / "inset.csv")), "sweep.g.start": "0.0"})
+        g, r_tau = run_experiment(cfg)[0]
+        assert (g, r_tau) == (0.0, 0.7819011051389935)
+        assert r_tau == pytest.approx(cfg.t_theta**2 / (0.5 * math.pi + cfg.t_theta) ** 2,
+                                      rel=1e-15)
+
+    def test_displacement_derives_each_structure_once(self, tmp_path, structure_derivations):
+        cfg = load_config(str(CONFIG_DIR / "displacement.json"),
+                          {"out": json.dumps(str(tmp_path / "displacement.csv"))})
+        assert len(run_experiment(cfg)) == 50
+        assert len(structure_derivations) == 50
+
+    def test_fig3b_computes_each_final_state_once(self, tmp_path, monkeypatch):
+        applied = []
+        original = gaussian.Flow.apply
+
+        def counting(self, m, t):
+            applied.append(t)
+            return original(self, m, t)
+
+        monkeypatch.setattr(gaussian.Flow, "apply", counting)
+        cfg = load_config(str(CONFIG_DIR / "fig3b.json"),
+                          {"out": json.dumps(str(tmp_path / "fig3b.csv"))})
+        # One preparation and one encoding per grid point.
+        assert len(run_experiment(cfg)) == 80
+        assert len(applied) == 160
 
     def test_validate_requires_oracle(self, tmp_path):
         cfg_dict = small_config("validate", tmp_path)
@@ -254,6 +288,9 @@ class TestCli:
         "--t_theta=-1",
         "--t_theta=0",
         '--sweep.t_theta={"start": 0, "stop": 20, "points": 3}',
+        # A threshold bracket must be an increasing interval.
+        "--bracket=[0.6,0.2]",
+        "--bracket=[0.4,0.4]",
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
         config = str(CONFIG_DIR / "fig2b_inset.json")

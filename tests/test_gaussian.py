@@ -10,7 +10,6 @@ from canp.gaussian import (
     OMEGA,
     GaussianState,
     coherent,
-    covariance_quadratic,
     evolution_map,
     evolve,
     expectation,
@@ -24,9 +23,9 @@ from canp.operators import (
     SERIES_SWITCH,
     QuadraticOperator,
     flow_weights,
-    from_quadrature_form,
     to_quadrature_form,
 )
+from quadrature_forms import from_quadrature_form
 
 ALPHA = 0.3 + 1.0j
 N = QuadraticOperator.number()
@@ -157,19 +156,6 @@ class TestMoments:
             fock.expectation_fock(psi_t, P), abs=1e-6
         )
 
-    def test_covariance_consistency(self):
-        # Var[A + B] = Var A + Var B + 2 Cov(A, B)
-        st = evolve(coherent(ALPHA), qrm_effective(1.0, 0.9), 1.3)
-        a_op = N
-        b_op = qrm_commutator_d(1.0, 0.9)
-        lhs = variance_quadratic(st, a_op + b_op)
-        rhs = (
-            variance_quadratic(st, a_op)
-            + variance_quadratic(st, b_op)
-            + 2.0 * covariance_quadratic(st, a_op, b_op)
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_quadrature_stats(self):
         assert quadrature_stats(vacuum()) == pytest.approx((0.0, 0.5))
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
@@ -240,7 +226,8 @@ class TestClosedFormFlow:
         assert np.allclose(d, t * (OMEGA @ np.array(v)), rtol=1e-15, atol=0.0)
         self.assert_matches_expm(h, t)
 
-    @pytest.mark.parametrize("det", [1.0, -1.0, 0.37, -2.5])
+    # The last det is a near-critical gap Δ whose switch falls at t_c = 1.7.
+    @pytest.mark.parametrize("det", [1.0, -1.0, 0.37, -2.5, SERIES_SWITCH / 1.7**2])
     def test_continuity_across_series_switch(self, det):
         t_switch = math.sqrt(SERIES_SWITCH / abs(det))
         h = quadratic(det / 0.8, 0.8, 0.4, (0.6, -1.1))
@@ -263,6 +250,20 @@ class TestClosedFormFlow:
             assert abs(c_hi - c_lo) <= abs(det) * hi * step + 2e-16
             assert abs(s_hi_w - s_lo_w) <= step + 2e-16 * hi
             assert abs(q_hi - q_lo) <= hi * step + 2e-16 * hi * hi
+
+    def test_weights_limit(self):
+        # k → 0: (1, t, t²/2), exactly at k = 0.
+        assert [float(w) for w in flow_weights(0.0, 2.0)] == [1.0, 2.0, 2.0]
+        c, s, q = flow_weights(1e-18, 3.0)
+        assert abs(c - 1.0) < 1e-12 and abs(s - 3.0) < 1e-12 and abs(q - 4.5) < 1e-12
+
+    @pytest.mark.parametrize("k, t", [(0.3136, 3.0), (12.0, 0.4), (2.5, 7.1)])
+    def test_weights_match_naive_forms_away_from_switch(self, k, t):
+        c, s, q = flow_weights(k, t)
+        root = math.sqrt(k)
+        assert abs(c - math.cos(root * t)) < 1e-15
+        assert abs(s - math.sin(root * t) / root) < 1e-14 * max(1.0, abs(s))
+        assert abs(q - (1.0 - math.cos(root * t)) / k) < 1e-13 * max(1.0, abs(q))
 
     def test_weights_broadcast_and_mixed_branches(self):
         # One array holding series and closed-form entries matches the

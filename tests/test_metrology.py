@@ -6,7 +6,13 @@ import pytest
 
 from canp import fock
 from canp.errors import NegativeDeltaError, NoSignChangeError, VacuumProbeError
-from canp.gaussian import GaussianState, coherent, quadrature_stats, variance_quadratic
+from canp.gaussian import (
+    GaussianState,
+    coherent,
+    mean_photon,
+    quadrature_stats,
+    variance_quadratic,
+)
 from canp.metrology import (
     MetrologyReport,
     Protocol,
@@ -15,7 +21,6 @@ from canp.metrology import (
     direct_baseline,
     enhancement_ratio,
     evaluate_report,
-    final_mean_photon,
     find_threshold,
     protocol_state,
     qfi_asymptotic,
@@ -50,12 +55,17 @@ def qrm_spec_at_tau(g, **kwargs):
 
 class TestQfiExact:
     def test_no_preparation(self):
-        got = qfi_exact(qrm_spec(0.96, 0.0))
+        spec = qrm_spec(0.96, 0.0)
+        got = qfi_exact(spec)
         assert got == pytest.approx(4.0 * T_THETA**2 * abs(ALPHA) ** 2, rel=1e-12)
+        # At t_c = 0 the generator is exactly t_θ H_θ.
+        assert got == 4.0 * T_THETA**2 * variance_quadratic(coherent(ALPHA), spec.Htheta)
 
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
         assert qfi_exact(spec) == pytest.approx(fock.qfi_numeric(spec), rel=1e-4)
+        # Regression pin for the generator-variance value itself.
+        assert qfi_exact(spec) == pytest.approx(43104.596123522046, rel=1e-9)
 
     def test_near_critical_asymptotic_dominance(self):
         # The cross terms decay like Delta: within 10% at g = 0.98 and
@@ -113,9 +123,9 @@ class TestDirectBaseline:
     def test_energy_matching_uses_fock_photon_number(self):
         spec = qrm_spec(0.96, 3.0)
         psi = fock.converged_protocol_state(spec, spec.theta0)
-        want = 4.0 * spec.total_time**2 * fock.mean_photon_fock(psi)
+        want = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.mean_photon_fock(psi)
         assert direct_baseline(spec) == pytest.approx(want, rel=1e-6)
-        assert final_mean_photon(spec) == pytest.approx(
+        assert mean_photon(protocol_state(spec)) == pytest.approx(
             fock.mean_photon_fock(psi), abs=1e-6
         )
 
@@ -319,6 +329,12 @@ class TestFindThreshold:
         with pytest.raises(NoSignChangeError):
             find_threshold("QRM-frequency", 12.0, ALPHA, (0.6, 0.8))
 
+    @pytest.mark.parametrize("bracket", [(0.8, 0.3), (0.5, 0.5)])
+    def test_bracket_must_increase(self, bracket):
+        # With lo >= hi the bisection loop would never run.
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_threshold("QRM-frequency", 12.0, ALPHA, bracket)
+
 
 class TestQfiDisplacement:
     def displacement_spec(self, g, t_c, t_theta=T_THETA):
@@ -345,6 +361,24 @@ class TestQfiDisplacement:
     def test_rejects_frequency_encoding(self):
         with pytest.raises(ValueError):
             qfi_displacement(qrm_spec(0.9, 1.0))
+
+    def test_commuting_pair_gives_zero(self):
+        x = QuadraticOperator.position()
+        assert Protocol(x, x, ALPHA).qfi_displacement(np.array([0.5, 2.0]), 3.0).tolist() == [
+            0.0, 0.0]
+
+    def test_grid_matches_scalar_wrapper(self):
+        params = ModelParams("QRM-displacement", g=0.9, omega=1.3)
+        protocol = Protocol(*params.pair(), ALPHA)
+        t_c = np.linspace(0.0, 9.0, 5)[:, None]
+        t_theta = np.linspace(0.5, 15.0, 3)[None, :]
+        grid = protocol.qfi_displacement(t_c, t_theta, params.omega)
+        assert grid.shape == (5, 3)
+        for i, j in np.ndindex(grid.shape):
+            spec = ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
+                                t_c=float(t_c[i, 0]), t_theta=float(t_theta[0, j]),
+                                alpha=ALPHA, omega=params.omega)
+            assert grid[i, j] == qfi_displacement(spec)
 
 
 class TestProtocolSpecAndReport:
@@ -463,7 +497,7 @@ class TestProtocolKernel:
             return ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
                                 t_c=t_c, t_theta=t_theta, alpha=ALPHA, theta0=theta0)
 
-        nbar = {th: final_mean_photon(spec_at(th)) for th in (0.0, 0.4)}
+        nbar = {th: mean_photon(protocol_state(spec_at(th))) for th in (0.0, 0.4)}
         assert abs(nbar[0.4] - nbar[0.0]) > 0.1
         for theta0 in (0.0, 0.4):
             spec = spec_at(theta0)
@@ -485,7 +519,7 @@ class TestProtocolKernel:
                                 t_theta=2.0, alpha=ALPHA, theta0=theta0)
             psi = fock.converged_protocol_state(spec, theta0)
             reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
-            oracle = 4.0 * spec.total_time**2 * fock.variance_fock(reference, htheta)
+            oracle = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.variance_fock(reference, htheta)
             values.append(direct_baseline(spec))
             assert values[-1] == pytest.approx(oracle, rel=1e-8)
         assert abs(values[1] - values[0]) > 1e-3 * values[0]

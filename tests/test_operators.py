@@ -14,11 +14,9 @@ from canp.operators import (
     QuadraticOperator,
     commutator,
     derive_critical_structure,
-    from_quadrature_form,
-    generator,
-    preparation_weights,
     to_quadrature_form,
 )
+from quadrature_forms import from_quadrature_form
 
 N = QuadraticOperator.number()
 A = QuadraticOperator.annihilation()
@@ -107,11 +105,6 @@ class TestHermiticity:
         assert QuadraticOperator(c_aa=1 + 2j, c_adad=1 - 2j).is_hermitian()
         assert not QuadraticOperator(c_n=1j).is_hermitian()
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(5)
-        op = random_operator(rng)
-        assert op_distance(QuadraticOperator.from_json(op.to_json()), op) == 0.0
-
 
 class TestDeriveCriticalStructure:
     def test_qrm_frequency_gap(self):
@@ -160,66 +153,6 @@ class TestDeriveCriticalStructure:
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
             derive_critical_structure(A, N)
-
-
-class TestGenerator:
-    def setup_method(self):
-        self.htheta = N
-        self.hc = qrm_effective(1.0, 0.96)
-        self.cs = derive_critical_structure(self.hc, self.htheta)
-
-    def test_tc_zero_is_encoding_only(self):
-        h = generator(self.htheta, self.cs, 0.0, 7.0)
-        assert op_distance(h, 7.0 * self.htheta) == 0.0
-
-    def test_weights_limit(self):
-        s, c = preparation_weights(0.0, 2.0)
-        assert s == 2.0 and c == -2.0
-        s, c = preparation_weights(1e-18, 3.0)
-        assert abs(s - 3.0) < 1e-12 and abs(c + 4.5) < 1e-12
-
-    def test_series_switch_continuity(self):
-        t_c = 1.7
-        delta_switch = 1e-6 / t_c**2
-        for eps in (1e-9, 1e-10):
-            lo = preparation_weights(delta_switch * (1.0 - eps), t_c)
-            hi = preparation_weights(delta_switch * (1.0 + eps), t_c)
-            assert abs(lo[0] - hi[0]) < 1e-10
-            assert abs(lo[1] - hi[1]) < 1e-10
-
-    def test_weights_match_naive_forms_away_from_switch(self):
-        for delta, t_c in ((0.3136, 3.0), (12.0, 0.4), (2.5, 7.1)):
-            s, c = preparation_weights(delta, t_c)
-            root = math.sqrt(delta)
-            assert abs(s - math.sin(root * t_c) / root) < 1e-14 * max(1.0, abs(s))
-            assert abs(c - (math.cos(root * t_c) - 1.0) / delta) < 1e-13 * max(1.0, abs(c))
-
-    def test_generator_hermitian(self):
-        h = generator(self.htheta, self.cs, 2.3, 12.0)
-        assert h.is_hermitian()
-
-    def test_bad_structure_rejected(self):
-        from canp.operators import CriticalStructure
-
-        broken = CriticalStructure(C=self.cs.C, D=self.cs.D, Delta=self.cs.Delta, residual=1.0)
-        with pytest.raises(ConditionViolatedError):
-            generator(self.htheta, broken, 1.0, 1.0)
-
-    def test_generator_variance_matches_fidelity_oracle(self):
-        # 4 Var[h] on |0.3 + 1i⟩ against the fidelity-based numeric QFI.
-        from canp import fock
-        from canp.gaussian import coherent, variance_quadratic
-        from canp.metrology import ProtocolSpec
-
-        spec = ProtocolSpec(
-            Hc=self.hc, Htheta=self.htheta, t_c=3.0, t_theta=12.0, alpha=0.3 + 1j
-        )
-        h = generator(self.htheta, self.cs, 3.0, 12.0)
-        qfi_gen = 4.0 * variance_quadratic(coherent(0.3 + 1j), h)
-        qfi_fid = fock.qfi_numeric(spec)
-        assert abs(qfi_gen - qfi_fid) / qfi_fid < 1e-4
-        # Regression pin for the generator-variance value itself.
-        assert qfi_gen == pytest.approx(43104.596123522046, rel=1e-9)
 
 
 class TestQuadratureForm:
