@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError
-from .metrology import (
-    Protocol,
-    ProtocolSpec,
-    enhancement_ratio,
-    find_threshold,
-)
+from .errors import CommutingPairError, ConfigError, OutOfPhaseError
+from .metrology import Protocol, find_threshold
+# Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
+from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number
 
 EXPERIMENTS = (
@@ -41,7 +38,10 @@ EXPERIMENTS = (
     "validate",
 )
 
-_TWO_PI = 2.0 * math.pi
+# The model field each sweeping experiment moves, by its config name.
+_MOVED_FIELD = {"fig2b": "g", "fig2b-inset": "g", "fig3a": "g", "fig3b": "g",
+                "displacement": "g", "lmg-threshold": "lambda"}
+_ATTRIBUTE = {"g": "g", "lambda": "lam"}
 
 
 @dataclass(frozen=True)
@@ -191,29 +191,39 @@ def config_from_dict(obj: dict) -> RunConfig:
 
 
 def _validate_sweep(cfg: RunConfig) -> None:
-    """Sweep bounds must stay inside model validity ranges."""
+    """Time axes must be ordered, and every model value the run uses must be valid.
+
+    A model value is the model itself or the model with one field moved to a
+    g_values entry, a g or lambda axis value or a bracket end. Each must be
+    a field its variant has, and the variant's own phase rule (the model
+    constructor) must accept it.
+    """
+    model, moved = cfg.model, _MOVED_FIELD.get(cfg.experiment)
+    moves = [("g", g) for g in cfg.g_values]
     for ax in cfg.sweep:
         if ax.points < 2:
             raise ConfigError(f"axis {ax.name}: points must be >= 2")
-        if ax.name == "g":
-            if not (0.0 <= ax.start < 1.0 and 0.0 <= ax.stop < 1.0):
-                raise ConfigError("g sweep must stay inside [0, 1)")
-        elif ax.name == "lambda":
-            gamma = cfg.model.gamma
-            if gamma is None:
-                raise ConfigError("lambda sweep requires model gamma")
-            for edge in (ax.start, ax.stop):
-                if (gamma - edge) * (1.0 - edge) <= 0.0:
-                    raise ConfigError(f"lambda={edge} leaves the LMG normal phase")
-        elif ax.name == "sqrtDelta_tc":
+        if ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
                 raise ConfigError("sqrtDelta_tc sweep must be nonnegative and increasing")
         elif ax.name == "t_theta":
             if ax.start <= 0.0 or ax.stop <= 0.0:
                 raise ConfigError("t_theta sweep must stay positive")
-    for g in cfg.g_values:
-        if not (0.0 <= g < 1.0):
-            raise ConfigError(f"g_values entry {g} outside [0, 1)")
+        elif ax.name in _ATTRIBUTE:
+            moves += [(ax.name, v) for v in ax.values().tolist()]
+    moves += [(moved, v) for v in cfg.bracket or () if moved]
+    if cfg.experiment == "displacement" and model.variant != "QRM-displacement":
+        raise ConfigError(f"displacement needs variant QRM-displacement, got {model.variant}")
+    own = "lambda" if model.variant == "LMG-frequency" else "g"
+    lacking = sorted({moved, *(name for name, _ in moves)} - {None, own})
+    if lacking:
+        raise ConfigError(f"{cfg.experiment} moves {lacking[0]}, which variant "
+                          f"{model.variant} lacks")
+    for params in [model, *(model.replace(**{_ATTRIBUTE[name]: v}) for name, v in moves)]:
+        try:
+            params.preparation()
+        except OutOfPhaseError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def apply_overrides(obj: dict, overrides: dict[str, str]) -> dict:
@@ -277,21 +287,25 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
         fh.write("\n".join(lines) + "\n")
 
 
-def _protocol(cfg: RunConfig, params: ModelParams) -> Protocol:
-    return Protocol(params.preparation(), params.encoding(), cfg.alpha)
+def _prepared(cfg: RunConfig, params: ModelParams, sqrt_delta_tc):
+    """The protocol of one model value and its preparation time(s) at √Δ·t_c.
+
+    A commuting pair (QRM-frequency at g = 0, LMG at γ = 1) has no √Δ, so a
+    run that places t_c by √Δ·t_c cannot use it: that is a ConfigError
+    naming the model value.
+    """
+    protocol = Protocol(params.preparation(), params.encoding(), cfg.alpha)
+    try:
+        return protocol, protocol.preparation_time(sqrt_delta_tc)
+    except CommutingPairError as exc:
+        value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
+        raise ConfigError(f"model {value}: {exc}") from exc
 
 
-def _t_c(params: ModelParams, sqrt_delta_tc):
-    """Preparation time(s) at the given √Δ·t_c, with the model's published Δ."""
-    return sqrt_delta_tc / math.sqrt(params.published_delta())
-
-
-def _spec_at(cfg: RunConfig, params: ModelParams, sqrt_delta_tc: float) -> ProtocolSpec:
-    """The one protocol instance of a model value at the given √Δ·t_c."""
-    return ProtocolSpec(
-        Hc=params.preparation(), Htheta=params.encoding(), t_c=_t_c(params, sqrt_delta_tc),
-        t_theta=cfg.t_theta, alpha=cfg.alpha, theta0=cfg.theta0, omega=params.omega,
-    )
+def _critical_ratio(cfg: RunConfig, params: ModelParams) -> float:
+    """R of one model value at the critical time π/√Δ."""
+    protocol, t_c = _prepared(cfg, params, math.pi)
+    return float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
 
 
 def _rows(*columns) -> list[tuple]:
@@ -302,7 +316,8 @@ def _rows(*columns) -> list[tuple]:
 def run_fig2a(cfg: RunConfig) -> list[tuple]:
     sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
     tth = cfg.axis("t_theta").values()[None, :]
-    ratio = _protocol(cfg, cfg.model).ratio(_t_c(cfg.model, sdtc), tth, cfg.theta0)
+    protocol, t_c = _prepared(cfg, cfg.model, sdtc)
+    ratio = protocol.ratio(t_c, tth, cfg.theta0)
     rows = _rows(sdtc, tth, ratio, ratio > 1.0)
     write_csv(cfg.out, cfg, ("sqrtDelta_tc", "t_theta", "R", "enhanced"), rows)
     return rows
@@ -313,15 +328,14 @@ def run_fig2b(cfg: RunConfig) -> list[tuple]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     rows = []
     for g in g_values:
-        params = cfg.model.replace(g=g)
-        ratio = _protocol(cfg, params).ratio(_t_c(params, sdtc), cfg.t_theta, cfg.theta0)
-        rows += _rows(g, sdtc, ratio)
+        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), sdtc)
+        rows += _rows(g, sdtc, protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "R"), rows)
     return rows
 
 
 def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
-    rows = [(g, enhancement_ratio(_spec_at(cfg, cfg.model.replace(g=g), math.pi)))
+    rows = [(g, _critical_ratio(cfg, cfg.model.replace(g=g)))
             for g in cfg.axis("g").values().tolist()]
     write_csv(cfg.out, cfg, ("g", "R_tau"), rows)
     return rows
@@ -332,17 +346,15 @@ def run_fig3a(cfg: RunConfig) -> list[tuple]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     rows = []
     for g in g_values:
-        params = cfg.model.replace(g=g)
-        protocol, t_c = _protocol(cfg, params), _t_c(params, sdtc)
+        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), sdtc)
         rows += _rows(g, sdtc, protocol.skew(t_c), protocol.qfi(t_c, cfg.t_theta))
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "S", "F"), rows)
     return rows
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    params = cfg.model.replace(g=g)
-    state = _protocol(cfg, params).state(_t_c(params, math.pi), cfg.t_theta, cfg.theta0)
-    return float(state.mp)
+    protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), math.pi)
+    return float(protocol.state(t_c, cfg.t_theta, cfg.theta0).mp)
 
 
 def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> list[float]:
@@ -375,8 +387,7 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
     g_values = cfg.axis("g").values()
     rows = []
     for g in g_values.tolist():
-        params = cfg.model.replace(g=g)
-        protocol, t_c = _protocol(cfg, params), _t_c(params, math.pi)
+        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), math.pi)
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
         cfi = float(protocol._cfi_homodyne(final, cfg.t_theta))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
@@ -392,13 +403,11 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
 
 def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     lam_axis = cfg.axis("lambda").values()
-    rows = [(lam, enhancement_ratio(_spec_at(cfg, cfg.model.replace(lam=lam), math.pi)))
+    rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
             for lam in lam_axis.tolist()]
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
-    lam_star = find_threshold(
-        "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
-        omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
-    )
+    lam_star = find_threshold(cfg.model, "lam", cfg.t_theta, cfg.alpha, bracket,
+                              theta0=cfg.theta0)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows
@@ -407,13 +416,12 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
 def run_displacement(cfg: RunConfig) -> list[tuple]:
     rows = []
     for g in cfg.axis("g").values().tolist():
-        params = cfg.model.replace(g=g)
         # Quarter period: the point where the asymptotic sin² formula is exact.
-        protocol, t_c = _protocol(cfg, params), _t_c(params, 0.5 * math.pi)
-        formula = float(protocol.qfi_displacement(t_c, cfg.t_theta, params.omega))
+        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), 0.5 * math.pi)
+        formula = float(protocol.qfi_displacement(t_c, cfg.t_theta))
         exact = float(protocol.qfi(t_c, cfg.t_theta))
         ratio = float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
-        rows.append((g, params.published_delta(), formula, exact, ratio))
+        rows.append((g, protocol.structure.Delta, formula, exact, ratio))
     write_csv(cfg.out, cfg, ("g", "delta_p", "qfi_formula", "qfi_exact", "R"), rows)
     return rows
 

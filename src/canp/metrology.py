@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutingPairError, NoSignChangeError, VacuumProbeError
+from .errors import CommutingPairError, NoSignChangeError, OutOfPhaseError, VacuumProbeError
 from .gaussian import (
     Flow,
     Form,
@@ -46,10 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 class ProtocolSpec:
     """One full protocol instance.
 
-    theta0 is the working point at which local sensitivity is evaluated and
-    omega the bosonic mode frequency entering the energy constraint (it
-    cancels from the energy-matched comparison, so it is kept only for
-    completeness).
+    theta0 is the working point at which local sensitivity is evaluated. The
+    mode frequency enters only through H_c, so a spec holds no copy of it.
     """
 
     Hc: QuadraticOperator
@@ -58,7 +56,6 @@ class ProtocolSpec:
     t_theta: float
     alpha: complex
     theta0: float = 0.0
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         _durations(self.t_c, self.t_theta)
@@ -140,6 +137,21 @@ class Protocol:
             zero = Form(0.0, 0.0, 0.0, 0.0, 0.0)
             return 0.0, zero, zero
         return cs.Delta, Form.of(cs.C), Form.of(cs.D)
+
+    def preparation_time(self, sqrt_delta_tc):
+        """Preparation time(s) t_c = (√Δ·t_c)/√Δ from the derived Δ, over arrays.
+
+        This is the package's one conversion of √Δ·t_c (π marks the critical
+        time) to a duration. Raises CommutingPairError for a commuting pair
+        and OutOfPhaseError for Δ = 0: neither has a √Δ.
+        """
+        cs = self.structure
+        if cs is None:
+            raise CommutingPairError(
+                "the pair commutes ([H_c, H_theta] = 0), so there is no √Δ to place t_c by")
+        if cs.Delta <= 0.0:
+            raise OutOfPhaseError("Δ = 0, so there is no √Δ to place t_c by")
+        return sqrt_delta_tc / math.sqrt(cs.Delta)
 
     # --- states ----------------------------------------------------------
 
@@ -240,22 +252,22 @@ class Protocol:
         d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
         return d_mean**2 / m.spp + 0.5 * d_var**2 / m.spp**2
 
-    def qfi_displacement(self, t_c, t_theta, omega=1.0) -> np.ndarray:
+    def qfi_displacement(self, t_c, t_theta) -> np.ndarray:
         """Near-critical QFI formula for momentum-displacement encoding.
 
-        4 t_θ² ω² sin²(√Δ t_c)/Δ · Var[P], with Var[P] in the probe (1/2 for
-        any coherent state) and the sin²/Δ ratio evaluated series-safely. It
-        coincides with :meth:`qfi` at √Δ t_c = π/2, where the dropped
-        position-quadrature term vanishes. A commuting pair gives 0.
+        The C term of the generator alone, 4 t_θ² s² Var[C] with
+        s = sin(√Δ t_c)/√Δ evaluated series-safely and Var[C] in the probe.
+        For the QRM pair C = ωP, so this is the published
+        4 t_θ² ω² sin²(√Δ t_c)/Δ · Var[P]. It coincides with :meth:`qfi` at
+        √Δ t_c = π/2, where the dropped position-quadrature term vanishes.
+        A commuting pair has C = 0 and so gives 0.
         """
         if not _is_displacement_encoding(self.htheta):
             raise ValueError("displacement formula requires encoding (a† + a)/√2")
         t_c, t_theta = _durations(t_c, t_theta)
-        cs = self.structure
-        if cs is None:
-            return np.zeros(np.broadcast(t_c, t_theta).shape)
-        _, s, _ = flow_weights(cs.Delta, t_c)
-        return 4.0 * t_theta**2 * omega**2 * s**2 * self.probe.spp
+        delta, f_c, _ = self._generator_terms
+        _, s, _ = flow_weights(delta, t_c)
+        return 4.0 * t_theta**2 * s**2 * quadratic_variance(f_c, self.probe)
 
 
 # --- scalar API: one protocol instance per call ----------------------------
@@ -299,7 +311,7 @@ def cfi_homodyne(spec: ProtocolSpec) -> float:
 
 def qfi_displacement(spec: ProtocolSpec) -> float:
     """Near-critical displacement-encoding QFI; see :meth:`Protocol.qfi_displacement`."""
-    return float(Protocol.from_spec(spec).qfi_displacement(spec.t_c, spec.t_theta, spec.omega))
+    return float(Protocol.from_spec(spec).qfi_displacement(spec.t_c, spec.t_theta))
 
 
 def _is_displacement_encoding(op: QuadraticOperator) -> bool:
@@ -314,40 +326,27 @@ def _is_displacement_encoding(op: QuadraticOperator) -> bool:
 
 
 def find_threshold(
-    family: str,
+    params: ModelParams,
+    field: str,
     t_theta: float,
     alpha: complex,
     bracket: tuple[float, float],
-    omega: float = 1.0,
-    gamma: float = 2.0,
     theta0: float = 0.0,
     tol: float = 1e-4,
 ) -> float:
-    """Model parameter at which the enhancement ratio crosses 1.
+    """Value of the model field `field` at which the enhancement ratio crosses 1.
 
-    The preparation time is pinned to the critical time π/√Δ of the swept
-    parameter. `family` is a model variant name; for the LMG family the
-    swept parameter is λ at fixed γ, for the QRM families it is g.
+    `params` fixes every other field of the model; `field` is the
+    :class:`ModelParams` attribute that moves ("g" or "lam"). The
+    preparation time is pinned to the critical time π/√Δ of each value.
     Bisection to absolute tolerance `tol`; raises ValueError unless
     bracket[0] < bracket[1], and NoSignChangeError when R − 1 has the same
     sign at both bracket ends.
     """
 
     def ratio_minus_one(value: float) -> float:
-        if family == "LMG-frequency":
-            params = ModelParams(variant=family, omega=omega, lam=value, gamma=gamma)
-        else:
-            params = ModelParams(variant=family, omega=omega, g=value)
-        spec = ProtocolSpec(
-            Hc=params.preparation(),
-            Htheta=params.encoding(),
-            t_c=params.critical_time(),
-            t_theta=t_theta,
-            alpha=alpha,
-            theta0=theta0,
-            omega=omega,
-        )
-        return enhancement_ratio(spec) - 1.0
+        protocol = Protocol(*params.replace(**{field: value}).pair(), alpha)
+        return float(protocol.ratio(protocol.preparation_time(math.pi), t_theta, theta0)) - 1.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:

@@ -8,8 +8,11 @@ model (critical at λ = 1 for γ ≠ 1). Both are paired with either a
 frequency encoding a†a or a momentum-displacement encoding (a + a†)/√2.
 
 For each pair the module also records the published closed forms of the gap
-parameter and the derived commutator operators; the algebra layer must
-reproduce them exactly, and the tests enforce that.
+parameter and the derived commutator operators. They are regression data
+only: the runtime takes Δ, C and D from
+:func:`canp.operators.derive_critical_structure`, and `validate`'s
+`algebraic_criterion` and `operator_constants` checks and the tests compare
+the derived values against these forms.
 
 Caveat for the LMG preset: the bosonization is valid only while the mode
 occupation stays well below the collective spin size N. N does not appear
@@ -20,6 +23,7 @@ probe amplitudes modest.
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError, OutOfPhaseError
@@ -177,23 +181,9 @@ class ModelParams:
             return qrm_delta_displacement(self.omega, self.g)
         return lmg_delta(self.lam, self.gamma)
 
-    def critical_time(self) -> float:
-        """Preparation duration π/√Δ (half period of the commutator algebra)."""
-        delta = self.published_delta()
-        if delta <= 0.0:
-            raise OutOfPhaseError("critical time undefined at or beyond the critical point")
-        return math.pi / math.sqrt(delta)
-
     def replace(self, **changes) -> "ModelParams":
-        fields = {
-            "variant": self.variant,
-            "omega": self.omega,
-            "g": self.g,
-            "lam": self.lam,
-            "gamma": self.gamma,
-        }
-        fields.update(changes)
-        return ModelParams(**fields)
+        """A copy with the given fields changed, validated like a new instance."""
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         out: dict = {"variant": self.variant, "omega": self.omega}

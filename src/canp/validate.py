@@ -135,18 +135,16 @@ def _oracle_point(point: tuple[float, float]) -> dict:
     """One grid point of the Gaussian-vs-number-basis comparison, on one Protocol."""
     t_point = time.monotonic()
     g, frac = point
-    params = ModelParams("QRM-frequency", g=g)
-    delta = params.published_delta()
-    t_c = frac * 2.0 * math.pi / math.sqrt(delta)
+    protocol = _protocol(ModelParams("QRM-frequency", g=g))
+    t_c = protocol.preparation_time(frac * 2.0 * math.pi)
     spec = ProtocolSpec(
-        Hc=params.preparation(), Htheta=params.encoding(),
+        Hc=protocol.hc, Htheta=protocol.htheta,
         t_c=t_c, t_theta=T_THETA, alpha=ALPHA, theta0=0.1,
     )
-    protocol = Protocol.from_spec(spec)
     state = protocol.state(t_c, T_THETA, spec.theta0)
     psi = fock.converged_protocol_state(spec, spec.theta0)
     mu_f, sigma_f = fock.fock_moments(psi)
-    d_op = qrm_commutator_d(1.0, g)
+    d_op = protocol.structure.D
     t_qfi = time.monotonic()
     qfi_gauss = float(protocol.qfi(t_c, T_THETA))
     qfi_fock = fock.qfi_numeric(spec)
@@ -242,8 +240,9 @@ def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
 
 def check_thresholds() -> CheckResult:
     t0 = time.monotonic()
-    g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
-    lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
+    g_star = find_threshold(ModelParams("QRM-frequency", g=0.5), "g", 12.0, ALPHA, (0.3, 0.8))
+    lam_star = find_threshold(ModelParams("LMG-frequency", lam=0.4, gamma=2.0), "lam", 1.3,
+                              ALPHA, (0.2, 0.6))
     ok = abs(g_star - 0.5058) <= 0.005 and abs(lam_star - 0.3559) <= 0.005
     return CheckResult(
         name="thresholds",
@@ -284,8 +283,8 @@ def check_near_critical_scaling() -> CheckResult:
     t0 = time.monotonic()
     deviations = {}
     for g in (0.98, 0.985, 0.99, 0.995):
-        params = ModelParams("QRM-frequency", g=g)
-        protocol, t_c = _protocol(params), params.critical_time()
+        protocol = _protocol(ModelParams("QRM-frequency", g=g))
+        t_c = protocol.preparation_time(math.pi)
         exact, asymptotic = protocol.qfi(t_c, T_THETA), protocol.qfi_asymptotic(t_c, T_THETA)
         deviations[g] = float(abs(exact / asymptotic - 1.0))
     devs = list(deviations.values())
@@ -310,8 +309,8 @@ def check_skew_identity() -> CheckResult:
     argmax_match = True
     sdtc_grid = np.linspace(0.0, 4.0 * math.pi, 160)
     for g in (0.90, 0.95, 0.98):
-        params = ModelParams("QRM-frequency", g=g)
-        protocol, t_c = _protocol(params), sdtc_grid / math.sqrt(params.published_delta())
+        protocol = _protocol(ModelParams("QRM-frequency", g=g))
+        t_c = protocol.preparation_time(sdtc_grid)
         skews = protocol.skew(t_c)
         qfis = protocol.qfi(t_c, T_THETA)
         worst_rel = max(worst_rel, float(np.max(np.abs(4.0 * T_THETA**2 * skews - qfis) / qfis)))
@@ -332,8 +331,8 @@ def check_homodyne_efficiency() -> CheckResult:
     ratios = {}
     bounded = True
     for g in np.linspace(0.90, 0.98, 9):
-        params = ModelParams("QRM-frequency", g=float(g))
-        protocol, t_c = _protocol(params), params.critical_time()
+        protocol = _protocol(ModelParams("QRM-frequency", g=float(g)))
+        t_c = protocol.preparation_time(math.pi)
         cfi = float(protocol.cfi_homodyne(t_c, T_THETA, 0.0))
         qfi = float(protocol.qfi(t_c, T_THETA))
         ratios[round(float(g), 4)] = cfi / qfi

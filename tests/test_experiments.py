@@ -1,7 +1,7 @@
 import json
-import math
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from canp.experiments import (
     run_experiment,
     write_csv,
 )
-from canp import cli, gaussian
+from canp import cli, gaussian, models, validate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,19 +113,6 @@ class TestCsvWriter:
 
 
 class TestRunners:
-    def test_fig2a_commuting_model_never_enhances(self, tmp_path):
-        cfg_dict = small_config("fig2a", tmp_path, sweep={
-            "sqrtDelta_tc": {"start": 0.0, "stop": 6.0, "points": 5},
-            "t_theta": {"start": 2.0, "stop": 20.0, "points": 5},
-        })
-        cfg_dict["model"]["g"] = 0.0
-        rows = run_experiment(config_from_dict(cfg_dict))
-        assert len(rows) == 25
-        for sdtc, tth, ratio, enhanced in rows:
-            assert not enhanced
-            if sdtc > 0.0:
-                assert ratio < 1.0
-
     def test_fig2a_enhancement_windows_exist(self, tmp_path):
         rows = run_experiment(config_from_dict(small_config("fig2a", tmp_path, sweep={
             "sqrtDelta_tc": {"start": 0.0, "stop": 12.566370614359172, "points": 30},
@@ -191,21 +178,36 @@ class TestRunners:
             assert formula == pytest.approx(exact, rel=1e-10)
             assert ratio > 0.0
 
-    def test_fig2b_inset_commuting_boundary(self, tmp_path):
-        # At g = 0 the pair commutes and no gap can be derived; t_c is the
-        # published π/√Δ = π/(2ω), so R_τ = t_θ²/(t_c + t_θ)².
-        cfg = load_config(str(CONFIG_DIR / "fig2b_inset.json"),
-                          {"out": json.dumps(str(tmp_path / "inset.csv")), "sweep.g.start": "0.0"})
-        g, r_tau = run_experiment(cfg)[0]
-        assert (g, r_tau) == (0.0, 0.7819011051389935)
-        assert r_tau == pytest.approx(cfg.t_theta**2 / (0.5 * math.pi + cfg.t_theta) ** 2,
-                                      rel=1e-15)
+    # A commuting pair has no √Δ, so no preparation time can be placed by
+    # √Δ·t_c; the run stops before writing anything and names the model value.
+    @pytest.mark.parametrize("config, overrides, value", [
+        ("fig2b_inset.json", ["--sweep.g.start=0.0"], "g=0.0"),
+        ("fig2a.json", ["--model.g=0"], "g=0"),
+        ("lmg_threshold.json", ["--model.gamma=1.0"], "gamma=1.0"),
+    ])
+    def test_commuting_pair_is_config_error(self, tmp_path, capsys, config, overrides, value):
+        out = tmp_path / "x.csv"
+        rc = cli.main([Path(config).stem.replace("_", "-"), "--config", str(CONFIG_DIR / config),
+                       "--out", str(out), *overrides])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model ")
+        assert value in err and "the pair commutes" in err
+        assert not out.exists()
 
-    def test_displacement_derives_each_structure_once(self, tmp_path, structure_derivations):
-        cfg = load_config(str(CONFIG_DIR / "displacement.json"),
-                          {"out": json.dumps(str(tmp_path / "displacement.csv"))})
-        assert len(run_experiment(cfg)) == 50
-        assert len(structure_derivations) == 50
+    # The structure of each model value is derived once (lmg-threshold: 81
+    # rows, both bracket ends again and 12 bisection steps; validate: its
+    # oracle grid and every check that builds a Protocol).
+    @pytest.mark.parametrize("name, derivations", [
+        ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
+        ("lmg_threshold", 95), ("displacement", 50), ("validate", 68),
+    ])
+    def test_each_structure_is_derived_once(self, tmp_path, structure_derivations,
+                                            name, derivations):
+        cfg = load_config(str(CONFIG_DIR / f"{name}.json"),
+                          {"out": json.dumps(str(tmp_path / f"{name}.out"))})
+        run_experiment(cfg)
+        assert len(structure_derivations) == derivations
 
     def test_fig3b_computes_each_final_state_once(self, tmp_path, monkeypatch):
         applied = []
@@ -231,22 +233,73 @@ class TestRunners:
 
 
 class TestDeterminism:
-    def test_byte_identical_and_parallel_equivalence(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         sweep = {"sqrtDelta_tc": {"start": 0.0, "stop": 12.566370614359172, "points": 12},
                  "t_theta": {"start": 0.5, "stop": 20.0, "points": 12}}
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        out3 = tmp_path / "c.csv"
         cfg1 = config_from_dict(small_config("fig2a", tmp_path, sweep=sweep, out=str(out1)))
         run_experiment(cfg1)
         cfg2 = config_from_dict(small_config("fig2a", tmp_path, sweep=sweep, out=str(out2)))
         run_experiment(cfg2)
-        monkeypatch.setenv("CANP_THREADS", "1")
-        cfg3 = config_from_dict(small_config("fig2a", tmp_path, sweep=sweep, out=str(out3)))
-        run_experiment(cfg3)
-        bytes1 = out1.read_bytes()
-        assert bytes1 == out2.read_bytes()
-        assert bytes1 == out3.read_bytes()  # hash excludes out
+        assert out1.read_bytes() == out2.read_bytes()  # hash excludes out
+
+
+PUBLISHED_FORMS = ("qrm_delta_frequency", "qrm_delta_displacement", "lmg_delta",
+                   "qrm_commutator_c", "qrm_commutator_d", "lmg_commutator_d")
+REGRESSION_CHECKS = {"check_algebraic_criterion", "check_operator_constants"}
+
+
+def guard_published_forms(monkeypatch):
+    """Make every published closed form raise unless a validate regression check reads it."""
+
+    def guard(original):
+        def guarded(*args, **kwargs):
+            if REGRESSION_CHECKS.isdisjoint(frame.name for frame in traceback.extract_stack()):
+                raise AssertionError(f"the runtime read the published {original.__name__}")
+            return original(*args, **kwargs)
+        return guarded
+
+    for module in (models, validate):
+        for name in PUBLISHED_FORMS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, guard(getattr(module, name)))
+    monkeypatch.setattr(models.ModelParams, "published_delta",
+                        guard(models.ModelParams.published_delta))
+
+
+class TestPublishedFormsAreRegressionData:
+    """The runtime takes Δ, C and D from the derived algebra only."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig2a", ["--sweep.sqrtDelta_tc.points=9", "--sweep.t_theta.points=7"]),
+        ("fig2b", ["--sweep.sqrtDelta_tc.points=20"]),
+        ("fig2b_inset", ["--sweep.g.points=12"]),
+        ("fig3a", ["--sweep.sqrtDelta_tc.points=20"]),
+        # This probe turns ⟨P⟩ through zero once, so the crossing bisection runs too.
+        ("fig3b", ["--sweep.g.points=12", '--alpha={"re": 1.0, "im": 0.3}', "--theta0=1.3"]),
+        ("lmg_threshold", ["--sweep.lambda.points=9"]),
+        ("displacement", ["--sweep.g.points=7"]),
+    ])
+    def test_figures_run_without_them(self, tmp_path, monkeypatch, name, overrides):
+        def run(out):
+            args = [name.replace("_", "-"), "--config", str(CONFIG_DIR / f"{name}.json"),
+                    "--out", str(out), *overrides]
+            assert cli.main(args) == 0
+            return out.read_bytes()
+
+        plain = run(tmp_path / "plain.csv")
+        assert name != "fig3b" or b"meanP_zero_crossing g=" in plain
+        with monkeypatch.context() as guarded:
+            guard_published_forms(guarded)
+            assert run(tmp_path / "guarded.csv") == plain
+
+    def test_validate_reads_them_only_in_its_regression_checks(self, monkeypatch):
+        guard_published_forms(monkeypatch)
+        monkeypatch.setattr(validate, "ORACLE_GRID", validate.ORACLE_GRID[::5])
+        report = validate.run_checks()
+        assert report["passed"], [c["name"] for c in report["checks"] if not c["passed"]]
+        assert len(report["checks"]) == 10
 
 
 class TestCli:
@@ -299,6 +352,26 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    # Each model value a run would use is checked at config time against its
+    # variant: the field must exist and the model's own phase rule must hold.
+    @pytest.mark.parametrize("config, overrides", [
+        ("fig2b_inset.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}']),
+        ("lmg_threshold.json", ["--model.variant=QRM-frequency", "--model.g=0.96"]),
+        ("displacement.json", ["--model.variant=QRM-frequency"]),
+        ("fig2a.json", ["--model.g=1.2"]),
+        ("lmg_threshold.json", ["--sweep.lambda.start=0.5", "--sweep.lambda.stop=2.5"]),
+        ("fig2b.json", ["--g_values=[0.5,1.0]"]),
+        ("lmg_threshold.json", ["--bracket=[0.2,1.5]"]),
+    ])
+    def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
+                                                             overrides):
+        out = tmp_path / "x.csv"
+        rc = cli.main([Path(config).stem.replace("_", "-"), "--config", str(CONFIG_DIR / config),
+                       "--out", str(out), *overrides])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_does_not_import_scipy(self):
         src = Path(cli.__file__).resolve().parents[1]

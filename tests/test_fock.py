@@ -40,7 +40,7 @@ _OPERATOR = st.booleans().flatmap(
 
 
 class TestBuildMatrix:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(_OPERATOR, st.sampled_from((2, 3, 7, 60)))
     def test_matches_dense_ladder_products(self, op, dim):
         m = fock.build_matrix(op, dim)

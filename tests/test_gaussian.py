@@ -181,7 +181,7 @@ def quadratic(eig1: float, eig2: float, angle: float, v=(0.0, 0.0)) -> Quadratic
 _EIG = st.floats(0.05, 2.0)
 _ANGLE = st.floats(0.0, math.pi)
 _LINEAR = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
-_FLOW_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_FLOW_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
 
 class TestClosedFormFlow:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from canp import fock
-from canp.errors import NegativeDeltaError, NoSignChangeError, VacuumProbeError
+from canp.errors import (
+    CommutingPairError,
+    NegativeDeltaError,
+    NoSignChangeError,
+    OutOfPhaseError,
+    VacuumProbeError,
+)
 from canp.gaussian import (
     GaussianState,
     coherent,
@@ -32,6 +38,7 @@ from canp.models import (
     ModelParams,
     encoding_frequency,
     qrm_commutator_d,
+    qrm_delta_displacement,
     qrm_delta_frequency,
     qrm_effective,
 )
@@ -50,7 +57,48 @@ def qrm_spec(g, t_c, t_theta=T_THETA, alpha=ALPHA, theta0=0.0):
 
 
 def qrm_spec_at_tau(g, **kwargs):
-    return qrm_spec(g, ModelParams("QRM-frequency", g=g).critical_time(), **kwargs)
+    protocol = Protocol(*ModelParams("QRM-frequency", g=g).pair(), ALPHA)
+    return qrm_spec(g, protocol.preparation_time(math.pi), **kwargs)
+
+
+# H_c = P²/2 against H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0.
+FREE_PARTICLE = QuadraticOperator(c_n=0.5, c_aa=-0.25, c_adad=-0.25, c_1=0.25)
+
+
+class TestPreparationTime:
+    def test_matches_published_critical_time(self):
+        assert Protocol(*ModelParams("QRM-frequency", g=0.96).pair(), ALPHA).preparation_time(
+            math.pi) == pytest.approx(math.pi / math.sqrt(0.3136), rel=1e-12)
+        rng = np.random.default_rng(20240903)
+        for _ in range(100):
+            omega, g = 0.5 + 1.5 * rng.random(), 0.01 + 0.98 * rng.random()
+            lam, gamma = 0.01 + 0.98 * rng.random(), 1.05 + 1.95 * rng.random()
+            for params in (ModelParams("QRM-frequency", omega=omega, g=g),
+                           ModelParams("QRM-displacement", omega=omega, g=g),
+                           ModelParams("LMG-frequency", omega=omega, lam=lam, gamma=gamma)):
+                t_c = Protocol(*params.pair(), ALPHA).preparation_time(math.pi)
+                assert t_c == pytest.approx(math.pi / math.sqrt(params.published_delta()),
+                                            rel=1e-12)
+
+    def test_broadcasts(self):
+        protocol = Protocol(*ModelParams("LMG-frequency", lam=0.4, gamma=2.0).pair(), ALPHA)
+        sqrt_delta_tc = np.linspace(0.0, 4.0 * math.pi, 6).reshape(3, 2)
+        got = protocol.preparation_time(sqrt_delta_tc)
+        assert got.shape == (3, 2)
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == protocol.preparation_time(float(sqrt_delta_tc[i, j]))
+
+    @pytest.mark.parametrize("params", [ModelParams("QRM-frequency", g=0.0),
+                                        ModelParams("LMG-frequency", lam=0.4, gamma=1.0)])
+    def test_commuting_pair_raises(self, params):
+        with pytest.raises(CommutingPairError):
+            Protocol(*params.pair(), ALPHA).preparation_time(math.pi)
+
+    def test_zero_gap_raises(self):
+        protocol = Protocol(FREE_PARTICLE, QuadraticOperator.position(), ALPHA)
+        assert protocol.structure.Delta == 0.0
+        with pytest.raises(OutOfPhaseError):
+            protocol.preparation_time(np.array([0.0, math.pi]))
 
 
 class TestQfiExact:
@@ -295,8 +343,7 @@ class TestDegenerateAlgebras:
         # H_c = P²/2, H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0 and the
         # generator is t_θ(X + t_c P), whose coherent-state variance is
         # (1 + t_c²)/2.
-        hc = QuadraticOperator(c_n=0.5, c_aa=-0.25, c_adad=-0.25, c_1=0.25)  # P²/2
-        x = QuadraticOperator.position()
+        hc, x = FREE_PARTICLE, QuadraticOperator.position()
         protocol = Protocol(hc, x, ALPHA)
         assert protocol.structure.Delta == 0.0
         t_c = np.array([0.0, 0.5, 2.0])[:, None]
@@ -316,29 +363,33 @@ class TestDegenerateAlgebras:
             protocol.ratio(1.0, 1.0, 0.0)
 
 
+QRM = ModelParams("QRM-frequency", g=0.5)
+
+
 class TestFindThreshold:
     def test_qrm_threshold(self):
-        g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
+        g_star = find_threshold(QRM, "g", 12.0, ALPHA, (0.3, 0.8))
         assert g_star == pytest.approx(0.5058, abs=0.005)
 
     def test_lmg_threshold(self):
-        lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
+        lmg = ModelParams("LMG-frequency", lam=0.4, gamma=2.0)
+        lam_star = find_threshold(lmg, "lam", 1.3, ALPHA, (0.2, 0.6))
         assert lam_star == pytest.approx(0.3559, abs=0.005)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
-            find_threshold("QRM-frequency", 12.0, ALPHA, (0.6, 0.8))
+            find_threshold(QRM, "g", 12.0, ALPHA, (0.6, 0.8))
 
     @pytest.mark.parametrize("bracket", [(0.8, 0.3), (0.5, 0.5)])
     def test_bracket_must_increase(self, bracket):
         # With lo >= hi the bisection loop would never run.
         with pytest.raises(ValueError, match="lo < hi"):
-            find_threshold("QRM-frequency", 12.0, ALPHA, bracket)
+            find_threshold(QRM, "g", 12.0, ALPHA, bracket)
 
 
 class TestQfiDisplacement:
-    def displacement_spec(self, g, t_c, t_theta=T_THETA):
-        params = ModelParams("QRM-displacement", g=g)
+    def displacement_spec(self, g, t_c, t_theta=T_THETA, omega=1.0):
+        params = ModelParams("QRM-displacement", g=g, omega=omega)
         return ProtocolSpec(
             Hc=params.preparation(), Htheta=params.encoding(),
             t_c=t_c, t_theta=t_theta, alpha=ALPHA,
@@ -349,12 +400,14 @@ class TestQfiDisplacement:
         assert qfi_displacement(spec) == 0.0
         assert qfi_exact(spec) == pytest.approx(2.0 * T_THETA**2, rel=1e-12)
 
-    def test_quarter_period_formula_is_exact(self):
-        delta_p = 1.0 - 0.81
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    def test_quarter_period_formula_is_exact(self, omega):
+        delta_p = qrm_delta_displacement(omega, 0.9)
         t_c = 0.5 * math.pi / math.sqrt(delta_p)
-        spec = self.displacement_spec(0.9, t_c)
+        spec = self.displacement_spec(0.9, t_c, omega=omega)
         formula = qfi_displacement(spec)
-        assert formula == pytest.approx(4.0 * T_THETA**2 / delta_p * 0.5, rel=1e-12)
+        # The mode frequency comes in through H_c alone.
+        assert formula == pytest.approx(4.0 * T_THETA**2 * omega**2 / delta_p * 0.5, rel=1e-12)
         assert qfi_exact(spec) == pytest.approx(formula, rel=1e-12)
         assert fock.qfi_numeric(spec) == pytest.approx(formula, rel=1e-4)
 
@@ -367,17 +420,21 @@ class TestQfiDisplacement:
         assert Protocol(x, x, ALPHA).qfi_displacement(np.array([0.5, 2.0]), 3.0).tolist() == [
             0.0, 0.0]
 
-    def test_grid_matches_scalar_wrapper(self):
-        params = ModelParams("QRM-displacement", g=0.9, omega=1.3)
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("g", [0.0, 0.5, 0.9, 0.99])
+    def test_grid_matches_scalar_wrapper_and_published_form(self, omega, g):
+        params = ModelParams("QRM-displacement", g=g, omega=omega)
         protocol = Protocol(*params.pair(), ALPHA)
         t_c = np.linspace(0.0, 9.0, 5)[:, None]
         t_theta = np.linspace(0.5, 15.0, 3)[None, :]
-        grid = protocol.qfi_displacement(t_c, t_theta, params.omega)
+        grid = protocol.qfi_displacement(t_c, t_theta)
         assert grid.shape == (5, 3)
+        delta = params.published_delta()
+        published = 4.0 * t_theta**2 * omega**2 * np.sin(math.sqrt(delta) * t_c) ** 2 / delta * 0.5
+        np.testing.assert_allclose(grid, published, rtol=1e-12, atol=0.0)
         for i, j in np.ndindex(grid.shape):
             spec = ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
-                                t_c=float(t_c[i, 0]), t_theta=float(t_theta[0, j]),
-                                alpha=ALPHA, omega=params.omega)
+                                t_c=float(t_c[i, 0]), t_theta=float(t_theta[0, j]), alpha=ALPHA)
             assert grid[i, j] == qfi_displacement(spec)
 
 

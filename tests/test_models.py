@@ -117,10 +117,6 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams.from_dict({"variant": "QRM-frequency", "g": 0.5, "kappa": 1.0})
 
-    def test_critical_time(self):
-        params = ModelParams("QRM-frequency", g=0.96)
-        assert params.critical_time() == pytest.approx(np.pi / np.sqrt(0.3136), rel=1e-12)
-
     def test_delta_positive_inside_ranges(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
