@@ -38,10 +38,8 @@ EXPERIMENTS = (
     "validate",
 )
 
-# The model field each sweeping experiment moves, by its config name.
-_MOVED_FIELD = {"fig2b": "g", "fig2b-inset": "g", "fig3a": "g", "fig3b": "g",
-                "displacement": "g", "lmg-threshold": "lambda"}
-_ATTRIBUTE = {"g": "g", "lambda": "lam"}
+# The g values fig2b and fig3a plot when the config lists none.
+_DEFAULT_G_VALUES = {"fig2b": (0.80, 0.90, 0.96, 0.98), "fig3a": (0.90, 0.95, 0.98)}
 
 
 @dataclass(frozen=True)
@@ -190,16 +188,22 @@ def config_from_dict(obj: dict) -> RunConfig:
     return cfg
 
 
-def _validate_sweep(cfg: RunConfig) -> None:
-    """Time axes must be ordered, and every model value the run uses must be valid.
+def _model_values(cfg: RunConfig) -> list[ModelParams]:
+    """The model values a run reads: the model, or copies with g or λ moved to
+    the g_values, g or lambda axis values or bracket ends the experiment reads."""
+    model, axes = cfg.model, {ax.name: ax.values().tolist() for ax in cfg.sweep}
+    if cfg.experiment in _DEFAULT_G_VALUES:
+        return [model.replace(g=g) for g in cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment]]
+    if cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
+        return [model.replace(g=g) for g in axes.get("g", ())]
+    if cfg.experiment == "lmg-threshold":
+        return [model.replace(lam=v) for v in [*axes.get("lambda", ()), *(cfg.bracket or ())]]
+    return [model] if cfg.experiment == "fig2a" else []
 
-    A model value is the model itself or the model with one field moved to a
-    g_values entry, a g or lambda axis value or a bracket end. Each must be
-    a field its variant has, and the variant's own phase rule (the model
-    constructor) must accept it.
-    """
-    model, moved = cfg.model, _MOVED_FIELD.get(cfg.experiment)
-    moves = [("g", g) for g in cfg.g_values]
+
+def _validate_sweep(cfg: RunConfig) -> None:
+    """Time axes must be ordered, and every model value the run reads must have
+    its variant's fields (checked on building it) and obey its phase rule."""
     for ax in cfg.sweep:
         if ax.points < 2:
             raise ConfigError(f"axis {ax.name}: points must be >= 2")
@@ -209,17 +213,9 @@ def _validate_sweep(cfg: RunConfig) -> None:
         elif ax.name == "t_theta":
             if ax.start <= 0.0 or ax.stop <= 0.0:
                 raise ConfigError("t_theta sweep must stay positive")
-        elif ax.name in _ATTRIBUTE:
-            moves += [(ax.name, v) for v in ax.values().tolist()]
-    moves += [(moved, v) for v in cfg.bracket or () if moved]
-    if cfg.experiment == "displacement" and model.variant != "QRM-displacement":
-        raise ConfigError(f"displacement needs variant QRM-displacement, got {model.variant}")
-    own = "lambda" if model.variant == "LMG-frequency" else "g"
-    lacking = sorted({moved, *(name for name, _ in moves)} - {None, own})
-    if lacking:
-        raise ConfigError(f"{cfg.experiment} moves {lacking[0]}, which variant "
-                          f"{model.variant} lacks")
-    for params in [model, *(model.replace(**{_ATTRIBUTE[name]: v}) for name, v in moves)]:
+    if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
+        raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
+    for params in _model_values(cfg):
         try:
             params.preparation()
         except OutOfPhaseError as exc:
@@ -324,12 +320,11 @@ def run_fig2a(cfg: RunConfig) -> list[tuple]:
 
 
 def run_fig2b(cfg: RunConfig) -> list[tuple]:
-    g_values = cfg.g_values or (0.80, 0.90, 0.96, 0.98)
     sdtc = cfg.axis("sqrtDelta_tc").values()
     rows = []
-    for g in g_values:
-        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), sdtc)
-        rows += _rows(g, sdtc, protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
+    for params in _model_values(cfg):
+        protocol, t_c = _prepared(cfg, params, sdtc)
+        rows += _rows(params.g, sdtc, protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "R"), rows)
     return rows
 
@@ -342,12 +337,11 @@ def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
 
 
 def run_fig3a(cfg: RunConfig) -> list[tuple]:
-    g_values = cfg.g_values or (0.90, 0.95, 0.98)
     sdtc = cfg.axis("sqrtDelta_tc").values()
     rows = []
-    for g in g_values:
-        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), sdtc)
-        rows += _rows(g, sdtc, protocol.skew(t_c), protocol.qfi(t_c, cfg.t_theta))
+    for params in _model_values(cfg):
+        protocol, t_c = _prepared(cfg, params, sdtc)
+        rows += _rows(params.g, sdtc, protocol.skew(t_c), protocol.qfi(t_c, cfg.t_theta))
     write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "S", "F"), rows)
     return rows
 
@@ -406,8 +400,10 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
             for lam in lam_axis.tolist()]
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
-    lam_star = find_threshold(cfg.model, "lam", cfg.t_theta, cfg.alpha, bracket,
-                              theta0=cfg.theta0)
+    lam_star = find_threshold(
+        "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
+        omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
+    )
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows

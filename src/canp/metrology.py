@@ -326,26 +326,27 @@ def _is_displacement_encoding(op: QuadraticOperator) -> bool:
 
 
 def find_threshold(
-    params: ModelParams,
-    field: str,
+    family: str,
     t_theta: float,
     alpha: complex,
     bracket: tuple[float, float],
+    omega: float = 1.0,
+    gamma: float = 2.0,
     theta0: float = 0.0,
     tol: float = 1e-4,
 ) -> float:
-    """Value of the model field `field` at which the enhancement ratio crosses 1.
+    """Model parameter at which the enhancement ratio crosses 1.
 
-    `params` fixes every other field of the model; `field` is the
-    :class:`ModelParams` attribute that moves ("g" or "lam"). The
-    preparation time is pinned to the critical time π/√Δ of each value.
-    Bisection to absolute tolerance `tol`; raises ValueError unless
-    bracket[0] < bracket[1], and NoSignChangeError when R − 1 has the same
-    sign at both bracket ends.
+    The preparation time is pinned to the critical time π/√Δ of each value.
+    `family` is a model variant name; for the LMG family the swept parameter
+    is λ at fixed γ, for the QRM families it is g. Bisection to absolute
+    tolerance `tol`; raises ValueError unless bracket[0] < bracket[1], and
+    NoSignChangeError when R − 1 has the same sign at both bracket ends.
     """
 
     def ratio_minus_one(value: float) -> float:
-        protocol = Protocol(*params.replace(**{field: value}).pair(), alpha)
+        moved = {"lam": value, "gamma": gamma} if family == "LMG-frequency" else {"g": value}
+        protocol = Protocol(*ModelParams(family, omega=omega, **moved).pair(), alpha)
         return float(protocol.ratio(protocol.preparation_time(math.pi), t_theta, theta0)) - 1.0
 
     lo, hi = float(bracket[0]), float(bracket[1])

@@ -157,9 +157,13 @@ class ModelParams:
         if self.variant.startswith("QRM"):
             if self.g is None:
                 raise ConfigError(f"variant {self.variant} requires g")
+            if self.lam is not None or self.gamma is not None:
+                raise ConfigError(f"variant {self.variant} has no lambda or gamma")
         else:
             if self.lam is None or self.gamma is None:
                 raise ConfigError("LMG variant requires lambda and gamma")
+            if self.g is not None:
+                raise ConfigError(f"variant {self.variant} has no g")
 
     def preparation(self) -> QuadraticOperator:
         if self.variant.startswith("QRM"):

@@ -240,9 +240,8 @@ def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
 
 def check_thresholds() -> CheckResult:
     t0 = time.monotonic()
-    g_star = find_threshold(ModelParams("QRM-frequency", g=0.5), "g", 12.0, ALPHA, (0.3, 0.8))
-    lam_star = find_threshold(ModelParams("LMG-frequency", lam=0.4, gamma=2.0), "lam", 1.3,
-                              ALPHA, (0.2, 0.6))
+    g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
+    lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
     ok = abs(g_star - 0.5058) <= 0.005 and abs(lam_star - 0.3559) <= 0.005
     return CheckResult(
         name="thresholds",

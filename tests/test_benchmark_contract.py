@@ -35,6 +35,9 @@ def test_selftest_and_checks_bindings():
     assert callable(gaussian.quadrature_stats)
     assert callable(metrology.protocol_state)
     assert callable(ModelParams.published_delta)
+    # selftest.py calls find_threshold(variant, t_theta, alpha, bracket, gamma=...).
+    assert list(inspect.signature(metrology.find_threshold).parameters)[:6] == [
+        "family", "t_theta", "alpha", "bracket", "omega", "gamma"]
     # checks.py pins the oracle's truncation through these two keywords.
     for oracle in (fock.converged_protocol_state, fock.qfi_numeric):
         assert {"start_dim", "max_dim"} <= set(inspect.signature(oracle).parameters)

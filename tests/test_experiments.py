@@ -195,15 +195,16 @@ class TestRunners:
         assert value in err and "the pair commutes" in err
         assert not out.exists()
 
-    # The structure of each model value is derived once (lmg-threshold: 81
-    # rows, both bracket ends again and 12 bisection steps; validate: its
-    # oracle grid and every check that builds a Protocol).
+    # One derivation per model value a run builds. lmg-threshold's 95 are its
+    # 81 rows, 12 bisection steps and both bracket ends, which repeat the
+    # first and last rows; validate's are its oracle grid and every check
+    # that builds a Protocol.
     @pytest.mark.parametrize("name, derivations", [
         ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
         ("lmg_threshold", 95), ("displacement", 50), ("validate", 68),
     ])
-    def test_each_structure_is_derived_once(self, tmp_path, structure_derivations,
-                                            name, derivations):
+    def test_structure_derivation_counts(self, tmp_path, structure_derivations,
+                                         name, derivations):
         cfg = load_config(str(CONFIG_DIR / f"{name}.json"),
                           {"out": json.dumps(str(tmp_path / f"{name}.out"))})
         run_experiment(cfg)
@@ -353,25 +354,42 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    # Each model value a run would use is checked at config time against its
+    # Each model value a run reads is checked at config time against its
     # variant: the field must exist and the model's own phase rule must hold.
-    @pytest.mark.parametrize("config, overrides", [
-        ("fig2b_inset.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}']),
-        ("lmg_threshold.json", ["--model.variant=QRM-frequency", "--model.g=0.96"]),
-        ("displacement.json", ["--model.variant=QRM-frequency"]),
-        ("fig2a.json", ["--model.g=1.2"]),
-        ("lmg_threshold.json", ["--sweep.lambda.start=0.5", "--sweep.lambda.stop=2.5"]),
-        ("fig2b.json", ["--g_values=[0.5,1.0]"]),
-        ("lmg_threshold.json", ["--bracket=[0.2,1.5]"]),
+    @pytest.mark.parametrize("config, overrides, message", [
+        ("fig2b_inset.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}'],
+         "LMG-frequency has no g"),
+        ("fig2b.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}',
+                        "--g_values=[]"], "LMG-frequency has no g"),
+        ("lmg_threshold.json", ["--model.variant=QRM-frequency", "--model.g=0.96"],
+         "QRM-frequency has no lambda"),
+        ("displacement.json", ["--model.variant=QRM-frequency"], "needs variant QRM-displacement"),
+        ("fig2a.json", ["--model.g=1.2"], "g=1.2"),
+        ("lmg_threshold.json", ["--sweep.lambda.start=0.5", "--sweep.lambda.stop=2.5"],
+         "lambda=1.0"),
+        ("fig2b.json", ["--g_values=[0.5,1.0]"], "g=1.0"),
+        ("lmg_threshold.json", ["--bracket=[0.2,1.5]"], "lambda=1.5"),
     ])
     def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
-                                                             overrides):
+                                                             overrides, message):
         out = tmp_path / "x.csv"
         rc = cli.main([Path(config).stem.replace("_", "-"), "--config", str(CONFIG_DIR / config),
                        "--out", str(out), *overrides])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
         assert not out.exists()
+
+    # A field the experiment does not read is not checked against the model.
+    @pytest.mark.parametrize("experiment, extra", [
+        ("fig2a", {"g_values": [1.5], "bracket": [0.2, 3.0],
+                   "sweep": {"lambda": {"start": 0.5, "stop": 2.5, "points": 3}}}),
+        ("fig2b", {"bracket": [0.2, 1.5], "sweep": {"g": {"start": 0.5, "stop": 1.5, "points": 3}}}),
+        ("displacement", {"g_values": [1.5], "bracket": [0.2, 1.5],
+                          "model": {"variant": "QRM-displacement", "g": 0.9}}),
+    ])
+    def test_unread_fields_are_not_checked(self, tmp_path, experiment, extra):
+        config_from_dict(small_config(experiment, tmp_path, **extra))
 
     def test_runtime_does_not_import_scipy(self):
         src = Path(cli.__file__).resolve().parents[1]

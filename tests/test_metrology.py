@@ -363,28 +363,24 @@ class TestDegenerateAlgebras:
             protocol.ratio(1.0, 1.0, 0.0)
 
 
-QRM = ModelParams("QRM-frequency", g=0.5)
-
-
 class TestFindThreshold:
     def test_qrm_threshold(self):
-        g_star = find_threshold(QRM, "g", 12.0, ALPHA, (0.3, 0.8))
+        g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
         assert g_star == pytest.approx(0.5058, abs=0.005)
 
     def test_lmg_threshold(self):
-        lmg = ModelParams("LMG-frequency", lam=0.4, gamma=2.0)
-        lam_star = find_threshold(lmg, "lam", 1.3, ALPHA, (0.2, 0.6))
+        lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
         assert lam_star == pytest.approx(0.3559, abs=0.005)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
-            find_threshold(QRM, "g", 12.0, ALPHA, (0.6, 0.8))
+            find_threshold("QRM-frequency", 12.0, ALPHA, (0.6, 0.8))
 
     @pytest.mark.parametrize("bracket", [(0.8, 0.3), (0.5, 0.5)])
     def test_bracket_must_increase(self, bracket):
         # With lo >= hi the bisection loop would never run.
         with pytest.raises(ValueError, match="lo < hi"):
-            find_threshold(QRM, "g", 12.0, ALPHA, bracket)
+            find_threshold("QRM-frequency", 12.0, ALPHA, bracket)
 
 
 class TestQfiDisplacement:

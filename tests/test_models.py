@@ -113,6 +113,19 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams("LMG-frequency", lam=0.5)
 
+    @pytest.mark.parametrize("variant, fields", [
+        ("QRM-frequency", {"g": 0.5, "lam": 0.4}),
+        ("QRM-displacement", {"g": 0.5, "gamma": 2.0}),
+        ("LMG-frequency", {"lam": 0.4, "gamma": 2.0, "g": 0.5}),
+    ])
+    def test_field_the_variant_lacks(self, variant, fields):
+        with pytest.raises(ConfigError, match="has no"):
+            ModelParams(variant, **fields)
+
+    def test_replace_checks_the_variant(self):
+        with pytest.raises(ConfigError, match="LMG-frequency has no g"):
+            ModelParams("LMG-frequency", lam=0.4, gamma=2.0).replace(g=0.5)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ModelParams.from_dict({"variant": "QRM-frequency", "g": 0.5, "kappa": 1.0})
