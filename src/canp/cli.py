@@ -51,11 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             fixed["out"] = json.dumps(args.out)
         cfg = load_config(args.config, {**fixed, **_split_overrides(extras)})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

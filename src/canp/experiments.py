@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import CommutingPairError, ConfigError, OutOfPhaseError
-from .metrology import Protocol, find_threshold
+from .metrology import Protocol, bisect, find_threshold
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number
@@ -50,8 +50,6 @@ class Axis:
     points: int
 
     def values(self) -> np.ndarray:
-        if self.points < 2:
-            raise ConfigError(f"axis {self.name}: points must be >= 2")
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -277,10 +275,14 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
     lines.extend(
         ",".join(repr(v) if type(v) is float else _fmt(v) for v in row) for row in rows
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file, creating its directory if needed."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _prepared(cfg: RunConfig, params: ModelParams, sqrt_delta_tc):
@@ -352,26 +354,13 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
 
 
 def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> list[float]:
-    """Sign changes of ⟨P⟩ versus g, refined by bisection."""
+    """Sign changes of ⟨P⟩ versus g, each bisected down to adjacent floats."""
     crossings = []
     for lo, hi, f_lo, f_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if f_lo == 0.0:
             crossings.append(float(lo))
-            continue
-        if f_lo * f_hi >= 0.0:
-            continue
-        a, b, f_a = float(lo), float(hi), f_lo
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            f_mid = _mean_p_at(cfg, mid)
-            if f_mid == 0.0:
-                a = b = mid
-                break
-            if f_a * f_mid < 0.0:
-                b = mid
-            else:
-                a, f_a = mid, f_mid
-        crossings.append(0.5 * (a + b))
+        elif f_lo * f_hi < 0.0:
+            crossings.append(bisect(lambda g: _mean_p_at(cfg, g), float(lo), float(hi), f_lo, 0.0))
     if values and values[-1] == 0.0:
         crossings.append(float(grid[-1]))
     return crossings
@@ -400,10 +389,13 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
             for lam in lam_axis.tolist()]
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
-    lam_star = find_threshold(
-        "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
-        omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
-    )
+    try:
+        lam_star = find_threshold(
+            "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
+            omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
+        )
+    except OutOfPhaseError as exc:
+        raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows
@@ -430,12 +422,7 @@ def run_validate(cfg: RunConfig) -> dict:
     report = run_checks()
     report["version"] = __version__
     report["config_sha256"] = cfg.sha256()
-    path = cfg.out
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(cfg.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 

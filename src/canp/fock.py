@@ -17,7 +17,9 @@ hundred levels, which is all the desk-scale parameter ranges here need.
 Truncation honesty is enforced, not assumed: after every evolution the
 amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
 TruncationNotConvergedError is raised. Protocol-level helpers escalate the
-dimension (×2 up to MAX_DIM) until the check passes.
+dimension (×2 up to MAX_DIM) until the check passes. Their only settings
+are those bounds (start_dim, max_dim): the numeric QFI's step in θ is the
+constant QFI_DTHETA.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ MAX_DIM = 480
 # needs 15 distinct (H, dim) pairs; the largest entry (dim 480, complex)
 # holds 3.7 MB of eigenvectors.
 PROPAGATOR_CACHE_SIZE = 16
+# Step δ in θ of the fidelity-based numeric QFI (Richardson-refined with δ/2).
+QFI_DTHETA = 1e-4
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -228,25 +232,18 @@ def converged_protocol_state(
     return _escalate(lambda dim: protocol_state_fock(spec, theta, dim), start_dim, max_dim)
 
 
-def qfi_numeric(
-    spec,
-    dtheta: float = 1e-4,
-    start_dim: int = DEFAULT_DIM,
-    max_dim: int = MAX_DIM,
-) -> float:
+def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> float:
     """Fidelity-based numeric quantum Fisher information.
 
-    Runs the full protocol at θ0 ± δ and θ0 ± δ/2 and forms
-    8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)², refined once by Richardson
+    Runs the full protocol at θ0 ± δ and θ0 ± δ/2 with δ = QFI_DTHETA and
+    forms 8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)², refined once by Richardson
     extrapolation in δ². The preparation stage is computed once per
     truncation; only the encoding phases differ between branches.
     """
-    if not (1e-6 <= dtheta <= 1e-2):
-        raise ValueError("dtheta must lie in [1e-6, 1e-2]")
-    return _escalate(lambda dim: _qfi_numeric_at_dim(spec, dtheta, dim), start_dim, max_dim)
+    return _escalate(lambda dim: _qfi_numeric_at_dim(spec, dim), start_dim, max_dim)
 
 
-def _qfi_numeric_at_dim(spec, dtheta: float, dim: int) -> float:
+def _qfi_numeric_at_dim(spec, dim: int) -> float:
     psi0 = coherent_fock(spec.alpha, dim)
     psi_prep = propagator(spec.Hc, dim).apply(psi0, spec.t_c)
     encoder = propagator(spec.Htheta, dim)
@@ -257,8 +254,8 @@ def _qfi_numeric_at_dim(spec, dtheta: float, dim: int) -> float:
         fid = abs(lo.overlap(hi))
         return 8.0 * (1.0 - fid) / (2.0 * delta) ** 2
 
-    f1 = fisher(dtheta)
-    f2 = fisher(0.5 * dtheta)
+    f1 = fisher(QFI_DTHETA)
+    f2 = fisher(0.5 * QFI_DTHETA)
     return (4.0 * f2 - f1) / 3.0
 
 

@@ -325,6 +325,32 @@ def _is_displacement_encoding(op: QuadraticOperator) -> bool:
     )
 
 
+# Absolute width of the bracket at which find_threshold stops bisecting.
+THRESHOLD_TOL = 1e-4
+
+
+def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """A sign change of f in [lo, hi], given f_lo = f(lo) and f(hi) of the other sign.
+
+    Halves the bracket until it is at most `tol` wide or no float lies
+    strictly inside it, and returns its midpoint; a point where f is exactly
+    0 is returned as soon as it is met. With tol = 0 the bracket ends on two
+    adjacent floats.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 def find_threshold(
     family: str,
     t_theta: float,
@@ -333,15 +359,15 @@ def find_threshold(
     omega: float = 1.0,
     gamma: float = 2.0,
     theta0: float = 0.0,
-    tol: float = 1e-4,
 ) -> float:
     """Model parameter at which the enhancement ratio crosses 1.
 
     The preparation time is pinned to the critical time π/√Δ of each value.
     `family` is a model variant name; for the LMG family the swept parameter
     is λ at fixed γ, for the QRM families it is g. Bisection to absolute
-    tolerance `tol`; raises ValueError unless bracket[0] < bracket[1], and
-    NoSignChangeError when R − 1 has the same sign at both bracket ends.
+    tolerance THRESHOLD_TOL; raises ValueError unless bracket[0] < bracket[1],
+    NoSignChangeError when R − 1 has the same sign at both bracket ends, and
+    OutOfPhaseError when a value the bisection reads leaves the normal phase.
     """
 
     def ratio_minus_one(value: float) -> float:
@@ -362,16 +388,7 @@ def find_threshold(
         raise NoSignChangeError(
             f"enhancement ratio − 1 has the same sign at both ends of {bracket}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = ratio_minus_one(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return bisect(ratio_minus_one, lo, hi, f_lo, THRESHOLD_TOL)
 
 
 @dataclass(frozen=True)

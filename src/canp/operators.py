@@ -94,18 +94,18 @@ class QuadraticOperator:
             self.c_1.conjugate(),
         )
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         """True iff c_n, c_1 real, c_adad = conj(c_aa), c_ad = conj(c_a).
 
-        The tolerance is scaled by the operator's coefficient magnitude so
+        HERMITIAN_TOL is scaled by the operator's coefficient magnitude so
         large operators are judged on the same relative footing.
         """
-        scale = max(1.0, self.max_abs())
+        tol = HERMITIAN_TOL * max(1.0, self.max_abs())
         return (
-            abs(self.c_n.imag) <= tol * scale
-            and abs(self.c_1.imag) <= tol * scale
-            and abs(self.c_adad - self.c_aa.conjugate()) <= tol * scale
-            and abs(self.c_ad - self.c_a.conjugate()) <= tol * scale
+            abs(self.c_n.imag) <= tol
+            and abs(self.c_1.imag) <= tol
+            and abs(self.c_adad - self.c_aa.conjugate()) <= tol
+            and abs(self.c_ad - self.c_a.conjugate()) <= tol
         )
 
     # Common building blocks.

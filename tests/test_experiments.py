@@ -14,7 +14,7 @@ from canp.experiments import (
     run_experiment,
     write_csv,
 )
-from canp import cli, gaussian, models, validate
+from canp import cli, experiments, gaussian, models, validate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -166,6 +166,25 @@ class TestRunners:
         lam_star = float(header.split("=")[1].split()[0])
         assert abs(lam_star - 0.3559) < 0.005
         assert len(rows) == 9
+
+    def test_fig3b_crossing_bisects_to_adjacent_floats(self, tmp_path, monkeypatch):
+        # The crossing probe of TestPublishedFormsAreRegressionData: one sign
+        # change of <P>, bisected until no float lies inside the bracket and
+        # without evaluating a bracket end again (60 evaluations did).
+        calls = []
+        original = experiments._mean_p_at
+
+        def counting(cfg, g):
+            calls.append(g)
+            return original(cfg, g)
+
+        monkeypatch.setattr(experiments, "_mean_p_at", counting)
+        out = tmp_path / "probe.csv"
+        assert cli.main(["fig3b", "--config", str(CONFIG_DIR / "fig3b.json"), "--out", str(out),
+                         "--sweep.g.points=12", '--alpha={"re": 1.0, "im": 0.3}',
+                         "--theta0=1.3"]) == 0
+        assert out.read_text().splitlines()[1] == "# meanP_zero_crossing g=0.9836079439444625"
+        assert len(calls) == len(set(calls)) == 47
 
     def test_displacement_run(self, tmp_path):
         cfg_dict = small_config("displacement", tmp_path, sweep={
@@ -369,6 +388,10 @@ class TestCli:
          "lambda=1.0"),
         ("fig2b.json", ["--g_values=[0.5,1.0]"], "g=1.0"),
         ("lmg_threshold.json", ["--bracket=[0.2,1.5]"], "lambda=1.5"),
+        # Both ends lie in the normal phase at gamma = 2, but the bisection
+        # reaches the ordered phase in between.
+        ("lmg_threshold.json", ["--bracket=[0.2,3.0]", "--t_theta=3"],
+         "bracket (0.2, 3.0) leaves the normal phase"),
     ])
     def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
                                                              overrides, message):

@@ -251,16 +251,6 @@ class TestQfiNumeric:
         f2 = fock.qfi_numeric(spec, start_dim=240)
         assert abs(f1 - f2) / f2 < 1e-6
 
-    def test_dtheta_bounds(self):
-        spec = ProtocolSpec(
-            Hc=qrm_effective(1.0, 0.5), Htheta=encoding_frequency(),
-            t_c=1.0, t_theta=1.0, alpha=ALPHA,
-        )
-        with pytest.raises(ValueError):
-            fock.qfi_numeric(spec, dtheta=1e-7)
-        with pytest.raises(ValueError):
-            fock.qfi_numeric(spec, dtheta=0.1)
-
 
 class TestSkewInformationGeneral:
     def test_pure_state_reduces_to_variance(self):

@@ -23,6 +23,7 @@ from canp.metrology import (
     MetrologyReport,
     Protocol,
     ProtocolSpec,
+    bisect,
     cfi_homodyne,
     direct_baseline,
     enhancement_ratio,
@@ -367,10 +368,13 @@ class TestFindThreshold:
     def test_qrm_threshold(self):
         g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
         assert g_star == pytest.approx(0.5058, abs=0.005)
+        # Thirteen halvings take the 0.5-wide bracket below THRESHOLD_TOL.
+        assert g_star == 0.505780029296875
 
     def test_lmg_threshold(self):
         lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
         assert lam_star == pytest.approx(0.3559, abs=0.005)
+        assert lam_star == 0.3559082031250001
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
@@ -381,6 +385,30 @@ class TestFindThreshold:
         # With lo >= hi the bisection loop would never run.
         with pytest.raises(ValueError, match="lo < hi"):
             find_threshold("QRM-frequency", 12.0, ALPHA, bracket)
+
+
+class TestBisect:
+    def test_zero_tolerance_ends_on_adjacent_floats(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * x - 2.0
+
+        root = bisect(f, 1.0, 2.0, -1.0, 0.0)
+        # Every evaluation lies strictly inside its step's bracket, so none
+        # repeats, and the final bracket's ends are neighbouring floats.
+        assert len(seen) == len(set(seen))
+        lo = max(x for x in seen if x * x < 2.0)
+        hi = min(x for x in seen if x * x > 2.0)
+        assert math.nextafter(lo, hi) == hi
+        assert root in (lo, hi)
+
+    def test_tolerance_and_exact_zero(self):
+        # Stops once the bracket is at most tol wide: [0, 1] -> [0, 0.5] -> [0.25, 0.5].
+        assert bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.25) == 0.375
+        # The same steps meet f = 0 at 0.25 and return it, not the midpoint 0.375.
+        assert bisect(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.25) == 0.25
 
 
 class TestQfiDisplacement:

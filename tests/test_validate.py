@@ -41,3 +41,22 @@ def test_structural_sanity_derives_one_structure_per_model(structure_derivations
     result = validate.check_structural_sanity()
     assert result.passed
     assert len(structure_derivations) <= 2
+
+
+def test_run_checks_times_every_check(monkeypatch):
+    # Under a clock that ticks on every read, each of the ten results gets
+    # a positive time: the single-result checks from run_checks, the two
+    # oracle checks from their shared pass.
+    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.5, 0.25)))
+    clock = {"now": 0.0}
+
+    def tick() -> float:
+        clock["now"] += 1.0
+        return clock["now"]
+
+    monkeypatch.setattr(validate.time, "monotonic", tick)
+    checks = validate.run_checks()["checks"]
+    assert len(checks) == 10
+    assert all(check["seconds"] > 0.0 for check in checks)
+    # A check called directly is not timed.
+    assert validate.check_thresholds().seconds == 0.0
