@@ -37,9 +37,7 @@ from .gaussian import (
     evolution_map,
     evolve,
     expectation,
-    mean_photon,
     quadrature_stats,
-    vacuum,
     variance_quadratic,
 )
 from .fock import (
@@ -62,14 +60,9 @@ from .metrology import (
     Protocol,
     ProtocolSpec,
     cfi_homodyne,
-    direct_baseline,
     enhancement_ratio,
     evaluate_report,
     find_threshold,
-    qfi_asymptotic,
-    qfi_displacement,
-    qfi_exact,
-    skew_information,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

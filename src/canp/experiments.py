@@ -279,10 +279,16 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file, creating its directory if needed."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write an output file, creating its directory if needed.
+
+    A path that cannot be written is a ConfigError, as an unreadable config is.
+    """
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def _prepared(cfg: RunConfig, params: ModelParams, sqrt_delta_tc):

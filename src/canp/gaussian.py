@@ -62,10 +62,6 @@ def coherent(alpha: complex) -> GaussianState:
     return GaussianState(_SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5)
 
 
-def vacuum() -> GaussianState:
-    return coherent(0j)
-
-
 class Form(NamedTuple):
     """Entries (G_xx, G_xp, G_pp, v_x, v_p) of O = ½ rᵀG r + vᵀr + c0.
 
@@ -151,13 +147,8 @@ def evolve(state: GaussianState, hamiltonian: QuadraticOperator, t: float) -> Ga
     return Flow(Form.of(hamiltonian)).apply(state, float(t))
 
 
-def mean_photon(state: GaussianState) -> float:
-    """⟨a†a⟩ = (sigma_xx + sigma_pp + mu_x² + mu_p² − 1)/2."""
-    return float(photon_number(state))
-
-
 def photon_number(m: GaussianState) -> np.ndarray:
-    """Array form of :func:`mean_photon`."""
+    """⟨a†a⟩ = (sigma_xx + sigma_pp + mu_x² + mu_p² − 1)/2, over the state's arrays."""
     return 0.5 * (m.sxx + m.spp + (m.mx * m.mx + m.mp * m.mp) - 1.0)
 
 

@@ -8,16 +8,16 @@ reduces to Gaussian moment arithmetic. The homodyne CFI needs θ-derivatives
 of the final moments, and those are exact as well (the encoding is a
 Gaussian flow), so nothing here is a finite difference.
 
-:class:`Protocol` is the one evaluation path: it is built once per
-(H_c, H_θ, α) and evaluates whole arrays of (t_c, t_θ, θ0) in closed form.
-The scalar functions taking a :class:`ProtocolSpec` are thin wrappers over
-it. All functions are pure.
+:class:`Protocol` is the metrology API: built once per (H_c, H_θ, α), its
+methods evaluate whole arrays of (t_c, t_θ, θ0) in closed form. The functions
+taking a :class:`ProtocolSpec` are one-point wrappers kept for the benchmark
+harness. All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -162,9 +162,6 @@ class Protocol:
     def state(self, t_c, t_theta, theta) -> GaussianState:
         """The probe after preparation and encoding at parameter value theta."""
         t_c, t_theta = _durations(t_c, t_theta)
-        return self._state(t_c, t_theta, theta)
-
-    def _state(self, t_c, t_theta, theta) -> GaussianState:
         return self.encoding.apply(self.prepared(t_c), theta * t_theta)
 
     # --- figures of merit ------------------------------------------------
@@ -175,9 +172,7 @@ class Protocol:
         The generator already folds the preparation unitary into the encoding
         Hamiltonian, so the variance is taken in the bare coherent state.
         """
-        return self._qfi(*_durations(t_c, t_theta))
-
-    def _qfi(self, t_c, t_theta) -> np.ndarray:
+        t_c, t_theta = _durations(t_c, t_theta)
         delta, f_c, f_d = self._generator_terms
         _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
         h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
@@ -206,10 +201,8 @@ class Protocol:
         pure displacement encoding the coherent-state variance is amplitude
         independent and the baseline reduces to 4 T² Var[H_θ]_vac.
         """
-        return self._direct_baseline(*_durations(t_c, t_theta), theta0)
-
-    def _direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
-        nbar = np.maximum(photon_number(self._state(t_c, t_theta, theta0)), 0.0)
+        t_c, t_theta = _durations(t_c, t_theta)
+        nbar = np.maximum(photon_number(self.state(t_c, t_theta, theta0)), 0.0)
         reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
         return 4.0 * (t_c + t_theta) ** 2 * quadratic_variance(self.encoding_form, reference)
 
@@ -217,8 +210,7 @@ class Protocol:
         """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
         if abs(self.alpha) < 1e-12:
             raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
-        t_c, t_theta = _durations(t_c, t_theta)
-        return self._qfi(t_c, t_theta) / self._direct_baseline(t_c, t_theta, theta0)
+        return self.qfi(t_c, t_theta) / self.direct_baseline(t_c, t_theta, theta0)
 
     def skew(self, t_c) -> np.ndarray:
         """Skew information of the prepared state and H_θ.
@@ -243,7 +235,7 @@ class Protocol:
         formula never divides by zero on physical states.
         """
         t_c, t_theta = _durations(t_c, t_theta)
-        return self._cfi_homodyne(self._state(t_c, t_theta, theta0), t_theta)
+        return self._cfi_homodyne(self.state(t_c, t_theta, theta0), t_theta)
 
     def _cfi_homodyne(self, m: GaussianState, t_theta) -> np.ndarray:
         """Homodyne CFI of the final state m of an encoding of duration t_theta."""
@@ -270,7 +262,7 @@ class Protocol:
         return 4.0 * t_theta**2 * s**2 * quadratic_variance(f_c, self.probe)
 
 
-# --- scalar API: one protocol instance per call ----------------------------
+# --- one-point ProtocolSpec wrappers, kept for the benchmark harness -------
 
 
 def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianState:
@@ -279,39 +271,14 @@ def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianSt
     return Protocol.from_spec(spec).state(spec.t_c, spec.t_theta, theta)
 
 
-def qfi_exact(spec: ProtocolSpec) -> float:
-    """Exact quantum Fisher information 4 Var[h]; see :meth:`Protocol.qfi`."""
-    return float(Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta))
-
-
-def qfi_asymptotic(spec: ProtocolSpec) -> float:
-    """Leading near-critical QFI; see :meth:`Protocol.qfi_asymptotic`."""
-    return float(Protocol.from_spec(spec).qfi_asymptotic(spec.t_c, spec.t_theta))
-
-
-def direct_baseline(spec: ProtocolSpec) -> float:
-    """Energy- and time-matched direct-encoding QFI; see :meth:`Protocol.direct_baseline`."""
-    return float(Protocol.from_spec(spec).direct_baseline(spec.t_c, spec.t_theta, spec.theta0))
-
-
 def enhancement_ratio(spec: ProtocolSpec) -> float:
-    """qfi_exact / direct_baseline; > 1 means genuine resource-matched gain."""
+    """Resource-matched enhancement ratio; see :meth:`Protocol.ratio`."""
     return float(Protocol.from_spec(spec).ratio(spec.t_c, spec.t_theta, spec.theta0))
-
-
-def skew_information(spec: ProtocolSpec) -> float:
-    """Skew information of the prepared state and H_θ; see :meth:`Protocol.skew`."""
-    return float(Protocol.from_spec(spec).skew(spec.t_c))
 
 
 def cfi_homodyne(spec: ProtocolSpec) -> float:
     """Homodyne (P) classical Fisher information; see :meth:`Protocol.cfi_homodyne`."""
     return float(Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
-
-
-def qfi_displacement(spec: ProtocolSpec) -> float:
-    """Near-critical displacement-encoding QFI; see :meth:`Protocol.qfi_displacement`."""
-    return float(Protocol.from_spec(spec).qfi_displacement(spec.t_c, spec.t_theta))
 
 
 def _is_displacement_encoding(op: QuadraticOperator) -> bool:
@@ -404,9 +371,6 @@ class MetrologyReport:
     meanP: float
     varP: float
     final_mean_photon: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:

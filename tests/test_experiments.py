@@ -458,6 +458,27 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 4  # header comment + columns + rows
 
+    @pytest.mark.parametrize("experiment", ["fig2b-inset", "validate"])
+    @pytest.mark.parametrize("blocked", ["out is a directory", "parent is a file"])
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                               experiment, blocked):
+        # Like an unreadable config: exit 2 with a one-line message, no traceback.
+        monkeypatch.setattr(validate, "run_checks", lambda: {"passed": True, "checks": []})
+        path = tmp_path / "c.json"
+        extra = ({"oracle": True} if experiment == "validate"
+                 else {"sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}})
+        path.write_text(json.dumps(small_config(experiment, tmp_path, **extra)))
+        if blocked == "out is a directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out.csv"
+        assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out}")
+        assert "Traceback" not in err
+
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
         # Injected fault: one check reports failure -> exit 1, named in report.
         from canp import validate as validate_mod

@@ -7,7 +7,7 @@ from scipy.linalg import sqrtm
 
 from canp import fock
 from canp.errors import NotPositiveError, TruncationNotConvergedError
-from canp.gaussian import coherent, evolve, mean_photon, to_quadrature_form
+from canp.gaussian import coherent, evolve, photon_number, to_quadrature_form
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_frequency, qrm_effective
 from canp.operators import QuadraticOperator
@@ -160,7 +160,7 @@ class TestEvolveFock:
         from canp.metrology import protocol_state
 
         assert fock.mean_photon_fock(psi) == pytest.approx(
-            mean_photon(protocol_state(spec)), abs=1e-6
+            photon_number(protocol_state(spec)), abs=1e-6
         )
 
 

@@ -13,9 +13,8 @@ from canp.gaussian import (
     evolution_map,
     evolve,
     expectation,
-    mean_photon,
+    photon_number,
     quadrature_stats,
-    vacuum,
     variance_quadratic,
 )
 from canp.models import qrm_effective, qrm_commutator_d
@@ -28,6 +27,7 @@ from canp.operators import (
 from quadrature_forms import from_quadrature_form
 
 ALPHA = 0.3 + 1.0j
+VACUUM = coherent(0j)
 N = QuadraticOperator.number()
 X = QuadraticOperator.position()
 P = QuadraticOperator.momentum()
@@ -44,12 +44,12 @@ class TestCoherent:
         assert st.mu == pytest.approx([0.4243, 1.4142], abs=5e-5)
 
     def test_mean_photon(self):
-        assert mean_photon(coherent(ALPHA)) == pytest.approx(1.09, abs=1e-12)
-        assert mean_photon(vacuum()) == pytest.approx(0.0, abs=1e-12)
+        assert photon_number(coherent(ALPHA)) == pytest.approx(1.09, abs=1e-12)
+        assert photon_number(VACUUM) == pytest.approx(0.0, abs=1e-12)
 
     def test_state_is_five_moments_with_array_views(self):
         st = coherent(ALPHA)
-        assert isinstance(st, GaussianState) and isinstance(vacuum(), GaussianState)
+        assert isinstance(st, GaussianState) and isinstance(VACUUM, GaussianState)
         assert tuple(st) == (st.mx, st.mp, 0.5, 0.0, 0.5)
         assert np.array_equal(st.mu, [st.mx, st.mp])
         assert np.array_equal(st.sigma, 0.5 * np.eye(2))
@@ -125,19 +125,19 @@ class TestEvolve:
         mu_f, sigma_f = fock.fock_moments(psi_t)
         assert np.max(np.abs(got.mu - mu_f)) < 1e-6
         assert np.max(np.abs(got.sigma - sigma_f)) < 1e-6
-        assert mean_photon(got) == pytest.approx(fock.mean_photon_fock(psi_t), abs=1e-6)
+        assert photon_number(got) == pytest.approx(fock.mean_photon_fock(psi_t), abs=1e-6)
 
 
 class TestMoments:
     def test_expectation_examples(self):
-        assert expectation(vacuum(), N) == pytest.approx(0.0, abs=1e-15)
+        assert expectation(VACUUM, N) == pytest.approx(0.0, abs=1e-15)
         assert expectation(coherent(ALPHA), X) == pytest.approx(math.sqrt(2) * 0.3)
         assert expectation(coherent(ALPHA), P) == pytest.approx(math.sqrt(2) * 1.0)
 
     def test_variance_examples(self):
         assert variance_quadratic(coherent(ALPHA), N) == pytest.approx(1.09, abs=1e-12)
-        assert variance_quadratic(vacuum(), X) == pytest.approx(0.5, abs=1e-15)
-        assert variance_quadratic(vacuum(), N) == pytest.approx(0.0, abs=1e-15)
+        assert variance_quadratic(VACUUM, X) == pytest.approx(0.5, abs=1e-15)
+        assert variance_quadratic(VACUUM, N) == pytest.approx(0.0, abs=1e-15)
 
     def test_variance_matches_number_basis_after_evolution(self):
         h = qrm_effective(1.0, 0.96)
@@ -157,7 +157,7 @@ class TestMoments:
         )
 
     def test_quadrature_stats(self):
-        assert quadrature_stats(vacuum()) == pytest.approx((0.0, 0.5))
+        assert quadrature_stats(VACUUM) == pytest.approx((0.0, 0.5))
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
 
 

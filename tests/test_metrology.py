@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,7 @@ from canp.errors import (
 from canp.gaussian import (
     GaussianState,
     coherent,
-    mean_photon,
+    photon_number,
     quadrature_stats,
     variance_quadratic,
 )
@@ -25,15 +26,10 @@ from canp.metrology import (
     ProtocolSpec,
     bisect,
     cfi_homodyne,
-    direct_baseline,
     enhancement_ratio,
     evaluate_report,
     find_threshold,
     protocol_state,
-    qfi_asymptotic,
-    qfi_displacement,
-    qfi_exact,
-    skew_information,
 )
 from canp.models import (
     ModelParams,
@@ -57,9 +53,18 @@ def qrm_spec(g, t_c, t_theta=T_THETA, alpha=ALPHA, theta0=0.0):
     )
 
 
+def qrm_protocol(g, alpha=ALPHA):
+    return Protocol(*ModelParams("QRM-frequency", g=g).pair(), alpha)
+
+
+def qrm_at_tau(g):
+    """The QRM-frequency protocol of g and its critical time π/√Δ."""
+    protocol = qrm_protocol(g)
+    return protocol, protocol.preparation_time(math.pi)
+
+
 def qrm_spec_at_tau(g, **kwargs):
-    protocol = Protocol(*ModelParams("QRM-frequency", g=g).pair(), ALPHA)
-    return qrm_spec(g, protocol.preparation_time(math.pi), **kwargs)
+    return qrm_spec(g, qrm_at_tau(g)[1], **kwargs)
 
 
 # H_c = P²/2 against H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0.
@@ -104,48 +109,51 @@ class TestPreparationTime:
 
 class TestQfiExact:
     def test_no_preparation(self):
-        spec = qrm_spec(0.96, 0.0)
-        got = qfi_exact(spec)
+        protocol = qrm_protocol(0.96)
+        got = protocol.qfi(0.0, T_THETA)
         assert got == pytest.approx(4.0 * T_THETA**2 * abs(ALPHA) ** 2, rel=1e-12)
         # At t_c = 0 the generator is exactly t_θ H_θ.
-        assert got == 4.0 * T_THETA**2 * variance_quadratic(coherent(ALPHA), spec.Htheta)
+        assert got == 4.0 * T_THETA**2 * variance_quadratic(coherent(ALPHA), protocol.htheta)
 
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
-        assert qfi_exact(spec) == pytest.approx(fock.qfi_numeric(spec), rel=1e-4)
+        qfi = Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta)
+        assert qfi == pytest.approx(fock.qfi_numeric(spec), rel=1e-4)
         # Regression pin for the generator-variance value itself.
-        assert qfi_exact(spec) == pytest.approx(43104.596123522046, rel=1e-9)
+        assert qfi == pytest.approx(43104.596123522046, rel=1e-9)
 
     def test_near_critical_asymptotic_dominance(self):
         # The cross terms decay like Delta: within 10% at g = 0.98 and
         # within 5% by the top of the range.
-        devs = [
-            abs(qfi_exact(qrm_spec_at_tau(g)) / qfi_asymptotic(qrm_spec_at_tau(g)) - 1.0)
-            for g in (0.98, 0.985, 0.99, 0.995)
-        ]
+        devs = []
+        for g in (0.98, 0.985, 0.99, 0.995):
+            protocol, t_c = qrm_at_tau(g)
+            devs.append(abs(protocol.qfi(t_c, T_THETA) / protocol.qfi_asymptotic(t_c, T_THETA)
+                            - 1.0))
         assert all(d <= 0.10 for d in devs)
         assert devs[-1] <= 0.05
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_theta_independence(self):
-        a = qfi_exact(qrm_spec(0.9, 2.0, theta0=0.0))
-        b = qfi_exact(qrm_spec(0.9, 2.0, theta0=0.37))
+        a = evaluate_report(qrm_spec(0.9, 2.0, theta0=0.0)).qfi_exact
+        b = evaluate_report(qrm_spec(0.9, 2.0, theta0=0.37)).qfi_exact
         assert abs(a - b) / a <= 1e-10
 
 
 class TestQfiAsymptotic:
     def test_zero_at_tc_zero(self):
-        assert qfi_asymptotic(qrm_spec(0.9, 0.0)) == 0.0
+        assert qrm_protocol(0.9).qfi_asymptotic(0.0, T_THETA) == 0.0
 
     def test_quartic_short_time_scaling(self):
         t_grid = np.logspace(-3, -2, 20)
-        values = [qfi_asymptotic(qrm_spec(0.96, float(t))) for t in t_grid]
+        values = qrm_protocol(0.96).qfi_asymptotic(t_grid, T_THETA)
         slope = np.polyfit(np.log(t_grid), np.log(values), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.05)
 
     def test_deviation_from_exact_at_098(self):
-        spec = qrm_spec_at_tau(0.98)
-        assert abs(qfi_asymptotic(spec) - qfi_exact(spec)) / qfi_exact(spec) < 0.1
+        protocol, t_c = qrm_at_tau(0.98)
+        exact = protocol.qfi(t_c, T_THETA)
+        assert abs(protocol.qfi_asymptotic(t_c, T_THETA) - exact) / exact < 0.1
 
     @pytest.mark.parametrize("g, t_c", [(0.9, 0.7), (0.96, 3.0), (0.99, 20.0)])
     def test_matches_printed_closed_form(self, g, t_c):
@@ -155,28 +163,29 @@ class TestQfiAsymptotic:
         weight = (math.cos(math.sqrt(delta) * t_c) - 1.0) / delta
         var_d = variance_quadratic(coherent(ALPHA), qrm_commutator_d(1.0, g))
         want = 4.0 * T_THETA**2 * weight**2 * var_d
-        assert qfi_asymptotic(qrm_spec(g, t_c)) == pytest.approx(want, rel=1e-12)
+        assert qrm_protocol(g).qfi_asymptotic(t_c, T_THETA) == pytest.approx(want, rel=1e-12)
 
 
 class TestDirectBaseline:
     def test_no_preparation(self):
-        assert direct_baseline(qrm_spec(0.96, 0.0)) == pytest.approx(
+        assert qrm_protocol(0.96).direct_baseline(0.0, T_THETA, 0.0) == pytest.approx(
             4.0 * T_THETA**2 * abs(ALPHA) ** 2, rel=1e-12
         )
 
     def test_commuting_preparation_keeps_photon_number(self):
-        spec = qrm_spec(0.0, 3.0)
         want = 4.0 * (3.0 + T_THETA) ** 2 * abs(ALPHA) ** 2
-        assert direct_baseline(spec) == pytest.approx(want, rel=1e-12)
+        assert qrm_protocol(0.0).direct_baseline(3.0, T_THETA, 0.0) == pytest.approx(
+            want, rel=1e-12)
 
     def test_energy_matching_uses_fock_photon_number(self):
         spec = qrm_spec(0.96, 3.0)
+        protocol = Protocol.from_spec(spec)
         psi = fock.converged_protocol_state(spec, spec.theta0)
         want = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.mean_photon_fock(psi)
-        assert direct_baseline(spec) == pytest.approx(want, rel=1e-6)
-        assert mean_photon(protocol_state(spec)) == pytest.approx(
-            fock.mean_photon_fock(psi), abs=1e-6
-        )
+        assert protocol.direct_baseline(spec.t_c, spec.t_theta, spec.theta0) == pytest.approx(
+            want, rel=1e-6)
+        assert photon_number(protocol.state(spec.t_c, spec.t_theta, spec.theta0)) == (
+            pytest.approx(fock.mean_photon_fock(psi), abs=1e-6))
 
 
 class TestEnhancementRatio:
@@ -201,23 +210,21 @@ class TestEnhancementRatio:
 
 class TestSkewInformation:
     def test_no_preparation(self):
-        assert skew_information(qrm_spec(0.9, 0.0)) == pytest.approx(
-            abs(ALPHA) ** 2, rel=1e-12
-        )
+        assert qrm_protocol(0.9).skew(0.0) == pytest.approx(abs(ALPHA) ** 2, rel=1e-12)
 
     def test_identity_with_qfi(self):
         for g, t_c in ((0.9, 1.3), (0.95, 4.0), (0.98, 11.0)):
-            spec = qrm_spec(g, t_c)
-            s = skew_information(spec)
-            f = qfi_exact(spec)
+            protocol = qrm_protocol(g)
+            s = protocol.skew(t_c)
+            f = protocol.qfi(t_c, T_THETA)
             assert abs(4.0 * T_THETA**2 * s - f) / f <= 1e-9
 
     def test_shares_maxima_with_qfi(self):
         params = ModelParams("QRM-frequency", g=0.95)
         delta = params.published_delta()
-        grid = np.linspace(0.0, 4.0 * math.pi, 200)
-        skews = [skew_information(qrm_spec(0.95, float(x) / math.sqrt(delta))) for x in grid]
-        qfis = [qfi_exact(qrm_spec(0.95, float(x) / math.sqrt(delta))) for x in grid]
+        t_c = np.linspace(0.0, 4.0 * math.pi, 200) / math.sqrt(delta)
+        protocol = Protocol(*params.pair(), ALPHA)
+        skews, qfis = protocol.skew(t_c), protocol.qfi(t_c, T_THETA)
         assert int(np.argmax(skews)) == int(np.argmax(qfis))
 
 
@@ -270,14 +277,15 @@ class TestCfiHomodyne:
 
     def test_efficiency_window_at_critical_time(self):
         for g in np.linspace(0.90, 0.98, 5):
-            spec = qrm_spec_at_tau(float(g))
-            ratio = cfi_homodyne(spec) / qfi_exact(spec)
+            protocol, t_c = qrm_at_tau(float(g))
+            ratio = protocol.cfi_homodyne(t_c, T_THETA, 0.0) / protocol.qfi(t_c, T_THETA)
             assert 0.8 <= ratio <= 1.0
 
     def test_bounded_by_qfi(self):
         for g, t_c in ((0.5, 1.0), (0.9, 2.5), (0.96, 7.0)):
-            spec = qrm_spec(g, t_c)
-            assert cfi_homodyne(spec) <= qfi_exact(spec) * (1.0 + 1e-6)
+            protocol = qrm_protocol(g)
+            assert protocol.cfi_homodyne(t_c, T_THETA, 0.0) <= protocol.qfi(t_c, T_THETA) * (
+                1.0 + 1e-6)
 
 
 def richardson_cfi(protocol, t_c, t_theta, theta0, h=1e-4):
@@ -352,7 +360,8 @@ class TestDegenerateAlgebras:
         np.testing.assert_allclose(protocol.qfi(t_c, t_theta),
                                    2.0 * t_theta**2 * (1.0 + t_c**2), rtol=1e-13)
         spec = ProtocolSpec(Hc=hc, Htheta=x, t_c=0.5, t_theta=2.0, alpha=ALPHA)
-        assert qfi_exact(spec) == pytest.approx(fock.qfi_numeric(spec), rel=1e-6)
+        assert protocol.qfi(spec.t_c, spec.t_theta) == pytest.approx(fock.qfi_numeric(spec),
+                                                                     rel=1e-6)
 
     def test_hyperbolic_pair_raises(self):
         # H_c = (a² + a†²)/2 against H_θ = X closes with Δ = −1.
@@ -420,24 +429,25 @@ class TestQfiDisplacement:
         )
 
     def test_tc_zero(self):
-        spec = self.displacement_spec(0.9, 0.0)
-        assert qfi_displacement(spec) == 0.0
-        assert qfi_exact(spec) == pytest.approx(2.0 * T_THETA**2, rel=1e-12)
+        protocol = Protocol.from_spec(self.displacement_spec(0.9, 0.0))
+        assert protocol.qfi_displacement(0.0, T_THETA) == 0.0
+        assert protocol.qfi(0.0, T_THETA) == pytest.approx(2.0 * T_THETA**2, rel=1e-12)
 
     @pytest.mark.parametrize("omega", [1.0, 1.3])
     def test_quarter_period_formula_is_exact(self, omega):
         delta_p = qrm_delta_displacement(omega, 0.9)
         t_c = 0.5 * math.pi / math.sqrt(delta_p)
         spec = self.displacement_spec(0.9, t_c, omega=omega)
-        formula = qfi_displacement(spec)
+        protocol = Protocol.from_spec(spec)
+        formula = protocol.qfi_displacement(t_c, T_THETA)
         # The mode frequency comes in through H_c alone.
         assert formula == pytest.approx(4.0 * T_THETA**2 * omega**2 / delta_p * 0.5, rel=1e-12)
-        assert qfi_exact(spec) == pytest.approx(formula, rel=1e-12)
+        assert protocol.qfi(t_c, T_THETA) == pytest.approx(formula, rel=1e-12)
         assert fock.qfi_numeric(spec) == pytest.approx(formula, rel=1e-4)
 
     def test_rejects_frequency_encoding(self):
         with pytest.raises(ValueError):
-            qfi_displacement(qrm_spec(0.9, 1.0))
+            qrm_protocol(0.9).qfi_displacement(1.0, T_THETA)
 
     def test_commuting_pair_gives_zero(self):
         x = QuadraticOperator.position()
@@ -457,9 +467,8 @@ class TestQfiDisplacement:
         published = 4.0 * t_theta**2 * omega**2 * np.sin(math.sqrt(delta) * t_c) ** 2 / delta * 0.5
         np.testing.assert_allclose(grid, published, rtol=1e-12, atol=0.0)
         for i, j in np.ndindex(grid.shape):
-            spec = ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
-                                t_c=float(t_c[i, 0]), t_theta=float(t_theta[0, j]), alpha=ALPHA)
-            assert grid[i, j] == qfi_displacement(spec)
+            point = Protocol(params.preparation(), params.encoding(), ALPHA)
+            assert grid[i, j] == point.qfi_displacement(float(t_c[i, 0]), float(t_theta[0, j]))
 
 
 class TestProtocolSpecAndReport:
@@ -488,14 +497,15 @@ class TestProtocolSpecAndReport:
         spec = qrm_spec(g, 2.0, theta0=theta0)
         report = evaluate_report(spec)
         assert len(structure_derivations) == 1
-        # The fields it fills from its own Protocol equal the scalar wrappers bit for bit.
-        assert report.qfi_asymptotic == qfi_asymptotic(spec)
+        # The fields it fills from its own Protocol equal one-point evaluations bit for bit.
+        assert report.qfi_asymptotic == Protocol.from_spec(spec).qfi_asymptotic(spec.t_c,
+                                                                                spec.t_theta)
         assert report.cfi_homodyne == cfi_homodyne(spec)
         assert report.ratio == enhancement_ratio(spec)
 
     def test_report_serializes_flat(self):
         report = evaluate_report(qrm_spec(0.9, 1.0))
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert set(payload) == {
             "qfi_exact", "qfi_asymptotic", "qfi_direct_baseline", "ratio",
             "skew", "cfi_homodyne", "meanP", "varP", "final_mean_photon",
@@ -510,7 +520,7 @@ class TestProtocolSpecAndReport:
             params = ModelParams("QRM-frequency", g=g)
             delta = params.published_delta()
             grid = np.linspace(2.0, 4.2, 800)
-            values = [qfi_exact(qrm_spec(g, float(x) / math.sqrt(delta))) for x in grid]
+            values = Protocol(*params.pair(), ALPHA).qfi(grid / math.sqrt(delta), T_THETA)
             peak = grid[int(np.argmax(values))]
             shifts.append(abs(peak - math.pi))
             assert peak == pytest.approx(math.pi, abs=0.15)
@@ -518,7 +528,7 @@ class TestProtocolSpecAndReport:
 
 
 class TestProtocolKernel:
-    """The batched kernel against the scalar wrappers, element by element."""
+    """The batched kernel against one-point evaluations, element by element."""
 
     CASES = (
         ("QRM-frequency", 0.96, 0.0),
@@ -536,12 +546,12 @@ class TestProtocolKernel:
         t_theta = np.linspace(0.5, 15.0, shape[1])[None, :]
         protocol = Protocol(hc, htheta, ALPHA)
         grids = {
-            qfi_exact: protocol.qfi(t_c, t_theta),
-            qfi_asymptotic: protocol.qfi_asymptotic(t_c, t_theta),
-            direct_baseline: protocol.direct_baseline(t_c, t_theta, theta0),
-            enhancement_ratio: protocol.ratio(t_c, t_theta, theta0),
-            skew_information: np.broadcast_to(protocol.skew(t_c), shape),
-            cfi_homodyne: protocol.cfi_homodyne(t_c, t_theta, theta0),
+            "qfi": protocol.qfi(t_c, t_theta),
+            "qfi_asymptotic": protocol.qfi_asymptotic(t_c, t_theta),
+            "direct_baseline": protocol.direct_baseline(t_c, t_theta, theta0),
+            "ratio": protocol.ratio(t_c, t_theta, theta0),
+            "skew": np.broadcast_to(protocol.skew(t_c), shape),
+            "cfi_homodyne": protocol.cfi_homodyne(t_c, t_theta, theta0),
         }
         state = protocol.state(t_c, t_theta, theta0)
         assert isinstance(state, GaussianState)
@@ -551,8 +561,18 @@ class TestProtocolKernel:
         for i, j in np.ndindex(shape):
             spec = ProtocolSpec(Hc=hc, Htheta=htheta, t_c=float(t_c[i, 0]),
                                 t_theta=float(t_theta[0, j]), alpha=ALPHA, theta0=theta0)
-            for wrapper, grid in grids.items():
-                assert grid[i, j] == pytest.approx(wrapper(spec), rel=1e-14, abs=1e-300)
+            point = Protocol.from_spec(spec)
+            times = (spec.t_c, spec.t_theta)
+            want = {
+                "qfi": point.qfi(*times),
+                "qfi_asymptotic": point.qfi_asymptotic(*times),
+                "direct_baseline": point.direct_baseline(*times, theta0),
+                "ratio": enhancement_ratio(spec),
+                "skew": point.skew(spec.t_c),
+                "cfi_homodyne": cfi_homodyne(spec),
+            }
+            for name, grid in grids.items():
+                assert grid[i, j] == pytest.approx(want[name], rel=1e-14, abs=1e-300)
             final = protocol_state(spec)
             assert isinstance(final, GaussianState)
             assert (mean_p[i, j], var_p[i, j]) == pytest.approx(
@@ -572,13 +592,14 @@ class TestProtocolKernel:
         # number depends on θ0; the coherent-state variance of X does not,
         # so the energy-matched baseline stays 4 T² · ½.
         params = ModelParams("QRM-displacement", g=0.9)
+        protocol = Protocol(*params.pair(), ALPHA)
         t_c, t_theta = 2.0, 3.0
 
         def spec_at(theta0):
             return ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(),
                                 t_c=t_c, t_theta=t_theta, alpha=ALPHA, theta0=theta0)
 
-        nbar = {th: mean_photon(protocol_state(spec_at(th))) for th in (0.0, 0.4)}
+        nbar = {th: photon_number(protocol_state(spec_at(th))) for th in (0.0, 0.4)}
         assert abs(nbar[0.4] - nbar[0.0]) > 0.1
         for theta0 in (0.0, 0.4):
             spec = spec_at(theta0)
@@ -586,8 +607,9 @@ class TestProtocolKernel:
             assert nbar[theta0] == pytest.approx(fock.mean_photon_fock(psi), abs=1e-9)
             reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
             oracle = 4.0 * (t_c + t_theta) ** 2 * fock.variance_fock(reference, spec.Htheta)
-            assert direct_baseline(spec) == pytest.approx(oracle, rel=1e-9)
-            assert direct_baseline(spec) == pytest.approx(2.0 * (t_c + t_theta) ** 2, rel=1e-13)
+            baseline = protocol.direct_baseline(t_c, t_theta, theta0)
+            assert baseline == pytest.approx(oracle, rel=1e-9)
+            assert baseline == pytest.approx(2.0 * (t_c + t_theta) ** 2, rel=1e-13)
 
     def test_baseline_follows_working_point_for_general_encoding(self):
         # With a squeezing term in H_θ both the final photon number and the
@@ -601,6 +623,6 @@ class TestProtocolKernel:
             psi = fock.converged_protocol_state(spec, theta0)
             reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
             oracle = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.variance_fock(reference, htheta)
-            values.append(direct_baseline(spec))
+            values.append(Protocol.from_spec(spec).direct_baseline(spec.t_c, spec.t_theta, theta0))
             assert values[-1] == pytest.approx(oracle, rel=1e-8)
         assert abs(values[1] - values[0]) > 1e-3 * values[0]

@@ -1,6 +1,7 @@
 import pytest
 
 from canp import fock, validate
+from canp.errors import TruncationNotConvergedError
 
 
 def test_oracle_checks_split_their_wall_time(monkeypatch):
@@ -34,6 +35,35 @@ def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure
     assert sum(propagator_builds.values()) <= 20
     # One Protocol per point gives both its Gaussian state and its exact QFI.
     assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
+
+
+def test_oracle_qfi_starts_at_the_converged_truncation(monkeypatch):
+    # Each point's numeric QFI starts at the truncation its state converged
+    # at, so every truncation that fails the tail check fails while the
+    # state escalates, and none fails again inside qfi_numeric.
+    failures = []  # one entry per failed apply: was it inside qfi_numeric?
+    inside_qfi = []
+    apply, qfi_numeric = fock.Propagator.apply, fock.qfi_numeric
+
+    def recording_apply(self, *args, **kwargs):
+        try:
+            return apply(self, *args, **kwargs)
+        except TruncationNotConvergedError:
+            failures.append(bool(inside_qfi))
+            raise
+
+    def marked_qfi_numeric(*args, **kwargs):
+        inside_qfi.append(True)
+        try:
+            return qfi_numeric(*args, **kwargs)
+        finally:
+            inside_qfi.pop()
+
+    monkeypatch.setattr(fock.Propagator, "apply", recording_apply)
+    monkeypatch.setattr(fock, "qfi_numeric", marked_qfi_numeric)
+    moments, qfi = validate.check_oracle_agreement()
+    assert moments.passed and qfi.passed
+    assert failures and not any(failures)
 
 
 def test_structural_sanity_derives_one_structure_per_model(structure_derivations):
