@@ -12,6 +12,7 @@ version and a hash of the resolved configuration without its output path.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from .errors import CommutingPairError, ConfigError, OutOfPhaseError
 from .metrology import Protocol, bisect, find_threshold
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
-from .models import ModelParams, config_number
+from .models import ModelParams, config_number, config_object
 
 EXPERIMENTS = (
     "fig2a",
@@ -57,7 +58,7 @@ class Axis:
 class RunConfig:
     experiment: str
     model: ModelParams
-    sweep: tuple[Axis, ...]
+    sweep: tuple[Axis, ...] = ()
     t_theta: float = 12.0
     alpha: complex = 0.3 + 1.0j
     theta0: float = 0.0
@@ -72,34 +73,36 @@ class RunConfig:
                 return ax
         raise ConfigError(f"experiment {self.experiment} requires sweep axis {name!r}")
 
-    def hash_dict(self) -> dict:
-        """Everything that can affect computed values (all but out)."""
-        return {
-            "experiment": self.experiment,
-            "model": self.model.to_dict(),
-            "sweep": [
-                {"name": a.name, "start": a.start, "stop": a.stop, "points": a.points}
-                for a in self.sweep
-            ],
-            "t_theta": self.t_theta,
-            "alpha": {"re": self.alpha.real, "im": self.alpha.imag},
-            "theta0": self.theta0,
-            "g_values": list(self.g_values),
-            "bracket": None if self.bracket is None else list(self.bracket),
-            "oracle": self.oracle,
-        }
-
     def sha256(self) -> str:
-        canonical = json.dumps(self.hash_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of every field but out, the one field that cannot change the data."""
+        hashed = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(self) if f.name != "out"}
+        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"), default=_jsonable)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _jsonable(obj):
+    """The JSON form of a RunConfig field value json.dumps cannot serialise itself."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, ModelParams):
+        return obj.to_dict()
+    return dataclasses.asdict(obj)
+
+
+def _parse_experiment(obj) -> str:
+    if obj not in EXPERIMENTS:
+        raise ValueError(f"expected one of {EXPERIMENTS}")
+    return obj
 
 
 def _parse_alpha(obj) -> complex:
     if isinstance(obj, dict):
-        return complex(config_number(obj.get("re", 0.0)), config_number(obj.get("im", 0.0)))
+        parts = config_object(obj, {"re": config_number, "im": config_number}, "alpha")
+        return complex(parts.get("re", 0.0), parts.get("im", 0.0))
     if isinstance(obj, (int, float)):
         return complex(config_number(obj))
-    raise ConfigError(f"alpha must be a number or {{re, im}} object, got {obj!r}")
+    raise TypeError("expected a number or {re, im} object")
 
 
 def _parse_bracket(obj) -> tuple[float, float] | None:
@@ -119,10 +122,10 @@ def _parse_duration(obj) -> float:
     return value
 
 
-def _parse_count(obj) -> int:
+def _parse_points(obj) -> int:
     value = config_number(obj)
-    if value != int(value):
-        raise ValueError(f"expected an integer, got {obj!r}")
+    if value != int(value) or value < 2:
+        raise ValueError(f"expected an integer >= 2, got {obj!r}")
     return int(value)
 
 
@@ -132,56 +135,53 @@ def _parse_flag(obj) -> bool:
     return obj
 
 
-# Optional RunConfig fields and their parsers; an absent field keeps the
+def _parse_out(obj) -> str:
+    """An output path, rejected now if no write to it could succeed."""
+    if not isinstance(obj, str):
+        raise TypeError("expected a path string")
+    path = os.path.abspath(obj)
+    ancestor = os.path.dirname(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output {obj}: it is a directory")
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"cannot write output {obj}: {ancestor} is not a directory")
+    return obj
+
+
+_AXIS_PARSERS = {"start": config_number, "stop": config_number, "points": _parse_points}
+
+
+def _parse_sweep(obj) -> tuple[Axis, ...]:
+    if not isinstance(obj, dict):
+        raise TypeError("expected an object of named axes")
+    return tuple(
+        Axis(name, **config_object(ax, _AXIS_PARSERS, f"sweep axis {name!r}",
+                                   required=tuple(_AXIS_PARSERS)))
+        for name, ax in obj.items()
+    )
+
+
+# The RunConfig fields and their parsers; an absent field keeps the
 # RunConfig default.
 _FIELD_PARSERS = {
+    "experiment": _parse_experiment,
+    "model": ModelParams.from_dict,
+    "sweep": _parse_sweep,
     "t_theta": _parse_duration,
     "alpha": _parse_alpha,
     "theta0": config_number,
     "g_values": lambda obj: tuple(config_number(g) for g in obj),
     "bracket": _parse_bracket,
-    "out": str,
+    "out": _parse_out,
     "oracle": _parse_flag,
 }
 
 
-def _parse_sweep(obj) -> tuple[Axis, ...]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"sweep must be an object of named axes, got {obj!r}")
-    axes = []
-    for name, ax in obj.items():
-        try:
-            axes.append(Axis(name=name, start=config_number(ax["start"]),
-                             stop=config_number(ax["stop"]), points=_parse_count(ax["points"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sweep axis {name!r}: {exc}") from exc
-    return tuple(axes)
-
-
 def config_from_dict(obj: dict) -> RunConfig:
-    unknown = set(obj) - {"experiment", "model", "sweep", *_FIELD_PARSERS}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    experiment = obj.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    if "model" not in obj:
-        raise ConfigError("config requires a model section")
-    try:
-        model = ModelParams.from_dict(obj["model"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
-    fields = {}
-    for name, parse in _FIELD_PARSERS.items():
-        if name not in obj:
-            continue
-        try:
-            fields[name] = parse(obj[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name} {obj[name]!r}: {exc}") from exc
-    cfg = RunConfig(experiment=experiment, model=model,
-                    sweep=_parse_sweep(obj.get("sweep", {})), **fields)
+    cfg = RunConfig(**config_object(obj, _FIELD_PARSERS, "config",
+                                    required=("experiment", "model")))
     _validate_sweep(cfg)
     return cfg
 
@@ -203,8 +203,6 @@ def _validate_sweep(cfg: RunConfig) -> None:
     """Time axes must be ordered, and every model value the run reads must have
     its variant's fields (checked on building it) and obey its phase rule."""
     for ax in cfg.sweep:
-        if ax.points < 2:
-            raise ConfigError(f"axis {ax.name}: points must be >= 2")
         if ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
                 raise ConfigError("sqrtDelta_tc sweep must be nonnegative and increasing")
@@ -282,6 +280,8 @@ def _write(path: str, text: str) -> None:
     """Write an output file, creating its directory if needed.
 
     A path that cannot be written is a ConfigError, as an unreadable config is.
+    Reading the config already rejects a directory and a path under a file;
+    this catches what only the write can find, such as a missing permission.
     """
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -45,6 +45,31 @@ def config_number(obj) -> float:
     return value
 
 
+def config_object(obj, parsers: dict, what: str, required=()) -> dict:
+    """The keys of one config object, each parsed by its entry in `parsers`.
+
+    A non-object, a key `parsers` lacks, a missing `required` key or a value
+    its parser rejects (TypeError or ValueError) is a ConfigError naming
+    `what`, the key and the value. An absent key is left out of the result.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(parsers)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} requires {missing}")
+    parsed = {}
+    for key, parse in parsers.items():
+        if key in obj:
+            try:
+                parsed[key] = parse(obj[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {what} {key} {obj[key]!r}: {exc}") from exc
+    return parsed
+
+
 def qrm_effective(omega: float, g: float) -> QuadraticOperator:
     """Normal-phase effective Rabi Hamiltonian ω a†a − (ωg²/4)(a† + a)².
 
@@ -201,16 +226,14 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelParams":
-        known = {"variant", "omega", "g", "lambda", "gamma"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown model fields: {sorted(unknown)}")
-        if "variant" not in obj:
-            raise ConfigError("model config requires a variant")
-        return cls(
-            variant=obj["variant"],
-            omega=config_number(obj.get("omega", 1.0)),
-            g=None if obj.get("g") is None else config_number(obj["g"]),
-            lam=None if obj.get("lambda") is None else config_number(obj["lambda"]),
-            gamma=None if obj.get("gamma") is None else config_number(obj["gamma"]),
-        )
+        fields = config_object(obj, _MODEL_PARSERS, "model", required=("variant",))
+        return cls(lam=fields.pop("lambda", None), **fields)
+
+
+def _optional_number(obj) -> float | None:
+    return None if obj is None else config_number(obj)
+
+
+# The model keys; ModelParams itself checks the variant and its fields.
+_MODEL_PARSERS = {"variant": lambda obj: obj, "omega": config_number,
+                  "g": _optional_number, "lambda": _optional_number, "gamma": _optional_number}

@@ -83,17 +83,6 @@ class QuadraticOperator:
 
     __rmul__ = __mul__
 
-    def dagger(self) -> "QuadraticOperator":
-        """Hermitian adjoint (swaps a <-> a†, a² <-> a†², conjugates)."""
-        return QuadraticOperator(
-            self.c_n.conjugate(),
-            self.c_adad.conjugate(),
-            self.c_aa.conjugate(),
-            self.c_ad.conjugate(),
-            self.c_a.conjugate(),
-            self.c_1.conjugate(),
-        )
-
     def is_hermitian(self) -> bool:
         """True iff c_n, c_1 real, c_adad = conj(c_aa), c_ad = conj(c_a).
 
@@ -114,26 +103,9 @@ class QuadraticOperator:
         return QuadraticOperator(c_n=1.0)
 
     @staticmethod
-    def identity() -> "QuadraticOperator":
-        return QuadraticOperator(c_1=1.0)
-
-    @staticmethod
-    def annihilation() -> "QuadraticOperator":
-        return QuadraticOperator(c_a=1.0)
-
-    @staticmethod
-    def creation() -> "QuadraticOperator":
-        return QuadraticOperator(c_ad=1.0)
-
-    @staticmethod
     def position() -> "QuadraticOperator":
         """X = (a + a†)/√2."""
         return QuadraticOperator(c_a=1.0 / _SQRT2, c_ad=1.0 / _SQRT2)
-
-    @staticmethod
-    def momentum() -> "QuadraticOperator":
-        """P = i(a† − a)/√2."""
-        return QuadraticOperator(c_a=-1j / _SQRT2, c_ad=1j / _SQRT2)
 
 
 def commutator(a: QuadraticOperator, b: QuadraticOperator) -> QuadraticOperator:

@@ -76,6 +76,20 @@ class TestConfigParsing:
         assert out["out"] == "x.csv"
         assert obj["model"]["g"] == 0.9  # original untouched
 
+    def test_config_hashes_are_pinned(self):
+        # Each checked-in config keeps the hash its CSVs already carry, so a
+        # change to the hashed form fails here instead of relinking outputs.
+        assert {p.stem: load_config(str(p)).sha256() for p in CONFIG_DIR.glob("*.json")} == {
+            "displacement": "38e0a616f9b331fb982cb398b97e14473611f947d307dbde73a1bf17ab7dc988",
+            "fig2a": "090507c07d6c5c8cc66ac5a1df68644c39e5c6c9a271864de900bc67f8c20cbc",
+            "fig2b": "6fad42d98b46cff1a337a73d057fdd6e24a8bccba570c28d055255d1f7d6674e",
+            "fig2b_inset": "0692709e5deb1a076e6097c44f0aa2892a4ade8d84c7ff76e0e852eb3dca1435",
+            "fig3a": "52cb0e94bfadcface6d3d8fe51a7f4fd22ff3b2cf6c65a50d6152b4a5e3a412f",
+            "fig3b": "b4f21df45942b9b22133569908477e67dd8f54dbbfbd0c41125b256542de3932",
+            "lmg_threshold": "2e8d37c0652de89c06e9b0b46fcce71d58ce99d68df70ee771e7744160741b25",
+            "validate": "eb7000c232ec9163fadb7bb0693efa5885402210766b9a8bfdf6d02af172932c",
+        }
+
     def test_hash_excludes_out(self, tmp_path):
         sweep = {"g": {"start": 0.5, "stop": 0.9, "points": 4}}
         a = config_from_dict(small_config("fig2b-inset", tmp_path, sweep=sweep))
@@ -344,6 +358,9 @@ class TestCli:
         "--bracket=5",
         '--bracket=["a",1]',
         '--alpha.re="x"',
+        # Every config object rejects a key it does not know.
+        '--alpha={"re": 0.3, "img": 1.0}',
+        "--sweep.g.pionts=7",
         "--g_values=3",
         "--sweep=3",
         '--oracle="no"',
@@ -458,12 +475,24 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 4  # header comment + columns + rows
 
+    @pytest.mark.parametrize("out", [None, 5])
+    def test_output_that_is_not_a_path_is_config_error(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config("fig2b-inset", tmp_path, out=out, sweep={
+            "g": {"start": 0.5, "stop": 0.9, "points": 3}})))
+        assert cli.main(["fig2b-inset", "--config", str(path)]) == 2
+        assert f"bad config out {out!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("experiment", ["fig2b-inset", "validate"])
     @pytest.mark.parametrize("blocked", ["out is a directory", "parent is a file"])
     def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                experiment, blocked):
-        # Like an unreadable config: exit 2 with a one-line message, no traceback.
-        monkeypatch.setattr(validate, "run_checks", lambda: {"passed": True, "checks": []})
+        # Like an unreadable config: exit 2 with a one-line message, no
+        # traceback, and found when the config is read, before any work.
+        monkeypatch.setitem(experiments.RUNNERS, experiment,
+                            lambda cfg: pytest.fail("the run started"))
         path = tmp_path / "c.json"
         extra = ({"oracle": True} if experiment == "validate"
                  else {"sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}})
@@ -478,6 +507,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write output {out}")
         assert "Traceback" not in err
+
+    def test_failed_write_is_config_error(self, tmp_path):
+        # What only the write can find (here a directory made after the
+        # config was read) is a ConfigError too.
+        cfg = config_from_dict(small_config("fig2b-inset", tmp_path))
+        Path(cfg.out).mkdir()
+        with pytest.raises(ConfigError, match=f"cannot write output {cfg.out}"):
+            write_csv(cfg.out, cfg, ("x",), [(1.0,)])
 
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
         # Injected fault: one check reports failure -> exit 1, named in report.

@@ -59,7 +59,7 @@ class TestBuildMatrix:
         assert np.allclose(m, np.diag(np.arange(7.0)))
 
     def test_identity(self):
-        m = fock.build_matrix(QuadraticOperator.identity(), 5)
+        m = fock.build_matrix(QuadraticOperator(c_1=1.0), 5)
         assert np.allclose(m, np.eye(5))
 
     def test_rabi_effective_element(self):
@@ -210,7 +210,8 @@ class TestGaussianAgreement:
     figure uses: G = 0 and det G < 0."""
 
     @pytest.mark.parametrize("h, t, det_sign", [
-        (QuadraticOperator.momentum(), 1.3, 0),  # pure displacement, complex matrix
+        # P = i(a† − a)/√2: pure displacement, complex matrix
+        (QuadraticOperator(c_a=-1j / math.sqrt(2.0), c_ad=1j / math.sqrt(2.0)), 1.3, 0),
         (QuadraticOperator(c_aa=0.5, c_adad=0.5), 0.4, -1),  # (X² − P²)/2, real matrix
         (QuadraticOperator(c_aa=-0.5j, c_adad=0.5j), 0.4, -1),  # i(a†² − a²)/2
         (QuadraticOperator(c_n=0.3, c_aa=0.6, c_adad=0.6, c_a=0.2 - 0.1j, c_ad=0.2 + 0.1j),

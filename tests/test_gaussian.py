@@ -30,7 +30,7 @@ ALPHA = 0.3 + 1.0j
 VACUUM = coherent(0j)
 N = QuadraticOperator.number()
 X = QuadraticOperator.position()
-P = QuadraticOperator.momentum()
+P = QuadraticOperator(c_a=-1j / math.sqrt(2.0), c_ad=1j / math.sqrt(2.0))  # i(a† − a)/√2
 
 
 class TestCoherent:

@@ -19,8 +19,8 @@ from canp.operators import (
 from quadrature_forms import from_quadrature_form
 
 N = QuadraticOperator.number()
-A = QuadraticOperator.annihilation()
-AD = QuadraticOperator.creation()
+A = QuadraticOperator(c_a=1.0)
+AD = QuadraticOperator(c_ad=1.0)
 
 
 def random_operator(rng) -> QuadraticOperator:
@@ -37,7 +37,9 @@ def random_operator(rng) -> QuadraticOperator:
 
 def random_hermitian(rng) -> QuadraticOperator:
     op = random_operator(rng)
-    return 0.5 * (op + op.dagger())
+    # ½(O + O†), where O† swaps a with a† and a² with a†² and conjugates.
+    n, aa, adad, a, ad, one = (c.conjugate() for c in op.coeffs())
+    return 0.5 * (op + QuadraticOperator(n, adad, aa, ad, a, one))
 
 
 def op_distance(x: QuadraticOperator, y: QuadraticOperator) -> float:

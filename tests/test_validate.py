@@ -1,6 +1,6 @@
 import pytest
 
-from canp import fock, validate
+from canp import fock, gaussian, validate
 from canp.errors import TruncationNotConvergedError
 
 
@@ -66,11 +66,23 @@ def test_oracle_qfi_starts_at_the_converged_truncation(monkeypatch):
     assert failures and not any(failures)
 
 
-def test_structural_sanity_derives_one_structure_per_model(structure_derivations):
+def test_structural_sanity_derives_one_structure_per_model(structure_derivations,
+                                                           monkeypatch):
     # Two models (g = 0 and g = 0.96), one Protocol each.
+    flows = []
+    init = gaussian.Flow.__init__
+
+    def counting(self, form):
+        flows.append(form)
+        init(self, form)
+
+    monkeypatch.setattr(gaussian.Flow, "__init__", counting)
     result = validate.check_structural_sanity()
     assert result.passed
     assert len(structure_derivations) <= 2
+    # One flow per evolved trajectory (three g values, nine times each),
+    # plus the preparation and encoding flows of the two Protocols.
+    assert len(flows) == 3 + 2 * 2
 
 
 def test_run_checks_times_every_check(monkeypatch):
