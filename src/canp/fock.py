@@ -18,8 +18,8 @@ Truncation honesty is enforced, not assumed: after every evolution the
 amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
 TruncationNotConvergedError is raised. Protocol-level helpers escalate the
 dimension (×2 up to MAX_DIM) until the check passes. Their only settings
-are those bounds (start_dim, max_dim): the numeric QFI's step in θ is the
-constant QFI_DTHETA.
+are those bounds (start_dim, max_dim). The numeric QFI is the exact δ → 0
+limit of the fidelity: a variance in the prepared number-basis state.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ MAX_DIM = 480
 # needs 15 distinct (H, dim) pairs; the largest entry (dim 480, complex)
 # holds 3.7 MB of eigenvectors.
 PROPAGATOR_CACHE_SIZE = 16
-# Step δ in θ of the fidelity-based numeric QFI (Richardson-refined with δ/2).
-QFI_DTHETA = 1e-4
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -63,9 +61,6 @@ class FockState:
     def tail_mass(self) -> float:
         """Probability mass in the top five truncation levels."""
         return float(np.sum(np.abs(self.amps[-5:]) ** 2))
-
-    def overlap(self, other: "FockState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
 
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amps, self.amps.conj())
@@ -206,11 +201,14 @@ def mean_photon_fock(state: FockState) -> float:
     return float(np.sum(n * np.abs(state.amps) ** 2))
 
 
+def _prepared_fock(spec, dim: int) -> FockState:
+    """|ψ_prep⟩ = exp(−i t_c H_c) |α⟩ at fixed truncation."""
+    return evolve_fock(coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
+
+
 def protocol_state_fock(spec, theta: float, dim: int) -> FockState:
-    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) exp(−i t_c H_c) |α⟩ at fixed truncation."""
-    psi = coherent_fock(spec.alpha, dim)
-    psi = evolve_fock(psi, spec.Hc, spec.t_c)
-    return evolve_fock(psi, spec.Htheta, theta * spec.t_theta)
+    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) |ψ_prep⟩ at fixed truncation."""
+    return evolve_fock(_prepared_fock(spec, dim), spec.Htheta, theta * spec.t_theta)
 
 
 def _escalate(evaluate, start_dim: int, max_dim: int):
@@ -233,30 +231,17 @@ def converged_protocol_state(
 
 
 def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> float:
-    """Fidelity-based numeric quantum Fisher information.
+    """Number-basis quantum Fisher information 4 t_θ² Var[H_θ] in |ψ_prep⟩.
 
-    Runs the full protocol at θ0 ± δ and θ0 ± δ/2 with δ = QFI_DTHETA and
-    forms 8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)², refined once by Richardson
-    extrapolation in δ². The preparation stage is computed once per
-    truncation; only the encoding phases differ between branches.
+    ψ(θ) = exp(−i θ t_θ H_θ) ψ_prep is pure, so the fidelity susceptibility
+    8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)² tends to 4 t_θ² Var_ψprep[H_θ] exactly
+    as δ → 0 (Braunstein & Caves 1994) and the encoding need not be run.
+    The truncation escalates until the prepared state passes the tail check.
     """
-    return _escalate(lambda dim: _qfi_numeric_at_dim(spec, dim), start_dim, max_dim)
-
-
-def _qfi_numeric_at_dim(spec, dim: int) -> float:
-    psi0 = coherent_fock(spec.alpha, dim)
-    psi_prep = propagator(spec.Hc, dim).apply(psi0, spec.t_c)
-    encoder = propagator(spec.Htheta, dim)
-
-    def fisher(delta: float) -> float:
-        lo = encoder.apply(psi_prep, (spec.theta0 - delta) * spec.t_theta)
-        hi = encoder.apply(psi_prep, (spec.theta0 + delta) * spec.t_theta)
-        fid = abs(lo.overlap(hi))
-        return 8.0 * (1.0 - fid) / (2.0 * delta) ** 2
-
-    f1 = fisher(QFI_DTHETA)
-    f2 = fisher(0.5 * QFI_DTHETA)
-    return (4.0 * f2 - f1) / 3.0
+    return _escalate(
+        lambda dim: 4.0 * spec.t_theta**2 * variance_fock(_prepared_fock(spec, dim), spec.Htheta),
+        start_dim, max_dim,
+    )
 
 
 def skew_information_general(b_matrix: np.ndarray, k_matrix: np.ndarray) -> float:

@@ -33,8 +33,8 @@ VARIANTS = ("QRM-frequency", "QRM-displacement", "LMG-frequency")
 
 
 def config_number(obj) -> float:
-    """A config value as a finite float; a boolean (JSON true is not 1) is an error."""
-    if isinstance(obj, bool):
+    """A config value as a finite float; a boolean (JSON true is not 1) or a string is an error."""
+    if isinstance(obj, (bool, str)):
         raise TypeError(f"expected a number, got {obj!r}")
     try:
         value = float(obj)

@@ -354,6 +354,8 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         '--t_theta="abc"',
+        # A quoted number is a string, not a number.
+        '--t_theta="12"',
         "--theta0=[1,2]",
         "--bracket=5",
         '--bracket=["a",1]',

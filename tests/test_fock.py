@@ -9,7 +9,7 @@ from canp import fock
 from canp.errors import NotPositiveError, TruncationNotConvergedError
 from canp.gaussian import coherent, evolve, photon_number, to_quadrature_form
 from canp.metrology import ProtocolSpec
-from canp.models import encoding_frequency, qrm_effective
+from canp.models import encoding_displacement, encoding_frequency, qrm_effective
 from canp.operators import QuadraticOperator
 
 ALPHA = 0.3 + 1.0j
@@ -136,7 +136,7 @@ class TestEvolveFock:
         psi = fock.coherent_fock(ALPHA, 60)
         out = fock.evolve_fock(psi, N, 1.3)
         want = fock.coherent_fock(ALPHA * np.exp(-1.3j), 60)
-        assert abs(out.overlap(want)) == pytest.approx(1.0, abs=1e-8)
+        assert abs(np.vdot(out.amps, want.amps)) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_preserved(self):
         psi = fock.coherent_fock(ALPHA, 160)
@@ -227,6 +227,22 @@ class TestGaussianAgreement:
         assert np.max(np.abs(sigma - gauss.sigma)) <= 1e-9
 
 
+def one_minus_fidelity(spec: ProtocolSpec, delta: float, dim: int) -> float:
+    """1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩| without cancellation, from the encoder's spectral weights.
+
+    With weights w_k = |⟨e_k|ψ_prep⟩|² on the eigenvectors of H_θ (energies
+    E_k), χ(δ) = Σ w_k exp(−2iδ t_θ E_k) and
+    1 − |χ|² = Σ_jk w_j w_k (1 − cos 2δ t_θ(E_j − E_k)) = Σ_jk w_j w_k 2 sin² δ t_θ(E_j − E_k),
+    so no difference of nearly equal numbers is ever formed.
+    """
+    psi = fock.evolve_fock(fock.coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
+    encoder = fock.propagator(spec.Htheta, dim)
+    weights = np.abs(encoder.eigvecs.conj().T @ psi.amps) ** 2
+    half = delta * spec.t_theta * encoder.eigvals
+    one_minus_sq = float(weights @ (2.0 * np.sin(half[:, None] - half[None, :]) ** 2) @ weights)
+    return one_minus_sq / (1.0 + math.sqrt(1.0 - one_minus_sq))
+
+
 class TestQfiNumeric:
     def test_direct_encoding_closed_form(self):
         spec = ProtocolSpec(
@@ -251,6 +267,24 @@ class TestQfiNumeric:
         f1 = fock.qfi_numeric(spec, start_dim=120)
         f2 = fock.qfi_numeric(spec, start_dim=240)
         assert abs(f1 - f2) / f2 < 1e-6
+
+    @pytest.mark.parametrize("htheta", [encoding_frequency(), encoding_displacement()],
+                             ids=["a†a", "X"])
+    def test_is_the_small_step_limit_of_the_fidelity(self, htheta):
+        # 8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)² approaches qfi_numeric with an
+        # error ∝ δ²: the exact limit is the limit a finite step approximates.
+        spec = ProtocolSpec(
+            Hc=qrm_effective(1.0, 0.9), Htheta=htheta,
+            t_c=2.0, t_theta=12.0, alpha=ALPHA, theta0=0.1,
+        )
+        dim = fock.converged_protocol_state(spec, spec.theta0).dim
+        exact = fock.qfi_numeric(spec, start_dim=dim)
+        deltas = np.logspace(-6, -4, 5)
+        errors = [abs(8.0 * one_minus_fidelity(spec, d, dim) / (2.0 * d) ** 2 - exact) / exact
+                  for d in deltas]
+        assert errors[-1] < 1e-3
+        slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
+        assert slope == pytest.approx(2.0, abs=0.1)
 
 
 class TestSkewInformationGeneral:

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from canp import fock, gaussian, validate
@@ -35,6 +40,27 @@ def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure
     assert sum(propagator_builds.values()) <= 20
     # One Protocol per point gives both its Gaussian state and its exact QFI.
     assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
+
+
+def test_oracle_report_does_not_depend_on_blas_threads():
+    # The oracle pass in two fresh interpreters, one and two OpenBLAS
+    # threads: every measured number and verdict must be the same bits.
+    src = str(Path(validate.__file__).resolve().parents[1])
+    code = (
+        "import json\n"
+        "from canp import validate\n"
+        "print(json.dumps([[r.name, r.passed, r.measured]"
+        " for r in validate.check_oracle_agreement()]))\n"
+    )
+    reports = []
+    for threads in ("1", "2"):
+        env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        reports.append(json.loads(out.stdout))
+    assert [name for name, _, _ in reports[0]] == ["gaussian_fock_moments", "qfi_three_way"]
+    assert all(passed for _, passed, _ in reports[0])
+    assert reports[0] == reports[1]
 
 
 def test_oracle_qfi_starts_at_the_converged_truncation(monkeypatch):
