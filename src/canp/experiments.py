@@ -4,10 +4,12 @@ Each experiment maps a JSON run configuration onto a deterministic CSV (or a
 JSON report for `validate`). A sweep is a single-process array evaluation:
 each runner builds one :class:`canp.metrology.Protocol` per model value and
 evaluates that value's whole time grid in closed form, and `validate` runs
-its number-basis oracle in the same process. Every field of a configuration
-can change the data except the output path; a malformed or unknown field is
-a ConfigError. Every CSV starts with a comment line carrying the tool
+its number-basis oracle in the same process. A malformed or unknown field
+is a ConfigError. Every CSV starts with a comment line carrying the tool
 version and a hash of the resolved configuration without its output path.
+The hash covers every other field, also those that cannot change this
+run's data: a field the experiment does not read, validate's model and
+physics fields (its checks fix their own), and LMG's omega.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import CommutingPairError, ConfigError, OutOfPhaseError
+from .errors import CommutingPairError, ConfigError, NoSignChangeError, OutOfPhaseError
 from .metrology import Protocol, bisect, find_threshold
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
@@ -74,7 +76,7 @@ class RunConfig:
         raise ConfigError(f"experiment {self.experiment} requires sweep axis {name!r}")
 
     def sha256(self) -> str:
-        """Hash of every field but out, the one field that cannot change the data."""
+        """Hash of every field but out, whether or not the experiment reads it."""
         hashed = {f.name: getattr(self, f.name)
                   for f in dataclasses.fields(self) if f.name != "out"}
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"), default=_jsonable)
@@ -402,6 +404,8 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
         )
     except OutOfPhaseError as exc:
         raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
+    except NoSignChangeError as exc:
+        raise ConfigError(str(exc)) from exc
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows

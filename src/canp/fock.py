@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotPositiveError, TruncationNotConvergedError
+from .errors import NotHermitianError, NotPositiveError, TruncationNotConvergedError
 from .operators import QuadraticOperator
 
 TAIL_TOL = 1e-10
@@ -136,11 +136,9 @@ class Propagator:
     """
 
     def __init__(self, hamiltonian: QuadraticOperator, dim: int):
-        h = build_matrix(hamiltonian, dim)
-        herm_defect = np.max(np.abs(h - h.conj().T))
-        if herm_defect > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
-            raise ValueError("propagator requires a Hermitian generator")
-        self.eigvals, self.eigvecs = np.linalg.eigh(h)
+        if not hamiltonian.is_hermitian():
+            raise NotHermitianError("propagator requires a Hermitian generator")
+        self.eigvals, self.eigvecs = np.linalg.eigh(build_matrix(hamiltonian, dim))
         self.eigvecs.flags.writeable = False
         self.dim = dim
 

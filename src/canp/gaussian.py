@@ -46,14 +46,23 @@ class GaussianState(NamedTuple):
     def sigma(self) -> np.ndarray:
         return np.array([[self.sxx, self.sxp], [self.sxp, self.spp]])
 
-    def uncertainty_defect(self) -> float:
-        """−min eigenvalue of sigma + iΩ/2 (≤ ~1e-12 for physical states)."""
-        h = self.sigma + 0.5j * OMEGA
-        return float(-np.min(np.linalg.eigvalsh(h)))
+    def uncertainty_defect(self) -> np.ndarray:
+        """−λ_min of sigma + iΩ/2, ≤ 0 up to rounding for physical states.
 
-    def purity_defect(self) -> float:
+        The eigenvalues of that 2×2 Hermitian matrix are h ± r, with
+        h = ½(σ_xx + σ_pp) and r = |(½(σ_xx − σ_pp), σ_xp, ½)|, so −λ_min is
+        r + |h| where h ≤ 0. Where h > 0 the difference r − h would cancel,
+        so it is taken in the product form −det/λ_max, that is
+        (¼ + σ_xp² − σ_xx σ_pp)/(r + h).
+        """
+        h = 0.5 * (self.sxx + self.spp)
+        r_plus = np.hypot(np.hypot(0.5 * (self.sxx - self.spp), self.sxp), 0.5) + np.abs(h)
+        minus_det = 0.25 + self.sxp * self.sxp - self.sxx * self.spp
+        return np.where(h > 0.0, minus_det / r_plus, r_plus)
+
+    def purity_defect(self) -> np.ndarray:
         """|det(sigma) − 1/4|, zero for pure states."""
-        return float(abs(np.linalg.det(self.sigma) - 0.25))
+        return np.abs(self.sxx * self.spp - self.sxp * self.sxp - 0.25)
 
 
 def coherent(alpha: complex) -> GaussianState:

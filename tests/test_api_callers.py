@@ -9,6 +9,8 @@ count). A name that only tests call belongs in the tests, not in the package.
 import ast
 from pathlib import Path
 
+import canp
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "canp"
 GUARDED = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -83,3 +85,9 @@ def test_every_public_name_has_a_caller():
     assert {"metrology.Protocol.qfi", "models.config_object", "operators.commutator",
             *KEPT_FOR_TESTS} <= checked
     assert uncalled - KEPT_FOR_TESTS == set()
+
+
+def test_package_root_exports_only_the_protocol_api():
+    # Every other name is imported from its module, so the root cannot
+    # grow back into a second, unguarded listing of the package.
+    assert canp.__all__ == ["ModelParams", "Protocol", "__version__"]

@@ -411,6 +411,8 @@ class TestCli:
         # reaches the ordered phase in between.
         ("lmg_threshold.json", ["--bracket=[0.2,3.0]", "--t_theta=3"],
          "bracket (0.2, 3.0) leaves the normal phase"),
+        # R − 1 keeps one sign over the bracket: there is no threshold to find.
+        ("lmg_threshold.json", ["--bracket=[0.2,0.3]"], "same sign at both ends of (0.2, 0.3)"),
     ])
     def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
                                                              overrides, message):
@@ -439,6 +441,15 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={"PYTHONPATH": str(src)}, timeout=60, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_oracle_unloaded(self):
+        # Only a validate run needs the number-basis oracle and its checks.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, canp.cli;"
+                " print('canp.fock' in sys.modules, 'canp.validate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert out.stdout.strip() == "False False"
 
     def test_validate_starts_no_worker_process(self, tmp_path):
         # The oracle runs in-process: a validate run must not even import

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
 from canp import fock
-from canp.errors import NotPositiveError, TruncationNotConvergedError
+from canp.errors import NotHermitianError, NotPositiveError, TruncationNotConvergedError
 from canp.gaussian import coherent, evolve, photon_number, to_quadrature_form
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective
@@ -183,6 +183,11 @@ class TestPropagatorMemo:
         assert prop is fock.propagator(QuadraticOperator(c_n=1 + 0j), 8)
         with pytest.raises(ValueError):
             prop.eigvecs[0, 0] = 2.0
+
+    def test_rejects_a_non_hermitian_generator(self):
+        # a alone: its matrix has √n above the diagonal and zeros below.
+        with pytest.raises(NotHermitianError, match="Hermitian"):
+            fock.Propagator(QuadraticOperator(c_a=1.0), 8)
 
 
 class TestEscalation:

@@ -128,6 +128,43 @@ class TestEvolve:
         assert photon_number(got) == pytest.approx(fock.mean_photon_fock(psi_t), abs=1e-6)
 
 
+class TestDefects:
+    """The closed-form invariants against eigvalsh and det of the 2×2 matrices."""
+
+    @staticmethod
+    def states() -> GaussianState:
+        # sigma = ν R diag(e^{2r}, e^{−2r}) Rᵀ / 2: pure at ν = 1, mixed
+        # (det sigma > ¼) above, unphysical (det sigma < ¼) in (0, 1), and
+        # not even positive for ν < 0. One row of 40 random states per ν.
+        rng = np.random.default_rng(20261018)
+        nu = np.array([1.0, 1.5, 3.0, 0.5, 0.9, -0.7])[:, None]
+        shape = (nu.size, 40)
+        r, phi = rng.uniform(-2.0, 2.0, shape), rng.uniform(0.0, math.pi, shape)
+        a, b = 0.5 * nu * np.exp(2.0 * r), 0.5 * nu * np.exp(-2.0 * r)
+        c, s = np.cos(phi), np.sin(phi)
+        return GaussianState(rng.normal(size=shape), rng.normal(size=shape),
+                             a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
+
+    def test_match_the_matrix_references(self):
+        state = self.states()
+        sigma = np.moveaxis(state.sigma, (0, 1), (-2, -1))
+        want_unc = -np.linalg.eigvalsh(sigma + 0.5j * OMEGA)[..., 0]
+        want_purity = np.abs(np.linalg.det(sigma) - 0.25)
+        scale = np.abs(state.sxx) + np.abs(state.spp)
+        unc, purity = state.uncertainty_defect(), state.purity_defect()
+        assert unc.shape == purity.shape == state.sxx.shape
+        assert np.all(np.abs(unc - want_unc) <= 1e-14 * scale)
+        assert np.all(np.abs(purity - want_purity) <= 1e-14 * scale**2)
+        # The sign says which side of σ + iΩ/2 ≥ 0 a row is on.
+        assert np.all(unc[0] <= 1e-14 * scale[0]) and np.all(purity[0] <= 1e-14 * scale[0]**2)
+        assert np.all(unc[1:3] < 0.0) and np.all(unc[3:] > 0.0)
+
+    def test_scalar_state_gives_a_scalar(self):
+        vacuum_defects = (VACUUM.uncertainty_defect(), VACUUM.purity_defect())
+        assert [np.shape(d) for d in vacuum_defects] == [(), ()]
+        assert vacuum_defects == (0.0, 0.0)
+
+
 class TestMoments:
     def test_expectation_examples(self):
         assert expectation(VACUUM, N) == pytest.approx(0.0, abs=1e-15)

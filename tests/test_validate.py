@@ -63,6 +63,27 @@ def test_oracle_report_does_not_depend_on_blas_threads():
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("error, passed", [(1.5e-6, False), (0.5e-6, True)])
+def test_oracle_moments_gate_on_what_they_report(monkeypatch, error, passed):
+    # Every oracle moment off by error·max(1, n̄): the check passes iff every
+    # maximum it reports, each relative to the oracle's scale, is within the
+    # tolerance it reports.
+    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.9, 0.35)))
+    moments_of = fock.fock_moments
+
+    def perturbed(psi):
+        mu, sigma = moments_of(psi)
+        shift = error * max(1.0, fock.mean_photon_fock(psi))
+        return mu + shift, sigma + shift
+
+    monkeypatch.setattr(fock, "fock_moments", perturbed)
+    moments, _ = validate.check_oracle_agreement()
+    reported = {key: value for key, value in moments.measured.items() if key != "max_dim"}
+    assert set(reported) == {"max_mu_rel", "max_sigma_rel", "max_nbar_rel", "max_varD_rel"}
+    assert moments.passed is passed
+    assert moments.passed == all(v <= moments.tolerance["moments"] for v in reported.values())
+
+
 def test_oracle_qfi_starts_at_the_converged_truncation(monkeypatch):
     # Each point's numeric QFI starts at the truncation its state converged
     # at, so every truncation that fails the tail check fails while the
