@@ -2,17 +2,18 @@
 
 This module is the independent ground truth for everything the Gaussian
 engine and the metrology formulas compute in closed form: states are complex
-amplitude vectors in a truncated Fock basis, Hamiltonians are dense
-Hermitian matrices filled band by band from their six coefficients, and
-evolution goes through an eigendecomposition. Each (Hamiltonian, truncation)
-is decomposed once per process: a small bounded memo hands the same
-:class:`Propagator` to every evolution time and every caller of the run, so
-the protocol state and the numeric QFI of one point, the points that share
-H_c and every use of the encoding generator share their decompositions. The
-decomposition is real symmetric (float64) when all six coefficients are
-real, which every shipped H_c, a†a and X are, and complex Hermitian
-otherwise. Dense linear algebra caps the useful truncation around a few
-hundred levels, which is all the desk-scale parameter ranges here need.
+amplitude vectors in a truncated Fock basis, Hamiltonians are Hermitian
+matrices filled band by band from their six coefficients, and evolution goes
+through an eigendecomposition of only the levels each Hamiltonian couples
+(:class:`Propagator`). Each (Hamiltonian, truncation) is decomposed once per
+process: a small bounded memo hands the same :class:`Propagator` to every
+evolution time and every caller of the run, so the protocol state and the
+numeric QFI of one point, the points that share H_c and every use of the
+encoding generator share their decompositions. The decomposition is real
+symmetric (float64) when all six coefficients are real, which every shipped
+H_c, a†a and X are, and complex Hermitian otherwise. Dense linear algebra
+caps the useful truncation around a few hundred levels, which is all the
+desk-scale parameter ranges here need.
 
 Truncation honesty is enforced, not assumed: after every evolution the
 amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
@@ -37,8 +38,8 @@ TAIL_TOL = 1e-10
 DEFAULT_DIM = 60
 MAX_DIM = 480
 # Decompositions kept by the propagator memo. The 20-point validate grid
-# needs 15 distinct (H, dim) pairs; the largest entry (dim 480, complex)
-# holds 3.7 MB of eigenvectors.
+# needs 15 distinct (H, dim) pairs; the largest entry (H_c at dim 480, split
+# into two real blocks) holds 2 × 240² float64 ≈ 0.9 MB of eigenvectors.
 PROPAGATOR_CACHE_SIZE = 16
 
 _SQRT2 = math.sqrt(2.0)
@@ -128,25 +129,55 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
     return state
 
 
-class Propagator:
-    """exp(−iHt) applied through one reusable eigendecomposition of H.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    The eigenvectors are read-only because one instance is shared by every
+
+class Propagator:
+    """exp(−iHt) applied through the smallest decomposition H's structure allows.
+
+    - Diagonal H (only c_n and c_1 nonzero, e.g. a†a): the phases of
+      c_n·n + c_1 multiply the amplitudes; no matrix, no eigendecomposition.
+    - No linear term (c_a = c_ad = 0, every shipped H_c): H couples n only to
+      n ± 2, so the even and odd levels are two blocks of half the size,
+      each decomposed and applied on its own.
+    - Otherwise: one dense eigendecomposition.
+
+    The stored arrays are read-only because one instance is shared by every
     caller that asks :func:`propagator` for the same (H, dim).
     """
 
     def __init__(self, hamiltonian: QuadraticOperator, dim: int):
         if not hamiltonian.is_hermitian():
             raise NotHermitianError("propagator requires a Hermitian generator")
-        self.eigvals, self.eigvecs = np.linalg.eigh(build_matrix(hamiltonian, dim))
-        self.eigvecs.flags.writeable = False
+        if dim < 2:
+            raise ValueError("dim must be at least 2")
+        h = hamiltonian
+        no_linear = h.c_a == 0 and h.c_ad == 0
+        # Each block is (its levels, eigenvalues, eigenvectors or None if diagonal).
+        if no_linear and h.c_aa == 0 and h.c_adad == 0:
+            energies = h.c_n.real * np.arange(float(dim)) + h.c_1.real
+            self._blocks = ((slice(None), _read_only(energies), None),)
+        else:
+            m = build_matrix(h, dim)
+            parts = (slice(0, None, 2), slice(1, None, 2)) if no_linear else (slice(None),)
+            self._blocks = tuple(
+                (part, *map(_read_only, np.linalg.eigh(m[part, part]))) for part in parts
+            )
         self.dim = dim
 
     def apply(self, state: FockState, t: float) -> FockState:
-        phases = np.exp(-1j * self.eigvals * float(t))
-        # V†ψ = conj(Vᵀ conj ψ): no conjugated copy of V is made or stored.
-        coeffs = _matvec(self.eigvecs.T, state.amps.conj()).conj()
-        amps = _matvec(self.eigvecs, phases * coeffs)
+        amps = np.empty(self.dim, dtype=complex)
+        for levels, eigvals, eigvecs in self._blocks:
+            phases = np.exp(-1j * eigvals * float(t))
+            psi = state.amps[levels]
+            if eigvecs is None:
+                amps[levels] = phases * psi
+            else:
+                # V†ψ = conj(Vᵀ conj ψ): no conjugated copy of V is made or stored.
+                coeffs = _matvec(eigvecs.T, psi.conj()).conj()
+                amps[levels] = _matvec(eigvecs, phases * coeffs)
         out = FockState(amps)
         if out.tail_mass() > TAIL_TOL:
             raise TruncationNotConvergedError(

@@ -17,9 +17,6 @@ import numpy as np
 
 from .operators import QuadraticOperator, flow_weights, to_quadrature_form
 
-# Symplectic form for r = (X, P): [r_j, r_k] = i * OMEGA_jk.
-OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 _SQRT2 = np.sqrt(2.0)
 
 

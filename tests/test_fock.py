@@ -164,6 +164,21 @@ class TestEvolveFock:
         )
 
 
+def stored_arrays(obj) -> list[np.ndarray]:
+    """Every array an object holds in its attributes, through nested tuples."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+
+    walk(tuple(vars(obj).values()))
+    return found
+
+
 class TestPropagatorMemo:
     def test_state_and_qfi_share_decompositions(self, propagator_builds):
         # g = 0.9 at t_c = 2 escalates past the default truncation, so both
@@ -178,16 +193,87 @@ class TestPropagatorMemo:
         assert {h for h, _ in propagator_builds} == {spec.Hc, spec.Htheta}
         assert set(propagator_builds.values()) == {1}
 
-    def test_shared_propagator_is_read_only(self):
-        prop = fock.propagator(N, 8)
-        assert prop is fock.propagator(QuadraticOperator(c_n=1 + 0j), 8)
-        with pytest.raises(ValueError):
-            prop.eigvecs[0, 0] = 2.0
+    @pytest.mark.parametrize("op, eigvec_blocks", [
+        (N, 0),
+        (qrm_effective(1.0, 0.9), 2),
+        (QuadraticOperator.position(), 1),
+    ], ids=["diagonal", "parity-split", "dense"])
+    def test_shared_propagator_is_read_only(self, op, eigvec_blocks):
+        prop = fock.propagator(op, 8)
+        assert prop is fock.propagator(QuadraticOperator(*op.coeffs()), 8)
+        arrays = stored_arrays(prop)
+        assert arrays and sum(a.ndim == 2 for a in arrays) == eigvec_blocks
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 2.0
 
     def test_rejects_a_non_hermitian_generator(self):
         # a alone: its matrix has √n above the diagonal and zeros below.
         with pytest.raises(NotHermitianError, match="Hermitian"):
             fock.Propagator(QuadraticOperator(c_a=1.0), 8)
+
+
+_SMALL = st.floats(-1.0, 1.0)
+_COMPLEX = st.builds(complex, _SMALL, _SMALL)
+
+
+def _hermitian(c_n, c_aa, c_a, c_1) -> QuadraticOperator:
+    return QuadraticOperator(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c_1)
+
+
+# Random Hermitian quadratic operators of each structure the propagator
+# distinguishes: diagonal; no linear term (elliptic, hyperbolic det G < 0,
+# real or complex c_aa); with a linear term.
+_DIAGONAL = st.builds(lambda c_n, c_1: _hermitian(c_n, 0j, 0j, c_1), _SMALL, _SMALL)
+_NO_LINEAR = st.builds(lambda c_n, c_aa, c_1: _hermitian(c_n, c_aa, 0j, c_1),
+                       _SMALL, _COMPLEX.filter(lambda z: z != 0), _SMALL)
+_LINEAR = st.builds(_hermitian, _SMALL, _COMPLEX, _COMPLEX.filter(lambda z: z != 0), _SMALL)
+
+
+def dense_apply(op: QuadraticOperator, amps: np.ndarray, t: float) -> np.ndarray:
+    """Reference: V exp(−iΛt) V†ψ from one full eigendecomposition of the matrix."""
+    energies, eigvecs = np.linalg.eigh(fock.build_matrix(op, amps.size))
+    return eigvecs @ (np.exp(-1j * energies * t) * (eigvecs.conj().T @ amps))
+
+
+class TestPropagatorStructure:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_DIAGONAL, _NO_LINEAR, _LINEAR), st.sampled_from((81, 96)),
+           st.floats(-0.25, 0.25), st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_decomposition(self, op, dim, t, seed):
+        # Support on the lowest ten levels, and |t|·|c| ≤ 0.36: the state
+        # stays far from the truncation edge, so the tail check passes.
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(dim, dtype=complex)
+        amps[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        got = fock.Propagator(op, dim).apply(fock.FockState(amps), t).amps
+        want = dense_apply(op, amps, t)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(amps)
+
+    def test_split_propagator_keeps_parity(self):
+        amps = np.zeros(120, dtype=complex)
+        amps[0:10:2] = [0.6, 0.5j, -0.4, 0.3, 0.2 - 0.1j]
+        for op in (qrm_effective(1.0, 0.9), _hermitian(1.5, 0.3 - 0.4j, 0j, 0.1)):
+            out = fock.Propagator(op, 120).apply(fock.FockState(amps), 0.7)
+            assert np.all(out.amps[1::2] == 0.0)
+            assert np.linalg.norm(out.amps) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
+
+    @pytest.mark.parametrize("op, sizes", [
+        (N, []),
+        (qrm_effective(1.0, 0.99), [240, 240]),
+        (QuadraticOperator.position(), [480]),
+    ], ids=["a†a", "H_c", "X"])
+    def test_decomposes_only_the_coupled_blocks(self, monkeypatch, op, sizes):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fock.Propagator(op, 480)
+        assert shapes == [(n, n) for n in sizes]
 
 
 class TestEscalation:
@@ -241,9 +327,9 @@ def one_minus_fidelity(spec: ProtocolSpec, delta: float, dim: int) -> float:
     so no difference of nearly equal numbers is ever formed.
     """
     psi = fock.evolve_fock(fock.coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
-    encoder = fock.propagator(spec.Htheta, dim)
-    weights = np.abs(encoder.eigvecs.conj().T @ psi.amps) ** 2
-    half = delta * spec.t_theta * encoder.eigvals
+    energies, eigvecs = np.linalg.eigh(fock.build_matrix(spec.Htheta, dim))
+    weights = np.abs(eigvecs.conj().T @ psi.amps) ** 2
+    half = delta * spec.t_theta * energies
     one_minus_sq = float(weights @ (2.0 * np.sin(half[:, None] - half[None, :]) ** 2) @ weights)
     return one_minus_sq / (1.0 + math.sqrt(1.0 - one_minus_sq))
 

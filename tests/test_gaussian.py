@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from canp import fock
 from canp.gaussian import (
-    OMEGA,
     GaussianState,
     coherent,
     evolution_map,
@@ -31,6 +30,8 @@ VACUUM = coherent(0j)
 N = QuadraticOperator.number()
 X = QuadraticOperator.position()
 P = QuadraticOperator(c_a=-1j / math.sqrt(2.0), c_ad=1j / math.sqrt(2.0))  # i(a† − a)/√2
+# Symplectic form for r = (X, P): [r_j, r_k] = i * OMEGA_jk.
+OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestCoherent:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from canp import fock, gaussian, validate
+from canp import ModelParams, fock, gaussian, validate
 from canp.errors import TruncationNotConvergedError
 
 
@@ -30,14 +30,45 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
     assert qfi.seconds == pytest.approx(3.0)
 
 
-def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure_derivations):
+# Each oracle point's converged truncation, and the truncations each H_c
+# (keyed by g) is decomposed at on the way there.
+ORACLE_DIMS = {
+    (0.50, 0.00): 60, (0.50, 0.25): 60, (0.50, 0.50): 60, (0.50, 0.75): 60,
+    (0.70, 0.05): 60, (0.70, 0.30): 60, (0.70, 0.55): 60, (0.70, 0.80): 60,
+    (0.90, 0.10): 60, (0.90, 0.35): 120, (0.90, 0.60): 120, (0.90, 0.85): 120,
+    (0.96, 0.15): 120, (0.96, 0.40): 240, (0.96, 0.65): 240, (0.96, 0.90): 240,
+    (0.99, 0.00): 60, (0.99, 0.05): 60, (0.99, 0.125): 240, (0.99, 0.20): 480,
+}
+HC_DIMS = {0.5: (60,), 0.7: (60,), 0.9: (60, 120), 0.96: (60, 120, 240),
+           0.99: (60, 120, 240, 480)}
+
+
+def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure_derivations,
+                                                    monkeypatch):
     # 20 points at up to four truncations: one build per (H, dim) pair the
-    # pass needs, instead of two per point and truncation.
+    # pass needs, instead of two per point and truncation. The escalation
+    # ladder is pinned: which truncation passes the tail check does not
+    # depend on how the propagator decomposes H.
+    dims = {}
+    oracle_point = validate._oracle_point
+
+    def recording(point):
+        result = oracle_point(point)
+        dims[point] = result["dim"]
+        return result
+
+    monkeypatch.setattr(validate, "_oracle_point", recording)
     moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
-    assert moments.measured["max_dim"] == fock.MAX_DIM
+    assert dims == ORACLE_DIMS
+    assert moments.measured["max_dim"] == fock.MAX_DIM == 480
+    htheta = ModelParams("QRM-frequency", g=0.5).encoding()
+    want = {(htheta, dim) for dim in (60, 120, 240, 480)} | {
+        (ModelParams("QRM-frequency", g=g).preparation(), dim)
+        for g, hc_dims in HC_DIMS.items() for dim in hc_dims
+    }
+    assert set(propagator_builds) == want and len(want) == 15
     assert set(propagator_builds.values()) == {1}
-    assert sum(propagator_builds.values()) <= 20
     # One Protocol per point gives both its Gaussian state and its exact QFI.
     assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
 
