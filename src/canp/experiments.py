@@ -304,8 +304,13 @@ def _prepared(cfg: RunConfig, params: ModelParams, sqrt_delta_tc):
     try:
         return protocol, protocol.preparation_time(sqrt_delta_tc)
     except CommutingPairError as exc:
-        value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
-        raise ConfigError(f"model {value}: {exc}") from exc
+        raise _model_error(params, exc) from exc
+
+
+def _model_error(params: ModelParams, exc: Exception) -> ConfigError:
+    """A ConfigError naming the model value that raised exc."""
+    value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
+    return ConfigError(f"model {value}: {exc}")
 
 
 def _critical_ratio(cfg: RunConfig, params: ModelParams) -> float:
@@ -393,19 +398,23 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
 
 
 def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
+    # The threshold comes first: a bracket it rejects stops the run before
+    # the sweep, after at most its two end values.
     lam_axis = cfg.axis("lambda").values()
-    rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
-            for lam in lam_axis.tolist()]
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
     try:
         lam_star = find_threshold(
             "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
             omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
         )
+    except CommutingPairError as exc:
+        raise _model_error(cfg.model, exc) from exc
     except OutOfPhaseError as exc:
         raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     except NoSignChangeError as exc:
         raise ConfigError(str(exc)) from exc
+    rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
+            for lam in lam_axis.tolist()]
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows

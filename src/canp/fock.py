@@ -41,6 +41,9 @@ MAX_DIM = 480
 # needs 15 distinct (H, dim) pairs; the largest entry (H_c at dim 480, split
 # into two real blocks) holds 2 × 240² float64 ≈ 0.9 MB of eigenvectors.
 PROPAGATOR_CACHE_SIZE = 16
+# Coherent probes kept by their memo: the validate grid reads one per
+# truncation it tries (4).
+COHERENT_CACHE_SIZE = 8
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -72,13 +75,16 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def build_matrix(op: QuadraticOperator, dim: int) -> np.ndarray:
-    """Matrix of a quadratic operator in the first `dim` number states.
+def build_matrix(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
+    """Matrix of a quadratic operator on the number states start, start + step, … < dim.
 
     Filled band by band from the coefficients: n on the diagonal (a†a),
     √(n+1) on the first off-diagonals (a above, a† below) and √((n+1)(n+2))
-    on the second (a² above, a†² below). The matrix is float64 when all six
-    coefficients are real and complex128 otherwise.
+    on the second (a² above, a†² below). A band joins two kept levels only
+    when its offset is a multiple of `step`, so (start, step) = (p, 2) gives
+    the parity-p block, equal entry by entry to the full matrix's. The
+    matrix is float64 when all six coefficients are real and complex128
+    otherwise.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -86,14 +92,19 @@ def build_matrix(op: QuadraticOperator, dim: int) -> np.ndarray:
     real = all(c.imag == 0.0 for c in coeffs)
     c_n, c_aa, c_adad, c_a, c_ad, c_1 = (c.real for c in coeffs) if real else coeffs
     root = np.sqrt(np.arange(1.0, dim))  # √(n+1), n = 0 … dim−2
-    pair = root[:-1] * root[1:]  # √(n+1)·√(n+2), n = 0 … dim−3
-    i = np.arange(dim)
-    m = np.zeros((dim, dim), dtype=float if real else complex)
-    m[i, i] = c_n * np.arange(float(dim)) + c_1
-    m[i[:-1], i[1:]] = c_a * root
-    m[i[1:], i[:-1]] = c_ad * root
-    m[i[:-2], i[2:]] = c_aa * pair
-    m[i[2:], i[:-2]] = c_adad * pair
+    diagonal = c_n * np.arange(start, dim, step, dtype=float) + c_1
+    k = diagonal.size
+    m = np.zeros((k, k), dtype=float if real else complex)
+    flat = m.reshape(-1)  # band b: flat[b:(k−b)k:k+1] above the diagonal, flat[bk::k+1] below
+    flat[::k + 1] = diagonal
+    # (offset, coefficient above, coefficient below, values by the lower level n)
+    for offset, above, below, values in ((1, c_a, c_ad, root),
+                                         (2, c_aa, c_adad, root[:-1] * root[1:])):
+        if offset % step == 0:
+            b = offset // step
+            values = values[start::step]
+            flat[b:(k - b) * k:k + 1] = above * values
+            flat[b * k::k + 1] = below * values
     return m
 
 
@@ -112,10 +123,19 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def coherent_fock(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha⟩ truncated to `dim` levels and renormalized.
 
-    Amplitudes follow the stable recurrence c_n = c_{n−1} α/√n. The missing
-    mass beyond the truncation must itself satisfy the tail tolerance.
+    The amplitudes are shared, read-only, by every caller of the same
+    (alpha, dim); see :func:`_coherent_amps`.
     """
-    alpha = complex(alpha)
+    return FockState(_coherent_amps(complex(alpha), dim))
+
+
+@lru_cache(maxsize=COHERENT_CACHE_SIZE)
+def _coherent_amps(alpha: complex, dim: int) -> np.ndarray:
+    """Amplitudes of the truncated coherent state, built on first request.
+
+    They follow the stable recurrence c_n = c_{n−1} α/√n. The missing mass
+    beyond the truncation must itself satisfy the tail tolerance.
+    """
     amps = np.zeros(dim, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
@@ -125,8 +145,7 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
-    state.amps = state.amps / state.norm()
-    return state
+    return _read_only(amps / state.norm())
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -141,7 +160,7 @@ class Propagator:
       c_n·n + c_1 multiply the amplitudes; no matrix, no eigendecomposition.
     - No linear term (c_a = c_ad = 0, every shipped H_c): H couples n only to
       n ± 2, so the even and odd levels are two blocks of half the size,
-      each decomposed and applied on its own.
+      each filled, decomposed and applied on its own.
     - Otherwise: one dense eigendecomposition.
 
     The stored arrays are read-only because one instance is shared by every
@@ -160,10 +179,12 @@ class Propagator:
             energies = h.c_n.real * np.arange(float(dim)) + h.c_1.real
             self._blocks = ((slice(None), _read_only(energies), None),)
         else:
-            m = build_matrix(h, dim)
-            parts = (slice(0, None, 2), slice(1, None, 2)) if no_linear else (slice(None),)
+            # (first level, level step) of each block.
+            parts = ((0, 2), (1, 2)) if no_linear else ((0, 1),)
             self._blocks = tuple(
-                (part, *map(_read_only, np.linalg.eigh(m[part, part]))) for part in parts
+                (slice(start, None, step),
+                 *map(_read_only, np.linalg.eigh(build_matrix(h, dim, start, step))))
+                for start, step in parts
             )
         self.dim = dim
 

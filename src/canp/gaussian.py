@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import QuadraticOperator, flow_weights, to_quadrature_form
+from .operators import QuadraticOperator, flow_weights, quadrature_entries, to_quadrature_form
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -83,9 +83,7 @@ class Form(NamedTuple):
 
     @classmethod
     def of(cls, op: QuadraticOperator) -> "Form":
-        g_mat, v, _ = to_quadrature_form(op)
-        return cls(float(g_mat[0, 0]), float(g_mat[0, 1]), float(g_mat[1, 1]),
-                   float(v[0]), float(v[1]))
+        return cls(*quadrature_entries(op)[:5])
 
 
 class Flow:

@@ -6,6 +6,12 @@ Lie algebra spanned by {a†a, a², a†², a, a†, 1}. Commutators follow from
 coefficient arithmetic with no truncation. Cubic or higher terms are
 unrepresentable by construction.
 
+An operator is a :class:`QuadraticOperator`, a named tuple of its six
+scalar coefficients, and every function here is plain Python arithmetic on
+those scalars: the runtime derives the critical structure of each model
+value it touches, so per-call cost is what matters. numpy enters only for
+the two dot products of the Δ fit and for the flow weights over time arrays.
+
 Quadrature convention used throughout: X = (a + a†)/√2, P = i(a† − a)/√2,
 so [X, P] = i and the vacuum has Var X = Var P = 1/2.
 """
@@ -13,7 +19,9 @@ so [X, P] = i and the vacuum has Var X = Var P = 1/2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +44,14 @@ SERIES_SWITCH = 1e-6
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class QuadraticOperator:
-    """c_n a†a + c_aa a² + c_adad a†² + c_a a + c_ad a† + c_1."""
+class QuadraticOperator(NamedTuple):
+    """c_n a†a + c_aa a² + c_adad a†² + c_a a + c_ad a† + c_1.
+
+    A tuple of its six scalar coefficients, so equal operators compare and
+    hash equal and building one costs no more than a tuple. The arithmetic
+    operators are the algebra's, never tuple concatenation or repetition,
+    and numpy scalars defer to them (``__array_ufunc__ = None``).
+    """
 
     c_n: complex = 0j
     c_aa: complex = 0j
@@ -47,29 +60,18 @@ class QuadraticOperator:
     c_ad: complex = 0j
     c_1: complex = 0j
 
+    __array_ufunc__ = None
+
     def coeffs(self) -> tuple[complex, complex, complex, complex, complex, complex]:
-        return (
-            complex(self.c_n),
-            complex(self.c_aa),
-            complex(self.c_adad),
-            complex(self.c_a),
-            complex(self.c_ad),
-            complex(self.c_1),
-        )
+        """The six coefficients as Python complex numbers."""
+        return tuple(map(complex, self))
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (natural scale of the operator)."""
-        return max(abs(c) for c in self.coeffs())
+        return max(map(abs, self))
 
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
-        return QuadraticOperator(
-            self.c_n + other.c_n,
-            self.c_aa + other.c_aa,
-            self.c_adad + other.c_adad,
-            self.c_a + other.c_a,
-            self.c_ad + other.c_ad,
-            self.c_1 + other.c_1,
-        )
+        return QuadraticOperator._make(map(operator.add, self, other))
 
     def __sub__(self, other: "QuadraticOperator") -> "QuadraticOperator":
         return self + (-1.0) * other
@@ -79,7 +81,7 @@ class QuadraticOperator:
 
     def __mul__(self, scalar: complex) -> "QuadraticOperator":
         s = complex(scalar)
-        return QuadraticOperator(*(s * c for c in self.coeffs()))
+        return QuadraticOperator._make(s * complex(c) for c in self)
 
     __rmul__ = __mul__
 
@@ -89,12 +91,13 @@ class QuadraticOperator:
         HERMITIAN_TOL is scaled by the operator's coefficient magnitude so
         large operators are judged on the same relative footing.
         """
+        c_n, c_aa, c_adad, c_a, c_ad, c_1 = self
         tol = HERMITIAN_TOL * max(1.0, self.max_abs())
         return (
-            abs(self.c_n.imag) <= tol
-            and abs(self.c_1.imag) <= tol
-            and abs(self.c_adad - self.c_aa.conjugate()) <= tol
-            and abs(self.c_ad - self.c_a.conjugate()) <= tol
+            abs(c_n.imag) <= tol
+            and abs(c_1.imag) <= tol
+            and abs(c_adad - c_aa.conjugate()) <= tol
+            and abs(c_ad - c_a.conjugate()) <= tol
         )
 
     # Common building blocks.
@@ -118,13 +121,15 @@ def commutator(a: QuadraticOperator, b: QuadraticOperator) -> QuadraticOperator:
         [a², a†²]  = 4 a†a + 2  [a², a†]   = 2 a
         [a†², a]   = −2 a†      [a, a†]    = 1
     """
+    a_n, a_aa, a_adad, a_a, a_ad, _ = a
+    b_n, b_aa, b_adad, b_a, b_ad, _ = b
     return QuadraticOperator(
-        c_n=4.0 * (a.c_aa * b.c_adad - a.c_adad * b.c_aa),
-        c_aa=-2.0 * (a.c_n * b.c_aa - a.c_aa * b.c_n),
-        c_adad=2.0 * (a.c_n * b.c_adad - a.c_adad * b.c_n),
-        c_a=-(a.c_n * b.c_a - a.c_a * b.c_n) + 2.0 * (a.c_aa * b.c_ad - a.c_ad * b.c_aa),
-        c_ad=(a.c_n * b.c_ad - a.c_ad * b.c_n) - 2.0 * (a.c_adad * b.c_a - a.c_a * b.c_adad),
-        c_1=2.0 * (a.c_aa * b.c_adad - a.c_adad * b.c_aa) + (a.c_a * b.c_ad - a.c_ad * b.c_a),
+        4.0 * (a_aa * b_adad - a_adad * b_aa),
+        -2.0 * (a_n * b_aa - a_aa * b_n),
+        2.0 * (a_n * b_adad - a_adad * b_n),
+        -(a_n * b_a - a_a * b_n) + 2.0 * (a_aa * b_ad - a_ad * b_aa),
+        (a_n * b_ad - a_ad * b_n) - 2.0 * (a_adad * b_a - a_a * b_adad),
+        2.0 * (a_aa * b_adad - a_adad * b_aa) + (a_a * b_ad - a_ad * b_a),
     )
 
 
@@ -177,18 +182,20 @@ def derive_critical_structure(
     d_op = commutator(hc, t1)
     t3 = commutator(hc, d_op)
 
-    t1_vec = np.array(t1.coeffs())
-    t3_vec = np.array(t3.coeffs())
-    delta_fit = np.vdot(t1_vec, t3_vec) / np.vdot(t1_vec, t1_vec).real
-    mismatch = np.max(np.abs(t3_vec - delta_fit * t1_vec))
-    residual = float(mismatch / (max(abs(delta_fit), 1e-300) * t1_max))
+    # The fit's dot products stay in BLAS (np.vdot), whose summation order
+    # sets Δ's last bit; the mismatch is six plain complex operations.
+    t1_vec = np.array(t1, dtype=complex)
+    t3_vec = np.array(t3, dtype=complex)
+    delta_fit = complex(np.vdot(t1_vec, t3_vec) / np.vdot(t1_vec, t1_vec).real)
+    mismatch = max(abs(x - delta_fit * y) for x, y in zip(t3_vec.tolist(), t1_vec.tolist()))
+    residual = mismatch / (max(abs(delta_fit), 1e-300) * t1_max)
 
     if residual > RESIDUAL_MAX:
         raise ConditionViolatedError(
             f"triple-commutator closure fails: residual {residual:.3e} > {RESIDUAL_MAX:.1e}"
         )
 
-    delta = float(delta_fit.real)
+    delta = delta_fit.real
     if delta < 0.0:
         if abs(delta) > 1e-12 * max(1.0, abs(delta_fit)):
             raise NegativeDeltaError(f"proportionality constant {delta} < 0")
@@ -242,24 +249,22 @@ def _flow_series(t, x):
     )
 
 
-def to_quadrature_form(op: QuadraticOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """Write a Hermitian operator as ½ rᵀG r + vᵀr + c0 with r = (X, P).
+def quadrature_entries(op: QuadraticOperator) -> tuple[float, float, float, float, float, float]:
+    """(G_xx, G_xp, G_pp, v_x, v_p, c0) of a Hermitian operator ½ rᵀG r + vᵀr + c0.
 
-    Uses the symmetric (Weyl) ordering of the quadrature monomials; the
-    reordering constant lands in c0 (e.g. a†a = (X² + P² − 1)/2 gives
+    r = (X, P), in the symmetric (Weyl) ordering of the quadrature monomials;
+    the reordering constant lands in c0 (e.g. a†a = (X² + P² − 1)/2 gives
     G = I, v = 0, c0 = −1/2).
     """
     if not op.is_hermitian():
         raise NotHermitianError("quadrature form requires a Hermitian operator")
     cn = op.c_n.real
-    re_aa = op.c_aa.real
-    im_aa = op.c_aa.imag
-    g_mat = np.array(
-        [
-            [cn + 2.0 * re_aa, -2.0 * im_aa],
-            [-2.0 * im_aa, cn - 2.0 * re_aa],
-        ]
-    )
-    v = np.array([_SQRT2 * op.c_a.real, -_SQRT2 * op.c_a.imag])
-    c0 = op.c_1.real - 0.5 * cn
-    return g_mat, v, c0
+    re_aa, im_aa = op.c_aa.real, op.c_aa.imag
+    return (cn + 2.0 * re_aa, -2.0 * im_aa, cn - 2.0 * re_aa,
+            _SQRT2 * op.c_a.real, -_SQRT2 * op.c_a.imag, op.c_1.real - 0.5 * cn)
+
+
+def to_quadrature_form(op: QuadraticOperator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G, v, c0) of :func:`quadrature_entries` as a 2×2 matrix, a vector and a float."""
+    gxx, gxp, gpp, vx, vp, c0 = quadrature_entries(op)
+    return np.array([[gxx, gxp], [gxp, gpp]]), np.array([vx, vp]), c0

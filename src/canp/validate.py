@@ -13,6 +13,7 @@ a crash.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -64,7 +65,7 @@ def _protocol(params: ModelParams) -> Protocol:
 
 def _draws(seed: int):
     """100 seeded draws of (ω, g, λ, γ) inside the normal phases of both families."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(100):
         yield (0.5 + 1.5 * rng.random(), 0.01 + 0.98 * rng.random(),
                0.01 + 0.98 * rng.random(), 1.05 + 1.95 * rng.random())

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +34,14 @@ def structure_derivations(monkeypatch):
 
     monkeypatch.setattr(metrology, "derive_critical_structure", counting)
     return calls
+
+
+@pytest.fixture
+def child_env():
+    """Environment builder for a child interpreter that imports canp from this checkout.
+
+    The child writes no bytecode, so a test run leaves no ``__pycache__``
+    in the source tree; ``child_env(NAME=value)`` adds variables.
+    """
+    src = str(Path(fock.__file__).resolve().parents[1])
+    return lambda **extra: {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **extra}

@@ -228,6 +228,22 @@ class TestRunners:
         assert value in err and "the pair commutes" in err
         assert not out.exists()
 
+    # lmg-threshold finds the threshold before it sweeps: a bracket without
+    # a crossing, or a commuting model, stops the run after at most the two
+    # bracket ends instead of the whole 81-row sweep.
+    @pytest.mark.parametrize("override, message", [
+        ("--bracket=[0.2,0.3]", "config error: enhancement ratio − 1 has the same sign"),
+        ("--model.gamma=1.0", "config error: model variant=LMG-frequency"),
+    ])
+    def test_lmg_threshold_checks_the_bracket_before_the_sweep(
+            self, tmp_path, capsys, structure_derivations, override, message):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
+                       "--out", str(out), override])
+        assert rc == 2 and capsys.readouterr().err.startswith(message)
+        assert 1 <= len(structure_derivations) <= 2
+        assert not out.exists()
+
     # One derivation per model value a run builds. lmg-threshold's 95 are its
     # 81 rows, 12 bisection steps and both bracket ends, which repeat the
     # first and last rows; validate's are its oracle grid and every check
@@ -435,41 +451,39 @@ class TestCli:
     def test_unread_fields_are_not_checked(self, tmp_path, experiment, extra):
         config_from_dict(small_config(experiment, tmp_path, **extra))
 
-    def test_runtime_does_not_import_scipy(self):
-        src = Path(cli.__file__).resolve().parents[1]
+    def test_runtime_does_not_import_scipy(self, child_env):
         code = "import sys, canp.cli; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+                             env=child_env(), timeout=60, check=True)
         assert out.stdout.strip() == "False"
 
-    def test_cli_import_leaves_the_oracle_unloaded(self):
+    def test_cli_import_leaves_the_oracle_unloaded(self, child_env):
         # Only a validate run needs the number-basis oracle and its checks.
-        src = Path(cli.__file__).resolve().parents[1]
         code = ("import sys, canp.cli;"
                 " print('canp.fock' in sys.modules, 'canp.validate' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+                             env=child_env(), timeout=60, check=True)
         assert out.stdout.strip() == "False False"
 
-    def test_validate_starts_no_worker_process(self, tmp_path):
+    def test_validate_starts_no_worker_process(self, tmp_path, child_env):
         # The oracle runs in-process: a validate run must not even import
-        # the process-pool machinery.
+        # the process-pool machinery, nor numpy.random (its draws are
+        # stdlib-seeded).
         path = tmp_path / "v.json"
         path.write_text(json.dumps({"experiment": "validate", "oracle": True,
                                     "model": {"variant": "QRM-frequency", "g": 0.96},
                                     "out": str(tmp_path / "report.json")}))
-        src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import sys\n"
             "from canp import cli, validate\n"
             "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
             f"rc = cli.main(['validate', '--config', {str(path)!r}])\n"
             "print(rc, 'concurrent.futures.process' in sys.modules,"
-            " 'multiprocessing' in sys.modules)\n"
+            " 'multiprocessing' in sys.modules, 'numpy.random' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={"PYTHONPATH": str(src)}, timeout=120, check=True)
-        assert out.stdout.splitlines()[-1] == "0 False False"
+                             env=child_env(), timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False False False"
 
     def test_bad_override_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"

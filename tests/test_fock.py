@@ -87,6 +87,12 @@ class TestCoherentFock:
         with pytest.raises(TruncationNotConvergedError):
             fock.coherent_fock(5.0 + 0j, 20)
 
+    def test_amplitudes_are_shared_and_read_only(self):
+        first, second = fock.coherent_fock(ALPHA, 60), fock.coherent_fock(complex(ALPHA), 60)
+        assert first is not second and np.shares_memory(first.amps, second.amps)
+        with pytest.raises(ValueError):
+            first.amps[0] = 0.0
+
 
 def dense_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference: quadrature moments from dense X and P matrix products."""
@@ -207,6 +213,14 @@ class TestPropagatorMemo:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 2.0
 
+    def test_equal_operators_share_one_entry(self, propagator_builds):
+        # Built separately, two equal operators are one memo key and one build.
+        first, second = qrm_effective(1.0, 0.9), qrm_effective(1.0, 0.9)
+        assert first is not second
+        assert fock.propagator(first, 8) is fock.propagator(second, 8)
+        assert propagator_builds == {(first, 8): 1}
+        assert fock.propagator.cache_info().currsize == 1
+
     def test_rejects_a_non_hermitian_generator(self):
         # a alone: its matrix has √n above the diagonal and zeros below.
         with pytest.raises(NotHermitianError, match="Hermitian"):
@@ -274,6 +288,44 @@ class TestPropagatorStructure:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         fock.Propagator(op, 480)
         assert shapes == [(n, n) for n in sizes]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_DIAGONAL, _NO_LINEAR, _LINEAR), st.sampled_from((2, 3, 8, 61)),
+           st.sampled_from(((0, 1), (0, 2), (1, 2), (2, 3))))
+    def test_level_block_is_the_full_matrix_restricted(self, op, dim, levels):
+        start, step = levels
+        block = fock.build_matrix(op, dim, start, step)
+        full = fock.build_matrix(op, dim)[start::step, start::step]
+        assert block.dtype == full.dtype
+        assert block.tobytes() == np.ascontiguousarray(full).tobytes()
+
+    @pytest.mark.parametrize("op, levels", [
+        (qrm_effective(1.0, 0.99), [(0, 2), (1, 2)]),
+        (_hermitian(0.7, 0.3 - 0.4j, 0j, 0.1), [(0, 2), (1, 2)]),
+        (QuadraticOperator.position(), [(0, 1)]),
+    ], ids=["H_c", "complex-c_aa", "X"])
+    def test_fills_each_block_on_its_own(self, monkeypatch, op, levels):
+        # A split generator never builds the full matrix; each decomposed
+        # block holds exactly the full matrix's entries, bit for bit.
+        built, decomposed = [], []
+        build, eigh = fock.build_matrix, np.linalg.eigh
+
+        def recording_build(op, dim, *block):
+            built.append(block)
+            return build(op, dim, *block)
+
+        def recording_eigh(a, *args, **kwargs):
+            decomposed.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_matrix", recording_build)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        fock.Propagator(op, 480)
+        assert built == levels
+        full = build(op, 480)
+        for (start, step), block in zip(levels, decomposed, strict=True):
+            want = np.ascontiguousarray(full[start::step, start::step])
+            assert block.dtype == want.dtype and block.tobytes() == want.tobytes()
 
 
 class TestEscalation:

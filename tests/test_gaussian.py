@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from canp import fock
+from canp.errors import NotHermitianError
 from canp.gaussian import (
+    Form,
     GaussianState,
     coherent,
     evolution_map,
@@ -197,6 +199,27 @@ class TestMoments:
     def test_quadrature_stats(self):
         assert quadrature_stats(VACUUM) == pytest.approx((0.0, 0.5))
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
+
+
+_COEFF = st.floats(-3.0, 3.0)
+
+
+class TestForm:
+    # Form.of reads the entries straight from the coefficients; it must
+    # give the same bits as the matrix form, for complex c_aa and linear terms.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_COEFF, st.builds(complex, _COEFF, _COEFF), st.builds(complex, _COEFF, _COEFF),
+           _COEFF)
+    def test_entries_match_the_matrix_form(self, c_n, c_aa, c_a, c_1):
+        op = QuadraticOperator(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c_1)
+        g_mat, v, _ = to_quadrature_form(op)
+        want = (g_mat[0, 0], g_mat[0, 1], g_mat[1, 1], v[0], v[1])
+        assert g_mat[1, 0] == g_mat[0, 1]
+        assert np.array(Form.of(op)).tobytes() == np.array(want).tobytes()
+
+    def test_rejects_a_non_hermitian_operator(self):
+        with pytest.raises(NotHermitianError):
+            Form.of(QuadraticOperator(c_a=1.0))
 
 
 def expm_map(h: QuadraticOperator, t: float) -> tuple[np.ndarray, np.ndarray]:

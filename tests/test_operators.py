@@ -100,6 +100,30 @@ class TestCommutator:
             assert (1j * commutator(x, y)).is_hermitian()
 
 
+class TestArithmetic:
+    # The operator is a tuple of its coefficients: every arithmetic operator
+    # must be the algebra's, never tuple concatenation or repetition, and a
+    # numpy scalar must not turn it into an array.
+    OP = QuadraticOperator(1.0, 0.5 + 0.25j, 0.5 - 0.25j, 2.0, 2.0, -3.0)
+
+    @pytest.mark.parametrize("expr, scale", [
+        (lambda op: 2 * op, 2.0),
+        (lambda op: op * 2j, 2j),
+        (lambda op: np.float64(2.0) * op, 2.0),
+        (lambda op: -op, -1.0),
+        (lambda op: op - op, 0.0),
+        (lambda op: op + op, 2.0),
+    ], ids=["int*op", "op*complex", "numpy*op", "neg", "sub", "add"])
+    def test_result_is_an_operator(self, expr, scale):
+        got = expr(self.OP)
+        assert type(got) is QuadraticOperator
+        assert got.coeffs() == tuple(scale * c for c in self.OP.coeffs())
+
+    def test_equal_operators_compare_and_hash_equal(self):
+        twin = QuadraticOperator(*self.OP.coeffs())
+        assert twin is not self.OP and twin == self.OP and hash(twin) == hash(self.OP)
+
+
 class TestHermiticity:
     def test_flag(self):
         assert N.is_hermitian()

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -73,10 +72,22 @@ def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure
     assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
 
 
-def test_oracle_report_does_not_depend_on_blas_threads():
+def test_oracle_pass_builds_one_coherent_probe_per_truncation():
+    # Every point starts from the same probe, so the pass builds it once at
+    # each truncation it tries, and hands out read-only amplitudes.
+    fock._coherent_amps.cache_clear()
+    validate.check_oracle_agreement()
+    info = fock._coherent_amps.cache_info()
+    assert info.misses == info.currsize == 4
+    for dim in (60, 120, 240, 480):
+        amps = fock.coherent_fock(validate.ALPHA, dim).amps
+        assert not amps.flags.writeable
+    assert fock._coherent_amps.cache_info().misses == 4
+
+
+def test_oracle_report_does_not_depend_on_blas_threads(child_env):
     # The oracle pass in two fresh interpreters, one and two OpenBLAS
     # threads: every measured number and verdict must be the same bits.
-    src = str(Path(validate.__file__).resolve().parents[1])
     code = (
         "import json\n"
         "from canp import validate\n"
@@ -85,9 +96,9 @@ def test_oracle_report_does_not_depend_on_blas_threads():
     )
     reports = []
     for threads in ("1", "2"):
-        env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120, check=True)
+                             env=child_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
+                             check=True)
         reports.append(json.loads(out.stdout))
     assert [name for name, _, _ in reports[0]] == ["gaussian_fock_moments", "qfi_three_way"]
     assert all(passed for _, passed, _ in reports[0])
