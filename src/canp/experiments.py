@@ -24,22 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import CommutingPairError, ConfigError, NoSignChangeError, OutOfPhaseError
+from .errors import (
+    CommutingPairError, ConfigError, NoSignChangeError, OutOfPhaseError, VacuumProbeError,
+)
 from .metrology import Protocol, bisect, find_threshold
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
-
-EXPERIMENTS = (
-    "fig2a",
-    "fig2b",
-    "fig2b-inset",
-    "fig3a",
-    "fig3b",
-    "lmg-threshold",
-    "displacement",
-    "validate",
-)
 
 # The g values fig2b and fig3a plot when the config lists none.
 _DEFAULT_G_VALUES = {"fig2b": (0.80, 0.90, 0.96, 0.98), "fig3a": (0.90, 0.95, 0.98)}
@@ -189,15 +180,16 @@ def config_from_dict(obj: dict) -> RunConfig:
 
 
 def _model_values(cfg: RunConfig) -> list[ModelParams]:
-    """The model values a run reads: the model, or copies with g or λ moved to
-    the g_values, g or lambda axis values or bracket ends the experiment reads."""
+    """The model values a run's rows read: the model, or copies with g or λ
+    moved to the g_values or to the g or lambda axis values. A missing axis
+    gives none here; the run that needs it reports it (RunConfig.axis)."""
     model, axes = cfg.model, {ax.name: ax.values().tolist() for ax in cfg.sweep}
     if cfg.experiment in _DEFAULT_G_VALUES:
         return [model.replace(g=g) for g in cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment]]
     if cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
         return [model.replace(g=g) for g in axes.get("g", ())]
     if cfg.experiment == "lmg-threshold":
-        return [model.replace(lam=v) for v in [*axes.get("lambda", ()), *(cfg.bracket or ())]]
+        return [model.replace(lam=lam) for lam in axes.get("lambda", ())]
     return [model] if cfg.experiment == "fig2a" else []
 
 
@@ -345,8 +337,8 @@ def run_fig2b(cfg: RunConfig) -> list[tuple]:
 
 
 def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
-    rows = [(g, _critical_ratio(cfg, cfg.model.replace(g=g)))
-            for g in cfg.axis("g").values().tolist()]
+    cfg.axis("g")  # a missing axis is a ConfigError, not an empty table
+    rows = [(params.g, _critical_ratio(cfg, params)) for params in _model_values(cfg)]
     write_csv(cfg.out, cfg, ("g", "R_tau"), rows)
     return rows
 
@@ -382,12 +374,12 @@ def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> li
 def run_fig3b(cfg: RunConfig) -> list[tuple]:
     g_values = cfg.axis("g").values()
     rows = []
-    for g in g_values.tolist():
-        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), math.pi)
+    for params in _model_values(cfg):
+        protocol, t_c = _prepared(cfg, params, math.pi)
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
         cfi = float(protocol._cfi_homodyne(final, cfg.t_theta))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
-        rows.append((g, float(final.mp), cfi, qfi, cfi / qfi))
+        rows.append((params.g, float(final.mp), cfi, qfi, cfi / qfi))
     crossings = _zero_crossings(cfg, g_values, [row[1] for row in rows])
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
@@ -399,7 +391,8 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
 
 def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
     # The threshold comes first: a bracket it rejects stops the run before
-    # the sweep, after at most its two end values.
+    # the sweep, after at most its two end values. Config time does not
+    # phase-check a given bracket; an end out of phase exits here.
     lam_axis = cfg.axis("lambda").values()
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
     try:
@@ -413,22 +406,22 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
         raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     except NoSignChangeError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [(lam, _critical_ratio(cfg, cfg.model.replace(lam=lam)))
-            for lam in lam_axis.tolist()]
+    rows = [(params.lam, _critical_ratio(cfg, params)) for params in _model_values(cfg)]
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
     return rows
 
 
 def run_displacement(cfg: RunConfig) -> list[tuple]:
+    cfg.axis("g")  # a missing axis is a ConfigError, not an empty table
     rows = []
-    for g in cfg.axis("g").values().tolist():
+    for params in _model_values(cfg):
         # Quarter period: the point where the asymptotic sin² formula is exact.
-        protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), 0.5 * math.pi)
+        protocol, t_c = _prepared(cfg, params, 0.5 * math.pi)
         formula = float(protocol.qfi_displacement(t_c, cfg.t_theta))
         exact = float(protocol.qfi(t_c, cfg.t_theta))
         ratio = float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
-        rows.append((g, protocol.structure.Delta, formula, exact, ratio))
+        rows.append((params.g, protocol.structure.Delta, formula, exact, ratio))
     write_csv(cfg.out, cfg, ("g", "delta_p", "qfi_formula", "qfi_exact", "R"), rows)
     return rows
 
@@ -455,7 +448,13 @@ RUNNERS = {
     "displacement": run_displacement,
     "validate": run_validate,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: RunConfig):
-    return RUNNERS[cfg.experiment](cfg)
+    """Run one experiment. A vacuum probe has no enhancement ratio, so a run
+    that reads R at alpha = 0 is a ConfigError naming alpha."""
+    try:
+        return RUNNERS[cfg.experiment](cfg)
+    except VacuumProbeError as exc:
+        raise ConfigError(f"alpha={cfg.alpha}: {exc}") from exc

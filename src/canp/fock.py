@@ -2,18 +2,16 @@
 
 This module is the independent ground truth for everything the Gaussian
 engine and the metrology formulas compute in closed form: states are complex
-amplitude vectors in a truncated Fock basis, Hamiltonians are Hermitian
-matrices filled band by band from their six coefficients, and evolution goes
+amplitude vectors in a truncated Fock basis, and a quadratic operator is the
+five bands its six coefficients fill. Expectations and variances are O(dim)
+banded sums; a dense matrix is built only to be decomposed. Evolution goes
 through an eigendecomposition of only the levels each Hamiltonian couples
-(:class:`Propagator`). Each (Hamiltonian, truncation) is decomposed once per
-process: a small bounded memo hands the same :class:`Propagator` to every
-evolution time and every caller of the run, so the protocol state and the
-numeric QFI of one point, the points that share H_c and every use of the
-encoding generator share their decompositions. The decomposition is real
-symmetric (float64) when all six coefficients are real, which every shipped
-H_c, a†a and X are, and complex Hermitian otherwise. Dense linear algebra
-caps the useful truncation around a few hundred levels, which is all the
-desk-scale parameter ranges here need.
+(:class:`Propagator`), real symmetric (float64) when all six coefficients
+are real, which every shipped H_c, a†a and X are, and complex Hermitian
+otherwise. A small bounded memo, the module's only cache, decomposes each
+(Hamiltonian, truncation) once per process and hands it to every evolution
+time and every caller of the run. Dense linear algebra caps the useful
+truncation around a few hundred levels, which the desk-scale ranges here fit.
 
 Truncation honesty is enforced, not assumed: after every evolution the
 amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
@@ -41,9 +39,6 @@ MAX_DIM = 480
 # needs 15 distinct (H, dim) pairs; the largest entry (H_c at dim 480, split
 # into two real blocks) holds 2 × 240² float64 ≈ 0.9 MB of eigenvectors.
 PROPAGATOR_CACHE_SIZE = 16
-# Coherent probes kept by their memo: the validate grid reads one per
-# truncation it tries (4).
-COHERENT_CACHE_SIZE = 8
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -75,37 +70,51 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def build_matrix(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
-    """Matrix of a quadratic operator on the number states start, start + step, … < dim.
+def _bands(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1):
+    """(real, diagonal, bands) of op on the number states start, start + step, … < dim.
 
-    Filled band by band from the coefficients: n on the diagonal (a†a),
-    √(n+1) on the first off-diagonals (a above, a† below) and √((n+1)(n+2))
-    on the second (a² above, a†² below). A band joins two kept levels only
-    when its offset is a multiple of `step`, so (start, step) = (p, 2) gives
-    the parity-p block, equal entry by entry to the full matrix's. The
-    matrix is float64 when all six coefficients are real and complex128
-    otherwise.
+    `real`: all six coefficients are real, so every entry is float64. The
+    diagonal is c_n·n + c_1. Each band (b, above, below, values) puts
+    above·values at ⟨n|op|n+b⟩ and below·values at ⟨n+b|op|n⟩, by lower kept
+    level n: √(n+1) for a and a†, √((n+1)(n+2)) for a² and a†². A band is kept
+    when its offset is a multiple of `step`; (p, 2) gives the parity-p block.
     """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
     coeffs = op.coeffs()
     real = all(c.imag == 0.0 for c in coeffs)
     c_n, c_aa, c_adad, c_a, c_ad, c_1 = (c.real for c in coeffs) if real else coeffs
     root = np.sqrt(np.arange(1.0, dim))  # √(n+1), n = 0 … dim−2
     diagonal = c_n * np.arange(start, dim, step, dtype=float) + c_1
+    bands = tuple((offset // step, above, below, values[start::step])
+                  for offset, above, below, values in ((1, c_a, c_ad, root),
+                                                       (2, c_aa, c_adad, root[:-1] * root[1:]))
+                  if offset % step == 0)
+    return real, diagonal, bands
+
+
+def build_matrix(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
+    """Matrix of op on the number states start, start + step, … < dim, filled
+    from :func:`_bands` (float64 when all six coefficients are real)."""
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    real, diagonal, bands = _bands(op, dim, start, step)
     k = diagonal.size
     m = np.zeros((k, k), dtype=float if real else complex)
     flat = m.reshape(-1)  # band b: flat[b:(k−b)k:k+1] above the diagonal, flat[bk::k+1] below
     flat[::k + 1] = diagonal
-    # (offset, coefficient above, coefficient below, values by the lower level n)
-    for offset, above, below, values in ((1, c_a, c_ad, root),
-                                         (2, c_aa, c_adad, root[:-1] * root[1:])):
-        if offset % step == 0:
-            b = offset // step
-            values = values[start::step]
-            flat[b:(k - b) * k:k + 1] = above * values
-            flat[b * k::k + 1] = below * values
+    for b, above, below, values in bands:
+        flat[b:(k - b) * k:k + 1] = above * values
+        flat[b * k::k + 1] = below * values
     return m
+
+
+def _apply(op: QuadraticOperator, amps: np.ndarray) -> np.ndarray:
+    """op|ψ⟩ in O(dim), from the bands of op; no matrix is formed."""
+    _, diagonal, bands = _bands(op, amps.size)
+    out = diagonal * amps
+    for b, above, below, values in bands:
+        out[:-b] += above * values * amps[b:]
+        out[b:] += below * values * amps[:-b]
+    return out
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -123,29 +132,22 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def coherent_fock(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha⟩ truncated to `dim` levels and renormalized.
 
-    The amplitudes are shared, read-only, by every caller of the same
-    (alpha, dim); see :func:`_coherent_amps`.
+    The amplitudes c_n = e^{−|α|²/2} Π_{k≤n} α/√k are one running product;
+    the missing mass beyond the truncation must satisfy the tail tolerance.
     """
-    return FockState(_coherent_amps(complex(alpha), dim))
-
-
-@lru_cache(maxsize=COHERENT_CACHE_SIZE)
-def _coherent_amps(alpha: complex, dim: int) -> np.ndarray:
-    """Amplitudes of the truncated coherent state, built on first request.
-
-    They follow the stable recurrence c_n = c_{n−1} α/√n. The missing mass
-    beyond the truncation must itself satisfy the tail tolerance.
-    """
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    state = FockState(amps)
-    if state.tail_mass() + abs(1.0 - state.norm() ** 2) > TAIL_TOL:
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    factors = np.empty(dim, dtype=complex)
+    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
+    state = FockState(np.cumprod(factors))
+    norm = state.norm()
+    if state.tail_mass() + abs(1.0 - norm**2) > TAIL_TOL:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
-    return _read_only(amps / state.norm())
+    state.amps /= norm
+    return state
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -219,12 +221,11 @@ def evolve_fock(state: FockState, hamiltonian: QuadraticOperator, t: float) -> F
 
 
 def expectation_fock(state: FockState, op: QuadraticOperator) -> float:
-    m_psi = _matvec(build_matrix(op, state.dim), state.amps)
-    return float(np.real(np.vdot(state.amps, m_psi)))
+    return float(np.real(np.vdot(state.amps, _apply(op, state.amps))))
 
 
 def variance_fock(state: FockState, op: QuadraticOperator) -> float:
-    m_psi = _matvec(build_matrix(op, state.dim), state.amps)
+    m_psi = _apply(op, state.amps)
     mean = np.real(np.vdot(state.amps, m_psi))
     return float(np.real(np.vdot(m_psi, m_psi)) - mean**2)
 
@@ -256,11 +257,6 @@ def _prepared_fock(spec, dim: int) -> FockState:
     return evolve_fock(coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
 
 
-def protocol_state_fock(spec, theta: float, dim: int) -> FockState:
-    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) |ψ_prep⟩ at fixed truncation."""
-    return evolve_fock(_prepared_fock(spec, dim), spec.Htheta, theta * spec.t_theta)
-
-
 def _escalate(evaluate, start_dim: int, max_dim: int):
     """evaluate(dim) from start_dim, doubling dim up to max_dim while the tail check fails."""
     dim = start_dim
@@ -276,8 +272,12 @@ def _escalate(evaluate, start_dim: int, max_dim: int):
 def converged_protocol_state(
     spec, theta: float, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM
 ) -> FockState:
-    """Protocol state with the truncation escalated (×2) until the tail check passes."""
-    return _escalate(lambda dim: protocol_state_fock(spec, theta, dim), start_dim, max_dim)
+    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) |ψ_prep⟩, with the truncation escalated (×2)
+    until the tail check passes."""
+    return _escalate(
+        lambda dim: evolve_fock(_prepared_fock(spec, dim), spec.Htheta, theta * spec.t_theta),
+        start_dim, max_dim,
+    )
 
 
 def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import canp
 from canp.errors import ConfigError
 from canp.experiments import (
     apply_overrides,
@@ -124,6 +125,12 @@ class TestCsvWriter:
         assert lines[3] == "0.1,1"
         # shortest round-trip float formatting
         assert float(lines[4].split(",")[0]) == 2.0 / 3.0
+
+    def test_header_version_is_the_project_version(self):
+        # The version every CSV header prints is the one pyproject.toml declares.
+        tomllib = pytest.importorskip("tomllib")
+        with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == canp.__version__
 
 
 class TestRunners:
@@ -585,6 +592,27 @@ class TestCli:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["passed"] is True
         assert "config_sha256" in report and "version" in report
+
+    # alpha = 0 is a vacuum probe, whose enhancement ratio is undefined: a run
+    # that reads R stops before writing and names alpha. fig3a and fig3b read
+    # no R, so they run.
+    @pytest.mark.parametrize("name, code", [
+        ("fig2a", 2), ("fig2b", 2), ("fig2b_inset", 2), ("fig3a", 0), ("fig3b", 0),
+        ("lmg_threshold", 2), ("displacement", 2),
+    ])
+    def test_vacuum_probe_is_config_error_where_r_is_read(self, tmp_path, capsys, name, code):
+        out = tmp_path / "x.csv"
+        rc = cli.main([name.replace("_", "-"), "--config", str(CONFIG_DIR / f"{name}.json"),
+                       "--out", str(out), "--alpha=0"])
+        assert rc == code
+        assert out.exists() is (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("config error: alpha=0j: ") and "vacuum probe" in err
+
+    def test_experiment_choices_keep_their_order(self):
+        assert experiments.EXPERIMENTS == ("fig2a", "fig2b", "fig2b-inset", "fig3a", "fig3b",
+                                           "lmg-threshold", "displacement", "validate")
 
     def test_checked_in_configs_parse(self):
         for name in ("fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",

@@ -87,11 +87,50 @@ class TestCoherentFock:
         with pytest.raises(TruncationNotConvergedError):
             fock.coherent_fock(5.0 + 0j, 20)
 
-    def test_amplitudes_are_shared_and_read_only(self):
-        first, second = fock.coherent_fock(ALPHA, 60), fock.coherent_fock(complex(ALPHA), 60)
-        assert first is not second and np.shares_memory(first.amps, second.amps)
-        with pytest.raises(ValueError):
-            first.amps[0] = 0.0
+    @pytest.mark.parametrize("alpha", [0j, 1.3, ALPHA, 4.4 + 0j],
+                             ids=["vacuum", "real", "complex", "near-limit"])
+    def test_matches_the_recurrence(self, alpha):
+        # c_n = c_{n−1} α/√n, renormalised; 4.4 is about the largest |α|
+        # whose tail fits in 60 levels.
+        want = np.zeros(60, dtype=complex)
+        want[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, 60):
+            want[n] = want[n - 1] * alpha / math.sqrt(n)
+        want /= np.linalg.norm(want)
+        got = fock.coherent_fock(alpha, 60).amps
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_rejects_fewer_than_two_levels(self, dim):
+        with pytest.raises(ValueError, match="at least 2"):
+            fock.coherent_fock(ALPHA, dim)
+
+
+class TestBandedProduct:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_OPERATOR, st.sampled_from((2, 3, 9, 480)), st.integers(0, 2**32 - 1))
+    def test_matches_the_matrix_product(self, op, dim, seed):
+        # Any six coefficients, Hermitian or not, real or complex.
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        got = fock._apply(op, amps)
+        want = fock.build_matrix(op, dim) @ amps
+        tol = 16.0 * np.finfo(float).eps * dim * max(1.0, op.max_abs()) * np.linalg.norm(amps)
+        assert np.linalg.norm(got - want) <= tol
+
+    def test_expectations_build_no_matrix(self, monkeypatch):
+        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), qrm_effective(1.0, 0.9), 2.0)
+        h = QuadraticOperator(0.7, 0.3 - 0.4j, 0.3 + 0.4j, 0.2j, -0.2j, 0.1)
+        m_psi = dense_matrix(h, 120) @ psi.amps
+        mean = np.vdot(psi.amps, m_psi).real
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("build_matrix called")
+
+        monkeypatch.setattr(fock, "build_matrix", no_matrix)
+        assert fock.expectation_fock(psi, h) == pytest.approx(mean, rel=1e-12)
+        assert fock.variance_fock(psi, h) == pytest.approx(
+            np.vdot(m_psi, m_psi).real - mean**2, rel=1e-12)
 
 
 def dense_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

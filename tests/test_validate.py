@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from canp import ModelParams, fock, gaussian, validate
@@ -72,17 +73,24 @@ def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure
     assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
 
 
-def test_oracle_pass_builds_one_coherent_probe_per_truncation():
-    # Every point starts from the same probe, so the pass builds it once at
-    # each truncation it tries, and hands out read-only amplitudes.
-    fock._coherent_amps.cache_clear()
+def test_oracle_pass_builds_a_matrix_only_to_decompose_it(propagator_builds, monkeypatch):
+    # Every expectation is a banded sum, so each dense matrix the pass fills
+    # is one eigh input: one per decomposed block of its 15 builds.
+    builds, eighs = [], []
+    build_matrix, eigh = fock.build_matrix, np.linalg.eigh
+
+    def recording_build(*args):
+        builds.append(args)
+        return build_matrix(*args)
+
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "build_matrix", recording_build)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     validate.check_oracle_agreement()
-    info = fock._coherent_amps.cache_info()
-    assert info.misses == info.currsize == 4
-    for dim in (60, 120, 240, 480):
-        amps = fock.coherent_fock(validate.ALPHA, dim).amps
-        assert not amps.flags.writeable
-    assert fock._coherent_amps.cache_info().misses == 4
+    assert len(builds) == len(eighs) == 22
 
 
 def test_oracle_report_does_not_depend_on_blas_threads(child_env):
