@@ -21,6 +21,10 @@ class NegativeDeltaError(CanpError):
     """Proportionality holds but the constant is negative (no real gap)."""
 
 
+class NonFiniteError(CanpError):
+    """A derived quantity is nan or infinite, e.g. after a float overflow."""
+
+
 class TruncationNotConvergedError(CanpError):
     """Number-basis tail mass exceeds tolerance; results untrustworthy."""
 

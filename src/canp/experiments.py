@@ -257,16 +257,45 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _column_text(column: tuple) -> list[str]:
+    """The _fmt text of each cell of one column, formatting each distinct value once.
+
+    Floats are keyed by the bits of their float64 value, since value keys
+    would merge 0.0 with -0.0; a bool or int column of one type is keyed by
+    value; a column of mixed types is formatted cell by cell.
+    """
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return list(map(_fmt, column))
+    kind = kinds.pop()
+    if issubclass(kind, (float, np.floating)):
+        bits = np.array(column, dtype=np.float64).view(np.int64).tolist()
+        distinct = list(dict.fromkeys(bits))
+        values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+        text = dict(zip(distinct, map(repr, values)))
+        return list(map(text.__getitem__, bits))
+    if issubclass(kind, (bool, int, np.bool_, np.integer)):
+        text = {value: _fmt(value) for value in set(column)}
+        return list(map(text.__getitem__, column))
+    return list(map(_fmt, column))
+
+
 def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tuple],
               extra_comments: tuple[str, ...] = ()) -> None:
+    """Write rows under a provenance header and the column names.
+
+    Each cell is written as _fmt gives it: a float (Python or numpy) as its
+    shortest round-trip repr, a bool as 0 or 1, an int in decimal. Every
+    row must have one cell per column; a ragged table is a ValueError.
+    """
+    widths = set(map(len, rows))
+    if widths - {len(columns)}:
+        raise ValueError(f"every row must have {len(columns)} cells, one per column "
+                         f"{columns}; got row widths {sorted(widths)}")
     lines = [f"# canp {__version__} experiment={cfg.experiment} config_sha256={cfg.sha256()}"]
     lines.extend(f"# {comment}" for comment in extra_comments)
     lines.append(",".join(columns))
-    # Rows hold mostly Python floats (from ndarray.tolist()), for which
-    # _fmt would return exactly repr(v).
-    lines.extend(
-        ",".join(repr(v) if type(v) is float else _fmt(v) for v in row) for row in rows
-    )
+    lines.extend(map(",".join, zip(*map(_column_text, zip(*rows)))))
     _write(path, "\n".join(lines) + "\n")
 
 

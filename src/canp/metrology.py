@@ -176,7 +176,7 @@ class Protocol:
         delta, f_c, f_d = self._generator_terms
         _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
         h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
-        return 4.0 * t_theta**2 * quadratic_variance(h, self.probe)
+        return 4.0 * (t_theta * t_theta) * quadratic_variance(h, self.probe)
 
     def qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
         """Leading near-critical QFI 4 t_θ² [(cos(√Δ t_c) − 1)/Δ]² Var[D].
@@ -189,7 +189,7 @@ class Protocol:
         t_c, t_theta = _durations(t_c, t_theta)
         delta, _, f_d = self._generator_terms
         _, _, q = flow_weights(delta, t_c)  # the cosine weight is −q
-        return 4.0 * t_theta**2 * q**2 * quadratic_variance(f_d, self.probe)
+        return 4.0 * (t_theta * t_theta) * (q * q) * quadratic_variance(f_d, self.probe)
 
     def direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
         """QFI of the direct-encoding scheme under matched energy and total time.
@@ -204,7 +204,8 @@ class Protocol:
         t_c, t_theta = _durations(t_c, t_theta)
         nbar = np.maximum(photon_number(self.state(t_c, t_theta, theta0)), 0.0)
         reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
-        return 4.0 * (t_c + t_theta) ** 2 * quadratic_variance(self.encoding_form, reference)
+        total = t_c + t_theta
+        return 4.0 * (total * total) * quadratic_variance(self.encoding_form, reference)
 
     def ratio(self, t_c, t_theta, theta0) -> np.ndarray:
         """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
@@ -242,7 +243,7 @@ class Protocol:
         f = self.encoding_form  # P rows of the flow: (M)_p = (−G_xx, −G_xp), u_p = −v_x
         d_mean = -t_theta * (f.gxx * m.mx + f.gxp * m.mp + f.vx)
         d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
-        return d_mean**2 / m.spp + 0.5 * d_var**2 / m.spp**2
+        return d_mean * d_mean / m.spp + 0.5 * (d_var * d_var) / (m.spp * m.spp)
 
     def qfi_displacement(self, t_c, t_theta) -> np.ndarray:
         """Near-critical QFI formula for momentum-displacement encoding.
@@ -259,7 +260,7 @@ class Protocol:
         t_c, t_theta = _durations(t_c, t_theta)
         delta, f_c, _ = self._generator_terms
         _, s, _ = flow_weights(delta, t_c)
-        return 4.0 * t_theta**2 * s**2 * quadratic_variance(f_c, self.probe)
+        return 4.0 * (t_theta * t_theta) * (s * s) * quadratic_variance(f_c, self.probe)
 
 
 # --- one-point ProtocolSpec wrappers, kept for the benchmark harness -------

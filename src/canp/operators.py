@@ -29,6 +29,7 @@ from .errors import (
     CommutingPairError,
     ConditionViolatedError,
     NegativeDeltaError,
+    NonFiniteError,
     NotHermitianError,
 )
 
@@ -148,6 +149,22 @@ class CriticalStructure:
     residual: float
 
 
+def _finite(values) -> bool:
+    """Whether the coefficients are finite: a nan or inf makes their sum nan or inf.
+
+    A sum beyond the float range reads as not finite too.
+    """
+    total = sum(values)
+    return math.isfinite(total.real + total.imag)
+
+
+def _non_finite(parts: dict) -> NonFiniteError:
+    """The error naming each part of a critical structure that is not finite."""
+    bad = ", ".join(name for name, values in parts.items() if not _finite(values))
+    return NonFiniteError(f"critical structure is not finite ({bad} nan or inf): "
+                          "the nested commutators of H_c and H_theta overflow")
+
+
 def derive_critical_structure(
     hc: QuadraticOperator, htheta: QuadraticOperator
 ) -> CriticalStructure:
@@ -166,20 +183,24 @@ def derive_critical_structure(
     preparation proportional to the encoding), ConditionViolatedError when
     the closure fails, NegativeDeltaError when the fitted constant is
     negative (the pair closes on a hyperbolic rather than oscillatory
-    algebra, so no real gap exists).
+    algebra, so no real gap exists), NonFiniteError when Delta, C or D is
+    nan or infinite (coefficients so large that the commutators overflow).
     """
     for op, name in ((hc, "H_c"), (htheta, "H_theta")):
         if not op.is_hermitian():
             raise NotHermitianError(f"{name} must be Hermitian")
 
     t1 = commutator(hc, htheta)
+    d_op = commutator(hc, t1)
+    # Checked before the commuting test, which an infinite [H_c, H_θ] passes.
+    if not (_finite(t1) and _finite(d_op)):
+        raise _non_finite({"C": t1, "D": d_op})
     pair_scale = max(hc.max_abs() * htheta.max_abs(), 1e-300)
     t1_max = t1.max_abs()
     if t1_max <= 1e-13 * pair_scale:
         raise CommutingPairError("[H_c, H_theta] = 0: critical structure undefined")
 
     c_op = 1j * t1
-    d_op = commutator(hc, t1)
     t3 = commutator(hc, d_op)
 
     # The fit's dot products stay in BLAS (np.vdot), whose summation order
@@ -187,6 +208,9 @@ def derive_critical_structure(
     t1_vec = np.array(t1, dtype=complex)
     t3_vec = np.array(t3, dtype=complex)
     delta_fit = complex(np.vdot(t1_vec, t3_vec) / np.vdot(t1_vec, t1_vec).real)
+    # A nan fit would pass the residual test below.
+    if not _finite((delta_fit,)):
+        raise _non_finite({"Δ": (delta_fit,)})
     mismatch = max(abs(x - delta_fit * y) for x, y in zip(t3_vec.tolist(), t1_vec.tolist()))
     residual = mismatch / (max(abs(delta_fit), 1e-300) * t1_max)
 

@@ -38,21 +38,27 @@ def public_definitions(module: str):
                     yield f"{module}.{node.name}.{member.name}", True, member
 
 
-def references(path: Path, module: str):
-    """(identifier, line, is_method_access) of every read in a file that may reach module.
+def parse_reads(path: Path):
+    """The `from … import` bindings and the Name and Attribute reads of a file, parsed once."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    imports = [(node.module or "", alias.asname or alias.name) for node in nodes
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    reads = [node for node in nodes if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    return imports, reads
+
+
+def references(path: Path, parsed, module: str):
+    """(identifier, line, is_method_access) of every read in a parsed file that may reach module.
 
     A function is reached by a bare name in its own module or in a file that
     imports it from there, or as `module.name`; a method by any attribute
     access of its name (the receiver's type is not resolved).
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports, reads = parsed
     own = path.stem == module
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module)
-                for alias in node.names}
-    for node in ast.walk(tree):
-        if not isinstance(getattr(node, "ctx", None), ast.Load):
-            continue
+    imported = {name for source, name in imports if source.endswith(module)}
+    for node in reads:
         if isinstance(node, ast.Name) and (own or node.id in imported):
             yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
@@ -67,9 +73,10 @@ def caller_files():
 
 def test_every_public_name_has_a_caller():
     checked, uncalled = set(), set()
+    parsed = {path: parse_reads(path) for path in caller_files()}
     for module in GUARDED:
         own_file = PACKAGE / f"{module}.py"
-        refs = {path: list(references(path, module)) for path in caller_files()}
+        refs = {path: list(references(path, reads, module)) for path, reads in parsed.items()}
         for qualname, is_method, node in public_definitions(module):
             checked.add(qualname)
             own_lines = range(node.lineno, node.end_lineno + 1)

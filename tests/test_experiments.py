@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import canp
 from canp.errors import ConfigError
@@ -111,7 +114,47 @@ class TestConfigParsing:
         assert f"unknown config fields: ['{field}']" in capsys.readouterr().err
 
 
+def _fmt_reference(value) -> str:
+    """One cell as write_csv formatted it cell by cell, before it worked by column."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+# Signed zeros, nan, ±inf and subnormals next to ordinary floats.
+_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310, -1e-309)))
+_CELLS = {
+    "float": _FLOAT,
+    "np.float64": _FLOAT.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-2**70, 2**70),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "mixed": st.one_of(_FLOAT, _FLOAT.map(np.float64), st.booleans(), st.integers(-3, 3),
+                       st.integers(-3, 3).map(np.int64), st.booleans().map(np.bool_)),
+}
+
+
+@st.composite
+def _tables(draw):
+    """(column names, rows): each column of one kind of cell, drawn from a few values."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 30))
+    columns = []
+    for kind in kinds:
+        pool = draw(st.lists(_CELLS[kind], min_size=3 if kind == "mixed" else 1, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)))
+    return tuple(f"c{i}" for i in range(len(kinds))), list(zip(*columns))
+
+
 class TestCsvWriter:
+    CFG = config_from_dict(small_config("fig2b-inset", Path("."), sweep={
+        "g": {"start": 0.5, "stop": 0.9, "points": 4}}))
+
     def test_header_and_floats(self, tmp_path):
         cfg = config_from_dict(small_config("fig2b-inset", tmp_path, sweep={
             "g": {"start": 0.5, "stop": 0.9, "points": 4}}))
@@ -125,6 +168,41 @@ class TestCsvWriter:
         assert lines[3] == "0.1,1"
         # shortest round-trip float formatting
         assert float(lines[4].split(",")[0]) == 2.0 / 3.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tables())
+    def test_data_lines_match_per_cell_format(self, tmp_path, table):
+        columns, rows = table
+        path = tmp_path / "t.csv"
+        write_csv(str(path), self.CFG, columns, rows)
+        lines = path.read_text().splitlines()
+        assert lines[1] == ",".join(columns)
+        assert lines[2:] == [",".join(map(_fmt_reference, row)) for row in rows]
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        # Keyed by value, 0.0 and -0.0 would share one text.
+        rows = [(0.0, np.float64(0.0)), (-0.0, np.float64(-0.0)), (0.0, np.float64(-0.0))]
+        path = tmp_path / "z.csv"
+        write_csv(str(path), self.CFG, ("a", "b"), rows)
+        assert path.read_text().splitlines()[2:] == ["0.0,0.0", "-0.0,-0.0", "0.0,-0.0"]
+
+    def test_mixed_column_is_formatted_cell_by_cell(self, tmp_path):
+        cells = (1.5, True, 3, np.int64(2), np.float64(-0.0), np.bool_(False), 1.0)
+        path = tmp_path / "m.csv"
+        write_csv(str(path), self.CFG, ("a",), [(cell,) for cell in cells])
+        assert path.read_text().splitlines()[2:] == ["1.5", "1", "3", "2", "-0.0", "0", "1.0"]
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (3.0,)],
+        [(1.0,), (2.0,)],
+        [(1.0, 2.0, 3.0)],
+    ])
+    def test_row_of_wrong_width_is_rejected(self, tmp_path, rows):
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="every row must have 2 cells"):
+            write_csv(str(path), self.CFG, ("a", "b"), rows)
+        assert not path.exists()
 
     def test_header_version_is_the_project_version(self):
         # The version every CSV header prints is the one pyproject.toml declares.
@@ -445,6 +523,18 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not out.exists()
+
+    def test_overflowing_structure_is_run_failure(self, tmp_path, capsys):
+        # γ = 1e300 is a valid config value, but D = [H_c, [H_c, H_θ]] ~ γ²
+        # overflows: the run fails naming D, not a non-Hermitian operator.
+        out = tmp_path / "x.csv"
+        rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
+                       "--out", str(out), "--model.gamma=1e300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "run failed: critical structure is not finite (D nan or inf)" in err
+        assert "Hermitian" not in err
         assert not out.exists()
 
     # A field the experiment does not read is not checked against the model.

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canp import fock
 from canp.errors import (
@@ -577,6 +578,46 @@ class TestProtocolKernel:
             assert isinstance(final, GaussianState)
             assert (mean_p[i, j], var_p[i, j]) == pytest.approx(
                 quadrature_stats(final), rel=1e-14, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.builds(lambda variant, g: ModelParams(variant, g=g),
+                      st.sampled_from(("QRM-frequency", "QRM-displacement")),
+                      st.floats(0.05, 0.999)),
+            st.builds(lambda lam, gamma: ModelParams("LMG-frequency", lam=lam, gamma=gamma),
+                      st.floats(0.0, 0.95), st.floats(1.5, 4.0)),
+        ),
+        st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5),
+        st.lists(st.floats(0.1, 20.0), min_size=1, max_size=5),
+        st.floats(-1.0, 1.0),
+        st.builds(complex, st.floats(0.1, 1.5), st.floats(-1.5, 1.5)),
+    )
+    def test_grid_equals_points_bit_for_bit(self, params, t_c, t_theta, theta0, alpha):
+        # A value must not depend on the shape it was evaluated in: each cell
+        # of an n×m grid is the same float as that point evaluated alone.
+        protocol = Protocol(*params.pair(), alpha)
+        methods = {
+            "qfi": protocol.qfi,
+            "qfi_asymptotic": protocol.qfi_asymptotic,
+            "direct_baseline": lambda tc, tt: protocol.direct_baseline(tc, tt, theta0),
+            "ratio": lambda tc, tt: protocol.ratio(tc, tt, theta0),
+            "skew": lambda tc, tt: protocol.skew(tc),
+            "cfi_homodyne": lambda tc, tt: protocol.cfi_homodyne(tc, tt, theta0),
+            "preparation_time": lambda tc, tt: protocol.preparation_time(tc),
+        }
+        for field in GaussianState._fields:
+            methods[f"state.{field}"] = (
+                lambda tc, tt, field=field: getattr(protocol.state(tc, tt, theta0), field))
+            methods[f"prepared.{field}"] = (
+                lambda tc, tt, field=field: getattr(protocol.prepared(tc), field))
+        if params.variant == "QRM-displacement":
+            methods["qfi_displacement"] = protocol.qfi_displacement
+        column, row = np.array(t_c)[:, None], np.array(t_theta)[None, :]
+        for name, method in methods.items():
+            grid = np.broadcast_to(method(column, row), (len(t_c), len(t_theta)))
+            points = np.array([[float(method(tc, tt)) for tt in t_theta] for tc in t_c])
+            assert np.array_equal(grid, points), name
 
     def test_time_validation_matches_spec(self):
         protocol = Protocol(qrm_effective(1.0, 0.9), encoding_frequency(), ALPHA)

@@ -7,9 +7,10 @@ from canp.errors import (
     CommutingPairError,
     ConditionViolatedError,
     NegativeDeltaError,
+    NonFiniteError,
     NotHermitianError,
 )
-from canp.models import qrm_effective
+from canp.models import lmg_effective, qrm_effective
 from canp.operators import (
     QuadraticOperator,
     commutator,
@@ -179,6 +180,22 @@ class TestDeriveCriticalStructure:
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
             derive_critical_structure(A, N)
+
+    @pytest.mark.parametrize("hc, htheta, names", [
+        # [H_c, H_θ] ~ 1e300 is finite; D = [H_c, [H_c, H_θ]] overflows.
+        (lmg_effective(0.4, 1e300), N, "D nan or inf"),
+        # [H_c, H_θ] ~ 1e400 overflows already.
+        (QuadraticOperator(c_n=1e200), QuadraticOperator(c_aa=1e200, c_adad=1e200),
+         "C, D nan or inf"),
+        # C and D are finite, but |[H_c, H_θ]|² in the fit of Δ overflows.
+        (qrm_effective(1.0, 0.9), QuadraticOperator(c_n=1e300, c_aa=1e300, c_adad=1e300),
+         "Δ nan or inf"),
+    ])
+    def test_non_finite_structure(self, hc, htheta, names):
+        # A nan Δ would pass the residual test; it must not leave the derivation,
+        # and an infinite C must not pass for a commuting pair.
+        with pytest.raises(NonFiniteError, match=f"critical structure is not finite \\({names}\\)"):
+            derive_critical_structure(hc, htheta)
 
 
 class TestQuadratureForm:
