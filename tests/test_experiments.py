@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import canp
-from canp.errors import ConfigError
+from canp.errors import ConfigError, NonFiniteError
 from canp.experiments import (
     apply_overrides,
     config_from_dict,
@@ -123,13 +124,14 @@ def _fmt_reference(value) -> str:
     return repr(float(value))
 
 
-# Signed zeros, nan, ±inf and subnormals next to ordinary floats.
-_FLOAT = st.one_of(st.floats(), st.sampled_from(
-    (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310, -1e-309)))
+# Signed zeros, subnormals and the largest float next to ordinary finite
+# floats; a nan or inf cell is refused (test_non_finite_cell_is_refused).
+_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-309, -1.7976931348623157e308)))
 _CELLS = {
     "float": _FLOAT,
     "np.float64": _FLOAT.map(np.float64),
-    "np.float32": st.floats(width=32).map(np.float32),
+    "np.float32": st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
     "bool": st.booleans(),
     "np.bool_": st.booleans().map(np.bool_),
     "int": st.integers(-2**70, 2**70),
@@ -192,6 +194,19 @@ class TestCsvWriter:
         path = tmp_path / "m.csv"
         write_csv(str(path), self.CFG, ("a",), [(cell,) for cell in cells])
         assert path.read_text().splitlines()[2:] == ["1.5", "1", "3", "2", "-0.0", "0", "1.0"]
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                      np.float32(math.inf)])
+    @pytest.mark.parametrize("first_y", [1.0, 1], ids=["float-column", "mixed-column"])
+    def test_non_finite_cell_is_refused(self, tmp_path, cell, first_y):
+        rows = [(0.5, first_y, True), (1.5, cell, False), (2.5, cell, True)]
+        path = tmp_path / "n.csv"
+        text = repr(float(cell))
+        with pytest.raises(NonFiniteError) as exc:
+            write_csv(str(path), self.CFG, ("x", "y", "flag"), rows)
+        assert str(exc.value) == (f"experiment fig2b-inset: column y is nan or inf in 2 of 3 "
+                                  f"rows, first at x=1.5, y={text}, flag=0")
+        assert not path.exists()
 
     @pytest.mark.parametrize("rows", [
         [(1.0, 2.0), (3.0,)],
@@ -535,6 +550,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "run failed: critical structure is not finite (D nan or inf)" in err
         assert "Hermitian" not in err
+        assert not out.exists()
+
+    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
+        # ω = 1e-300: D and |[H_c, H_θ]|² underflow to 0, so the fit of Δ is
+        # 0/0. The run fails naming Δ, and numpy prints no warning first.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"),
+                           "--out", str(out), "--model.omega=1e-300"])
+        assert rc == 1
+        assert caught == []
+        assert ("run failed: critical structure is not finite (Δ nan or inf): the nested "
+                "commutators of H_c and H_theta are out of the float range"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    # numpy warns of the overflow on its way to the nan or inf rows.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("override, bad, first", [
+        ("--sweep.t_theta.stop=1e200", 20, "sqrtDelta_tc=0.0, t_theta=2.5e+199, R=nan"),
+        ('--alpha={"re":1e200,"im":0}', 25, "sqrtDelta_tc=0.0, t_theta=0.5, R=nan"),
+    ])
+    def test_non_finite_rows_are_run_failure(self, tmp_path, capsys, override, bad, first):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"), "--out", str(out),
+                       "--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5", override])
+        assert rc == 1
+        assert (f"run failed: experiment fig2a: column R is nan or inf in {bad} of 25 rows, "
+                f"first at {first}, enhanced=0" in capsys.readouterr().err)
         assert not out.exists()
 
     # A field the experiment does not read is not checked against the model.

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -11,7 +12,9 @@ from canp.errors import (
     CommutingPairError,
     NegativeDeltaError,
     NoSignChangeError,
+    NotHermitianError,
     OutOfPhaseError,
+    TruncationNotConvergedError,
     VacuumProbeError,
 )
 from canp.gaussian import (
@@ -119,7 +122,7 @@ class TestQfiExact:
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
         qfi = Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta)
-        assert qfi == pytest.approx(fock.qfi_numeric(spec), rel=1e-4)
+        assert qfi == pytest.approx(fock.qfi_numeric(spec), rel=1e-10)
         # Regression pin for the generator-variance value itself.
         assert qfi == pytest.approx(43104.596123522046, rel=1e-9)
 
@@ -348,6 +351,76 @@ class TestExactHomodyne:
         assert np.all(cfi <= protocol.qfi(t_c, t_theta) * (1.0 + 1e-9))
 
 
+def _hermitian_quadratic(c_n, c_aa):
+    return QuadraticOperator(c_n=c_n, c_aa=c_aa, c_adad=c_aa.conjugate())
+
+
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def normal_phase_specs(draw):
+    """A spec whose H_c = c_n a†a + (c_aa a² + h.c.) has det G = c_n² − 4|c_aa|² > 0.
+
+    |c_aa| = ½|c_n|ρ with ρ ≤ 0.9, so det G = c_n²(1 − ρ²) > 0 by construction:
+    no draw is refused. The encoding is a†a, X, or a quadratic with complex
+    squeezing; a quadratic encoding closes with Δ = 4 det G and X with det G.
+    """
+    c_n = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.3, 1.5))
+    rho, phase = draw(st.floats(0.0, 0.9)), draw(_PHASE)
+    hc = _hermitian_quadratic(c_n, 0.5 * abs(c_n) * rho * cmath.exp(1j * phase))
+    htheta = draw(st.one_of(
+        st.just(QuadraticOperator.number()),
+        st.just(QuadraticOperator.position()),
+        st.builds(lambda c, r, phi: _hermitian_quadratic(c, r * cmath.exp(1j * phi)),
+                  st.floats(-1.0, 1.0), st.floats(0.1, 0.5), _PHASE),
+    ))
+    alpha = draw(st.floats(0.3, 1.5)) * cmath.exp(1j * draw(_PHASE))
+    return ProtocolSpec(Hc=hc, Htheta=htheta, t_c=draw(st.floats(0.0, 3.0)),
+                        t_theta=draw(st.floats(0.1, 2.0)), alpha=alpha,
+                        theta0=draw(st.floats(-0.5, 0.5)))
+
+
+def path_dim(spec, samples=8):
+    """The smallest oracle truncation (×2 from DEFAULT_DIM) that holds both stages' paths.
+
+    The oracle's tail check reads the end of each evolution only. A path
+    that reaches the truncation mid-way can end below TAIL_TOL with a wrong
+    state: one drawn pair passes at 60 levels with its QFI 9.4e-6 off.
+    """
+    dim = fock.DEFAULT_DIM
+    while True:
+        try:
+            probe = fock.coherent_fock(spec.alpha, dim)
+            for t in np.linspace(0.0, spec.t_c, samples):
+                prepared = fock.evolve_fock(probe, spec.Hc, t)
+            for t in np.linspace(0.0, spec.theta0 * spec.t_theta, samples):
+                fock.evolve_fock(prepared, spec.Htheta, t)
+            return dim
+        except TruncationNotConvergedError:
+            if dim >= fock.MAX_DIM:
+                raise
+            dim *= 2
+
+
+class TestRandomNormalPhasePairs:
+    """The whole protocol against the number-basis oracle on random pairs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(normal_phase_specs())
+    def test_matches_oracle(self, spec):
+        protocol = Protocol.from_spec(spec)
+        dim = path_dim(spec)
+        assert protocol.qfi(spec.t_c, spec.t_theta) == pytest.approx(
+            fock.qfi_numeric(spec, start_dim=dim), rel=1e-8)
+        mu, sigma = fock.fock_moments(fock.converged_protocol_state(spec, spec.theta0,
+                                                                    start_dim=dim))
+        want = (mu[0], mu[1], sigma[0, 0], sigma[0, 1], sigma[1, 1])
+        got = protocol.state(spec.t_c, spec.t_theta, spec.theta0)
+        np.testing.assert_allclose(np.array(got, dtype=float), want, rtol=0.0,
+                                   atol=1e-9 * max(1.0, np.abs(want).max()))
+
+
 class TestDegenerateAlgebras:
     def test_zero_gap_pair(self):
         # H_c = P²/2, H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0 and the
@@ -363,6 +436,15 @@ class TestDegenerateAlgebras:
         spec = ProtocolSpec(Hc=hc, Htheta=x, t_c=0.5, t_theta=2.0, alpha=ALPHA)
         assert protocol.qfi(spec.t_c, spec.t_theta) == pytest.approx(fock.qfi_numeric(spec),
                                                                      rel=1e-6)
+
+    @pytest.mark.parametrize("which", ["hc", "htheta"])
+    def test_non_hermitian_pair_fails_at_construction(self, which):
+        # Protocol builds both flows when it is made, so a non-Hermitian
+        # operator is refused before any method runs.
+        pair = dict(zip(("hc", "htheta"), ModelParams("QRM-frequency", g=0.9).pair()))
+        pair[which] = QuadraticOperator(c_n=1.0, c_a=0.5)
+        with pytest.raises(NotHermitianError):
+            Protocol(pair["hc"], pair["htheta"], ALPHA)
 
     def test_hyperbolic_pair_raises(self):
         # H_c = (a² + a†²)/2 against H_θ = X closes with Δ = −1.
@@ -444,7 +526,7 @@ class TestQfiDisplacement:
         # The mode frequency comes in through H_c alone.
         assert formula == pytest.approx(4.0 * T_THETA**2 * omega**2 / delta_p * 0.5, rel=1e-12)
         assert protocol.qfi(t_c, T_THETA) == pytest.approx(formula, rel=1e-12)
-        assert fock.qfi_numeric(spec) == pytest.approx(formula, rel=1e-4)
+        assert fock.qfi_numeric(spec) == pytest.approx(formula, rel=1e-10)
 
     def test_rejects_frequency_encoding(self):
         with pytest.raises(ValueError):
