@@ -28,7 +28,7 @@ from .errors import (
     CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
     VacuumProbeError,
 )
-from .metrology import Protocol, bisect, find_threshold
+from .metrology import Protocol, find_threshold, zero_crossings
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
@@ -183,14 +183,14 @@ def config_from_dict(obj: dict) -> RunConfig:
 def _model_values(cfg: RunConfig) -> list[ModelParams]:
     """The model values a run's rows read: the model, or copies with g or λ
     moved to the g_values or to the g or lambda axis values. A missing axis
-    gives none here; the run that needs it reports it (RunConfig.axis)."""
-    model, axes = cfg.model, {ax.name: ax.values().tolist() for ax in cfg.sweep}
+    is a ConfigError (RunConfig.axis)."""
+    model = cfg.model
     if cfg.experiment in _DEFAULT_G_VALUES:
         return [model.replace(g=g) for g in cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment]]
     if cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
-        return [model.replace(g=g) for g in axes.get("g", ())]
+        return [model.replace(g=g) for g in cfg.axis("g").values().tolist()]
     if cfg.experiment == "lmg-threshold":
-        return [model.replace(lam=lam) for lam in axes.get("lambda", ())]
+        return [model.replace(lam=lam) for lam in cfg.axis("lambda").values().tolist()]
     return [model] if cfg.experiment == "fig2a" else []
 
 
@@ -251,9 +251,7 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
         return str(int(value))
     return repr(float(value))
 
@@ -378,7 +376,6 @@ def run_fig2b(cfg: RunConfig) -> list[tuple]:
 
 
 def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
-    cfg.axis("g")  # a missing axis is a ConfigError, not an empty table
     rows = [(params.g, _critical_ratio(cfg, params)) for params in _model_values(cfg)]
     write_csv(cfg.out, cfg, ("g", "R_tau"), rows)
     return rows
@@ -399,21 +396,7 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
     return float(protocol.state(t_c, cfg.t_theta, cfg.theta0).mp)
 
 
-def _zero_crossings(cfg: RunConfig, grid: np.ndarray, values: list[float]) -> list[float]:
-    """Sign changes of ⟨P⟩ versus g, each bisected down to adjacent floats."""
-    crossings = []
-    for lo, hi, f_lo, f_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if f_lo == 0.0:
-            crossings.append(float(lo))
-        elif f_lo * f_hi < 0.0:
-            crossings.append(bisect(lambda g: _mean_p_at(cfg, g), float(lo), float(hi), f_lo, 0.0))
-    if values and values[-1] == 0.0:
-        crossings.append(float(grid[-1]))
-    return crossings
-
-
 def run_fig3b(cfg: RunConfig) -> list[tuple]:
-    g_values = cfg.axis("g").values()
     rows = []
     for params in _model_values(cfg):
         protocol, t_c = _prepared(cfg, params, math.pi)
@@ -421,7 +404,9 @@ def run_fig3b(cfg: RunConfig) -> list[tuple]:
         cfi = float(protocol._cfi_homodyne(final, cfg.t_theta))
         qfi = float(protocol.qfi(t_c, cfg.t_theta))
         rows.append((params.g, float(final.mp), cfi, qfi, cfi / qfi))
-    crossings = _zero_crossings(cfg, g_values, [row[1] for row in rows])
+    # Sign changes of ⟨P⟩ versus g, each bisected down to adjacent floats.
+    grid, mean_p = zip(*(row[:2] for row in rows))
+    crossings = zero_crossings(lambda g: _mean_p_at(cfg, g), grid, mean_p, 0.0)
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
     else:
@@ -454,7 +439,6 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
 
 
 def run_displacement(cfg: RunConfig) -> list[tuple]:
-    cfg.axis("g")  # a missing axis is a ConfigError, not an empty table
     rows = []
     for params in _model_values(cfg):
         # Quarter period: the point where the asymptotic sin² formula is exact.
@@ -473,6 +457,11 @@ def run_validate(cfg: RunConfig) -> dict:
     if not cfg.oracle:
         raise ConfigError("the validate experiment requires oracle=true")
     report = run_checks()
+    for check in report["checks"]:  # json.dumps would write a bare NaN, which is not JSON
+        for key, value in check["measured"].items():
+            if not np.isfinite(value).all():
+                raise NonFiniteError(f"experiment validate: check {check['name']} measured "
+                                     f"{key}={value!r}, which is nan or inf")
     report["version"] = __version__
     report["config_sha256"] = cfg.sha256()
     _write(cfg.out, json.dumps(report, indent=2, sort_keys=True) + "\n")

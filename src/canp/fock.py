@@ -138,11 +138,11 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
     if dim < 2:
         raise ValueError("dim must be at least 2")
     factors = np.empty(dim, dtype=complex)
-    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    factors[0] = math.exp(-0.5 * (abs(alpha) * abs(alpha)))
     factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
     state = FockState(np.cumprod(factors))
     norm = state.norm()
-    if state.tail_mass() + abs(1.0 - norm**2) > TAIL_TOL:
+    if state.tail_mass() + abs(1.0 - norm * norm) > TAIL_TOL:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
@@ -227,7 +227,7 @@ def expectation_fock(state: FockState, op: QuadraticOperator) -> float:
 def variance_fock(state: FockState, op: QuadraticOperator) -> float:
     m_psi = _apply(op, state.amps)
     mean = np.real(np.vdot(state.amps, m_psi))
-    return float(np.real(np.vdot(m_psi, m_psi)) - mean**2)
+    return float(np.real(np.vdot(m_psi, m_psi)) - mean * mean)
 
 
 def fock_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +288,9 @@ def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> f
     as δ → 0 (Braunstein & Caves 1994) and the encoding need not be run.
     The truncation escalates until the prepared state passes the tail check.
     """
+    scale = 4.0 * (spec.t_theta * spec.t_theta)
     return _escalate(
-        lambda dim: 4.0 * spec.t_theta**2 * variance_fock(_prepared_fock(spec, dim), spec.Htheta),
+        lambda dim: scale * variance_fock(_prepared_fock(spec, dim), spec.Htheta),
         start_dim, max_dim,
     )
 

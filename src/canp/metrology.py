@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutingPairError, NoSignChangeError, OutOfPhaseError, VacuumProbeError
+from .errors import (CommutingPairError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
+                     VacuumProbeError)
 from .gaussian import (
     Flow,
     Form,
@@ -237,17 +238,16 @@ class Protocol:
         return d_mean * d_mean / m.spp + 0.5 * (d_var * d_var) / (m.spp * m.spp)
 
     def qfi_displacement(self, t_c, t_theta) -> np.ndarray:
-        """Near-critical QFI formula for momentum-displacement encoding.
+        """Single-commutator QFI 4 t_θ² [sin(√Δ t_c)/√Δ]² Var[C], for any pair.
 
-        The C term of the generator alone, 4 t_θ² s² Var[C] with
-        s = sin(√Δ t_c)/√Δ evaluated series-safely and Var[C] in the probe.
-        For the QRM pair C = ωP, so this is the published
-        4 t_θ² ω² sin²(√Δ t_c)/Δ · Var[P]. It coincides with :meth:`qfi` at
-        √Δ t_c = π/2, where the dropped position-quadrature term vanishes.
+        This keeps only the C term of the generator, as :meth:`qfi_asymptotic`
+        keeps only the D term; s = sin(√Δ t_c)/√Δ is evaluated series-safely
+        and Var[C] is taken in the probe. For the QRM displacement pair
+        (encoding (a† + a)/√2) C = ωP, so this is the published formula
+        4 t_θ² ω² sin²(√Δ t_c)/Δ · Var[P], which coincides with :meth:`qfi`
+        at √Δ t_c = π/2, where the dropped position-quadrature term vanishes.
         A commuting pair has C = 0 and so gives 0.
         """
-        if not _is_displacement_encoding(self.htheta):
-            raise ValueError("displacement formula requires encoding (a† + a)/√2")
         t_c, t_theta = _durations(t_c, t_theta)
         delta, f_c, _ = self._generator_terms
         _, s, _ = flow_weights(delta, t_c)
@@ -271,17 +271,6 @@ def enhancement_ratio(spec: ProtocolSpec) -> float:
 def cfi_homodyne(spec: ProtocolSpec) -> float:
     """Homodyne (P) classical Fisher information; see :meth:`Protocol.cfi_homodyne`."""
     return float(Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
-
-
-def _is_displacement_encoding(op: QuadraticOperator) -> bool:
-    scale = max(1.0, op.max_abs())
-    quad = max(abs(op.c_n), abs(op.c_aa), abs(op.c_adad))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return (
-        quad <= 1e-12 * scale
-        and abs(op.c_a - inv_sqrt2) <= 1e-12 * scale
-        and abs(op.c_ad - inv_sqrt2) <= 1e-12 * scale
-    )
 
 
 # Absolute width of the bracket at which find_threshold stops bisecting.
@@ -310,6 +299,25 @@ def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def zero_crossings(f, grid, values, tol: float) -> list[float]:
+    """The sign changes of f over a grid, in grid order, given f's values on it.
+
+    A grid point where f is exactly 0 is a crossing; between two neighbours
+    of opposite signs the crossing is bisected to `tol` (:func:`bisect`).
+    A nan value has no sign, so no crossing is read next to it.
+    """
+    grid, values = [float(x) for x in grid], [float(v) for v in values]
+    crossings = []
+    for lo, hi, f_lo, f_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        if f_lo == 0.0:
+            crossings.append(lo)
+        elif f_lo * f_hi < 0.0:
+            crossings.append(bisect(f, lo, hi, f_lo, tol))
+    if values and values[-1] == 0.0:
+        crossings.append(grid[-1])
+    return crossings
+
+
 def find_threshold(
     family: str,
     t_theta: float,
@@ -323,10 +331,12 @@ def find_threshold(
 
     The preparation time is pinned to the critical time π/√Δ of each value.
     `family` is a model variant name; for the LMG family the swept parameter
-    is λ at fixed γ, for the QRM families it is g. Bisection to absolute
-    tolerance THRESHOLD_TOL; raises ValueError unless bracket[0] < bracket[1],
-    NoSignChangeError when R − 1 has the same sign at both bracket ends, and
-    OutOfPhaseError when a value the bisection reads leaves the normal phase.
+    is λ at fixed γ, for the QRM families it is g. The first of the bracket's
+    :func:`zero_crossings`, bisected to absolute tolerance THRESHOLD_TOL;
+    raises ValueError unless bracket[0] < bracket[1], NonFiniteError when
+    R − 1 is nan or inf at an end, NoSignChangeError when it has one sign at
+    both, and OutOfPhaseError when a value the bisection reads leaves the
+    normal phase.
     """
 
     def ratio_minus_one(value: float) -> float:
@@ -337,17 +347,16 @@ def find_threshold(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket {bracket} must have lo < hi")
-    f_lo = ratio_minus_one(lo)
-    f_hi = ratio_minus_one(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    ends = [ratio_minus_one(lo), ratio_minus_one(hi)]
+    if not all(map(math.isfinite, ends)):
+        raise NonFiniteError(f"enhancement ratio − 1 is nan or inf at an end of {bracket}: "
+                             f"{ends[0]!r} at {lo!r}, {ends[1]!r} at {hi!r}")
+    crossings = zero_crossings(ratio_minus_one, (lo, hi), ends, THRESHOLD_TOL)
+    if not crossings:
         raise NoSignChangeError(
             f"enhancement ratio − 1 has the same sign at both ends of {bracket}"
         )
-    return bisect(ratio_minus_one, lo, hi, f_lo, THRESHOLD_TOL)
+    return crossings[0]
 
 
 @dataclass(frozen=True)

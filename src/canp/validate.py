@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationNotConvergedError
-from .gaussian import Flow, Form, coherent, photon_number, variance_quadratic
+from .gaussian import Flow, Form, coherent, photon_number, quadratic_variance
 from .metrology import Protocol, ProtocolSpec, find_threshold
 from .models import (
     ModelParams,
@@ -135,6 +135,7 @@ def _oracle_point(point: tuple[float, float]) -> dict:
     psi = fock.converged_protocol_state(spec, spec.theta0)
     mu_f, sigma_f = fock.fock_moments(psi)
     nbar, var = fock.mean_photon_fock(psi), fock.variance_fock(psi, protocol.structure.D)
+    var_gauss = float(quadratic_variance(Form.of(protocol.structure.D), state))
     t_qfi = time.monotonic()
     qfi_gauss = float(protocol.qfi(t_c, T_THETA))
     # Start at the truncation the state converged at: its prepared state
@@ -146,7 +147,7 @@ def _oracle_point(point: tuple[float, float]) -> dict:
         "mu_rel": float(np.max(np.abs(state.mu - mu_f))) / max(1.0, nbar),
         "sigma_rel": float(np.max(np.abs(state.sigma - sigma_f))) / max(1.0, var, nbar),
         "nbar_rel": abs(float(photon_number(state)) - nbar) / max(1.0, nbar),
-        "varD_rel": abs(variance_quadratic(state, protocol.structure.D) - var) / max(1.0, var),
+        "varD_rel": abs(var_gauss - var) / max(1.0, var),
         "qfi_exact": qfi_gauss,
         "qfi_numeric": qfi_fock,
         "qfi_seconds": qfi_seconds,
@@ -282,20 +283,19 @@ def check_skew_identity() -> CheckResult:
 
 
 def check_homodyne_efficiency() -> CheckResult:
+    """cfi/qfi within [0.8, 1] at the critical time. The window's top is the
+    bound cfi ≤ qfi: the homodyne CFI, a sum of squares over Var P > 0, is
+    never negative."""
     ratios = {}
-    bounded = True
     for g in np.linspace(0.90, 0.98, 9):
         protocol = _protocol(ModelParams("QRM-frequency", g=float(g)))
         t_c = protocol.preparation_time(math.pi)
         cfi = float(protocol.cfi_homodyne(t_c, T_THETA, 0.0))
         qfi = float(protocol.qfi(t_c, T_THETA))
         ratios[round(float(g), 4)] = cfi / qfi
-        if cfi > qfi * (1.0 + 1e-6):
-            bounded = False
-    ok = bounded and all(0.8 <= r <= 1.0 for r in ratios.values())
     return CheckResult(
         name="homodyne_efficiency",
-        passed=ok,
+        passed=all(0.8 <= r <= 1.0 for r in ratios.values()),
         measured={"min_ratio": min(ratios.values()), "max_ratio": max(ratios.values())},
         tolerance={"ratio_window": [0.8, 1.0]},
         details="cfi/qfi at t_c=pi/sqrt(Delta), theta=0, g in [0.90, 0.98]",

@@ -1,9 +1,11 @@
-"""Every public function and method of every canp module has a caller.
+"""Every function and method of every canp module has a caller.
 
-A caller is a reference in `src/canp` outside the name's own definition (the
-re-exports in `__init__.py` do not count) or in the benchmark harness's
-scripts `benchmarks/*.py` (the frozen `benchmarks/baseline/` copy does not
-count). A name that only tests call belongs in the tests, not in the package.
+A caller of a public name is a reference in `src/canp` outside the name's
+own definition (the re-exports in `__init__.py` do not count) or in the
+benchmark harness's scripts `benchmarks/*.py` (the frozen
+`benchmarks/baseline/` copy does not count). A name that only tests call
+belongs in the tests, not in the package. A private module-level function
+needs a caller in `src/canp` itself: one that nothing calls was left behind.
 """
 
 import ast
@@ -66,18 +68,31 @@ def references(path: Path, parsed, module: str):
             yield node.attr, node.lineno, not qualified
 
 
+def package_files():
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
 def caller_files():
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    return files + sorted((ROOT / "benchmarks").glob("*.py"))
+    return package_files() + sorted((ROOT / "benchmarks").glob("*.py"))
 
 
-def test_every_public_name_has_a_caller():
+def private_definitions(module: str):
+    """(qualified name, False, def node) of the private module-level functions in module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield f"{module}.{node.name}", False, node
+
+
+def uncalled_definitions(definitions, files):
+    """(checked, uncalled): the qualified names definitions(module) yields over
+    GUARDED, and those with no reference in files outside their own definition."""
     checked, uncalled = set(), set()
-    parsed = {path: parse_reads(path) for path in caller_files()}
+    parsed = {path: parse_reads(path) for path in files}
     for module in GUARDED:
         own_file = PACKAGE / f"{module}.py"
         refs = {path: list(references(path, reads, module)) for path, reads in parsed.items()}
-        for qualname, is_method, node in public_definitions(module):
+        for qualname, is_method, node in definitions(module):
             checked.add(qualname)
             own_lines = range(node.lineno, node.end_lineno + 1)
             called = any(
@@ -88,10 +103,21 @@ def test_every_public_name_has_a_caller():
             )
             if not called:
                 uncalled.add(qualname)
+    return checked, uncalled
+
+
+def test_every_public_name_has_a_caller():
+    checked, uncalled = uncalled_definitions(public_definitions, caller_files())
     # The guard reads the package it is meant to guard.
     assert {"metrology.Protocol.qfi", "models.config_object", "operators.commutator",
             *KEPT_FOR_TESTS} <= checked
     assert uncalled - KEPT_FOR_TESTS == set()
+
+
+def test_every_private_function_has_a_caller():
+    checked, uncalled = uncalled_definitions(private_definitions, package_files())
+    assert {"cli._split_overrides", "experiments._model_values", "fock._escalate"} <= checked
+    assert uncalled == set()
 
 
 def test_package_root_exports_only_the_protocol_api():

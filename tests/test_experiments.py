@@ -73,6 +73,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    # A run whose model values come from a g or λ axis is checked against
+    # them when the config is read, so a missing axis is found there.
+    @pytest.mark.parametrize("config, axis", [
+        ("fig2b_inset.json", "g"), ("fig3b.json", "g"), ("displacement.json", "g"),
+        ("lmg_threshold.json", "lambda"),
+    ])
+    def test_missing_model_axis_is_found_when_read(self, tmp_path, capsys, config, axis):
+        message = f"requires sweep axis {axis!r}"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(CONFIG_DIR / config), {"sweep": "{}"})
+        out = tmp_path / "x.csv"
+        experiment = json.loads((CONFIG_DIR / config).read_text())["experiment"]
+        assert cli.main([experiment, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                         "--sweep={}"]) == 2
+        assert f"config error: experiment {experiment} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overrides(self):
         obj = {"model": {"g": 0.9}, "t_theta": 12.0}
         out = apply_overrides(obj, {"model.g": "0.5", "t_theta": "7", "out": "x.csv"})
@@ -567,6 +584,21 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    # numpy warns of the overflow on its way to the nan ends.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_threshold_end_is_run_failure(self, tmp_path, capsys):
+        # At t_θ = 1e200 R − 1 is nan at both bracket ends: the run fails
+        # naming the bracket, not as a bracket without a sign change.
+        out = tmp_path / "x.csv"
+        rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
+                       "--out", str(out), "--t_theta=1e200"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("run failed: enhancement ratio − 1 is nan or inf at an end of (0.2, 0.6): "
+                "nan at 0.2, nan at 0.6" in err)
+        assert "same sign" not in err
+        assert not out.exists()
+
     # numpy warns of the overflow on its way to the nan or inf rows.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("override, bad, first", [
@@ -588,7 +620,8 @@ class TestCli:
                    "sweep": {"lambda": {"start": 0.5, "stop": 2.5, "points": 3}}}),
         ("fig2b", {"bracket": [0.2, 1.5], "sweep": {"g": {"start": 0.5, "stop": 1.5, "points": 3}}}),
         ("displacement", {"g_values": [1.5], "bracket": [0.2, 1.5],
-                          "model": {"variant": "QRM-displacement", "g": 0.9}}),
+                          "model": {"variant": "QRM-displacement", "g": 0.9},
+                          "sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}}),
     ])
     def test_unread_fields_are_not_checked(self, tmp_path, experiment, extra):
         config_from_dict(small_config(experiment, tmp_path, **extra))
@@ -680,7 +713,8 @@ class TestCli:
     def test_failed_write_is_config_error(self, tmp_path):
         # What only the write can find (here a directory made after the
         # config was read) is a ConfigError too.
-        cfg = config_from_dict(small_config("fig2b-inset", tmp_path))
+        cfg = config_from_dict(small_config("fig2b-inset", tmp_path, sweep={
+            "g": {"start": 0.5, "stop": 0.9, "points": 3}}))
         Path(cfg.out).mkdir()
         with pytest.raises(ConfigError, match=f"cannot write output {cfg.out}"):
             write_csv(cfg.out, cfg, ("x",), [(1.0,)])
@@ -708,12 +742,32 @@ class TestCli:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["thresholds"]
 
+    def test_non_finite_report_value_is_run_failure(self, tmp_path, monkeypatch, capsys):
+        # json.dumps would write a nan as a bare NaN, which is not JSON: the
+        # run fails naming the check and the key, and writes no report.
+        from canp import validate as validate_mod
+
+        def nan_thresholds():
+            return validate_mod.CheckResult(name="thresholds", passed=False,
+                                            measured={"g_star": float("nan")})
+
+        monkeypatch.setattr(validate_mod, "check_thresholds", nan_thresholds)
+        path, out = tmp_path / "v.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"experiment": "validate", "oracle": True,
+                                    "model": {"variant": "QRM-frequency", "g": 0.96},
+                                    "out": str(out)}))
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert ("run failed: experiment validate: check thresholds measured g_star=nan, "
+                "which is nan or inf" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_validate_success_exit_code(self, tmp_path, monkeypatch):
         from canp import validate as validate_mod
 
         def all_pass():
             return {"passed": True,
-                    "checks": [{"name": "stub", "passed": True, "seconds": 0.0}]}
+                    "checks": [{"name": "stub", "passed": True, "measured": {"x": 1.0},
+                                "seconds": 0.0}]}
 
         monkeypatch.setattr(validate_mod, "run_checks", all_pass)
         path = tmp_path / "v.json"

@@ -34,6 +34,7 @@ from canp.metrology import (
     evaluate_report,
     find_threshold,
     protocol_state,
+    zero_crossings,
 )
 from canp.models import (
     ModelParams,
@@ -503,6 +504,49 @@ class TestBisect:
         assert bisect(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.25) == 0.25
 
 
+def never_called(x):
+    raise AssertionError(f"f({x}) evaluated: no neighbours here change sign strictly")
+
+
+class TestZeroCrossings:
+    # A value of exactly 0 is a crossing at its grid point, read once and
+    # without evaluating f, whether or not its neighbours change sign.
+    @pytest.mark.parametrize("values, crossings", [
+        ([0.0, 1.0, 2.0], [0.0]),
+        ([-1.0, 0.0, 2.0], [0.5]),
+        ([1.0, 0.0, 2.0], [0.5]),
+        ([-1.0, -2.0, 0.0], [1.0]),
+        ([1.0, 2.0, 3.0], []),
+    ])
+    def test_exact_zeros_on_the_grid(self, values, crossings):
+        assert zero_crossings(never_called, np.array([0.0, 0.5, 1.0]), values, 0.0) == crossings
+
+    def test_both_ends_zero_lists_the_lower_first(self):
+        # find_threshold returns the first crossing: the lower bracket end.
+        assert zero_crossings(never_called, (0.2, 0.6), [0.0, 0.0], 1e-4) == [0.2, 0.6]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_one_sign_change_is_bisect(self, tol):
+        def f(x):
+            return x * x - 2.0
+
+        crossing = bisect(f, 1.0, 2.0, -1.0, tol)
+        assert zero_crossings(f, [1.0, 2.0], [-1.0, 2.0], tol) == [crossing]
+        assert zero_crossings(f, [0.0, 1.0, 2.0, 3.0], [f(0.0), -1.0, 2.0, f(3.0)], tol) == [
+            crossing]
+
+    def test_every_sign_change_in_grid_order(self):
+        grid = np.linspace(0.0, 10.0, 11)
+        crossings = zero_crossings(math.cos, grid, np.cos(grid), 0.0)
+        assert crossings == pytest.approx([0.5 * math.pi * k for k in (1, 3, 5)], abs=1e-15)
+
+    def test_nan_value_has_no_sign(self):
+        nan = float("nan")
+        assert zero_crossings(never_called, [0.0, 1.0, 2.0], [1.0, nan, -1.0], 0.0) == []
+        assert zero_crossings(math.cos, [1.0, 2.0, 3.0], [math.cos(1.0), math.cos(2.0), nan],
+                              0.0) == [bisect(math.cos, 1.0, 2.0, math.cos(1.0), 0.0)]
+
+
 class TestQfiDisplacement:
     def displacement_spec(self, g, t_c, t_theta=T_THETA, omega=1.0):
         params = ModelParams("QRM-displacement", g=g, omega=omega)
@@ -528,9 +572,16 @@ class TestQfiDisplacement:
         assert protocol.qfi(t_c, T_THETA) == pytest.approx(formula, rel=1e-12)
         assert fock.qfi_numeric(spec) == pytest.approx(formula, rel=1e-10)
 
-    def test_rejects_frequency_encoding(self):
-        with pytest.raises(ValueError):
-            qrm_protocol(0.9).qfi_displacement(1.0, T_THETA)
+    def test_frequency_pair_keeps_its_c_term(self):
+        # Defined for any pair: 4 t_θ² s² Var[C] with s = sin(√Δ t_c)/√Δ and
+        # the pair's own derived C, its variance taken in the number basis.
+        protocol = qrm_protocol(0.9)
+        cs = protocol.structure
+        t_c = np.array([0.0, 0.3, 1.0, 2.5])
+        s = np.sin(math.sqrt(cs.Delta) * t_c) / math.sqrt(cs.Delta)
+        var_c = fock.variance_fock(fock.coherent_fock(ALPHA, 60), cs.C)
+        np.testing.assert_allclose(protocol.qfi_displacement(t_c, T_THETA),
+                                   4.0 * T_THETA**2 * s**2 * var_c, rtol=1e-12, atol=0.0)
 
     def test_commuting_pair_gives_zero(self):
         x = QuadraticOperator.position()
