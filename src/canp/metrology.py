@@ -66,9 +66,9 @@ def _durations(t_c, t_theta) -> tuple[np.ndarray, np.ndarray]:
     """Times as float arrays; each must be nonnegative and their sum positive."""
     t_c = np.asarray(t_c, dtype=float)
     t_theta = np.asarray(t_theta, dtype=float)
-    if (t_c < 0.0).any() or (t_theta < 0.0).any():
+    if np.count_nonzero(t_c < 0.0) or np.count_nonzero(t_theta < 0.0):
         raise ValueError("durations must be nonnegative")
-    if (t_c + t_theta <= 0.0).any():
+    if np.count_nonzero(t_c + t_theta <= 0.0):
         raise ValueError("total time must be positive")
     return t_c, t_theta
 
@@ -83,6 +83,10 @@ class Protocol:
     so a non-Hermitian H_c or H_θ fails here; only the critical structure is
     derived on first use, so a pair without one still has states. A state is
     one :class:`canp.gaussian.GaussianState` whose fields have that shape.
+
+    Each public method checks its times once (each nonnegative, their sum
+    positive) and then calls the private kernels (``_qfi``, ``_state``,
+    ``_baseline``, ``_cfi_homodyne``), which take the checked float arrays.
 
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
     s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
@@ -153,7 +157,9 @@ class Protocol:
 
     def state(self, t_c, t_theta, theta) -> GaussianState:
         """The probe after preparation and encoding at parameter value theta."""
-        t_c, t_theta = _durations(t_c, t_theta)
+        return self._state(*_durations(t_c, t_theta), theta)
+
+    def _state(self, t_c, t_theta, theta) -> GaussianState:
         return self.encoding.apply(self.prepared(t_c), theta * t_theta)
 
     # --- figures of merit ------------------------------------------------
@@ -164,7 +170,9 @@ class Protocol:
         The generator already folds the preparation unitary into the encoding
         Hamiltonian, so the variance is taken in the bare coherent state.
         """
-        t_c, t_theta = _durations(t_c, t_theta)
+        return self._qfi(*_durations(t_c, t_theta))
+
+    def _qfi(self, t_c, t_theta) -> np.ndarray:
         delta, f_c, f_d = self._generator_terms
         _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
         h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
@@ -193,8 +201,10 @@ class Protocol:
         pure displacement encoding the coherent-state variance is amplitude
         independent and the baseline reduces to 4 T² Var[H_θ]_vac.
         """
-        t_c, t_theta = _durations(t_c, t_theta)
-        nbar = np.maximum(photon_number(self.state(t_c, t_theta, theta0)), 0.0)
+        return self._baseline(*_durations(t_c, t_theta), theta0)
+
+    def _baseline(self, t_c, t_theta, theta0) -> np.ndarray:
+        nbar = np.maximum(photon_number(self._state(t_c, t_theta, theta0)), 0.0)
         reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
         total = t_c + t_theta
         return 4.0 * (total * total) * quadratic_variance(self.encoding_form, reference)
@@ -203,7 +213,8 @@ class Protocol:
         """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
         if abs(self.alpha) < 1e-12:
             raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
-        return self.qfi(t_c, t_theta) / self.direct_baseline(t_c, t_theta, theta0)
+        t_c, t_theta = _durations(t_c, t_theta)
+        return self._qfi(t_c, t_theta) / self._baseline(t_c, t_theta, theta0)
 
     def skew(self, t_c) -> np.ndarray:
         """Skew information of the prepared state and H_θ.
@@ -213,7 +224,7 @@ class Protocol:
         routes and the tests enforce the identity.
         """
         t_c = np.asarray(t_c, dtype=float)
-        if (t_c < 0.0).any():
+        if np.count_nonzero(t_c < 0.0):
             raise ValueError("durations must be nonnegative")
         return quadratic_variance(self.encoding_form, self.prepared(t_c))
 
@@ -228,7 +239,7 @@ class Protocol:
         formula never divides by zero on physical states.
         """
         t_c, t_theta = _durations(t_c, t_theta)
-        return self._cfi_homodyne(self.state(t_c, t_theta, theta0), t_theta)
+        return self._cfi_homodyne(self._state(t_c, t_theta, theta0), t_theta)
 
     def _cfi_homodyne(self, m: GaussianState, t_theta) -> np.ndarray:
         """Homodyne CFI of the final state m of an encoding of duration t_theta."""
@@ -277,6 +288,12 @@ def cfi_homodyne(spec: ProtocolSpec) -> float:
 THRESHOLD_TOL = 1e-4
 
 
+def _opposite_signs(a: float, b: float) -> bool:
+    """Whether a and b have strictly opposite signs (0 and nan have none), read
+    without their product, which underflows to ±0 when both are tiny."""
+    return (a < 0.0 and b > 0.0) or (a > 0.0 and b < 0.0)
+
+
 def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     """A sign change of f in [lo, hi], given f_lo = f(lo) and f(hi) of the other sign.
 
@@ -292,7 +309,7 @@ def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
+        if _opposite_signs(f_lo, f_mid):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
@@ -311,7 +328,7 @@ def zero_crossings(f, grid, values, tol: float) -> list[float]:
     for lo, hi, f_lo, f_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
         if f_lo == 0.0:
             crossings.append(lo)
-        elif f_lo * f_hi < 0.0:
+        elif _opposite_signs(f_lo, f_hi):
             crossings.append(bisect(f, lo, hi, f_lo, tol))
     if values and values[-1] == 0.0:
         crossings.append(grid[-1])

@@ -93,12 +93,17 @@ class QuadraticOperator(NamedTuple):
         large operators are judged on the same relative footing.
         """
         c_n, c_aa, c_adad, c_a, c_ad, c_1 = self
+        gap_aa, gap_a = c_adad - c_aa.conjugate(), c_ad - c_a.conjugate()
+        # Exact relations pass without the magnitude scan. The gaps, not
+        # c_adad == conj(c_aa), so that inf − inf = nan still fails.
+        if c_n.imag == 0.0 and c_1.imag == 0.0 and gap_aa == 0.0 and gap_a == 0.0:
+            return True
         tol = HERMITIAN_TOL * max(1.0, self.max_abs())
         return (
             abs(c_n.imag) <= tol
             and abs(c_1.imag) <= tol
-            and abs(c_adad - c_aa.conjugate()) <= tol
-            and abs(c_ad - c_a.conjugate()) <= tol
+            and abs(gap_aa) <= tol
+            and abs(gap_a) <= tol
         )
 
     # Common building blocks.
@@ -213,7 +218,7 @@ def derive_critical_structure(
     # A nan fit would pass the residual test below.
     if not _finite((delta_fit,)):
         raise _non_finite({"Δ": (delta_fit,)})
-    mismatch = max(abs(x - delta_fit * y) for x, y in zip(t3_vec.tolist(), t1_vec.tolist()))
+    mismatch = max(abs(complex(x) - delta_fit * complex(y)) for x, y in zip(t3, t1))
     residual = mismatch / (max(abs(delta_fit), 1e-300) * t1_max)
 
     if residual > RESIDUAL_MAX:
@@ -249,7 +254,8 @@ def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     x = k * t * t
     small = np.abs(x) < SERIES_SWITCH
-    if small.all():  # includes k = 0 and t = 0
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:  # includes k = 0 and t = 0
         return _flow_series(t, x)
     if k > 0.0:
         root = math.sqrt(k)
@@ -261,7 +267,7 @@ def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y = root * t
         half = np.sinh(0.5 * y)
         c, s, q = np.cosh(y), np.sinh(y) / root, -2.0 * half * half / k
-    if small.any():
+    if n_small:
         c[small], s[small], q[small] = _flow_series(t[small], x[small])
     return c, s, q
 

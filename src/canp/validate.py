@@ -270,7 +270,8 @@ def check_skew_identity() -> CheckResult:
         t_c = protocol.preparation_time(sdtc_grid)
         skews = protocol.skew(t_c)
         qfis = protocol.qfi(t_c, T_THETA)
-        worst_rel = max(worst_rel, float(np.max(np.abs(4.0 * T_THETA**2 * skews - qfis) / qfis)))
+        gaps = np.abs(4.0 * (T_THETA * T_THETA) * skews - qfis) / qfis
+        worst_rel = max(worst_rel, float(np.max(gaps)))
         if int(np.argmax(skews)) != int(np.argmax(qfis)):
             argmax_match = False
     return CheckResult(
@@ -308,14 +309,14 @@ def check_structural_sanity() -> CheckResult:
 
     # Commuting preparation wastes time: R = t_theta^2 / T^2 exactly.
     r0 = float(_protocol(ModelParams("QRM-frequency", g=0.0)).ratio(3.0, T_THETA, 0.0))
-    expected = T_THETA**2 / (3.0 + T_THETA) ** 2
+    expected = (T_THETA * T_THETA) / ((3.0 + T_THETA) * (3.0 + T_THETA))
     measured["g0_ratio_error"] = abs(r0 - expected) / expected
     ok &= measured["g0_ratio_error"] <= 1e-12 and r0 < 1.0
 
     # No preparation: plain t_theta^2 |alpha|^2 Fisher information.
     protocol = _protocol(ModelParams("QRM-frequency", g=0.96))
     f_tc0 = float(protocol.qfi(0.0, T_THETA))
-    expected_f = 4.0 * T_THETA**2 * abs(ALPHA) ** 2
+    expected_f = 4.0 * (T_THETA * T_THETA) * (abs(ALPHA) * abs(ALPHA))
     measured["tc0_qfi_error"] = abs(f_tc0 - expected_f) / expected_f
     ok &= measured["tc0_qfi_error"] <= 1e-12
 

@@ -5,7 +5,8 @@ own definition (the re-exports in `__init__.py` do not count) or in the
 benchmark harness's scripts `benchmarks/*.py` (the frozen
 `benchmarks/baseline/` copy does not count). A name that only tests call
 belongs in the tests, not in the package. A private module-level function
-needs a caller in `src/canp` itself: one that nothing calls was left behind.
+or method needs a caller in `src/canp` itself: one that nothing calls was
+left behind.
 """
 
 import ast
@@ -76,12 +77,21 @@ def caller_files():
     return package_files() + sorted((ROOT / "benchmarks").glob("*.py"))
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def private_definitions(module: str):
-    """(qualified name, False, def node) of the private module-level functions in module."""
+    """(qualified name, is_method, def node) of the private functions and the
+    private, non-dunder methods of every class in module."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and is_private(node.name):
             yield f"{module}.{node.name}", False, node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and is_private(member.name):
+                    yield f"{module}.{node.name}.{member.name}", True, member
 
 
 def uncalled_definitions(definitions, files):
@@ -116,7 +126,9 @@ def test_every_public_name_has_a_caller():
 
 def test_every_private_function_has_a_caller():
     checked, uncalled = uncalled_definitions(private_definitions, package_files())
-    assert {"cli._split_overrides", "experiments._model_values", "fock._escalate"} <= checked
+    assert {"cli._split_overrides", "experiments._model_values", "fock._escalate",
+            "metrology.Protocol._qfi", "metrology.Protocol._state", "metrology.Protocol._baseline",
+            "metrology.Protocol._cfi_homodyne", "metrology.Protocol._generator_terms"} <= checked
     assert uncalled == set()
 
 

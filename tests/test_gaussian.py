@@ -327,11 +327,11 @@ class TestClosedFormFlow:
         assert abs(q - (1.0 - math.cos(root * t)) / k) < 1e-13 * max(1.0, abs(q))
 
     def test_weights_broadcast_and_mixed_branches(self):
-        # One array holding series and closed-form entries matches the
-        # entries evaluated one at a time (to rounding), for either sign of k.
+        # One array holding series and closed-form entries equals the
+        # entries evaluated one at a time bit for bit, for either sign of k.
         for k in (0.8, -0.8):
             t = np.array([[0.0, 1e-4, 2.0], [3.0, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9)]])
             batch = flow_weights(k, t)
             for idx in np.ndindex(t.shape):
                 single = flow_weights(k, float(t[idx]))
-                assert [w[idx] for w in batch] == pytest.approx(single, rel=1e-15, abs=0.0)
+                assert [w[idx] for w in batch] == list(single)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canp import fock
+from canp import fock, metrology
 from canp.errors import (
     CommutingPairError,
     NegativeDeltaError,
@@ -503,6 +503,11 @@ class TestBisect:
         # The same steps meet f = 0 at 0.25 and return it, not the midpoint 0.375.
         assert bisect(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.25) == 0.25
 
+    def test_tiny_values_keep_their_signs(self):
+        # Every product f_lo * f_mid here underflows to ±0; the signs do not.
+        root = bisect(lambda x: 1e-200 * (0.3 - x), 0.0, 1.0, 0.3e-200, 0.0)
+        assert root == pytest.approx(0.3, rel=1e-15)
+
 
 def never_called(x):
     raise AssertionError(f"f({x}) evaluated: no neighbours here change sign strictly")
@@ -539,6 +544,13 @@ class TestZeroCrossings:
         grid = np.linspace(0.0, 10.0, 11)
         crossings = zero_crossings(math.cos, grid, np.cos(grid), 0.0)
         assert crossings == pytest.approx([0.5 * math.pi * k for k in (1, 3, 5)], abs=1e-15)
+
+    def test_tiny_sign_change_is_found(self):
+        # 0.5e-200 * -0.5e-200 underflows to -0.0, which is not < 0.
+        def f(x):
+            return 1e-200 * (0.5 - x)
+
+        assert zero_crossings(f, [0.0, 1.0], [0.5e-200, -0.5e-200], 0.0) == [0.5]
 
     def test_nan_value_has_no_sign(self):
         nan = float("nan")
@@ -751,6 +763,37 @@ class TestProtocolKernel:
             grid = np.broadcast_to(method(column, row), (len(t_c), len(t_theta)))
             points = np.array([[float(method(tc, tt)) for tt in t_theta] for tc in t_c])
             assert np.array_equal(grid, points), name
+
+    # Every public method taking (t_c, t_θ), with its arguments after those.
+    TIMED = {"qfi": (), "qfi_asymptotic": (), "qfi_displacement": (), "state": (0.2,),
+             "direct_baseline": (0.2,), "ratio": (0.2,), "cfi_homodyne": (0.2,)}
+
+    @pytest.mark.parametrize("name, rest", TIMED.items(), ids=list(TIMED))
+    def test_each_call_checks_its_times_once(self, monkeypatch, name, rest):
+        calls = []
+        original = metrology._durations
+
+        def counting(t_c, t_theta):
+            calls.append((t_c, t_theta))
+            return original(t_c, t_theta)
+
+        protocol = qrm_protocol(0.9)
+        monkeypatch.setattr(metrology, "_durations", counting)
+        getattr(protocol, name)(np.array([[0.5], [2.0]]), np.array([1.0, 3.0]), *rest)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, rest", TIMED.items(), ids=list(TIMED))
+    def test_each_method_rejects_bad_times(self, name, rest):
+        method = getattr(qrm_protocol(0.9), name)
+        for t_c, t_theta in ((np.array([1.0, -1.0]), 2.0), (1.0, -2.0)):
+            with pytest.raises(ValueError, match="durations must be nonnegative"):
+                method(t_c, t_theta, *rest)
+        with pytest.raises(ValueError, match="total time must be positive"):
+            method(np.array([0.0, 1.0]), 0.0, *rest)
+
+    def test_skew_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="durations must be nonnegative"):
+            qrm_protocol(0.9).skew(np.array([1.0, -1.0]))
 
     def test_time_validation_matches_spec(self):
         protocol = Protocol(qrm_effective(1.0, 0.9), encoding_frequency(), ALPHA)

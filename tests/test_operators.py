@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canp.errors import (
     CommutingPairError,
@@ -12,12 +13,13 @@ from canp.errors import (
 )
 from canp.models import lmg_effective, qrm_effective
 from canp.operators import (
+    HERMITIAN_TOL,
     QuadraticOperator,
     commutator,
     derive_critical_structure,
     to_quadrature_form,
 )
-from quadrature_forms import from_quadrature_form
+from quadrature_forms import from_quadrature_form, hermitian_within_tolerance
 
 N = QuadraticOperator.number()
 A = QuadraticOperator(c_a=1.0)
@@ -125,12 +127,51 @@ class TestArithmetic:
         assert twin is not self.OP and twin == self.OP and hash(twin) == hash(self.OP)
 
 
+# A coefficient part: finite, any float, or a special value.
+PART = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from((0.0, math.inf, -math.inf, math.nan)))
+# A gap from an exact relation, as (absolute, multiple of the tolerance at
+# the operator's scale): none, a part, or a multiple within or beyond 1.
+GAP = st.one_of(
+    st.tuples(st.just(0.0) | PART, st.just(0.0)),
+    st.tuples(st.just(0.0), st.sampled_from((0.5, -0.5, 0.999, -0.999, 2.0, -2.0, 1e3))),
+)
+
+
 class TestHermiticity:
     def test_flag(self):
         assert N.is_hermitian()
         assert not A.is_hermitian()
         assert QuadraticOperator(c_aa=1 + 2j, c_adad=1 - 2j).is_hermitian()
         assert not QuadraticOperator(c_n=1j).is_hermitian()
+
+    def test_equal_infinite_squeezing_is_not_hermitian(self):
+        # c_adad − conj(c_aa) = inf − inf is nan, which no tolerance admits.
+        op = QuadraticOperator(c_n=1.0, c_aa=complex(math.inf), c_adad=complex(math.inf))
+        assert not op.is_hermitian()
+        assert not hermitian_within_tolerance(op)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_tolerance_rule(self, data):
+        # Hermitian parts that are finite, huge, ±inf or nan, with every
+        # relation exact, or each broken by nothing, by a fraction or a
+        # multiple of the tolerance, or by any float.
+        c_n, c_1, aa_re, aa_im, a_re, a_im = data.draw(st.tuples(*[PART] * 6))
+        c_aa, c_a = complex(aa_re, aa_im), complex(a_re, a_im)
+        scale = HERMITIAN_TOL * max(1.0, abs(c_n), abs(c_1), abs(c_aa), abs(c_a))
+        gaps = [0.0] * 6 if data.draw(st.booleans()) else [
+            multiple * scale if multiple else absolute
+            for absolute, multiple in data.draw(st.tuples(*[GAP] * 6))]
+        op = QuadraticOperator(
+            c_n=complex(c_n, gaps[0]),
+            c_aa=c_aa,
+            c_adad=c_aa.conjugate() + complex(gaps[1], gaps[2]),
+            c_a=c_a,
+            c_ad=c_a.conjugate() + complex(gaps[3], gaps[4]),
+            c_1=complex(c_1, gaps[5]),
+        )
+        assert op.is_hermitian() == hermitian_within_tolerance(op)
 
 
 class TestDeriveCriticalStructure:
