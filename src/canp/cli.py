@@ -66,7 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"report written to {cfg.out}")
         return 0 if result["passed"] else 1
 
-    print(f"{cfg.experiment}: {len(result)} rows written to {cfg.out}")
+    n_rows = len(next(iter(result.values())))  # the table maps each column to its rows
+    print(f"{cfg.experiment}: {n_rows} rows written to {cfg.out}")
     return 0
 
 

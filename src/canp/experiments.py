@@ -5,7 +5,9 @@ JSON report for `validate`). A sweep is a single-process array evaluation:
 each runner builds one :class:`canp.metrology.Protocol` per model value and
 evaluates that value's whole time grid in closed form, and `validate` runs
 its number-basis oracle in the same process. A malformed or unknown field
-is a ConfigError. Every CSV starts with a comment line carrying the tool
+is a ConfigError. A CSV runner hands the writer the arrays it computed,
+before broadcasting, and returns the table written: each column's values,
+one per row. Every CSV starts with a comment line carrying the tool
 version and a hash of the resolved configuration without its output path.
 The hash covers every other field, also those that cannot change this
 run's data: a field the experiment does not read, validate's model and
@@ -256,57 +258,91 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _column_text(column: tuple) -> tuple[list[str], list[int]]:
-    """The _fmt text of each cell of one column, formatting each distinct value
-    once, and the indices of the cells that are nan or inf.
+_BOOL_TEXT = np.array(["0", "1"], dtype=object)
 
-    Floats are keyed by the bits of their float64 value, since value keys
-    would merge 0.0 with -0.0; a bool or int column of one type is keyed by
-    value; a column of mixed types is formatted cell by cell.
+
+def _column_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """The _fmt text of each cell of one column array, in the array's shape, and
+    whether each cell is nan or inf.
+
+    A typed array is read off its dtype: the repr of each float (a float32
+    value widens exactly), the decimal of each int, 0 or 1 for a bool. An
+    object array (mixed types, or Python ints) is formatted cell by cell by
+    _fmt.
     """
-    kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else object  # mixed: cell by cell, below
-    if issubclass(kind, (float, np.floating)):
-        values = np.array(column, dtype=np.float64)
-        bits = values.view(np.int64).tolist()
-        distinct = list(dict.fromkeys(bits))
-        floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-        text = dict(zip(distinct, map(repr, floats)))
-        return list(map(text.__getitem__, bits)), np.flatnonzero(~np.isfinite(values)).tolist()
-    if issubclass(kind, (bool, int, np.bool_, np.integer)):
-        text = {value: _fmt(value) for value in set(column)}
-        return list(map(text.__getitem__, column)), []
-    texts = list(map(_fmt, column))
-    return texts, [i for i, t in enumerate(texts) if t in ("nan", "inf", "-inf")]
+    kind = values.dtype.kind
+    if kind == "b":
+        return _BOOL_TEXT[values.view(np.uint8)], False
+    cells = values.ravel().tolist()
+    if kind in "fiu":
+        text = list(map(repr, cells))
+        bad = ~np.isfinite(values) if kind == "f" else False
+    else:
+        text = list(map(_fmt, cells))
+        bad = np.array([t in ("nan", "inf", "-inf") for t in text], dtype=bool)
+        bad = bad.reshape(values.shape)
+    return np.array(text, dtype=object).reshape(values.shape), bad
 
 
-def write_csv(path: str, cfg: RunConfig, columns: tuple[str, ...], rows: list[tuple],
-              extra_comments: tuple[str, ...] = ()) -> None:
-    """Write rows under a provenance header and the column names.
+def _column_array(cells: tuple) -> np.ndarray:
+    """One column of a row table: an array of the cells' type when they share
+    one, else of objects. Python ints are kept as objects, since numpy would
+    widen 2**63 and -1 together to float."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1 and kinds != {int}:
+        return np.array(cells)
+    return np.array(cells, dtype=object)
 
-    Each cell is written as _fmt gives it: a float (Python or numpy) as its
-    shortest round-trip repr, a bool as 0 or 1, an int in decimal. Every
-    row must have one cell per column; a ragged table is a ValueError. A
-    nan or inf cell is a NonFiniteError naming the column and the cells of
-    its first such row. Either error leaves nothing written.
+
+def write_csv(path: str, cfg: RunConfig, columns: dict | tuple[str, ...],
+              rows: list[tuple] | None = None,
+              extra_comments: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """Write a table under a provenance header and the column names, and return it.
+
+    `columns` maps each column name to an array, and the arrays broadcast
+    together (numpy rules) to the table's shape; its cells, in C order, are
+    the rows. Or `columns` is a tuple of names and `rows` a list of row
+    tuples, one cell per column; a ragged table is a ValueError, and so are
+    arrays that do not broadcast together.
+
+    Each array's own cells are formatted once, as _fmt gives them: a float
+    (Python or numpy) as its shortest round-trip repr, a bool as 0 or 1, an
+    int in decimal; the text is then broadcast. A nan or inf cell is a
+    NonFiniteError naming the column and the cells of its first such row.
+    Either error leaves nothing written. The table returned maps each column
+    name to its written values, one per row.
     """
-    widths = set(map(len, rows))
-    if widths - {len(columns)}:
-        raise ValueError(f"every row must have {len(columns)} cells, one per column "
-                         f"{columns}; got row widths {sorted(widths)}")
-    texts = []
-    for name, column in zip(columns, zip(*rows)):
-        text, bad = _column_text(column)
-        if bad:
-            cells = ", ".join(f"{c}={_fmt(v)}" for c, v in zip(columns, rows[bad[0]]))
+    if rows is None:
+        names, arrays = tuple(columns), [np.asarray(a) for a in columns.values()]
+        try:
+            shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        except ValueError:
+            raise ValueError(f"columns {names} do not broadcast together: shapes "
+                             f"{[a.shape for a in arrays]}") from None
+    else:
+        names = tuple(columns)
+        widths = set(map(len, rows))
+        if widths - {len(names)}:
+            raise ValueError(f"every row must have {len(names)} cells, one per column "
+                             f"{names}; got row widths {sorted(widths)}")
+        arrays = [_column_array(cells) for cells in zip(*rows)] or [np.empty(0)] * len(names)
+        shape = (len(rows),)
+    formatted = [_column_text(a) for a in arrays]
+    texts = [np.broadcast_to(text, shape).ravel().tolist() for text, _ in formatted]
+    for name, (_, bad) in zip(names, formatted):
+        bad = np.broadcast_to(bad, shape)
+        if bad.any():
+            first = int(bad.argmax())
+            cells = ", ".join(f"{c}={t[first]}" for c, t in zip(names, texts))
             raise NonFiniteError(f"experiment {cfg.experiment}: column {name} is nan or inf "
-                                 f"in {len(bad)} of {len(rows)} rows, first at {cells}")
-        texts.append(text)
+                                 f"in {np.count_nonzero(bad)} of {bad.size} rows, "
+                                 f"first at {cells}")
     lines = [f"# canp {__version__} experiment={cfg.experiment} config_sha256={cfg.sha256()}"]
     lines.extend(f"# {comment}" for comment in extra_comments)
-    lines.append(",".join(columns))
+    lines.append(",".join(names))
     lines.extend(map(",".join, zip(*texts)))
     _write(path, "\n".join(lines) + "\n")
+    return {name: np.broadcast_to(a, shape).ravel() for name, a in zip(names, arrays)}
 
 
 def _write(path: str, text: str) -> None:
@@ -350,45 +386,46 @@ def _critical_ratio(cfg: RunConfig, params: ModelParams) -> float:
     return float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
 
 
-def _rows(*columns) -> list[tuple]:
-    """Broadcast the columns against each other and zip them into CSV rows."""
-    return list(zip(*(np.ravel(c).tolist() for c in np.broadcast_arrays(*columns))))
-
-
-def run_fig2a(cfg: RunConfig) -> list[tuple]:
+def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
     tth = cfg.axis("t_theta").values()[None, :]
     protocol, t_c = _prepared(cfg, cfg.model, sdtc)
     ratio = protocol.ratio(t_c, tth, cfg.theta0)
-    rows = _rows(sdtc, tth, ratio, ratio > 1.0)
-    write_csv(cfg.out, cfg, ("sqrtDelta_tc", "t_theta", "R", "enhanced"), rows)
-    return rows
+    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, "t_theta": tth, "R": ratio,
+                                    "enhanced": ratio > 1.0})
 
 
-def run_fig2b(cfg: RunConfig) -> list[tuple]:
+def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    rows = []
-    for params in _model_values(cfg):
+    models = _model_values(cfg)
+    ratios = []
+    for params in models:
         protocol, t_c = _prepared(cfg, params, sdtc)
-        rows += _rows(params.g, sdtc, protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
-    write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "R"), rows)
-    return rows
+        ratios.append(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
+    # g runs down the (k, n) block of results, √Δ·t_c along it.
+    g = np.array([params.g for params in models])[:, None]
+    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, "R": np.stack(ratios)})
 
 
-def run_fig2b_inset(cfg: RunConfig) -> list[tuple]:
-    rows = [(params.g, _critical_ratio(cfg, params)) for params in _model_values(cfg)]
-    write_csv(cfg.out, cfg, ("g", "R_tau"), rows)
-    return rows
+def run_fig2b_inset(cfg: RunConfig) -> dict[str, np.ndarray]:
+    models = _model_values(cfg)
+    return write_csv(cfg.out, cfg, {
+        "g": np.array([params.g for params in models]),
+        "R_tau": np.array([_critical_ratio(cfg, params) for params in models]),
+    })
 
 
-def run_fig3a(cfg: RunConfig) -> list[tuple]:
+def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    rows = []
-    for params in _model_values(cfg):
+    models = _model_values(cfg)
+    skews, qfis = [], []
+    for params in models:
         protocol, t_c = _prepared(cfg, params, sdtc)
-        rows += _rows(params.g, sdtc, protocol.skew(t_c), protocol.qfi(t_c, cfg.t_theta))
-    write_csv(cfg.out, cfg, ("g", "sqrtDelta_tc", "S", "F"), rows)
-    return rows
+        skews.append(protocol.skew(t_c))
+        qfis.append(protocol.qfi(t_c, cfg.t_theta))
+    g = np.array([params.g for params in models])[:, None]
+    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, "S": np.stack(skews),
+                                    "F": np.stack(qfis)})
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
@@ -396,26 +433,27 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
     return float(protocol.state(t_c, cfg.t_theta, cfg.theta0).mp)
 
 
-def run_fig3b(cfg: RunConfig) -> list[tuple]:
-    rows = []
-    for params in _model_values(cfg):
+def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
+    models = _model_values(cfg)
+    g = np.array([params.g for params in models])
+    mean_p, cfi, qfi = np.empty((3, len(models)))
+    for i, params in enumerate(models):
         protocol, t_c = _prepared(cfg, params, math.pi)
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
-        cfi = float(protocol._cfi_homodyne(final, cfg.t_theta))
-        qfi = float(protocol.qfi(t_c, cfg.t_theta))
-        rows.append((params.g, float(final.mp), cfi, qfi, cfi / qfi))
+        mean_p[i] = final.mp
+        cfi[i] = protocol._cfi_homodyne(final, cfg.t_theta)
+        qfi[i] = protocol.qfi(t_c, cfg.t_theta)
     # Sign changes of ⟨P⟩ versus g, each bisected down to adjacent floats.
-    grid, mean_p = zip(*(row[:2] for row in rows))
-    crossings = zero_crossings(lambda g: _mean_p_at(cfg, g), grid, mean_p, 0.0)
+    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, mean_p, 0.0)
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
     else:
         comments = ("meanP_zero_crossings none (curve is sign-definite on this grid)",)
-    write_csv(cfg.out, cfg, ("g", "meanP", "cfi", "qfi", "cfi_over_qfi"), rows, comments)
-    return rows
+    return write_csv(cfg.out, cfg, {"g": g, "meanP": mean_p, "cfi": cfi, "qfi": qfi,
+                                    "cfi_over_qfi": cfi / qfi}, extra_comments=comments)
 
 
-def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
+def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
     # The threshold comes first: a bracket it rejects stops the run before
     # the sweep, after at most its two end values. Config time does not
     # phase-check a given bracket; an end out of phase exits here.
@@ -432,23 +470,29 @@ def run_lmg_threshold(cfg: RunConfig) -> list[tuple]:
         raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     except NoSignChangeError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [(params.lam, _critical_ratio(cfg, params)) for params in _model_values(cfg)]
+    models = _model_values(cfg)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
-    write_csv(cfg.out, cfg, ("lambda", "R_tau"), rows, comments)
-    return rows
+    return write_csv(cfg.out, cfg, {
+        "lambda": np.array([params.lam for params in models]),
+        "R_tau": np.array([_critical_ratio(cfg, params) for params in models]),
+    }, extra_comments=comments)
 
 
-def run_displacement(cfg: RunConfig) -> list[tuple]:
-    rows = []
-    for params in _model_values(cfg):
+def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
+    models = _model_values(cfg)
+    g = np.array([params.g for params in models])
+    delta_p, formula, exact, ratio = np.empty((4, len(models)))
+    for i, params in enumerate(models):
         # Quarter period: the point where the asymptotic sin² formula is exact.
         protocol, t_c = _prepared(cfg, params, 0.5 * math.pi)
-        formula = float(protocol.qfi_displacement(t_c, cfg.t_theta))
-        exact = float(protocol.qfi(t_c, cfg.t_theta))
-        ratio = float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
-        rows.append((params.g, protocol.structure.Delta, formula, exact, ratio))
-    write_csv(cfg.out, cfg, ("g", "delta_p", "qfi_formula", "qfi_exact", "R"), rows)
-    return rows
+        protocol._require_bright_probe()
+        delta_p[i] = protocol.structure.Delta
+        formula[i] = protocol.qfi_displacement(t_c, cfg.t_theta)
+        exact[i] = protocol.qfi(t_c, cfg.t_theta)
+        # Protocol.ratio's quotient, reusing the exact QFI.
+        ratio[i] = exact[i] / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)
+    return write_csv(cfg.out, cfg, {"g": g, "delta_p": delta_p, "qfi_formula": formula,
+                                    "qfi_exact": exact, "R": ratio})
 
 
 def run_validate(cfg: RunConfig) -> dict:

@@ -62,12 +62,17 @@ class ProtocolSpec:
         _durations(self.t_c, self.t_theta)
 
 
+def _duration(t) -> np.ndarray:
+    """A time as a float array; it must be nonnegative."""
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t < 0.0):
+        raise ValueError("durations must be nonnegative")
+    return t
+
+
 def _durations(t_c, t_theta) -> tuple[np.ndarray, np.ndarray]:
     """Times as float arrays; each must be nonnegative and their sum positive."""
-    t_c = np.asarray(t_c, dtype=float)
-    t_theta = np.asarray(t_theta, dtype=float)
-    if np.count_nonzero(t_c < 0.0) or np.count_nonzero(t_theta < 0.0):
-        raise ValueError("durations must be nonnegative")
+    t_c, t_theta = _duration(t_c), _duration(t_theta)
     if np.count_nonzero(t_c + t_theta <= 0.0):
         raise ValueError("total time must be positive")
     return t_c, t_theta
@@ -85,8 +90,9 @@ class Protocol:
     one :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
     Each public method checks its times once (each nonnegative, their sum
-    positive) and then calls the private kernels (``_qfi``, ``_state``,
-    ``_baseline``, ``_cfi_homodyne``), which take the checked float arrays.
+    positive) and then calls the private kernels (``_qfi``,
+    ``_qfi_asymptotic``, ``_prepared``, ``_state``, ``_baseline``,
+    ``_cfi_homodyne``), which take the checked float arrays.
 
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
     s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
@@ -152,7 +158,10 @@ class Protocol:
     # --- states ----------------------------------------------------------
 
     def prepared(self, t_c) -> GaussianState:
-        """The probe after the preparation stage."""
+        """The probe after the preparation stage; t_c must be nonnegative."""
+        return self._prepared(_duration(t_c))
+
+    def _prepared(self, t_c) -> GaussianState:
         return self.preparation.apply(self.probe, t_c)
 
     def state(self, t_c, t_theta, theta) -> GaussianState:
@@ -160,7 +169,7 @@ class Protocol:
         return self._state(*_durations(t_c, t_theta), theta)
 
     def _state(self, t_c, t_theta, theta) -> GaussianState:
-        return self.encoding.apply(self.prepared(t_c), theta * t_theta)
+        return self.encoding.apply(self._prepared(t_c), theta * t_theta)
 
     # --- figures of merit ------------------------------------------------
 
@@ -186,7 +195,9 @@ class Protocol:
         the neglected cross terms are only suppressed near the critical
         point. A commuting pair has D = 0 and so gives 0.
         """
-        t_c, t_theta = _durations(t_c, t_theta)
+        return self._qfi_asymptotic(*_durations(t_c, t_theta))
+
+    def _qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
         delta, _, f_d = self._generator_terms
         _, _, q = flow_weights(delta, t_c)  # the cosine weight is −q
         return 4.0 * (t_theta * t_theta) * (q * q) * quadratic_variance(f_d, self.probe)
@@ -201,20 +212,26 @@ class Protocol:
         pure displacement encoding the coherent-state variance is amplitude
         independent and the baseline reduces to 4 T² Var[H_θ]_vac.
         """
-        return self._baseline(*_durations(t_c, t_theta), theta0)
+        t_c, t_theta = _durations(t_c, t_theta)
+        return self._baseline(t_c, t_theta, self._state(t_c, t_theta, theta0))
 
-    def _baseline(self, t_c, t_theta, theta0) -> np.ndarray:
-        nbar = np.maximum(photon_number(self._state(t_c, t_theta, theta0)), 0.0)
+    def _baseline(self, t_c, t_theta, final: GaussianState) -> np.ndarray:
+        """The direct baseline matched to final, the state after t_c and t_theta."""
+        nbar = np.maximum(photon_number(final), 0.0)
         reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
         total = t_c + t_theta
         return 4.0 * (total * total) * quadratic_variance(self.encoding_form, reference)
 
     def ratio(self, t_c, t_theta, theta0) -> np.ndarray:
         """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
+        self._require_bright_probe()
+        t_c, t_theta = _durations(t_c, t_theta)
+        return self._qfi(t_c, t_theta) / self._baseline(t_c, t_theta,
+                                                        self._state(t_c, t_theta, theta0))
+
+    def _require_bright_probe(self) -> None:
         if abs(self.alpha) < 1e-12:
             raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
-        t_c, t_theta = _durations(t_c, t_theta)
-        return self._qfi(t_c, t_theta) / self._baseline(t_c, t_theta, theta0)
 
     def skew(self, t_c) -> np.ndarray:
         """Skew information of the prepared state and H_θ.
@@ -223,9 +240,6 @@ class Protocol:
         equals qfi/(4 t_θ²) identically; the two are computed by independent
         routes and the tests enforce the identity.
         """
-        t_c = np.asarray(t_c, dtype=float)
-        if np.count_nonzero(t_c < 0.0):
-            raise ValueError("durations must be nonnegative")
         return quadratic_variance(self.encoding_form, self.prepared(t_c))
 
     def cfi_homodyne(self, t_c, t_theta, theta0) -> np.ndarray:
@@ -392,17 +406,24 @@ class MetrologyReport:
 
 
 def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
-    """The full metrology report of one protocol instance, from one :class:`Protocol`."""
+    """The full metrology report of one protocol instance, from one :class:`Protocol`.
+
+    The times are checked once and the final state is built once; each field
+    is the value the matching public method gives.
+    """
     protocol = Protocol.from_spec(spec)
-    times = (spec.t_c, spec.t_theta)
-    final = protocol.state(*times, spec.theta0)
+    protocol._require_bright_probe()
+    t_c, t_theta = _durations(spec.t_c, spec.t_theta)
+    final = protocol._state(t_c, t_theta, spec.theta0)
+    qfi = protocol._qfi(t_c, t_theta)
+    baseline = protocol._baseline(t_c, t_theta, final)
     return MetrologyReport(
-        qfi_exact=float(protocol.qfi(*times)),
-        qfi_asymptotic=float(protocol.qfi_asymptotic(*times)),
-        qfi_direct_baseline=float(protocol.direct_baseline(*times, spec.theta0)),
-        ratio=float(protocol.ratio(*times, spec.theta0)),
-        skew=float(protocol.skew(spec.t_c)),
-        cfi_homodyne=float(protocol._cfi_homodyne(final, spec.t_theta)),
+        qfi_exact=float(qfi),
+        qfi_asymptotic=float(protocol._qfi_asymptotic(t_c, t_theta)),
+        qfi_direct_baseline=float(baseline),
+        ratio=float(qfi / baseline),
+        skew=float(quadratic_variance(protocol.encoding_form, protocol._prepared(t_c))),
+        cfi_homodyne=float(protocol._cfi_homodyne(final, t_theta)),
         meanP=float(final.mp),
         varP=float(final.spp),
         final_mean_photon=float(photon_number(final)),

@@ -48,6 +48,8 @@ def test_selftest_and_checks_bindings():
     # selftest.py calls find_threshold(variant, t_theta, alpha, bracket, gamma=...).
     assert list(inspect.signature(metrology.find_threshold).parameters)[:6] == [
         "family", "t_theta", "alpha", "bracket", "omega", "gamma"]
+    # tracer.py counts the bytes write_csv writes by reading its first argument, the path.
+    assert list(inspect.signature(experiments.write_csv).parameters)[0] == "path"
     # checks.py pins the oracle's truncation through these two keywords.
     for oracle in (fock.converged_protocol_state, fock.qfi_numeric):
         assert {"start_dim", "max_dim"} <= set(inspect.signature(oracle).parameters)

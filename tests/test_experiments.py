@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import canp
 from canp.errors import ConfigError, NonFiniteError
@@ -20,6 +21,7 @@ from canp.experiments import (
     write_csv,
 )
 from canp import cli, experiments, gaussian, models, validate
+from canp.metrology import Protocol
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -170,6 +172,44 @@ def _tables(draw):
     return tuple(f"c{i}" for i in range(len(kinds))), list(zip(*columns))
 
 
+# The cells of a typed column array, by dtype.
+_ARRAY_CELLS = {
+    np.float64: _FLOAT,
+    np.float32: st.floats(width=32, allow_nan=False, allow_infinity=False),
+    np.bool_: st.booleans(),
+    np.int64: st.integers(-2**63, 2**63 - 1),
+}
+_SIGNED_ZEROS = {np.float64: st.sampled_from((0.0, -0.0)),
+                 np.float32: st.sampled_from((0.0, -0.0))}
+
+
+@st.composite
+def _array_tables(draw, cells=_ARRAY_CELLS):
+    """({name: array}, None): typed column arrays of shapes that broadcast together."""
+    dtypes = draw(st.lists(st.sampled_from(list(cells)), min_size=1, max_size=5))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=len(dtypes), max_dims=3,
+                                                    max_side=4)).input_shapes
+    return {f"c{i}": draw(hnp.arrays(dtype, shape, elements=cells[dtype]))
+            for i, (dtype, shape) in enumerate(zip(dtypes, shapes))}, None
+
+
+def _broadcast_rows(columns: dict) -> list[tuple]:
+    """The rows of a table of column arrays: their broadcast cells, in C order."""
+    arrays = np.broadcast_arrays(*columns.values())
+    return [tuple(a[index] for a in arrays) for index in np.ndindex(arrays[0].shape)]
+
+
+def _table_rows(table: dict) -> list[tuple]:
+    """The rows of a table a runner or write_csv returned."""
+    return list(zip(*table.values()))
+
+
+def _data_lines(path) -> list[str]:
+    """The lines of a CSV after its comments and its header."""
+    return [line for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")][1:]
+
+
 class TestCsvWriter:
     CFG = config_from_dict(small_config("fig2b-inset", Path("."), sweep={
         "g": {"start": 0.5, "stop": 0.9, "points": 4}}))
@@ -190,21 +230,34 @@ class TestCsvWriter:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(_tables())
+    @given(st.one_of(_tables(), _array_tables()))
     def test_data_lines_match_per_cell_format(self, tmp_path, table):
+        # Both forms: row tuples under column names, and broadcasting arrays.
         columns, rows = table
         path = tmp_path / "t.csv"
-        write_csv(str(path), self.CFG, columns, rows)
+        written = write_csv(str(path), self.CFG, columns, rows)
+        want = [",".join(map(_fmt_reference, row))
+                for row in (_broadcast_rows(columns) if rows is None else rows)]
         lines = path.read_text().splitlines()
         assert lines[1] == ",".join(columns)
-        assert lines[2:] == [",".join(map(_fmt_reference, row)) for row in rows]
+        assert lines[2:] == want
+        # The table returned holds the written values, one per row.
+        assert [",".join(map(_fmt_reference, row)) for row in _table_rows(written)] == want
 
-    def test_signed_zeros_keep_their_sign(self, tmp_path):
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_array_tables(_SIGNED_ZEROS))
+    def test_signed_zeros_keep_their_sign(self, tmp_path, table):
         # Keyed by value, 0.0 and -0.0 would share one text.
         rows = [(0.0, np.float64(0.0)), (-0.0, np.float64(-0.0)), (0.0, np.float64(-0.0))]
         path = tmp_path / "z.csv"
         write_csv(str(path), self.CFG, ("a", "b"), rows)
         assert path.read_text().splitlines()[2:] == ["0.0,0.0", "-0.0,-0.0", "0.0,-0.0"]
+        columns, _ = table
+        write_csv(str(path), self.CFG, columns)
+        assert path.read_text().splitlines()[2:] == [
+            ",".join("-0.0" if np.signbit(cell) else "0.0" for cell in row)
+            for row in _broadcast_rows(columns)]
 
     def test_mixed_column_is_formatted_cell_by_cell(self, tmp_path):
         cells = (1.5, True, 3, np.int64(2), np.float64(-0.0), np.bool_(False), 1.0)
@@ -212,18 +265,27 @@ class TestCsvWriter:
         write_csv(str(path), self.CFG, ("a",), [(cell,) for cell in cells])
         assert path.read_text().splitlines()[2:] == ["1.5", "1", "3", "2", "-0.0", "0", "1.0"]
 
+    def test_python_ints_stay_exact(self, tmp_path):
+        # numpy would hold 2**63 and -1 together as float64, and 2**70 as no int dtype.
+        path = tmp_path / "i.csv"
+        write_csv(str(path), self.CFG, ("a", "b"), [(2**63, 2**70), (-1, 3)])
+        assert path.read_text().splitlines()[2:] == [f"{2**63},{2**70}", "-1,3"]
+
     @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, np.float64(math.nan),
                                       np.float32(math.inf)])
     @pytest.mark.parametrize("first_y", [1.0, 1], ids=["float-column", "mixed-column"])
     def test_non_finite_cell_is_refused(self, tmp_path, cell, first_y):
         rows = [(0.5, first_y, True), (1.5, cell, False), (2.5, cell, True)]
+        table = {"x": np.array([0.5, 1.5, 2.5]), "y": np.array([first_y, cell, cell]),
+                 "flag": np.array([True, False, True])}
         path = tmp_path / "n.csv"
         text = repr(float(cell))
-        with pytest.raises(NonFiniteError) as exc:
-            write_csv(str(path), self.CFG, ("x", "y", "flag"), rows)
-        assert str(exc.value) == (f"experiment fig2b-inset: column y is nan or inf in 2 of 3 "
-                                  f"rows, first at x=1.5, y={text}, flag=0")
-        assert not path.exists()
+        for columns, given_rows in ((("x", "y", "flag"), rows), (table, None)):
+            with pytest.raises(NonFiniteError) as exc:
+                write_csv(str(path), self.CFG, columns, given_rows)
+            assert str(exc.value) == (f"experiment fig2b-inset: column y is nan or inf in 2 "
+                                      f"of 3 rows, first at x=1.5, y={text}, flag=0")
+            assert not path.exists()
 
     @pytest.mark.parametrize("rows", [
         [(1.0, 2.0), (3.0,)],
@@ -236,6 +298,13 @@ class TestCsvWriter:
             write_csv(str(path), self.CFG, ("a", "b"), rows)
         assert not path.exists()
 
+    @pytest.mark.parametrize("a, b", [((2,), (3,)), ((2, 3), (3, 1)), ((2, 1), (4, 3))])
+    def test_columns_that_do_not_broadcast_are_rejected(self, tmp_path, a, b):
+        path = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match=r"columns \('a', 'b'\) do not broadcast"):
+            write_csv(str(path), self.CFG, {"a": np.zeros(a), "b": np.ones(b, dtype=bool)})
+        assert not path.exists()
+
     def test_header_version_is_the_project_version(self):
         # The version every CSV header prints is the one pyproject.toml declares.
         tomllib = pytest.importorskip("tomllib")
@@ -245,15 +314,15 @@ class TestCsvWriter:
 
 class TestRunners:
     def test_fig2a_enhancement_windows_exist(self, tmp_path):
-        rows = run_experiment(config_from_dict(small_config("fig2a", tmp_path, sweep={
+        table = run_experiment(config_from_dict(small_config("fig2a", tmp_path, sweep={
             "sqrtDelta_tc": {"start": 0.0, "stop": 12.566370614359172, "points": 30},
             "t_theta": {"start": 0.5, "stop": 20.0, "points": 30},
         })))
-        assert any(row[3] for row in rows)
+        assert any(table["enhanced"])
 
     def test_fig2b_inset_monotone_and_crossing(self, tmp_path):
-        rows = run_experiment(config_from_dict(small_config("fig2b-inset", tmp_path, sweep={
-            "g": {"start": 0.45, "stop": 0.99, "points": 40}})))
+        rows = _table_rows(run_experiment(config_from_dict(small_config(
+            "fig2b-inset", tmp_path, sweep={"g": {"start": 0.45, "stop": 0.99, "points": 40}}))))
         ratios = [r for _, r in rows]
         gs = [g for g, _ in rows]
         # strictly increasing toward criticality on g >= 0.6
@@ -264,15 +333,16 @@ class TestRunners:
         assert abs(crossing - 0.5058) < 0.02
 
     def test_fig3a_identity_in_rows(self, tmp_path):
-        rows = run_experiment(config_from_dict(small_config("fig3a", tmp_path, g_values=[0.9],
-            sweep={"sqrtDelta_tc": {"start": 0.0, "stop": 6.28, "points": 12}})))
+        rows = _table_rows(run_experiment(config_from_dict(small_config(
+            "fig3a", tmp_path, g_values=[0.9],
+            sweep={"sqrtDelta_tc": {"start": 0.0, "stop": 6.28, "points": 12}}))))
         for _, _, s, f in rows:
             assert abs(4.0 * 144.0 * s - f) <= 1e-9 * max(1.0, f)
 
     def test_fig3b_columns_and_crossing_comment(self, tmp_path):
         cfg = config_from_dict(small_config("fig3b", tmp_path, sweep={
             "g": {"start": 0.9, "stop": 0.98, "points": 5}}))
-        rows = run_experiment(cfg)
+        rows = _table_rows(run_experiment(cfg))
         text = Path(cfg.out).read_text()
         assert "meanP_zero_crossings none" in text
         for g, mean_p, cfi, qfi, ratio in rows:
@@ -291,7 +361,7 @@ class TestRunners:
         cfg_dict["model"] = {"variant": "LMG-frequency", "omega": 1.0,
                              "lambda": 0.4, "gamma": 2.0}
         cfg = config_from_dict(cfg_dict)
-        rows = run_experiment(cfg)
+        rows = _table_rows(run_experiment(cfg))
         header = Path(cfg.out).read_text().splitlines()[1]
         assert header.startswith("# lambda_star=")
         lam_star = float(header.split("=")[1].split()[0])
@@ -321,7 +391,7 @@ class TestRunners:
         cfg_dict = small_config("displacement", tmp_path, sweep={
             "g": {"start": 0.5, "stop": 0.95, "points": 7}})
         cfg_dict["model"] = {"variant": "QRM-displacement", "omega": 1.0, "g": 0.9}
-        rows = run_experiment(config_from_dict(cfg_dict))
+        rows = _table_rows(run_experiment(config_from_dict(cfg_dict)))
         for g, delta_p, formula, exact, ratio in rows:
             assert delta_p == pytest.approx(1.0 - g * g, rel=1e-12)
             # quarter-period point: dropped term vanishes, formula is exact
@@ -388,8 +458,61 @@ class TestRunners:
         cfg = load_config(str(CONFIG_DIR / "fig3b.json"),
                           {"out": json.dumps(str(tmp_path / "fig3b.csv"))})
         # One preparation and one encoding per grid point.
-        assert len(run_experiment(cfg)) == 80
+        assert len(run_experiment(cfg)["g"]) == 80
         assert len(applied) == 160
+
+    # Each CSV experiment on a small config; the grids are not square, so a
+    # transposed block or swapped axes change the rows.
+    SMALL = {
+        "fig2a": {"sweep": {"sqrtDelta_tc": {"start": 0.0, "stop": 6.0, "points": 3},
+                            "t_theta": {"start": 0.5, "stop": 20.0, "points": 4}}},
+        "fig2b": {"g_values": [0.8, 0.9],
+                  "sweep": {"sqrtDelta_tc": {"start": 0.5, "stop": 6.0, "points": 3}}},
+        "fig2b-inset": {"sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}},
+        "fig3a": {"g_values": [0.9, 0.95],
+                  "sweep": {"sqrtDelta_tc": {"start": 0.5, "stop": 6.0, "points": 3}}},
+        "fig3b": {"sweep": {"g": {"start": 0.9, "stop": 0.98, "points": 4}}},
+        "lmg-threshold": {"t_theta": 1.3, "bracket": [0.2, 0.6],
+                          "model": {"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2.0},
+                          "sweep": {"lambda": {"start": 0.2, "stop": 0.6, "points": 3}}},
+        "displacement": {"model": {"variant": "QRM-displacement", "g": 0.9},
+                         "sweep": {"g": {"start": 0.5, "stop": 0.95, "points": 3}}},
+    }
+
+    @pytest.mark.parametrize("experiment", SMALL)
+    def test_csv_is_the_returned_table(self, tmp_path, experiment):
+        cfg = config_from_dict(small_config(experiment, tmp_path, **self.SMALL[experiment]))
+        table = run_experiment(cfg)
+        lines = [line for line in Path(cfg.out).read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == ",".join(table)
+        assert {column.shape for column in table.values()} == {(len(lines) - 1,)}
+        assert lines[1:] == [",".join(map(_fmt_reference, row)) for row in _table_rows(table)]
+
+    def test_fig2a_rows_run_sqrt_delta_tc_first(self, tmp_path):
+        cfg = config_from_dict(small_config("fig2a", tmp_path, **self.SMALL["fig2a"]))
+        table = run_experiment(cfg)
+        sdtc, tth = cfg.axis("sqrtDelta_tc").values(), cfg.axis("t_theta").values()
+        assert np.array_equal(table["sqrtDelta_tc"], np.repeat(sdtc, len(tth)))
+        assert np.array_equal(table["t_theta"], np.tile(tth, len(sdtc)))
+        protocol = Protocol(*cfg.model.pair(), cfg.alpha)
+        for x, t_theta, ratio, enhanced in _table_rows(table):
+            want = protocol.ratio(protocol.preparation_time(x), t_theta, cfg.theta0)
+            assert (ratio, enhanced) == (want, want > 1.0)
+
+    @pytest.mark.parametrize("experiment, columns", [("fig2b", ("R",)), ("fig3a", ("S", "F"))])
+    def test_g_blocks_run_g_first(self, tmp_path, experiment, columns):
+        cfg = config_from_dict(small_config(experiment, tmp_path, **self.SMALL[experiment]))
+        table = run_experiment(cfg)
+        sdtc = cfg.axis("sqrtDelta_tc").values()
+        assert np.array_equal(table["g"], np.repeat(cfg.g_values, len(sdtc)))
+        assert np.array_equal(table["sqrtDelta_tc"], np.tile(sdtc, len(cfg.g_values)))
+        for i, (g, x) in enumerate(zip(table["g"], table["sqrtDelta_tc"])):
+            protocol = Protocol(*cfg.model.replace(g=float(g)).pair(), cfg.alpha)
+            t_c = protocol.preparation_time(x)
+            want = {"R": protocol.ratio(t_c, cfg.t_theta, cfg.theta0),
+                    "S": protocol.skew(t_c), "F": protocol.qfi(t_c, cfg.t_theta)}
+            assert [table[name][i] for name in columns] == [want[name] for name in columns]
 
     def test_validate_requires_oracle(self, tmp_path):
         cfg_dict = small_config("validate", tmp_path)
@@ -798,6 +921,16 @@ class TestCli:
         if code:
             err = capsys.readouterr().err
             assert err.startswith("config error: alpha=0j: ") and "vacuum probe" in err
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",
+                                      "lmg_threshold", "displacement"])
+    def test_success_line_counts_the_data_lines(self, tmp_path, capsys, name):
+        out = tmp_path / f"{name}.csv"
+        experiment = name.replace("_", "-")
+        assert cli.main([experiment, "--config", str(CONFIG_DIR / f"{name}.json"),
+                         "--out", str(out)]) == 0
+        n_rows = len(_data_lines(out))
+        assert capsys.readouterr().out == f"{experiment}: {n_rows} rows written to {out}\n"
 
     def test_experiment_choices_keep_their_order(self):
         assert experiments.EXPERIMENTS == ("fig2a", "fig2b", "fig2b-inset", "fig3a", "fig3b",

@@ -649,6 +649,45 @@ class TestProtocolSpecAndReport:
         assert report.cfi_homodyne == cfi_homodyne(spec)
         assert report.ratio == enhancement_ratio(spec)
 
+    @pytest.mark.parametrize("variant, g, theta0", [
+        ("QRM-frequency", 0.94, 0.0), ("QRM-frequency", 0.9, 0.3),
+        ("QRM-frequency", 0.0, 0.1), ("QRM-displacement", 0.9, 0.3)])
+    def test_report_fields_are_the_public_methods_values(self, monkeypatch, variant, g, theta0):
+        params = ModelParams(variant, g=g)
+        spec = ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(), t_c=2.0,
+                            t_theta=T_THETA, alpha=ALPHA, theta0=theta0)
+        checks, states = [], []
+        durations, state = metrology._durations, Protocol._state
+
+        def counting_durations(*args):
+            checks.append(args)
+            return durations(*args)
+
+        def counting_state(self, *args):
+            states.append(args)
+            return state(self, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(metrology, "_durations", counting_durations)
+            patched.setattr(Protocol, "_state", counting_state)
+            report = evaluate_report(spec)
+        # One time check and one final state per report.
+        assert (len(checks), len(states)) == (1, 1)
+        protocol = Protocol.from_spec(spec)
+        times = (spec.t_c, spec.t_theta)
+        final = protocol.state(*times, theta0)
+        assert dataclasses.asdict(report) == {
+            "qfi_exact": float(protocol.qfi(*times)),
+            "qfi_asymptotic": float(protocol.qfi_asymptotic(*times)),
+            "qfi_direct_baseline": float(protocol.direct_baseline(*times, theta0)),
+            "ratio": float(protocol.ratio(*times, theta0)),
+            "skew": float(protocol.skew(spec.t_c)),
+            "cfi_homodyne": float(protocol.cfi_homodyne(*times, theta0)),
+            "meanP": float(final.mp),
+            "varP": float(final.spp),
+            "final_mean_photon": float(photon_number(final)),
+        }
+
     def test_report_serializes_flat(self):
         report = evaluate_report(qrm_spec(0.9, 1.0))
         payload = json.loads(json.dumps(dataclasses.asdict(report)))
@@ -794,6 +833,12 @@ class TestProtocolKernel:
     def test_skew_rejects_negative_time(self):
         with pytest.raises(ValueError, match="durations must be nonnegative"):
             qrm_protocol(0.9).skew(np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("t_c", [-1.0, np.array([1.0, -1.0])], ids=["scalar", "array-entry"])
+    def test_prepared_rejects_negative_time(self, t_c):
+        # As skew does: a negative preparation time would evolve the probe backwards.
+        with pytest.raises(ValueError, match="durations must be nonnegative"):
+            qrm_protocol(0.9).prepared(t_c)
 
     def test_time_validation_matches_spec(self):
         protocol = Protocol(qrm_effective(1.0, 0.9), encoding_frequency(), ALPHA)
