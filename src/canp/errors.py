@@ -5,10 +5,6 @@ class CanpError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitianError(CanpError):
-    """Operation requires a Hermitian operator and the input is not."""
-
-
 class CommutingPairError(CanpError):
     """[H_c, H_theta] = 0, so the critical structure is degenerate."""
 

@@ -3,14 +3,15 @@
 This module is the independent ground truth for everything the Gaussian
 engine and the metrology formulas compute in closed form: states are complex
 amplitude vectors in a truncated Fock basis, and a quadratic operator is the
-five bands its six coefficients fill. Expectations and variances are O(dim)
-banded sums; a dense matrix is built only to be decomposed. Evolution goes
-through an eigendecomposition of only the levels each Hamiltonian couples
-(:class:`Propagator`), real symmetric (float64) when all six coefficients
-are real, which every shipped H_c, a†a and X are, and complex Hermitian
-otherwise. A small bounded memo, the module's only cache, decomposes each
-(Hamiltonian, truncation) once per process and hands it to every evolution
-time and every caller of the run. Dense linear algebra caps the useful
+five bands of its ladder coefficients, read from its (G, v, c0) form (see
+:func:`_ladder`). Expectations and variances are O(dim) banded sums; a dense
+matrix is built only to be decomposed. Evolution goes through an
+eigendecomposition of only the levels each Hamiltonian couples
+(:class:`Propagator`), real symmetric (float64) when G_xp = v_p = 0, which
+holds for every shipped H_c, a†a and X, and complex Hermitian otherwise.
+A small bounded memo, the module's only cache, decomposes each (Hamiltonian,
+truncation) once per process and hands it to every evolution time and every
+caller of the run. Dense linear algebra caps the useful
 truncation around a few hundred levels, which the desk-scale ranges here fit.
 
 Truncation honesty is enforced, not assumed: after every evolution the
@@ -29,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPositiveError, TruncationNotConvergedError
-from .operators import QuadraticOperator
+from .errors import NotPositiveError, TruncationNotConvergedError
+from .operators import Quadratic
 
 TAIL_TOL = 1e-10
 DEFAULT_DIM = 60
@@ -70,30 +71,43 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def _bands(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1):
+def _ladder(op: Quadratic):
+    """(real, c_n, c_aa, c_a, c_1) of op = c_n a†a + c_aa a² + c̄_aa a†² + c_a a + c̄_a a† + c_1.
+
+    From X = (a + a†)/√2 and P = i(a† − a)/√2: c_n = (G_xx + G_pp)/2,
+    c_aa = (G_xx − G_pp)/4 − iG_xp/2, c_a = (v_x − iv_p)/√2 and
+    c_1 = c0 + c_n/2. `real`: G_xp = v_p = 0, so c_aa and c_a are floats.
+    """
+    gxx, gxp, gpp, vx, vp, c0 = op
+    c_n = 0.5 * (gxx + gpp)
+    real = gxp == 0.0 and vp == 0.0
+    c_aa, c_a = 0.25 * (gxx - gpp), vx / _SQRT2
+    if not real:
+        c_aa, c_a = complex(c_aa, -0.5 * gxp), complex(vx, -vp) / _SQRT2
+    return real, c_n, c_aa, c_a, c0 + 0.5 * c_n
+
+
+def _bands(op: Quadratic, dim: int, start: int = 0, step: int = 1):
     """(real, diagonal, bands) of op on the number states start, start + step, … < dim.
 
-    `real`: all six coefficients are real, so every entry is float64. The
-    diagonal is c_n·n + c_1. Each band (b, above, below, values) puts
-    above·values at ⟨n|op|n+b⟩ and below·values at ⟨n+b|op|n⟩, by lower kept
-    level n: √(n+1) for a and a†, √((n+1)(n+2)) for a² and a†². A band is kept
-    when its offset is a multiple of `step`; (p, 2) gives the parity-p block.
+    `real` as in :func:`_ladder`: every entry is float64. The diagonal is
+    c_n·n + c_1. Each band (b, above, below, values) puts above·values at
+    ⟨n|op|n+b⟩ and below·values at ⟨n+b|op|n⟩, by lower kept level n:
+    √(n+1) for a and a†, √((n+1)(n+2)) for a² and a†². A band is kept when
+    its offset is a multiple of `step`; (p, 2) gives the parity-p block.
     """
-    coeffs = op.coeffs()
-    real = all(c.imag == 0.0 for c in coeffs)
-    c_n, c_aa, c_adad, c_a, c_ad, c_1 = (c.real for c in coeffs) if real else coeffs
+    real, c_n, c_aa, c_a, c_1 = _ladder(op)
     root = np.sqrt(np.arange(1.0, dim))  # √(n+1), n = 0 … dim−2
     diagonal = c_n * np.arange(start, dim, step, dtype=float) + c_1
-    bands = tuple((offset // step, above, below, values[start::step])
-                  for offset, above, below, values in ((1, c_a, c_ad, root),
-                                                       (2, c_aa, c_adad, root[:-1] * root[1:]))
+    bands = tuple((offset // step, above, above.conjugate(), values[start::step])
+                  for offset, above, values in ((1, c_a, root), (2, c_aa, root[:-1] * root[1:]))
                   if offset % step == 0)
     return real, diagonal, bands
 
 
-def build_matrix(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
+def build_matrix(op: Quadratic, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
     """Matrix of op on the number states start, start + step, … < dim, filled
-    from :func:`_bands` (float64 when all six coefficients are real)."""
+    from :func:`_bands` (float64 when G_xp = v_p = 0)."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
     real, diagonal, bands = _bands(op, dim, start, step)
@@ -107,7 +121,7 @@ def build_matrix(op: QuadraticOperator, dim: int, start: int = 0, step: int = 1)
     return m
 
 
-def _apply(op: QuadraticOperator, amps: np.ndarray) -> np.ndarray:
+def _apply(op: Quadratic, amps: np.ndarray) -> np.ndarray:
     """op|ψ⟩ in O(dim), from the bands of op; no matrix is formed."""
     _, diagonal, bands = _bands(op, amps.size)
     out = diagonal * amps
@@ -158,9 +172,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Propagator:
     """exp(−iHt) applied through the smallest decomposition H's structure allows.
 
-    - Diagonal H (only c_n and c_1 nonzero, e.g. a†a): the phases of
+    - Diagonal H (G = G_xx·I and v = 0, e.g. a†a): the phases of
       c_n·n + c_1 multiply the amplitudes; no matrix, no eigendecomposition.
-    - No linear term (c_a = c_ad = 0, every shipped H_c): H couples n only to
+    - No linear term (v = 0, every shipped H_c): H couples n only to
       n ± 2, so the even and odd levels are two blocks of half the size,
       each filled, decomposed and applied on its own.
     - Otherwise: one dense eigendecomposition.
@@ -169,16 +183,15 @@ class Propagator:
     caller that asks :func:`propagator` for the same (H, dim).
     """
 
-    def __init__(self, hamiltonian: QuadraticOperator, dim: int):
-        if not hamiltonian.is_hermitian():
-            raise NotHermitianError("propagator requires a Hermitian generator")
+    def __init__(self, hamiltonian: Quadratic, dim: int):
         if dim < 2:
             raise ValueError("dim must be at least 2")
         h = hamiltonian
-        no_linear = h.c_a == 0 and h.c_ad == 0
+        _, c_n, c_aa, c_a, c_1 = _ladder(h)
+        no_linear = c_a == 0
         # Each block is (its levels, eigenvalues, eigenvectors or None if diagonal).
-        if no_linear and h.c_aa == 0 and h.c_adad == 0:
-            energies = h.c_n.real * np.arange(float(dim)) + h.c_1.real
+        if no_linear and c_aa == 0:
+            energies = c_n * np.arange(float(dim)) + c_1
             self._blocks = ((slice(None), _read_only(energies), None),)
         else:
             # (first level, level step) of each block.
@@ -210,21 +223,21 @@ class Propagator:
 
 
 @lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
-def propagator(hamiltonian: QuadraticOperator, dim: int) -> Propagator:
+def propagator(hamiltonian: Quadratic, dim: int) -> Propagator:
     """The shared :class:`Propagator` of (H, dim), built on first request."""
     return Propagator(hamiltonian, dim)
 
 
-def evolve_fock(state: FockState, hamiltonian: QuadraticOperator, t: float) -> FockState:
-    """Apply exp(−iHt) to a Fock-basis state (H Hermitian)."""
+def evolve_fock(state: FockState, hamiltonian: Quadratic, t: float) -> FockState:
+    """Apply exp(−iHt) to a Fock-basis state."""
     return propagator(hamiltonian, state.dim).apply(state, t)
 
 
-def expectation_fock(state: FockState, op: QuadraticOperator) -> float:
+def expectation_fock(state: FockState, op: Quadratic) -> float:
     return float(np.real(np.vdot(state.amps, _apply(op, state.amps))))
 
 
-def variance_fock(state: FockState, op: QuadraticOperator) -> float:
+def variance_fock(state: FockState, op: Quadratic) -> float:
     m_psi = _apply(op, state.amps)
     mean = np.real(np.vdot(state.amps, m_psi))
     return float(np.real(np.vdot(m_psi, m_psi)) - mean * mean)

@@ -6,7 +6,8 @@ sigma_jk = ½⟨{r_j − mu_j, r_k − mu_k}⟩, so the vacuum is (0, I/2).
 Quadratic Hamiltonians act as affine symplectic maps on the moments, which
 this module computes in closed form (see :class:`Flow`) for whole arrays of
 times at once; linear terms, singular and hyperbolic quadratic parts all go
-through the same three-branch formula.
+through the same three-branch formula. Every function takes the operator
+as its :class:`canp.operators.Quadratic` form (G, v, c0).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import QuadraticOperator, flow_weights, quadrature_entries, to_quadrature_form
+from .operators import Quadratic, flow_weights
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -68,26 +69,8 @@ def coherent(alpha: complex) -> GaussianState:
     return GaussianState(_SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5)
 
 
-class Form(NamedTuple):
-    """Entries (G_xx, G_xp, G_pp, v_x, v_p) of O = ½ rᵀG r + vᵀr + c0.
-
-    Either floats (one operator) or arrays (a family of operators over a
-    grid); c0 is left out because no variance depends on it.
-    """
-
-    gxx: np.ndarray
-    gxp: np.ndarray
-    gpp: np.ndarray
-    vx: np.ndarray
-    vp: np.ndarray
-
-    @classmethod
-    def of(cls, op: QuadraticOperator) -> "Form":
-        return cls(*quadrature_entries(op)[:5])
-
-
 class Flow:
-    """Closed-form phase-space flow of one Hermitian quadratic Hamiltonian.
+    """Closed-form phase-space flow of one quadratic Hamiltonian.
 
     Writing H = ½ rᵀG r + vᵀr + c0 gives dr/dt = Ω(G r + v). M = ΩG is
     traceless for symmetric G, so M² = −det G · I and
@@ -95,12 +78,12 @@ class Flow:
         exp(Mt) = c·I + s·M,   ∫₀ᵗ exp(Mτ) dτ = s·I + q·M,
 
     with (c, s, q) = flow_weights(det G, t) (Weedbrook et al., "Gaussian
-    quantum information", Rev. Mod. Phys. 84, 621). The quadrature form
-    is taken once, by the caller (``Flow(Form.of(H))``); :meth:`map` then
-    costs a few dozen elementwise operations for any number of times.
+    quantum information", Rev. Mod. Phys. 84, 621). Built once per
+    Hamiltonian, :meth:`map` then costs a few dozen elementwise operations
+    for any number of times.
     """
 
-    def __init__(self, f: Form):
+    def __init__(self, f: Quadratic):
         # M = ΩG, u = Ωv and M u, with Ω = [[0, 1], [−1, 0]].
         self.m = (f.gxp, f.gpp, -f.gxx, -f.gxp)
         self.u = (f.vp, -f.vx)
@@ -135,20 +118,18 @@ class Flow:
         )
 
 
-def evolution_map(
-    hamiltonian: QuadraticOperator, t: float
-) -> tuple[np.ndarray, np.ndarray]:
+def evolution_map(hamiltonian: Quadratic, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Affine phase-space map (S, d) of exp(−iHt): r ↦ S r + d.
 
     S is symplectic, and exactly the identity (with d = 0) at t = 0.
     """
-    (s00, s01, s10, s11), d = Flow(Form.of(hamiltonian)).map(float(t))
+    (s00, s01, s10, s11), d = Flow(hamiltonian).map(float(t))
     return np.array([[s00, s01], [s10, s11]]), np.array(d)
 
 
-def evolve(state: GaussianState, hamiltonian: QuadraticOperator, t: float) -> GaussianState:
+def evolve(state: GaussianState, hamiltonian: Quadratic, t: float) -> GaussianState:
     """Evolve a Gaussian state under exp(−iHt): mu ↦ S mu + d, sigma ↦ S sigma Sᵀ."""
-    return Flow(Form.of(hamiltonian)).apply(state, float(t))
+    return Flow(hamiltonian).apply(state, float(t))
 
 
 def photon_number(m: GaussianState) -> np.ndarray:
@@ -156,19 +137,19 @@ def photon_number(m: GaussianState) -> np.ndarray:
     return 0.5 * (m.sxx + m.spp + (m.mx * m.mx + m.mp * m.mp) - 1.0)
 
 
-def expectation(state: GaussianState, op: QuadraticOperator) -> float:
-    """⟨O⟩ = ½Tr(G sigma) + ½ muᵀG mu + vᵀmu + c0 for Hermitian quadratic O."""
-    g_mat, v, c0 = to_quadrature_form(op)
+def expectation(state: GaussianState, op: Quadratic) -> float:
+    """⟨O⟩ = ½Tr(G sigma) + ½ muᵀG mu + vᵀmu + c0."""
+    g_mat = np.array([[op.gxx, op.gxp], [op.gxp, op.gpp]])
     return float(
         0.5 * np.trace(g_mat @ state.sigma)
         + 0.5 * state.mu @ g_mat @ state.mu
-        + v @ state.mu
-        + c0
+        + np.array([op.vx, op.vp]) @ state.mu
+        + op.c0
     )
 
 
-def variance_quadratic(state: GaussianState, op: QuadraticOperator) -> float:
-    """Variance of a Hermitian quadratic operator in a Gaussian state.
+def variance_quadratic(state: GaussianState, op: Quadratic) -> float:
+    """Variance of a quadratic operator in a Gaussian state.
 
     Writing O = ½ rᵀG r + vᵀr + c0 and w = G mu + v, Wick factorization of
     the centered moments (each ordered pairing carries the two-point function
@@ -182,10 +163,10 @@ def variance_quadratic(state: GaussianState, op: QuadraticOperator) -> float:
     The formula is validated against the truncated number-basis simulator on
     the regression grid rather than trusted (see the test suite).
     """
-    return float(quadratic_variance(Form.of(op), state))
+    return float(quadratic_variance(op, state))
 
 
-def quadratic_variance(f: Form, m: GaussianState) -> np.ndarray:
+def quadratic_variance(f: Quadratic, m: GaussianState) -> np.ndarray:
     """Array form of :func:`variance_quadratic`; f and m broadcast together."""
     wx = f.gxx * m.mx + f.gxp * m.mp + f.vx  # w = G mu + v
     wp = f.gxp * m.mx + f.gpp * m.mp + f.vp

@@ -24,21 +24,9 @@ import numpy as np
 
 from .errors import (CommutingPairError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
                      VacuumProbeError)
-from .gaussian import (
-    Flow,
-    Form,
-    GaussianState,
-    coherent,
-    photon_number,
-    quadratic_variance,
-)
+from .gaussian import Flow, GaussianState, coherent, photon_number, quadratic_variance
 from .models import ModelParams
-from .operators import (
-    CriticalStructure,
-    QuadraticOperator,
-    derive_critical_structure,
-    flow_weights,
-)
+from .operators import CriticalStructure, Quadratic, derive_critical_structure, flow_weights
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -51,8 +39,8 @@ class ProtocolSpec:
     mode frequency enters only through H_c, so a spec holds no copy of it.
     """
 
-    Hc: QuadraticOperator
-    Htheta: QuadraticOperator
+    Hc: Quadratic
+    Htheta: Quadratic
     t_c: float
     t_theta: float
     alpha: complex
@@ -84,10 +72,10 @@ class Protocol:
     Every method broadcasts its time arguments against each other (numpy
     rules) and returns arrays of the broadcast shape, so one call evaluates a
     whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
-    grid. The probe and the flows of H_c and H_θ are built with the protocol,
-    so a non-Hermitian H_c or H_θ fails here; only the critical structure is
-    derived on first use, so a pair without one still has states. A state is
-    one :class:`canp.gaussian.GaussianState` whose fields have that shape.
+    grid. The probe and the flows of H_c and H_θ are built with the protocol;
+    only the critical structure is derived on first use, so a pair without
+    one still has states. A state is one :class:`canp.gaussian.GaussianState`
+    whose fields have that shape.
 
     Each public method checks its times once (each nonnegative, their sum
     positive) and then calls the private kernels (``_qfi``,
@@ -98,17 +86,17 @@ class Protocol:
     s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
     :func:`canp.operators.flow_weights`), so QFI = 4 t_θ² Var[H_θ + sC + cD]
     in the probe; a commuting pair (no critical structure) has h = t_θ H_θ.
-    States follow from :class:`canp.gaussian.Flow`.
+    H_θ + sC + cD is one :class:`canp.operators.Quadratic` whose entries are
+    arrays over the grid. States follow from :class:`canp.gaussian.Flow`.
     """
 
-    def __init__(self, hc: QuadraticOperator, htheta: QuadraticOperator, alpha: complex):
+    def __init__(self, hc: Quadratic, htheta: Quadratic, alpha: complex):
         self.hc = hc
         self.htheta = htheta
         self.alpha = complex(alpha)
         self.probe = coherent(self.alpha)
-        self.preparation = Flow(Form.of(hc))
-        self.encoding_form = Form.of(htheta)
-        self.encoding = Flow(self.encoding_form)
+        self.preparation = Flow(hc)
+        self.encoding = Flow(htheta)
 
     @classmethod
     def from_spec(cls, spec: ProtocolSpec) -> "Protocol":
@@ -128,17 +116,16 @@ class Protocol:
             return None
 
     @cached_property
-    def _generator_terms(self) -> tuple[float, Form, Form]:
-        """Δ and the quadrature forms of C and D.
+    def _generator_terms(self) -> tuple[float, Quadratic, Quadratic]:
+        """Δ, C and D.
 
         A commuting pair gets Δ = 0 and zero C and D, so its generator is
         exactly t_θ H_θ.
         """
         cs = self.structure
         if cs is None:
-            zero = Form(0.0, 0.0, 0.0, 0.0, 0.0)
-            return 0.0, zero, zero
-        return cs.Delta, Form.of(cs.C), Form.of(cs.D)
+            return 0.0, Quadratic(), Quadratic()
+        return cs.Delta, cs.C, cs.D
 
     def preparation_time(self, sqrt_delta_tc):
         """Preparation time(s) t_c = (√Δ·t_c)/√Δ from the derived Δ, over arrays.
@@ -184,7 +171,7 @@ class Protocol:
     def _qfi(self, t_c, t_theta) -> np.ndarray:
         delta, f_c, f_d = self._generator_terms
         _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
-        h = Form(*(th + s * c - q * d for th, c, d in zip(self.encoding_form, f_c, f_d)))
+        h = Quadratic._make(th + s * c - q * d for th, c, d in zip(self.htheta, f_c, f_d))
         return 4.0 * (t_theta * t_theta) * quadratic_variance(h, self.probe)
 
     def qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
@@ -220,7 +207,7 @@ class Protocol:
         nbar = np.maximum(photon_number(final), 0.0)
         reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
         total = t_c + t_theta
-        return 4.0 * (total * total) * quadratic_variance(self.encoding_form, reference)
+        return 4.0 * (total * total) * quadratic_variance(self.htheta, reference)
 
     def ratio(self, t_c, t_theta, theta0) -> np.ndarray:
         """qfi / direct_baseline; > 1 means genuine resource-matched gain."""
@@ -240,7 +227,7 @@ class Protocol:
         equals qfi/(4 t_θ²) identically; the two are computed by independent
         routes and the tests enforce the identity.
         """
-        return quadratic_variance(self.encoding_form, self.prepared(t_c))
+        return quadratic_variance(self.htheta, self.prepared(t_c))
 
     def cfi_homodyne(self, t_c, t_theta, theta0) -> np.ndarray:
         """Classical Fisher information of homodyne detection of P.
@@ -422,7 +409,7 @@ def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
         qfi_asymptotic=float(protocol._qfi_asymptotic(t_c, t_theta)),
         qfi_direct_baseline=float(baseline),
         ratio=float(qfi / baseline),
-        skew=float(quadratic_variance(protocol.encoding_form, protocol._prepared(t_c))),
+        skew=float(quadratic_variance(protocol.htheta, protocol._prepared(t_c))),
         cfi_homodyne=float(protocol._cfi_homodyne(final, t_theta)),
         meanP=float(final.mp),
         varP=float(final.spp),

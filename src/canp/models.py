@@ -7,8 +7,16 @@ g = 1) and the low-excitation bosonization of the Lipkin-Meshkov-Glick
 model (critical at λ = 1 for γ ≠ 1). Both are paired with either a
 frequency encoding a†a or a momentum-displacement encoding (a + a†)/√2.
 
+Every Hamiltonian is built straight from its parameters as a real
+quadrature form :class:`canp.operators.Quadratic` (G, v, c0), with
+r = (X, P). Near the critical point the factored entries (ω(1 − g)(1 + g),
+−2(1 − λ)) stay within a few roundings of their exact values, where
+ω − ωg² or a sum of ladder coefficients would cancel.
+
 For each pair the module also records the published closed forms of the gap
-parameter and the derived commutator operators. They are regression data
+parameter and of the derived commutator operators, converted from the
+paper's ladder notation to (G, v, c0) with a†² + a² = X² − P²,
+i(a†² − a²) = XP + PX and a†a + ½ = ½(X² + P²). They are regression data
 only: the runtime takes Δ, C and D from
 :func:`canp.operators.derive_critical_structure`, and `validate`'s
 `algebraic_criterion` and `operator_constants` checks and the tests compare
@@ -27,7 +35,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError, OutOfPhaseError
-from .operators import QuadraticOperator
+from .operators import Quadratic
 
 VARIANTS = ("QRM-frequency", "QRM-displacement", "LMG-frequency")
 
@@ -70,54 +78,42 @@ def config_object(obj, parsers: dict, what: str, required=()) -> dict:
     return parsed
 
 
-def qrm_effective(omega: float, g: float) -> QuadraticOperator:
+def qrm_effective(omega: float, g: float) -> Quadratic:
     """Normal-phase effective Rabi Hamiltonian ω a†a − (ωg²/4)(a† + a)².
 
-    Expanding (a† + a)² = a² + a†² + 2a†a + 1 gives coefficients
-    c_n = ω(1 − g²/2), c_aa = c_adad = c_1 = −ωg²/4. The constant term is
-    kept for bookkeeping (it only shifts the global phase); the qubit
-    splitting constant is dropped since it carries a free parameter that
-    affects no observable.
+    With a†a = ½(X² + P²) − ½ and (a† + a)² = 2X² this is
+    ½[ω(1 − g)(1 + g) X² + ω P²] − ω/2. The constant term is kept for
+    bookkeeping (it only shifts the global phase); the qubit splitting
+    constant is dropped since it carries a free parameter that affects no
+    observable.
     """
     if not 0.0 <= g < 1.0:
         raise OutOfPhaseError(f"QRM normal phase requires 0 <= g < 1, got g={g}")
-    quarter = -0.25 * omega * g * g
-    return QuadraticOperator(
-        c_n=omega * (1.0 - 0.5 * g * g),
-        c_aa=quarter,
-        c_adad=quarter,
-        c_1=quarter,
-    )
+    return Quadratic(gxx=omega * (1.0 - g) * (1.0 + g), gpp=omega, c0=-0.5 * omega)
 
 
-def lmg_effective(lam: float, gamma: float) -> QuadraticOperator:
+def lmg_effective(lam: float, gamma: float) -> Quadratic:
     """Bosonized LMG Hamiltonian 2λ a†a + [γ(a† − a)² − (a + a†)²]/2.
 
-    With (a† − a)² = a†² + a² − 2a†a − 1 the coefficients are
-    c_n = 2λ − (γ + 1), c_aa = c_adad = (γ − 1)/2, c_1 = −(γ + 1)/2.
+    With (a† − a)² = −2P² and (a + a†)² = 2X² this is
+    ½[−2(1 − λ) X² − 2(γ − λ) P²] − λ.
     """
     if (gamma - lam) * (1.0 - lam) <= 0.0:
         raise OutOfPhaseError(
             f"LMG normal phase requires (gamma − lambda)(1 − lambda) > 0, "
             f"got lambda={lam}, gamma={gamma}"
         )
-    half = 0.5 * (gamma - 1.0)
-    return QuadraticOperator(
-        c_n=2.0 * lam - (gamma + 1.0),
-        c_aa=half,
-        c_adad=half,
-        c_1=-0.5 * (gamma + 1.0),
-    )
+    return Quadratic(gxx=-2.0 * (1.0 - lam), gpp=-2.0 * (gamma - lam), c0=-lam)
 
 
-def encoding_frequency() -> QuadraticOperator:
-    """Frequency encoding generator a†a."""
-    return QuadraticOperator.number()
+def encoding_frequency() -> Quadratic:
+    """Frequency encoding generator a†a = ½(X² + P²) − ½."""
+    return Quadratic(gxx=1.0, gpp=1.0, c0=-0.5)
 
 
-def encoding_displacement() -> QuadraticOperator:
+def encoding_displacement() -> Quadratic:
     """Momentum-displacement encoding generator (a† + a)/√2 = X."""
-    return QuadraticOperator.position()
+    return Quadratic(vx=1.0)
 
 
 # Published closed forms, kept as regression constants for the algebra layer.
@@ -138,30 +134,22 @@ def lmg_delta(lam: float, gamma: float) -> float:
     return 16.0 * (gamma - lam) * (1.0 - lam)
 
 
-def qrm_commutator_c(omega: float, g: float) -> QuadraticOperator:
-    """(iωg²/2)(a†² − a²)."""
-    w = 0.5j * omega * g * g
-    return QuadraticOperator(c_adad=w, c_aa=-w)
+def qrm_commutator_c(omega: float, g: float) -> Quadratic:
+    """(iωg²/2)(a†² − a²) = (ωg²/2)(XP + PX)."""
+    return Quadratic(gxp=omega * g * g)
 
 
-def qrm_commutator_d(omega: float, g: float) -> QuadraticOperator:
-    """g²ω²[(1 − g²/2)(a†² + a²) − g²(a†a + 1/2)]."""
+def qrm_commutator_d(omega: float, g: float) -> Quadratic:
+    """g²ω²[(1 − g²/2)(a†² + a²) − g²(a†a + 1/2)] = g²ω²[(1 − g²) X² − P²]."""
     g2w2 = g * g * omega * omega
-    quad = g2w2 * (1.0 - 0.5 * g * g)
-    return QuadraticOperator(
-        c_n=-g2w2 * g * g,
-        c_aa=quad,
-        c_adad=quad,
-        c_1=-0.5 * g2w2 * g * g,
-    )
+    return Quadratic(gxx=2.0 * g2w2 * (1.0 - g) * (1.0 + g), gpp=-2.0 * g2w2)
 
 
-def lmg_commutator_d(lam: float, gamma: float) -> QuadraticOperator:
-    """2(γ − 1)[(1 + γ − 2λ)(a†² + a²) + (1 − γ)(2a†a + 1)]."""
-    pre = 2.0 * (gamma - 1.0)
-    quad = pre * (1.0 + gamma - 2.0 * lam)
-    diag = pre * (1.0 - gamma)
-    return QuadraticOperator(c_n=2.0 * diag, c_aa=quad, c_adad=quad, c_1=diag)
+def lmg_commutator_d(lam: float, gamma: float) -> Quadratic:
+    """2(γ − 1)[(1 + γ − 2λ)(a†² + a²) + (1 − γ)(2a†a + 1)]
+    = 4(γ − 1)[(1 − λ) X² − (γ − λ) P²]."""
+    pre = 8.0 * (gamma - 1.0)
+    return Quadratic(gxx=pre * (1.0 - lam), gpp=-pre * (gamma - lam))
 
 
 @dataclass(frozen=True)
@@ -190,17 +178,17 @@ class ModelParams:
             if self.g is not None:
                 raise ConfigError(f"variant {self.variant} has no g")
 
-    def preparation(self) -> QuadraticOperator:
+    def preparation(self) -> Quadratic:
         if self.variant.startswith("QRM"):
             return qrm_effective(self.omega, self.g)
         return lmg_effective(self.lam, self.gamma)
 
-    def encoding(self) -> QuadraticOperator:
+    def encoding(self) -> Quadratic:
         if self.variant == "QRM-displacement":
             return encoding_displacement()
         return encoding_frequency()
 
-    def pair(self) -> tuple[QuadraticOperator, QuadraticOperator]:
+    def pair(self) -> tuple[Quadratic, Quadratic]:
         return self.preparation(), self.encoding()
 
     def published_delta(self) -> float:

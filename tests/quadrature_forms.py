@@ -1,44 +1,88 @@
-"""Test-side references for quadratic operators.
+"""The ladder route: quadratic operators as six complex ladder coefficients.
 
-:func:`from_quadrature_form` is the inverse of canp.operators.to_quadrature_form;
-:func:`hermitian_within_tolerance` is the Hermiticity rule written out once
-more, with no shortcut, for comparison with QuadraticOperator.is_hermitian.
+An independent reference for canp's real quadrature forms. A :class:`Ladder`
+holds (c_n, c_aa, c_adad, c_a, c_ad, c_1) of
+
+    c_n a†a + c_aa a² + c_adad a†² + c_a a + c_ad a† + c_1,
+
+:func:`ladder_commutator` is [A, B] from [a, a†] = 1 alone,
+:func:`ladder_matrix` assembles an operator from dense ladder-matrix
+products, and :func:`to_ladder` and :func:`from_ladder` convert to and from
+the form ½ rᵀG r + vᵀr + c0 with r = (X, P), X = (a + a†)/√2 and
+P = i(a† − a)/√2.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from canp.operators import HERMITIAN_TOL, QuadraticOperator
+from canp import fock
+from canp.operators import Quadratic
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def from_quadrature_form(
-    g_mat: np.ndarray, v: np.ndarray, c0: float
-) -> QuadraticOperator:
-    """The operator ½ rᵀG r + vᵀr + c0 with r = (X, P) (G must be symmetric)."""
-    g_mat = np.asarray(g_mat, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if abs(g_mat[0, 1] - g_mat[1, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(g_mat)))):
-        raise ValueError("G must be symmetric")
-    cn = 0.5 * (g_mat[0, 0] + g_mat[1, 1])
-    c_aa = complex(0.25 * (g_mat[0, 0] - g_mat[1, 1]), -0.5 * g_mat[0, 1])
-    c_a = complex(v[0], -v[1]) / _SQRT2
-    return QuadraticOperator(
-        c_n=cn,
-        c_aa=c_aa,
-        c_adad=c_aa.conjugate(),
-        c_a=c_a,
-        c_ad=c_a.conjugate(),
-        c_1=c0 + 0.5 * cn,
+class Ladder(NamedTuple):
+    c_n: complex = 0j
+    c_aa: complex = 0j
+    c_adad: complex = 0j
+    c_a: complex = 0j
+    c_ad: complex = 0j
+    c_1: complex = 0j
+
+
+def ladder_commutator(a: Ladder, b: Ladder) -> Ladder:
+    """[A, B] computed exactly from [a, a†] = 1.
+
+    Nonzero structure constants in the basis (a†a, a², a†², a, a†, 1):
+
+        [a†a, a²]  = −2 a²      [a†a, a†²] = +2 a†²
+        [a†a, a]   = −a         [a†a, a†]  = +a†
+        [a², a†²]  = 4 a†a + 2  [a², a†]   = 2 a
+        [a†², a]   = −2 a†      [a, a†]    = 1
+    """
+    a_n, a_aa, a_adad, a_a, a_ad, _ = a
+    b_n, b_aa, b_adad, b_a, b_ad, _ = b
+    return Ladder(
+        4.0 * (a_aa * b_adad - a_adad * b_aa),
+        -2.0 * (a_n * b_aa - a_aa * b_n),
+        2.0 * (a_n * b_adad - a_adad * b_n),
+        -(a_n * b_a - a_a * b_n) + 2.0 * (a_aa * b_ad - a_ad * b_aa),
+        (a_n * b_ad - a_ad * b_n) - 2.0 * (a_adad * b_a - a_a * b_adad),
+        2.0 * (a_aa * b_adad - a_adad * b_aa) + (a_a * b_ad - a_ad * b_a),
     )
 
 
-def hermitian_within_tolerance(op: QuadraticOperator) -> bool:
-    """c_n and c_1 real and c_adad = conj(c_aa), c_ad = conj(c_a), each to
-    HERMITIAN_TOL times max(1, largest coefficient magnitude)."""
-    c_n, c_aa, c_adad, c_a, c_ad, c_1 = op
-    tol = HERMITIAN_TOL * max(1.0, max(abs(c) for c in op))
-    gaps = (c_n.imag, c_1.imag, c_adad - c_aa.conjugate(), c_ad - c_a.conjugate())
-    return all(abs(gap) <= tol for gap in gaps)
+def to_ladder(op: Quadratic) -> Ladder:
+    """The ladder coefficients of ½ rᵀG r + vᵀr + c0."""
+    gxx, gxp, gpp, vx, vp, c0 = map(float, op)
+    c_n = 0.5 * (gxx + gpp)
+    c_aa = complex(0.25 * (gxx - gpp), -0.5 * gxp)
+    c_a = complex(vx, -vp) / _SQRT2
+    return Ladder(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c0 + 0.5 * c_n)
+
+
+def from_ladder(op: Ladder) -> Quadratic:
+    """(G, v, c0) of a Hermitian ladder operator (c_n, c_1 real, c_adad = c̄_aa, c_ad = c̄_a).
+
+    Only c_n, c_aa, c_a and c_1 are read, so an operator Hermitian up to
+    rounding gives the form of its Hermitian part's leading coefficients.
+    """
+    c_n, c_aa, _, c_a, _, c_1 = (complex(c) for c in op)
+    return Quadratic(c_n.real + 2.0 * c_aa.real, -2.0 * c_aa.imag, c_n.real - 2.0 * c_aa.real,
+                     _SQRT2 * c_a.real, -_SQRT2 * c_a.imag, c_1.real - 0.5 * c_n.real)
+
+
+def ladder_matrix(op: Ladder, dim: int) -> np.ndarray:
+    """The operator on the lowest dim number states, from dense ladder-matrix products."""
+    a = fock.ladder(dim)
+    ad = a.T
+    return (
+        op.c_n * (ad @ a)
+        + op.c_aa * (a @ a)
+        + op.c_adad * (ad @ ad)
+        + op.c_a * a
+        + op.c_ad * ad
+        + op.c_1 * np.eye(dim)
+    ).astype(complex)

@@ -1,0 +1,127 @@
+"""The closed-form QFI and enhancement ratio against a 50-digit reference.
+
+The reference takes the shipped configs' parameters (ω, g or λ, γ, α, t_θ)
+and each float preparation time t_c as exact binary numbers, builds the
+model's quadrature form (G, v) in mpmath, and evolves the coherent probe's
+moments by the matrix exponential of ΩG_c (mpmath's expm). The QFI is
+4 t_θ² Var[H_θ] in that prepared state and the ratio divides it by the
+direct baseline 4 (t_c + t_θ)² Var[H_θ] in the coherent state of equal mean
+photon number. canp takes the other route, the variance of the generator
+H_θ + sC − qD in the bare probe, so the two share only the parameters and
+t_c, and the gap is canp's rounding error.
+
+The gate is the worst relative error over 40 points √Δ·t_c ∈ (0, 4π].
+Near the critical point (g, λ → 1) an error in G_c grows like 1/(1 − g²)
+into Δ and C, D, so writing G_xx = ω(1 − g)(1 + g) rather than ω − ωg² is
+what keeps the error at rounding level. What is left is the rounding of the
+phase √Δ·t_c, amplified by the QFI's own condition number κ = |t_c ∂ln F/∂t_c|
+near the multiples of 2π: κε is 1.3e-14 for LMG at λ = 0.995 (at
+√Δ·t_c = 3.9π) and 5e-14 to 8e-14 at 0.9999, so no double-precision route can
+be held to 1e-14 there.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from canp import ModelParams, Protocol
+
+DPS = 50
+ALPHA = 0.3 + 1.0j
+# (variant, parameter name, fixed model fields, t_θ) of the shipped configs.
+VARIANTS = {
+    "QRM-frequency": ("g", {"omega": 1.0}, 12.0),
+    "QRM-displacement": ("g", {"omega": 1.0}, 12.0),
+    "LMG-frequency": ("lam", {"omega": 1.0, "gamma": 2.0}, 1.3),
+}
+# Worst admissible relative error at each distance from the critical point;
+# LMG at 0.995 sits above the 1e-14 its condition number allows (see above).
+BOUNDS = {0.96: 1e-14, 0.995: 1e-14, 0.9999: 1e-13}
+LMG_BOUNDS = {**BOUNDS, 0.995: 5e-14}
+SQRT_DELTA_TC = np.linspace(0.0, 4.0 * math.pi, 41)[1:]
+
+
+def _forms(params: ModelParams):
+    """(G_c, (G_θ, v_θ)) of the model in 50 digits, from its exact float parameters."""
+    mp = mpmath.mp
+    omega = mp.mpf(params.omega)
+    if params.variant.startswith("QRM"):
+        g = mp.mpf(params.g)
+        g_c = mp.matrix([[omega * (1 - g * g), 0], [0, omega]])
+    else:
+        lam, gamma = mp.mpf(params.lam), mp.mpf(params.gamma)
+        g_c = mp.matrix([[-2 * (1 - lam), 0], [0, -2 * (gamma - lam)]])
+    if params.variant == "QRM-displacement":  # X
+        encoding = (mp.zeros(2, 2), mp.matrix([1, 0]))
+    else:  # a†a = ½(X² + P²) − ½
+        encoding = (mp.eye(2), mp.zeros(2, 1))
+    return g_c, encoding
+
+
+def _variance(encoding, mu, sigma):
+    """Var[½rᵀGr + vᵀr] = ½Tr(GσGσ) − ¼det G + wᵀσw, w = Gμ + v, in a Gaussian state."""
+    g_mat, v = encoding
+    w = g_mat * mu + v
+    g_sigma = g_mat * sigma
+    return (sum((g_sigma * g_sigma)[i, i] for i in range(2)) / 2 - mpmath.det(g_mat) / 4
+            + (w.T * sigma * w)[0, 0])
+
+
+def reference(params: ModelParams, t_c: float, t_theta: float):
+    """(QFI, ratio) at preparation time t_c and working point θ0 = 0, in 50 digits."""
+    mp = mpmath.mp
+    g_c, encoding = _forms(params)
+    omega_sym = mp.matrix([[0, 1], [-1, 0]])
+    s_mat = mp.expm(omega_sym * g_c * mp.mpf(t_c))
+    mu0 = mp.sqrt(2) * mp.matrix([mp.mpf(ALPHA.real), mp.mpf(ALPHA.imag)])
+    mu, sigma = s_mat * mu0, s_mat * s_mat.T / 2
+    t_theta = mp.mpf(t_theta)
+    qfi = 4 * t_theta**2 * _variance(encoding, mu, sigma)
+    nbar = (sigma[0, 0] + sigma[1, 1] + mu[0] ** 2 + mu[1] ** 2 - 1) / 2
+    probe = mp.matrix([mp.sqrt(2 * nbar), 0])
+    total = mp.mpf(t_c) + t_theta
+    baseline = 4 * total**2 * _variance(encoding, probe, mp.eye(2) / 2)
+    return qfi, qfi / baseline
+
+
+def worst_errors(variant: str, value: float) -> tuple[float, float]:
+    """Worst relative errors of Protocol.qfi and Protocol.ratio over √Δ·t_c ∈ (0, 4π]."""
+    name, fields, t_theta = VARIANTS[variant]
+    params = ModelParams(variant, **fields, **{name: value})
+    protocol = Protocol(*params.pair(), ALPHA)
+    t_c = protocol.preparation_time(SQRT_DELTA_TC)
+    qfi = protocol.qfi(t_c, t_theta)
+    ratio = protocol.ratio(t_c, t_theta, 0.0)
+    worst_qfi = worst_ratio = 0.0
+    with mpmath.workdps(DPS):
+        for i, t in enumerate(t_c):
+            ref_qfi, ref_ratio = reference(params, float(t), t_theta)
+            worst_qfi = max(worst_qfi, float(abs((qfi[i] - ref_qfi) / ref_qfi)))
+            worst_ratio = max(worst_ratio, float(abs((ratio[i] - ref_ratio) / ref_ratio)))
+    return worst_qfi, worst_ratio
+
+
+@pytest.mark.parametrize("value", BOUNDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_qfi_and_ratio_are_exact_to_rounding(variant, value):
+    bound = (LMG_BOUNDS if variant == "LMG-frequency" else BOUNDS)[value]
+    worst_qfi, worst_ratio = worst_errors(variant, value)
+    assert worst_qfi <= bound, f"QFI off by {worst_qfi:.2e}"
+    assert worst_ratio <= bound, f"ratio off by {worst_ratio:.2e}"
+
+
+def test_reference_flow_matches_the_closed_form():
+    # The reference's matrix exponential against cos/sin of √det G·t, at the
+    # largest |ΩG_c t| of the gate (g = 0.9999 at √Δ·t_c = 4π).
+    params = ModelParams("QRM-frequency", g=0.9999)
+    t_c = float(Protocol(*params.pair(), ALPHA).preparation_time(4.0 * math.pi))
+    with mpmath.workdps(DPS):
+        mp = mpmath.mp
+        g_c, _ = _forms(params)
+        m = mp.matrix([[0, 1], [-1, 0]]) * g_c
+        root = mp.sqrt(mpmath.det(g_c))
+        closed = mp.cos(root * t_c) * mp.eye(2) + mp.sin(root * t_c) / root * m
+        gap = mp.mnorm(mp.expm(m * t_c) - closed, 1)
+        assert gap <= mp.mpf(10) ** (-40)

@@ -692,17 +692,23 @@ class TestCli:
         assert "Hermitian" not in err
         assert not out.exists()
 
-    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
-        # ω = 1e-300: D and |[H_c, H_θ]|² underflow to 0, so the fit of Δ is
-        # 0/0. The run fails naming Δ, and numpy prints no warning first.
+    @pytest.mark.parametrize("omega, names", [
+        # D and C·C underflow to 0, so the fit of Δ is 0/0.
+        ("1e-300", "Δ"),
+        # C ~ ω is finite, D ~ ω² overflows.
+        ("1e200", "D"),
+    ])
+    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys, omega, names):
+        # ω out of the range the nested commutators fit: the run fails naming
+        # the part, and numpy prints no warning first.
         out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"),
-                           "--out", str(out), "--model.omega=1e-300"])
+                           "--out", str(out), f"--model.omega={omega}"])
         assert rc == 1
         assert caught == []
-        assert ("run failed: critical structure is not finite (Δ nan or inf): the nested "
+        assert (f"run failed: critical structure is not finite ({names} nan or inf): the nested "
                 "commutators of H_c and H_theta are out of the float range"
                 in capsys.readouterr().err)
         assert not out.exists()

@@ -6,37 +6,35 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
 from canp import fock
-from canp.errors import NotHermitianError, NotPositiveError, TruncationNotConvergedError
-from canp.gaussian import coherent, evolve, photon_number, to_quadrature_form
+from canp.errors import NotPositiveError, TruncationNotConvergedError
+from canp.gaussian import coherent, evolve, photon_number
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective
-from canp.operators import QuadraticOperator
+from canp.operators import Quadratic
+from quadrature_forms import Ladder, from_ladder, ladder_matrix, to_ladder
 
 ALPHA = 0.3 + 1.0j
-N = QuadraticOperator.number()
+N = encoding_frequency()
+X = encoding_displacement()
 
 
-def dense_matrix(op: QuadraticOperator, dim: int) -> np.ndarray:
+def dense_matrix(op: Quadratic, dim: int) -> np.ndarray:
     """Reference: the operator assembled from dense ladder-matrix products."""
-    a = fock.ladder(dim)
-    ad = a.T
-    return (
-        op.c_n * (ad @ a)
-        + op.c_aa * (a @ a)
-        + op.c_adad * (ad @ ad)
-        + op.c_a * a
-        + op.c_ad * ad
-        + op.c_1 * np.eye(dim)
-    ).astype(complex)
+    return ladder_matrix(to_ladder(op), dim)
+
+
+def max_abs(op: Quadratic) -> float:
+    return max(map(abs, op))
 
 
 _COEFF = st.floats(-2.0, 2.0)
+# A form whose matrix is real (G_xp = v_p = 0) or complex.
 _OPERATOR = st.booleans().flatmap(
-    lambda real: st.lists(
-        _COEFF.map(complex) if real else st.builds(complex, _COEFF, _COEFF),
-        min_size=6, max_size=6,
+    lambda real: st.builds(
+        Quadratic, _COEFF, st.just(0.0) if real else _COEFF, _COEFF, _COEFF,
+        st.just(0.0) if real else _COEFF, _COEFF,
     )
-).map(lambda coeffs: QuadraticOperator(*coeffs))
+)
 
 
 class TestBuildMatrix:
@@ -44,14 +42,14 @@ class TestBuildMatrix:
     @given(_OPERATOR, st.sampled_from((2, 3, 7, 60)))
     def test_matches_dense_ladder_products(self, op, dim):
         m = fock.build_matrix(op, dim)
-        real = all(c.imag == 0.0 for c in op.coeffs())
+        real = op.gxp == 0.0 and op.vp == 0.0
         assert m.dtype == (np.float64 if real else np.complex128)
         want = dense_matrix(op, dim)
         off = ~np.eye(dim, dtype=bool)
         assert np.array_equal(m[off], want[off])
         # The band fill puts n itself on the diagonal; the product (a†a)_nn
         # is √n·√n, which may be off by an ulp.
-        tol = 4.0 * np.finfo(float).eps * dim * max(1.0, op.max_abs())
+        tol = 4.0 * np.finfo(float).eps * dim * max(1.0, max_abs(op))
         assert np.max(np.abs(np.diag(m) - np.diag(want))) <= tol
 
     def test_number_operator_diagonal(self):
@@ -59,7 +57,7 @@ class TestBuildMatrix:
         assert np.allclose(m, np.diag(np.arange(7.0)))
 
     def test_identity(self):
-        m = fock.build_matrix(QuadraticOperator(c_1=1.0), 5)
+        m = fock.build_matrix(Quadratic(c0=1.0), 5)
         assert np.allclose(m, np.eye(5))
 
     def test_rabi_effective_element(self):
@@ -110,17 +108,17 @@ class TestBandedProduct:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_OPERATOR, st.sampled_from((2, 3, 9, 480)), st.integers(0, 2**32 - 1))
     def test_matches_the_matrix_product(self, op, dim, seed):
-        # Any six coefficients, Hermitian or not, real or complex.
+        # Any form, with a real or a complex matrix.
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         got = fock._apply(op, amps)
         want = fock.build_matrix(op, dim) @ amps
-        tol = 16.0 * np.finfo(float).eps * dim * max(1.0, op.max_abs()) * np.linalg.norm(amps)
+        tol = 16.0 * np.finfo(float).eps * dim * max(1.0, max_abs(op)) * np.linalg.norm(amps)
         assert np.linalg.norm(got - want) <= tol
 
     def test_expectations_build_no_matrix(self, monkeypatch):
         psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), qrm_effective(1.0, 0.9), 2.0)
-        h = QuadraticOperator(0.7, 0.3 - 0.4j, 0.3 + 0.4j, 0.2j, -0.2j, 0.1)
+        h = Quadratic(1.3, 0.8, 0.1, 0.0, -0.2 * math.sqrt(2.0), -0.25)  # c_a = 0.2i
         m_psi = dense_matrix(h, 120) @ psi.amps
         mean = np.vdot(psi.amps, m_psi).real
 
@@ -241,11 +239,11 @@ class TestPropagatorMemo:
     @pytest.mark.parametrize("op, eigvec_blocks", [
         (N, 0),
         (qrm_effective(1.0, 0.9), 2),
-        (QuadraticOperator.position(), 1),
+        (X, 1),
     ], ids=["diagonal", "parity-split", "dense"])
     def test_shared_propagator_is_read_only(self, op, eigvec_blocks):
         prop = fock.propagator(op, 8)
-        assert prop is fock.propagator(QuadraticOperator(*op.coeffs()), 8)
+        assert prop is fock.propagator(Quadratic(*op), 8)
         arrays = stored_arrays(prop)
         assert arrays and sum(a.ndim == 2 for a in arrays) == eigvec_blocks
         for array in arrays:
@@ -260,30 +258,26 @@ class TestPropagatorMemo:
         assert propagator_builds == {(first, 8): 1}
         assert fock.propagator.cache_info().currsize == 1
 
-    def test_rejects_a_non_hermitian_generator(self):
-        # a alone: its matrix has √n above the diagonal and zeros below.
-        with pytest.raises(NotHermitianError, match="Hermitian"):
-            fock.Propagator(QuadraticOperator(c_a=1.0), 8)
-
 
 _SMALL = st.floats(-1.0, 1.0)
 _COMPLEX = st.builds(complex, _SMALL, _SMALL)
 
 
-def _hermitian(c_n, c_aa, c_a, c_1) -> QuadraticOperator:
-    return QuadraticOperator(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c_1)
+def _ladder_form(c_n, c_aa, c_a, c_1) -> Quadratic:
+    """c_n a†a + c_aa a² + c̄_aa a†² + c_a a + c̄_a a† + c_1 as a form."""
+    return from_ladder(Ladder(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c_1))
 
 
-# Random Hermitian quadratic operators of each structure the propagator
-# distinguishes: diagonal; no linear term (elliptic, hyperbolic det G < 0,
-# real or complex c_aa); with a linear term.
-_DIAGONAL = st.builds(lambda c_n, c_1: _hermitian(c_n, 0j, 0j, c_1), _SMALL, _SMALL)
-_NO_LINEAR = st.builds(lambda c_n, c_aa, c_1: _hermitian(c_n, c_aa, 0j, c_1),
+# Random quadratic operators of each structure the propagator distinguishes:
+# diagonal; no linear term (elliptic, hyperbolic det G < 0, real or complex
+# c_aa); with a linear term.
+_DIAGONAL = st.builds(lambda c_n, c_1: _ladder_form(c_n, 0j, 0j, c_1), _SMALL, _SMALL)
+_NO_LINEAR = st.builds(lambda c_n, c_aa, c_1: _ladder_form(c_n, c_aa, 0j, c_1),
                        _SMALL, _COMPLEX.filter(lambda z: z != 0), _SMALL)
-_LINEAR = st.builds(_hermitian, _SMALL, _COMPLEX, _COMPLEX.filter(lambda z: z != 0), _SMALL)
+_LINEAR = st.builds(_ladder_form, _SMALL, _COMPLEX, _COMPLEX.filter(lambda z: z != 0), _SMALL)
 
 
-def dense_apply(op: QuadraticOperator, amps: np.ndarray, t: float) -> np.ndarray:
+def dense_apply(op: Quadratic, amps: np.ndarray, t: float) -> np.ndarray:
     """Reference: V exp(−iΛt) V†ψ from one full eigendecomposition of the matrix."""
     energies, eigvecs = np.linalg.eigh(fock.build_matrix(op, amps.size))
     return eigvecs @ (np.exp(-1j * energies * t) * (eigvecs.conj().T @ amps))
@@ -306,7 +300,7 @@ class TestPropagatorStructure:
     def test_split_propagator_keeps_parity(self):
         amps = np.zeros(120, dtype=complex)
         amps[0:10:2] = [0.6, 0.5j, -0.4, 0.3, 0.2 - 0.1j]
-        for op in (qrm_effective(1.0, 0.9), _hermitian(1.5, 0.3 - 0.4j, 0j, 0.1)):
+        for op in (qrm_effective(1.0, 0.9), _ladder_form(1.5, 0.3 - 0.4j, 0j, 0.1)):
             out = fock.Propagator(op, 120).apply(fock.FockState(amps), 0.7)
             assert np.all(out.amps[1::2] == 0.0)
             assert np.linalg.norm(out.amps) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
@@ -314,7 +308,7 @@ class TestPropagatorStructure:
     @pytest.mark.parametrize("op, sizes", [
         (N, []),
         (qrm_effective(1.0, 0.99), [240, 240]),
-        (QuadraticOperator.position(), [480]),
+        (X, [480]),
     ], ids=["a†a", "H_c", "X"])
     def test_decomposes_only_the_coupled_blocks(self, monkeypatch, op, sizes):
         shapes = []
@@ -340,8 +334,8 @@ class TestPropagatorStructure:
 
     @pytest.mark.parametrize("op, levels", [
         (qrm_effective(1.0, 0.99), [(0, 2), (1, 2)]),
-        (_hermitian(0.7, 0.3 - 0.4j, 0j, 0.1), [(0, 2), (1, 2)]),
-        (QuadraticOperator.position(), [(0, 1)]),
+        (_ladder_form(0.7, 0.3 - 0.4j, 0j, 0.1), [(0, 2), (1, 2)]),
+        (X, [(0, 1)]),
     ], ids=["H_c", "complex-c_aa", "X"])
     def test_fills_each_block_on_its_own(self, monkeypatch, op, levels):
         # A split generator never builds the full matrix; each decomposed
@@ -393,15 +387,14 @@ class TestGaussianAgreement:
 
     @pytest.mark.parametrize("h, t, det_sign", [
         # P = i(a† − a)/√2: pure displacement, complex matrix
-        (QuadraticOperator(c_a=-1j / math.sqrt(2.0), c_ad=1j / math.sqrt(2.0)), 1.3, 0),
-        (QuadraticOperator(c_aa=0.5, c_adad=0.5), 0.4, -1),  # (X² − P²)/2, real matrix
-        (QuadraticOperator(c_aa=-0.5j, c_adad=0.5j), 0.4, -1),  # i(a†² − a²)/2
-        (QuadraticOperator(c_n=0.3, c_aa=0.6, c_adad=0.6, c_a=0.2 - 0.1j, c_ad=0.2 + 0.1j),
-         0.5, -1),
+        (Quadratic(vp=1.0), 1.3, 0),
+        (Quadratic(gxx=1.0, gpp=-1.0), 0.4, -1),  # (X² − P²)/2, real matrix
+        (Quadratic(gxp=1.0), 0.4, -1),  # (XP + PX)/2 = i(a†² − a²)/2
+        # 0.3 a†a + 0.6(a² + a†²) + (0.2 − 0.1i) a + (0.2 + 0.1i) a†
+        (_ladder_form(0.3, 0.6 + 0j, 0.2 - 0.1j, 0.0), 0.5, -1),
     ])
     def test_moments_match_oracle(self, h, t, det_sign):
-        g_mat, _, _ = to_quadrature_form(h)
-        assert np.sign(round(np.linalg.det(g_mat), 12)) == det_sign
+        assert np.sign(round(h.gxx * h.gpp - h.gxp * h.gxp, 12)) == det_sign
         gauss = evolve(coherent(ALPHA), h, t)
         psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), h, t)
         mu, sigma = fock.fock_moments(psi)

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from canp import fock
-from canp.errors import NotHermitianError
 from canp.gaussian import (
-    Form,
     GaussianState,
     coherent,
     evolution_map,
@@ -18,20 +16,14 @@ from canp.gaussian import (
     quadrature_stats,
     variance_quadratic,
 )
-from canp.models import qrm_effective, qrm_commutator_d
-from canp.operators import (
-    SERIES_SWITCH,
-    QuadraticOperator,
-    flow_weights,
-    to_quadrature_form,
-)
-from quadrature_forms import from_quadrature_form
+from canp.models import encoding_displacement, encoding_frequency, qrm_effective, qrm_commutator_d
+from canp.operators import SERIES_SWITCH, Quadratic, flow_weights
 
 ALPHA = 0.3 + 1.0j
 VACUUM = coherent(0j)
-N = QuadraticOperator.number()
-X = QuadraticOperator.position()
-P = QuadraticOperator(c_a=-1j / math.sqrt(2.0), c_ad=1j / math.sqrt(2.0))  # i(a† − a)/√2
+N = encoding_frequency()
+X = encoding_displacement()
+P = Quadratic(vp=1.0)
 # Symplectic form for r = (X, P): [r_j, r_k] = i * OMEGA_jk.
 OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -201,30 +193,14 @@ class TestMoments:
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
 
 
-_COEFF = st.floats(-3.0, 3.0)
+def matrix_form(h: Quadratic) -> tuple[np.ndarray, np.ndarray]:
+    """G as a 2×2 matrix and v as a vector."""
+    return np.array([[h.gxx, h.gxp], [h.gxp, h.gpp]]), np.array([h.vx, h.vp])
 
 
-class TestForm:
-    # Form.of reads the entries straight from the coefficients; it must
-    # give the same bits as the matrix form, for complex c_aa and linear terms.
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(_COEFF, st.builds(complex, _COEFF, _COEFF), st.builds(complex, _COEFF, _COEFF),
-           _COEFF)
-    def test_entries_match_the_matrix_form(self, c_n, c_aa, c_a, c_1):
-        op = QuadraticOperator(c_n, c_aa, c_aa.conjugate(), c_a, c_a.conjugate(), c_1)
-        g_mat, v, _ = to_quadrature_form(op)
-        want = (g_mat[0, 0], g_mat[0, 1], g_mat[1, 1], v[0], v[1])
-        assert g_mat[1, 0] == g_mat[0, 1]
-        assert np.array(Form.of(op)).tobytes() == np.array(want).tobytes()
-
-    def test_rejects_a_non_hermitian_operator(self):
-        with pytest.raises(NotHermitianError):
-            Form.of(QuadraticOperator(c_a=1.0))
-
-
-def expm_map(h: QuadraticOperator, t: float) -> tuple[np.ndarray, np.ndarray]:
+def expm_map(h: Quadratic, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference (S, d) from one 3×3 homogeneous matrix exponential."""
-    g_mat, v, _ = to_quadrature_form(h)
+    g_mat, v = matrix_form(h)
     m = np.zeros((3, 3))
     m[:2, :2] = OMEGA @ g_mat
     m[:2, 2] = OMEGA @ v
@@ -232,11 +208,11 @@ def expm_map(h: QuadraticOperator, t: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:2, :2], e[:2, 2]
 
 
-def quadratic(eig1: float, eig2: float, angle: float, v=(0.0, 0.0)) -> QuadraticOperator:
-    """Hermitian quadratic with G = R(angle) diag(eig1, eig2) R(angle)ᵀ, so det G = eig1·eig2."""
+def quadratic(eig1: float, eig2: float, angle: float, v=(0.0, 0.0)) -> Quadratic:
+    """The form with G = R(angle) diag(eig1, eig2) R(angle)ᵀ, so det G = eig1·eig2."""
     rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     g_mat = rot @ np.diag([eig1, eig2]) @ rot.T
-    return from_quadrature_form(0.5 * (g_mat + g_mat.T), np.array(v), 0.3)
+    return Quadratic(g_mat[0, 0], 0.5 * (g_mat[0, 1] + g_mat[1, 0]), g_mat[1, 1], *v, 0.3)
 
 
 _EIG = st.floats(0.05, 2.0)
@@ -249,7 +225,7 @@ class TestClosedFormFlow:
     """evolution_map's three-branch closed form against scipy's expm."""
 
     @staticmethod
-    def assert_matches_expm(h: QuadraticOperator, t: float, tol: float = 1e-11) -> None:
+    def assert_matches_expm(h: Quadratic, t: float, tol: float = 1e-11) -> None:
         s_mat, d = evolution_map(h, t)
         s_ref, d_ref = expm_map(h, t)
         scale = max(1.0, float(np.max(np.abs(s_ref))), float(np.max(np.abs(d_ref))))
@@ -281,7 +257,7 @@ class TestClosedFormFlow:
     @_FLOW_SETTINGS
     @given(_LINEAR, st.floats(0.0, 5.0))
     def test_pure_displacement(self, v, t):
-        h = from_quadrature_form(np.zeros((2, 2)), np.array(v), 0.0)
+        h = Quadratic(vx=v[0], vp=v[1])
         s_mat, d = evolution_map(h, t)
         assert np.array_equal(s_mat, np.eye(2))
         assert np.allclose(d, t * (OMEGA @ np.array(v)), rtol=1e-15, atol=0.0)
@@ -292,7 +268,7 @@ class TestClosedFormFlow:
     def test_continuity_across_series_switch(self, det):
         t_switch = math.sqrt(SERIES_SWITCH / abs(det))
         h = quadratic(det / 0.8, 0.8, 0.4, (0.6, -1.1))
-        g_mat, v, _ = to_quadrature_form(h)
+        g_mat, v = matrix_form(h)
         rate = max(1.0, float(np.max(np.abs(g_mat))), float(np.max(np.abs(v))))
         for eps in (1e-9, 1e-12):
             lo, hi = t_switch * (1.0 - eps), t_switch * (1.0 + eps)

@@ -12,7 +12,6 @@ from canp.errors import (
     CommutingPairError,
     NegativeDeltaError,
     NoSignChangeError,
-    NotHermitianError,
     OutOfPhaseError,
     TruncationNotConvergedError,
     VacuumProbeError,
@@ -38,13 +37,15 @@ from canp.metrology import (
 )
 from canp.models import (
     ModelParams,
+    encoding_displacement,
     encoding_frequency,
     qrm_commutator_d,
     qrm_delta_displacement,
     qrm_delta_frequency,
     qrm_effective,
 )
-from canp.operators import QuadraticOperator
+from canp.operators import Quadratic
+from quadrature_forms import Ladder, from_ladder
 
 ALPHA = 0.3 + 1.0j
 T_THETA = 12.0
@@ -73,7 +74,8 @@ def qrm_spec_at_tau(g, **kwargs):
 
 
 # H_c = P²/2 against H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0.
-FREE_PARTICLE = QuadraticOperator(c_n=0.5, c_aa=-0.25, c_adad=-0.25, c_1=0.25)
+FREE_PARTICLE = Quadratic(gpp=1.0)
+X = encoding_displacement()
 
 
 class TestPreparationTime:
@@ -106,7 +108,7 @@ class TestPreparationTime:
             Protocol(*params.pair(), ALPHA).preparation_time(math.pi)
 
     def test_zero_gap_raises(self):
-        protocol = Protocol(FREE_PARTICLE, QuadraticOperator.position(), ALPHA)
+        protocol = Protocol(FREE_PARTICLE, X, ALPHA)
         assert protocol.structure.Delta == 0.0
         with pytest.raises(OutOfPhaseError):
             protocol.preparation_time(np.array([0.0, math.pi]))
@@ -317,11 +319,10 @@ CLOSED_PAIRS = {
 # Encodings with no closed algebra against H_c; the homodyne CFI needs none.
 OPEN_PAIRS = {
     # H_θ = (a² + a†²)/2 = (X² − P²)/2: det G_θ < 0.
-    "hyperbolic-encoding": ((qrm_effective(1.0, 0.9), QuadraticOperator(c_aa=0.5, c_adad=0.5)),
-                            0.1, 9.0),
-    "complex-linear-encoding": ((qrm_effective(1.0, 0.9), QuadraticOperator(
-        c_n=0.7, c_aa=0.1 - 0.2j, c_adad=0.1 + 0.2j, c_a=0.3 + 0.4j, c_ad=0.3 - 0.4j)),
-        0.1, 9.0),
+    "hyperbolic-encoding": ((qrm_effective(1.0, 0.9), Quadratic(gxx=1.0, gpp=-1.0)), 0.1, 9.0),
+    # 0.7 a†a + (0.1 − 0.2i) a² + (0.3 + 0.4i) a + h.c.
+    "complex-linear-encoding": ((qrm_effective(1.0, 0.9), Quadratic(
+        0.9, 0.4, 0.5, 0.3 * math.sqrt(2.0), -0.4 * math.sqrt(2.0), -0.35)), 0.1, 9.0),
 }
 
 
@@ -352,8 +353,9 @@ class TestExactHomodyne:
         assert np.all(cfi <= protocol.qfi(t_c, t_theta) * (1.0 + 1e-9))
 
 
-def _hermitian_quadratic(c_n, c_aa):
-    return QuadraticOperator(c_n=c_n, c_aa=c_aa, c_adad=c_aa.conjugate())
+def _squeezed(c_n, c_aa):
+    """c_n a†a + c_aa a² + c̄_aa a†² as a form."""
+    return from_ladder(Ladder(c_n, c_aa, c_aa.conjugate()))
 
 
 _PHASE = st.floats(0.0, 2.0 * math.pi)
@@ -369,11 +371,11 @@ def normal_phase_specs(draw):
     """
     c_n = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.3, 1.5))
     rho, phase = draw(st.floats(0.0, 0.9)), draw(_PHASE)
-    hc = _hermitian_quadratic(c_n, 0.5 * abs(c_n) * rho * cmath.exp(1j * phase))
+    hc = _squeezed(c_n, 0.5 * abs(c_n) * rho * cmath.exp(1j * phase))
     htheta = draw(st.one_of(
-        st.just(QuadraticOperator.number()),
-        st.just(QuadraticOperator.position()),
-        st.builds(lambda c, r, phi: _hermitian_quadratic(c, r * cmath.exp(1j * phi)),
+        st.just(encoding_frequency()),
+        st.just(X),
+        st.builds(lambda c, r, phi: _squeezed(c, r * cmath.exp(1j * phi)),
                   st.floats(-1.0, 1.0), st.floats(0.1, 0.5), _PHASE),
     ))
     alpha = draw(st.floats(0.3, 1.5)) * cmath.exp(1j * draw(_PHASE))
@@ -427,7 +429,7 @@ class TestDegenerateAlgebras:
         # H_c = P²/2, H_θ = X: [H_c, [H_c, H_θ]] = 0, so Δ = 0 and the
         # generator is t_θ(X + t_c P), whose coherent-state variance is
         # (1 + t_c²)/2.
-        hc, x = FREE_PARTICLE, QuadraticOperator.position()
+        hc, x = FREE_PARTICLE, X
         protocol = Protocol(hc, x, ALPHA)
         assert protocol.structure.Delta == 0.0
         t_c = np.array([0.0, 0.5, 2.0])[:, None]
@@ -438,19 +440,9 @@ class TestDegenerateAlgebras:
         assert protocol.qfi(spec.t_c, spec.t_theta) == pytest.approx(fock.qfi_numeric(spec),
                                                                      rel=1e-6)
 
-    @pytest.mark.parametrize("which", ["hc", "htheta"])
-    def test_non_hermitian_pair_fails_at_construction(self, which):
-        # Protocol builds both flows when it is made, so a non-Hermitian
-        # operator is refused before any method runs.
-        pair = dict(zip(("hc", "htheta"), ModelParams("QRM-frequency", g=0.9).pair()))
-        pair[which] = QuadraticOperator(c_n=1.0, c_a=0.5)
-        with pytest.raises(NotHermitianError):
-            Protocol(pair["hc"], pair["htheta"], ALPHA)
-
     def test_hyperbolic_pair_raises(self):
         # H_c = (a² + a†²)/2 against H_θ = X closes with Δ = −1.
-        protocol = Protocol(QuadraticOperator(c_aa=0.5, c_adad=0.5),
-                            QuadraticOperator.position(), ALPHA)
+        protocol = Protocol(Quadratic(gxx=1.0, gpp=-1.0), X, ALPHA)
         with pytest.raises(NegativeDeltaError):
             protocol.qfi(1.0, 1.0)
         with pytest.raises(NegativeDeltaError):
@@ -596,8 +588,7 @@ class TestQfiDisplacement:
                                    4.0 * T_THETA**2 * s**2 * var_c, rtol=1e-12, atol=0.0)
 
     def test_commuting_pair_gives_zero(self):
-        x = QuadraticOperator.position()
-        assert Protocol(x, x, ALPHA).qfi_displacement(np.array([0.5, 2.0]), 3.0).tolist() == [
+        assert Protocol(X, X, ALPHA).qfi_displacement(np.array([0.5, 2.0]), 3.0).tolist() == [
             0.0, 0.0]
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 1.3, 2.0])
@@ -877,7 +868,7 @@ class TestProtocolKernel:
         # With a squeezing term in H_θ both the final photon number and the
         # reference variance depend on θ0; the baseline must use the
         # photon number at θ0 (checked against the number-basis oracle).
-        htheta = QuadraticOperator(c_n=1.0, c_aa=0.2, c_adad=0.2)
+        htheta = Quadratic(gxx=1.4, gpp=0.6, c0=-0.5)  # a†a + 0.2(a² + a†²)
         values = []
         for theta0 in (0.0, 0.15):
             spec = ProtocolSpec(Hc=qrm_effective(1.0, 0.9), Htheta=htheta, t_c=1.5,
