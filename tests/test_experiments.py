@@ -692,15 +692,17 @@ class TestCli:
         assert "Hermitian" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("omega, names", [
-        # D and C·C underflow to 0, so the fit of Δ is 0/0.
-        ("1e-300", "Δ"),
-        # C ~ ω is finite, D ~ ω² overflows.
-        ("1e200", "D"),
-    ])
-    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys, omega, names):
-        # ω out of the range the nested commutators fit: the run fails naming
-        # the part, and numpy prints no warning first.
+    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
+        # ω = 1e-300: D and C·C underflow to 0, so the fit of Δ is 0/0. The
+        # run fails naming Δ, and numpy prints no warning first.
+        self.assert_structure_run_failure(tmp_path, capsys, "1e-300", "Δ")
+
+    def test_huge_frequency_is_run_failure(self, tmp_path, capsys):
+        # ω = 1e200: C ~ ω is finite, D ~ ω² overflows.
+        self.assert_structure_run_failure(tmp_path, capsys, "1e200", "D")
+
+    @staticmethod
+    def assert_structure_run_failure(tmp_path, capsys, omega, names):
         out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

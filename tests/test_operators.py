@@ -48,6 +48,19 @@ class TestCommutator:
         assert commutator(X, P) == Quadratic(c0=-1.0)
         assert commutator(Quadratic(gxx=1.0), Quadratic(gpp=1.0)) == Quadratic(gxp=-1.0)
 
+    def test_ladder_identity(self):
+        # The reference route's constants: [a†a, a] = −a and [a†a, a†] = a†.
+        assert ladder_commutator(Ladder(c_n=1.0), Ladder(c_a=1.0)) == Ladder(c_a=-1.0)
+        assert ladder_commutator(Ladder(c_n=1.0), Ladder(c_ad=1.0)) == Ladder(c_ad=1.0)
+
+    def test_number_ladder_pair(self):
+        # [a², a†²] = 4 a†a + 2, so with A = (a² + a†²)/2 = (X² − P²)/2 and
+        # B = i(a†² − a²)/2 = (XP + PX)/2, i[A, B] = −(2 a†a + 1) = −(X² + P²).
+        got = ladder_commutator(Ladder(c_aa=1.0), Ladder(c_adad=1.0))
+        assert got == Ladder(c_n=4.0, c_1=2.0)
+        a, b = Quadratic(gxx=1.0, gpp=-1.0), Quadratic(gxp=1.0)
+        assert commutator(a, b) == Quadratic(gxx=-2.0, gpp=-2.0)
+
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -79,6 +92,26 @@ class TestCommutator:
             )
             scale = max(1.0, max_abs(x) * max_abs(y) * max_abs(z))
             assert max_abs(total) <= 1e-12 * scale
+
+    def test_i_commutator_of_hermitians_is_hermitian(self):
+        # from_ladder reads only half the coefficients of the reference's
+        # i[A, B]; the other half must be their conjugates.
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            x, y = to_ladder(random_form(rng)), to_ladder(random_form(rng))
+            c_n, c_aa, c_adad, c_a, c_ad, c_1 = (1j * c for c in ladder_commutator(x, y))
+            scale = 1e-15 * max(1.0, max_abs(x)) * max(1.0, max_abs(y))
+            assert abs(c_n.imag) <= scale and abs(c_1.imag) <= scale
+            assert abs(c_adad - c_aa.conjugate()) <= scale
+            assert abs(c_ad - c_a.conjugate()) <= scale
+
+
+class TestArithmetic:
+    def test_equal_operators_compare_and_hash_equal(self):
+        # A form is the tuple of its entries: fock's propagator memo keys on it.
+        op = Quadratic(1.0, 0.5, -0.25, 2.0, 2.0, -3.0)
+        twin = Quadratic(*op)
+        assert twin is not op and twin == op and hash(twin) == hash(op)
 
 
 _ENTRY = st.floats(-2.0, 2.0)
@@ -133,6 +166,25 @@ class TestLadderRoute:
         assert np.max(np.abs(fock.build_matrix(got, dim) - ladder_matrix(want, dim))) <= (
             16.0 * np.finfo(float).eps * dim * scale)
 
+
+class TestQuadratureForm:
+    """The reference route's conversion from ladder coefficients to (G, v, c0)."""
+
+    def test_number_operator(self):
+        assert from_ladder(Ladder(c_n=1.0)) == Quadratic(gxx=1.0, gpp=1.0, c0=-0.5) == N
+
+    def test_position_operator(self):
+        c = 1.0 / math.sqrt(2.0)
+        got = from_ladder(Ladder(c_a=c, c_ad=c))
+        assert op_distance(got, X) <= 1e-16
+
+    def test_rabi_effective(self):
+        # ω a†a − (ωg²/4)(a† + a)² at ω = 1, g = 0.9: G = diag(1 − g², 1), c0 = −½.
+        quarter = -0.81 / 4.0
+        got = from_ladder(Ladder(1.0 - 0.405, quarter, quarter, 0j, 0j, quarter))
+        assert op_distance(got, Quadratic(gxx=1.0 - 0.81, gpp=1.0, c0=-0.5)) < 1e-15
+        assert op_distance(got, qrm_effective(1.0, 0.9)) < 1e-15
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_FORM)
     def test_round_trip(self, op):
@@ -153,6 +205,26 @@ class TestDeriveCriticalStructure:
     def test_lmg_gap(self):
         cs = derive_critical_structure(lmg_effective(0.5, 2.0), N)
         assert abs(cs.Delta - 12.0) < 1e-12
+
+    def test_structure_operators_hermitian(self):
+        # C and D are forms, and their number-basis matrices are Hermitian.
+        for htheta in (N, X):
+            cs = derive_critical_structure(qrm_effective(1.0, 0.8), htheta)
+            for op in (cs.C, cs.D):
+                assert type(op) is Quadratic
+                m = fock.build_matrix(op, 9)
+                assert np.array_equal(m, m.conj().T)
+
+    def test_gamma_relation(self):
+        # [H_c, Γ] = √Δ Γ with Γ = −i√Δ C + D, coefficientwise on the ladder route.
+        hc = qrm_effective(1.0, 0.7)
+        cs = derive_critical_structure(hc, N)
+        root = math.sqrt(cs.Delta)
+        gamma_op = Ladder._make(-1j * root * c + d for c, d in zip(to_ladder(cs.C),
+                                                                   to_ladder(cs.D)))
+        lhs = ladder_commutator(to_ladder(hc), gamma_op)
+        rhs = Ladder._make(root * c for c in gamma_op)
+        assert op_distance(lhs, rhs) <= 1e-9 * max(1.0, max_abs(rhs))
 
     def test_structure_relations(self):
         # i[H_c, C] = −D and i[H_c, D] = Δ C: the real and imaginary parts of
