@@ -16,12 +16,11 @@ physics fields (its checks fix their own), and LMG's omega.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .models import ModelParams, config_number, config_object
 _DEFAULT_G_VALUES = {"fig2b": (0.80, 0.90, 0.96, 0.98), "fig3a": (0.90, 0.95, 0.98)}
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     name: str
     start: float
     stop: float
@@ -50,8 +48,7 @@ class Axis:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     experiment: str
     model: ModelParams
     sweep: tuple[Axis, ...] = ()
@@ -71,19 +68,18 @@ class RunConfig:
 
     def sha256(self) -> str:
         """Hash of every field but out, whether or not the experiment reads it."""
-        hashed = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(self) if f.name != "out"}
+        hashed = {**self._asdict(), "model": self.model.to_dict(),
+                  "sweep": [ax._asdict() for ax in self.sweep]}
+        del hashed["out"]
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"), default=_jsonable)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _jsonable(obj):
-    """The JSON form of a RunConfig field value json.dumps cannot serialise itself."""
+    """The JSON form of a complex RunConfig field value, which json.dumps cannot serialise."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, ModelParams):
-        return obj.to_dict()
-    return dataclasses.asdict(obj)
+    raise TypeError(f"cannot serialise a {type(obj).__name__} config value")
 
 
 def _parse_experiment(obj) -> str:

@@ -25,7 +25,6 @@ limit of the fidelity: a variance in the prepared number-basis state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,12 +43,13 @@ PROPAGATOR_CACHE_SIZE = 16
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
 class FockState:
-    amps: np.ndarray
+    """Complex amplitudes over a truncated number basis, normalised in place by coherent_fock."""
 
-    def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+    __slots__ = ("amps",)
+
+    def __init__(self, amps) -> None:
+        self.amps = np.asarray(amps, dtype=complex).reshape(-1)
 
     @property
     def dim(self) -> int:

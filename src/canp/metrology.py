@@ -17,8 +17,8 @@ harness. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +31,7 @@ from .operators import CriticalStructure, Quadratic, derive_critical_structure, 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """One full protocol instance.
-
-    theta0 is the working point at which local sensitivity is evaluated. The
-    mode frequency enters only through H_c, so a spec holds no copy of it.
-    """
-
+class _SpecFields(NamedTuple):
     Hc: Quadratic
     Htheta: Quadratic
     t_c: float
@@ -46,8 +39,26 @@ class ProtocolSpec:
     alpha: complex
     theta0: float = 0.0
 
-    def __post_init__(self) -> None:
-        _durations(self.t_c, self.t_theta)
+
+class ProtocolSpec(_SpecFields):
+    """One full protocol instance.
+
+    theta0 is the working point at which local sensitivity is evaluated. The
+    mode frequency enters only through H_c, so a spec holds no copy of it.
+    An immutable named tuple that checks its durations however it is built,
+    ``_make`` and ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, Hc: Quadratic, Htheta: Quadratic, t_c: float, t_theta: float,
+                alpha: complex, theta0: float = 0.0) -> "ProtocolSpec":
+        _durations(t_c, t_theta)
+        return super().__new__(cls, Hc, Htheta, t_c, t_theta, alpha, theta0)
+
+    @classmethod
+    def _make(cls, iterable) -> "ProtocolSpec":
+        return cls(*iterable)
 
 
 def _duration(t) -> np.ndarray:
@@ -377,8 +388,7 @@ def find_threshold(
     return crossings[0]
 
 
-@dataclass(frozen=True)
-class MetrologyReport:
+class MetrologyReport(NamedTuple):
     """Flat bundle of every figure of merit for one protocol instance."""
 
     qfi_exact: float

@@ -31,8 +31,7 @@ probe amplitudes modest.
 from __future__ import annotations
 
 import math
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, OutOfPhaseError
 from .operators import Quadratic
@@ -152,31 +151,45 @@ def lmg_commutator_d(lam: float, gamma: float) -> Quadratic:
     return Quadratic(gxx=pre * (1.0 - lam), gpp=-pre * (gamma - lam))
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Parameters selecting one of the shipped critical-model pairs."""
-
+class _ModelFields(NamedTuple):
     variant: str
     omega: float = 1.0
     g: float | None = None
     lam: float | None = None
     gamma: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.omega <= 0.0:
+
+class ModelParams(_ModelFields):
+    """Parameters selecting one of the shipped critical-model pairs.
+
+    An immutable named tuple that checks the variant and its fields however
+    it is built: the constructor, :meth:`replace`, ``_make`` and ``_replace``
+    (the last two would otherwise skip ``__new__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, variant: str, omega: float = 1.0, g: float | None = None,
+                lam: float | None = None, gamma: float | None = None) -> "ModelParams":
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if omega <= 0.0:
             raise ConfigError("omega must be positive")
-        if self.variant.startswith("QRM"):
-            if self.g is None:
-                raise ConfigError(f"variant {self.variant} requires g")
-            if self.lam is not None or self.gamma is not None:
-                raise ConfigError(f"variant {self.variant} has no lambda or gamma")
+        if variant.startswith("QRM"):
+            if g is None:
+                raise ConfigError(f"variant {variant} requires g")
+            if lam is not None or gamma is not None:
+                raise ConfigError(f"variant {variant} has no lambda or gamma")
         else:
-            if self.lam is None or self.gamma is None:
+            if lam is None or gamma is None:
                 raise ConfigError("LMG variant requires lambda and gamma")
-            if self.g is not None:
-                raise ConfigError(f"variant {self.variant} has no g")
+            if g is not None:
+                raise ConfigError(f"variant {variant} has no g")
+        return super().__new__(cls, variant, omega, g, lam, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelParams":
+        return cls(*iterable)
 
     def preparation(self) -> Quadratic:
         if self.variant.startswith("QRM"):
@@ -200,7 +213,7 @@ class ModelParams:
 
     def replace(self, **changes) -> "ModelParams":
         """A copy with the given fields changed, validated like a new instance."""
-        return dataclasses.replace(self, **changes)
+        return self._replace(**changes)
 
     def to_dict(self) -> dict:
         out: dict = {"variant": self.variant, "omega": self.omega}

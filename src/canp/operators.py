@@ -23,7 +23,6 @@ information", Rev. Mod. Phys. 84, 621 (2012).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,8 +79,7 @@ def commutator(a: Quadratic, b: Quadratic) -> Quadratic:
     )
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
+class CriticalStructure(NamedTuple):
     """Derived commutator structure of a (preparation, encoding) pair.
 
     C = i[H_c, H_theta] and D = [H_c, [H_c, H_theta]] are real forms;

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -49,14 +48,19 @@ ORACLE_GRID = (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    measured: dict = field(default_factory=dict)
-    tolerance: dict = field(default_factory=dict)
-    details: str = ""
-    seconds: float = 0.0
+    """One check's outcome; the report times it after it is built."""
+
+    __slots__ = ("name", "passed", "measured", "tolerance", "details", "seconds")
+
+    def __init__(self, name: str, passed: bool, measured: dict | None = None,
+                 tolerance: dict | None = None, details: str = "", seconds: float = 0.0) -> None:
+        self.name, self.passed, self.details, self.seconds = name, passed, details, seconds
+        self.measured = {} if measured is None else measured
+        self.tolerance = {} if tolerance is None else tolerance
+
+    def as_dict(self) -> dict:
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 def _protocol(params: ModelParams) -> Protocol:
@@ -376,5 +380,5 @@ def run_checks() -> dict:
     ]
     return {
         "passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "checks": [r.as_dict() for r in results],
     }

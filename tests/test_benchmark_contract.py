@@ -4,7 +4,6 @@ The harness reports a vanished name as 0 µs under "missing" instead of
 failing, so this suite is where a rename or removal shows up first.
 """
 
-import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -43,8 +42,12 @@ def test_selftest_and_checks_bindings():
     # percall.py and selftest.py evaluate single points through the spec wrappers.
     for name in ("protocol_state", "cfi_homodyne", "evaluate_report"):
         assert callable(getattr(metrology, name)), name
-    assert {"Hc", "Htheta", "t_c", "t_theta", "alpha", "theta0"} <= {
-        f.name for f in dataclasses.fields(metrology.ProtocolSpec)}
+    # Both build a spec with these six keywords.
+    params = ModelParams("QRM-frequency", g=0.5)
+    spec = metrology.ProtocolSpec(Hc=params.preparation(), Htheta=params.encoding(), t_c=1.0,
+                                  t_theta=12.0, alpha=0.3 + 1.0j, theta0=0.1)
+    assert (spec.Hc, spec.Htheta, spec.t_c, spec.t_theta, spec.alpha, spec.theta0) == (
+        params.preparation(), params.encoding(), 1.0, 12.0, 0.3 + 1.0j, 0.1)
     # selftest.py calls find_threshold(variant, t_theta, alpha, bracket, gamma=...).
     assert list(inspect.signature(metrology.find_threshold).parameters)[:6] == [
         "family", "t_theta", "alpha", "bracket", "omega", "gamma"]

@@ -26,6 +26,22 @@ from canp.metrology import Protocol
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+def two_point_validate(tmp_path, *modules: str) -> str:
+    """Child code that runs validate on two oracle points and prints its exit
+    code and whether each of `modules` got imported."""
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"experiment": "validate", "oracle": True,
+                                "model": {"variant": "QRM-frequency", "g": 0.96},
+                                "out": str(tmp_path / "report.json")}))
+    return (
+        "import sys\n"
+        "from canp import cli, validate\n"
+        "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
+        f"rc = cli.main(['validate', '--config', {str(path)!r}])\n"
+        f"print(rc, *(name in sys.modules for name in {modules!r}))\n"
+    )
+
+
 def small_config(experiment: str, tmp_path, **extra) -> dict:
     base = {
         "experiment": experiment,
@@ -775,21 +791,29 @@ class TestCli:
         # The oracle runs in-process: a validate run must not even import
         # the process-pool machinery, nor numpy.random (its draws are
         # stdlib-seeded).
-        path = tmp_path / "v.json"
-        path.write_text(json.dumps({"experiment": "validate", "oracle": True,
-                                    "model": {"variant": "QRM-frequency", "g": 0.96},
-                                    "out": str(tmp_path / "report.json")}))
-        code = (
-            "import sys\n"
-            "from canp import cli, validate\n"
-            "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
-            f"rc = cli.main(['validate', '--config', {str(path)!r}])\n"
-            "print(rc, 'concurrent.futures.process' in sys.modules,"
-            " 'multiprocessing' in sys.modules, 'numpy.random' in sys.modules)\n"
-        )
+        code = two_point_validate(tmp_path, "concurrent.futures.process", "multiprocessing",
+                                  "numpy.random")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=child_env(), timeout=120, check=True)
         assert out.stdout.splitlines()[-1] == "0 False False False"
+
+    def test_runtime_does_not_import_dataclasses(self, tmp_path, child_env):
+        # Records are named tuples or slotted classes: neither start-up nor a
+        # validate run loads dataclasses or copy (which dataclasses imports).
+        # An interpreter whose site step loads them already cannot tell.
+        modules = ("dataclasses", "copy")
+        report = f"print(*(name in sys.modules for name in {modules!r}))"
+        baseline, start_up = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=child_env(), timeout=60, check=True).stdout.strip()
+            for code in (f"import sys; {report}", f"import sys, canp.cli; {report}"))
+        if baseline != "False False":
+            pytest.skip(f"the bare interpreter already loads {modules}: {baseline}")
+        assert start_up == "False False"
+        out = subprocess.run([sys.executable, "-c", two_point_validate(tmp_path, *modules)],
+                             capture_output=True, text=True, env=child_env(), timeout=120,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "0 False False"
 
     def test_bad_override_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"

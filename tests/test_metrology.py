@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 
@@ -617,6 +616,15 @@ class TestProtocolSpecAndReport:
                 Hc=qrm_effective(1.0, 0.9), Htheta=encoding_frequency(),
                 t_c=0.0, t_theta=0.0, alpha=ALPHA,
             )
+        # The named-tuple builders check the times too.
+        spec = qrm_spec(0.9, 1.0)
+        with pytest.raises(ValueError, match="durations must be nonnegative"):
+            spec._replace(t_theta=-1.0)
+        with pytest.raises(ValueError, match="durations must be nonnegative"):
+            ProtocolSpec._make([*spec[:2], 1.0, -T_THETA, *spec[4:]])
+        with pytest.raises(ValueError, match="total time must be positive"):
+            spec._replace(t_c=0.0, t_theta=0.0)
+        assert ProtocolSpec._make(spec) == spec._replace() == spec
 
     def test_report_invariants(self):
         report = evaluate_report(qrm_spec_at_tau(0.94))
@@ -667,7 +675,7 @@ class TestProtocolSpecAndReport:
         protocol = Protocol.from_spec(spec)
         times = (spec.t_c, spec.t_theta)
         final = protocol.state(*times, theta0)
-        assert dataclasses.asdict(report) == {
+        assert report._asdict() == {
             "qfi_exact": float(protocol.qfi(*times)),
             "qfi_asymptotic": float(protocol.qfi_asymptotic(*times)),
             "qfi_direct_baseline": float(protocol.direct_baseline(*times, theta0)),
@@ -681,7 +689,7 @@ class TestProtocolSpecAndReport:
 
     def test_report_serializes_flat(self):
         report = evaluate_report(qrm_spec(0.9, 1.0))
-        payload = json.loads(json.dumps(dataclasses.asdict(report)))
+        payload = json.loads(json.dumps(report._asdict()))
         assert set(payload) == {
             "qfi_exact", "qfi_asymptotic", "qfi_direct_baseline", "ratio",
             "skew", "cfi_homodyne", "meanP", "varP", "final_mean_photon",
