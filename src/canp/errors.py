@@ -22,7 +22,11 @@ class NonFiniteError(CanpError):
 
 
 class TruncationNotConvergedError(CanpError):
-    """Number-basis tail mass exceeds tolerance; results untrustworthy."""
+    """Number-basis tail mass exceeds tolerance; `pending` indexes the times concerned."""
+
+    def __init__(self, message: str, pending: list[int] | tuple = ()) -> None:
+        super().__init__(message)
+        self.pending = pending
 
 
 class NotPositiveError(CanpError):

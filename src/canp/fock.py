@@ -9,36 +9,31 @@ matrix is built only to be decomposed. Evolution goes through an
 eigendecomposition of only the levels each Hamiltonian couples
 (:class:`Propagator`), real symmetric (float64) when G_xp = v_p = 0, which
 holds for every shipped H_c, a†a and X, and complex Hermitian otherwise.
-A small bounded memo, the module's only cache, decomposes each (Hamiltonian,
-truncation) once per process and hands it to every evolution time and every
-caller of the run. Dense linear algebra caps the useful
+One decomposition evolves a batch of states or times in one product per
+block; nothing is cached between calls. Dense linear algebra caps the useful
 truncation around a few hundred levels, which the desk-scale ranges here fit.
 
-Truncation honesty is enforced, not assumed: after every evolution the
-amplitude mass in the top five levels must stay below TAIL_TOL, otherwise
-TruncationNotConvergedError is raised. Protocol-level helpers escalate the
-dimension (×2 up to MAX_DIM) until the check passes. Their only settings
-are those bounds (start_dim, max_dim). The numeric QFI is the exact δ → 0
-limit of the fidelity: a variance in the prepared number-basis state.
+Truncation honesty is enforced along the whole path, not assumed: the mass
+in the top five levels must stay below TAIL_TOL at the end of an evolution
+and at PATH_SAMPLES − 1 evenly spaced times before it, so a state that
+leaves the truncation and comes back is refused. :func:`converged_states`
+escalates the dimension (×2 up to MAX_DIM) for all preparation times of one
+(H_c, H_θ, α) at once. The numeric QFI is the exact δ → 0 limit of the
+fidelity: a variance in the prepared number-basis state.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import NotPositiveError, TruncationNotConvergedError
 from .operators import Quadratic
 
 TAIL_TOL = 1e-10
+PATH_SAMPLES = 16
 DEFAULT_DIM = 60
 MAX_DIM = 480
-# Decompositions kept by the propagator memo. The 20-point validate grid
-# needs 15 distinct (H, dim) pairs; the largest entry (H_c at dim 480, split
-# into two real blocks) holds 2 × 240² float64 ≈ 0.9 MB of eigenvectors.
-PROPAGATOR_CACHE_SIZE = 16
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,10 +52,6 @@ class FockState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def tail_mass(self) -> float:
-        """Probability mass in the top five truncation levels."""
-        return float(np.sum(np.abs(self.amps[-5:]) ** 2))
 
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amps, self.amps.conj())
@@ -131,16 +122,14 @@ def _apply(op: Quadratic, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a complex vector v.
-
-    A real m multiplies the real and imaginary parts of v in one real
-    product instead of being cast to complex on every call.
-    """
+def _matmul(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows @ m for complex rows (…, k); a real m multiplies the real and
+    imaginary parts of all rows in one real product, with no complex copy."""
     if np.iscomplexobj(m):
-        return m @ v
-    parts = m @ np.stack((v.real, v.imag), axis=1)
-    return parts[:, 0] + 1j * parts[:, 1]
+        return rows @ m
+    parts = np.stack((rows.real, rows.imag)).reshape(-1, m.shape[0]) @ m
+    parts = parts.reshape((2,) + rows.shape[:-1] + m.shape[1:])
+    return parts[0] + 1j * parts[1]
 
 
 def coherent_fock(alpha: complex, dim: int) -> FockState:
@@ -156,17 +145,12 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
     factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
     state = FockState(np.cumprod(factors))
     norm = state.norm()
-    if state.tail_mass() + abs(1.0 - norm * norm) > TAIL_TOL:
+    if np.sum(np.abs(state.amps[-5:]) ** 2) + abs(1.0 - norm * norm) > TAIL_TOL:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
     state.amps /= norm
     return state
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 class Propagator:
@@ -178,59 +162,54 @@ class Propagator:
       n ± 2, so the even and odd levels are two blocks of half the size,
       each filled, decomposed and applied on its own.
     - Otherwise: one dense eigendecomposition.
-
-    The stored arrays are read-only because one instance is shared by every
-    caller that asks :func:`propagator` for the same (H, dim).
     """
 
-    def __init__(self, hamiltonian: Quadratic, dim: int):
+    def __init__(self, h: Quadratic, dim: int):
         if dim < 2:
             raise ValueError("dim must be at least 2")
-        h = hamiltonian
         _, c_n, c_aa, c_a, c_1 = _ladder(h)
         no_linear = c_a == 0
         # Each block is (its levels, eigenvalues, eigenvectors or None if diagonal).
         if no_linear and c_aa == 0:
-            energies = c_n * np.arange(float(dim)) + c_1
-            self._blocks = ((slice(None), _read_only(energies), None),)
+            self._blocks = ((slice(None), c_n * np.arange(float(dim)) + c_1, None),)
         else:
             # (first level, level step) of each block.
             parts = ((0, 2), (1, 2)) if no_linear else ((0, 1),)
             self._blocks = tuple(
-                (slice(start, None, step),
-                 *map(_read_only, np.linalg.eigh(build_matrix(h, dim, start, step))))
+                (slice(start, None, step), *np.linalg.eigh(build_matrix(h, dim, start, step)))
                 for start, step in parts
             )
         self.dim = dim
 
-    def apply(self, state: FockState, t: float) -> FockState:
-        amps = np.empty(self.dim, dtype=complex)
+    def evolve(self, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+        """(exp(−iHt)ψ, path tail) for rows ψ (…, dim) and times t broadcast against them.
+
+        The path tail is the largest top-five-level mass at t and at
+        k·t/PATH_SAMPLES, 0 < k < PATH_SAMPLES. Per block V†ψ is formed once;
+        the samples take powers of e^{−iλt/PATH_SAMPLES} as phases and only
+        the rows of V that hold the top levels. A diagonal H keeps the mass.
+        """
+        t = np.asarray(times, dtype=float)[..., None]
+        shape = np.broadcast_shapes(amps.shape[:-1], t.shape[:-1])
+        out = np.empty(shape + (self.dim,), dtype=complex)
+        path = np.zeros((PATH_SAMPLES - 1,) + shape)  # top-level mass at each interior sample
         for levels, eigvals, eigvecs in self._blocks:
-            phases = np.exp(-1j * eigvals * float(t))
-            psi = state.amps[levels]
+            psi = amps[..., levels]
+            top = -np.count_nonzero(np.arange(self.dim)[levels] >= self.dim - 5)
             if eigvecs is None:
-                amps[levels] = phases * psi
-            else:
-                # V†ψ = conj(Vᵀ conj ψ): no conjugated copy of V is made or stored.
-                coeffs = _matvec(eigvecs.T, psi.conj()).conj()
-                amps[levels] = _matvec(eigvecs, phases * coeffs)
-        out = FockState(amps)
-        if out.tail_mass() > TAIL_TOL:
-            raise TruncationNotConvergedError(
-                f"tail mass {out.tail_mass():.3e} exceeds {TAIL_TOL:.1e} at dim={self.dim}"
-            )
-        return out
-
-
-@lru_cache(maxsize=PROPAGATOR_CACHE_SIZE)
-def propagator(hamiltonian: Quadratic, dim: int) -> Propagator:
-    """The shared :class:`Propagator` of (H, dim), built on first request."""
-    return Propagator(hamiltonian, dim)
-
-
-def evolve_fock(state: FockState, hamiltonian: Quadratic, t: float) -> FockState:
-    """Apply exp(−iHt) to a Fock-basis state."""
-    return propagator(hamiltonian, state.dim).apply(state, t)
+                out[..., levels] = np.exp(-1j * eigvals * t) * psi
+                path += np.sum(np.abs(psi[..., top:]) ** 2, axis=-1)
+                continue
+            coeffs = _matmul(psi.conj(), eigvecs).conj()  # V†ψ = conj(Vᵀ conj ψ)
+            out[..., levels] = _matmul(np.exp(-1j * eigvals * t) * coeffs, eigvecs.T)
+            step = np.exp(-1j * eigvals * (t / PATH_SAMPLES))
+            sampled = np.empty((PATH_SAMPLES - 1,) + shape + eigvals.shape, dtype=complex)
+            sampled[0] = step * coeffs
+            for k in range(1, PATH_SAMPLES - 1):  # V†ψ·e^{−iλkt/PATH_SAMPLES}
+                np.multiply(sampled[k - 1], step, out=sampled[k])
+            path += np.sum(np.abs(_matmul(sampled, eigvecs[top:].T)) ** 2, axis=-1)
+        end = np.sum(np.abs(out[..., -5:]) ** 2, axis=-1)
+        return out, np.maximum(end, path.max(axis=0))
 
 
 def expectation_fock(state: FockState, op: Quadratic) -> float:
@@ -265,32 +244,50 @@ def mean_photon_fock(state: FockState) -> float:
     return float(np.sum(n * np.abs(state.amps) ** 2))
 
 
-def _prepared_fock(spec, dim: int) -> FockState:
-    """|ψ_prep⟩ = exp(−i t_c H_c) |α⟩ at fixed truncation."""
-    return evolve_fock(coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
+def converged_states(hc: Quadratic, htheta: Quadratic, alpha: complex, t_c,
+                     t_encode: float = 0.0, start_dim: int = DEFAULT_DIM,
+                     max_dim: int = MAX_DIM) -> list[tuple[int, FockState, FockState]]:
+    """(dim, exp(−i t_c H_c)|α⟩, exp(−i t_encode H_θ) of it) for each time in t_c.
 
-
-def _escalate(evaluate, start_dim: int, max_dim: int):
-    """evaluate(dim) from start_dim, doubling dim up to max_dim while the tail check fails."""
+    dim is the first of start_dim, 2·start_dim, … ≤ max_dim where the probe
+    and both evolutions pass the tail check along their paths. Each
+    truncation decomposes H_c and H_θ once (H_θ not at all if t_encode = 0)
+    for every time still pending. The error at max_dim names each pending
+    time, the stage it failed in and the truncation.
+    """
+    t_c = np.asarray(t_c, dtype=float).reshape(-1)
+    converged: list = [None] * t_c.size
+    pending = np.arange(t_c.size)
     dim = start_dim
     while True:
         try:
-            return evaluate(dim)
+            probe = coherent_fock(alpha, dim).amps
         except TruncationNotConvergedError:
-            if dim >= max_dim:
-                raise
-            dim = min(2 * dim, max_dim)
+            stages = np.full(pending.size, "probe")
+        else:
+            prepared, tails = Propagator(hc, dim).evolve(probe, t_c[pending])
+            final, final_tails = (Propagator(htheta, dim).evolve(prepared, t_encode)
+                                  if t_encode else (prepared, tails))
+            stages = np.where(tails > TAIL_TOL, "preparation",
+                              np.where(final_tails > TAIL_TOL, "encoding", ""))
+            for i in np.flatnonzero(stages == ""):
+                converged[pending[i]] = (dim, FockState(prepared[i]), FockState(final[i]))
+        pending, stages = pending[stages != ""], stages[stages != ""]
+        if not pending.size:
+            return converged
+        if dim >= max_dim:
+            listed = ", ".join(f"t_c={t_c[i]:.6g} ({stage})" for i, stage in zip(pending, stages))
+            raise TruncationNotConvergedError(
+                f"tail mass above {TAIL_TOL:.1e} up to dim={dim}: {listed}", pending.tolist())
+        dim = min(2 * dim, max_dim)
 
 
-def converged_protocol_state(
-    spec, theta: float, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM
-) -> FockState:
-    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) |ψ_prep⟩, with the truncation escalated (×2)
-    until the tail check passes."""
-    return _escalate(
-        lambda dim: evolve_fock(_prepared_fock(spec, dim), spec.Htheta, theta * spec.t_theta),
-        start_dim, max_dim,
-    )
+def converged_protocol_state(spec, theta: float, start_dim: int = DEFAULT_DIM,
+                             max_dim: int = MAX_DIM) -> FockState:
+    """|ψ(θ)⟩ = exp(−i θ t_θ H_θ) |ψ_prep⟩ from :func:`converged_states`."""
+    [(_, _, final)] = converged_states(spec.Hc, spec.Htheta, spec.alpha, spec.t_c,
+                                       theta * spec.t_theta, start_dim, max_dim)
+    return final
 
 
 def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> float:
@@ -299,13 +296,11 @@ def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> f
     ψ(θ) = exp(−i θ t_θ H_θ) ψ_prep is pure, so the fidelity susceptibility
     8(1 − |⟨ψ(θ−δ)|ψ(θ+δ)⟩|)/(2δ)² tends to 4 t_θ² Var_ψprep[H_θ] exactly
     as δ → 0 (Braunstein & Caves 1994) and the encoding need not be run.
-    The truncation escalates until the prepared state passes the tail check.
+    The truncation escalates on the preparation alone.
     """
-    scale = 4.0 * (spec.t_theta * spec.t_theta)
-    return _escalate(
-        lambda dim: scale * variance_fock(_prepared_fock(spec, dim), spec.Htheta),
-        start_dim, max_dim,
-    )
+    [(_, prepared, _)] = converged_states(spec.Hc, spec.Htheta, spec.alpha, spec.t_c, 0.0,
+                                          start_dim, max_dim)
+    return 4.0 * (spec.t_theta * spec.t_theta) * variance_fock(prepared, spec.Htheta)
 
 
 def skew_information_general(b_matrix: np.ndarray, k_matrix: np.ndarray) -> float:

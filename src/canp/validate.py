@@ -21,7 +21,7 @@ import numpy as np
 from . import fock
 from .errors import TruncationNotConvergedError
 from .gaussian import Flow, coherent, photon_number, quadratic_variance
-from .metrology import Protocol, ProtocolSpec, find_threshold
+from .metrology import Protocol, find_threshold
 from .models import (
     ModelParams,
     lmg_commutator_d,
@@ -34,11 +34,12 @@ ALPHA = 0.3 + 1.0j
 T_THETA = 12.0
 
 # 20-point oracle grid: pairs (g, fraction of the full commutator period
-# 2π/√Δ). The grid spans g ∈ [0.5, 0.99] and fractions up to 0.9 of the
-# period. The g = 0.99 row stays below the maximal-squeezing midpoint
-# (fraction 0.5) because (0.99, 0.5) converges only at 960 levels, above
-# fock.MAX_DIM. The cap is the limit, not the path: at each grid point's
-# converged truncation, the preparation path's tail mass stays ≤ 2.7e-12.
+# 2π/√Δ), evaluated one g (one row of four) at a time. The grid spans
+# g ∈ [0.5, 0.99] and fractions up to 0.9 of the period. The g = 0.99 row
+# stays below the maximal-squeezing midpoint (fraction 0.5) because
+# (0.99, 0.5) converges only at 960 levels, above fock.MAX_DIM. Each point's
+# truncation holds its whole path: the tail check also runs at 15 interior
+# times of each evolution.
 ORACLE_GRID = (
     (0.50, 0.00), (0.50, 0.25), (0.50, 0.50), (0.50, 0.75),
     (0.70, 0.05), (0.70, 0.30), (0.70, 0.55), (0.70, 0.80),
@@ -121,69 +122,68 @@ def check_operator_constants() -> CheckResult:
     )
 
 
-def _oracle_point(point: tuple[float, float]) -> dict:
-    """One grid point of the Gaussian-vs-number-basis comparison, on one Protocol.
+def _oracle_row(g: float, fractions: list[float]) -> dict:
+    """Gaussian vs number basis at each fraction of one g: one Protocol, one escalation.
 
     Each moment error is relative to the oracle's own scale: the means to
     max(1, n̄), the covariance to max(1, n̄, Var D), n̄ and Var D to themselves.
+    The numeric QFI is 4 t_θ² Var[H_θ] in the converged prepared state.
     """
-    t_point = time.monotonic()
-    g, frac = point
+    t_row = time.monotonic()
     protocol = _protocol(ModelParams("QRM-frequency", g=g))
-    t_c = protocol.preparation_time(frac * 2.0 * math.pi)
-    spec = ProtocolSpec(
-        Hc=protocol.hc, Htheta=protocol.htheta,
-        t_c=t_c, t_theta=T_THETA, alpha=ALPHA, theta0=0.1,
-    )
-    state = protocol.state(t_c, T_THETA, spec.theta0)
-    psi = fock.converged_protocol_state(spec, spec.theta0)
-    mu_f, sigma_f = fock.fock_moments(psi)
-    nbar, var = fock.mean_photon_fock(psi), fock.variance_fock(psi, protocol.structure.D)
-    var_gauss = float(quadratic_variance(protocol.structure.D, state))
+    t_c = protocol.preparation_time(2.0 * math.pi * np.array(fractions))
+    oracle = fock.converged_states(protocol.hc, protocol.htheta, ALPHA, t_c, 0.1 * T_THETA)
     t_qfi = time.monotonic()
-    qfi_gauss = float(protocol.qfi(t_c, T_THETA))
-    # Start at the truncation the state converged at: its prepared state
-    # passed the tail check there.
-    qfi_fock = fock.qfi_numeric(spec, start_dim=psi.dim)
+    qfi_exact = protocol.qfi(t_c, T_THETA)
+    qfi_numeric = [4.0 * (T_THETA * T_THETA) * fock.variance_fock(prepared, protocol.htheta)
+                   for _, prepared, _ in oracle]
     qfi_seconds = time.monotonic() - t_qfi
-    return {
-        "dim": psi.dim,
-        "mu_rel": float(np.max(np.abs(state.mu - mu_f))) / max(1.0, nbar),
-        "sigma_rel": float(np.max(np.abs(state.sigma - sigma_f))) / max(1.0, var, nbar),
-        "nbar_rel": abs(float(photon_number(state)) - nbar) / max(1.0, nbar),
-        "varD_rel": abs(var_gauss - var) / max(1.0, var),
-        "qfi_exact": qfi_gauss,
-        "qfi_numeric": qfi_fock,
-        "qfi_seconds": qfi_seconds,
-        "seconds": time.monotonic() - t_point,
-    }
+    state = protocol.state(t_c, T_THETA, 0.1)
+    nbar_g, var_g = photon_number(state), quadratic_variance(protocol.structure.D, state)
+    points = []
+    for i, (dim, _, psi) in enumerate(oracle):
+        mu_f, sigma_f = fock.fock_moments(psi)
+        nbar, var = fock.mean_photon_fock(psi), fock.variance_fock(psi, protocol.structure.D)
+        points.append({
+            "dim": dim,
+            "mu_rel": float(np.max(np.abs(state.mu[:, i] - mu_f))) / max(1.0, nbar),
+            "sigma_rel": float(np.max(np.abs(state.sigma[..., i] - sigma_f))) / max(1.0, var, nbar),
+            "nbar_rel": abs(float(nbar_g[i]) - nbar) / max(1.0, nbar),
+            "varD_rel": abs(float(var_g[i]) - var) / max(1.0, var),
+            "qfi_exact": float(qfi_exact[i]),
+            "qfi_numeric": qfi_numeric[i],
+        })
+    return {"points": points, "qfi_seconds": qfi_seconds, "seconds": time.monotonic() - t_row}
 
 
 def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
     """Gaussian moments and exact QFI against the number-basis oracle.
 
-    Both checks share one in-process pass over the grid, so its wall time is
-    split between them in proportion to the time the points spent on each:
-    the QFI comparison gets the share spent computing the two QFIs. The
-    points share their number-basis decompositions through
-    :func:`canp.fock.propagator`.
+    Both checks share one in-process pass over the grid, one row (one g) at
+    a time, so its wall time is split between them in proportion to the time
+    the rows spent on each: the QFI comparison gets the share spent on QFIs.
     """
     t0 = time.monotonic()
-    try:
-        results = [_oracle_point(p) for p in ORACLE_GRID]
-    except TruncationNotConvergedError as exc:
-        elapsed = time.monotonic() - t0
-        return tuple(
-            CheckResult(name=name, passed=False, details=f"oracle did not converge: {exc}",
-                        seconds=seconds)
-            for name, seconds in (("gaussian_fock_moments", elapsed), ("qfi_three_way", 0.0))
-        )
+    rows = []
+    for g in dict.fromkeys(g for g, _ in ORACLE_GRID):
+        fractions = [frac for h, frac in ORACLE_GRID if h == g]
+        try:
+            rows.append(_oracle_row(g, fractions))
+        except TruncationNotConvergedError as exc:
+            failed = ", ".join(f"({g}, {fractions[i]})" for i in exc.pending)
+            return tuple(
+                CheckResult(name=name, passed=False, seconds=seconds,
+                            details=f"oracle did not converge at (g, fraction) {failed}: {exc}")
+                for name, seconds in (("gaussian_fock_moments", time.monotonic() - t0),
+                                      ("qfi_three_way", 0.0))
+            )
+    results = [point for row in rows for point in row["points"]]
 
     mom_tol, qfi_tol = 1e-6, 1e-6
     worst = {f"max_{key}": max(r[key] for r in results)
              for key in ("mu_rel", "sigma_rel", "nbar_rel", "varD_rel")}
     elapsed = time.monotonic() - t0
-    qfi_share = sum(r["qfi_seconds"] for r in results) / sum(r["seconds"] for r in results)
+    qfi_share = sum(r["qfi_seconds"] for r in rows) / sum(r["seconds"] for r in rows)
     moments = CheckResult(
         name="gaussian_fock_moments",
         passed=all(value <= mom_tol for value in worst.values()),

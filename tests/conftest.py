@@ -8,7 +8,7 @@ from canp import fock, metrology
 
 @pytest.fixture
 def propagator_builds(monkeypatch):
-    """Count Propagator constructions per (H, dim), starting from an empty memo."""
+    """Count Propagator constructions per (H, dim)."""
     counts: Counter = Counter()
     original = fock.Propagator.__init__
 
@@ -16,10 +16,8 @@ def propagator_builds(monkeypatch):
         counts[(hamiltonian, dim)] += 1
         original(self, hamiltonian, dim)
 
-    fock.propagator.cache_clear()
     monkeypatch.setattr(fock.Propagator, "__init__", counting)
-    yield counts
-    fock.propagator.cache_clear()
+    return counts
 
 
 @pytest.fixture

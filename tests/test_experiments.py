@@ -449,11 +449,11 @@ class TestRunners:
 
     # One derivation per model value a run builds. lmg-threshold's 95 are its
     # 81 rows, 12 bisection steps and both bracket ends, which repeat the
-    # first and last rows; validate's are its oracle grid and every check
-    # that builds a Protocol.
+    # first and last rows; validate's are its five oracle grid rows and
+    # every check that builds a Protocol.
     @pytest.mark.parametrize("name, derivations", [
         ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
-        ("lmg_threshold", 95), ("displacement", 50), ("validate", 68),
+        ("lmg_threshold", 95), ("displacement", 50), ("validate", 53),
     ])
     def test_structure_derivation_counts(self, tmp_path, structure_derivations,
                                          name, derivations):

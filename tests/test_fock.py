@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
-from canp import fock
+from canp import Protocol, fock
 from canp.errors import NotPositiveError, TruncationNotConvergedError
 from canp.gaussian import coherent, evolve, photon_number
 from canp.metrology import ProtocolSpec
@@ -117,7 +117,9 @@ class TestBandedProduct:
         assert np.linalg.norm(got - want) <= tol
 
     def test_expectations_build_no_matrix(self, monkeypatch):
-        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), qrm_effective(1.0, 0.9), 2.0)
+        amps, _ = fock.Propagator(qrm_effective(1.0, 0.9), 120).evolve(
+            fock.coherent_fock(ALPHA, 120).amps, 2.0)
+        psi = fock.FockState(amps)
         h = Quadratic(1.3, 0.8, 0.1, 0.0, -0.2 * math.sqrt(2.0), -0.25)  # c_a = 0.2i
         m_psi = dense_matrix(h, 120) @ psi.amps
         mean = np.vdot(psi.amps, m_psi).real
@@ -161,9 +163,10 @@ class TestFockMoments:
         np.testing.assert_allclose(sigma, want_sigma, rtol=0.0, atol=1e-13 * dim)
 
     def test_squeezed_state_matches_dense_products(self):
-        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), qrm_effective(1.0, 0.9), 2.0)
-        mu, sigma = fock.fock_moments(psi)
-        want_mu, want_sigma = dense_moments(psi.amps)
+        amps, _ = fock.Propagator(qrm_effective(1.0, 0.9), 120).evolve(
+            fock.coherent_fock(ALPHA, 120).amps, 2.0)
+        mu, sigma = fock.fock_moments(fock.FockState(amps))
+        want_mu, want_sigma = dense_moments(amps)
         assert abs(sigma[0, 1]) > 0.1  # a genuinely correlated state
         np.testing.assert_allclose(mu, want_mu, rtol=0.0, atol=1e-11)
         np.testing.assert_allclose(sigma, want_sigma, rtol=0.0, atol=1e-11)
@@ -172,27 +175,30 @@ class TestFockMoments:
 class TestEvolveFock:
     def test_time_zero(self):
         psi = fock.coherent_fock(ALPHA, 40)
-        out = fock.evolve_fock(psi, qrm_effective(1.0, 0.8), 0.0)
-        assert np.allclose(out.amps, psi.amps, atol=1e-12)
+        out, _ = fock.Propagator(qrm_effective(1.0, 0.8), 40).evolve(psi.amps, 0.0)
+        assert np.allclose(out, psi.amps, atol=1e-12)
 
     def test_free_evolution_phases(self):
         psi = fock.coherent_fock(ALPHA, 60)
-        out = fock.evolve_fock(psi, N, 1.3)
+        out, _ = fock.Propagator(N, 60).evolve(psi.amps, 1.3)
         want = fock.coherent_fock(ALPHA * np.exp(-1.3j), 60)
-        assert abs(np.vdot(out.amps, want.amps)) == pytest.approx(1.0, abs=1e-8)
+        assert abs(np.vdot(out, want.amps)) == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_preserved(self):
         psi = fock.coherent_fock(ALPHA, 160)
-        out = fock.evolve_fock(psi, qrm_effective(1.0, 0.9), 4.0)
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        out, tail = fock.Propagator(qrm_effective(1.0, 0.9), 160).evolve(psi.amps, 4.0)
+        assert tail <= fock.TAIL_TOL
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_escalation_raises_at_fixed_dim(self):
         # Deep squeezing at g = 0.99 cannot fit in 60 levels.
         strong = qrm_effective(1.0, 0.99)
         psi = fock.coherent_fock(ALPHA, 60)
         t_quarter = 0.5 * math.pi / math.sqrt(1.0 - 0.99**2)
-        with pytest.raises(TruncationNotConvergedError):
-            fock.evolve_fock(psi, strong, t_quarter)
+        _, tail = fock.Propagator(strong, 60).evolve(psi.amps, t_quarter)
+        assert tail > fock.TAIL_TOL
+        with pytest.raises(TruncationNotConvergedError, match=r"dim=60: t_c=\S+ \(preparation\)"):
+            fock.converged_states(strong, N, ALPHA, t_quarter, start_dim=60, max_dim=60)
 
     def test_full_protocol_mean_photon_matches_gaussian(self):
         spec = ProtocolSpec(
@@ -205,58 +211,6 @@ class TestEvolveFock:
         assert fock.mean_photon_fock(psi) == pytest.approx(
             photon_number(protocol_state(spec)), abs=1e-6
         )
-
-
-def stored_arrays(obj) -> list[np.ndarray]:
-    """Every array an object holds in its attributes, through nested tuples."""
-    found = []
-
-    def walk(value):
-        if isinstance(value, np.ndarray):
-            found.append(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                walk(item)
-
-    walk(tuple(vars(obj).values()))
-    return found
-
-
-class TestPropagatorMemo:
-    def test_state_and_qfi_share_decompositions(self, propagator_builds):
-        # g = 0.9 at t_c = 2 escalates past the default truncation, so both
-        # callers walk the same ladder of dims and must share every build.
-        spec = ProtocolSpec(
-            Hc=qrm_effective(1.0, 0.9), Htheta=encoding_frequency(),
-            t_c=2.0, t_theta=12.0, alpha=ALPHA, theta0=0.1,
-        )
-        psi = fock.converged_protocol_state(spec, spec.theta0)
-        fock.qfi_numeric(spec)
-        assert psi.dim > fock.DEFAULT_DIM
-        assert {h for h, _ in propagator_builds} == {spec.Hc, spec.Htheta}
-        assert set(propagator_builds.values()) == {1}
-
-    @pytest.mark.parametrize("op, eigvec_blocks", [
-        (N, 0),
-        (qrm_effective(1.0, 0.9), 2),
-        (X, 1),
-    ], ids=["diagonal", "parity-split", "dense"])
-    def test_shared_propagator_is_read_only(self, op, eigvec_blocks):
-        prop = fock.propagator(op, 8)
-        assert prop is fock.propagator(Quadratic(*op), 8)
-        arrays = stored_arrays(prop)
-        assert arrays and sum(a.ndim == 2 for a in arrays) == eigvec_blocks
-        for array in arrays:
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 2.0
-
-    def test_equal_operators_share_one_entry(self, propagator_builds):
-        # Built separately, two equal operators are one memo key and one build.
-        first, second = qrm_effective(1.0, 0.9), qrm_effective(1.0, 0.9)
-        assert first is not second
-        assert fock.propagator(first, 8) is fock.propagator(second, 8)
-        assert propagator_builds == {(first, 8): 1}
-        assert fock.propagator.cache_info().currsize == 1
 
 
 _SMALL = st.floats(-1.0, 1.0)
@@ -293,7 +247,8 @@ class TestPropagatorStructure:
         rng = np.random.default_rng(seed)
         amps = np.zeros(dim, dtype=complex)
         amps[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        got = fock.Propagator(op, dim).apply(fock.FockState(amps), t).amps
+        got, tail = fock.Propagator(op, dim).evolve(amps, t)
+        assert tail <= fock.TAIL_TOL
         want = dense_apply(op, amps, t)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(amps)
 
@@ -301,9 +256,9 @@ class TestPropagatorStructure:
         amps = np.zeros(120, dtype=complex)
         amps[0:10:2] = [0.6, 0.5j, -0.4, 0.3, 0.2 - 0.1j]
         for op in (qrm_effective(1.0, 0.9), _ladder_form(1.5, 0.3 - 0.4j, 0j, 0.1)):
-            out = fock.Propagator(op, 120).apply(fock.FockState(amps), 0.7)
-            assert np.all(out.amps[1::2] == 0.0)
-            assert np.linalg.norm(out.amps) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
+            out, _ = fock.Propagator(op, 120).evolve(amps, 0.7)
+            assert np.all(out[1::2] == 0.0)
+            assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
 
     @pytest.mark.parametrize("op, sizes", [
         (N, []),
@@ -380,6 +335,73 @@ class TestEscalation:
         converged = fock.converged_protocol_state(self.SPEC, 0.0, start_dim=60)
         assert converged.dim == 240
 
+    @pytest.mark.parametrize("htheta, t_encode, alpha, stage", [
+        (X, 0.0, 6.0, "probe"),  # |α|² = 36 does not fit in 60 levels
+        (X, 0.0, ALPHA, "preparation"),
+        (X, 40.0, 0.3 + 0j, "encoding"),  # X displaces ⟨P⟩ by −40
+        (N, 40.0, ALPHA, "preparation"),
+    ], ids=["probe", "preparation", "encoding", "diagonal-encoding"])
+    def test_error_names_the_time_stage_and_truncation(self, htheta, t_encode, alpha, stage):
+        # At 60 levels, t_c = 0.5 at g = 0.99 fits, and 40 does not.
+        times = (0.5, 40.0) if stage == "preparation" else (0.5,)
+        with pytest.raises(TruncationNotConvergedError) as caught:
+            fock.converged_states(qrm_effective(1.0, 0.99), htheta, alpha, times, t_encode,
+                                  start_dim=60, max_dim=60)
+        t_c = times[-1]
+        assert str(caught.value).endswith(f"up to dim=60: t_c={t_c:g} ({stage})")
+        assert caught.value.pending == [len(times) - 1]
+
+
+# The path that leaves 60 levels mid-way and comes back: its endpoint tail
+# is 1.1e-11, and at 60 levels its QFI would be 9.4e-6 off.
+LEAKING_PATH = ProtocolSpec(
+    Hc=Quadratic(gxx=0.5715, gxp=-0.4806, gpp=2.3511), Htheta=X,
+    t_c=2.5014, t_theta=0.4546, alpha=-0.4336 - 0.7804j,
+)
+
+
+class TestPathCheck:
+    def test_path_that_leaves_the_truncation_fails(self):
+        spec = LEAKING_PATH
+        probe = fock.coherent_fock(spec.alpha, 60).amps
+        end, tail = fock.Propagator(spec.Hc, 60).evolve(probe, spec.t_c)
+        assert np.sum(np.abs(end[-5:]) ** 2) <= fock.TAIL_TOL < tail
+        with pytest.raises(TruncationNotConvergedError, match="dim=60"):
+            fock.qfi_numeric(spec, start_dim=60, max_dim=60)
+        [(dim, _, _)] = fock.converged_states(spec.Hc, spec.Htheta, spec.alpha, spec.t_c)
+        assert dim == 120
+        want = Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta)
+        assert fock.qfi_numeric(spec) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_DIAGONAL, _NO_LINEAR, _LINEAR), st.sampled_from((7, 8, 61)),
+           st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_path_tail_is_the_worst_sampled_tail(self, op, dim, t, seed):
+        # The tail of each sample time k·t/16, evolved on its own.
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        amps /= np.linalg.norm(amps)
+        prop = fock.Propagator(op, dim)
+        _, tail = prop.evolve(amps, t)
+        samples, _ = prop.evolve(amps, t * np.arange(1, fock.PATH_SAMPLES + 1) / fock.PATH_SAMPLES)
+        want = np.max(np.sum(np.abs(samples[:, -5:]) ** 2, axis=1))
+        assert tail == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+class TestConvergedStates:
+    def test_a_row_matches_one_time_calls(self):
+        # g = 0.96 needs 60 to 240 levels over these times; the encoding X
+        # is dense, so its path is sampled too.
+        hc = qrm_effective(1.0, 0.96)
+        times = (0.0, 0.4, 1.5, 3.0, 4.2)
+        row = fock.converged_states(hc, X, ALPHA, times, 0.8)
+        assert sorted({dim for dim, _, _ in row}) == [60, 120, 240]
+        for t_c, (dim, prepared, final) in zip(times, row, strict=True):
+            [(one_dim, one_prepared, one_final)] = fock.converged_states(hc, X, ALPHA, t_c, 0.8)
+            assert dim == one_dim
+            assert np.max(np.abs(prepared.amps - one_prepared.amps)) <= 1e-14
+            assert np.max(np.abs(final.amps - one_final.amps)) <= 1e-14
+
 
 class TestGaussianAgreement:
     """Closed-form Gaussian moments against the oracle for the flows no
@@ -396,8 +418,9 @@ class TestGaussianAgreement:
     def test_moments_match_oracle(self, h, t, det_sign):
         assert np.sign(round(h.gxx * h.gpp - h.gxp * h.gxp, 12)) == det_sign
         gauss = evolve(coherent(ALPHA), h, t)
-        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), h, t)
-        mu, sigma = fock.fock_moments(psi)
+        amps, tail = fock.Propagator(h, 120).evolve(fock.coherent_fock(ALPHA, 120).amps, t)
+        assert tail <= fock.TAIL_TOL
+        mu, sigma = fock.fock_moments(fock.FockState(amps))
         assert np.max(np.abs(mu - gauss.mu)) <= 1e-9
         assert np.max(np.abs(sigma - gauss.sigma)) <= 1e-9
 
@@ -410,9 +433,10 @@ def one_minus_fidelity(spec: ProtocolSpec, delta: float, dim: int) -> float:
     1 − |χ|² = Σ_jk w_j w_k (1 − cos 2δ t_θ(E_j − E_k)) = Σ_jk w_j w_k 2 sin² δ t_θ(E_j − E_k),
     so no difference of nearly equal numbers is ever formed.
     """
-    psi = fock.evolve_fock(fock.coherent_fock(spec.alpha, dim), spec.Hc, spec.t_c)
+    prepared, _ = fock.Propagator(spec.Hc, dim).evolve(fock.coherent_fock(spec.alpha, dim).amps,
+                                                       spec.t_c)
     energies, eigvecs = np.linalg.eigh(fock.build_matrix(spec.Htheta, dim))
-    weights = np.abs(eigvecs.conj().T @ psi.amps) ** 2
+    weights = np.abs(eigvecs.conj().T @ prepared) ** 2
     half = delta * spec.t_theta * energies
     one_minus_sq = float(weights @ (2.0 * np.sin(half[:, None] - half[None, :]) ** 2) @ weights)
     return one_minus_sq / (1.0 + math.sqrt(1.0 - one_minus_sq))
@@ -510,7 +534,8 @@ class TestSkewInformationGeneral:
 
         h = qrm_effective(1.0, 0.9)
         t_c = 1.2
-        psi = fock.evolve_fock(fock.coherent_fock(ALPHA, 120), h, t_c)
+        amps, _ = fock.Propagator(h, 120).evolve(fock.coherent_fock(ALPHA, 120).amps, t_c)
+        psi = fock.FockState(amps)
         k = fock.build_matrix(N, 120)
         got = fock.skew_information_general(psi.density_matrix(), k)
         want = variance_quadratic(evolve(coherent(ALPHA), h, t_c), N)

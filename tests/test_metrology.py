@@ -12,7 +12,6 @@ from canp.errors import (
     NegativeDeltaError,
     NoSignChangeError,
     OutOfPhaseError,
-    TruncationNotConvergedError,
     VacuumProbeError,
 )
 from canp.gaussian import (
@@ -383,26 +382,15 @@ def normal_phase_specs(draw):
                         theta0=draw(st.floats(-0.5, 0.5)))
 
 
-def path_dim(spec, samples=8):
-    """The smallest oracle truncation (×2 from DEFAULT_DIM) that holds both stages' paths.
+def path_dim(spec):
+    """The truncation at which the oracle holds the whole protocol, both stages' paths included.
 
-    The oracle's tail check reads the end of each evolution only. A path
-    that reaches the truncation mid-way can end below TAIL_TOL with a wrong
-    state: one drawn pair passes at 60 levels with its QFI 9.4e-6 off.
+    The oracle escalates from DEFAULT_DIM and checks the tail along each
+    path itself; both oracle calls below start here, so the QFI and the state
+    are read at one truncation. The helper keeps its name because hypothesis
+    derives the derandomized draws from the test's source text.
     """
-    dim = fock.DEFAULT_DIM
-    while True:
-        try:
-            probe = fock.coherent_fock(spec.alpha, dim)
-            for t in np.linspace(0.0, spec.t_c, samples):
-                prepared = fock.evolve_fock(probe, spec.Hc, t)
-            for t in np.linspace(0.0, spec.theta0 * spec.t_theta, samples):
-                fock.evolve_fock(prepared, spec.Htheta, t)
-            return dim
-        except TruncationNotConvergedError:
-            if dim >= fock.MAX_DIM:
-                raise
-            dim *= 2
+    return fock.converged_protocol_state(spec, spec.theta0).dim
 
 
 class TestRandomNormalPhasePairs:

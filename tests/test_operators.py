@@ -108,7 +108,7 @@ class TestCommutator:
 
 class TestArithmetic:
     def test_equal_operators_compare_and_hash_equal(self):
-        # A form is the tuple of its entries: fock's propagator memo keys on it.
+        # A form is the tuple of its entries, so it compares and hashes by value.
         op = Quadratic(1.0, 0.5, -0.25, 2.0, 2.0, -3.0)
         twin = Quadratic(*op)
         assert twin is not op and twin == op and hash(twin) == hash(op)

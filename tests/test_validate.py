@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from canp import ModelParams, fock, gaussian, validate
-from canp.errors import TruncationNotConvergedError
 
 
 def test_oracle_checks_split_their_wall_time(monkeypatch):
-    # Two cheap grid points; the QFI comparison must report the time it
+    # Two cheap grid rows; the QFI comparison must report the time it
     # took, and the two checks together the time of the shared pass.
-    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.5, 0.25)))
+    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.5, 0.25), (0.7, 0.05)))
     clock = {"now": 0.0}
 
     def tick() -> float:
@@ -23,9 +22,9 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
     moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
     assert qfi.seconds > 0.0 and moments.seconds > 0.0
-    # Each clock read advances 1 s: one read at the start, four per point
-    # (point start, QFI start, QFI end, point end), one at the end. So the
-    # pass takes 9 s and each point spends 1 of its 3 s on the QFIs.
+    # Each clock read advances 1 s: one read at the start, four per row
+    # (row start, QFI start, QFI end, row end), one at the end. So the
+    # pass takes 9 s and each row spends 1 of its 3 s on the QFIs.
     assert moments.seconds + qfi.seconds == pytest.approx(9.0)
     assert qfi.seconds == pytest.approx(3.0)
 
@@ -45,32 +44,32 @@ HC_DIMS = {0.5: (60,), 0.7: (60,), 0.9: (60, 120), 0.96: (60, 120, 240),
 
 def test_oracle_pass_builds_each_decomposition_once(propagator_builds, structure_derivations,
                                                     monkeypatch):
-    # 20 points at up to four truncations: one build per (H, dim) pair the
-    # pass needs, instead of two per point and truncation. The escalation
-    # ladder is pinned: which truncation passes the tail check does not
-    # depend on how the propagator decomposes H.
-    dims = {}
-    oracle_point = validate._oracle_point
+    # Five rows, one per g, each escalated once for all its points: each H_c
+    # is decomposed once per truncation its row tries, and the diagonal a†a
+    # (no eigendecomposition) is rebuilt per row and truncation. The
+    # escalation ladder is pinned: which truncation passes the tail check
+    # does not depend on how the propagator decomposes H.
+    dims = []
+    converged_states = fock.converged_states
 
-    def recording(point):
-        result = oracle_point(point)
-        dims[point] = result["dim"]
-        return result
+    def recording(*args, **kwargs):
+        states = converged_states(*args, **kwargs)
+        dims.extend(dim for dim, _, _ in states)
+        return states
 
-    monkeypatch.setattr(validate, "_oracle_point", recording)
+    monkeypatch.setattr(fock, "converged_states", recording)
     moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
-    assert dims == ORACLE_DIMS
+    assert dict(zip(validate.ORACLE_GRID, dims, strict=True)) == ORACLE_DIMS
     assert moments.measured["max_dim"] == fock.MAX_DIM == 480
     htheta = ModelParams("QRM-frequency", g=0.5).encoding()
-    want = {(htheta, dim) for dim in (60, 120, 240, 480)} | {
-        (ModelParams("QRM-frequency", g=g).preparation(), dim)
-        for g, hc_dims in HC_DIMS.items() for dim in hc_dims
-    }
-    assert set(propagator_builds) == want and len(want) == 15
-    assert set(propagator_builds.values()) == {1}
-    # One Protocol per point gives both its Gaussian state and its exact QFI.
-    assert len(structure_derivations) == len(validate.ORACLE_GRID) == 20
+    hc_builds = {(ModelParams("QRM-frequency", g=g).preparation(), dim): 1
+                 for g, hc_dims in HC_DIMS.items() for dim in hc_dims}
+    assert {key: n for key, n in propagator_builds.items() if key[0] != htheta} == hc_builds
+    assert {dim: n for (h, dim), n in propagator_builds.items() if h == htheta} == {
+        60: 5, 120: 3, 240: 2, 480: 1}
+    # One Protocol per row gives its Gaussian states and exact QFIs.
+    assert len(structure_derivations) == len(HC_DIMS) == 5
 
 
 def test_oracle_pass_builds_a_matrix_only_to_decompose_it(propagator_builds, monkeypatch):
@@ -134,33 +133,29 @@ def test_oracle_moments_gate_on_what_they_report(monkeypatch, error, passed):
     assert moments.passed == all(v <= moments.tolerance["moments"] for v in reported.values())
 
 
-def test_oracle_qfi_starts_at_the_converged_truncation(monkeypatch):
-    # Each point's numeric QFI starts at the truncation its state converged
-    # at, so every truncation that fails the tail check fails while the
-    # state escalates, and none fails again inside qfi_numeric.
-    failures = []  # one entry per failed apply: was it inside qfi_numeric?
-    inside_qfi = []
-    apply, qfi_numeric = fock.Propagator.apply, fock.qfi_numeric
+def test_oracle_pass_reads_the_qfi_from_its_own_states(monkeypatch):
+    # The numeric QFI comes from the prepared states the row's escalation
+    # returned: the pass calls neither one-time wrapper.
+    def refused(*args, **kwargs):
+        raise AssertionError("one-time oracle wrapper called")
 
-    def recording_apply(self, *args, **kwargs):
-        try:
-            return apply(self, *args, **kwargs)
-        except TruncationNotConvergedError:
-            failures.append(bool(inside_qfi))
-            raise
-
-    def marked_qfi_numeric(*args, **kwargs):
-        inside_qfi.append(True)
-        try:
-            return qfi_numeric(*args, **kwargs)
-        finally:
-            inside_qfi.pop()
-
-    monkeypatch.setattr(fock.Propagator, "apply", recording_apply)
-    monkeypatch.setattr(fock, "qfi_numeric", marked_qfi_numeric)
+    monkeypatch.setattr(fock, "qfi_numeric", refused)
+    monkeypatch.setattr(fock, "converged_protocol_state", refused)
     moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
-    assert failures and not any(failures)
+
+
+def test_oracle_failure_names_the_grid_point(monkeypatch):
+    # (0.99, 0.5) needs 960 levels, past fock.MAX_DIM; its row-mate
+    # (0.99, 0.05) converges at 60. Both checks fail, and the detail names
+    # the point, its stage and the last truncation tried.
+    monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.99, 0.05), (0.99, 0.5)))
+    moments, qfi = validate.check_oracle_agreement()
+    assert not moments.passed and not qfi.passed
+    assert moments.details == qfi.details
+    assert "at (g, fraction) (0.99, 0.5): " in moments.details
+    assert "(0.99, 0.05)" not in moments.details
+    assert "dim=480" in moments.details and "(preparation)" in moments.details
 
 
 def test_structural_sanity_derives_one_structure_per_model(structure_derivations,
