@@ -1,17 +1,15 @@
-"""Command-line driver.
+"""Command-line driver: `canp <experiment> --config PATH [--out PATH] [--key.path=value ...]`,
+or `canp -h | --help | --version`.
 
-Usage:
-    canp <experiment> --config path.json [--out path] [--key.path=value ...]
-
-Any config field can be overridden with a flag of the same dotted name,
-e.g. --model.g=0.9 or --sweep.g.points=50. Exit codes: 0 success,
-1 validation failure, 2 configuration error. Every experiment, `validate`
-and its number-basis oracle included, runs in this one process.
+A flag --key.path=value overrides that config field (--model.g=0.9), its value
+read as JSON where it parses and as text otherwise; `--out PATH` is a raw path.
+Flags are not abbreviated. Exit codes: 0 success, 1 validation failure, 2
+configuration error or bad command line. Every experiment, `validate` and its
+number-basis oracle included, runs in this one process.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -19,38 +17,50 @@ from ._version import __version__
 from .errors import CanpError, ConfigError
 from .experiments import EXPERIMENTS, load_config, run_experiment
 
+_USAGE = f"usage: canp {{{','.join(EXPERIMENTS)}}} --config PATH [--out PATH] [--key.path=value ...]"
 
-def _split_overrides(extras: list[str]) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for item in extras:
-        if not item.startswith("--") or "=" not in item:
-            raise ConfigError(
-                f"unrecognized argument {item!r}; overrides look like --model.g=0.96"
-            )
-        key, _, value = item[2:].partition("=")
-        if not key:
-            raise ConfigError(f"empty override key in {item!r}")
+
+def _read_argv(argv: list[str]) -> tuple[str, str, dict[str, str]]:
+    """One pass over argv: the experiment, config path and load_config overrides. -h, --help
+    or --version ends it and is returned as the experiment; a bad argument is a ConfigError."""
+    experiment, overrides, words = None, {}, iter(argv)
+    for word in words:
+        if word in ("-h", "--help", "--version"):
+            return word, "", {}
+        if word in ("--config", "--out"):
+            key, value = word[2:], next(words, None)
+            if value is None:
+                raise ConfigError(f"{word} needs a value")
+            value = value if key == "config" else json.dumps(value)  # the raw path, as JSON
+        elif experiment is None and not word.startswith("-"):
+            if word not in EXPERIMENTS:
+                raise ConfigError(f"unknown experiment {word!r}")
+            experiment, key, value = word, "experiment", json.dumps(word)
+        else:
+            key, eq, value = word[2:].partition("=")
+            if not (word.startswith("--") and key and eq):
+                raise ConfigError(f"unrecognized argument {word!r}; overrides look like --model.g=0.96")
+            if key.partition(".")[0] == "experiment":
+                raise ConfigError(f"{word!r}: the experiment is the positional argument")
         overrides[key] = value
-    return overrides
+    config = overrides.pop("config", None)
+    if experiment is None or config is None:
+        raise ConfigError("missing the experiment" if experiment is None else "missing --config PATH")
+    return experiment, config, overrides
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="canp",
-        description="Critical-preparation metrology sweeps and validation reports.",
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--out", default=None, help="output path (overrides config)")
-    parser.add_argument("--version", action="version", version=f"canp {__version__}")
-    args, extras = parser.parse_known_args(argv)
+    try:
+        experiment, config, overrides = _read_argv(sys.argv[1:] if argv is None else argv)
+    except ConfigError as exc:
+        print(_USAGE, f"config error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    if experiment in ("-h", "--help", "--version"):
+        print(f"canp {__version__}" if experiment == "--version" else _USAGE)
+        return 0
 
     try:
-        # Override values are parsed as JSON, so the two strings go in encoded.
-        fixed = {"experiment": json.dumps(args.experiment)}
-        if args.out is not None:
-            fixed["out"] = json.dumps(args.out)
-        cfg = load_config(args.config, {**fixed, **_split_overrides(extras)})
+        cfg = load_config(config, overrides)
         result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -832,6 +832,86 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 4  # header comment + columns + rows
 
+    def test_runtime_does_not_import_argparse(self, tmp_path, child_env):
+        # The command line is read by hand: neither start-up nor a validate
+        # run loads argparse or the gettext and locale modules it pulls in.
+        # An interpreter whose site step loads them already cannot tell.
+        modules = ("argparse", "gettext", "locale")
+        report = f"print(*(name in sys.modules for name in {modules!r}))"
+        baseline, start_up = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=child_env(), timeout=60, check=True).stdout.strip()
+            for code in (f"import sys; {report}", f"import sys, canp.cli; {report}"))
+        if baseline != "False False False":
+            pytest.skip(f"the bare interpreter already loads {modules}: {baseline}")
+        assert start_up == "False False False"
+        out = subprocess.run([sys.executable, "-c", two_point_validate(tmp_path, *modules)],
+                             capture_output=True, text=True, env=child_env(), timeout=120,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "0 False False False"
+
+    CONFIG = str(CONFIG_DIR / "fig2b_inset.json")
+
+    # Each bad command line prints the usage line and one config error line
+    # naming the argument, exits 2 and writes nothing. Flags are not
+    # abbreviated, so --conf is a bad argument, not --config.
+    @pytest.mark.parametrize("args, rc, named", [
+        pytest.param(["--version"], 0, None, id="version"),
+        pytest.param(["--help"], 0, None, id="help"),
+        pytest.param(["fig2b-inset", "-h", "--config"], 0, None, id="help-ends-the-line"),
+        pytest.param([], 2, "missing the experiment", id="no-arguments"),
+        pytest.param(["fig3c", "--config", CONFIG, "--out", "x.csv"], 2,
+                     "unknown experiment 'fig3c'", id="unknown-experiment"),
+        pytest.param(["fig2b-inset", "--out", "x.csv"], 2, "missing --config PATH",
+                     id="no-config"),
+        pytest.param(["fig2b-inset", "--out", "x.csv", "--config"], 2,
+                     "--config needs a value", id="config-last"),
+        pytest.param(["fig2b-inset", "--config", CONFIG, "--out"], 2, "--out needs a value",
+                     id="out-last"),
+        pytest.param(["fig2b-inset", "--config", CONFIG, "--out", "x.csv", "extra"], 2,
+                     "'extra'", id="extra-word"),
+        pytest.param(["fig2b-inset", "--config", CONFIG, "--out", "x.csv", "--model.g"], 2,
+                     "'--model.g'", id="key-without-value"),
+        pytest.param(["fig2b-inset", "--conf", CONFIG, "--out", "x.csv"], 2, "'--conf'",
+                     id="flag-prefix"),
+        # An override of the experiment would run another experiment's table
+        # into this one's output.
+        pytest.param(["fig2b-inset", "--config", CONFIG, "--out", "x.csv", '--experiment="fig3a"'],
+                     2, """'--experiment="fig3a"': the experiment is the positional argument""",
+                     id="experiment-override"),
+    ])
+    def test_command_line(self, tmp_path, monkeypatch, capsys, args, rc, named):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(args) == rc
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        if rc == 0:
+            assert err == ""
+            expected = (f"canp {canp.__version__}" if args == ["--version"]
+                        else f"usage: canp {{{','.join(experiments.EXPERIMENTS)}}} --config PATH")
+            assert out.startswith(expected)
+        else:
+            errors = [line for line in err.splitlines() if line.startswith("config error:")]
+            assert err.startswith("usage: canp {fig2a,")
+            assert len(errors) == 1 and named in errors[0]
+
+    def test_config_and_out_forms_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # --config=PATH is --config PATH. --out PATH is a raw path and
+        # --out=value an ordinary override: JSON text where it parses, so a
+        # quoted path names the same file, and plain text otherwise.
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "x.csv"
+        assert cli.main(["fig2b-inset", "--config", self.CONFIG, "--out", str(out)]) == 0
+        expected = out.read_bytes()
+        for args in (["--config", self.CONFIG, f"--out={out}"],
+                     ["--config", self.CONFIG, f"--out={json.dumps(str(out))}"],
+                     [f"--config={self.CONFIG}", "--out", str(out)]):
+            out.unlink()
+            assert cli.main(["fig2b-inset", *args]) == 0
+            assert out.read_bytes() == expected
+            assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("out", [None, 5])
     def test_output_that_is_not_a_path_is_config_error(self, tmp_path, monkeypatch, capsys, out):
         monkeypatch.chdir(tmp_path)
