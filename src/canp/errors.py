@@ -14,7 +14,7 @@ class ConditionViolatedError(CanpError):
 
 
 class NegativeDeltaError(CanpError):
-    """Proportionality holds but the constant is negative (no real gap)."""
+    """The pair closes with Δ < 0: det G_c < 0, a hyperbolic H_c, so no real gap."""
 
 
 class NonFiniteError(CanpError):

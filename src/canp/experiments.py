@@ -523,8 +523,10 @@ EXPERIMENTS = tuple(RUNNERS)
 
 def run_experiment(cfg: RunConfig):
     """Run one experiment. A vacuum probe has no enhancement ratio, so a run
-    that reads R at alpha = 0 is a ConfigError naming alpha."""
+    that reads R at alpha = 0 is a ConfigError naming alpha. numpy stays silent
+    on overflow and invalid values: every output is checked for nan and inf."""
     try:
-        return RUNNERS[cfg.experiment](cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return RUNNERS[cfg.experiment](cfg)
     except VacuumProbeError as exc:
         raise ConfigError(f"alpha={cfg.alpha}: {exc}") from exc

@@ -23,6 +23,7 @@ information", Rev. Mod. Phys. 84, 621 (2012).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +99,6 @@ def _max_abs(op: Quadratic) -> float:
     return max(map(abs, op))
 
 
-def _dot(x: Quadratic, y: Quadratic) -> float:
-    return sum(p * q for p, q in zip(x, y))
-
-
 def _finite(values) -> bool:
     """Whether the entries are finite: a nan or inf makes their sum nan or inf.
 
@@ -120,23 +117,20 @@ def _non_finite(parts: dict) -> NonFiniteError:
 def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStructure:
     """Extract (C, D, Delta) from a preparation/encoding Hamiltonian pair.
 
-    C = i[H_c, H_θ] and D = [H_c, [H_c, H_θ]] = i[C, H_c]. The closure
-    condition is checked in the form
-
-        i[H_c, D] = Delta * C,
-
-    which removes any circular dependence on Delta and turns the extraction
-    into a componentwise ratio. Delta is the least-squares fit of that ratio
-    over the six entries of C; the residual is the largest entry mismatch of
-    the fit relative to the fitted scale.
+    C = i[H_c, H_θ] and D = [H_c, [H_c, H_θ]] = i[C, H_c]; the pair closes
+    when i[H_c, D] = Delta * C. As M = ΩG_c has M² = −det G_c·I, i[H_c, ·]
+    has eigenvalues ±2i√det G_c on quadratic forms and ±i√det G_c on linear
+    ones, so Delta = 4 det G_c when C has a quadratic part and det G_c when
+    it has none; a shift of the origin (v_c ≠ 0) changes neither. The
+    residual, the largest entry of i[H_c, D] − Delta·C relative to Delta
+    times the largest entry of C, refuses a C with both parts.
 
     Raises CommutingPairError when C = 0 (degenerate, e.g. a preparation
     proportional to the encoding), ConditionViolatedError when the closure
-    fails, NegativeDeltaError when the fitted constant is negative (the pair
-    closes on a hyperbolic rather than oscillatory algebra, so no real gap
-    exists), NonFiniteError when Delta, C or D is nan or infinite (the
-    commutators, or the dot products of the fit, overflow or underflow out
-    of the float range).
+    fails, NegativeDeltaError when the pair closes with Delta < 0 (det G_c < 0,
+    a hyperbolic H_c, so no real gap exists), NonFiniteError when C or D is
+    nan or infinite, or when Delta is (det G_c overflows, or the entries of
+    G_c are below ~1.5e-154, so that their squares underflow).
     """
     c_op = commutator(hc, htheta)
     d_op = commutator(c_op, hc)
@@ -147,13 +141,16 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
     if c_max <= 1e-13 * max(_max_abs(hc) * _max_abs(htheta), 1e-300):
         raise CommutingPairError("[H_c, H_theta] = 0: critical structure undefined")
 
-    t3 = commutator(hc, d_op)
-    c_norm = _dot(c_op, c_op)
-    # C·C underflows to 0 when the entries of C are below ~1e-154: the fit is 0/0.
-    delta = _dot(c_op, t3) / c_norm if c_norm else math.nan
-    # A nan fit would pass the residual test below.
+    gxx, gxp, gpp = hc[:3]
+    g_max = _max_abs((gxx, gxp, gpp))
+    # Where the squares of G_c's entries leave the normal float range, so does det G_c.
+    det = math.nan if g_max and g_max * g_max < sys.float_info.min else gxx * gpp - gxp * gxp
+    # Below the residual bound, C's quadratic part is the rounding of a commuting one.
+    delta = 4.0 * det if _max_abs(c_op[:3]) > RESIDUAL_MAX * c_max else det
+    # A nan Δ would pass the residual test below.
     if not math.isfinite(delta):
         raise _non_finite({"Δ": (delta,)})
+    t3 = commutator(hc, d_op)
     mismatch = max(abs(x - delta * y) for x, y in zip(t3, c_op))
     residual = mismatch / (max(abs(delta), 1e-300) * c_max)
 

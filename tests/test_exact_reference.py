@@ -18,6 +18,9 @@ phase √Δ·t_c, amplified by the QFI's own condition number κ = |t_c ∂ln F/
 near the multiples of 2π: κε is 1.3e-14 for LMG at λ = 0.995 (at
 √Δ·t_c = 3.9π) and 5e-14 to 8e-14 at 0.9999, so no double-precision route can
 be held to 1e-14 there.
+
+Δ itself is pinned to one rounding against the 50-digit ratio of
+i[H_c, D] to C, which does not use det G_c.
 """
 
 import math
@@ -27,6 +30,7 @@ import numpy as np
 import pytest
 
 from canp import ModelParams, Protocol
+from canp.operators import derive_critical_structure
 
 DPS = 50
 ALPHA = 0.3 + 1.0j
@@ -67,6 +71,24 @@ def _variance(encoding, mu, sigma):
     g_sigma = g_mat * sigma
     return (sum((g_sigma * g_sigma)[i, i] for i in range(2)) / 2 - mpmath.det(g_mat) / 4
             + (w.T * sigma * w)[0, 0])
+
+
+def _bracket(a, b):
+    """(G, v) of i[A, B] = ½rᵀ(G_bΩG_a − G_aΩG_b)r + (G_bΩv_a − G_aΩv_b)ᵀr + const."""
+    omega_sym = mpmath.mp.matrix([[0, 1], [-1, 0]])
+    (g_a, v_a), (g_b, v_b) = a, b
+    return (g_b * omega_sym * g_a - g_a * omega_sym * g_b,
+            g_b * omega_sym * v_a - g_a * omega_sym * v_b)
+
+
+def reference_delta(params: ModelParams):
+    """Δ from i[H_c, D] = ΔC in 50 digits, as the ratio of (C, i[H_c, D]) to (C, C)."""
+    g_c, encoding = _forms(params)
+    hc = (g_c, mpmath.mp.zeros(2, 1))
+    c_op = _bracket(hc, encoding)
+    t3 = _bracket(hc, _bracket(c_op, hc))
+    entries = [(x, y) for part in range(2) for x, y in zip(c_op[part], t3[part])]
+    return sum(x * y for x, y in entries) / sum(x * x for x, _ in entries)
 
 
 def reference(params: ModelParams, t_c: float, t_theta: float):
@@ -110,6 +132,19 @@ def test_qfi_and_ratio_are_exact_to_rounding(variant, value):
     worst_qfi, worst_ratio = worst_errors(variant, value)
     assert worst_qfi <= bound, f"QFI off by {worst_qfi:.2e}"
     assert worst_ratio <= bound, f"ratio off by {worst_ratio:.2e}"
+
+
+@pytest.mark.parametrize("value", [*BOUNDS, 0.99999])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_delta_is_exact_to_rounding(variant, value):
+    # Δ = 4 det G_c or det G_c from the float G_c, against the nested
+    # commutators of the exact G_c: one rounding of ε = 2⁻⁵² at most.
+    name, fields, _ = VARIANTS[variant]
+    params = ModelParams(variant, **fields, **{name: value})
+    delta = derive_critical_structure(*params.pair()).Delta
+    with mpmath.workdps(DPS):
+        want = reference_delta(params)
+        assert float(abs((delta - want) / want)) <= 2.0**-52
 
 
 def test_reference_flow_matches_the_closed_form():

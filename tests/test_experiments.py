@@ -709,8 +709,9 @@ class TestCli:
         assert not out.exists()
 
     def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
-        # ω = 1e-300: D and C·C underflow to 0, so the fit of Δ is 0/0. The
-        # run fails naming Δ, and numpy prints no warning first.
+        # ω = 1e-300: D underflows to 0, and so does det G_c ~ ω², which
+        # would read as a gap of 0. The run fails naming Δ, and numpy prints
+        # no warning first.
         self.assert_structure_run_failure(tmp_path, capsys, "1e-300", "Δ")
 
     def test_huge_frequency_is_run_failure(self, tmp_path, capsys):
@@ -731,32 +732,36 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    # numpy warns of the overflow on its way to the nan ends.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_threshold_end_is_run_failure(self, tmp_path, capsys):
         # At t_θ = 1e200 R − 1 is nan at both bracket ends: the run fails
-        # naming the bracket, not as a bracket without a sign change.
+        # naming the bracket, not as a bracket without a sign change, and
+        # numpy prints no overflow warning on the way.
         out = tmp_path / "x.csv"
-        rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
-                       "--out", str(out), "--t_theta=1e200"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
+                           "--out", str(out), "--t_theta=1e200"])
         assert rc == 1
+        assert caught == []
         err = capsys.readouterr().err
         assert ("run failed: enhancement ratio − 1 is nan or inf at an end of (0.2, 0.6): "
                 "nan at 0.2, nan at 0.6" in err)
         assert "same sign" not in err
         assert not out.exists()
 
-    # numpy warns of the overflow on its way to the nan or inf rows.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The rows overflow to nan or inf, and numpy prints no warning on the way.
     @pytest.mark.parametrize("override, bad, first", [
         ("--sweep.t_theta.stop=1e200", 20, "sqrtDelta_tc=0.0, t_theta=2.5e+199, R=nan"),
         ('--alpha={"re":1e200,"im":0}', 25, "sqrtDelta_tc=0.0, t_theta=0.5, R=nan"),
     ])
     def test_non_finite_rows_are_run_failure(self, tmp_path, capsys, override, bad, first):
         out = tmp_path / "x.csv"
-        rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"), "--out", str(out),
-                       "--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5", override])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"), "--out", str(out),
+                           "--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5", override])
         assert rc == 1
+        assert caught == []
         assert (f"run failed: experiment fig2a: column R is nan or inf in {bad} of 25 rows, "
                 f"first at {first}, enhanced=0" in capsys.readouterr().err)
         assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,14 +253,46 @@ class TestDeriveCriticalStructure:
         with pytest.raises(NegativeDeltaError):
             derive_critical_structure(hyperbolic, N)
 
+    def test_shifted_centre(self):
+        # H_c = ½(r − r0)ᵀG(r − r0) with r0 ≠ 0 has v_c = −G r0. A shift of the
+        # origin keeps det G and the quadratic part of C, so an H_θ quadratic or
+        # linear in r − r0 closes with 4 det G or det G; one with both parts fails.
+        # H_θ = k·½rᵀGr is linear in r − r0 up to a part that commutes with H_c,
+        # which leaves C a quadratic part of a few ulps.
+        def shifted(g, w, r0):
+            v = w - g @ r0
+            return Quadratic(g[0, 0], g[0, 1], g[1, 1], v[0], v[1], 0.5 * r0 @ g @ r0 - w @ r0)
+
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(20261019)
+        zero = np.zeros((2, 2))
+        for _ in range(200):
+            phi = rng.uniform(0.0, math.pi)
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            g = rot @ np.diag(rng.uniform(1.0, 2.0, 2)) @ rot.T
+            g = 0.5 * (g + g.T)
+            r0 = rng.standard_normal(2)
+            hc = shifted(g, np.zeros(2), r0)
+            det = float(Fraction(hc.gxx) * Fraction(hc.gpp) - Fraction(hc.gxp) ** 2)
+            g_theta = rng.standard_normal((2, 2))
+            g_theta = g_theta + g_theta.T
+            w = rng.standard_normal(2)
+            k = rng.uniform(0.1, 3.0)
+            for htheta, want in ((shifted(g_theta, np.zeros(2), r0), 4.0 * det),
+                                 (shifted(zero, w, r0), det),
+                                 (Quadratic(k * hc.gxx, k * hc.gxp, k * hc.gpp), det)):
+                cs = derive_critical_structure(hc, htheta)
+                assert abs(cs.Delta - want) <= 4.0 * eps * want
+                assert cs.residual <= 1e-12
+            with pytest.raises(ConditionViolatedError):
+                derive_critical_structure(hc, shifted(g_theta, w, r0))
+
     @pytest.mark.parametrize("hc, htheta, names", [
         # C ~ 1e300 is finite; D = i[C, H_c] overflows.
         (lmg_effective(0.4, 1e300), N, "D nan or inf"),
         # C ~ 1e400 overflows already.
         (Quadratic(gxx=1e200, gpp=1e200), Quadratic(gxx=2e200, gpp=-2e200), "C, D nan or inf"),
-        # C and D are finite, but C·C in the fit of Δ overflows.
-        (qrm_effective(1.0, 0.9), Quadratic(gxx=3e300, gpp=-1e300), "Δ nan or inf"),
-        # C ~ 1e-300 is not zero, but D and C·C underflow: the fit is 0/0.
+        # C ~ 1e-300 is not zero, but D underflows, and so does det G_c ~ ω².
         (qrm_effective(1e-300, 0.9), N, "Δ nan or inf"),
     ])
     def test_non_finite_structure(self, hc, htheta, names):
@@ -267,3 +300,14 @@ class TestDeriveCriticalStructure:
         # and an infinite C must not pass for a commuting pair.
         with pytest.raises(NonFiniteError, match=f"critical structure is not finite \\({names}\\)"):
             derive_critical_structure(hc, htheta)
+
+    def test_delta_does_not_depend_on_encoding_scale(self):
+        # Δ = 4 det G_c comes from H_c alone, so H_θ = s·a†a gives the same
+        # bits for every s from 1e-200 to 1e290.
+        hc = qrm_effective(1.0, 0.9)
+        want = derive_critical_structure(hc, N).Delta
+        assert want == 4.0 * hc.gxx * hc.gpp
+        for s in (1e-200, 1e-150, 1.0, 1e150, 1e290):
+            cs = derive_critical_structure(hc, Quadratic(gxx=s, gpp=s, c0=-0.5 * s))
+            assert cs.Delta == want
+            assert cs.residual <= 1e-12
