@@ -439,8 +439,8 @@ def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
         mean_p[i] = final.mp
         cfi[i] = protocol._cfi_homodyne(final, cfg.t_theta)
         qfi[i] = protocol.qfi(t_c, cfg.t_theta)
-    # Sign changes of ⟨P⟩ versus g, each bisected down to adjacent floats.
-    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, mean_p, 0.0)
+    # Sign changes of ⟨P⟩ versus g, each refined down to adjacent floats.
+    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, mean_p)
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
     else:

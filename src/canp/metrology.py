@@ -296,44 +296,44 @@ def cfi_homodyne(spec: ProtocolSpec) -> float:
     return float(Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
 
 
-# Absolute width of the bracket at which find_threshold stops bisecting.
-THRESHOLD_TOL = 1e-4
-
-
 def _opposite_signs(a: float, b: float) -> bool:
     """Whether a and b have strictly opposite signs (0 and nan have none), read
     without their product, which underflows to ±0 when both are tiny."""
     return (a < 0.0 and b > 0.0) or (a > 0.0 and b < 0.0)
 
 
-def bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """A sign change of f in [lo, hi], given f_lo = f(lo) and f(hi) of the other sign.
+def _refine(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The sign change of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of opposite signs.
 
-    Halves the bracket until it is at most `tol` wide or no float lies
-    strictly inside it, and returns its midpoint; a point where f is exactly
-    0 is returned as soon as it is met. With tol = 0 the bracket ends on two
-    adjacent floats.
+    Illinois regula falsi (Dowell and Jarratt, BIT 11, 168, 1971): the secant point of the
+    ends' weights, an end's value halved each time a step keeps that end twice in a row
+    (signs come from the values). The midpoint replaces a secant point not strictly inside
+    the bracket, or any point while the bracket after n steps is wider than 2^(1 − n/2) of
+    its start. Returns a point where f is 0, or the midpoint once the ends are adjacent floats.
     """
-    while hi - lo > tol:
+    w_lo, w_hi, kept, budget = f_lo, f_hi, None, 2.0 * (hi - lo)
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
             return mid
-        if _opposite_signs(f_lo, f_mid):
-            hi = mid
+        x = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+        if not lo < x < hi or hi - lo > budget:
+            x = mid
+        f_x, budget = f(x), budget / _SQRT2
+        if f_x == 0.0:
+            return x
+        if _opposite_signs(f_lo, f_x):
+            hi, w_hi, w_lo, kept = x, f_x, w_lo * (0.5 if kept == "lo" else 1.0), "lo"
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            lo, f_lo, w_lo, w_hi, kept = x, f_x, f_x, w_hi * (0.5 if kept == "hi" else 1.0), "hi"
 
 
-def zero_crossings(f, grid, values, tol: float) -> list[float]:
+def zero_crossings(f, grid, values) -> list[float]:
     """The sign changes of f over a grid, in grid order, given f's values on it.
 
-    A grid point where f is exactly 0 is a crossing; between two neighbours
-    of opposite signs the crossing is bisected to `tol` (:func:`bisect`).
-    A nan value has no sign, so no crossing is read next to it.
+    A grid point where f is exactly 0 is a crossing; between neighbours of
+    opposite signs, :func:`_refine` ends one where f is 0 or on adjacent
+    floats. A nan value has no sign, so no crossing is read next to it.
     """
     grid, values = [float(x) for x in grid], [float(v) for v in values]
     crossings = []
@@ -341,7 +341,7 @@ def zero_crossings(f, grid, values, tol: float) -> list[float]:
         if f_lo == 0.0:
             crossings.append(lo)
         elif _opposite_signs(f_lo, f_hi):
-            crossings.append(bisect(f, lo, hi, f_lo, tol))
+            crossings.append(_refine(f, lo, hi, f_lo, f_hi))
     if values and values[-1] == 0.0:
         crossings.append(grid[-1])
     return crossings
@@ -360,27 +360,36 @@ def find_threshold(
 
     The preparation time is pinned to the critical time π/√Δ of each value.
     `family` is a model variant name; for the LMG family the swept parameter
-    is λ at fixed γ, for the QRM families it is g. The first of the bracket's
-    :func:`zero_crossings`, bisected to absolute tolerance THRESHOLD_TOL;
-    raises ValueError unless bracket[0] < bracket[1], NonFiniteError when
-    R − 1 is nan or inf at an end, NoSignChangeError when it has one sign at
-    both, and OutOfPhaseError when a value the bisection reads leaves the
-    normal phase.
+    is λ at fixed γ, for the QRM families it is g. Returns the first of the
+    bracket's :func:`zero_crossings`. Raises ValueError unless
+    bracket[0] < bracket[1], OutOfPhaseError before any R is read when an end
+    or a phase boundary (λ = 1, λ = γ) inside the bracket is out of phase,
+    NonFiniteError when R − 1 is nan or inf at an end, and NoSignChangeError
+    when it has one sign at both.
     """
 
-    def ratio_minus_one(value: float) -> float:
+    def model(value: float) -> ModelParams:
         moved = {"lam": value, "gamma": gamma} if family == "LMG-frequency" else {"g": value}
-        protocol = Protocol(*ModelParams(family, omega=omega, **moved).pair(), alpha)
+        return ModelParams(family, omega=omega, **moved)
+
+    def ratio_minus_one(value: float) -> float:
+        protocol = Protocol(*model(value).pair(), alpha)
         return float(protocol.ratio(protocol.preparation_time(math.pi), t_theta, theta0)) - 1.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket {bracket} must have lo < hi")
+    # Each end, and each phase boundary strictly inside (a QRM bracket with both
+    # ends in phase has none), must be in the normal phase, whichever points the
+    # search visits: preparation() raises OutOfPhaseError where it is not.
+    boundaries = sorted((1.0, gamma)) if family == "LMG-frequency" else ()
+    for value in (lo, hi, *(b for b in boundaries if lo < b < hi)):
+        model(value).preparation()
     ends = [ratio_minus_one(lo), ratio_minus_one(hi)]
     if not all(map(math.isfinite, ends)):
         raise NonFiniteError(f"enhancement ratio − 1 is nan or inf at an end of {bracket}: "
                              f"{ends[0]!r} at {lo!r}, {ends[1]!r} at {hi!r}")
-    crossings = zero_crossings(ratio_minus_one, (lo, hi), ends, THRESHOLD_TOL)
+    crossings = zero_crossings(ratio_minus_one, (lo, hi), ends)
     if not crossings:
         raise NoSignChangeError(
             f"enhancement ratio − 1 has the same sign at both ends of {bracket}"

@@ -107,11 +107,11 @@ def _finite(values) -> bool:
     return math.isfinite(sum(values))
 
 
-def _non_finite(parts: dict) -> NonFiniteError:
-    """The error naming each part of a critical structure that is not finite."""
+def _non_finite(parts: dict, source: str) -> NonFiniteError:
+    """The error naming each part of a critical structure that is not finite, and its source."""
     bad = ", ".join(name for name, values in parts.items() if not _finite(values))
     return NonFiniteError(f"critical structure is not finite ({bad} nan or inf): "
-                          "the nested commutators of H_c and H_theta are out of the float range")
+                          f"{source} out of the float range")
 
 
 def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStructure:
@@ -136,7 +136,7 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
     d_op = commutator(c_op, hc)
     # Checked before the commuting test, which an infinite C passes.
     if not (_finite(c_op) and _finite(d_op)):
-        raise _non_finite({"C": c_op, "D": d_op})
+        raise _non_finite({"C": c_op, "D": d_op}, "the nested commutators of H_c and H_theta are")
     c_max = _max_abs(c_op)
     if c_max <= 1e-13 * max(_max_abs(hc) * _max_abs(htheta), 1e-300):
         raise CommutingPairError("[H_c, H_theta] = 0: critical structure undefined")
@@ -149,7 +149,8 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
     delta = 4.0 * det if _max_abs(c_op[:3]) > RESIDUAL_MAX * c_max else det
     # A nan Δ would pass the residual test below.
     if not math.isfinite(delta):
-        raise _non_finite({"Δ": (delta,)})
+        raise _non_finite({"Δ": (delta,)}, "det G_c of H_c's entries "
+                          f"gxx={gxx:.6g}, gxp={gxp:.6g}, gpp={gpp:.6g} is")
     t3 = commutator(hc, d_op)
     mismatch = max(abs(x - delta * y) for x, y in zip(t3, c_op))
     residual = mismatch / (max(abs(delta), 1e-300) * c_max)

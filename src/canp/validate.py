@@ -210,7 +210,7 @@ def check_thresholds() -> CheckResult:
     g_bracket, lam_bracket = (0.3, 0.8), (0.2, 0.6)
     g_star = find_threshold("QRM-frequency", 12.0, ALPHA, g_bracket)
     lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, lam_bracket, gamma=2.0)
-    ok = abs(g_star - 0.5058) <= 0.005 and abs(lam_star - 0.3559) <= 0.005
+    ok = abs(g_star - 0.5058) <= 5e-5 and abs(lam_star - 0.3559) <= 5e-5
     return CheckResult(
         name="thresholds",
         passed=ok,
@@ -218,7 +218,7 @@ def check_thresholds() -> CheckResult:
             "g_star": g_star, "g_star_bracket": list(g_bracket),
             "lambda_star": lam_star, "lambda_star_bracket": list(lam_bracket),
         },
-        tolerance={"g_star": [0.5058, 0.005], "lambda_star": [0.3559, 0.005]},
+        tolerance={"g_star": [0.5058, 5e-5], "lambda_star": [0.3559, 5e-5]},
         details="enhancement-ratio unity crossings at preparation time pi/sqrt(Delta)",
     )
 

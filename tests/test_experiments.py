@@ -384,10 +384,11 @@ class TestRunners:
         assert abs(lam_star - 0.3559) < 0.005
         assert len(rows) == 9
 
-    def test_fig3b_crossing_bisects_to_adjacent_floats(self, tmp_path, monkeypatch):
+    def test_fig3b_crossing_ends_on_adjacent_floats(self, tmp_path, monkeypatch):
         # The crossing probe of TestPublishedFormsAreRegressionData: one sign
-        # change of <P>, bisected until no float lies inside the bracket and
-        # without evaluating a bracket end again (60 evaluations did).
+        # change of <P>, refined until <P> changes sign strictly between the
+        # crossing and a neighbouring float, without evaluating a bracket end
+        # again (plain bisection took 47 evaluations).
         calls = []
         original = experiments._mean_p_at
 
@@ -401,7 +402,12 @@ class TestRunners:
                          "--sweep.g.points=12", '--alpha={"re": 1.0, "im": 0.3}',
                          "--theta0=1.3"]) == 0
         assert out.read_text().splitlines()[1] == "# meanP_zero_crossing g=0.9836079439444625"
-        assert len(calls) == len(set(calls)) == 47
+        assert len(calls) == len(set(calls)) == 11
+        cfg = load_config(str(CONFIG_DIR / "fig3b.json"), {
+            "sweep": '{"g": {"start": 0.8, "stop": 0.995, "points": 12}}',
+            "alpha": '{"re": 1.0, "im": 0.3}', "theta0": "1.3"})
+        g = 0.9836079439444625
+        assert original(cfg, math.nextafter(g, 0.0)) > 0.0 > original(cfg, g)
 
     def test_displacement_run(self, tmp_path):
         cfg_dict = small_config("displacement", tmp_path, sweep={
@@ -448,12 +454,13 @@ class TestRunners:
         assert not out.exists()
 
     # One derivation per model value a run builds. lmg-threshold's 95 are its
-    # 81 rows, 12 bisection steps and both bracket ends, which repeat the
+    # 81 rows, 12 refinement steps and both bracket ends, which repeat the
     # first and last rows; validate's are its five oracle grid rows and
-    # every check that builds a Protocol.
+    # every check that builds a Protocol, the thresholds' 17 + 14 R
+    # evaluations among them.
     @pytest.mark.parametrize("name, derivations", [
         ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
-        ("lmg_threshold", 95), ("displacement", 50), ("validate", 53),
+        ("lmg_threshold", 95), ("displacement", 50), ("validate", 55),
     ])
     def test_structure_derivation_counts(self, tmp_path, structure_derivations,
                                          name, derivations):
@@ -582,7 +589,7 @@ class TestPublishedFormsAreRegressionData:
         ("fig2b", ["--sweep.sqrtDelta_tc.points=20"]),
         ("fig2b_inset", ["--sweep.g.points=12"]),
         ("fig3a", ["--sweep.sqrtDelta_tc.points=20"]),
-        # This probe turns ⟨P⟩ through zero once, so the crossing bisection runs too.
+        # This probe turns ⟨P⟩ through zero once, so the crossing refinement runs too.
         ("fig3b", ["--sweep.g.points=12", '--alpha={"re": 1.0, "im": 0.3}', "--theta0=1.3"]),
         ("lmg_threshold", ["--sweep.lambda.points=9"]),
         ("displacement", ["--sweep.g.points=7"]),
@@ -679,8 +686,8 @@ class TestCli:
          "lambda=1.0"),
         ("fig2b.json", ["--g_values=[0.5,1.0]"], "g=1.0"),
         ("lmg_threshold.json", ["--bracket=[0.2,1.5]"], "lambda=1.5"),
-        # Both ends lie in the normal phase at gamma = 2, but the bisection
-        # reaches the ordered phase in between.
+        # Both ends lie in the normal phase at gamma = 2, but the ordered
+        # phase 1 < lambda < 2 lies in between: refused before any R is read.
         ("lmg_threshold.json", ["--bracket=[0.2,3.0]", "--t_theta=3"],
          "bracket (0.2, 3.0) leaves the normal phase"),
         # R − 1 keeps one sign over the bracket: there is no threshold to find.
@@ -710,16 +717,19 @@ class TestCli:
 
     def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
         # ω = 1e-300: D underflows to 0, and so does det G_c ~ ω², which
-        # would read as a gap of 0. The run fails naming Δ, and numpy prints
-        # no warning first.
-        self.assert_structure_run_failure(tmp_path, capsys, "1e-300", "Δ")
+        # would read as a gap of 0. The run fails naming Δ and the entries of
+        # G_c it comes from, and numpy prints no warning first.
+        self.assert_structure_run_failure(
+            tmp_path, capsys, "1e-300", "Δ",
+            "det G_c of H_c's entries gxx=7.84e-302, gxp=0, gpp=1e-300 is")
 
     def test_huge_frequency_is_run_failure(self, tmp_path, capsys):
         # ω = 1e200: C ~ ω is finite, D ~ ω² overflows.
-        self.assert_structure_run_failure(tmp_path, capsys, "1e200", "D")
+        self.assert_structure_run_failure(tmp_path, capsys, "1e200", "D",
+                                          "the nested commutators of H_c and H_theta are")
 
     @staticmethod
-    def assert_structure_run_failure(tmp_path, capsys, omega, names):
+    def assert_structure_run_failure(tmp_path, capsys, omega, names, source):
         out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -727,9 +737,8 @@ class TestCli:
                            "--out", str(out), f"--model.omega={omega}"])
         assert rc == 1
         assert caught == []
-        assert (f"run failed: critical structure is not finite ({names} nan or inf): the nested "
-                "commutators of H_c and H_theta are out of the float range"
-                in capsys.readouterr().err)
+        assert (f"run failed: critical structure is not finite ({names} nan or inf): {source} "
+                "out of the float range" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_non_finite_threshold_end_is_run_failure(self, tmp_path, capsys):

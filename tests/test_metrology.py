@@ -25,7 +25,6 @@ from canp.metrology import (
     MetrologyReport,
     Protocol,
     ProtocolSpec,
-    bisect,
     cfi_homodyne,
     enhancement_ratio,
     evaluate_report,
@@ -436,17 +435,62 @@ class TestDegenerateAlgebras:
             protocol.ratio(1.0, 1.0, 0.0)
 
 
-class TestFindThreshold:
-    def test_qrm_threshold(self):
-        g_star = find_threshold("QRM-frequency", 12.0, ALPHA, (0.3, 0.8))
-        assert g_star == pytest.approx(0.5058, abs=0.005)
-        # Thirteen halvings take the 0.5-wide bracket below THRESHOLD_TOL.
-        assert g_star == 0.505780029296875
+def critical_ratio_minus_one(family, t_theta, gamma=2.0):
+    """R − 1 at the critical time of each model value, the function find_threshold searches."""
+    def f(value):
+        moved = {"lam": value, "gamma": gamma} if family == "LMG-frequency" else {"g": value}
+        protocol = Protocol(*ModelParams(family, **moved).pair(), ALPHA)
+        return float(protocol.ratio(protocol.preparation_time(math.pi), t_theta, 0.0)) - 1.0
+    return f
 
-    def test_lmg_threshold(self):
-        lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=2.0)
-        assert lam_star == pytest.approx(0.3559, abs=0.005)
-        assert lam_star == 0.3559082031250001
+
+def opposite(a, b):
+    return min(a, b) < 0.0 < max(a, b)
+
+
+def is_sign_change(f, x):
+    """f is exactly 0 at x, or has strictly opposite signs at x and a neighbouring float."""
+    below, at, above = f(math.nextafter(x, -math.inf)), f(x), f(math.nextafter(x, math.inf))
+    return at == 0.0 or opposite(below, at) or opposite(at, above)
+
+
+def counted(f):
+    """f, and the list of the points it has been evaluated at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+    return g, seen
+
+
+def bisection_evaluations(f, lo, hi):
+    """Evaluations, both ends included, that plain bisection takes to adjacent floats."""
+    f_lo, count = f(lo), 2
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        f_mid, count = f(mid), count + 1
+        if opposite(f_lo, f_mid):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return count
+
+
+class TestFindThreshold:
+    # validate's two brackets. The search evaluates R at both ends and then
+    # at each refinement step, building one structure per evaluation.
+    @pytest.mark.parametrize("family, t_theta, bracket, printed, root, evaluations", [
+        ("QRM-frequency", 12.0, (0.3, 0.8), 0.5058, 0.5058039992181418, 17),
+        ("LMG-frequency", 1.3, (0.2, 0.6), 0.3559, 0.35591988119071993, 14),
+    ])
+    def test_ends_on_adjacent_floats(self, structure_derivations, family, t_theta, bracket,
+                                     printed, root, evaluations):
+        got = find_threshold(family, t_theta, ALPHA, bracket, gamma=2.0)
+        assert got == root
+        assert len(structure_derivations) == evaluations
+        assert abs(got - printed) <= 5e-5  # the paper's printed digits
+        assert is_sign_change(critical_ratio_minus_one(family, t_theta), got)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
@@ -454,38 +498,96 @@ class TestFindThreshold:
 
     @pytest.mark.parametrize("bracket", [(0.8, 0.3), (0.5, 0.5)])
     def test_bracket_must_increase(self, bracket):
-        # With lo >= hi the bisection loop would never run.
+        # With lo >= hi there is no interval to search.
         with pytest.raises(ValueError, match="lo < hi"):
             find_threshold("QRM-frequency", 12.0, ALPHA, bracket)
 
+    # A bracket must lie in one normal phase: an end out of phase, or a phase
+    # boundary (λ = 1 or λ = γ for LMG) strictly inside, is refused before R
+    # is evaluated anywhere, so no point the search might visit decides it.
+    @pytest.mark.parametrize("family, bracket, gamma, message", [
+        ("LMG-frequency", (0.2, 3.0), 2.0, "lambda=1.0, gamma=2.0"),
+        ("LMG-frequency", (0.2, 3.0), 0.5, "lambda=0.5, gamma=0.5"),
+        ("LMG-frequency", (0.2, 1.5), 2.0, "lambda=1.5, gamma=2.0"),
+        ("LMG-frequency", (0.2, 1.0), 2.0, "lambda=1.0, gamma=2.0"),
+        ("QRM-frequency", (0.5, 1.2), 2.0, "g=1.2"),
+    ])
+    def test_phase_gap_is_refused_before_any_ratio(self, structure_derivations, family,
+                                                   bracket, gamma, message):
+        with pytest.raises(OutOfPhaseError, match=message):
+            find_threshold(family, 3.0, ALPHA, bracket, gamma=gamma)
+        assert structure_derivations == []
 
-class TestBisect:
-    def test_zero_tolerance_ends_on_adjacent_floats(self):
-        seen = []
+    def test_bracket_beyond_both_boundaries_is_searched(self):
+        # λ > max(1, γ) is normal phase too, and its bracket holds no boundary.
+        root = find_threshold("LMG-frequency", 3.0, ALPHA, (1.5, 3.0), gamma=0.5)
+        assert 2.0 < root < 2.5
+        assert is_sign_change(critical_ratio_minus_one("LMG-frequency", 3.0, gamma=0.5), root)
 
-        def f(x):
-            seen.append(x)
-            return x * x - 2.0
 
-        root = bisect(f, 1.0, 2.0, -1.0, 0.0)
-        # Every evaluation lies strictly inside its step's bracket, so none
-        # repeats, and the final bracket's ends are neighbouring floats.
-        assert len(seen) == len(set(seen))
+class TestRefine:
+    def test_each_evaluation_lies_inside_and_none_repeats(self):
+        f, seen = counted(lambda x: x * x - 2.0)
+        (root,) = zero_crossings(f, [1.0, 2.0], [-1.0, 2.0])
+        assert len(seen) == len(set(seen)) == 9
+        assert all(1.0 < x < 2.0 for x in seen)
         lo = max(x for x in seen if x * x < 2.0)
         hi = min(x for x in seen if x * x > 2.0)
         assert math.nextafter(lo, hi) == hi
         assert root in (lo, hi)
 
-    def test_tolerance_and_exact_zero(self):
-        # Stops once the bracket is at most tol wide: [0, 1] -> [0, 0.5] -> [0.25, 0.5].
-        assert bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.25) == 0.375
-        # The same steps meet f = 0 at 0.25 and return it, not the midpoint 0.375.
-        assert bisect(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.25) == 0.25
+    def test_exact_zero_is_returned_when_met(self):
+        # The first secant point of a line is its zero.
+        f, seen = counted(lambda x: x - 0.25)
+        assert zero_crossings(f, [0.0, 1.0], [-0.25, 0.75]) == [0.25]
+        assert seen == [0.25]
+
+    # x¹⁰ − 0.5 is where plain regula falsi keeps one end for good, and
+    # exp(50x) − 2 where it creeps from the far end (77 evaluations without
+    # the width budget); plain bisection takes 55, 59 and 54.
+    @pytest.mark.parametrize("fn, lo, hi, evaluations", [
+        (lambda x: x**10 - 0.5, 0.0, 1.2, 16),
+        (lambda x: math.exp(50.0 * x) - 2.0, 0.0, 1.0, 24),
+        (lambda x: x * x - 2.0, 1.0, 2.0, 11),
+    ])
+    def test_evaluation_counts(self, fn, lo, hi, evaluations):
+        f, seen = counted(fn)
+        (root,) = zero_crossings(f, [lo, hi], [f(lo), f(hi)])
+        assert len(seen) == evaluations <= 2 * bisection_evaluations(fn, lo, hi)
+        assert is_sign_change(fn, root)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(root=st.floats(0.01, 0.99), rate=st.floats(-80.0, 80.0),
+           power=st.sampled_from([1, 3, 5, 9]))
+    def test_never_more_than_twice_bisection(self, root, rate, power):
+        # A multiple root and a steep exponential are the slow cases of
+        # regula falsi; the width budget bounds them by bisection.
+        def fn(x):
+            return (x - root) ** power * math.exp(rate * x)
+
+        f, seen = counted(fn)
+        (got,) = zero_crossings(f, [0.0, 1.0], [f(0.0), f(1.0)])
+        assert len(seen) <= 2 * bisection_evaluations(fn, 0.0, 1.0)
+        assert is_sign_change(fn, got)
 
     def test_tiny_values_keep_their_signs(self):
-        # Every product f_lo * f_mid here underflows to ±0; the signs do not.
-        root = bisect(lambda x: 1e-200 * (0.3 - x), 0.0, 1.0, 0.3e-200, 0.0)
+        # Every product of two values here underflows to ±0; the signs do not.
+        def fn(x):
+            return 1e-200 * (x**3 - 0.027)
+
+        (root,) = zero_crossings(fn, [0.0, 1.0], [fn(0.0), fn(1.0)])
         assert root == pytest.approx(0.3, rel=1e-15)
+        assert is_sign_change(fn, root)
+
+    def test_weights_that_underflow_fall_back_to_the_midpoint(self):
+        # The smallest subnormal halves to 0, so the secant point lands on an end.
+        def fn(x):
+            return math.copysign(5e-324, x - 0.3)
+
+        f, seen = counted(fn)
+        (root,) = zero_crossings(f, [0.0, 1.0], [f(0.0), f(1.0)])
+        assert is_sign_change(fn, root)
+        assert len(seen) <= 2 * bisection_evaluations(fn, 0.0, 1.0)
 
 
 def never_called(x):
@@ -503,39 +605,38 @@ class TestZeroCrossings:
         ([1.0, 2.0, 3.0], []),
     ])
     def test_exact_zeros_on_the_grid(self, values, crossings):
-        assert zero_crossings(never_called, np.array([0.0, 0.5, 1.0]), values, 0.0) == crossings
+        assert zero_crossings(never_called, np.array([0.0, 0.5, 1.0]), values) == crossings
 
     def test_both_ends_zero_lists_the_lower_first(self):
         # find_threshold returns the first crossing: the lower bracket end.
-        assert zero_crossings(never_called, (0.2, 0.6), [0.0, 0.0], 1e-4) == [0.2, 0.6]
+        assert zero_crossings(never_called, (0.2, 0.6), [0.0, 0.0]) == [0.2, 0.6]
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-4])
-    def test_one_sign_change_is_bisect(self, tol):
+    def test_one_sign_change_is_refined_between_its_neighbours(self):
         def f(x):
             return x * x - 2.0
 
-        crossing = bisect(f, 1.0, 2.0, -1.0, tol)
-        assert zero_crossings(f, [1.0, 2.0], [-1.0, 2.0], tol) == [crossing]
-        assert zero_crossings(f, [0.0, 1.0, 2.0, 3.0], [f(0.0), -1.0, 2.0, f(3.0)], tol) == [
-            crossing]
+        crossing = zero_crossings(f, [1.0, 2.0], [-1.0, 2.0])
+        assert zero_crossings(f, [0.0, 1.0, 2.0, 3.0], [f(0.0), -1.0, 2.0, f(3.0)]) == crossing
+        assert is_sign_change(f, crossing[0])
 
     def test_every_sign_change_in_grid_order(self):
         grid = np.linspace(0.0, 10.0, 11)
-        crossings = zero_crossings(math.cos, grid, np.cos(grid), 0.0)
+        crossings = zero_crossings(math.cos, grid, np.cos(grid))
         assert crossings == pytest.approx([0.5 * math.pi * k for k in (1, 3, 5)], abs=1e-15)
+        assert all(is_sign_change(math.cos, c) for c in crossings)
 
     def test_tiny_sign_change_is_found(self):
         # 0.5e-200 * -0.5e-200 underflows to -0.0, which is not < 0.
         def f(x):
             return 1e-200 * (0.5 - x)
 
-        assert zero_crossings(f, [0.0, 1.0], [0.5e-200, -0.5e-200], 0.0) == [0.5]
+        assert zero_crossings(f, [0.0, 1.0], [0.5e-200, -0.5e-200]) == [0.5]
 
     def test_nan_value_has_no_sign(self):
         nan = float("nan")
-        assert zero_crossings(never_called, [0.0, 1.0, 2.0], [1.0, nan, -1.0], 0.0) == []
-        assert zero_crossings(math.cos, [1.0, 2.0, 3.0], [math.cos(1.0), math.cos(2.0), nan],
-                              0.0) == [bisect(math.cos, 1.0, 2.0, math.cos(1.0), 0.0)]
+        assert zero_crossings(never_called, [0.0, 1.0, 2.0], [1.0, nan, -1.0]) == []
+        assert zero_crossings(math.cos, [1.0, 2.0, 3.0], [math.cos(1.0), math.cos(2.0), nan]) == \
+            zero_crossings(math.cos, [1.0, 2.0], [math.cos(1.0), math.cos(2.0)])
 
 
 class TestQfiDisplacement:
