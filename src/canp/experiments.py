@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (
-    CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
+    CanpError, CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
     VacuumProbeError,
 )
 from .metrology import Protocol, find_threshold, zero_crossings
@@ -45,7 +45,11 @@ class Axis(NamedTuple):
     points: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        try:
+            return np.linspace(self.start, self.stop, self.points)
+        except (MemoryError, ValueError):  # ValueError: more cells than numpy can index
+            raise MemoryError(f"sweep axis {self.name!r} of {self.points} points "
+                              f"does not fit in memory") from None
 
 
 class RunConfig(NamedTuple):
@@ -204,7 +208,11 @@ def _validate_sweep(cfg: RunConfig) -> None:
                 raise ConfigError("t_theta sweep must stay positive")
     if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
         raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
-    for params in _model_values(cfg):
+    try:
+        models = _model_values(cfg)
+    except MemoryError as exc:
+        raise ConfigError(str(exc)) from None
+    for params in models:
         try:
             params.preparation()
         except OutOfPhaseError as exc:
@@ -248,46 +256,36 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig
     return config_from_dict(obj)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.bool_, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 _BOOL_TEXT = np.array(["0", "1"], dtype=object)
 
 
-def _column_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """The _fmt text of each cell of one column array, in the array's shape, and
-    whether each cell is nan or inf.
-
-    A typed array is read off its dtype: the repr of each float (a float32
-    value widens exactly), the decimal of each int, 0 or 1 for a bool. An
-    object array (mixed types, or Python ints) is formatted cell by cell by
-    _fmt.
-    """
+def _column_text(name: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """The text of each cell of one column array, in the array's shape, and
+    whether each cell is nan or inf: the repr of each float (a float32 value
+    widens exactly), the decimal of each int, 0 or 1 for a bool. An array of
+    any other dtype is a ValueError naming the column."""
     kind = values.dtype.kind
     if kind == "b":
         return _BOOL_TEXT[values.view(np.uint8)], False
-    cells = values.ravel().tolist()
-    if kind in "fiu":
-        text = list(map(repr, cells))
-        bad = ~np.isfinite(values) if kind == "f" else False
-    else:
-        text = list(map(_fmt, cells))
-        bad = np.array([t in ("nan", "inf", "-inf") for t in text], dtype=bool)
-        bad = bad.reshape(values.shape)
+    if kind not in "fiu":
+        raise ValueError(f"column {name} is a {values.dtype} array; "
+                         f"a column holds floats, ints or bools")
+    text = list(map(repr, values.ravel().tolist()))
+    bad = ~np.isfinite(values) if kind == "f" else False
     return np.array(text, dtype=object).reshape(values.shape), bad
 
 
-def _column_array(cells: tuple) -> np.ndarray:
-    """One column of a row table: an array of the cells' type when they share
-    one, else of objects. Python ints are kept as objects, since numpy would
-    widen 2**63 and -1 together to float."""
-    kinds = set(map(type, cells))
-    if len(kinds) == 1 and kinds != {int}:
-        return np.array(cells)
-    return np.array(cells, dtype=object)
+def _column_array(name: str, cells: tuple) -> np.ndarray:
+    """One column of a row table as an array of its cells' one dtype kind:
+    floats, bools, or numpy ints of one signedness, so no cell changes. Mixed
+    kinds, Python ints (numpy would widen 2**63 and -1 together to float) and
+    any other cell are a ValueError naming the column."""
+    types = set(map(type, cells))
+    kinds = {"int" if t is int else np.dtype(t).kind for t in types}
+    if len(kinds) > 1 or not kinds <= set("fbiu"):
+        raise ValueError(f"column {name} holds {', '.join(sorted(t.__name__ for t in types))} "
+                         f"cells; a row column holds only floats, only bools or only numpy ints")
+    return np.array(cells)
 
 
 def write_csv(path: str, cfg: RunConfig, columns: dict | tuple[str, ...],
@@ -298,32 +296,31 @@ def write_csv(path: str, cfg: RunConfig, columns: dict | tuple[str, ...],
     `columns` maps each column name to an array, and the arrays broadcast
     together (numpy rules) to the table's shape; its cells, in C order, are
     the rows. Or `columns` is a tuple of names and `rows` a list of row
-    tuples, one cell per column; a ragged table is a ValueError, and so are
-    arrays that do not broadcast together.
+    tuples, one cell per column, and each column becomes one array
+    (:func:`_column_array`). A ragged table, arrays that do not broadcast
+    together and a column that is not floats, ints or bools are ValueErrors.
 
-    Each array's own cells are formatted once, as _fmt gives them: a float
-    (Python or numpy) as its shortest round-trip repr, a bool as 0 or 1, an
-    int in decimal; the text is then broadcast. A nan or inf cell is a
-    NonFiniteError naming the column and the cells of its first such row.
-    Either error leaves nothing written. The table returned maps each column
-    name to its written values, one per row.
+    Each array's own cells are formatted once: a float as its shortest
+    round-trip repr, a bool as 0 or 1, an int in decimal; the text is then
+    broadcast. A nan or inf cell is a NonFiniteError naming the column and
+    the cells of its first such row. Any error leaves nothing written. The
+    table returned maps each column name to its written values, one per row.
     """
+    names = tuple(columns)
     if rows is None:
-        names, arrays = tuple(columns), [np.asarray(a) for a in columns.values()]
-        try:
-            shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        except ValueError:
-            raise ValueError(f"columns {names} do not broadcast together: shapes "
-                             f"{[a.shape for a in arrays]}") from None
+        arrays = [np.asarray(a) for a in columns.values()]
     else:
-        names = tuple(columns)
         widths = set(map(len, rows))
         if widths - {len(names)}:
             raise ValueError(f"every row must have {len(names)} cells, one per column "
                              f"{names}; got row widths {sorted(widths)}")
-        arrays = [_column_array(cells) for cells in zip(*rows)] or [np.empty(0)] * len(names)
-        shape = (len(rows),)
-    formatted = [_column_text(a) for a in arrays]
+        arrays = list(map(_column_array, names, zip(*rows))) or [np.empty(0)] * len(names)
+    try:
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError:
+        raise ValueError(f"columns {names} do not broadcast together: shapes "
+                         f"{[a.shape for a in arrays]}") from None
+    formatted = list(map(_column_text, names, arrays))
     texts = [np.broadcast_to(text, shape).ravel().tolist() for text, _ in formatted]
     for name, (_, bad) in zip(names, formatted):
         bad = np.broadcast_to(bad, shape)
@@ -524,9 +521,12 @@ EXPERIMENTS = tuple(RUNNERS)
 def run_experiment(cfg: RunConfig):
     """Run one experiment. A vacuum probe has no enhancement ratio, so a run
     that reads R at alpha = 0 is a ConfigError naming alpha. numpy stays silent
-    on overflow and invalid values: every output is checked for nan and inf."""
+    on overflow and invalid values: every output is checked for nan and inf.
+    A grid too large to allocate is a CanpError naming the experiment."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return RUNNERS[cfg.experiment](cfg)
     except VacuumProbeError as exc:
         raise ConfigError(f"alpha={cfg.alpha}: {exc}") from exc
+    except MemoryError as exc:
+        raise CanpError(f"experiment {cfg.experiment}: {exc}") from None

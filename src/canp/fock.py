@@ -14,9 +14,9 @@ block; nothing is cached between calls. Dense linear algebra caps the useful
 truncation around a few hundred levels, which the desk-scale ranges here fit.
 
 Truncation honesty is enforced along the whole path, not assumed: the mass
-in the top five levels must stay below TAIL_TOL at the end of an evolution
-and at PATH_SAMPLES − 1 evenly spaced times before it, so a state that
-leaves the truncation and comes back is refused. :func:`converged_states`
+in the top TAIL_LEVELS levels must stay below TAIL_TOL at the end of an
+evolution and at PATH_SAMPLES − 1 evenly spaced times before it, so a state
+that leaves the truncation and comes back is refused. :func:`converged_states`
 escalates the dimension (×2 up to MAX_DIM) for all preparation times of one
 (H_c, H_θ, α) at once. The numeric QFI is the exact δ → 0 limit of the
 fidelity: a variance in the prepared number-basis state.
@@ -31,6 +31,7 @@ from .errors import NotPositiveError, TruncationNotConvergedError
 from .operators import Quadratic
 
 TAIL_TOL = 1e-10
+TAIL_LEVELS = 5  # the top levels whose mass is the tail
 PATH_SAMPLES = 16
 DEFAULT_DIM = 60
 MAX_DIM = 480
@@ -52,14 +53,6 @@ class FockState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amps, self.amps.conj())
-
-
-def ladder(dim: int) -> np.ndarray:
-    """Annihilation operator: a|n⟩ = √n |n−1⟩."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
 def _ladder(op: Quadratic):
@@ -145,7 +138,7 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
     factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
     state = FockState(np.cumprod(factors))
     norm = state.norm()
-    if np.sum(np.abs(state.amps[-5:]) ** 2) + abs(1.0 - norm * norm) > TAIL_TOL:
+    if np.sum(np.abs(state.amps[-TAIL_LEVELS:]) ** 2) + abs(1.0 - norm * norm) > TAIL_TOL:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
@@ -184,8 +177,8 @@ class Propagator:
     def evolve(self, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
         """(exp(−iHt)ψ, path tail) for rows ψ (…, dim) and times t broadcast against them.
 
-        The path tail is the largest top-five-level mass at t and at
-        k·t/PATH_SAMPLES, 0 < k < PATH_SAMPLES. Per block V†ψ is formed once;
+        The path tail is the largest mass in the top TAIL_LEVELS levels at t
+        and at k·t/PATH_SAMPLES, 0 < k < PATH_SAMPLES. Per block V†ψ is formed once;
         the samples take powers of e^{−iλt/PATH_SAMPLES} as phases and only
         the rows of V that hold the top levels. A diagonal H keeps the mass.
         """
@@ -195,7 +188,7 @@ class Propagator:
         path = np.zeros((PATH_SAMPLES - 1,) + shape)  # top-level mass at each interior sample
         for levels, eigvals, eigvecs in self._blocks:
             psi = amps[..., levels]
-            top = -np.count_nonzero(np.arange(self.dim)[levels] >= self.dim - 5)
+            top = -np.count_nonzero(np.arange(self.dim)[levels] >= self.dim - TAIL_LEVELS)
             if eigvecs is None:
                 out[..., levels] = np.exp(-1j * eigvals * t) * psi
                 path += np.sum(np.abs(psi[..., top:]) ** 2, axis=-1)
@@ -208,12 +201,8 @@ class Propagator:
             for k in range(1, PATH_SAMPLES - 1):  # V†ψ·e^{−iλkt/PATH_SAMPLES}
                 np.multiply(sampled[k - 1], step, out=sampled[k])
             path += np.sum(np.abs(_matmul(sampled, eigvecs[top:].T)) ** 2, axis=-1)
-        end = np.sum(np.abs(out[..., -5:]) ** 2, axis=-1)
+        end = np.sum(np.abs(out[..., -TAIL_LEVELS:]) ** 2, axis=-1)
         return out, np.maximum(end, path.max(axis=0))
-
-
-def expectation_fock(state: FockState, op: Quadratic) -> float:
-    return float(np.real(np.vdot(state.amps, _apply(op, state.amps))))
 
 
 def variance_fock(state: FockState, op: Quadratic) -> float:

@@ -137,17 +137,6 @@ def photon_number(m: GaussianState) -> np.ndarray:
     return 0.5 * (m.sxx + m.spp + (m.mx * m.mx + m.mp * m.mp) - 1.0)
 
 
-def expectation(state: GaussianState, op: Quadratic) -> float:
-    """⟨O⟩ = ½Tr(G sigma) + ½ muᵀG mu + vᵀmu + c0."""
-    g_mat = np.array([[op.gxx, op.gxp], [op.gxp, op.gpp]])
-    return float(
-        0.5 * np.trace(g_mat @ state.sigma)
-        + 0.5 * state.mu @ g_mat @ state.mu
-        + np.array([op.vx, op.vp]) @ state.mu
-        + op.c0
-    )
-
-
 def variance_quadratic(state: GaussianState, op: Quadratic) -> float:
     """Variance of a quadratic operator in a Gaussian state.
 

@@ -109,10 +109,6 @@ class Protocol:
         self.preparation = Flow(hc)
         self.encoding = Flow(htheta)
 
-    @classmethod
-    def from_spec(cls, spec: ProtocolSpec) -> "Protocol":
-        return cls(spec.Hc, spec.Htheta, spec.alpha)
-
     @cached_property
     def structure(self) -> CriticalStructure | None:
         """Derived structure of the pair, or None when the pair commutes.
@@ -283,17 +279,19 @@ class Protocol:
 def protocol_state(spec: ProtocolSpec, theta: float | None = None) -> GaussianState:
     """Probe after preparation and encoding at parameter value theta."""
     theta = spec.theta0 if theta is None else theta
-    return Protocol.from_spec(spec).state(spec.t_c, spec.t_theta, theta)
+    return Protocol(spec.Hc, spec.Htheta, spec.alpha).state(spec.t_c, spec.t_theta, theta)
 
 
 def enhancement_ratio(spec: ProtocolSpec) -> float:
     """Resource-matched enhancement ratio; see :meth:`Protocol.ratio`."""
-    return float(Protocol.from_spec(spec).ratio(spec.t_c, spec.t_theta, spec.theta0))
+    protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
+    return float(protocol.ratio(spec.t_c, spec.t_theta, spec.theta0))
 
 
 def cfi_homodyne(spec: ProtocolSpec) -> float:
     """Homodyne (P) classical Fisher information; see :meth:`Protocol.cfi_homodyne`."""
-    return float(Protocol.from_spec(spec).cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
+    protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
+    return float(protocol.cfi_homodyne(spec.t_c, spec.t_theta, spec.theta0))
 
 
 def _opposite_signs(a: float, b: float) -> bool:
@@ -417,7 +415,7 @@ def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
     The times are checked once and the final state is built once; each field
     is the value the matching public method gives.
     """
-    protocol = Protocol.from_spec(spec)
+    protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
     protocol._require_bright_probe()
     t_c, t_theta = _durations(spec.t_c, spec.t_theta)
     final = protocol._state(t_c, t_theta, spec.theta0)

@@ -10,6 +10,10 @@ holds (c_n, c_aa, c_adad, c_a, c_ad, c_1) of
 products, and :func:`to_ladder` and :func:`from_ladder` convert to and from
 the form ½ rᵀG r + vᵀr + c0 with r = (X, P), X = (a + a†)/√2 and
 P = i(a† − a)/√2.
+
+It also holds the tests' independent expectations: :func:`expectation` of
+an operator in a Gaussian state, :func:`expectation_fock` in a number-basis
+state, and a number-basis state's :func:`density_matrix`.
 """
 
 import math
@@ -18,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from canp import fock
+from canp.gaussian import GaussianState
 from canp.operators import Quadratic
 
 _SQRT2 = math.sqrt(2.0)
@@ -74,9 +79,14 @@ def from_ladder(op: Ladder) -> Quadratic:
                      _SQRT2 * c_a.real, -_SQRT2 * c_a.imag, c_1.real - 0.5 * c_n.real)
 
 
+def ladder(dim: int) -> np.ndarray:
+    """Annihilation operator: a|n⟩ = √n |n−1⟩."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
 def ladder_matrix(op: Ladder, dim: int) -> np.ndarray:
     """The operator on the lowest dim number states, from dense ladder-matrix products."""
-    a = fock.ladder(dim)
+    a = ladder(dim)
     ad = a.T
     return (
         op.c_n * (ad @ a)
@@ -86,3 +96,22 @@ def ladder_matrix(op: Ladder, dim: int) -> np.ndarray:
         + op.c_ad * ad
         + op.c_1 * np.eye(dim)
     ).astype(complex)
+
+
+def expectation(state: GaussianState, op: Quadratic) -> float:
+    """⟨O⟩ = ½Tr(G sigma) + ½ muᵀG mu + vᵀmu + c0."""
+    g_mat = np.array([[op.gxx, op.gxp], [op.gxp, op.gpp]])
+    return float(
+        0.5 * np.trace(g_mat @ state.sigma)
+        + 0.5 * state.mu @ g_mat @ state.mu
+        + np.array([op.vx, op.vp]) @ state.mu
+        + op.c0
+    )
+
+
+def expectation_fock(state: fock.FockState, op: Quadratic) -> float:
+    return float(np.real(np.vdot(state.amps, fock._apply(op, state.amps))))
+
+
+def density_matrix(state: fock.FockState) -> np.ndarray:
+    return np.outer(state.amps, state.amps.conj())

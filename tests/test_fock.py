@@ -11,7 +11,9 @@ from canp.gaussian import coherent, evolve, photon_number
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective
 from canp.operators import Quadratic
-from quadrature_forms import Ladder, from_ladder, ladder_matrix, to_ladder
+from quadrature_forms import (
+    Ladder, density_matrix, expectation_fock, from_ladder, ladder, ladder_matrix, to_ladder,
+)
 
 ALPHA = 0.3 + 1.0j
 N = encoding_frequency()
@@ -128,14 +130,14 @@ class TestBandedProduct:
             raise AssertionError("build_matrix called")
 
         monkeypatch.setattr(fock, "build_matrix", no_matrix)
-        assert fock.expectation_fock(psi, h) == pytest.approx(mean, rel=1e-12)
+        assert expectation_fock(psi, h) == pytest.approx(mean, rel=1e-12)
         assert fock.variance_fock(psi, h) == pytest.approx(
             np.vdot(m_psi, m_psi).real - mean**2, rel=1e-12)
 
 
 def dense_moments(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference: quadrature moments from dense X and P matrix products."""
-    a = fock.ladder(psi.size)
+    a = ladder(psi.size)
     x = (a + a.T) / math.sqrt(2.0)
     p = 1j * (a.T - a) / math.sqrt(2.0)
 
@@ -365,12 +367,12 @@ class TestPathCheck:
         spec = LEAKING_PATH
         probe = fock.coherent_fock(spec.alpha, 60).amps
         end, tail = fock.Propagator(spec.Hc, 60).evolve(probe, spec.t_c)
-        assert np.sum(np.abs(end[-5:]) ** 2) <= fock.TAIL_TOL < tail
+        assert np.sum(np.abs(end[-fock.TAIL_LEVELS:]) ** 2) <= fock.TAIL_TOL < tail
         with pytest.raises(TruncationNotConvergedError, match="dim=60"):
             fock.qfi_numeric(spec, start_dim=60, max_dim=60)
         [(dim, _, _)] = fock.converged_states(spec.Hc, spec.Htheta, spec.alpha, spec.t_c)
         assert dim == 120
-        want = Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta)
+        want = Protocol(spec.Hc, spec.Htheta, spec.alpha).qfi(spec.t_c, spec.t_theta)
         assert fock.qfi_numeric(spec) == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -384,7 +386,7 @@ class TestPathCheck:
         prop = fock.Propagator(op, dim)
         _, tail = prop.evolve(amps, t)
         samples, _ = prop.evolve(amps, t * np.arange(1, fock.PATH_SAMPLES + 1) / fock.PATH_SAMPLES)
-        want = np.max(np.sum(np.abs(samples[:, -5:]) ** 2, axis=1))
+        want = np.max(np.sum(np.abs(samples[:, -fock.TAIL_LEVELS:]) ** 2, axis=1))
         assert tail == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
@@ -492,7 +494,7 @@ class TestSkewInformationGeneral:
         amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         psi = fock.FockState(amps / np.linalg.norm(amps))
         k = fock.build_matrix(N, 12)
-        got = fock.skew_information_general(psi.density_matrix(), k)
+        got = fock.skew_information_general(density_matrix(psi), k)
         assert got == pytest.approx(fock.variance_fock(psi, N), abs=1e-10)
 
     def test_maximally_mixed_vanishes(self):
@@ -537,6 +539,6 @@ class TestSkewInformationGeneral:
         amps, _ = fock.Propagator(h, 120).evolve(fock.coherent_fock(ALPHA, 120).amps, t_c)
         psi = fock.FockState(amps)
         k = fock.build_matrix(N, 120)
-        got = fock.skew_information_general(psi.density_matrix(), k)
+        got = fock.skew_information_general(density_matrix(psi), k)
         want = variance_quadratic(evolve(coherent(ALPHA), h, t_c), N)
         assert got == pytest.approx(want, rel=1e-6)

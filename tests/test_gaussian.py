@@ -11,13 +11,13 @@ from canp.gaussian import (
     coherent,
     evolution_map,
     evolve,
-    expectation,
     photon_number,
     quadrature_stats,
     variance_quadratic,
 )
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective, qrm_commutator_d
 from canp.operators import SERIES_SWITCH, Quadratic, flow_weights
+from quadrature_forms import expectation, expectation_fock
 
 ALPHA = 0.3 + 1.0j
 VACUUM = coherent(0j)
@@ -187,7 +187,7 @@ class TestMoments:
         amps, tail = fock.Propagator(h, 120).evolve(fock.coherent_fock(ALPHA, 120).amps, 2.0)
         assert tail <= fock.TAIL_TOL
         assert expectation(got_state, P) == pytest.approx(
-            fock.expectation_fock(fock.FockState(amps), P), abs=1e-6
+            expectation_fock(fock.FockState(amps), P), abs=1e-6
         )
 
     def test_quadrature_stats(self):

@@ -121,7 +121,7 @@ class TestQfiExact:
 
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
-        qfi = Protocol.from_spec(spec).qfi(spec.t_c, spec.t_theta)
+        qfi = Protocol(spec.Hc, spec.Htheta, spec.alpha).qfi(spec.t_c, spec.t_theta)
         assert qfi == pytest.approx(fock.qfi_numeric(spec), rel=1e-10)
         # Regression pin for the generator-variance value itself.
         assert qfi == pytest.approx(43104.596123522046, rel=1e-9)
@@ -183,7 +183,7 @@ class TestDirectBaseline:
 
     def test_energy_matching_uses_fock_photon_number(self):
         spec = qrm_spec(0.96, 3.0)
-        protocol = Protocol.from_spec(spec)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
         psi = fock.converged_protocol_state(spec, spec.theta0)
         want = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.mean_photon_fock(psi)
         assert protocol.direct_baseline(spec.t_c, spec.t_theta, spec.theta0) == pytest.approx(
@@ -398,7 +398,7 @@ class TestRandomNormalPhasePairs:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(normal_phase_specs())
     def test_matches_oracle(self, spec):
-        protocol = Protocol.from_spec(spec)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
         dim = path_dim(spec)
         assert protocol.qfi(spec.t_c, spec.t_theta) == pytest.approx(
             fock.qfi_numeric(spec, start_dim=dim), rel=1e-8)
@@ -648,7 +648,8 @@ class TestQfiDisplacement:
         )
 
     def test_tc_zero(self):
-        protocol = Protocol.from_spec(self.displacement_spec(0.9, 0.0))
+        spec = self.displacement_spec(0.9, 0.0)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
         assert protocol.qfi_displacement(0.0, T_THETA) == 0.0
         assert protocol.qfi(0.0, T_THETA) == pytest.approx(2.0 * T_THETA**2, rel=1e-12)
 
@@ -657,7 +658,7 @@ class TestQfiDisplacement:
         delta_p = qrm_delta_displacement(omega, 0.9)
         t_c = 0.5 * math.pi / math.sqrt(delta_p)
         spec = self.displacement_spec(0.9, t_c, omega=omega)
-        protocol = Protocol.from_spec(spec)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
         formula = protocol.qfi_displacement(t_c, T_THETA)
         # The mode frequency comes in through H_c alone.
         assert formula == pytest.approx(4.0 * T_THETA**2 * omega**2 / delta_p * 0.5, rel=1e-12)
@@ -732,8 +733,8 @@ class TestProtocolSpecAndReport:
         report = evaluate_report(spec)
         assert len(structure_derivations) == 1
         # The fields it fills from its own Protocol equal one-point evaluations bit for bit.
-        assert report.qfi_asymptotic == Protocol.from_spec(spec).qfi_asymptotic(spec.t_c,
-                                                                                spec.t_theta)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
+        assert report.qfi_asymptotic == protocol.qfi_asymptotic(spec.t_c, spec.t_theta)
         assert report.cfi_homodyne == cfi_homodyne(spec)
         assert report.ratio == enhancement_ratio(spec)
 
@@ -761,7 +762,7 @@ class TestProtocolSpecAndReport:
             report = evaluate_report(spec)
         # One time check and one final state per report.
         assert (len(checks), len(states)) == (1, 1)
-        protocol = Protocol.from_spec(spec)
+        protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
         times = (spec.t_c, spec.t_theta)
         final = protocol.state(*times, theta0)
         assert report._asdict() == {
@@ -834,7 +835,7 @@ class TestProtocolKernel:
         for i, j in np.ndindex(shape):
             spec = ProtocolSpec(Hc=hc, Htheta=htheta, t_c=float(t_c[i, 0]),
                                 t_theta=float(t_theta[0, j]), alpha=ALPHA, theta0=theta0)
-            point = Protocol.from_spec(spec)
+            point = Protocol(spec.Hc, spec.Htheta, spec.alpha)
             times = (spec.t_c, spec.t_theta)
             want = {
                 "qfi": point.qfi(*times),
@@ -973,6 +974,7 @@ class TestProtocolKernel:
             psi = fock.converged_protocol_state(spec, theta0)
             reference = fock.coherent_fock(math.sqrt(fock.mean_photon_fock(psi)), psi.dim)
             oracle = 4.0 * (spec.t_c + spec.t_theta) ** 2 * fock.variance_fock(reference, htheta)
-            values.append(Protocol.from_spec(spec).direct_baseline(spec.t_c, spec.t_theta, theta0))
+            protocol = Protocol(spec.Hc, spec.Htheta, spec.alpha)
+            values.append(protocol.direct_baseline(spec.t_c, spec.t_theta, theta0))
             assert values[-1] == pytest.approx(oracle, rel=1e-8)
         assert abs(values[1] - values[0]) > 1e-3 * values[0]
