@@ -73,17 +73,11 @@ class RunConfig(NamedTuple):
     def sha256(self) -> str:
         """Hash of every field but out, whether or not the experiment reads it."""
         hashed = {**self._asdict(), "model": self.model.to_dict(),
-                  "sweep": [ax._asdict() for ax in self.sweep]}
+                  "sweep": [ax._asdict() for ax in self.sweep],
+                  "alpha": {"re": self.alpha.real, "im": self.alpha.imag}}
         del hashed["out"]
-        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"), default=_jsonable)
+        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _jsonable(obj):
-    """The JSON form of a complex RunConfig field value, which json.dumps cannot serialise."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"cannot serialise a {type(obj).__name__} config value")
 
 
 def _parse_experiment(obj) -> str:
@@ -131,6 +125,13 @@ def _parse_flag(obj) -> bool:
     return obj
 
 
+def _parse_g_values(obj) -> tuple[float, ...]:
+    values = tuple(config_number(g) for g in obj)
+    if not values:
+        raise ValueError("must list at least one g")
+    return values
+
+
 def _parse_out(obj) -> str:
     """An output path, rejected now if no write to it could succeed."""
     if not isinstance(obj, str):
@@ -168,7 +169,7 @@ _FIELD_PARSERS = {
     "t_theta": _parse_duration,
     "alpha": _parse_alpha,
     "theta0": config_number,
-    "g_values": lambda obj: tuple(config_number(g) for g in obj),
+    "g_values": _parse_g_values,
     "bracket": _parse_bracket,
     "out": _parse_out,
     "oracle": _parse_flag,
@@ -353,18 +354,23 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-def _prepared(cfg: RunConfig, params: ModelParams, sqrt_delta_tc):
-    """The protocol of one model value and its preparation time(s) at √Δ·t_c.
+def _sweep(cfg: RunConfig, models: list[ModelParams], sqrt_delta_tc, columns) -> dict:
+    """The columns of a sweep over model values, each stacked model values first.
 
-    A commuting pair (QRM-frequency at g = 0, LMG at γ = 1) has no √Δ, so a
-    run that places t_c by √Δ·t_c cannot use it: that is a ConfigError
-    naming the model value.
+    Each model value gets one Protocol with t_c placed at √Δ·t_c, and
+    columns(protocol, t_c) returns its named column values. A commuting
+    pair (QRM-frequency at g = 0, LMG at γ = 1) has no √Δ, so it cannot
+    place t_c: that is a ConfigError naming the model value.
     """
-    protocol = Protocol(params.preparation(), params.encoding(), cfg.alpha)
-    try:
-        return protocol, protocol.preparation_time(sqrt_delta_tc)
-    except CommutingPairError as exc:
-        raise _model_error(params, exc) from exc
+    rows = []
+    for params in models:
+        protocol = Protocol(params.preparation(), params.encoding(), cfg.alpha)
+        try:
+            t_c = protocol.preparation_time(sqrt_delta_tc)
+        except CommutingPairError as exc:
+            raise _model_error(params, exc) from exc
+        rows.append(columns(protocol, t_c))
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 def _model_error(params: ModelParams, exc: Exception) -> ConfigError:
@@ -373,77 +379,63 @@ def _model_error(params: ModelParams, exc: Exception) -> ConfigError:
     return ConfigError(f"model {value}: {exc}")
 
 
-def _critical_ratio(cfg: RunConfig, params: ModelParams) -> float:
-    """R of one model value at the critical time π/√Δ."""
-    protocol, t_c = _prepared(cfg, params, math.pi)
-    return float(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
-
-
 def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
     tth = cfg.axis("t_theta").values()[None, :]
-    protocol, t_c = _prepared(cfg, cfg.model, sdtc)
-    ratio = protocol.ratio(t_c, tth, cfg.theta0)
-    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, "t_theta": tth, "R": ratio,
-                                    "enhanced": ratio > 1.0})
+    # One model value, so R is (1, n, m): the rows run √Δ·t_c first.
+    swept = _sweep(cfg, [cfg.model], sdtc, lambda p, t_c: {"R": p.ratio(t_c, tth, cfg.theta0)})
+    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, "t_theta": tth, **swept,
+                                    "enhanced": swept["R"] > 1.0})
 
 
 def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     models = _model_values(cfg)
-    ratios = []
-    for params in models:
-        protocol, t_c = _prepared(cfg, params, sdtc)
-        ratios.append(protocol.ratio(t_c, cfg.t_theta, cfg.theta0))
+    swept = _sweep(cfg, models, sdtc, lambda p, t_c: {"R": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     # g runs down the (k, n) block of results, √Δ·t_c along it.
     g = np.array([params.g for params in models])[:, None]
-    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, "R": np.stack(ratios)})
+    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
 
 
 def run_fig2b_inset(cfg: RunConfig) -> dict[str, np.ndarray]:
     models = _model_values(cfg)
-    return write_csv(cfg.out, cfg, {
-        "g": np.array([params.g for params in models]),
-        "R_tau": np.array([_critical_ratio(cfg, params) for params in models]),
-    })
+    swept = _sweep(cfg, models, math.pi,
+                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
+    return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]), **swept})
 
 
 def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     models = _model_values(cfg)
-    skews, qfis = [], []
-    for params in models:
-        protocol, t_c = _prepared(cfg, params, sdtc)
-        skews.append(protocol.skew(t_c))
-        qfis.append(protocol.qfi(t_c, cfg.t_theta))
+    swept = _sweep(cfg, models, sdtc,
+                   lambda p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)})
     g = np.array([params.g for params in models])[:, None]
-    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, "S": np.stack(skews),
-                                    "F": np.stack(qfis)})
+    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    protocol, t_c = _prepared(cfg, cfg.model.replace(g=g), math.pi)
-    return float(protocol.state(t_c, cfg.t_theta, cfg.theta0).mp)
+    swept = _sweep(cfg, [cfg.model.replace(g=g)], math.pi,
+                   lambda p, t_c: {"meanP": p.state(t_c, cfg.t_theta, cfg.theta0).mp})
+    return float(swept["meanP"][0])
 
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
+    def columns(protocol: Protocol, t_c) -> dict:
+        final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
+        return {"meanP": final.mp, "cfi": protocol._cfi_homodyne(final, cfg.t_theta),
+                "qfi": protocol.qfi(t_c, cfg.t_theta)}
+
     models = _model_values(cfg)
     g = np.array([params.g for params in models])
-    mean_p, cfi, qfi = np.empty((3, len(models)))
-    for i, params in enumerate(models):
-        protocol, t_c = _prepared(cfg, params, math.pi)
-        final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
-        mean_p[i] = final.mp
-        cfi[i] = protocol._cfi_homodyne(final, cfg.t_theta)
-        qfi[i] = protocol.qfi(t_c, cfg.t_theta)
+    swept = _sweep(cfg, models, math.pi, columns)
     # Sign changes of ⟨P⟩ versus g, each refined down to adjacent floats.
-    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, mean_p)
+    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, swept["meanP"])
     if crossings:
         comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
     else:
         comments = ("meanP_zero_crossings none (curve is sign-definite on this grid)",)
-    return write_csv(cfg.out, cfg, {"g": g, "meanP": mean_p, "cfi": cfi, "qfi": qfi,
-                                    "cfi_over_qfi": cfi / qfi}, extra_comments=comments)
+    return write_csv(cfg.out, cfg, {"g": g, **swept, "cfi_over_qfi": swept["cfi"] / swept["qfi"]},
+                     extra_comments=comments)
 
 
 def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
@@ -465,27 +457,25 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
         raise ConfigError(str(exc)) from exc
     models = _model_values(cfg)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
-    return write_csv(cfg.out, cfg, {
-        "lambda": np.array([params.lam for params in models]),
-        "R_tau": np.array([_critical_ratio(cfg, params) for params in models]),
-    }, extra_comments=comments)
+    swept = _sweep(cfg, models, math.pi,
+                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
+    return write_csv(cfg.out, cfg, {"lambda": np.array([params.lam for params in models]),
+                                    **swept}, extra_comments=comments)
 
 
 def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
-    models = _model_values(cfg)
-    g = np.array([params.g for params in models])
-    delta_p, formula, exact, ratio = np.empty((4, len(models)))
-    for i, params in enumerate(models):
-        # Quarter period: the point where the asymptotic sin² formula is exact.
-        protocol, t_c = _prepared(cfg, params, 0.5 * math.pi)
+    def columns(protocol: Protocol, t_c) -> dict:
         protocol._require_bright_probe()
-        delta_p[i] = protocol.structure.Delta
-        formula[i] = protocol.qfi_displacement(t_c, cfg.t_theta)
-        exact[i] = protocol.qfi(t_c, cfg.t_theta)
-        # Protocol.ratio's quotient, reusing the exact QFI.
-        ratio[i] = exact[i] / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)
-    return write_csv(cfg.out, cfg, {"g": g, "delta_p": delta_p, "qfi_formula": formula,
-                                    "qfi_exact": exact, "R": ratio})
+        exact = protocol.qfi(t_c, cfg.t_theta)
+        return {"delta_p": protocol.structure.Delta,
+                "qfi_formula": protocol.qfi_displacement(t_c, cfg.t_theta), "qfi_exact": exact,
+                # Protocol.ratio's quotient, reusing the exact QFI.
+                "R": exact / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)}
+
+    models = _model_values(cfg)
+    # Quarter period: the point where the asymptotic sin² formula is exact.
+    return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]),
+                                    **_sweep(cfg, models, 0.5 * math.pi, columns)})
 
 
 def run_validate(cfg: RunConfig) -> dict:

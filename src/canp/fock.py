@@ -2,13 +2,13 @@
 
 This module is the independent ground truth for everything the Gaussian
 engine and the metrology formulas compute in closed form: states are complex
-amplitude vectors in a truncated Fock basis, and a quadratic operator is the
-five bands of its ladder coefficients, read from its (G, v, c0) form (see
-:func:`_ladder`). Expectations and variances are O(dim) banded sums; a dense
-matrix is built only to be decomposed. Evolution goes through an
-eigendecomposition of only the levels each Hamiltonian couples
-(:class:`Propagator`), real symmetric (float64) when G_xp = v_p = 0, which
-holds for every shipped H_c, a†a and X, and complex Hermitian otherwise.
+amplitude vectors in a truncated Fock basis, and a quadratic operator is its
+band table, the diagonal and each nonzero band above it, which only
+:func:`_bands` reads from its (G, v, c0) form. Expectations and variances are
+O(dim) banded sums; a dense matrix is built only to be decomposed.
+Evolution goes through an eigendecomposition of only the levels the bands
+couple (:class:`Propagator`), real symmetric (float64) when G_xp = v_p = 0,
+which holds for every shipped H_c, a†a and X, and complex Hermitian otherwise.
 One decomposition evolves a batch of states or times in one product per
 block; nothing is cached between calls. Dense linear algebra caps the useful
 truncation around a few hundred levels, which the desk-scale ranges here fit.
@@ -55,63 +55,54 @@ class FockState:
         return float(np.linalg.norm(self.amps))
 
 
-def _ladder(op: Quadratic):
-    """(real, c_n, c_aa, c_a, c_1) of op = c_n a†a + c_aa a² + c̄_aa a†² + c_a a + c̄_a a† + c_1.
+def _bands(op: Quadratic, dim: int):
+    """(diagonal, bands) of op = c_n a†a + c_aa a² + c̄_aa a†² + c_a a + c̄_a a† + c_1.
 
-    From X = (a + a†)/√2 and P = i(a† − a)/√2: c_n = (G_xx + G_pp)/2,
-    c_aa = (G_xx − G_pp)/4 − iG_xp/2, c_a = (v_x − iv_p)/√2 and
-    c_1 = c0 + c_n/2. `real`: G_xp = v_p = 0, so c_aa and c_a are floats.
+    On the levels n < dim, from X = (a + a†)/√2 and P = i(a† − a)/√2:
+    c_n = (G_xx + G_pp)/2, c_aa = (G_xx − G_pp)/4 − iG_xp/2 (real if G_xp = 0),
+    c_a = (v_x − iv_p)/√2 (real if v_p = 0) and c_1 = c0 + c_n/2. The
+    diagonal is c_n·n + c_1. Each band (b, values) puts values at ⟨n|op|n+b⟩
+    and their conjugates at ⟨n+b|op|n⟩, by lower level n: c_a√(n+1) at b = 1,
+    c_aa√((n+1)(n+2)) at b = 2. A band whose coefficient is 0 is left out.
     """
     gxx, gxp, gpp, vx, vp, c0 = op
     c_n = 0.5 * (gxx + gpp)
-    real = gxp == 0.0 and vp == 0.0
-    c_aa, c_a = 0.25 * (gxx - gpp), vx / _SQRT2
-    if not real:
-        c_aa, c_a = complex(c_aa, -0.5 * gxp), complex(vx, -vp) / _SQRT2
-    return real, c_n, c_aa, c_a, c0 + 0.5 * c_n
-
-
-def _bands(op: Quadratic, dim: int, start: int = 0, step: int = 1):
-    """(real, diagonal, bands) of op on the number states start, start + step, … < dim.
-
-    `real` as in :func:`_ladder`: every entry is float64. The diagonal is
-    c_n·n + c_1. Each band (b, above, below, values) puts above·values at
-    ⟨n|op|n+b⟩ and below·values at ⟨n+b|op|n⟩, by lower kept level n:
-    √(n+1) for a and a†, √((n+1)(n+2)) for a² and a†². A band is kept when
-    its offset is a multiple of `step`; (p, 2) gives the parity-p block.
-    """
-    real, c_n, c_aa, c_a, c_1 = _ladder(op)
+    c_aa = complex(0.25 * (gxx - gpp), -0.5 * gxp) if gxp else 0.25 * (gxx - gpp)
+    c_a = complex(vx, -vp) / _SQRT2 if vp else vx / _SQRT2
     root = np.sqrt(np.arange(1.0, dim))  # √(n+1), n = 0 … dim−2
-    diagonal = c_n * np.arange(start, dim, step, dtype=float) + c_1
-    bands = tuple((offset // step, above, above.conjugate(), values[start::step])
-                  for offset, above, values in ((1, c_a, root), (2, c_aa, root[:-1] * root[1:]))
-                  if offset % step == 0)
-    return real, diagonal, bands
+    diagonal = c_n * np.arange(dim, dtype=float) + (c0 + 0.5 * c_n)
+    bands = ((1, c_a, root), (2, c_aa, root[:-1] * root[1:]))
+    return diagonal, tuple((b, c * values) for b, c, values in bands if c != 0)
 
 
 def build_matrix(op: Quadratic, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
     """Matrix of op on the number states start, start + step, … < dim, filled
-    from :func:`_bands` (float64 when G_xp = v_p = 0)."""
+    from :func:`_bands`: float64 when every band is, so when G_xp = v_p = 0.
+    A band is kept when its offset is a multiple of `step`; (p, 2) gives
+    the parity-p block."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    real, diagonal, bands = _bands(op, dim, start, step)
+    diagonal, bands = _bands(op, dim)
+    diagonal = diagonal[start::step]
     k = diagonal.size
-    m = np.zeros((k, k), dtype=float if real else complex)
+    m = np.zeros((k, k), dtype=np.result_type(diagonal, *(values for _, values in bands)))
     flat = m.reshape(-1)  # band b: flat[b:(k−b)k:k+1] above the diagonal, flat[bk::k+1] below
     flat[::k + 1] = diagonal
-    for b, above, below, values in bands:
-        flat[b:(k - b) * k:k + 1] = above * values
-        flat[b * k::k + 1] = below * values
+    for offset, values in bands:
+        if offset % step == 0:
+            b, values = offset // step, values[start::step]
+            flat[b:(k - b) * k:k + 1] = values
+            flat[b * k::k + 1] = values.conj()
     return m
 
 
 def _apply(op: Quadratic, amps: np.ndarray) -> np.ndarray:
     """op|ψ⟩ in O(dim), from the bands of op; no matrix is formed."""
-    _, diagonal, bands = _bands(op, amps.size)
+    diagonal, bands = _bands(op, amps.size)
     out = diagonal * amps
-    for b, above, below, values in bands:
-        out[:-b] += above * values * amps[b:]
-        out[b:] += below * values * amps[:-b]
+    for b, values in bands:
+        out[:-b] += values * amps[b:]
+        out[b:] += values.conj() * amps[:-b]
     return out
 
 
@@ -147,27 +138,27 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
 
 
 class Propagator:
-    """exp(−iHt) applied through the smallest decomposition H's structure allows.
+    """exp(−iHt) applied through the smallest decomposition H's bands allow.
 
-    - Diagonal H (G = G_xx·I and v = 0, e.g. a†a): the phases of
-      c_n·n + c_1 multiply the amplitudes; no matrix, no eigendecomposition.
-    - No linear term (v = 0, every shipped H_c): H couples n only to
+    - No band (G = G_xx·I and v = 0, e.g. a†a): the phases of the
+      diagonal multiply the amplitudes; no matrix, no eigendecomposition.
+    - Only offset 2 (v = 0, every shipped H_c): H couples n only to
       n ± 2, so the even and odd levels are two blocks of half the size,
       each filled, decomposed and applied on its own.
-    - Otherwise: one dense eigendecomposition.
+    - Otherwise (an offset-1 band): one dense eigendecomposition.
     """
 
     def __init__(self, h: Quadratic, dim: int):
         if dim < 2:
             raise ValueError("dim must be at least 2")
-        _, c_n, c_aa, c_a, c_1 = _ladder(h)
-        no_linear = c_a == 0
+        diagonal, bands = _bands(h, dim)
+        offsets = {b for b, _ in bands}
         # Each block is (its levels, eigenvalues, eigenvectors or None if diagonal).
-        if no_linear and c_aa == 0:
-            self._blocks = ((slice(None), c_n * np.arange(float(dim)) + c_1, None),)
+        if not offsets:
+            self._blocks = ((slice(None), diagonal, None),)
         else:
             # (first level, level step) of each block.
-            parts = ((0, 2), (1, 2)) if no_linear else ((0, 1),)
+            parts = ((0, 2), (1, 2)) if offsets == {2} else ((0, 1),)
             self._blocks = tuple(
                 (slice(start, None, step), *np.linalg.eigh(build_matrix(h, dim, start, step)))
                 for start, step in parts

@@ -331,14 +331,16 @@ def zero_crossings(f, grid, values) -> list[float]:
 
     A grid point where f is exactly 0 is a crossing; between neighbours of
     opposite signs, :func:`_refine` ends one where f is 0 or on adjacent
-    floats. A nan value has no sign, so no crossing is read next to it.
+    floats, given the two ends in increasing order whichever way the grid
+    runs. A nan value has no sign, so no crossing is read next to it.
     """
     grid, values = [float(x) for x in grid], [float(v) for v in values]
     crossings = []
-    for lo, hi, f_lo, f_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if f_lo == 0.0:
-            crossings.append(lo)
-        elif _opposite_signs(f_lo, f_hi):
+    for x, y, f_x, f_y in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        if f_x == 0.0:
+            crossings.append(x)
+        elif _opposite_signs(f_x, f_y):
+            (lo, f_lo), (hi, f_hi) = sorted(((x, f_x), (y, f_y)))
             crossings.append(_refine(f, lo, hi, f_lo, f_hi))
     if values and values[-1] == 0.0:
         crossings.append(grid[-1])
@@ -359,7 +361,10 @@ def find_threshold(
     The preparation time is pinned to the critical time π/√Δ of each value.
     `family` is a model variant name; for the LMG family the swept parameter
     is λ at fixed γ, for the QRM families it is g. Returns the first of the
-    bracket's :func:`zero_crossings`. Raises ValueError unless
+    bracket's :func:`zero_crossings`. Near the threshold R − 1 changes sign
+    at rounding level more than once (LMG at γ = 2, t_θ = 1.3: roots about
+    6e-15 apart), so the value is one of these roots, picked by the search
+    path, and exact only to R's own rounding. Raises ValueError unless
     bracket[0] < bracket[1], OutOfPhaseError before any R is read when an end
     or a phase boundary (λ = 1, λ = γ) inside the bracket is out of phase,
     NonFiniteError when R − 1 is nan or inf at an end, and NoSignChangeError

@@ -444,6 +444,30 @@ class TestRunners:
         g = 0.9836079439444625
         assert original(cfg, math.nextafter(g, 0.0)) > 0.0 > original(cfg, g)
 
+    def test_fig3b_crossing_is_the_same_on_a_falling_g_axis(self, tmp_path, monkeypatch):
+        # Each cell is refined between its ends in increasing order, so the
+        # falling axis ends on the same float after the same 11 evaluations.
+        calls = []
+        original = experiments._mean_p_at
+
+        def counting(cfg, g):
+            calls.append(g)
+            return original(cfg, g)
+
+        monkeypatch.setattr(experiments, "_mean_p_at", counting)
+        runs = []
+        for start, stop in ((0.8, 0.995), (0.995, 0.8)):
+            calls.clear()
+            out = tmp_path / f"from_{start}.csv"
+            assert cli.main(["fig3b", "--config", str(CONFIG_DIR / "fig3b.json"),
+                             "--out", str(out), "--sweep.g.points=12",
+                             '--alpha={"re": 1.0, "im": 0.3}', "--theta0=1.3",
+                             f"--sweep.g.start={start}", f"--sweep.g.stop={stop}"]) == 0
+            runs.append((out.read_text().splitlines()[1], list(calls)))
+        assert runs[0][0] == "# meanP_zero_crossing g=0.9836079439444625"
+        assert len(runs[0][1]) == 11
+        assert runs[1] == runs[0]
+
     def test_displacement_run(self, tmp_path):
         cfg_dict = small_config("displacement", tmp_path, sweep={
             "g": {"start": 0.5, "stop": 0.95, "points": 7}})
@@ -706,13 +730,23 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    # An empty g list is refused, not replaced by the default g values.
+    @pytest.mark.parametrize("experiment", ["fig2b", "fig3a"])
+    def test_empty_g_values_is_config_error(self, tmp_path, capsys, experiment):
+        out = tmp_path / "x.csv"
+        assert cli.main([experiment, "--config", str(CONFIG_DIR / f"{experiment}.json"),
+                         "--out", str(out), "--g_values=[]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad config g_values []: ")
+        assert not out.exists()
+
     # Each model value a run reads is checked at config time against its
     # variant: the field must exist and the model's own phase rule must hold.
     @pytest.mark.parametrize("config, overrides, message", [
         ("fig2b_inset.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}'],
          "LMG-frequency has no g"),
-        ("fig2b.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}',
-                        "--g_values=[]"], "LMG-frequency has no g"),
+        ("fig2b.json", ['--model={"variant": "LMG-frequency", "lambda": 0.4, "gamma": 2}'],
+         "LMG-frequency has no g"),
         ("lmg_threshold.json", ["--model.variant=QRM-frequency", "--model.g=0.96"],
          "QRM-frequency has no lambda"),
         ("displacement.json", ["--model.variant=QRM-frequency"], "needs variant QRM-displacement"),

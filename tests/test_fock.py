@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import sqrtm
 
 from canp import Protocol, fock
 from canp.errors import NotPositiveError, TruncationNotConvergedError
+from canp.experiments import _model_values, load_config
 from canp.gaussian import coherent, evolve, photon_number
 from canp.metrology import ProtocolSpec
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective
@@ -15,6 +17,7 @@ from quadrature_forms import (
     Ladder, density_matrix, expectation_fock, from_ladder, ladder, ladder_matrix, to_ladder,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ALPHA = 0.3 + 1.0j
 N = encoding_frequency()
 X = encoding_displacement()
@@ -72,6 +75,62 @@ class TestBuildMatrix:
     def test_hermitian_input_gives_hermitian_matrix(self):
         m = fock.build_matrix(qrm_effective(1.3, 0.7), 40)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * np.max(np.abs(m))
+
+
+# A form with G_xp ≠ 0: c_aa = (G_xx − G_pp)/4 − iG_xp/2 = −0.25 − 0.25i.
+GXP = Quadratic(gxx=1.0, gxp=0.5, gpp=2.0)
+
+
+def band_kinds(op: Quadratic, dim: int = 8) -> list[tuple[int, np.dtype]]:
+    """(offset, dtype) of each band fock._bands keeps."""
+    return [(b, values.dtype) for b, values in fock._bands(op, dim)[1]]
+
+
+class TestBandTable:
+    def test_number_operator_has_no_bands(self):
+        diagonal, bands = fock._bands(N, 8)
+        assert bands == ()
+        assert np.array_equal(diagonal, np.arange(8.0))
+
+    def test_every_shipped_preparation_has_only_offset_two(self):
+        models = [params for path in sorted(CONFIG_DIR.glob("*.json"))
+                  for params in _model_values(load_config(str(path)))]
+        assert len(models) == 1 + 4 + 120 + 3 + 80 + 81 + 50
+        for params in models:
+            assert band_kinds(params.preparation()) == [(2, np.float64)], params
+
+    def test_position_has_only_offset_one(self):
+        [(b, values)] = fock._bands(X, 8)[1]
+        assert b == 1 and values.dtype == np.float64
+        assert np.array_equal(values, np.sqrt(np.arange(1.0, 8)) / math.sqrt(2.0))
+
+    def test_gxp_keeps_a_complex_offset_two_band(self):
+        [(b, values)] = fock._bands(GXP, 8)[1]
+        root = np.sqrt(np.arange(1.0, 8))
+        assert b == 2 and values.dtype == np.complex128
+        assert np.array_equal(values, (-0.25 - 0.25j) * (root[:-1] * root[1:]))
+
+    # The propagator reads its blocks off the offsets: none, no matrix; only
+    # even, the two parity blocks; an odd one, one dense block.
+    @pytest.mark.parametrize("op, kinds, blocks", [
+        (N, [], []),
+        (qrm_effective(1.0, 0.96), [(2, np.float64)], [(0, 2), (1, 2)]),
+        (GXP, [(2, np.complex128)], [(0, 2), (1, 2)]),
+        (X, [(1, np.float64)], [(0, 1)]),
+        (Quadratic(gxx=1.0, gpp=0.5, vp=0.3), [(1, np.complex128), (2, np.float64)], [(0, 1)]),
+    ], ids=["a†a", "H_c", "G_xp", "X", "linear+squeeze"])
+    def test_propagator_blocks_follow_the_offsets(self, monkeypatch, op, kinds, blocks):
+        built = []
+        build = fock.build_matrix
+
+        def recording_build(op, dim, *block):
+            built.append(block)
+            return build(op, dim, *block)
+
+        monkeypatch.setattr(fock, "build_matrix", recording_build)
+        assert band_kinds(op) == kinds
+        fock.Propagator(op, 60)
+        assert built == blocks
 
 
 class TestCoherentFock:

@@ -625,6 +625,17 @@ class TestZeroCrossings:
         assert crossings == pytest.approx([0.5 * math.pi * k for k in (1, 3, 5)], abs=1e-15)
         assert all(is_sign_change(math.cos, c) for c in crossings)
 
+    def test_falling_grid_refines_each_cell_as_the_rising_one(self):
+        # Each cell's ends reach the refinement in increasing order; the
+        # crossings keep the grid's order.
+        grid = np.linspace(0.0, 10.0, 11)
+        rising, falling = [], []
+        up = zero_crossings(lambda x: rising.append(x) or math.cos(x), grid, np.cos(grid))
+        down = zero_crossings(lambda x: falling.append(x) or math.cos(x), grid[::-1],
+                              np.cos(grid[::-1]))
+        assert down == up[::-1]
+        assert sorted(falling) == sorted(rising)
+
     def test_tiny_sign_change_is_found(self):
         # 0.5e-200 * -0.5e-200 underflows to -0.0, which is not < 0.
         def f(x):
