@@ -2,16 +2,17 @@
 
 Each experiment maps a JSON run configuration onto a deterministic CSV (or a
 JSON report for `validate`). A sweep is a single-process array evaluation:
-each runner builds one :class:`canp.metrology.Protocol` per model value and
-evaluates that value's whole time grid in closed form, and `validate` runs
-its number-basis oracle in the same process. A malformed or unknown field
-is a ConfigError. A CSV runner hands the writer the arrays it computed,
-before broadcasting, and returns the table written: each column's values,
-one per row. Every CSV starts with a comment line carrying the tool
-version and a hash of the resolved configuration without its output path.
-The hash covers every other field, also those that cannot change this
-run's data: a field the experiment does not read, validate's model and
-physics fields (its checks fix their own), and LMG's omega.
+each CSV runner hands its model values to :func:`canp.metrology.sweep`, which
+builds one :class:`canp.metrology.Protocol` per value, places t_c at √Δ·t_c
+and evaluates the runner's columns over that value's whole time grid in closed
+form; `validate` runs its number-basis oracle in the same process. A malformed
+or unknown field is a ConfigError. A CSV runner hands the writer the arrays it
+computed, before broadcasting, and returns the table written: each column's
+values, one per row. Every CSV starts with a comment line carrying the tool
+version and a hash of the resolved configuration without its output path. The
+hash covers every other field, also those that cannot change this run's data:
+a field the experiment does not read, validate's model and physics fields (its
+checks fix their own), and LMG's omega.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     CanpError, CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
     VacuumProbeError,
 )
-from .metrology import Protocol, find_threshold, zero_crossings
+from .metrology import Protocol, find_threshold, sweep, zero_crossings
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
@@ -354,36 +355,11 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
-def _sweep(cfg: RunConfig, models: list[ModelParams], sqrt_delta_tc, columns) -> dict:
-    """The columns of a sweep over model values, each stacked model values first.
-
-    Each model value gets one Protocol with t_c placed at √Δ·t_c, and
-    columns(protocol, t_c) returns its named column values. A commuting
-    pair (QRM-frequency at g = 0, LMG at γ = 1) has no √Δ, so it cannot
-    place t_c: that is a ConfigError naming the model value.
-    """
-    rows = []
-    for params in models:
-        protocol = Protocol(params.preparation(), params.encoding(), cfg.alpha)
-        try:
-            t_c = protocol.preparation_time(sqrt_delta_tc)
-        except CommutingPairError as exc:
-            raise _model_error(params, exc) from exc
-        rows.append(columns(protocol, t_c))
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
-
-
-def _model_error(params: ModelParams, exc: Exception) -> ConfigError:
-    """A ConfigError naming the model value that raised exc."""
-    value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
-    return ConfigError(f"model {value}: {exc}")
-
-
 def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
     tth = cfg.axis("t_theta").values()[None, :]
     # One model value, so R is (1, n, m): the rows run √Δ·t_c first.
-    swept = _sweep(cfg, [cfg.model], sdtc, lambda p, t_c: {"R": p.ratio(t_c, tth, cfg.theta0)})
+    swept = sweep([cfg.model], cfg.alpha, sdtc, lambda p, t_c: {"R": p.ratio(t_c, tth, cfg.theta0)})
     return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, "t_theta": tth, **swept,
                                     "enhanced": swept["R"] > 1.0})
 
@@ -391,7 +367,8 @@ def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
 def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     models = _model_values(cfg)
-    swept = _sweep(cfg, models, sdtc, lambda p, t_c: {"R": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
+    swept = sweep(models, cfg.alpha, sdtc,
+                  lambda p, t_c: {"R": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     # g runs down the (k, n) block of results, √Δ·t_c along it.
     g = np.array([params.g for params in models])[:, None]
     return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
@@ -399,27 +376,31 @@ def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 def run_fig2b_inset(cfg: RunConfig) -> dict[str, np.ndarray]:
     models = _model_values(cfg)
-    swept = _sweep(cfg, models, math.pi,
-                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
+    swept = sweep(models, cfg.alpha, math.pi,
+                  lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]), **swept})
 
 
 def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
     models = _model_values(cfg)
-    swept = _sweep(cfg, models, sdtc,
-                   lambda p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)})
+    swept = sweep(models, cfg.alpha, sdtc,
+                  lambda p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)})
     g = np.array([params.g for params in models])[:, None]
     return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = _sweep(cfg, [cfg.model.replace(g=g)], math.pi,
-                   lambda p, t_c: {"meanP": p.state(t_c, cfg.t_theta, cfg.theta0).mp})
+    swept = sweep([cfg.model.replace(g=g)], cfg.alpha, math.pi,
+                  lambda p, t_c: {"meanP": p.state(t_c, cfg.t_theta, cfg.theta0).mp})
     return float(swept["meanP"][0])
 
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
+    if cfg.alpha == 0:
+        raise VacuumProbeError("⟨P⟩ is identically 0 for a vacuum probe, so it has no "
+                               "zero crossings to read")
+
     def columns(protocol: Protocol, t_c) -> dict:
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
         return {"meanP": final.mp, "cfi": protocol._cfi_homodyne(final, cfg.t_theta),
@@ -427,7 +408,7 @@ def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
 
     models = _model_values(cfg)
     g = np.array([params.g for params in models])
-    swept = _sweep(cfg, models, math.pi, columns)
+    swept = sweep(models, cfg.alpha, math.pi, columns)
     # Sign changes of ⟨P⟩ versus g, each refined down to adjacent floats.
     crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, swept["meanP"])
     if crossings:
@@ -449,16 +430,14 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
             "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
             omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
         )
-    except CommutingPairError as exc:
-        raise _model_error(cfg.model, exc) from exc
     except OutOfPhaseError as exc:
         raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     except NoSignChangeError as exc:
         raise ConfigError(str(exc)) from exc
     models = _model_values(cfg)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
-    swept = _sweep(cfg, models, math.pi,
-                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
+    swept = sweep(models, cfg.alpha, math.pi,
+                  lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     return write_csv(cfg.out, cfg, {"lambda": np.array([params.lam for params in models]),
                                     **swept}, extra_comments=comments)
 
@@ -475,7 +454,7 @@ def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
     models = _model_values(cfg)
     # Quarter period: the point where the asymptotic sin² formula is exact.
     return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]),
-                                    **_sweep(cfg, models, 0.5 * math.pi, columns)})
+                                    **sweep(models, cfg.alpha, 0.5 * math.pi, columns)})
 
 
 def run_validate(cfg: RunConfig) -> dict:
@@ -509,14 +488,18 @@ EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: RunConfig):
-    """Run one experiment. A vacuum probe has no enhancement ratio, so a run
-    that reads R at alpha = 0 is a ConfigError naming alpha. numpy stays silent
-    on overflow and invalid values: every output is checked for nan and inf.
-    A grid too large to allocate is a CanpError naming the experiment."""
+    """Run one experiment. A vacuum probe has no enhancement ratio and its ⟨P⟩
+    is identically 0, so a run that reads R, and fig3b, at alpha = 0 is a
+    ConfigError naming alpha. A commuting pair is a ConfigError naming the
+    model value. numpy stays silent on overflow and invalid values: every
+    output is checked for nan and inf. A grid too large to allocate is a
+    CanpError naming the experiment."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return RUNNERS[cfg.experiment](cfg)
     except VacuumProbeError as exc:
         raise ConfigError(f"alpha={cfg.alpha}: {exc}") from exc
+    except CommutingPairError as exc:
+        raise ConfigError(str(exc)) from exc
     except MemoryError as exc:
         raise CanpError(f"experiment {cfg.experiment}: {exc}") from None

@@ -9,9 +9,10 @@ of the final moments, and those are exact as well (the encoding is a
 Gaussian flow), so nothing here is a finite difference.
 
 :class:`Protocol` is the metrology API: built once per (H_c, H_θ, α), its
-methods evaluate whole arrays of (t_c, t_θ, θ0) in closed form. The functions
-taking a :class:`ProtocolSpec` are one-point wrappers kept for the benchmark
-harness. All functions are pure.
+methods evaluate whole arrays of (t_c, t_θ, θ0) in closed form, and
+:func:`sweep` builds one per model value of a family. The functions taking a
+:class:`ProtocolSpec` are one-point wrappers kept for the benchmark harness.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -273,6 +274,27 @@ class Protocol:
         return 4.0 * (t_theta * t_theta) * (s * s) * quadratic_variance(f_c, self.probe)
 
 
+def sweep(models: list[ModelParams], alpha: complex, sqrt_delta_tc, columns) -> dict:
+    """The columns of a sweep over model values, each stacked model values first.
+
+    One Protocol per model value, with probe alpha and t_c placed at √Δ·t_c;
+    columns(protocol, t_c) returns its named column values. A commuting pair's
+    CommutingPairError is raised again naming the model value, and an empty
+    list of model values is a ValueError."""
+    if not models:
+        raise ValueError("a sweep needs at least one model value")
+    rows = []
+    for params in models:
+        protocol = Protocol(*params.pair(), alpha)
+        try:
+            t_c = protocol.preparation_time(sqrt_delta_tc)
+        except CommutingPairError as exc:
+            value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
+            raise CommutingPairError(f"model {value}: {exc}") from exc
+        rows.append(columns(protocol, t_c))
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
 # --- one-point ProtocolSpec wrappers, kept for the benchmark harness -------
 
 
@@ -367,8 +389,9 @@ def find_threshold(
     path, and exact only to R's own rounding. Raises ValueError unless
     bracket[0] < bracket[1], OutOfPhaseError before any R is read when an end
     or a phase boundary (λ = 1, λ = γ) inside the bracket is out of phase,
-    NonFiniteError when R − 1 is nan or inf at an end, and NoSignChangeError
-    when it has one sign at both.
+    NonFiniteError when R − 1 is nan or inf at an end, NoSignChangeError
+    when it has one sign at both, and :func:`sweep`'s CommutingPairError
+    naming the bracket end when the pair commutes (LMG at γ = 1).
     """
 
     def model(value: float) -> ModelParams:
@@ -376,8 +399,9 @@ def find_threshold(
         return ModelParams(family, omega=omega, **moved)
 
     def ratio_minus_one(value: float) -> float:
-        protocol = Protocol(*model(value).pair(), alpha)
-        return float(protocol.ratio(protocol.preparation_time(math.pi), t_theta, theta0)) - 1.0
+        swept = sweep([model(value)], alpha, math.pi,
+                      lambda p, t_c: {"R": p.ratio(t_c, t_theta, theta0)})
+        return float(swept["R"][0]) - 1.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:

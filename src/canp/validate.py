@@ -21,7 +21,7 @@ import numpy as np
 from . import fock
 from .errors import TruncationNotConvergedError
 from .gaussian import Flow, coherent, photon_number, quadratic_variance
-from .metrology import Protocol, find_threshold
+from .metrology import Protocol, find_threshold, sweep
 from .models import (
     ModelParams,
     lmg_commutator_d,
@@ -90,11 +90,13 @@ def check_algebraic_criterion() -> CheckResult:
             cs = derive_critical_structure(*params.pair())
             worst_residual = max(worst_residual, cs.residual)
             worst_delta_err = max(worst_delta_err, abs(cs.Delta - params.published_delta()))
+    tolerance = {"residual": 1e-10, "delta_error": 1e-12}
     return CheckResult(
         name="algebraic_criterion",
-        passed=worst_residual < 1e-10 and worst_delta_err <= 1e-12,
+        passed=(worst_residual < tolerance["residual"]
+                and worst_delta_err <= tolerance["delta_error"]),
         measured={"max_residual": worst_residual, "max_delta_error": worst_delta_err},
-        tolerance={"residual": 1e-10, "delta_error": 1e-12},
+        tolerance=tolerance,
         details="100 random draws per family (QRM-frequency, QRM-displacement, LMG)",
     )
 
@@ -210,15 +212,16 @@ def check_thresholds() -> CheckResult:
     g_bracket, lam_bracket = (0.3, 0.8), (0.2, 0.6)
     g_star = find_threshold("QRM-frequency", 12.0, ALPHA, g_bracket)
     lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, lam_bracket, gamma=2.0)
-    ok = abs(g_star - 0.5058) <= 5e-5 and abs(lam_star - 0.3559) <= 5e-5
+    tolerance = {"g_star": [0.5058, 5e-5], "lambda_star": [0.3559, 5e-5]}
+    found = {"g_star": g_star, "lambda_star": lam_star}
     return CheckResult(
         name="thresholds",
-        passed=ok,
+        passed=all(abs(found[key] - want) <= tol for key, (want, tol) in tolerance.items()),
         measured={
             "g_star": g_star, "g_star_bracket": list(g_bracket),
             "lambda_star": lam_star, "lambda_star_bracket": list(lam_bracket),
         },
-        tolerance={"g_star": [0.5058, 5e-5], "lambda_star": [0.3559, 5e-5]},
+        tolerance=tolerance,
         details="enhancement-ratio unity crossings at preparation time pi/sqrt(Delta)",
     )
 
@@ -228,11 +231,13 @@ def check_short_time_scaling() -> CheckResult:
     t_grid = np.logspace(-3, -2, 20)
     values = _protocol(ModelParams("QRM-frequency", g=0.96)).qfi_asymptotic(t_grid, T_THETA)
     slope = float(np.polyfit(np.log(t_grid), np.log(values), 1)[0])
+    tolerance = {"slope": [4.0, 0.05]}
+    want, tol = tolerance["slope"]
     return CheckResult(
         name="short_time_scaling",
-        passed=abs(slope - 4.0) <= 0.05,
+        passed=abs(slope - want) <= tol,
         measured={"slope": slope},
-        tolerance={"slope": [4.0, 0.05]},
+        tolerance=tolerance,
         details="t_c in [1e-3, 1e-2] at g=0.96",
     )
 
@@ -244,45 +249,38 @@ def check_near_critical_scaling() -> CheckResult:
     fall monotonically as g → 1, be within 0.10 across g ≥ 0.98 and within
     0.05 at the top of the tested range.
     """
-    deviations = {}
-    for g in (0.98, 0.985, 0.99, 0.995):
-        protocol = _protocol(ModelParams("QRM-frequency", g=g))
-        t_c = protocol.preparation_time(math.pi)
-        exact, asymptotic = protocol.qfi(t_c, T_THETA), protocol.qfi_asymptotic(t_c, T_THETA)
-        deviations[g] = float(abs(exact / asymptotic - 1.0))
-    devs = list(deviations.values())
+    g_values = (0.98, 0.985, 0.99, 0.995)
+    swept = sweep([ModelParams("QRM-frequency", g=g) for g in g_values], ALPHA, math.pi,
+                  lambda p, t_c: {"ratio": p.qfi(t_c, T_THETA) / p.qfi_asymptotic(t_c, T_THETA)})
+    devs = np.abs(swept["ratio"] - 1.0).tolist()
+    tolerance = {"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10}
     ok = (
         all(b < a for a, b in zip(devs, devs[1:]))
-        and devs[-1] <= 0.05
-        and max(devs) <= 0.10
+        and devs[-1] <= tolerance["final"]
+        and max(devs) <= tolerance["everywhere"]
     )
     return CheckResult(
         name="near_critical_scaling",
         passed=ok,
-        measured={f"deviation_g={g}": d for g, d in deviations.items()},
-        tolerance={"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10},
+        measured={f"deviation_g={g}": d for g, d in zip(g_values, devs)},
+        tolerance=tolerance,
         details="qfi_exact/(16 Delta^-2 t_theta^2 Var[D]) - 1 at t_c=pi/sqrt(Delta)",
     )
 
 
 def check_skew_identity() -> CheckResult:
-    worst_rel = 0.0
-    argmax_match = True
     sdtc_grid = np.linspace(0.0, 4.0 * math.pi, 160)
-    for g in (0.90, 0.95, 0.98):
-        protocol = _protocol(ModelParams("QRM-frequency", g=g))
-        t_c = protocol.preparation_time(sdtc_grid)
-        skews = protocol.skew(t_c)
-        qfis = protocol.qfi(t_c, T_THETA)
-        gaps = np.abs(4.0 * (T_THETA * T_THETA) * skews - qfis) / qfis
-        worst_rel = max(worst_rel, float(np.max(gaps)))
-        if int(np.argmax(skews)) != int(np.argmax(qfis)):
-            argmax_match = False
+    swept = sweep([ModelParams("QRM-frequency", g=g) for g in (0.90, 0.95, 0.98)], ALPHA,
+                  sdtc_grid, lambda p, t_c: {"skew": p.skew(t_c), "qfi": p.qfi(t_c, T_THETA)})
+    skews, qfis = swept["skew"], swept["qfi"]  # one row per g
+    worst_rel = float(np.max(np.abs(4.0 * (T_THETA * T_THETA) * skews - qfis) / qfis))
+    argmax_match = bool(np.array_equal(np.argmax(skews, axis=1), np.argmax(qfis, axis=1)))
+    tolerance = {"identity_rel": 1e-9}
     return CheckResult(
         name="skew_identity",
-        passed=worst_rel <= 1e-9 and argmax_match,
+        passed=worst_rel <= tolerance["identity_rel"] and argmax_match,
         measured={"max_identity_rel": worst_rel, "argmax_match": argmax_match},
-        tolerance={"identity_rel": 1e-9},
+        tolerance=tolerance,
         details="4 t_theta^2 S = F and shared maxima over t_c for g in {0.90, 0.95, 0.98}",
     )
 
@@ -291,18 +289,17 @@ def check_homodyne_efficiency() -> CheckResult:
     """cfi/qfi within [0.8, 1] at the critical time. The window's top is the
     bound cfi ≤ qfi: the homodyne CFI, a sum of squares over Var P > 0, is
     never negative."""
-    ratios = {}
-    for g in np.linspace(0.90, 0.98, 9):
-        protocol = _protocol(ModelParams("QRM-frequency", g=float(g)))
-        t_c = protocol.preparation_time(math.pi)
-        cfi = float(protocol.cfi_homodyne(t_c, T_THETA, 0.0))
-        qfi = float(protocol.qfi(t_c, T_THETA))
-        ratios[round(float(g), 4)] = cfi / qfi
+    models = [ModelParams("QRM-frequency", g=g) for g in np.linspace(0.90, 0.98, 9).tolist()]
+    swept = sweep(models, ALPHA, math.pi, lambda p, t_c: {
+        "cfi": p.cfi_homodyne(t_c, T_THETA, 0.0), "qfi": p.qfi(t_c, T_THETA)})
+    ratios = (swept["cfi"] / swept["qfi"]).tolist()
+    tolerance = {"ratio_window": [0.8, 1.0]}
+    lo, hi = tolerance["ratio_window"]
     return CheckResult(
         name="homodyne_efficiency",
-        passed=all(0.8 <= r <= 1.0 for r in ratios.values()),
-        measured={"min_ratio": min(ratios.values()), "max_ratio": max(ratios.values())},
-        tolerance={"ratio_window": [0.8, 1.0]},
+        passed=all(lo <= r <= hi for r in ratios),
+        measured={"min_ratio": min(ratios), "max_ratio": max(ratios)},
+        tolerance=tolerance,
         details="cfi/qfi at t_c=pi/sqrt(Delta), theta=0, g in [0.90, 0.98]",
     )
 
@@ -310,25 +307,29 @@ def check_homodyne_efficiency() -> CheckResult:
 def check_structural_sanity() -> CheckResult:
     measured: dict = {}
     ok = True
+    tolerance = {
+        "g0_ratio": 1e-12, "tc0_qfi": 1e-12, "theta_invariance": 1e-10,
+        "symplectic": 1e-12, "uncertainty": 1e-12, "purity": 1e-10,
+    }
 
     # Commuting preparation wastes time: R = t_theta^2 / T^2 exactly.
     r0 = float(_protocol(ModelParams("QRM-frequency", g=0.0)).ratio(3.0, T_THETA, 0.0))
     expected = (T_THETA * T_THETA) / ((3.0 + T_THETA) * (3.0 + T_THETA))
     measured["g0_ratio_error"] = abs(r0 - expected) / expected
-    ok &= measured["g0_ratio_error"] <= 1e-12 and r0 < 1.0
+    ok &= measured["g0_ratio_error"] <= tolerance["g0_ratio"] and r0 < 1.0
 
     # No preparation: plain t_theta^2 |alpha|^2 Fisher information.
     protocol = _protocol(ModelParams("QRM-frequency", g=0.96))
     f_tc0 = float(protocol.qfi(0.0, T_THETA))
     expected_f = 4.0 * (T_THETA * T_THETA) * (abs(ALPHA) * abs(ALPHA))
     measured["tc0_qfi_error"] = abs(f_tc0 - expected_f) / expected_f
-    ok &= measured["tc0_qfi_error"] <= 1e-12
+    ok &= measured["tc0_qfi_error"] <= tolerance["tc0_qfi"]
 
     # Frequency encoding conserves the photon number, so the ratio does not
     # depend on the working point.
     r_a, r_b = (float(protocol.ratio(2.5, T_THETA, theta0)) for theta0 in (0.0, 0.37))
     measured["theta_invariance_ratio"] = abs(r_a - r_b) / r_a
-    ok &= measured["theta_invariance_ratio"] <= 1e-10
+    ok &= measured["theta_invariance_ratio"] <= tolerance["theta_invariance"]
 
     # Symplectic and uncertainty invariants along evolved trajectories. For
     # a 2×2 S, S Ω Sᵀ = det(S)·Ω, so the symplectic defect is |det S − 1|.
@@ -344,16 +345,14 @@ def check_structural_sanity() -> CheckResult:
     measured["max_symplectic_defect"] = worst_symp
     measured["max_uncertainty_defect"] = worst_unc
     measured["max_purity_defect"] = worst_purity
-    ok &= worst_symp <= 1e-12 and worst_unc <= 1e-12 and worst_purity <= 1e-10
+    ok &= (worst_symp <= tolerance["symplectic"] and worst_unc <= tolerance["uncertainty"]
+           and worst_purity <= tolerance["purity"])
 
     return CheckResult(
         name="structural_sanity",
         passed=bool(ok),
         measured=measured,
-        tolerance={
-            "g0_ratio": 1e-12, "tc0_qfi": 1e-12, "theta_invariance": 1e-10,
-            "symplectic": 1e-12, "uncertainty": 1e-12, "purity": 1e-10,
-        },
+        tolerance=tolerance,
     )
 
 

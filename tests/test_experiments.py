@@ -1117,11 +1117,12 @@ class TestCli:
         assert report["passed"] is True
         assert "config_sha256" in report and "version" in report
 
-    # alpha = 0 is a vacuum probe, whose enhancement ratio is undefined: a run
-    # that reads R stops before writing and names alpha. fig3a and fig3b read
-    # no R, so they run.
+    # alpha = 0 is a vacuum probe, whose enhancement ratio is undefined and
+    # whose ⟨P⟩ is identically 0: a run that reads R, and fig3b, which reads
+    # ⟨P⟩'s zero crossings, stop before writing and name alpha. fig3a reads
+    # neither, so it runs.
     @pytest.mark.parametrize("name, code", [
-        ("fig2a", 2), ("fig2b", 2), ("fig2b_inset", 2), ("fig3a", 0), ("fig3b", 0),
+        ("fig2a", 2), ("fig2b", 2), ("fig2b_inset", 2), ("fig3a", 0), ("fig3b", 2),
         ("lmg_threshold", 2), ("displacement", 2),
     ])
     def test_vacuum_probe_is_config_error_where_r_is_read(self, tmp_path, capsys, name, code):
@@ -1133,6 +1134,7 @@ class TestCli:
         if code:
             err = capsys.readouterr().err
             assert err.startswith("config error: alpha=0j: ") and "vacuum probe" in err
+            assert ("⟨P⟩ is identically 0" in err) is (name == "fig3b")
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",
                                       "lmg_threshold", "displacement"])

@@ -30,6 +30,7 @@ from canp.metrology import (
     evaluate_report,
     find_threshold,
     protocol_state,
+    sweep,
     zero_crossings,
 )
 from canp.models import (
@@ -523,6 +524,45 @@ class TestFindThreshold:
         root = find_threshold("LMG-frequency", 3.0, ALPHA, (1.5, 3.0), gamma=0.5)
         assert 2.0 < root < 2.5
         assert is_sign_change(critical_ratio_minus_one("LMG-frequency", 3.0, gamma=0.5), root)
+
+    def test_commuting_pair_names_the_bracket_end(self, structure_derivations):
+        # LMG at γ = 1 commutes: the first R read, at the lower end, stops the search.
+        with pytest.raises(CommutingPairError, match=r"^model variant=LMG-frequency, omega=1.0, "
+                                                     r"lambda=0.2, gamma=1.0: the pair commutes"):
+            find_threshold("LMG-frequency", 1.3, ALPHA, (0.2, 0.6), gamma=1.0)
+        assert len(structure_derivations) == 1
+
+
+class TestSweep:
+    def test_stacks_columns_model_values_first(self):
+        models = [ModelParams("QRM-frequency", g=g) for g in (0.5, 0.9, 0.96)]
+        sdtc = np.linspace(0.5, 6.0, 4)
+        swept = sweep(models, ALPHA, sdtc,
+                      lambda p, t_c: {"F": p.qfi(t_c, T_THETA), "S": p.skew(t_c)})
+        assert list(swept) == ["F", "S"]
+        for params, f_row, s_row in zip(models, swept["F"], swept["S"]):
+            protocol = qrm_protocol(params.g)
+            t_c = protocol.preparation_time(sdtc)
+            np.testing.assert_array_equal(f_row, protocol.qfi(t_c, T_THETA))
+            np.testing.assert_array_equal(s_row, protocol.skew(t_c))
+        assert swept["F"].shape == swept["S"].shape == (3, 4)
+
+    def test_one_derivation_per_model_value(self, structure_derivations):
+        models = [ModelParams("QRM-frequency", g=g) for g in (0.5, 0.7, 0.9, 0.96, 0.99)]
+        sweep(models, ALPHA, math.pi, lambda p, t_c: {
+            "R": p.ratio(t_c, T_THETA, 0.0), "F": p.qfi(t_c, T_THETA),
+            "cfi": p.cfi_homodyne(t_c, T_THETA, 0.0)})
+        assert len(structure_derivations) == len(models)
+
+    def test_commuting_pair_names_the_model_value(self):
+        models = [ModelParams("QRM-frequency", g=0.5), ModelParams("QRM-frequency", g=0.0)]
+        with pytest.raises(CommutingPairError, match=r"^model variant=QRM-frequency, "
+                                                     r"omega=1.0, g=0.0: the pair commutes"):
+            sweep(models, ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
+
+    def test_no_model_values_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one model value"):
+            sweep([], ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
 
 
 class TestRefine:
