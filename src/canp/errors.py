@@ -6,7 +6,7 @@ class CanpError(Exception):
 
 
 class CommutingPairError(CanpError):
-    """[H_c, H_theta] = 0, so the critical structure is degenerate."""
+    """[H_c, H_theta] = 0: the critical structure is zero, with no √Δ to place t_c by."""
 
 
 class ConditionViolatedError(CanpError):

@@ -75,14 +75,12 @@ def _bands(op: Quadratic, dim: int):
     return diagonal, tuple((b, c * values) for b, c, values in bands if c != 0)
 
 
-def build_matrix(op: Quadratic, dim: int, start: int = 0, step: int = 1) -> np.ndarray:
-    """Matrix of op on the number states start, start + step, … < dim, filled
-    from :func:`_bands`: float64 when every band is, so when G_xp = v_p = 0.
-    A band is kept when its offset is a multiple of `step`; (p, 2) gives
-    the parity-p block."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    diagonal, bands = _bands(op, dim)
+def build_matrix(table, start: int = 0, step: int = 1) -> np.ndarray:
+    """Matrix of a band table (diagonal, bands) from :func:`_bands` on the
+    number states start, start + step, …: float64 when every band is, so
+    when G_xp = v_p = 0. A band is kept when its offset is a multiple of
+    `step`; (p, 2) gives the parity-p block."""
+    diagonal, bands = table
     diagonal = diagonal[start::step]
     k = diagonal.size
     m = np.zeros((k, k), dtype=np.result_type(diagonal, *(values for _, values in bands)))
@@ -151,7 +149,8 @@ class Propagator:
     def __init__(self, h: Quadratic, dim: int):
         if dim < 2:
             raise ValueError("dim must be at least 2")
-        diagonal, bands = _bands(h, dim)
+        table = _bands(h, dim)
+        diagonal, bands = table
         offsets = {b for b, _ in bands}
         # Each block is (its levels, eigenvalues, eigenvectors or None if diagonal).
         if not offsets:
@@ -160,7 +159,7 @@ class Propagator:
             # (first level, level step) of each block.
             parts = ((0, 2), (1, 2)) if offsets == {2} else ((0, 1),)
             self._blocks = tuple(
-                (slice(start, None, step), *np.linalg.eigh(build_matrix(h, dim, start, step)))
+                (slice(start, None, step), *np.linalg.eigh(build_matrix(table, start, step)))
                 for start, step in parts
             )
         self.dim = dim

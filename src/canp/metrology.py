@@ -85,9 +85,8 @@ class Protocol:
     rules) and returns arrays of the broadcast shape, so one call evaluates a
     whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
     grid. The probe and the flows of H_c and H_θ are built with the protocol;
-    only the critical structure is derived on first use, so a pair without
-    one still has states. A state is one :class:`canp.gaussian.GaussianState`
-    whose fields have that shape.
+    the critical structure is derived on first use. A state is one
+    :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
     Each public method checks its times once (each nonnegative, their sum
     positive) and then calls the private kernels (``_qfi``,
@@ -97,7 +96,8 @@ class Protocol:
     The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
     s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
     :func:`canp.operators.flow_weights`), so QFI = 4 t_θ² Var[H_θ + sC + cD]
-    in the probe; a commuting pair (no critical structure) has h = t_θ H_θ.
+    in the probe. A commuting pair has the zero structure (C = D = 0, Δ = 0),
+    so the same forms give h = t_θ H_θ.
     H_θ + sC + cD is one :class:`canp.operators.Quadratic` whose entries are
     arrays over the grid. States follow from :class:`canp.gaussian.Flow`.
     """
@@ -111,39 +111,23 @@ class Protocol:
         self.encoding = Flow(htheta)
 
     @cached_property
-    def structure(self) -> CriticalStructure | None:
-        """Derived structure of the pair, or None when the pair commutes.
+    def structure(self) -> CriticalStructure:
+        """Derived structure of the pair; a commuting pair's is the zero one.
 
         A commuting pair (e.g. a free-rotation preparation with frequency
-        encoding) is the degenerate protocol whose generator is just t_θ H_θ;
-        callers treat None accordingly instead of failing.
+        encoding) has C = D = 0 and Δ = 0, so its generator is just t_θ H_θ.
         """
-        try:
-            return derive_critical_structure(self.hc, self.htheta)
-        except CommutingPairError:
-            return None
-
-    @cached_property
-    def _generator_terms(self) -> tuple[float, Quadratic, Quadratic]:
-        """Δ, C and D.
-
-        A commuting pair gets Δ = 0 and zero C and D, so its generator is
-        exactly t_θ H_θ.
-        """
-        cs = self.structure
-        if cs is None:
-            return 0.0, Quadratic(), Quadratic()
-        return cs.Delta, cs.C, cs.D
+        return derive_critical_structure(self.hc, self.htheta)
 
     def preparation_time(self, sqrt_delta_tc):
         """Preparation time(s) t_c = (√Δ·t_c)/√Δ from the derived Δ, over arrays.
 
         This is the package's one conversion of √Δ·t_c (π marks the critical
         time) to a duration. Raises CommutingPairError for a commuting pair
-        and OutOfPhaseError for Δ = 0: neither has a √Δ.
+        (C all zero) and OutOfPhaseError for any other Δ = 0: neither has a √Δ.
         """
         cs = self.structure
-        if cs is None:
+        if not any(cs.C):
             raise CommutingPairError(
                 "the pair commutes ([H_c, H_theta] = 0), so there is no √Δ to place t_c by")
         if cs.Delta <= 0.0:
@@ -177,7 +161,7 @@ class Protocol:
         return self._qfi(*_durations(t_c, t_theta))
 
     def _qfi(self, t_c, t_theta) -> np.ndarray:
-        delta, f_c, f_d = self._generator_terms
+        f_c, f_d, delta, _ = self.structure
         _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
         h = Quadratic._make(th + s * c - q * d for th, c, d in zip(self.htheta, f_c, f_d))
         return 4.0 * (t_theta * t_theta) * quadratic_variance(h, self.probe)
@@ -193,7 +177,7 @@ class Protocol:
         return self._qfi_asymptotic(*_durations(t_c, t_theta))
 
     def _qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
-        delta, _, f_d = self._generator_terms
+        _, f_d, delta, _ = self.structure
         _, _, q = flow_weights(delta, t_c)  # the cosine weight is −q
         return 4.0 * (t_theta * t_theta) * (q * q) * quadratic_variance(f_d, self.probe)
 
@@ -269,7 +253,7 @@ class Protocol:
         A commuting pair has C = 0 and so gives 0.
         """
         t_c, t_theta = _durations(t_c, t_theta)
-        delta, f_c, _ = self._generator_terms
+        f_c, _, delta, _ = self.structure
         _, s, _ = flow_weights(delta, t_c)
         return 4.0 * (t_theta * t_theta) * (s * s) * quadratic_variance(f_c, self.probe)
 

@@ -28,12 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CommutingPairError,
-    ConditionViolatedError,
-    NegativeDeltaError,
-    NonFiniteError,
-)
+from .errors import ConditionViolatedError, NegativeDeltaError, NonFiniteError
 
 # Maximum admissible relative residual of the triple-commutator check.
 RESIDUAL_MAX = 1e-8
@@ -86,6 +81,9 @@ class CriticalStructure(NamedTuple):
     C = i[H_c, H_theta] and D = [H_c, [H_c, H_theta]] are real forms;
     Delta is the squared-gap proportionality constant of the closed algebra
     and residual quantifies how well the proportionality actually holds.
+    A commuting pair is the zero structure: C = D = 0, and Delta = 0 and
+    residual = 0 by convention, so the generator of
+    :class:`canp.metrology.Protocol` is exactly t_θ H_θ.
     """
 
     C: Quadratic
@@ -125,12 +123,15 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
     residual, the largest entry of i[H_c, D] − Delta·C relative to Delta
     times the largest entry of C, refuses a C with both parts.
 
-    Raises CommutingPairError when C = 0 (degenerate, e.g. a preparation
-    proportional to the encoding), ConditionViolatedError when the closure
-    fails, NegativeDeltaError when the pair closes with Delta < 0 (det G_c < 0,
-    a hyperbolic H_c, so no real gap exists), NonFiniteError when C or D is
-    nan or infinite, or when Delta is (det G_c overflows, or the entries of
-    G_c are below ~1.5e-154, so that their squares underflow).
+    A commuting pair (C = 0 to 1e-13 of the pair's scale, e.g. a preparation
+    proportional to the encoding) gives the zero structure, C = D = 0 and
+    Delta = residual = 0; this test is made before Delta is computed.
+
+    Raises ConditionViolatedError when the closure fails, NegativeDeltaError
+    when the pair closes with Delta < 0 (det G_c < 0, a hyperbolic H_c, so no
+    real gap exists), NonFiniteError when C or D is nan or infinite, or when
+    Delta is (det G_c overflows, or the entries of G_c are below ~1.5e-154,
+    so that their squares underflow).
     """
     c_op = commutator(hc, htheta)
     d_op = commutator(c_op, hc)
@@ -139,7 +140,7 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
         raise _non_finite({"C": c_op, "D": d_op}, "the nested commutators of H_c and H_theta are")
     c_max = _max_abs(c_op)
     if c_max <= 1e-13 * max(_max_abs(hc) * _max_abs(htheta), 1e-300):
-        raise CommutingPairError("[H_c, H_theta] = 0: critical structure undefined")
+        return CriticalStructure(C=Quadratic(), D=Quadratic(), Delta=0.0, residual=0.0)
 
     gxx, gxp, gpp = hc[:3]
     g_max = _max_abs((gxx, gxp, gpp))

@@ -109,9 +109,10 @@ def test_criterion_9_figure_regression(tmp_path):
             fig2b_lines = lines
 
     # Oscillation peaks of each fig2b curve must decay with sqrt(Delta) t_c,
-    # and the first peak must sit near pi on the period scale (the cosine
-    # factor peaks at pi; the oscillating energy baseline pulls the ratio's
-    # maximum somewhat below it).
+    # and the first peak must sit near pi on the period scale. R is
+    # (t_theta/T)^2 K(t_c) with T = t_c + t_theta; K itself peaks at
+    # 0.980pi-0.997pi, and the falling (t_theta/T)^2 envelope pulls the
+    # ratio's maximum below it (0.81pi-0.84pi on the checked-in grid).
     curves: dict[float, list[tuple[float, float]]] = {}
     for line in fig2b_lines:
         if line.startswith("#") or line.startswith("g,"):

@@ -46,7 +46,7 @@ class TestBuildMatrix:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(_OPERATOR, st.sampled_from((2, 3, 7, 60)))
     def test_matches_dense_ladder_products(self, op, dim):
-        m = fock.build_matrix(op, dim)
+        m = fock.build_matrix(fock._bands(op, dim))
         real = op.gxp == 0.0 and op.vp == 0.0
         assert m.dtype == (np.float64 if real else np.complex128)
         want = dense_matrix(op, dim)
@@ -58,22 +58,22 @@ class TestBuildMatrix:
         assert np.max(np.abs(np.diag(m) - np.diag(want))) <= tol
 
     def test_number_operator_diagonal(self):
-        m = fock.build_matrix(N, 7)
+        m = fock.build_matrix(fock._bands(N, 7))
         assert np.allclose(m, np.diag(np.arange(7.0)))
 
     def test_identity(self):
-        m = fock.build_matrix(Quadratic(c0=1.0), 5)
+        m = fock.build_matrix(fock._bands(Quadratic(c0=1.0), 5))
         assert np.allclose(m, np.eye(5))
 
     def test_rabi_effective_element(self):
         # ⟨0|H_eff|2⟩ = −(g²/4)·√2 at omega = 1, g = 0.96
-        m = fock.build_matrix(qrm_effective(1.0, 0.96), 6)
+        m = fock.build_matrix(fock._bands(qrm_effective(1.0, 0.96), 6))
         want = -(0.96**2 / 4.0) * math.sqrt(2.0)
         assert m[0, 2] == pytest.approx(want, abs=1e-12)
         assert m[0, 2] == pytest.approx(-0.3258, abs=5e-5)
 
     def test_hermitian_input_gives_hermitian_matrix(self):
-        m = fock.build_matrix(qrm_effective(1.3, 0.7), 40)
+        m = fock.build_matrix(fock._bands(qrm_effective(1.3, 0.7), 40))
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * np.max(np.abs(m))
 
 
@@ -123,9 +123,9 @@ class TestBandTable:
         built = []
         build = fock.build_matrix
 
-        def recording_build(op, dim, *block):
+        def recording_build(table, *block):
             built.append(block)
-            return build(op, dim, *block)
+            return build(table, *block)
 
         monkeypatch.setattr(fock, "build_matrix", recording_build)
         assert band_kinds(op) == kinds
@@ -173,7 +173,7 @@ class TestBandedProduct:
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         got = fock._apply(op, amps)
-        want = fock.build_matrix(op, dim) @ amps
+        want = fock.build_matrix(fock._bands(op, dim)) @ amps
         tol = 16.0 * np.finfo(float).eps * dim * max(1.0, max_abs(op)) * np.linalg.norm(amps)
         assert np.linalg.norm(got - want) <= tol
 
@@ -294,7 +294,7 @@ _LINEAR = st.builds(_ladder_form, _SMALL, _COMPLEX, _COMPLEX.filter(lambda z: z 
 
 def dense_apply(op: Quadratic, amps: np.ndarray, t: float) -> np.ndarray:
     """Reference: V exp(−iΛt) V†ψ from one full eigendecomposition of the matrix."""
-    energies, eigvecs = np.linalg.eigh(fock.build_matrix(op, amps.size))
+    energies, eigvecs = np.linalg.eigh(fock.build_matrix(fock._bands(op, amps.size)))
     return eigvecs @ (np.exp(-1j * energies * t) * (eigvecs.conj().T @ amps))
 
 
@@ -343,8 +343,8 @@ class TestPropagatorStructure:
            st.sampled_from(((0, 1), (0, 2), (1, 2), (2, 3))))
     def test_level_block_is_the_full_matrix_restricted(self, op, dim, levels):
         start, step = levels
-        block = fock.build_matrix(op, dim, start, step)
-        full = fock.build_matrix(op, dim)[start::step, start::step]
+        block = fock.build_matrix(fock._bands(op, dim), start, step)
+        full = fock.build_matrix(fock._bands(op, dim))[start::step, start::step]
         assert block.dtype == full.dtype
         assert block.tobytes() == np.ascontiguousarray(full).tobytes()
 
@@ -354,24 +354,31 @@ class TestPropagatorStructure:
         (X, [(0, 1)]),
     ], ids=["H_c", "complex-c_aa", "X"])
     def test_fills_each_block_on_its_own(self, monkeypatch, op, levels):
-        # A split generator never builds the full matrix; each decomposed
-        # block holds exactly the full matrix's entries, bit for bit.
-        built, decomposed = [], []
-        build, eigh = fock.build_matrix, np.linalg.eigh
+        # A split generator reads its band table once and never builds the
+        # full matrix; each decomposed block holds exactly the full matrix's
+        # entries, bit for bit.
+        read, built, decomposed = [], [], []
+        bands, build, eigh = fock._bands, fock.build_matrix, np.linalg.eigh
 
-        def recording_build(op, dim, *block):
+        def recording_bands(op, dim):
+            read.append((op, dim))
+            return bands(op, dim)
+
+        def recording_build(table, *block):
             built.append(block)
-            return build(op, dim, *block)
+            return build(table, *block)
 
         def recording_eigh(a, *args, **kwargs):
             decomposed.append(a)
             return eigh(a, *args, **kwargs)
 
+        monkeypatch.setattr(fock, "_bands", recording_bands)
         monkeypatch.setattr(fock, "build_matrix", recording_build)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         fock.Propagator(op, 480)
+        assert read == [(op, 480)]
         assert built == levels
-        full = build(op, 480)
+        full = build(bands(op, 480))
         for (start, step), block in zip(levels, decomposed, strict=True):
             want = np.ascontiguousarray(full[start::step, start::step])
             assert block.dtype == want.dtype and block.tobytes() == want.tobytes()
@@ -496,7 +503,7 @@ def one_minus_fidelity(spec: ProtocolSpec, delta: float, dim: int) -> float:
     """
     prepared, _ = fock.Propagator(spec.Hc, dim).evolve(fock.coherent_fock(spec.alpha, dim).amps,
                                                        spec.t_c)
-    energies, eigvecs = np.linalg.eigh(fock.build_matrix(spec.Htheta, dim))
+    energies, eigvecs = np.linalg.eigh(fock.build_matrix(fock._bands(spec.Htheta, dim)))
     weights = np.abs(eigvecs.conj().T @ prepared) ** 2
     half = delta * spec.t_theta * energies
     one_minus_sq = float(weights @ (2.0 * np.sin(half[:, None] - half[None, :]) ** 2) @ weights)
@@ -552,14 +559,14 @@ class TestSkewInformationGeneral:
         rng = np.random.default_rng(7)
         amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         psi = fock.FockState(amps / np.linalg.norm(amps))
-        k = fock.build_matrix(N, 12)
+        k = fock.build_matrix(fock._bands(N, 12))
         got = fock.skew_information_general(density_matrix(psi), k)
         assert got == pytest.approx(fock.variance_fock(psi, N), abs=1e-10)
 
     def test_maximally_mixed_vanishes(self):
         dim = 9
         b = np.eye(dim) / dim
-        k = fock.build_matrix(qrm_effective(1.0, 0.7), dim)
+        k = fock.build_matrix(fock._bands(qrm_effective(1.0, 0.7), dim))
         assert fock.skew_information_general(b, k) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_hand_value(self):
@@ -597,7 +604,7 @@ class TestSkewInformationGeneral:
         t_c = 1.2
         amps, _ = fock.Propagator(h, 120).evolve(fock.coherent_fock(ALPHA, 120).amps, t_c)
         psi = fock.FockState(amps)
-        k = fock.build_matrix(N, 120)
+        k = fock.build_matrix(fock._bands(N, 120))
         got = fock.skew_information_general(density_matrix(psi), k)
         want = variance_quadratic(evolve(coherent(ALPHA), h, t_c), N)
         assert got == pytest.approx(want, rel=1e-6)

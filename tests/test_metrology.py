@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from canp.errors import (
     OutOfPhaseError,
     VacuumProbeError,
 )
+from canp.experiments import load_config, run_experiment
 from canp.gaussian import (
     GaussianState,
     coherent,
@@ -45,6 +47,7 @@ from canp.models import (
 from canp.operators import Quadratic
 from quadrature_forms import Ladder, from_ladder
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ALPHA = 0.3 + 1.0j
 T_THETA = 12.0
 
@@ -119,6 +122,16 @@ class TestQfiExact:
         assert got == pytest.approx(4.0 * T_THETA**2 * abs(ALPHA) ** 2, rel=1e-12)
         # At t_c = 0 the generator is exactly t_θ H_θ.
         assert got == 4.0 * T_THETA**2 * variance_quadratic(coherent(ALPHA), protocol.htheta)
+
+    @pytest.mark.parametrize("params", [ModelParams("QRM-frequency", g=0.0),
+                                        ModelParams("LMG-frequency", lam=0.4, gamma=1.0)])
+    def test_commuting_pair_is_the_bare_encoding(self, params):
+        # The zero structure's generator is t_θ H_θ at every t_c, bit for bit.
+        protocol = Protocol(*params.pair(), ALPHA)
+        t_c = np.array([0.0, 0.5, 3.0, 40.0])[:, None]
+        t_theta = np.array([0.7, T_THETA])
+        want = 4.0 * (t_theta * t_theta) * variance_quadratic(coherent(ALPHA), protocol.htheta)
+        assert np.array_equal(protocol.qfi(t_c, t_theta), np.broadcast_to(want, (4, 2)))
 
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
@@ -211,6 +224,74 @@ class TestEnhancementRatio:
     def test_monotone_in_g_at_critical_time(self):
         values = [enhancement_ratio(qrm_spec_at_tau(float(g))) for g in np.linspace(0.6, 0.99, 30)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def k_spread(protocol, sqrt_delta_tc):
+    """Largest relative spread of R·(T/t_θ)², T = t_c + t_θ, over nine t_θ from
+    0.05 to 50 and θ0 ∈ {0, 0.37}, at each t_c placed by sqrt_delta_tc."""
+    t_c = protocol.preparation_time(sqrt_delta_tc)[:, None, None]
+    t_theta = np.geomspace(0.05, 50.0, 9)[None, :, None]
+    k = protocol.ratio(t_c, t_theta, np.array([0.0, 0.37])) * ((t_c + t_theta) / t_theta) ** 2
+    k = k.reshape(len(sqrt_delta_tc), -1)
+    return float(np.max((k.max(axis=1) - k.min(axis=1)) / k.max(axis=1)))
+
+
+class TestRatioStructure:
+    """R = (t_θ/T)²·K(t_c) when the encoding conserves the photon number
+    (G_θ ∝ I, v_θ = 0) or has no quadratic part (G_θ = 0).
+
+    K = Var_probe[H_θ + sC − qD] / Var_ref[H_θ]: in the first case the
+    baseline's n̄ is the prepared state's, whatever θ0 and t_θ rotate it by;
+    in the second the reference variance does not depend on n̄. So K depends
+    on neither t_θ nor θ0, and R > 1 exactly where K > 1 and
+    t_θ > t_c/(√K − 1).
+    """
+
+    SQRT_DELTA_TC = np.linspace(0.05, 4.0 * math.pi, 11)
+
+    @pytest.mark.parametrize("params", [ModelParams("QRM-frequency", g=0.96),
+                                        ModelParams("QRM-displacement", g=0.9),
+                                        ModelParams("LMG-frequency", lam=0.4, gamma=2.0)],
+                             ids=lambda p: p.variant)
+    def test_shipped_pairs_factorize(self, params):
+        assert k_spread(Protocol(*params.pair(), ALPHA), self.SQRT_DELTA_TC) <= 1e-14
+
+    def test_random_encodings_factorize(self):
+        # Elliptic H_c of either sign. n̄ rounds to ε(σ_xx + σ_pp)/n̄ of
+        # itself, so the probes are bright: |α| from 0.5 to 2.
+        rng = np.random.default_rng(20240914)
+        for _ in range(25):
+            gxx, gpp = rng.uniform(0.2, 2.0, 2)
+            gxp = 0.9 * math.sqrt(gxx * gpp) * rng.uniform(-1.0, 1.0)
+            sign = rng.choice((-1.0, 1.0))
+            hc = Quadratic(sign * gxx, sign * gxp, sign * gpp, c0=rng.uniform(-1.0, 1.0))
+            alpha = rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random())
+            a = rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0))
+            number_conserving = Quadratic(gxx=a, gpp=a, c0=rng.uniform(-1.0, 1.0))
+            shifted = hc._replace(vx=rng.uniform(-1.0, 1.0), vp=rng.uniform(-1.0, 1.0))
+            linear = Quadratic(0.0, 0.0, 0.0, *rng.uniform(-1.0, 1.0, 3))
+            assert k_spread(Protocol(hc, number_conserving, alpha), self.SQRT_DELTA_TC) <= 1e-14
+            assert k_spread(Protocol(shifted, linear, alpha), self.SQRT_DELTA_TC) <= 1e-14
+
+    def test_squeezing_encoding_breaks_it(self):
+        # G_θ = diag(1, 0.5) is neither: the reference variance follows the
+        # final n̄, which t_θ and θ0 move.
+        protocol = Protocol(qrm_effective(1.0, 0.96), Quadratic(gxx=1.0, gpp=0.5), ALPHA)
+        assert k_spread(protocol, self.SQRT_DELTA_TC) > 0.1
+
+    def test_fig2a_enhancement_onset(self, tmp_path):
+        # On the checked-in fig2a grid, with K = Var_probe[h]/n̄_prep for a†a.
+        cfg = load_config(str(CONFIG_DIR / "fig2a.json"), {"out": str(tmp_path / "fig2a.csv")})
+        columns = run_experiment(cfg)
+        protocol = Protocol(*cfg.model.pair(), cfg.alpha)
+        t_c = protocol.preparation_time(cfg.axis("sqrtDelta_tc").values())[:, None]
+        t_theta = cfg.axis("t_theta").values()[None, :]
+        k = protocol.qfi(t_c, 1.0) / (4.0 * photon_number(protocol.prepared(t_c)))
+        assert np.count_nonzero(k > 1.0) and np.count_nonzero(k < 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # K = 1 at t_c = 0
+            onset = np.where(k > 1.0, t_c / (np.sqrt(k) - 1.0), np.inf)
+        want = t_theta > onset
+        assert np.array_equal(columns["enhanced"], want.reshape(-1))
 
 
 class TestSkewInformation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canp.errors import CommutingPairError, ConfigError, OutOfPhaseError
+from canp.errors import ConfigError, OutOfPhaseError
 from canp.models import (
     ModelParams,
     encoding_displacement,
@@ -14,7 +14,7 @@ from canp.models import (
     qrm_delta_frequency,
     qrm_effective,
 )
-from canp.operators import Quadratic, derive_critical_structure
+from canp.operators import CriticalStructure, Quadratic, derive_critical_structure
 from quadrature_forms import Ladder, to_ladder
 
 
@@ -83,8 +83,9 @@ class TestLmgEffective:
             assert coeff_diff(cs.D, want) <= 1e-12 * max(1.0, max_abs(want))
 
     def test_isotropic_point_commutes(self):
-        with pytest.raises(CommutingPairError):
-            derive_critical_structure(lmg_effective(0.5, 1.0), encoding_frequency())
+        # γ = 1 makes H_c ∝ a†a: the zero structure.
+        assert derive_critical_structure(lmg_effective(0.5, 1.0), encoding_frequency()) == (
+            CriticalStructure(C=Quadratic(), D=Quadratic(), Delta=0.0, residual=0.0))
 
 
 class TestEncodings:
