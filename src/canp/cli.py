@@ -3,8 +3,9 @@ or `canp -h | --help | --version`.
 
 A flag --key.path=value overrides that config field (--model.g=0.9), its value
 read as JSON where it parses and as text otherwise; `--out PATH` is a raw path.
-Flags are not abbreviated. Exit codes: 0 success, 1 validation failure, 2
-configuration error or bad command line. Every experiment, `validate` and its
+Flags are not abbreviated. Exit codes: 0 success, 1 validation failure or
+another CanpError, 2 bad command line or a ConfigError, subclasses included
+(:mod:`canp.errors`). Every experiment, `validate` and its
 number-basis oracle included, runs in this one process.
 """
 

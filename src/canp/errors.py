@@ -1,12 +1,21 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The class decides the command line's exit code: a ConfigError, subclasses
+included, exits 2 and every other CanpError exits 1. The subclasses are the
+inputs CANP's gain cannot be read from; the rest are run failures.
+"""
 
 
 class CanpError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CommutingPairError(CanpError):
-    """[H_c, H_theta] = 0: the critical structure is zero, with no √Δ to place t_c by."""
+class ConfigError(CanpError):
+    """Run configuration is malformed or inconsistent."""
+
+
+class CommutingPairError(ConfigError):
+    """[H_c, H_theta] = 0: C, the whole effect, is zero, with no √Δ to place t_c by."""
 
 
 class ConditionViolatedError(CanpError):
@@ -33,17 +42,13 @@ class NotPositiveError(CanpError):
     """Matrix expected to be a density operator is not positive / trace one."""
 
 
-class VacuumProbeError(CanpError):
-    """Enhancement ratio is undefined for a vacuum probe."""
+class VacuumProbeError(ConfigError):
+    """The probe is the vacuum, whose enhancement ratio and ⟨P⟩ sign are undefined."""
 
 
-class NoSignChangeError(CanpError):
-    """Root bracketing failed: no sign change over the given interval."""
+class NoSignChangeError(ConfigError):
+    """R − 1 has one sign at both ends of a threshold bracket: no threshold inside."""
 
 
-class OutOfPhaseError(CanpError):
+class OutOfPhaseError(ConfigError):
     """Model parameters lie outside the normal-phase validity range."""
-
-
-class ConfigError(CanpError):
-    """Run configuration is malformed or inconsistent."""

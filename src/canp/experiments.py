@@ -26,10 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .errors import (
-    CanpError, CommutingPairError, ConfigError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
-    VacuumProbeError,
-)
+from .errors import CanpError, ConfigError, NonFiniteError, VacuumProbeError
 from .metrology import Protocol, find_threshold, sweep, zero_crossings
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
@@ -215,10 +212,7 @@ def _validate_sweep(cfg: RunConfig) -> None:
     except MemoryError as exc:
         raise ConfigError(str(exc)) from None
     for params in models:
-        try:
-            params.preparation()
-        except OutOfPhaseError as exc:
-            raise ConfigError(str(exc)) from exc
+        params.preparation()
 
 
 def apply_overrides(obj: dict, overrides: dict[str, str]) -> dict:
@@ -398,8 +392,8 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
     if cfg.alpha == 0:
-        raise VacuumProbeError("⟨P⟩ is identically 0 for a vacuum probe, so it has no "
-                               "zero crossings to read")
+        raise VacuumProbeError(f"alpha={cfg.alpha}: ⟨P⟩ is identically 0 for a vacuum probe, "
+                               "so it has no zero crossings to read")
 
     def columns(protocol: Protocol, t_c) -> dict:
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
@@ -425,15 +419,13 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
     # phase-check a given bracket; an end out of phase exits here.
     lam_axis = cfg.axis("lambda").values()
     bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
-    try:
-        lam_star = find_threshold(
-            "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
-            omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
-        )
-    except OutOfPhaseError as exc:
-        raise ConfigError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
-    except NoSignChangeError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not bracket[0] < bracket[1]:
+        raise ConfigError(f"default bracket {bracket}, the span of sweep axis 'lambda', "
+                          "needs lo < hi")
+    lam_star = find_threshold(
+        "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
+        omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
+    )
     models = _model_values(cfg)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     swept = sweep(models, cfg.alpha, math.pi,
@@ -488,18 +480,12 @@ EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: RunConfig):
-    """Run one experiment. A vacuum probe has no enhancement ratio and its ⟨P⟩
-    is identically 0, so a run that reads R, and fig3b, at alpha = 0 is a
-    ConfigError naming alpha. A commuting pair is a ConfigError naming the
-    model value. numpy stays silent on overflow and invalid values: every
-    output is checked for nan and inf. A grid too large to allocate is a
-    CanpError naming the experiment."""
+    """Run one experiment. An input error is a ConfigError subclass raised where
+    it is found (:mod:`canp.errors`). numpy stays silent on overflow and invalid
+    values: every output is checked for nan and inf. A grid too large to
+    allocate is a CanpError naming the experiment."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return RUNNERS[cfg.experiment](cfg)
-    except VacuumProbeError as exc:
-        raise ConfigError(f"alpha={cfg.alpha}: {exc}") from exc
-    except CommutingPairError as exc:
-        raise ConfigError(str(exc)) from exc
     except MemoryError as exc:
         raise CanpError(f"experiment {cfg.experiment}: {exc}") from None

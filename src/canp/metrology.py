@@ -210,7 +210,8 @@ class Protocol:
 
     def _require_bright_probe(self) -> None:
         if abs(self.alpha) < 1e-12:
-            raise VacuumProbeError("enhancement ratio is undefined for a vacuum probe")
+            raise VacuumProbeError(f"alpha={self.alpha}: enhancement ratio is undefined "
+                                   "for a vacuum probe")
 
     def skew(self, t_c) -> np.ndarray:
         """Skew information of the prepared state and H_θ.
@@ -371,11 +372,12 @@ def find_threshold(
     at rounding level more than once (LMG at γ = 2, t_θ = 1.3: roots about
     6e-15 apart), so the value is one of these roots, picked by the search
     path, and exact only to R's own rounding. Raises ValueError unless
-    bracket[0] < bracket[1], OutOfPhaseError before any R is read when an end
-    or a phase boundary (λ = 1, λ = γ) inside the bracket is out of phase,
-    NonFiniteError when R − 1 is nan or inf at an end, NoSignChangeError
-    when it has one sign at both, and :func:`sweep`'s CommutingPairError
-    naming the bracket end when the pair commutes (LMG at γ = 1).
+    bracket[0] < bracket[1], OutOfPhaseError naming the bracket before any R
+    is read when an end or a phase boundary (λ = 1, λ = γ) inside it is out
+    of phase, NonFiniteError when R − 1 is nan or inf at an end,
+    NoSignChangeError when it has one sign at both, and :func:`sweep`'s
+    CommutingPairError naming the bracket end when the pair commutes (LMG
+    at γ = 1).
     """
 
     def model(value: float) -> ModelParams:
@@ -395,7 +397,10 @@ def find_threshold(
     # search visits: preparation() raises OutOfPhaseError where it is not.
     boundaries = sorted((1.0, gamma)) if family == "LMG-frequency" else ()
     for value in (lo, hi, *(b for b in boundaries if lo < b < hi)):
-        model(value).preparation()
+        try:
+            model(value).preparation()
+        except OutOfPhaseError as exc:
+            raise OutOfPhaseError(f"bracket {bracket} leaves the normal phase: {exc}") from exc
     ends = [ratio_minus_one(lo), ratio_minus_one(hi)]
     if not all(map(math.isfinite, ends)):
         raise NonFiniteError(f"enhancement ratio − 1 is nan or inf at an end of {bracket}: "

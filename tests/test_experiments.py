@@ -20,7 +20,7 @@ from canp.experiments import (
     run_experiment,
     write_csv,
 )
-from canp import cli, experiments, gaussian, models, validate
+from canp import cli, errors, experiments, gaussian, models, validate
 from canp.metrology import Protocol
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -761,6 +761,9 @@ class TestCli:
          "bracket (0.2, 3.0) leaves the normal phase"),
         # R − 1 keeps one sign over the bracket: there is no threshold to find.
         ("lmg_threshold.json", ["--bracket=[0.2,0.3]"], "same sign at both ends of (0.2, 0.3)"),
+        # With no bracket given it is the lambda axis's span, which must have lo < hi too.
+        ("lmg_threshold.json", ["--sweep.lambda.stop=0.2", "--bracket=null"],
+         "default bracket (0.2, 0.2), the span of sweep axis 'lambda', needs lo < hi"),
     ])
     def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
                                                              overrides, message):
@@ -772,76 +775,73 @@ class TestCli:
         assert "config error" in err and message in err
         assert not out.exists()
 
-    def test_overflowing_structure_is_run_failure(self, tmp_path, capsys):
-        # γ = 1e300 is a valid config value, but D = [H_c, [H_c, H_θ]] ~ γ²
-        # overflows: the run fails naming D, not a non-Hermitian operator.
-        out = tmp_path / "x.csv"
-        rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
-                       "--out", str(out), "--model.gamma=1e300"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "run failed: critical structure is not finite (D nan or inf)" in err
-        assert "Hermitian" not in err
-        assert not out.exists()
-
-    def test_underflowing_structure_is_run_failure(self, tmp_path, capsys):
-        # ω = 1e-300: D underflows to 0, and so does det G_c ~ ω², which
-        # would read as a gap of 0. The run fails naming Δ and the entries of
-        # G_c it comes from, and numpy prints no warning first.
-        self.assert_structure_run_failure(
-            tmp_path, capsys, "1e-300", "Δ",
-            "det G_c of H_c's entries gxx=7.84e-302, gxp=0, gpp=1e-300 is")
-
-    def test_huge_frequency_is_run_failure(self, tmp_path, capsys):
-        # ω = 1e200: C ~ ω is finite, D ~ ω² overflows.
-        self.assert_structure_run_failure(tmp_path, capsys, "1e200", "D",
-                                          "the nested commutators of H_c and H_theta are")
-
-    @staticmethod
-    def assert_structure_run_failure(tmp_path, capsys, omega, names, source):
-        out = tmp_path / "x.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"),
-                           "--out", str(out), f"--model.omega={omega}"])
-        assert rc == 1
-        assert caught == []
-        assert (f"run failed: critical structure is not finite ({names} nan or inf): {source} "
-                "out of the float range" in capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_non_finite_threshold_end_is_run_failure(self, tmp_path, capsys):
-        # At t_θ = 1e200 R − 1 is nan at both bracket ends: the run fails
-        # naming the bracket, not as a bracket without a sign change, and
-        # numpy prints no overflow warning on the way.
-        out = tmp_path / "x.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(["lmg-threshold", "--config", str(CONFIG_DIR / "lmg_threshold.json"),
-                           "--out", str(out), "--t_theta=1e200"])
-        assert rc == 1
-        assert caught == []
-        err = capsys.readouterr().err
-        assert ("run failed: enhancement ratio − 1 is nan or inf at an end of (0.2, 0.6): "
-                "nan at 0.2, nan at 0.6" in err)
-        assert "same sign" not in err
-        assert not out.exists()
-
-    # The rows overflow to nan or inf, and numpy prints no warning on the way.
-    @pytest.mark.parametrize("override, bad, first", [
-        ("--sweep.t_theta.stop=1e200", 20, "sqrtDelta_tc=0.0, t_theta=2.5e+199, R=nan"),
-        ('--alpha={"re":1e200,"im":0}', 25, "sqrtDelta_tc=0.0, t_theta=0.5, R=nan"),
+    # The class of an error decides the exit code: the inputs CANP's gain
+    # cannot be read from subclass ConfigError and exit 2; every other
+    # CanpError is a run failure and exits 1.
+    @pytest.mark.parametrize("error, code", [
+        (errors.OutOfPhaseError, 2), (errors.CommutingPairError, 2),
+        (errors.VacuumProbeError, 2), (errors.NoSignChangeError, 2),
+        (errors.NonFiniteError, 1), (errors.TruncationNotConvergedError, 1),
+        (errors.ConditionViolatedError, 1), (errors.NegativeDeltaError, 1),
+        (errors.NotPositiveError, 1),
     ])
-    def test_non_finite_rows_are_run_failure(self, tmp_path, capsys, override, bad, first):
+    def test_exit_code_follows_the_error_class(self, tmp_path, monkeypatch, capsys, error, code):
+        assert issubclass(error, ConfigError) is (code == 2)
+
+        def run_experiment(cfg):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"),
+                         "--out", str(tmp_path / "x.csv")]) == code
+        prefix = "config error" if code == 2 else "run failed"
+        assert capsys.readouterr().err == f"{prefix}: refused\n"
+
+    # Valid config values whose run overflows or underflows: each fails with
+    # exit 1 naming what is not finite, writes nothing, and numpy prints no
+    # warning on the way.
+    @pytest.mark.parametrize("experiment, overrides, message, absent", [
+        # γ = 1e300: D = [H_c, [H_c, H_θ]] ~ γ² overflows; the run names D,
+        # not a non-Hermitian operator.
+        ("lmg-threshold", ["--model.gamma=1e300"],
+         "critical structure is not finite (D nan or inf)", "Hermitian"),
+        # ω = 1e-300: D underflows to 0, and so does det G_c ~ ω², which
+        # would read as a gap of 0; the run names Δ and the entries of G_c.
+        ("fig2a", ["--model.omega=1e-300"],
+         "critical structure is not finite (Δ nan or inf): det G_c of H_c's entries "
+         "gxx=7.84e-302, gxp=0, gpp=1e-300 is out of the float range", "Hermitian"),
+        # ω = 1e200: C ~ ω is finite, D ~ ω² overflows.
+        ("fig2a", ["--model.omega=1e200"],
+         "critical structure is not finite (D nan or inf): the nested commutators of H_c "
+         "and H_theta are out of the float range", "Hermitian"),
+        # t_θ = 1e200: R − 1 is nan at both bracket ends; the run names the
+        # bracket, not as a bracket without a sign change.
+        ("lmg-threshold", ["--t_theta=1e200"],
+         "enhancement ratio − 1 is nan or inf at an end of (0.2, 0.6): nan at 0.2, nan at 0.6",
+         "same sign"),
+        # The rows overflow to nan or inf.
+        ("fig2a", ["--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5",
+                   "--sweep.t_theta.stop=1e200"],
+         "experiment fig2a: column R is nan or inf in 20 of 25 rows, "
+         "first at sqrtDelta_tc=0.0, t_theta=2.5e+199, R=nan, enhanced=0", None),
+        ("fig2a", ["--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5",
+                   '--alpha={"re":1e200,"im":0}'],
+         "experiment fig2a: column R is nan or inf in 25 of 25 rows, "
+         "first at sqrtDelta_tc=0.0, t_theta=0.5, R=nan, enhanced=0", None),
+    ])
+    def test_non_finite_result_is_run_failure(self, tmp_path, capsys, experiment, overrides,
+                                              message, absent):
         out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"), "--out", str(out),
-                           "--sweep.t_theta.points=5", "--sweep.sqrtDelta_tc.points=5", override])
+            rc = cli.main([experiment, "--config",
+                           str(CONFIG_DIR / f"{experiment.replace('-', '_')}.json"),
+                           "--out", str(out), *overrides])
         assert rc == 1
         assert caught == []
-        assert (f"run failed: experiment fig2a: column R is nan or inf in {bad} of 25 rows, "
-                f"first at {first}, enhanced=0" in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert f"run failed: {message}" in err
+        assert absent is None or absent not in err
         assert not out.exists()
 
     # numpy refuses these sizes before allocating anything: 1e15 points is
