@@ -43,7 +43,7 @@ class NotPositiveError(CanpError):
 
 
 class VacuumProbeError(ConfigError):
-    """The probe is the vacuum, whose enhancement ratio and ⟨P⟩ sign are undefined."""
+    """A vacuum probe, |alpha| < 1e-12: its enhancement ratio and ⟨P⟩ sign are undefined."""
 
 
 class NoSignChangeError(ConfigError):

@@ -17,17 +17,26 @@ checks fix their own), and LMG's omega.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from typing import NamedTuple
 
+try:
+    # hashlib loads OpenSSL's libcrypto (about 3.5 MB resident) for one
+    # digest; CPython's built-in SHA-256 gives the same one without it.
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 import numpy as np
 
 from ._version import __version__
-from .errors import CanpError, ConfigError, NonFiniteError, VacuumProbeError
-from .metrology import Protocol, find_threshold, sweep, zero_crossings
+from .errors import CanpError, ConfigError, NonFiniteError
+from .metrology import Protocol, find_threshold, require_bright_probe, sweep, zero_crossings
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
@@ -75,7 +84,7 @@ class RunConfig(NamedTuple):
                   "alpha": {"re": self.alpha.real, "im": self.alpha.imag}}
         del hashed["out"]
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _parse_experiment(obj) -> str:
@@ -391,9 +400,8 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
 
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
-    if cfg.alpha == 0:
-        raise VacuumProbeError(f"alpha={cfg.alpha}: ⟨P⟩ is identically 0 for a vacuum probe, "
-                               "so it has no zero crossings to read")
+    require_bright_probe(cfg.alpha, "⟨P⟩ is identically 0 for a vacuum probe, "
+                                    "so it has no zero crossings to read")
 
     def columns(protocol: Protocol, t_c) -> dict:
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)

@@ -209,9 +209,7 @@ class Protocol:
                                                         self._state(t_c, t_theta, theta0))
 
     def _require_bright_probe(self) -> None:
-        if abs(self.alpha) < 1e-12:
-            raise VacuumProbeError(f"alpha={self.alpha}: enhancement ratio is undefined "
-                                   "for a vacuum probe")
+        require_bright_probe(self.alpha, "enhancement ratio is undefined for a vacuum probe")
 
     def skew(self, t_c) -> np.ndarray:
         """Skew information of the prepared state and H_θ.
@@ -257,6 +255,12 @@ class Protocol:
         f_c, _, delta, _ = self.structure
         _, s, _ = flow_weights(delta, t_c)
         return 4.0 * (t_theta * t_theta) * (s * s) * quadratic_variance(f_c, self.probe)
+
+
+def require_bright_probe(alpha: complex, consequence: str) -> None:
+    """Refuse a vacuum probe, |alpha| < 1e-12, naming alpha and what it leaves unreadable."""
+    if abs(alpha) < 1e-12:
+        raise VacuumProbeError(f"alpha={alpha}: {consequence}")
 
 
 def sweep(models: list[ModelParams], alpha: complex, sqrt_delta_tc, columns) -> dict:

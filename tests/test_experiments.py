@@ -24,22 +24,17 @@ from canp import cli, errors, experiments, gaussian, models, validate
 from canp.metrology import Protocol
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def two_point_validate(tmp_path, *modules: str) -> str:
-    """Child code that runs validate on two oracle points and prints its exit
-    code and whether each of `modules` got imported."""
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps({"experiment": "validate", "oracle": True,
-                                "model": {"variant": "QRM-frequency", "g": 0.96},
-                                "out": str(tmp_path / "report.json")}))
-    return (
-        "import sys\n"
-        "from canp import cli, validate\n"
-        "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
-        f"rc = cli.main(['validate', '--config', {str(path)!r}])\n"
-        f"print(rc, *(name in sys.modules for name in {modules!r}))\n"
-    )
+# The hash each checked-in config's CSVs carry.
+PINNED_CONFIG_HASHES = {
+    "displacement": "38e0a616f9b331fb982cb398b97e14473611f947d307dbde73a1bf17ab7dc988",
+    "fig2a": "090507c07d6c5c8cc66ac5a1df68644c39e5c6c9a271864de900bc67f8c20cbc",
+    "fig2b": "6fad42d98b46cff1a337a73d057fdd6e24a8bccba570c28d055255d1f7d6674e",
+    "fig2b_inset": "0692709e5deb1a076e6097c44f0aa2892a4ade8d84c7ff76e0e852eb3dca1435",
+    "fig3a": "52cb0e94bfadcface6d3d8fe51a7f4fd22ff3b2cf6c65a50d6152b4a5e3a412f",
+    "fig3b": "b4f21df45942b9b22133569908477e67dd8f54dbbfbd0c41125b256542de3932",
+    "lmg_threshold": "2e8d37c0652de89c06e9b0b46fcce71d58ce99d68df70ee771e7744160741b25",
+    "validate": "eb7000c232ec9163fadb7bb0693efa5885402210766b9a8bfdf6d02af172932c",
+}
 
 
 def small_config(experiment: str, tmp_path, **extra) -> dict:
@@ -119,16 +114,24 @@ class TestConfigParsing:
     def test_config_hashes_are_pinned(self):
         # Each checked-in config keeps the hash its CSVs already carry, so a
         # change to the hashed form fails here instead of relinking outputs.
-        assert {p.stem: load_config(str(p)).sha256() for p in CONFIG_DIR.glob("*.json")} == {
-            "displacement": "38e0a616f9b331fb982cb398b97e14473611f947d307dbde73a1bf17ab7dc988",
-            "fig2a": "090507c07d6c5c8cc66ac5a1df68644c39e5c6c9a271864de900bc67f8c20cbc",
-            "fig2b": "6fad42d98b46cff1a337a73d057fdd6e24a8bccba570c28d055255d1f7d6674e",
-            "fig2b_inset": "0692709e5deb1a076e6097c44f0aa2892a4ade8d84c7ff76e0e852eb3dca1435",
-            "fig3a": "52cb0e94bfadcface6d3d8fe51a7f4fd22ff3b2cf6c65a50d6152b4a5e3a412f",
-            "fig3b": "b4f21df45942b9b22133569908477e67dd8f54dbbfbd0c41125b256542de3932",
-            "lmg_threshold": "2e8d37c0652de89c06e9b0b46fcce71d58ce99d68df70ee771e7744160741b25",
-            "validate": "eb7000c232ec9163fadb7bb0693efa5885402210766b9a8bfdf6d02af172932c",
-        }
+        assert {p.stem: load_config(str(p)).sha256()
+                for p in CONFIG_DIR.glob("*.json")} == PINNED_CONFIG_HASHES
+
+    def test_hashlib_fallback_gives_the_pinned_hashes(self, child_env):
+        # An interpreter built without CPython's built-in SHA-256 modules
+        # hashes through hashlib, and must write the same headers.
+        code = ("import json, sys\n"
+                "from pathlib import Path\n"
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from canp.experiments import load_config\n"
+                f"paths = Path({str(CONFIG_DIR)!r}).glob('*.json')\n"
+                "hashes = {p.stem: load_config(str(p)).sha256() for p in paths}\n"
+                "print('hashlib' in sys.modules, json.dumps(hashes))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env(), timeout=60, check=True).stdout
+        fell_back, hashes = out.split(" ", 1)
+        assert fell_back == "True"
+        assert json.loads(hashes) == PINNED_CONFIG_HASHES
 
     def test_hash_excludes_out(self, tmp_path):
         sweep = {"g": {"start": 0.5, "stop": 0.9, "points": 4}}
@@ -873,47 +876,46 @@ class TestCli:
     def test_unread_fields_are_not_checked(self, tmp_path, experiment, extra):
         config_from_dict(small_config(experiment, tmp_path, **extra))
 
-    def test_runtime_does_not_import_scipy(self, child_env):
-        code = "import sys, canp.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=child_env(), timeout=60, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_cli_import_leaves_the_oracle_unloaded(self, child_env):
-        # Only a validate run needs the number-basis oracle and its checks.
-        code = ("import sys, canp.cli;"
-                " print('canp.fock' in sys.modules, 'canp.validate' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=child_env(), timeout=60, check=True)
-        assert out.stdout.strip() == "False False"
-
-    def test_validate_starts_no_worker_process(self, tmp_path, child_env):
-        # The oracle runs in-process: a validate run must not even import
-        # the process-pool machinery, nor numpy.random (its draws are
+    def test_runs_load_only_what_they_need(self, tmp_path, child_env):
+        # Three children: a bare interpreter, start-up, and a small CSV run
+        # followed by a two-point validate. Each prints the watched modules
+        # it has loaded. A module the bare interpreter's site step already
+        # loads cannot be told apart, so it is exempt at every stage.
+        # No start-up or run loads scipy (the runtime is numpy only);
+        # argparse, gettext or locale (the command line is read by hand);
+        # dataclasses or copy (records are named tuples or slotted classes);
+        # hashlib or _hashlib (the config hash uses CPython's built-in
+        # SHA-256, so OpenSSL stays unmapped); the process-pool machinery or
+        # numpy.random (every run is single-process and validate's draws are
         # stdlib-seeded).
-        code = two_point_validate(tmp_path, "concurrent.futures.process", "multiprocessing",
-                                  "numpy.random")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=child_env(), timeout=120, check=True)
-        assert out.stdout.splitlines()[-1] == "0 False False False"
-
-    def test_runtime_does_not_import_dataclasses(self, tmp_path, child_env):
-        # Records are named tuples or slotted classes: neither start-up nor a
-        # validate run loads dataclasses or copy (which dataclasses imports).
-        # An interpreter whose site step loads them already cannot tell.
-        modules = ("dataclasses", "copy")
-        report = f"print(*(name in sys.modules for name in {modules!r}))"
-        baseline, start_up = (
-            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=child_env(), timeout=60, check=True).stdout.strip()
-            for code in (f"import sys; {report}", f"import sys, canp.cli; {report}"))
-        if baseline != "False False":
-            pytest.skip(f"the bare interpreter already loads {modules}: {baseline}")
-        assert start_up == "False False"
-        out = subprocess.run([sys.executable, "-c", two_point_validate(tmp_path, *modules)],
-                             capture_output=True, text=True, env=child_env(), timeout=120,
-                             check=True)
-        assert out.stdout.splitlines()[-1] == "0 False False"
+        never = ("scipy", "argparse", "gettext", "locale", "dataclasses", "copy", "hashlib",
+                 "_hashlib", "concurrent.futures.process", "multiprocessing", "numpy.random")
+        # Only a validate run needs the number-basis oracle and its checks.
+        oracle = ("canp.fock", "canp.validate")
+        watched = never + oracle
+        csv_config, validate_config = tmp_path / "c.json", tmp_path / "v.json"
+        csv_config.write_text(json.dumps(small_config(
+            "fig2b-inset", tmp_path, sweep={"g": {"start": 0.5, "stop": 0.9, "points": 3}})))
+        validate_config.write_text(json.dumps({
+            "experiment": "validate", "oracle": True,
+            "model": {"variant": "QRM-frequency", "g": 0.96},
+            "out": str(tmp_path / "report.json")}))
+        report = f"print(*(name for name in {watched!r} if name in sys.modules))\n"
+        runs = (
+            "from canp import cli, validate\n"
+            "validate.ORACLE_GRID = ((0.5, 0.0), (0.5, 0.25))\n"
+            f"print(cli.main(['fig2b-inset', '--config', {str(csv_config)!r}]),\n"
+            f"      cli.main(['validate', '--config', {str(validate_config)!r}]))\n"
+        )
+        bare, start_up, run = (
+            subprocess.run([sys.executable, "-c", "import sys\n" + body + report],
+                           capture_output=True, text=True, env=child_env(), timeout=120,
+                           check=True).stdout.splitlines()
+            for body in ("", "import canp.cli\n", runs))
+        preloaded = set(bare[-1].split())
+        assert run[-2] == "0 0"
+        assert set(start_up[-1].split()) - preloaded == set()
+        assert set(run[-1].split()) - preloaded == set(oracle)
 
     def test_bad_override_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -931,24 +933,6 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 4  # header comment + columns + rows
-
-    def test_runtime_does_not_import_argparse(self, tmp_path, child_env):
-        # The command line is read by hand: neither start-up nor a validate
-        # run loads argparse or the gettext and locale modules it pulls in.
-        # An interpreter whose site step loads them already cannot tell.
-        modules = ("argparse", "gettext", "locale")
-        report = f"print(*(name in sys.modules for name in {modules!r}))"
-        baseline, start_up = (
-            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=child_env(), timeout=60, check=True).stdout.strip()
-            for code in (f"import sys; {report}", f"import sys, canp.cli; {report}"))
-        if baseline != "False False False":
-            pytest.skip(f"the bare interpreter already loads {modules}: {baseline}")
-        assert start_up == "False False False"
-        out = subprocess.run([sys.executable, "-c", two_point_validate(tmp_path, *modules)],
-                             capture_output=True, text=True, env=child_env(), timeout=120,
-                             check=True)
-        assert out.stdout.splitlines()[-1] == "0 False False False"
 
     CONFIG = str(CONFIG_DIR / "fig2b_inset.json")
 
@@ -1117,23 +1101,25 @@ class TestCli:
         assert report["passed"] is True
         assert "config_sha256" in report and "version" in report
 
-    # alpha = 0 is a vacuum probe, whose enhancement ratio is undefined and
-    # whose ⟨P⟩ is identically 0: a run that reads R, and fig3b, which reads
-    # ⟨P⟩'s zero crossings, stop before writing and name alpha. fig3a reads
-    # neither, so it runs.
+    # |alpha| < 1e-12 is a vacuum probe, whose enhancement ratio is undefined
+    # and whose ⟨P⟩ is identically 0: a run that reads R, and fig3b, which
+    # reads ⟨P⟩'s zero crossings, stop before writing and name alpha. fig3a
+    # reads neither, so it runs. Every runner tests the same threshold.
+    @pytest.mark.parametrize("alpha, shown", [("0", "0j"), ("1e-13", "(1e-13+0j)")])
     @pytest.mark.parametrize("name, code", [
         ("fig2a", 2), ("fig2b", 2), ("fig2b_inset", 2), ("fig3a", 0), ("fig3b", 2),
         ("lmg_threshold", 2), ("displacement", 2),
     ])
-    def test_vacuum_probe_is_config_error_where_r_is_read(self, tmp_path, capsys, name, code):
+    def test_vacuum_probe_is_config_error_where_r_is_read(self, tmp_path, capsys, name, code,
+                                                          alpha, shown):
         out = tmp_path / "x.csv"
         rc = cli.main([name.replace("_", "-"), "--config", str(CONFIG_DIR / f"{name}.json"),
-                       "--out", str(out), "--alpha=0"])
+                       "--out", str(out), f"--alpha={alpha}"])
         assert rc == code
         assert out.exists() is (code == 0)
         if code:
             err = capsys.readouterr().err
-            assert err.startswith("config error: alpha=0j: ") and "vacuum probe" in err
+            assert err.startswith(f"config error: alpha={shown}: ") and "vacuum probe" in err
             assert ("⟨P⟩ is identically 0" in err) is (name == "fig3b")
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",
