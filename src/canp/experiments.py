@@ -52,10 +52,11 @@ class Axis(NamedTuple):
     points: int
 
     def values(self) -> np.ndarray:
+        """The axis points; an axis too large to allocate is a ConfigError naming it."""
         try:
             return np.linspace(self.start, self.stop, self.points)
         except (MemoryError, ValueError):  # ValueError: more cells than numpy can index
-            raise MemoryError(f"sweep axis {self.name!r} of {self.points} points "
+            raise ConfigError(f"sweep axis {self.name!r} of {self.points} points "
                               f"does not fit in memory") from None
 
 
@@ -190,18 +191,20 @@ def config_from_dict(obj: dict) -> RunConfig:
     return cfg
 
 
-def _model_values(cfg: RunConfig) -> list[ModelParams]:
-    """The model values a run's rows read: the model, or copies with g or λ
-    moved to the g_values or to the g or lambda axis values. A missing axis
-    is a ConfigError (RunConfig.axis)."""
-    model = cfg.model
-    if cfg.experiment in _DEFAULT_G_VALUES:
-        return [model.replace(g=g) for g in cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment]]
-    if cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
-        return [model.replace(g=g) for g in cfg.axis("g").values().tolist()]
+def _model_values(cfg: RunConfig) -> tuple[np.ndarray, list[ModelParams]]:
+    """The parameter a run sweeps, as the config gave it (the g_values, or the
+    g or lambda axis), and the model at each value: a copy with g or λ moved
+    there. A missing axis is a ConfigError (RunConfig.axis)."""
     if cfg.experiment == "lmg-threshold":
-        return [model.replace(lam=lam) for lam in cfg.axis("lambda").values().tolist()]
-    return [model] if cfg.experiment == "fig2a" else []
+        lam = cfg.axis("lambda").values()
+        return lam, [cfg.model.replace(lam=value) for value in lam.tolist()]
+    if cfg.experiment in _DEFAULT_G_VALUES:
+        g = np.array(cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment])
+    elif cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
+        g = cfg.axis("g").values()
+    else:  # fig2a sweeps nothing and reads the model alone; validate reads no model
+        return np.empty(0), ([cfg.model] if cfg.experiment == "fig2a" else [])
+    return g, [cfg.model.replace(g=value) for value in g.tolist()]
 
 
 def _validate_sweep(cfg: RunConfig) -> None:
@@ -216,11 +219,7 @@ def _validate_sweep(cfg: RunConfig) -> None:
                 raise ConfigError("t_theta sweep must stay positive")
     if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
         raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
-    try:
-        models = _model_values(cfg)
-    except MemoryError as exc:
-        raise ConfigError(str(exc)) from None
-    for params in models:
+    for params in _model_values(cfg)[1]:
         params.preparation()
 
 
@@ -369,28 +368,26 @@ def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    models = _model_values(cfg)
+    g, models = _model_values(cfg)
     swept = sweep(models, cfg.alpha, sdtc,
                   lambda p, t_c: {"R": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     # g runs down the (k, n) block of results, √Δ·t_c along it.
-    g = np.array([params.g for params in models])[:, None]
-    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
+    return write_csv(cfg.out, cfg, {"g": g[:, None], "sqrtDelta_tc": sdtc, **swept})
 
 
 def run_fig2b_inset(cfg: RunConfig) -> dict[str, np.ndarray]:
-    models = _model_values(cfg)
+    g, models = _model_values(cfg)
     swept = sweep(models, cfg.alpha, math.pi,
                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
-    return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]), **swept})
+    return write_csv(cfg.out, cfg, {"g": g, **swept})
 
 
 def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
     sdtc = cfg.axis("sqrtDelta_tc").values()
-    models = _model_values(cfg)
+    g, models = _model_values(cfg)
     swept = sweep(models, cfg.alpha, sdtc,
                   lambda p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)})
-    g = np.array([params.g for params in models])[:, None]
-    return write_csv(cfg.out, cfg, {"g": g, "sqrtDelta_tc": sdtc, **swept})
+    return write_csv(cfg.out, cfg, {"g": g[:, None], "sqrtDelta_tc": sdtc, **swept})
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
@@ -400,16 +397,15 @@ def _mean_p_at(cfg: RunConfig, g: float) -> float:
 
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
-    require_bright_probe(cfg.alpha, "⟨P⟩ is identically 0 for a vacuum probe, "
-                                    "so it has no zero crossings to read")
+    require_bright_probe(cfg.alpha, "⟨P⟩'s zero crossings are not read for a vacuum probe "
+                                    "(|alpha| < 1e-12)")
 
     def columns(protocol: Protocol, t_c) -> dict:
         final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
         return {"meanP": final.mp, "cfi": protocol._cfi_homodyne(final, cfg.t_theta),
                 "qfi": protocol.qfi(t_c, cfg.t_theta)}
 
-    models = _model_values(cfg)
-    g = np.array([params.g for params in models])
+    g, models = _model_values(cfg)
     swept = sweep(models, cfg.alpha, math.pi, columns)
     # Sign changes of ⟨P⟩ versus g, each refined down to adjacent floats.
     crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, swept["meanP"])
@@ -425,8 +421,8 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
     # The threshold comes first: a bracket it rejects stops the run before
     # the sweep, after at most its two end values. Config time does not
     # phase-check a given bracket; an end out of phase exits here.
-    lam_axis = cfg.axis("lambda").values()
-    bracket = cfg.bracket or (float(lam_axis.min()), float(lam_axis.max()))
+    lam, models = _model_values(cfg)
+    bracket = cfg.bracket or (float(lam.min()), float(lam.max()))
     if not bracket[0] < bracket[1]:
         raise ConfigError(f"default bracket {bracket}, the span of sweep axis 'lambda', "
                           "needs lo < hi")
@@ -434,12 +430,10 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
         "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
         omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
     )
-    models = _model_values(cfg)
     comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
     swept = sweep(models, cfg.alpha, math.pi,
                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
-    return write_csv(cfg.out, cfg, {"lambda": np.array([params.lam for params in models]),
-                                    **swept}, extra_comments=comments)
+    return write_csv(cfg.out, cfg, {"lambda": lam, **swept}, extra_comments=comments)
 
 
 def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
@@ -451,10 +445,9 @@ def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
                 # Protocol.ratio's quotient, reusing the exact QFI.
                 "R": exact / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)}
 
-    models = _model_values(cfg)
+    g, models = _model_values(cfg)
     # Quarter period: the point where the asymptotic sin² formula is exact.
-    return write_csv(cfg.out, cfg, {"g": np.array([params.g for params in models]),
-                                    **sweep(models, cfg.alpha, 0.5 * math.pi, columns)})
+    return write_csv(cfg.out, cfg, {"g": g, **sweep(models, cfg.alpha, 0.5 * math.pi, columns)})
 
 
 def run_validate(cfg: RunConfig) -> dict:
@@ -490,8 +483,9 @@ EXPERIMENTS = tuple(RUNNERS)
 def run_experiment(cfg: RunConfig):
     """Run one experiment. An input error is a ConfigError subclass raised where
     it is found (:mod:`canp.errors`). numpy stays silent on overflow and invalid
-    values: every output is checked for nan and inf. A grid too large to
-    allocate is a CanpError naming the experiment."""
+    values: every output is checked for nan and inf. A result block too large
+    to allocate, from axes that each fit (Axis.values), is a CanpError naming
+    the experiment."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return RUNNERS[cfg.experiment](cfg)

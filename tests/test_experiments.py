@@ -848,20 +848,37 @@ class TestCli:
         assert not out.exists()
 
     # numpy refuses these sizes before allocating anything: 1e15 points is
-    # more memory than it can ask for, 1e20 more cells than it can index. A
-    # g axis is read with the config, fig2a's axes in the run.
-    @pytest.mark.parametrize("config, axis, points, rc, prefix", [
-        ("fig2b_inset.json", "g", 10**15, 2, "config error: "),
-        ("fig2a.json", "t_theta", 10**15, 1, "run failed: experiment fig2a: "),
-        ("fig2a.json", "sqrtDelta_tc", 10**20, 1, "run failed: experiment fig2a: "),
+    # more memory than it can ask for, 1e20 more cells than it can index. An
+    # axis is a config error whether the config (a g or lambda axis) or the
+    # run (a time axis) builds it first.
+    @pytest.mark.parametrize("config, axis, points", [
+        ("fig2b_inset.json", "g", 10**15),
+        ("lmg_threshold.json", "lambda", 10**15),
+        ("fig2a.json", "t_theta", 10**15),
+        ("fig2a.json", "sqrtDelta_tc", 10**20),
+        ("fig2b.json", "sqrtDelta_tc", 10**15),
     ])
-    def test_unallocatable_sweep_is_named(self, tmp_path, capsys, config, axis, points, rc,
-                                          prefix):
+    def test_unallocatable_sweep_is_named(self, tmp_path, capsys, config, axis, points):
         out = tmp_path / "x.csv"
         assert cli.main([Path(config).stem.replace("_", "-"), "--config", str(CONFIG_DIR / config),
-                         "--out", str(out), f"--sweep.{axis}.points={float(points)!r}"]) == rc
-        assert capsys.readouterr().err == (f"{prefix}sweep axis {axis!r} of {points} "
+                         "--out", str(out), f"--sweep.{axis}.points={float(points)!r}"]) == 2
+        assert capsys.readouterr().err == (f"config error: sweep axis {axis!r} of {points} "
                                            f"points does not fit in memory\n")
+        assert not out.exists()
+
+    # Axes that each fit can still give a result block that does not: that
+    # is a run failure naming the experiment, raised here without asking
+    # numpy for the memory.
+    def test_unallocatable_result_is_run_failure(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("cannot allocate the result block")
+
+        monkeypatch.setattr(experiments, "sweep", no_memory)
+        out = tmp_path / "x.csv"
+        assert cli.main(["fig2a", "--config", str(CONFIG_DIR / "fig2a.json"),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: experiment fig2a: ") and err.count("\n") == 1
         assert not out.exists()
 
     # A field the experiment does not read is not checked against the model.
@@ -1102,9 +1119,9 @@ class TestCli:
         assert "config_sha256" in report and "version" in report
 
     # |alpha| < 1e-12 is a vacuum probe, whose enhancement ratio is undefined
-    # and whose ⟨P⟩ is identically 0: a run that reads R, and fig3b, which
-    # reads ⟨P⟩'s zero crossings, stop before writing and name alpha. fig3a
-    # reads neither, so it runs. Every runner tests the same threshold.
+    # and whose ⟨P⟩ zero crossings are not read: a run that reads R, and
+    # fig3b, which reads those crossings, stop before writing and name alpha.
+    # fig3a reads neither, so it runs. Every runner tests the same threshold.
     @pytest.mark.parametrize("alpha, shown", [("0", "0j"), ("1e-13", "(1e-13+0j)")])
     @pytest.mark.parametrize("name, code", [
         ("fig2a", 2), ("fig2b", 2), ("fig2b_inset", 2), ("fig3a", 0), ("fig3b", 2),
@@ -1120,7 +1137,7 @@ class TestCli:
         if code:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: alpha={shown}: ") and "vacuum probe" in err
-            assert ("⟨P⟩ is identically 0" in err) is (name == "fig3b")
+            assert ("⟨P⟩'s zero crossings are not read" in err) is (name == "fig3b")
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",
                                       "lmg_threshold", "displacement"])
