@@ -11,8 +11,8 @@ computed, before broadcasting, and returns the table written: each column's
 values, one per row. Every CSV starts with a comment line carrying the tool
 version and a hash of the resolved configuration without its output path. The
 hash covers every other field, also those that cannot change this run's data:
-a field the experiment does not read, validate's model and physics fields (its
-checks fix their own), and LMG's omega.
+validate's model and physics fields (its checks fix their own) and LMG's omega.
+A config names exactly the grid inputs its experiment reads (:data:`GRIDS`).
 """
 
 from __future__ import annotations
@@ -41,8 +41,19 @@ from .metrology import Protocol, find_threshold, require_bright_probe, sweep, ze
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
 
-# The g values fig2b and fig3a plot when the config lists none.
-_DEFAULT_G_VALUES = {"fig2b": (0.80, 0.90, 0.96, 0.98), "fig3a": (0.90, 0.95, 0.98)}
+# The grid inputs each experiment reads: its sweep axes, then the fields that
+# list its model values or bound its threshold search. A config names every
+# one of them and no other (config_from_dict).
+GRIDS = {
+    "fig2a": (("sqrtDelta_tc", "t_theta"), ()),
+    "fig2b": (("sqrtDelta_tc",), ("g_values",)),
+    "fig2b-inset": (("g",), ()),
+    "fig3a": (("sqrtDelta_tc",), ("g_values",)),
+    "fig3b": (("g",), ()),
+    "lmg-threshold": (("lambda",), ("bracket",)),
+    "displacement": (("g",), ()),
+    "validate": ((), ()),
+}
 
 
 class Axis(NamedTuple):
@@ -103,11 +114,10 @@ def _parse_alpha(obj) -> complex:
     raise TypeError("expected a number or {re, im} object")
 
 
-def _parse_bracket(obj) -> tuple[float, float] | None:
-    if obj is None:
-        return None
-    lo, hi = obj
-    lo, hi = config_number(lo), config_number(hi)
+def _parse_bracket(obj) -> tuple[float, float]:
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise TypeError("expected [lo, hi]")
+    lo, hi = map(config_number, obj)
     if not lo < hi:
         raise ValueError("needs lo < hi")
     return lo, hi
@@ -187,29 +197,32 @@ _FIELD_PARSERS = {
 def config_from_dict(obj: dict) -> RunConfig:
     cfg = RunConfig(**config_object(obj, _FIELD_PARSERS, "config",
                                     required=("experiment", "model")))
-    _validate_sweep(cfg)
+    _validate(cfg, obj)
     return cfg
 
 
 def _model_values(cfg: RunConfig) -> tuple[np.ndarray, list[ModelParams]]:
     """The parameter a run sweeps, as the config gave it (the g_values, or the
     g or lambda axis), and the model at each value: a copy with g or λ moved
-    there. A missing axis is a ConfigError (RunConfig.axis)."""
-    if cfg.experiment == "lmg-threshold":
+    there."""
+    axes = GRIDS[cfg.experiment][0]
+    if "lambda" in axes:
         lam = cfg.axis("lambda").values()
-        return lam, [cfg.model.replace(lam=value) for value in lam.tolist()]
-    if cfg.experiment in _DEFAULT_G_VALUES:
-        g = np.array(cfg.g_values or _DEFAULT_G_VALUES[cfg.experiment])
-    elif cfg.experiment in ("fig2b-inset", "fig3b", "displacement"):
+        return lam, [cfg.model._replace(lam=value) for value in lam.tolist()]
+    if cfg.g_values:
+        g = np.array(cfg.g_values)
+    elif "g" in axes:
         g = cfg.axis("g").values()
     else:  # fig2a sweeps nothing and reads the model alone; validate reads no model
         return np.empty(0), ([cfg.model] if cfg.experiment == "fig2a" else [])
-    return g, [cfg.model.replace(g=value) for value in g.tolist()]
+    return g, [cfg.model._replace(g=value) for value in g.tolist()]
 
 
-def _validate_sweep(cfg: RunConfig) -> None:
-    """Time axes must be ordered, and every model value the run reads must have
-    its variant's fields (checked on building it) and obey its phase rule."""
+def _validate(cfg: RunConfig, named: dict) -> None:
+    """Time axes must be ordered; the config, whose keys are `named`, must name
+    exactly its experiment's grid inputs (GRIDS); and every model value the run
+    reads must have its variant's fields (checked on building it) and obey its
+    phase rule."""
     for ax in cfg.sweep:
         if ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
@@ -217,6 +230,16 @@ def _validate_sweep(cfg: RunConfig) -> None:
         elif ax.name == "t_theta":
             if ax.start <= 0.0 or ax.stop <= 0.0:
                 raise ConfigError("t_theta sweep must stay positive")
+    axes, fields = GRIDS[cfg.experiment]
+    for name in axes:
+        cfg.axis(name)  # a missing axis is a ConfigError naming it
+    for field in fields:
+        if field not in named:
+            raise ConfigError(f"experiment {cfg.experiment} requires {field}")
+    unread = [f"sweep axis {ax.name!r}" for ax in cfg.sweep if ax.name not in axes]
+    unread += [key for key in ("g_values", "bracket") if key in named and key not in fields]
+    if unread:
+        raise ConfigError(f"experiment {cfg.experiment} does not read {unread[0]}")
     if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
         raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
     for params in _model_values(cfg)[1]:
@@ -391,7 +414,7 @@ def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = sweep([cfg.model.replace(g=g)], cfg.alpha, math.pi,
+    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi,
                   lambda p, t_c: {"meanP": p.state(t_c, cfg.t_theta, cfg.theta0).mp})
     return float(swept["meanP"][0])
 
@@ -422,15 +445,12 @@ def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
     # the sweep, after at most its two end values. Config time does not
     # phase-check a given bracket; an end out of phase exits here.
     lam, models = _model_values(cfg)
-    bracket = cfg.bracket or (float(lam.min()), float(lam.max()))
-    if not bracket[0] < bracket[1]:
-        raise ConfigError(f"default bracket {bracket}, the span of sweep axis 'lambda', "
-                          "needs lo < hi")
+    lo, hi = cfg.bracket
     lam_star = find_threshold(
-        "LMG-frequency", cfg.t_theta, cfg.alpha, bracket,
+        "LMG-frequency", cfg.t_theta, cfg.alpha, cfg.bracket,
         omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
     )
-    comments = (f"lambda_star={lam_star!r} bracket=({bracket[0]!r},{bracket[1]!r})",)
+    comments = (f"lambda_star={lam_star!r} bracket=({lo!r},{hi!r})",)
     swept = sweep(models, cfg.alpha, math.pi,
                   lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
     return write_csv(cfg.out, cfg, {"lambda": lam, **swept}, extra_comments=comments)

@@ -63,10 +63,9 @@ class GaussianState(NamedTuple):
         return np.abs(self.sxx * self.spp - self.sxp * self.sxp - 0.25)
 
 
-def coherent(alpha: complex) -> GaussianState:
-    """Coherent state |alpha⟩: mu = √2 (Re α, Im α), sigma = I/2."""
-    alpha = complex(alpha)
-    return GaussianState(_SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5)
+def coherent(alpha) -> GaussianState:
+    """Coherent state |alpha⟩: mu = √2 (Re α, Im α), sigma = I/2; α may be an array."""
+    return GaussianState(_SQRT2 * np.real(alpha), _SQRT2 * np.imag(alpha), 0.5, 0.0, 0.5)
 
 
 class Flow:
@@ -138,7 +137,12 @@ def photon_number(m: GaussianState) -> np.ndarray:
 
 
 def variance_quadratic(state: GaussianState, op: Quadratic) -> float:
-    """Variance of a quadratic operator in a Gaussian state.
+    """Variance of a quadratic operator in one Gaussian state; see :func:`quadratic_variance`."""
+    return float(quadratic_variance(op, state))
+
+
+def quadratic_variance(f: Quadratic, m: GaussianState) -> np.ndarray:
+    """Variance of a quadratic operator in a Gaussian state; f and m broadcast together.
 
     Writing O = ½ rᵀG r + vᵀr + c0 and w = G mu + v, Wick factorization of
     the centered moments (each ordered pairing carries the two-point function
@@ -152,11 +156,6 @@ def variance_quadratic(state: GaussianState, op: Quadratic) -> float:
     The formula is validated against the truncated number-basis simulator on
     the regression grid rather than trusted (see the test suite).
     """
-    return float(quadratic_variance(op, state))
-
-
-def quadratic_variance(f: Quadratic, m: GaussianState) -> np.ndarray:
-    """Array form of :func:`variance_quadratic`; f and m broadcast together."""
     wx = f.gxx * m.mx + f.gxp * m.mp + f.vx  # w = G mu + v
     wp = f.gxp * m.mx + f.gpp * m.mp + f.vp
     b00 = f.gxx * m.sxx + f.gxp * m.sxp  # B = G sigma

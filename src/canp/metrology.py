@@ -197,7 +197,7 @@ class Protocol:
     def _baseline(self, t_c, t_theta, final: GaussianState) -> np.ndarray:
         """The direct baseline matched to final, the state after t_c and t_theta."""
         nbar = np.maximum(photon_number(final), 0.0)
-        reference = GaussianState(_SQRT2 * np.sqrt(nbar), 0.0, 0.5, 0.0, 0.5)
+        reference = coherent(np.sqrt(nbar))
         total = t_c + t_theta
         return 4.0 * (total * total) * quadratic_variance(self.htheta, reference)
 
@@ -448,7 +448,7 @@ def evaluate_report(spec: ProtocolSpec) -> MetrologyReport:
         qfi_asymptotic=float(protocol._qfi_asymptotic(t_c, t_theta)),
         qfi_direct_baseline=float(baseline),
         ratio=float(qfi / baseline),
-        skew=float(quadratic_variance(protocol.htheta, protocol._prepared(t_c))),
+        skew=float(protocol.skew(t_c)),
         cfi_homodyne=float(protocol._cfi_homodyne(final, t_theta)),
         meanP=float(final.mp),
         varP=float(final.spp),

@@ -163,8 +163,8 @@ class ModelParams(_ModelFields):
     """Parameters selecting one of the shipped critical-model pairs.
 
     An immutable named tuple that checks the variant and its fields however
-    it is built: the constructor, :meth:`replace`, ``_make`` and ``_replace``
-    (the last two would otherwise skip ``__new__``).
+    it is built: the constructor, ``_make`` and ``_replace`` (the last two
+    would otherwise skip ``__new__``).
     """
 
     __slots__ = ()
@@ -210,10 +210,6 @@ class ModelParams(_ModelFields):
         if self.variant == "QRM-displacement":
             return qrm_delta_displacement(self.omega, self.g)
         return lmg_delta(self.lam, self.gamma)
-
-    def replace(self, **changes) -> "ModelParams":
-        """A copy with the given fields changed, validated like a new instance."""
-        return self._replace(**changes)
 
     def to_dict(self) -> dict:
         out: dict = {"variant": self.variant, "omega": self.omega}

@@ -14,15 +14,15 @@ from canp.models import ModelParams
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_percall():
-    spec = importlib.util.spec_from_file_location("percall", BENCHMARKS / "percall.py")
+def load_benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_percall_name_runs(tmp_path):
-    percall = load_percall()
+    percall = load_benchmark_module("percall")
     table = percall.calls(str(tmp_path))
     for name in percall.NAMES:
         table[name]()
@@ -56,3 +56,13 @@ def test_selftest_and_checks_bindings():
     # checks.py pins the oracle's truncation through these two keywords.
     for oracle in (fock.converged_protocol_state, fock.qfi_numeric):
         assert {"start_dim", "max_dim"} <= set(inspect.signature(oracle).parameters)
+
+
+def test_every_workload_config_parses():
+    # A config the benchmark builds and the package refuses would show up
+    # only as a failed benchmark run; here it fails the suite (seeds 0-29).
+    workloads = load_benchmark_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for seed in range(30):
+            for experiment, obj in workloads.make(workload, seed):
+                assert experiments.config_from_dict(obj).experiment == experiment

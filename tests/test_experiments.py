@@ -81,10 +81,18 @@ class TestConfigParsing:
             config_from_dict(small_config("fig2b-inset", tmp_path, sweep={
                 "g": {"start": 0.5, "stop": 0.9, "points": 1}}))
 
-    def test_missing_axis_surfaces_at_run_time(self, tmp_path):
-        cfg = config_from_dict(small_config("fig2a", tmp_path))
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+    # Every axis an experiment reads (experiments.GRIDS) is required when the
+    # config is read, a time axis as well as a g or λ axis.
+    @pytest.mark.parametrize("experiment, given, axis", [
+        ("fig2a", (), "sqrtDelta_tc"), ("fig2a", ("sqrtDelta_tc",), "t_theta"),
+        ("fig2b", (), "sqrtDelta_tc"), ("fig3a", (), "sqrtDelta_tc"),
+    ])
+    def test_missing_time_axis_is_found_when_read(self, tmp_path, experiment, given, axis):
+        sweep = {name: {"start": 0.5, "stop": 6.0, "points": 3} for name in given}
+        extra = {} if experiment == "fig2a" else {"g_values": [0.9]}
+        with pytest.raises(ConfigError,
+                           match=f"^experiment {experiment} requires sweep axis {axis!r}$"):
+            config_from_dict(small_config(experiment, tmp_path, sweep=sweep, **extra))
 
     # A run whose model values come from a g or λ axis is checked against
     # them when the config is read, so a missing axis is found there.
@@ -406,11 +414,10 @@ class TestRunners:
         slopes = [abs(b[1] - a[1]) for a, b in zip(rows, rows[1:])]
         assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
 
-    # Without a bracket the threshold is sought over the sweep's range,
-    # whichever way the sweep runs.
-    @pytest.mark.parametrize("bracket, start, stop", [([0.2, 0.6], 0.2, 0.6), (None, 0.6, 0.2)])
-    def test_lmg_threshold_run(self, tmp_path, bracket, start, stop):
-        cfg_dict = small_config("lmg-threshold", tmp_path, t_theta=1.3, bracket=bracket,
+    # The threshold is sought over the bracket, whichever way the sweep runs.
+    @pytest.mark.parametrize("start, stop", [(0.2, 0.6), (0.6, 0.2)])
+    def test_lmg_threshold_run(self, tmp_path, start, stop):
+        cfg_dict = small_config("lmg-threshold", tmp_path, t_theta=1.3, bracket=[0.2, 0.6],
                                 sweep={"lambda": {"start": start, "stop": stop, "points": 9}})
         cfg_dict["model"] = {"variant": "LMG-frequency", "omega": 1.0,
                              "lambda": 0.4, "gamma": 2.0}
@@ -593,7 +600,7 @@ class TestRunners:
         assert np.array_equal(table["g"], np.repeat(cfg.g_values, len(sdtc)))
         assert np.array_equal(table["sqrtDelta_tc"], np.tile(sdtc, len(cfg.g_values)))
         for i, (g, x) in enumerate(zip(table["g"], table["sqrtDelta_tc"])):
-            protocol = Protocol(*cfg.model.replace(g=float(g)).pair(), cfg.alpha)
+            protocol = Protocol(*cfg.model._replace(g=float(g)).pair(), cfg.alpha)
             t_c = protocol.preparation_time(x)
             want = {"R": protocol.ratio(t_c, cfg.t_theta, cfg.theta0),
                     "S": protocol.skew(t_c), "F": protocol.qfi(t_c, cfg.t_theta)}
@@ -764,9 +771,9 @@ class TestCli:
          "bracket (0.2, 3.0) leaves the normal phase"),
         # R − 1 keeps one sign over the bracket: there is no threshold to find.
         ("lmg_threshold.json", ["--bracket=[0.2,0.3]"], "same sign at both ends of (0.2, 0.3)"),
-        # With no bracket given it is the lambda axis's span, which must have lo < hi too.
+        # A bracket is a pair [lo, hi]; null is not one, and no default stands in.
         ("lmg_threshold.json", ["--sweep.lambda.stop=0.2", "--bracket=null"],
-         "default bracket (0.2, 0.2), the span of sweep axis 'lambda', needs lo < hi"),
+         "bad config bracket None: expected [lo, hi]"),
     ])
     def test_model_value_outside_its_variant_is_config_error(self, tmp_path, capsys, config,
                                                              overrides, message):
@@ -881,17 +888,57 @@ class TestCli:
         assert err.startswith("run failed: experiment fig2a: ") and err.count("\n") == 1
         assert not out.exists()
 
-    # A field the experiment does not read is not checked against the model.
-    @pytest.mark.parametrize("experiment, extra", [
+    # A grid input the experiment does not read is refused before any model
+    # value is checked: these out-of-phase values are never reached.
+    TIME_AXES = {"sqrtDelta_tc": {"start": 0.0, "stop": 6.0, "points": 3},
+                 "t_theta": {"start": 0.5, "stop": 20.0, "points": 3}}
+
+    @pytest.mark.parametrize("experiment, extra, unread", [
         ("fig2a", {"g_values": [1.5], "bracket": [0.2, 3.0],
-                   "sweep": {"lambda": {"start": 0.5, "stop": 2.5, "points": 3}}}),
-        ("fig2b", {"bracket": [0.2, 1.5], "sweep": {"g": {"start": 0.5, "stop": 1.5, "points": 3}}}),
+                   "sweep": {**TIME_AXES, "lambda": {"start": 0.5, "stop": 2.5, "points": 3}}},
+         "sweep axis 'lambda'"),
+        ("fig2b", {"g_values": [0.9], "bracket": [0.2, 1.5],
+                   "sweep": {"sqrtDelta_tc": TIME_AXES["sqrtDelta_tc"],
+                             "g": {"start": 0.5, "stop": 1.5, "points": 3}}},
+         "sweep axis 'g'"),
         ("displacement", {"g_values": [1.5], "bracket": [0.2, 1.5],
                           "model": {"variant": "QRM-displacement", "g": 0.9},
-                          "sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}}),
+                          "sweep": {"g": {"start": 0.5, "stop": 0.9, "points": 3}}},
+         "g_values"),
     ])
-    def test_unread_fields_are_not_checked(self, tmp_path, experiment, extra):
-        config_from_dict(small_config(experiment, tmp_path, **extra))
+    def test_unread_fields_are_refused(self, tmp_path, experiment, extra, unread):
+        with pytest.raises(ConfigError, match=f"^experiment {experiment} does not read {unread}$"):
+            config_from_dict(small_config(experiment, tmp_path, **extra))
+
+    # The grid inputs of each experiment are exactly those experiments.GRIDS
+    # names: a missing one or another exits 2 naming the experiment and the
+    # input, before anything is written. A null bracket is a malformed one.
+    AXIS = '{"start": 0.5, "stop": 0.6, "points": 3}'
+
+    @pytest.mark.parametrize("config, drop, overrides, message", [
+        ("fig2b", None, [f"--sweep.g={AXIS}"], "experiment fig2b does not read sweep axis 'g'"),
+        ("fig2b_inset", None, [f"--sweep.sqrtDelta_tc={AXIS}"],
+         "experiment fig2b-inset does not read sweep axis 'sqrtDelta_tc'"),
+        ("fig2a", None, ["--g_values=[0.1]"], "experiment fig2a does not read g_values"),
+        ("fig2a", None, ["--bracket=[0.1,0.2]"], "experiment fig2a does not read bracket"),
+        ("displacement", None, ["--g_values=[0.5]"],
+         "experiment displacement does not read g_values"),
+        ("validate", None, [f"--sweep.g={AXIS}"], "experiment validate does not read sweep axis 'g'"),
+        ("fig2b", "g_values", [], "experiment fig2b requires g_values"),
+        ("fig3a", "g_values", [], "experiment fig3a requires g_values"),
+        ("lmg_threshold", "bracket", [], "experiment lmg-threshold requires bracket"),
+        ("lmg_threshold", None, ["--bracket=null"], "bad config bracket None: expected [lo, hi]"),
+    ])
+    def test_grid_inputs_are_the_ones_read(self, tmp_path, capsys, config, drop, overrides,
+                                           message):
+        obj = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        obj.pop(drop, None)
+        path, out = tmp_path / "c.json", tmp_path / "x.out"
+        path.write_text(json.dumps(obj))
+        assert cli.main([obj["experiment"], "--config", str(path), "--out", str(out),
+                         *overrides]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_runs_load_only_what_they_need(self, tmp_path, child_env):
         # Three children: a bare interpreter, start-up, and a small CSV run
@@ -1152,6 +1199,7 @@ class TestCli:
     def test_experiment_choices_keep_their_order(self):
         assert experiments.EXPERIMENTS == ("fig2a", "fig2b", "fig2b-inset", "fig3a", "fig3b",
                                            "lmg-threshold", "displacement", "validate")
+        assert tuple(experiments.GRIDS) == experiments.EXPERIMENTS
 
     def test_checked_in_configs_parse(self):
         for name in ("fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",
