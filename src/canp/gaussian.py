@@ -18,7 +18,7 @@ import numpy as np
 
 from .operators import Quadratic, flow_weights
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = float(np.sqrt(2.0))
 
 
 class GaussianState(NamedTuple):
@@ -64,8 +64,10 @@ class GaussianState(NamedTuple):
 
 
 def coherent(alpha) -> GaussianState:
-    """Coherent state |alpha⟩: mu = √2 (Re α, Im α), sigma = I/2; α may be an array."""
-    return GaussianState(_SQRT2 * np.real(alpha), _SQRT2 * np.imag(alpha), 0.5, 0.0, 0.5)
+    """Coherent state |alpha⟩: mu = √2 (Re α, Im α), sigma = I/2; α may be an array.
+
+    A complex α gives Python floats, so scalar arithmetic on the probe stays off numpy."""
+    return GaussianState(_SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5)
 
 
 class Flow:
@@ -142,30 +144,34 @@ def variance_quadratic(state: GaussianState, op: Quadratic) -> float:
 
 
 def quadratic_variance(f: Quadratic, m: GaussianState) -> np.ndarray:
-    """Variance of a quadratic operator in a Gaussian state; f and m broadcast together.
+    """Var[F] in a Gaussian state, the diagonal of :func:`quadratic_covariance`."""
+    return quadratic_covariance(f, f, m)
 
-    Writing O = ½ rᵀG r + vᵀr + c0 and w = G mu + v, Wick factorization of
-    the centered moments (each ordered pairing carries the two-point function
-    sigma + iΩ/2) collapses to the closed form
 
-        Var[O] = ½ Tr(G sigma G sigma) + ⅛ Tr(G Ω G Ω) + wᵀ sigma w.
+def quadratic_covariance(f: Quadratic, h: Quadratic, m: GaussianState) -> np.ndarray:
+    """½⟨{F, H}⟩ − ⟨F⟩⟨H⟩ of two quadratic operators in a Gaussian state; all broadcast.
 
-    The ⅛ Tr(GΩGΩ) = −¼ det G piece is the exact operator-ordering
-    (commutator) correction to the naive symmetric-moment result; it is what
-    makes Var[a†a] vanish on the vacuum and equal |α|² on a coherent state.
-    The formula is validated against the truncated number-basis simulator on
-    the regression grid rather than trusted (see the test suite).
+    Writing O = ½ rᵀG r + vᵀr + c0 and w = G mu + v for each, Wick factorization
+    of the centered moments (each ordered pairing carries the two-point function
+    sigma + iΩ/2) collapses to the bilinear closed form
+
+        Cov[F, H] = ½ Tr(G_f sigma G_h sigma) + ⅛ Tr(G_f Ω G_h Ω) + w_fᵀ sigma w_h.
+
+    On the diagonal ⅛ Tr(GΩGΩ) = −¼ det G is the exact operator-ordering
+    correction to the symmetric-moment result. Cross terms are summed as equal
+    halves, and H = F reuses F's w and G sigma: Cov[F, F] costs and rounds as Var.
     """
-    wx = f.gxx * m.mx + f.gxp * m.mp + f.vx  # w = G mu + v
-    wp = f.gxp * m.mx + f.gpp * m.mp + f.vp
-    b00 = f.gxx * m.sxx + f.gxp * m.sxp  # B = G sigma
-    b01 = f.gxx * m.sxp + f.gxp * m.spp
-    b10 = f.gxp * m.sxx + f.gpp * m.sxp
-    b11 = f.gxp * m.sxp + f.gpp * m.spp
+    (fxx, fxp, fpp, fx, fp, _), (hxx, hxp, hpp, hx, hp, _), (mx, mp, sxx, sxp, spp) = f, h, m
+    wx, wp = fxx * mx + fxp * mp + fx, fxp * mx + fpp * mp + fp
+    b00, b01, b10, b11 = (fxx * sxx + fxp * sxp, fxx * sxp + fxp * spp,
+                          fxp * sxx + fpp * sxp, fxp * sxp + fpp * spp)
+    ux, up, e00, e01, e10, e11 = (wx, wp, b00, b01, b10, b11) if h is f else (
+        hxx * mx + hxp * mp + hx, hxp * mx + hpp * mp + hp, hxx * sxx + hxp * sxp,
+        hxx * sxp + hxp * spp, hxp * sxx + hpp * sxp, hxp * sxp + hpp * spp)
     return (
-        0.5 * (b00 * b00 + 2.0 * b01 * b10 + b11 * b11)
-        - 0.25 * (f.gxx * f.gpp - f.gxp * f.gxp)
-        + (m.sxx * wx * wx + 2.0 * m.sxp * wx * wp + m.spp * wp * wp)
+        0.5 * (b00 * e00 + (b01 * e10 + b10 * e01) + b11 * e11)
+        - 0.25 * (0.5 * (fxx * hpp + hxx * fpp) - fxp * hxp)
+        + (sxx * wx * ux + (sxp * wx * up + sxp * ux * wp) + spp * wp * up)
     )
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (CommutingPairError, NonFiniteError, NoSignChangeError, OutOfPhaseError,
                      VacuumProbeError)
-from .gaussian import Flow, GaussianState, coherent, photon_number, quadratic_variance
+from .gaussian import (Flow, GaussianState, coherent, photon_number, quadratic_covariance,
+                       quadratic_variance)
 from .models import ModelParams
 from .operators import CriticalStructure, Quadratic, derive_critical_structure, flow_weights
 
@@ -93,13 +94,12 @@ class Protocol:
     ``_qfi_asymptotic``, ``_prepared``, ``_state``, ``_baseline``,
     ``_cfi_homodyne``), which take the checked float arrays.
 
-    The closed forms: the generator is h = t_θ (H_θ + s C + c D) with
-    s = sin(√Δ t_c)/√Δ and c = (cos(√Δ t_c) − 1)/Δ (from
-    :func:`canp.operators.flow_weights`), so QFI = 4 t_θ² Var[H_θ + sC + cD]
-    in the probe. A commuting pair has the zero structure (C = D = 0, Δ = 0),
-    so the same forms give h = t_θ H_θ.
-    H_θ + sC + cD is one :class:`canp.operators.Quadratic` whose entries are
-    arrays over the grid. States follow from :class:`canp.gaussian.Flow`.
+    The closed forms: the generator is h = t_θ (H_θ + s C − q D) with
+    s = sin(√Δ t_c)/√Δ and q = (1 − cos(√Δ t_c))/Δ (from
+    :func:`canp.operators.flow_weights`), so QFI = 4 t_θ² wᵀΣw, w = (1, s, −q),
+    in the :attr:`covariance` Σ of (H_θ, C, D). A commuting pair has the zero
+    structure (C = D = 0, Δ = 0), so h = t_θ H_θ. States, the skew and the
+    baseline follow from :class:`canp.gaussian.Flow`.
     """
 
     def __init__(self, hc: Quadratic, htheta: Quadratic, alpha: complex):
@@ -118,6 +118,16 @@ class Protocol:
         encoding) has C = D = 0 and Δ = 0, so its generator is just t_θ H_θ.
         """
         return derive_critical_structure(self.hc, self.htheta)
+
+    @cached_property
+    def covariance(self) -> tuple[float, ...]:
+        """(Σ_θθ, Σ_θC, Σ_θD, Σ_CC, Σ_CD, Σ_DD), the covariances of H_θ, C and D in the probe.
+
+        Every QFI is a quadratic form in these six; a commuting pair has only Σ_θθ ≠ 0.
+        """
+        th, c, d = self.htheta, *self.structure[:2]
+        pairs = ((th, th), (th, c), (th, d), (c, c), (c, d), (d, d))
+        return tuple(quadratic_covariance(a, b, self.probe) for a, b in pairs)
 
     def preparation_time(self, sqrt_delta_tc):
         """Preparation time(s) t_c = (√Δ·t_c)/√Δ from the derived Δ, over arrays.
@@ -153,7 +163,7 @@ class Protocol:
     # --- figures of merit ------------------------------------------------
 
     def qfi(self, t_c, t_theta) -> np.ndarray:
-        """Exact quantum Fisher information 4 Var[h] in the initial probe.
+        """Exact quantum Fisher information 4 Var[h] = 4 t_θ² wᵀΣw in the initial probe.
 
         The generator already folds the preparation unitary into the encoding
         Hamiltonian, so the variance is taken in the bare coherent state.
@@ -161,10 +171,10 @@ class Protocol:
         return self._qfi(*_durations(t_c, t_theta))
 
     def _qfi(self, t_c, t_theta) -> np.ndarray:
-        f_c, f_d, delta, _ = self.structure
-        _, s, q = flow_weights(delta, t_c)  # preparation weights (s, c) = (s, −q)
-        h = Quadratic._make(th + s * c - q * d for th, c, d in zip(self.htheta, f_c, f_d))
-        return 4.0 * (t_theta * t_theta) * quadratic_variance(h, self.probe)
+        s_tt, s_tc, s_td, s_cc, s_cd, s_dd = self.covariance
+        _, s, q = flow_weights(self.structure.Delta, t_c)
+        quad = s_tt + s * (2.0 * s_tc + s * s_cc) - q * (2.0 * (s_td + s * s_cd) - q * s_dd)
+        return 4.0 * (t_theta * t_theta) * quad
 
     def qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
         """Leading near-critical QFI 4 t_θ² [(cos(√Δ t_c) − 1)/Δ]² Var[D].
@@ -177,9 +187,8 @@ class Protocol:
         return self._qfi_asymptotic(*_durations(t_c, t_theta))
 
     def _qfi_asymptotic(self, t_c, t_theta) -> np.ndarray:
-        _, f_d, delta, _ = self.structure
-        _, _, q = flow_weights(delta, t_c)  # the cosine weight is −q
-        return 4.0 * (t_theta * t_theta) * (q * q) * quadratic_variance(f_d, self.probe)
+        _, _, q = flow_weights(self.structure.Delta, t_c)  # the cosine weight is −q
+        return 4.0 * (t_theta * t_theta) * (q * q) * self.covariance[5]
 
     def direct_baseline(self, t_c, t_theta, theta0) -> np.ndarray:
         """QFI of the direct-encoding scheme under matched energy and total time.
@@ -252,9 +261,8 @@ class Protocol:
         A commuting pair has C = 0 and so gives 0.
         """
         t_c, t_theta = _durations(t_c, t_theta)
-        f_c, _, delta, _ = self.structure
-        _, s, _ = flow_weights(delta, t_c)
-        return 4.0 * (t_theta * t_theta) * (s * s) * quadratic_variance(f_c, self.probe)
+        _, s, _ = flow_weights(self.structure.Delta, t_c)
+        return 4.0 * (t_theta * t_theta) * (s * s) * self.covariance[3]
 
 
 def require_bright_probe(alpha: complex, consequence: str) -> None:

@@ -40,9 +40,8 @@ SERIES_SWITCH = 1e-6
 class Quadratic(NamedTuple):
     """Entries (G_xx, G_xp, G_pp, v_x, v_p, c0) of ½ rᵀG r + vᵀr + c0, r = (X, P).
 
-    Floats for one operator, so equal operators compare and hash equal, or
-    arrays for a family of operators over a grid (the generator of
-    :class:`canp.metrology.Protocol`), which broadcast like numpy operands.
+    Floats for one operator, so equal operators compare and hash equal;
+    :class:`canp.metrology.Protocol` reads its QFI from covariances of three.
     """
 
     gxx: float = 0.0

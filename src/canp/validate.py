@@ -247,22 +247,27 @@ def check_near_critical_scaling() -> CheckResult:
 
     The cross terms of the generator decay like Δ, so the deviation must
     fall monotonically as g → 1, be within 0.10 across g ≥ 0.98 and within
-    0.05 at the top of the tested range.
+    0.05 at the top, and match its exact law Δ(ΔΣ_θθ − 4Σ_θD)/(4Σ_DD) to law_rel.
     """
+    def columns(p, t_c):
+        (s_tt, _, s_td, _, _, s_dd), delta = p.covariance, p.structure.Delta
+        return {"ratio": p.qfi(t_c, T_THETA) / p.qfi_asymptotic(t_c, T_THETA),
+                "law": delta * (delta * s_tt - 4.0 * s_td) / (4.0 * s_dd)}
     g_values = (0.98, 0.985, 0.99, 0.995)
-    swept = sweep([ModelParams("QRM-frequency", g=g) for g in g_values], ALPHA, math.pi,
-                  lambda p, t_c: {"ratio": p.qfi(t_c, T_THETA) / p.qfi_asymptotic(t_c, T_THETA)})
+    swept = sweep([ModelParams("QRM-frequency", g=g) for g in g_values], ALPHA, math.pi, columns)
     devs = np.abs(swept["ratio"] - 1.0).tolist()
-    tolerance = {"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10}
+    law_rel = float(np.max(np.abs((swept["ratio"] - 1.0) / swept["law"] - 1.0)))
+    tolerance = {"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10, "law_rel": 1e-12}
     ok = (
         all(b < a for a, b in zip(devs, devs[1:]))
         and devs[-1] <= tolerance["final"]
         and max(devs) <= tolerance["everywhere"]
+        and law_rel <= tolerance["law_rel"]
     )
     return CheckResult(
         name="near_critical_scaling",
         passed=ok,
-        measured={f"deviation_g={g}": d for g, d in zip(g_values, devs)},
+        measured={f"deviation_g={g}": d for g, d in zip(g_values, devs)} | {"max_law_rel": law_rel},
         tolerance=tolerance,
         details="qfi_exact/(16 Delta^-2 t_theta^2 Var[D]) - 1 at t_c=pi/sqrt(Delta)",
     )

@@ -6,10 +6,12 @@ benchmark harness's scripts `benchmarks/*.py` (the frozen
 `benchmarks/baseline/` copy does not count). A name that only tests call
 belongs in the tests, not in the package. A private module-level function
 or method needs a caller in `src/canp` itself: one that nothing calls was
-left behind.
+left behind. Dunders and the runtime hooks below are called by Python
+itself, so they need none.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import canp
@@ -20,6 +22,10 @@ GUARDED = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 # Kept on purpose: the general skew information, which the finite Rabi
 # model's mixed field state is planned to call.
 KEPT_FOR_TESTS = {"fock.skew_information_general"}
+# Private methods that the runtime calls on a NamedTuple subclass: the
+# inherited `_replace` builds its result with the class's `_make`, so an
+# override of `_make` is called with no reference to it in the package.
+RUNTIME_HOOKS = {"_make"}
 
 
 def public_definitions(module: str):
@@ -74,17 +80,32 @@ def is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def is_runtime_hook(module: str, cls: str, name: str) -> bool:
+    """Whether the method name of class cls in module is a hook the runtime calls."""
+    owner = getattr(importlib.import_module(f"canp.{module}"), cls)
+    return name in RUNTIME_HOOKS and issubclass(owner, tuple) and hasattr(owner, "_fields")
+
+
+def private_methods(module: str):
+    """(class name, def node) of every private, non-dunder method of a class in module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and is_private(member.name):
+                    yield node.name, member
+
+
 def private_definitions(module: str):
     """(qualified name, is_method, def node) of the private functions and the
-    private, non-dunder methods of every class in module."""
+    private, non-dunder methods of every class in module that are not runtime hooks."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and is_private(node.name):
             yield f"{module}.{node.name}", False, node
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and is_private(member.name):
-                    yield f"{module}.{node.name}.{member.name}", True, member
+    for cls, member in private_methods(module):
+        if not is_runtime_hook(module, cls, member.name):
+            yield f"{module}.{cls}.{member.name}", True, member
 
 
 def uncalled_definitions(definitions, files):
@@ -123,6 +144,25 @@ def test_every_private_function_has_a_caller():
             "metrology.Protocol._qfi", "metrology.Protocol._state", "metrology.Protocol._baseline",
             "metrology.Protocol._cfi_homodyne"} <= checked
     assert uncalled == set()
+
+
+def test_runtime_hooks_are_the_named_tuple_make_overrides(monkeypatch):
+    # The hook rule exempts the two `_make` overrides and nothing else;
+    # every other private method is checked for a caller.
+    assert RUNTIME_HOOKS == {"_make"}
+    found = {(module, cls, member.name) for module in GUARDED
+             for cls, member in private_methods(module)}
+    hooks = {f"{m}.{c}.{name}" for m, c, name in found if is_runtime_hook(m, c, name)}
+    assert hooks == {"metrology.ProtocolSpec._make", "models.ModelParams._make"}
+    checked, _ = uncalled_definitions(private_definitions, package_files())
+    assert {f"{m}.{c}.{name}" for m, c, name in found} - checked == hooks
+    # The runtime does call them: `_replace` goes through `_make`.
+    made = []
+    make = canp.ModelParams._make
+    monkeypatch.setattr(canp.ModelParams, "_make",
+                        classmethod(lambda cls, fields: made.append(cls) or make(fields)))
+    assert canp.ModelParams("QRM-frequency", g=0.5)._replace(g=0.6).g == 0.6
+    assert made == [canp.ModelParams]
 
 
 def test_package_root_exports_only_the_protocol_api():

@@ -7,8 +7,9 @@ moments by the matrix exponential of ΩG_c (mpmath's expm). The QFI is
 4 t_θ² Var[H_θ] in that prepared state and the ratio divides it by the
 direct baseline 4 (t_c + t_θ)² Var[H_θ] in the coherent state of equal mean
 photon number. canp takes the other route, the variance of the generator
-H_θ + sC − qD in the bare probe, so the two share only the parameters and
-t_c, and the gap is canp's rounding error.
+H_θ + sC − qD in the bare probe, read as the quadratic form wᵀΣw in the
+weights w = (1, s, −q) and the covariances Σ of (H_θ, C, D) there, so the
+two share only the parameters and t_c, and the gap is canp's rounding error.
 
 The gate is the worst relative error over 40 points √Δ·t_c ∈ (0, 4π].
 Near the critical point (g, λ → 1) an error in G_c grows like 1/(1 − g²)
@@ -20,7 +21,9 @@ near the multiples of 2π: κε is 1.3e-14 for LMG at λ = 0.995 (at
 be held to 1e-14 there.
 
 Δ itself is pinned to one rounding against the 50-digit ratio of
-i[H_c, D] to C, which does not use det G_c.
+i[H_c, D] to C, which does not use det G_c. The thresholds of validate's
+two brackets are held against the root of the 50-digit R − 1 at
+t_c = π/√Δ, with Δ and t_c in 50 digits too.
 """
 
 import math
@@ -31,6 +34,7 @@ import pytest
 
 from canp import ModelParams, Protocol
 from canp.operators import derive_critical_structure
+from canp.validate import ALPHA as VALIDATE_ALPHA, check_thresholds
 
 DPS = 50
 ALPHA = 0.3 + 1.0j
@@ -47,15 +51,19 @@ LMG_BOUNDS = {**BOUNDS, 0.995: 5e-14}
 SQRT_DELTA_TC = np.linspace(0.0, 4.0 * math.pi, 41)[1:]
 
 
-def _forms(params: ModelParams):
-    """(G_c, (G_θ, v_θ)) of the model in 50 digits, from its exact float parameters."""
+def _forms(params: ModelParams, value=None):
+    """(G_c, (G_θ, v_θ)) of the model in 50 digits, from its exact float parameters.
+
+    A 50-digit value, when given, replaces g or λ.
+    """
     mp = mpmath.mp
     omega = mp.mpf(params.omega)
     if params.variant.startswith("QRM"):
-        g = mp.mpf(params.g)
+        g = mp.mpf(params.g if value is None else value)
         g_c = mp.matrix([[omega * (1 - g * g), 0], [0, omega]])
     else:
-        lam, gamma = mp.mpf(params.lam), mp.mpf(params.gamma)
+        lam = mp.mpf(params.lam if value is None else value)
+        gamma = mp.mpf(params.gamma)
         g_c = mp.matrix([[-2 * (1 - lam), 0], [0, -2 * (gamma - lam)]])
     if params.variant == "QRM-displacement":  # X
         encoding = (mp.zeros(2, 2), mp.matrix([1, 0]))
@@ -81,9 +89,9 @@ def _bracket(a, b):
             g_b * omega_sym * v_a - g_a * omega_sym * v_b)
 
 
-def reference_delta(params: ModelParams):
+def reference_delta(params: ModelParams, value=None):
     """Δ from i[H_c, D] = ΔC in 50 digits, as the ratio of (C, i[H_c, D]) to (C, C)."""
-    g_c, encoding = _forms(params)
+    g_c, encoding = _forms(params, value)
     hc = (g_c, mpmath.mp.zeros(2, 1))
     c_op = _bracket(hc, encoding)
     t3 = _bracket(hc, _bracket(c_op, hc))
@@ -91,10 +99,13 @@ def reference_delta(params: ModelParams):
     return sum(x * y for x, y in entries) / sum(x * x for x, _ in entries)
 
 
-def reference(params: ModelParams, t_c: float, t_theta: float):
-    """(QFI, ratio) at preparation time t_c and working point θ0 = 0, in 50 digits."""
+def reference(params: ModelParams, t_c, t_theta: float, value=None):
+    """(QFI, ratio) at preparation time t_c and working point θ0 = 0, in 50 digits.
+
+    t_c is a float or a 50-digit number; a 50-digit value replaces g or λ.
+    """
     mp = mpmath.mp
-    g_c, encoding = _forms(params)
+    g_c, encoding = _forms(params, value)
     omega_sym = mp.matrix([[0, 1], [-1, 0]])
     s_mat = mp.expm(omega_sym * g_c * mp.mpf(t_c))
     mu0 = mp.sqrt(2) * mp.matrix([mp.mpf(ALPHA.real), mp.mpf(ALPHA.imag)])
@@ -145,6 +156,38 @@ def test_delta_is_exact_to_rounding(variant, value):
     with mpmath.workdps(DPS):
         want = reference_delta(params)
         assert float(abs((delta - want) / want)) <= 2.0**-52
+
+
+# (variant, key in validate's thresholds report, worst distance in ulps).
+# Near λ*, R − 1 changes sign several times at rounding level over a band
+# about 6e-15 (≈ 108 ulps) wide, so the search may end on any of those roots.
+THRESHOLDS = [
+    ("QRM-frequency", "g_star", 1),
+    ("LMG-frequency", "lambda_star", 128),
+]
+
+
+@pytest.fixture(scope="module")
+def thresholds():
+    return check_thresholds().measured
+
+
+@pytest.mark.parametrize("variant, key, ulps", THRESHOLDS)
+def test_threshold_is_near_the_50_digit_root(thresholds, variant, key, ulps):
+    assert VALIDATE_ALPHA == ALPHA
+    name, fields, t_theta = VARIANTS[variant]
+    params = ModelParams(variant, **fields, **{name: thresholds[key]})
+
+    def ratio_minus_one(value):
+        t_c = mpmath.mp.pi / mpmath.sqrt(reference_delta(params, value))
+        return reference(params, t_c, t_theta, value)[1] - 1
+
+    with mpmath.workdps(DPS):
+        bracket = tuple(map(mpmath.mpf, thresholds[f"{key}_bracket"]))
+        root = mpmath.findroot(ratio_minus_one, bracket, solver="anderson")
+        found = thresholds[key]
+        assert float(abs(found - root)) <= ulps * math.ulp(float(root)), \
+            f"{key} = {found!r} is {float((found - root) / math.ulp(float(root))):+.1f} ulps away"
 
 
 def test_reference_flow_matches_the_closed_form():

@@ -522,14 +522,14 @@ class TestRunners:
         assert 1 <= len(structure_derivations) <= 2
         assert not out.exists()
 
-    # One derivation per model value a run builds. lmg-threshold's 95 are its
-    # 81 rows, 12 refinement steps and both bracket ends, which repeat the
+    # One derivation per model value a run builds. lmg-threshold's 91 are its
+    # 81 rows, 8 refinement steps and both bracket ends, which repeat the
     # first and last rows; validate's are its five oracle grid rows and
-    # every check that builds a Protocol, the thresholds' 17 + 14 R
+    # every check that builds a Protocol, the thresholds' 13 + 10 R
     # evaluations among them.
     @pytest.mark.parametrize("name, derivations", [
         ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
-        ("lmg_threshold", 95), ("displacement", 50), ("validate", 55),
+        ("lmg_threshold", 91), ("displacement", 50), ("validate", 47),
     ])
     def test_structure_derivation_counts(self, tmp_path, structure_derivations,
                                          name, derivations):

@@ -12,12 +12,14 @@ from canp.gaussian import (
     evolution_map,
     evolve,
     photon_number,
+    quadratic_covariance,
+    quadratic_variance,
     quadrature_stats,
     variance_quadratic,
 )
 from canp.models import encoding_displacement, encoding_frequency, qrm_effective, qrm_commutator_d
 from canp.operators import SERIES_SWITCH, Quadratic, flow_weights
-from quadrature_forms import expectation, expectation_fock
+from quadrature_forms import expectation, expectation_fock, ladder_matrix, to_ladder
 
 ALPHA = 0.3 + 1.0j
 VACUUM = coherent(0j)
@@ -193,6 +195,71 @@ class TestMoments:
     def test_quadrature_stats(self):
         assert quadrature_stats(VACUUM) == pytest.approx((0.0, 0.5))
         assert quadrature_stats(coherent(ALPHA)) == pytest.approx((math.sqrt(2), 0.5))
+
+
+class TestCovariance:
+    """quadratic_covariance, ½⟨{F, H}⟩ − ⟨F⟩⟨H⟩, on seeded random forms and states."""
+
+    @staticmethod
+    def forms(n: int) -> list[Quadratic]:
+        rng = np.random.default_rng(20261020)
+        return [Quadratic(*rng.uniform(-1.0, 1.0, 6)) for _ in range(n)]
+
+    @staticmethod
+    def pure_states() -> GaussianState:
+        # sigma = R diag(e^{2r}, e^{−2r}) Rᵀ / 2 with random means, 50 states.
+        rng = np.random.default_rng(20261021)
+        r, phi = rng.uniform(-1.0, 1.0, 50), rng.uniform(0.0, math.pi, 50)
+        a, b, c, s = 0.5 * np.exp(2.0 * r), 0.5 * np.exp(-2.0 * r), np.cos(phi), np.sin(phi)
+        return GaussianState(rng.normal(size=50), rng.normal(size=50),
+                             a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
+
+    def test_symmetric_and_bilinear(self):
+        f, h, k = self.forms(3)
+        m, (a, b) = self.pure_states(), (0.7, -1.3)
+        combined = Quadratic(*(a * x + b * y for x, y in zip(f, k)))
+        # Cauchy–Schwarz bounds each covariance by this scale.
+        scale = np.sqrt(quadratic_variance(combined, m) * quadratic_variance(h, m))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(quadratic_covariance(f, h, m) - quadratic_covariance(h, f, m))
+                      <= 8 * eps * scale)
+        linear = a * quadratic_covariance(f, h, m) + b * quadratic_covariance(k, h, m)
+        assert np.all(np.abs(quadratic_covariance(combined, h, m) - linear) <= 16 * eps * scale)
+
+    def test_diagonal_is_the_variance_bit_for_bit(self):
+        m = self.pure_states()
+        for f in self.forms(4):
+            got = quadratic_covariance(f, f, m)
+            assert np.array_equal(got, quadratic_variance(f, m))
+            # The one-operator Wick form: each cross term of the bilinear one
+            # is two equal halves, so the skew and the baseline keep their bits.
+            wx, wp = f.gxx * m.mx + f.gxp * m.mp + f.vx, f.gxp * m.mx + f.gpp * m.mp + f.vp
+            b00, b01 = f.gxx * m.sxx + f.gxp * m.sxp, f.gxx * m.sxp + f.gxp * m.spp
+            b10, b11 = f.gxp * m.sxx + f.gpp * m.sxp, f.gxp * m.sxp + f.gpp * m.spp
+            want = (0.5 * (b00 * b00 + 2.0 * b01 * b10 + b11 * b11)
+                    - 0.25 * (f.gxx * f.gpp - f.gxp * f.gxp)
+                    + (m.sxx * wx * wx + 2.0 * m.sxp * wx * wp + m.spp * wp * wp))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("g, t", [(0.9, 2.0), (0.5, 1.0)])
+    def test_matches_ladder_and_number_basis(self, g, t):
+        # The probe after H_eff(g) for t, in phase space and on 120 levels.
+        h_prep, dim = qrm_effective(1.0, g), 120
+        state = evolve(coherent(ALPHA), h_prep, t)
+        amps, tail = fock.Propagator(h_prep, dim).evolve(fock.coherent_fock(ALPHA, dim).amps, t)
+        assert tail <= fock.TAIL_TOL
+        forms = self.forms(5)
+        routes = {"ladder": lambda op: ladder_matrix(to_ladder(op), dim) @ amps,
+                  "number basis": lambda op: fock._apply(op, amps)}
+        for route, apply in routes.items():
+            for f in forms:
+                for h in forms:
+                    f_psi, h_psi = apply(f), apply(h)
+                    want = (np.vdot(f_psi, h_psi).real
+                            - np.vdot(amps, f_psi).real * np.vdot(amps, h_psi).real)
+                    scale = math.sqrt(quadratic_variance(f, state) * quadratic_variance(h, state))
+                    got = quadratic_covariance(f, h, state)
+                    assert abs(got - want) <= 1e-12 * scale, route
 
 
 def matrix_form(h: Quadratic) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from canp.gaussian import (
     GaussianState,
     coherent,
     photon_number,
+    quadratic_variance,
     quadrature_stats,
     variance_quadratic,
 )
@@ -45,7 +46,7 @@ from canp.models import (
     qrm_delta_frequency,
     qrm_effective,
 )
-from canp.operators import Quadratic
+from canp.operators import Quadratic, flow_weights
 from quadrature_forms import Ladder, from_ladder
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -133,6 +134,31 @@ class TestQfiExact:
         t_theta = np.array([0.7, T_THETA])
         want = 4.0 * (t_theta * t_theta) * variance_quadratic(coherent(ALPHA), protocol.htheta)
         assert np.array_equal(protocol.qfi(t_c, t_theta), np.broadcast_to(want, (4, 2)))
+
+    @pytest.mark.parametrize("params", [ModelParams("QRM-frequency", g=0.0),
+                                        ModelParams("LMG-frequency", lam=0.4, gamma=1.0)])
+    def test_commuting_pair_covariance_is_the_encodings_variance(self, params):
+        protocol = Protocol(*params.pair(), ALPHA)
+        want = variance_quadratic(coherent(ALPHA), protocol.htheta)
+        assert protocol.covariance == (want, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    # The shipped configs' pairs on fig2a's grid.
+    @pytest.mark.parametrize("params", [ModelParams("QRM-frequency", g=0.96),
+                                        ModelParams("QRM-displacement", g=0.9),
+                                        ModelParams("LMG-frequency", lam=0.4, gamma=2.0)])
+    def test_matches_the_generator_variance(self, params):
+        # The reference builds the generator H_θ + sC − qD as one form per
+        # grid row and takes its Wick variance in the probe.
+        axes = json.loads((CONFIG_DIR / "fig2a.json").read_text())["sweep"]
+        y, t_theta = (np.linspace(a["start"], a["stop"], a["points"])
+                      for a in (axes["sqrtDelta_tc"], axes["t_theta"]))
+        protocol = Protocol(*params.pair(), ALPHA)
+        t_c = protocol.preparation_time(y)[:, None]
+        f_c, f_d, delta, _ = protocol.structure
+        _, s, q = flow_weights(delta, t_c)
+        generator = Quadratic(*(th + s * c - q * d for th, c, d in zip(protocol.htheta, f_c, f_d)))
+        want = 4.0 * (t_theta * t_theta) * quadratic_variance(generator, protocol.probe)
+        assert np.max(np.abs(protocol.qfi(t_c, t_theta) / want - 1.0)) <= 4e-15
 
     def test_matches_numeric_oracle(self):
         spec = qrm_spec(0.96, 3.0)
@@ -564,8 +590,8 @@ class TestFindThreshold:
     # validate's two brackets. The search evaluates R at both ends and then
     # at each refinement step, building one structure per evaluation.
     @pytest.mark.parametrize("family, t_theta, bracket, printed, root, evaluations", [
-        ("QRM-frequency", 12.0, (0.3, 0.8), 0.5058, 0.5058039992181418, 17),
-        ("LMG-frequency", 1.3, (0.2, 0.6), 0.3559, 0.35591988119071993, 14),
+        ("QRM-frequency", 12.0, (0.3, 0.8), 0.5058, 0.5058039992181418, 13),
+        ("LMG-frequency", 1.3, (0.2, 0.6), 0.3559, 0.35591988119071194, 10),
     ])
     def test_ends_on_adjacent_floats(self, structure_derivations, family, t_theta, bracket,
                                      printed, root, evaluations):
