@@ -1,18 +1,21 @@
 """Sweep drivers that generate the figure data and validation reports.
 
 Each experiment maps a JSON run configuration onto a deterministic CSV (or a
-JSON report for `validate`). A sweep is a single-process array evaluation:
-each CSV runner hands its model values to :func:`canp.metrology.sweep`, which
-builds one :class:`canp.metrology.Protocol` per value, places t_c at √Δ·t_c
-and evaluates the runner's columns over that value's whole time grid in closed
-form; `validate` runs its number-basis oracle in the same process. A malformed
-or unknown field is a ConfigError. A CSV runner hands the writer the arrays it
-computed, before broadcasting, and returns the table written: each column's
-values, one per row. Every CSV starts with a comment line carrying the tool
-version and a hash of the resolved configuration without its output path. The
-hash covers every other field, also those that cannot change this run's data:
-validate's model and physics fields (its checks fix their own) and LMG's omega.
-A config names exactly the grid inputs its experiment reads (:data:`GRIDS`).
+JSON report for `validate`); its row of :data:`TABLE` names its runner, the
+grid inputs a config must name (and no others), its phase √Δ·t_c and its
+columns. A CSV run hands its model values to :func:`canp.metrology.sweep`,
+which builds one :class:`canp.metrology.Protocol` per value, places t_c at
+that phase and evaluates the row's columns over the value's whole time grid
+in closed form; `validate` runs its number-basis oracle in the same process.
+A malformed or unknown field is a ConfigError. A CSV runner hands the writer
+the arrays it computed, before broadcasting, and returns the table written:
+each column's values, one per row. Every CSV starts with a comment line
+carrying the tool version and a hash of the resolved configuration without
+its output path. The hash covers every other field, also those that cannot
+change this run's data: the swept model field (g or lambda), the t_theta
+field of fig2a (an axis there), fig3a's theta0, lmg-threshold's omega,
+displacement's theta0 and alpha (its X encoding's QFI and baseline do not
+depend on the amplitude), and validate's t_theta, theta0, alpha and model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 try:
     # hashlib loads OpenSSL's libcrypto (about 3.5 MB resident) for one
@@ -40,21 +44,6 @@ from .metrology import Protocol, find_threshold, require_bright_probe, sweep, ze
 # Unused here; benchmarks/selftest.py and tests/test_benchmark_contract.py assert the binding.
 from .metrology import enhancement_ratio  # noqa: F401
 from .models import ModelParams, config_number, config_object
-
-# The grid inputs each experiment reads: its sweep axes, then the fields that
-# list its model values or bound its threshold search. A config names every
-# one of them and no other (config_from_dict).
-GRIDS = {
-    "fig2a": (("sqrtDelta_tc", "t_theta"), ()),
-    "fig2b": (("sqrtDelta_tc",), ("g_values",)),
-    "fig2b-inset": (("g",), ()),
-    "fig3a": (("sqrtDelta_tc",), ("g_values",)),
-    "fig3b": (("g",), ()),
-    "lmg-threshold": (("lambda",), ("bracket",)),
-    "displacement": (("g",), ()),
-    "validate": ((), ()),
-}
-
 
 class Axis(NamedTuple):
     name: str
@@ -201,28 +190,26 @@ def config_from_dict(obj: dict) -> RunConfig:
     return cfg
 
 
-def _model_values(cfg: RunConfig) -> tuple[np.ndarray, list[ModelParams]]:
-    """The parameter a run sweeps, as the config gave it (the g_values, or the
-    g or lambda axis), and the model at each value: a copy with g or λ moved
-    there."""
-    axes = GRIDS[cfg.experiment][0]
-    if "lambda" in axes:
-        lam = cfg.axis("lambda").values()
-        return lam, [cfg.model._replace(lam=value) for value in lam.tolist()]
-    if cfg.g_values:
-        g = np.array(cfg.g_values)
-    elif "g" in axes:
-        g = cfg.axis("g").values()
+def _model_values(cfg: RunConfig) -> tuple[str, np.ndarray, list[ModelParams]]:
+    """The column of the model field a run sweeps (g or lambda, from its row),
+    its values as the config gave them (the g_values, or the g or lambda axis),
+    and the model at each value: a copy with that field moved there."""
+    row = TABLE[cfg.experiment]
+    if "g_values" in row.fields:
+        name, values = "g", np.array(cfg.g_values)
+    elif row.axes in (("g",), ("lambda",)):
+        name, values = row.axes[0], cfg.axis(row.axes[0]).values()
     else:  # fig2a sweeps nothing and reads the model alone; validate reads no model
-        return np.empty(0), ([cfg.model] if cfg.experiment == "fig2a" else [])
-    return g, [cfg.model._replace(g=value) for value in g.tolist()]
+        return "", np.empty(0), ([cfg.model] if cfg.experiment == "fig2a" else [])
+    field = "lam" if name == "lambda" else "g"
+    return name, values, [cfg.model._replace(**{field: value}) for value in values.tolist()]
 
 
 def _validate(cfg: RunConfig, named: dict) -> None:
     """Time axes must be ordered; the config, whose keys are `named`, must name
-    exactly its experiment's grid inputs (GRIDS); and every model value the run
-    reads must have its variant's fields (checked on building it) and obey its
-    phase rule."""
+    exactly the grid inputs of its experiment's TABLE row; and every model
+    value the run reads must have its variant's fields (checked on building
+    it) and obey its phase rule."""
     for ax in cfg.sweep:
         if ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
@@ -230,19 +217,19 @@ def _validate(cfg: RunConfig, named: dict) -> None:
         elif ax.name == "t_theta":
             if ax.start <= 0.0 or ax.stop <= 0.0:
                 raise ConfigError("t_theta sweep must stay positive")
-    axes, fields = GRIDS[cfg.experiment]
-    for name in axes:
+    row = TABLE[cfg.experiment]
+    for name in row.axes:
         cfg.axis(name)  # a missing axis is a ConfigError naming it
-    for field in fields:
+    for field in row.fields:
         if field not in named:
             raise ConfigError(f"experiment {cfg.experiment} requires {field}")
-    unread = [f"sweep axis {ax.name!r}" for ax in cfg.sweep if ax.name not in axes]
-    unread += [key for key in ("g_values", "bracket") if key in named and key not in fields]
+    unread = [f"sweep axis {ax.name!r}" for ax in cfg.sweep if ax.name not in row.axes]
+    unread += [key for key in ("g_values", "bracket") if key in named and key not in row.fields]
     if unread:
         raise ConfigError(f"experiment {cfg.experiment} does not read {unread[0]}")
     if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
         raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
-    for params in _model_values(cfg)[1]:
+    for params in _model_values(cfg)[2]:
         params.preparation()
 
 
@@ -380,94 +367,86 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
+def _sweep_table(cfg: RunConfig) -> dict[str, np.ndarray]:
+    """A run's columns before broadcasting: the swept model value and its row's
+    columns, with the sqrtDelta_tc axis along a (k, n) block or alone at the
+    row's fixed phase √Δ·t_c."""
+    row = TABLE[cfg.experiment]
+    name, values, models = _model_values(cfg)
+    if row.phase is None:
+        phase = cfg.axis("sqrtDelta_tc").values()
+        lead = {name: values[:, None], "sqrtDelta_tc": phase}
+    else:
+        phase, lead = row.phase, {name: values}
+    return {**lead, **sweep(models, cfg.alpha, phase, partial(row.columns, cfg))}
+
+
+def run_sweep(cfg: RunConfig) -> dict[str, np.ndarray]:
+    """Write the table of a run whose row is all it reads."""
+    return write_csv(cfg.out, cfg, _sweep_table(cfg))
+
+
 def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
+    # The 2-D time grid: one model value, so each column is (1, n, m) and the
+    # rows run √Δ·t_c first.
     sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
-    tth = cfg.axis("t_theta").values()[None, :]
-    # One model value, so R is (1, n, m): the rows run √Δ·t_c first.
-    swept = sweep([cfg.model], cfg.alpha, sdtc, lambda p, t_c: {"R": p.ratio(t_c, tth, cfg.theta0)})
-    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, "t_theta": tth, **swept,
-                                    "enhanced": swept["R"] > 1.0})
+    swept = sweep([cfg.model], cfg.alpha, sdtc, partial(TABLE["fig2a"].columns, cfg))
+    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, **swept})
 
 
-def run_fig2b(cfg: RunConfig) -> dict[str, np.ndarray]:
-    sdtc = cfg.axis("sqrtDelta_tc").values()
-    g, models = _model_values(cfg)
-    swept = sweep(models, cfg.alpha, sdtc,
-                  lambda p, t_c: {"R": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
-    # g runs down the (k, n) block of results, √Δ·t_c along it.
-    return write_csv(cfg.out, cfg, {"g": g[:, None], "sqrtDelta_tc": sdtc, **swept})
+def _fig2a_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
+    t_theta = cfg.axis("t_theta").values()[None, :]
+    ratio = protocol.ratio(t_c, t_theta, cfg.theta0)
+    return {"t_theta": t_theta, "R": ratio, "enhanced": ratio > 1.0}
 
 
-def run_fig2b_inset(cfg: RunConfig) -> dict[str, np.ndarray]:
-    g, models = _model_values(cfg)
-    swept = sweep(models, cfg.alpha, math.pi,
-                  lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
-    return write_csv(cfg.out, cfg, {"g": g, **swept})
+def _ratio(name: str):
+    """The columns of a run that writes only the enhancement ratio, as name."""
+    return lambda cfg, protocol, t_c: {name: protocol.ratio(t_c, cfg.t_theta, cfg.theta0)}
 
 
-def run_fig3a(cfg: RunConfig) -> dict[str, np.ndarray]:
-    sdtc = cfg.axis("sqrtDelta_tc").values()
-    g, models = _model_values(cfg)
-    swept = sweep(models, cfg.alpha, sdtc,
-                  lambda p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)})
-    return write_csv(cfg.out, cfg, {"g": g[:, None], "sqrtDelta_tc": sdtc, **swept})
+def _fig3b_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
+    final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
+    cfi, qfi = protocol._cfi_homodyne(final, cfg.t_theta), protocol.qfi(t_c, cfg.t_theta)
+    return {"meanP": final.mp, "cfi": cfi, "qfi": qfi, "cfi_over_qfi": cfi / qfi}
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi,
-                  lambda p, t_c: {"meanP": p.state(t_c, cfg.t_theta, cfg.theta0).mp})
+    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi, partial(_fig3b_columns, cfg))
     return float(swept["meanP"][0])
 
 
 def run_fig3b(cfg: RunConfig) -> dict[str, np.ndarray]:
     require_bright_probe(cfg.alpha, "⟨P⟩'s zero crossings are not read for a vacuum probe "
                                     "(|alpha| < 1e-12)")
-
-    def columns(protocol: Protocol, t_c) -> dict:
-        final = protocol.state(t_c, cfg.t_theta, cfg.theta0)
-        return {"meanP": final.mp, "cfi": protocol._cfi_homodyne(final, cfg.t_theta),
-                "qfi": protocol.qfi(t_c, cfg.t_theta)}
-
-    g, models = _model_values(cfg)
-    swept = sweep(models, cfg.alpha, math.pi, columns)
+    table = _sweep_table(cfg)
     # Sign changes of ⟨P⟩ versus g, each refined down to adjacent floats.
-    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), g, swept["meanP"])
-    if crossings:
-        comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings)
-    else:
-        comments = ("meanP_zero_crossings none (curve is sign-definite on this grid)",)
-    return write_csv(cfg.out, cfg, {"g": g, **swept, "cfi_over_qfi": swept["cfi"] / swept["qfi"]},
-                     extra_comments=comments)
+    crossings = zero_crossings(lambda value: _mean_p_at(cfg, value), table["g"], table["meanP"])
+    comments = tuple(f"meanP_zero_crossing g={c!r}" for c in crossings) or (
+        "meanP_zero_crossings none (curve is sign-definite on this grid)",)
+    return write_csv(cfg.out, cfg, table, extra_comments=comments)
 
 
 def run_lmg_threshold(cfg: RunConfig) -> dict[str, np.ndarray]:
     # The threshold comes first: a bracket it rejects stops the run before
     # the sweep, after at most its two end values. Config time does not
     # phase-check a given bracket; an end out of phase exits here.
-    lam, models = _model_values(cfg)
     lo, hi = cfg.bracket
     lam_star = find_threshold(
         "LMG-frequency", cfg.t_theta, cfg.alpha, cfg.bracket,
         omega=cfg.model.omega, gamma=cfg.model.gamma, theta0=cfg.theta0,
     )
     comments = (f"lambda_star={lam_star!r} bracket=({lo!r},{hi!r})",)
-    swept = sweep(models, cfg.alpha, math.pi,
-                  lambda p, t_c: {"R_tau": p.ratio(t_c, cfg.t_theta, cfg.theta0)})
-    return write_csv(cfg.out, cfg, {"lambda": lam, **swept}, extra_comments=comments)
+    return write_csv(cfg.out, cfg, _sweep_table(cfg), extra_comments=comments)
 
 
-def run_displacement(cfg: RunConfig) -> dict[str, np.ndarray]:
-    def columns(protocol: Protocol, t_c) -> dict:
-        protocol._require_bright_probe()
-        exact = protocol.qfi(t_c, cfg.t_theta)
-        return {"delta_p": protocol.structure.Delta,
-                "qfi_formula": protocol.qfi_displacement(t_c, cfg.t_theta), "qfi_exact": exact,
-                # Protocol.ratio's quotient, reusing the exact QFI.
-                "R": exact / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)}
-
-    g, models = _model_values(cfg)
-    # Quarter period: the point where the asymptotic sin² formula is exact.
-    return write_csv(cfg.out, cfg, {"g": g, **sweep(models, cfg.alpha, 0.5 * math.pi, columns)})
+def _displacement_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
+    protocol._require_bright_probe()
+    exact = protocol.qfi(t_c, cfg.t_theta)
+    return {"delta_p": protocol.structure.Delta,
+            "qfi_formula": protocol.qfi_displacement(t_c, cfg.t_theta), "qfi_exact": exact,
+            # Protocol.ratio's quotient, reusing the exact QFI.
+            "R": exact / protocol.direct_baseline(t_c, cfg.t_theta, cfg.theta0)}
 
 
 def run_validate(cfg: RunConfig) -> dict:
@@ -487,17 +466,34 @@ def run_validate(cfg: RunConfig) -> dict:
     return report
 
 
-RUNNERS = {
-    "fig2a": run_fig2a,
-    "fig2b": run_fig2b,
-    "fig2b-inset": run_fig2b_inset,
-    "fig3a": run_fig3a,
-    "fig3b": run_fig3b,
-    "lmg-threshold": run_lmg_threshold,
-    "displacement": run_displacement,
-    "validate": run_validate,
+class Experiment(NamedTuple):
+    """One experiment. `axes` and `fields` are the grid inputs its config names:
+    the sweep axes, then the fields that list the model values or bound a
+    threshold search. `phase` is √Δ·t_c at every row, or None for the
+    sqrtDelta_tc axis; `columns(cfg, protocol, t_c)` names the columns
+    computed at one model value. validate has neither."""
+    runner: Callable
+    axes: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
+    phase: float | None = None
+    columns: Callable | None = None
+
+
+TABLE = {
+    "fig2a": Experiment(run_fig2a, ("sqrtDelta_tc", "t_theta"), columns=_fig2a_columns),
+    "fig2b": Experiment(run_sweep, ("sqrtDelta_tc",), ("g_values",), None, _ratio("R")),
+    "fig2b-inset": Experiment(run_sweep, ("g",), (), math.pi, _ratio("R_tau")),
+    "fig3a": Experiment(run_sweep, ("sqrtDelta_tc",), ("g_values",), None,
+                        lambda cfg, p, t_c: {"S": p.skew(t_c), "F": p.qfi(t_c, cfg.t_theta)}),
+    "fig3b": Experiment(run_fig3b, ("g",), (), math.pi, _fig3b_columns),
+    "lmg-threshold": Experiment(run_lmg_threshold, ("lambda",), ("bracket",), math.pi,
+                                _ratio("R_tau")),
+    # Quarter period: the point where the asymptotic sin² formula is exact.
+    "displacement": Experiment(run_sweep, ("g",), (), 0.5 * math.pi, _displacement_columns),
+    "validate": Experiment(run_validate),
 }
-EXPERIMENTS = tuple(RUNNERS)
+EXPERIMENTS = tuple(TABLE)
+RUNNERS = {name: row.runner for name, row in TABLE.items()}
 
 
 def run_experiment(cfg: RunConfig):

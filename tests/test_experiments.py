@@ -81,7 +81,7 @@ class TestConfigParsing:
             config_from_dict(small_config("fig2b-inset", tmp_path, sweep={
                 "g": {"start": 0.5, "stop": 0.9, "points": 1}}))
 
-    # Every axis an experiment reads (experiments.GRIDS) is required when the
+    # Every axis an experiment reads (its experiments.TABLE row) is required when the
     # config is read, a time axis as well as a g or λ axis.
     @pytest.mark.parametrize("experiment, given, axis", [
         ("fig2a", (), "sqrtDelta_tc"), ("fig2a", ("sqrtDelta_tc",), "t_theta"),
@@ -614,6 +614,100 @@ class TestRunners:
             run_experiment(config_from_dict(cfg_dict))
 
 
+def _data(cfg) -> list[str]:
+    """What a run's data are: its CSV lines after the provenance line (the
+    comments, header and rows), or its validate report without the config
+    hash and the timings."""
+    result = run_experiment(cfg)
+    if cfg.experiment != "validate":
+        return Path(cfg.out).read_text().splitlines()[1:]
+    checks = [{k: v for k, v in check.items() if k != "seconds"} for check in result["checks"]]
+    kept = {k: v for k, v in result.items() if k not in ("seconds", "config_sha256")}
+    return [json.dumps({**kept, "checks": checks}, sort_keys=True)]
+
+
+# The parameter fields each run's data depend on. The others cannot change
+# them: the swept model field (g or lambda), which the sweep replaces; fig2a's
+# t_theta field, whose place its t_theta axis takes; fig3a's theta0;
+# lmg-threshold's omega; displacement's theta0 and alpha, because its X
+# encoding's QFI and baseline do not depend on the probe amplitude (alpha is
+# still read there, by the vacuum-probe refusal); and all of validate's, whose
+# checks fix their own. R itself does not depend on theta0 (TestRatioStructure):
+# theta0 moves the R cells of fig2a, fig2b, fig2b-inset and lmg-threshold only
+# in their last bits, where the encoded state is rounded.
+READS = {
+    "fig2a": ("theta0", "alpha", "model.omega", "model.g"),
+    "fig2b": ("t_theta", "theta0", "alpha", "model.omega"),
+    "fig2b-inset": ("t_theta", "theta0", "alpha", "model.omega"),
+    "fig3a": ("t_theta", "alpha", "model.omega"),
+    "fig3b": ("t_theta", "theta0", "alpha", "model.omega"),
+    "lmg-threshold": ("t_theta", "theta0", "alpha", "model.gamma"),
+    "displacement": ("t_theta", "model.omega"),
+    "validate": (),
+}
+
+
+class TestExperimentTable:
+    # Each parameter field moved away from its value in TestRunners.SMALL, to
+    # a value that keeps lmg-threshold's sign change of R - 1 inside its
+    # bracket (t_theta = 7.5, gamma = 1.5 or alpha = 2 - i would lose it and
+    # exit 2). alpha moves to a probe of another phase and to a faint one.
+    MOVES = (("t_theta", 1.31), ("theta0", 1.0), ("alpha", {"re": 0.6, "im": -0.8}),
+             ("alpha", 0.001), ("model.omega", 1.3), ("model.g", 0.7), ("model.lambda", 0.45),
+             ("model.gamma", 2.01))
+
+    @pytest.mark.parametrize("experiment", READS)
+    def test_data_depend_on_the_fields_read_and_no_other(self, tmp_path, experiment):
+        obj = small_config(experiment, tmp_path, **TestRunners.SMALL.get(
+            experiment, {"oracle": True, "out": str(tmp_path / "report.json")}))
+        lmg = obj["model"]["variant"] == "LMG-frequency"
+        model_fields = ("model.omega", *(("model.lambda", "model.gamma") if lmg else ("model.g",)))
+        base = _data(config_from_dict(obj))
+        wrong = []
+        for i, (field, value) in enumerate(self.MOVES):
+            if field.startswith("model.") and field not in model_fields:
+                continue
+            moved = apply_overrides(obj, {field: json.dumps(value)})
+            moved["out"] = str(Path(obj["out"]).with_stem(f"moved{i}"))
+            if (_data(config_from_dict(moved)) != base) is not (field in READS[experiment]):
+                wrong.append((field, value))
+        assert wrong == []
+
+    # Each sweep row's cells at a point are bitwise the same in the checked-in
+    # grid and in a grid of two points along each axis (and two g_values, in
+    # the other order), all taken from it. fig2a also keeps either axis whole:
+    # its 200 x 2 and 2 x 200 grids.
+    @pytest.mark.parametrize("experiment", [name for name, row in experiments.TABLE.items()
+                                            if row.columns])
+    def test_cells_do_not_depend_on_the_grid(self, tmp_path, experiment):
+        def cells(cfg) -> dict:
+            """{a row's grid cells: the reprs of all its cells} of a run."""
+            table = {name: column.tolist() for name, column in run_experiment(cfg).items()}
+            grid = [table[name] for name in ("g", "lambda", "sqrtDelta_tc", "t_theta")
+                    if name in table]
+            return {point: repr(row) for point, row in zip(zip(*grid), zip(*table.values()))}
+
+        path = str(CONFIG_DIR / f"{experiment.replace('-', '_')}.json")
+        cfg = load_config(path, {"out": json.dumps(str(tmp_path / "full.csv"))})
+        full = cells(cfg)
+        axes = {ax.name: ax._asdict() for ax in cfg.sweep}
+        for ax in axes.values():
+            del ax["name"]
+        pairs = {ax.name: {"start": ax.values()[1], "stop": ax.values()[ax.points // 2],
+                           "points": 2} for ax in cfg.sweep}
+        for whole in [None, *(axes if len(axes) > 1 else ())]:
+            overrides = {"sweep": json.dumps({name: axes[name] if name == whole else pairs[name]
+                                              for name in axes}),
+                         "out": json.dumps(str(tmp_path / f"part_{whole}.csv"))}
+            if cfg.g_values:
+                overrides["g_values"] = json.dumps([cfg.g_values[-1], cfg.g_values[1]])
+            part_cfg = load_config(path, overrides)
+            part = cells(part_cfg)
+            assert len(part) == (math.prod(ax.points for ax in part_cfg.sweep)
+                                 * max(1, len(part_cfg.g_values)))
+            assert {point: full[point] for point in part} == part
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         sweep = {"sqrtDelta_tc": {"start": 0.0, "stop": 12.566370614359172, "points": 12},
@@ -910,8 +1004,8 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"^experiment {experiment} does not read {unread}$"):
             config_from_dict(small_config(experiment, tmp_path, **extra))
 
-    # The grid inputs of each experiment are exactly those experiments.GRIDS
-    # names: a missing one or another exits 2 naming the experiment and the
+    # The grid inputs of each experiment are exactly those its experiments.TABLE
+    # row names: a missing one or another exits 2 naming the experiment and the
     # input, before anything is written. A null bracket is a malformed one.
     AXIS = '{"start": 0.5, "stop": 0.6, "points": 3}'
 
@@ -1199,7 +1293,7 @@ class TestCli:
     def test_experiment_choices_keep_their_order(self):
         assert experiments.EXPERIMENTS == ("fig2a", "fig2b", "fig2b-inset", "fig3a", "fig3b",
                                            "lmg-threshold", "displacement", "validate")
-        assert tuple(experiments.GRIDS) == experiments.EXPERIMENTS
+        assert tuple(experiments.TABLE) == tuple(experiments.RUNNERS) == experiments.EXPERIMENTS
 
     def test_checked_in_configs_parse(self):
         for name in ("fig2a", "fig2b", "fig2b_inset", "fig3a", "fig3b",

@@ -94,7 +94,7 @@ class TestBandTable:
 
     def test_every_shipped_preparation_has_only_offset_two(self):
         models = [params for path in sorted(CONFIG_DIR.glob("*.json"))
-                  for params in _model_values(load_config(str(path)))[1]]
+                  for params in _model_values(load_config(str(path)))[2]]
         assert len(models) == 1 + 4 + 120 + 3 + 80 + 81 + 50
         for params in models:
             assert band_kinds(params.preparation()) == [(2, np.float64)], params
