@@ -199,8 +199,8 @@ def _model_values(cfg: RunConfig) -> tuple[str, np.ndarray, list[ModelParams]]:
         name, values = "g", np.array(cfg.g_values)
     elif row.axes in (("g",), ("lambda",)):
         name, values = row.axes[0], cfg.axis(row.axes[0]).values()
-    else:  # fig2a sweeps nothing and reads the model alone; validate reads no model
-        return "", np.empty(0), ([cfg.model] if cfg.experiment == "fig2a" else [])
+    else:  # a row with columns (fig2a) reads the model alone; validate reads no model
+        return "", np.empty(0), ([cfg.model] if row.columns else [])
     field = "lam" if name == "lambda" else "g"
     return name, values, [cfg.model._replace(**{field: value}) for value in values.tolist()]
 
@@ -368,30 +368,24 @@ def _write(path: str, text: str) -> None:
 
 
 def _sweep_table(cfg: RunConfig) -> dict[str, np.ndarray]:
-    """A run's columns before broadcasting: the swept model value and its row's
-    columns, with the sqrtDelta_tc axis along a (k, n) block or alone at the
-    row's fixed phase √Δ·t_c."""
+    """A run's columns before broadcasting: the swept model value, if the row
+    sweeps one, and its row's columns. On the sqrtDelta_tc axis they fill a
+    (k, n, 1) block, whose trailing axis a row's columns may extend (fig2a's
+    t_theta); otherwise they stand at the row's fixed phase √Δ·t_c."""
     row = TABLE[cfg.experiment]
     name, values, models = _model_values(cfg)
     if row.phase is None:
-        phase = cfg.axis("sqrtDelta_tc").values()
-        lead = {name: values[:, None], "sqrtDelta_tc": phase}
+        phase = cfg.axis("sqrtDelta_tc").values()[:, None]
+        values, lead = values[:, None, None], {"sqrtDelta_tc": phase}
     else:
-        phase, lead = row.phase, {name: values}
-    return {**lead, **sweep(models, cfg.alpha, phase, partial(row.columns, cfg))}
+        phase, lead = row.phase, {}
+    swept = {name: values} if name else {}
+    return {**swept, **lead, **sweep(models, cfg.alpha, phase, partial(row.columns, cfg))}
 
 
 def run_sweep(cfg: RunConfig) -> dict[str, np.ndarray]:
     """Write the table of a run whose row is all it reads."""
     return write_csv(cfg.out, cfg, _sweep_table(cfg))
-
-
-def run_fig2a(cfg: RunConfig) -> dict[str, np.ndarray]:
-    # The 2-D time grid: one model value, so each column is (1, n, m) and the
-    # rows run √Δ·t_c first.
-    sdtc = cfg.axis("sqrtDelta_tc").values()[:, None]
-    swept = sweep([cfg.model], cfg.alpha, sdtc, partial(TABLE["fig2a"].columns, cfg))
-    return write_csv(cfg.out, cfg, {"sqrtDelta_tc": sdtc, **swept})
 
 
 def _fig2a_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
@@ -480,7 +474,7 @@ class Experiment(NamedTuple):
 
 
 TABLE = {
-    "fig2a": Experiment(run_fig2a, ("sqrtDelta_tc", "t_theta"), columns=_fig2a_columns),
+    "fig2a": Experiment(run_sweep, ("sqrtDelta_tc", "t_theta"), columns=_fig2a_columns),
     "fig2b": Experiment(run_sweep, ("sqrtDelta_tc",), ("g_values",), None, _ratio("R")),
     "fig2b-inset": Experiment(run_sweep, ("g",), (), math.pi, _ratio("R_tau")),
     "fig3a": Experiment(run_sweep, ("sqrtDelta_tc",), ("g_values",), None,

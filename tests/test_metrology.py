@@ -185,6 +185,31 @@ class TestQfiExact:
         assert abs(a - b) / a <= 1e-10
 
 
+class TestGeneratorWeights:
+    """The weights (s, q) = flow_weights(Δ, t_c) of the generator H_θ + sC − qD
+    are H_c's own flow weights (c_f, s_f, q_f) = flow_weights(det G_c, t_c):
+    Δ is det G_c or exactly 4 det G_c, and then √Δ·t_c is twice H_c's phase."""
+
+    @pytest.mark.parametrize("params, ratio", [
+        (ModelParams("QRM-frequency", g=0.96), 4.0),
+        (ModelParams("QRM-displacement", g=0.9), 1.0),
+        (ModelParams("LMG-frequency", lam=0.9999, gamma=2.0), 4.0),
+    ])
+    def test_are_the_preparation_flows_weights(self, params, ratio):
+        protocol = Protocol(*params.pair(), ALPHA)
+        t_c = protocol.preparation_time(np.linspace(0.0, 4.0 * math.pi, 400))
+        det = protocol.preparation.det
+        assert protocol.structure.Delta == ratio * det
+        c_f, s_f, q_f = flow_weights(det, t_c)
+        _, s, q = flow_weights(protocol.structure.Delta, t_c)
+        if ratio == 1.0:
+            assert np.array_equal(s, s_f) and np.array_equal(q, q_f)
+        else:  # sin 2φ = 2 sin φ cos φ and 1 − cos 2φ = 2 sin²φ
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(s - s_f * c_f) <= 4.0 * eps * np.abs(s_f * c_f))
+            assert np.all(np.abs(q - 0.5 * s_f * s_f) <= 4.0 * eps * np.abs(0.5 * s_f * s_f))
+
+
 class TestQfiAsymptotic:
     def test_zero_at_tc_zero(self):
         assert qrm_protocol(0.9).qfi_asymptotic(0.0, T_THETA) == 0.0
