@@ -4,9 +4,10 @@ Each experiment maps a JSON run configuration onto a deterministic CSV (or a
 JSON report for `validate`); its row of :data:`TABLE` names its runner, the
 grid inputs a config must name (and no others), its phase √Δ·t_c and its
 columns. A CSV run hands its model values to :func:`canp.metrology.sweep`,
-which builds one :class:`canp.metrology.Protocol` per value, places t_c at
-that phase and evaluates the row's columns over the value's whole time grid
-in closed form; `validate` runs its number-basis oracle in the same process.
+which builds one :class:`canp.metrology.Protocol` with the model value as the
+leading axis of its arrays, places t_c at that phase and evaluates the row's
+columns over every value's whole time grid in one closed-form call; `validate`
+runs its number-basis oracle in the same process.
 A malformed or unknown field is a ConfigError. A CSV runner hands the writer
 the arrays it computed, before broadcasting, and returns the table written:
 each column's values, one per row. Every CSV starts with a comment line
@@ -406,7 +407,8 @@ def _fig3b_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi, partial(_fig3b_columns, cfg))
+    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi, lambda protocol, t_c: {
+        "meanP": protocol.state(t_c, cfg.t_theta, cfg.theta0).mp})
     return float(swept["meanP"][0])
 
 
@@ -465,7 +467,7 @@ class Experiment(NamedTuple):
     the sweep axes, then the fields that list the model values or bound a
     threshold search. `phase` is √Δ·t_c at every row, or None for the
     sqrtDelta_tc axis; `columns(cfg, protocol, t_c)` names the columns
-    computed at one model value. validate has neither."""
+    of all model values at once. validate has neither."""
     runner: Callable
     axes: tuple[str, ...] = ()
     fields: tuple[str, ...] = ()

@@ -80,8 +80,8 @@ class Flow:
 
     with (c, s, q) = flow_weights(det G, t) (Weedbrook et al., "Gaussian
     quantum information", Rev. Mod. Phys. 84, 621). Built once per
-    Hamiltonian, :meth:`map` then costs a few dozen elementwise operations
-    for any number of times.
+    Hamiltonian (or per stack of them, with array entries), :meth:`map` then
+    costs a few dozen elementwise operations for any number of times.
     """
 
     def __init__(self, f: Quadratic):

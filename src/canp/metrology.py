@@ -9,9 +9,9 @@ of the final moments, and those are exact as well (the encoding is a
 Gaussian flow), so nothing here is a finite difference.
 
 :class:`Protocol` is the metrology API: built once per (H_c, H_θ, α), its
-methods evaluate whole arrays of (t_c, t_θ, θ0) in closed form, and
-:func:`sweep` builds one per model value of a family. The functions taking a
-:class:`ProtocolSpec` are one-point wrappers kept for the benchmark harness.
+methods evaluate whole arrays of (t_c, t_θ, θ0) in closed form, and :func:`sweep`
+builds one for a family, its model values on a leading axis. The functions taking
+a :class:`ProtocolSpec` are one-point wrappers kept for the benchmark harness.
 All functions are pure.
 """
 
@@ -85,7 +85,9 @@ class Protocol:
     Every method broadcasts its time arguments against each other (numpy
     rules) and returns arrays of the broadcast shape, so one call evaluates a
     whole grid: pass t_c of shape (n, 1) and t_θ of shape (1, m) for an n×m
-    grid. The probe and the flows of H_c and H_θ are built with the protocol;
+    grid. The forms' entries may be arrays too, one pair per element, which
+    broadcast with the times (:func:`sweep` stacks model values this way).
+    The probe and the flows of H_c and H_θ are built with the protocol;
     the critical structure is derived on first use. A state is one
     :class:`canp.gaussian.GaussianState` whose fields have that shape.
 
@@ -116,8 +118,18 @@ class Protocol:
 
         A commuting pair (e.g. a free-rotation preparation with frequency
         encoding) has C = D = 0 and Δ = 0, so its generator is just t_θ H_θ.
+        Array entries (:func:`sweep`'s model values) are derived one element
+        at a time, and each field is stacked in their broadcast shape.
         """
-        return derive_critical_structure(self.hc, self.htheta)
+        forms = (*self.hc, *self.htheta)
+        if np.ndarray not in map(type, forms):
+            return derive_critical_structure(self.hc, self.htheta)
+        entries = np.broadcast_arrays(*forms)
+        derived = [derive_critical_structure(Quadratic(*pair[:6]), Quadratic(*pair[6:]))
+                   for pair in zip(*(a.ravel().tolist() for a in entries))]
+        shape = entries[0].shape
+        fields = np.array([(*cs.C, *cs.D, *cs[2:]) for cs in derived]).T.reshape(-1, *shape)
+        return CriticalStructure(Quadratic(*fields[:6]), Quadratic(*fields[6:12]), *fields[12:])
 
     @cached_property
     def covariance(self) -> tuple[float, ...]:
@@ -129,6 +141,10 @@ class Protocol:
         pairs = ((th, th), (th, c), (th, d), (c, c), (c, d), (d, d))
         return tuple(quadratic_covariance(a, b, self.probe) for a, b in pairs)
 
+    def _commuting(self):
+        """Whether the pair commutes (C all zero), in the shape of the structure."""
+        return ~np.logical_or.reduce(self.structure.C)
+
     def preparation_time(self, sqrt_delta_tc):
         """Preparation time(s) t_c = (√Δ·t_c)/√Δ from the derived Δ, over arrays.
 
@@ -136,13 +152,13 @@ class Protocol:
         time) to a duration. Raises CommutingPairError for a commuting pair
         (C all zero) and OutOfPhaseError for any other Δ = 0: neither has a √Δ.
         """
-        cs = self.structure
-        if not any(cs.C):
-            raise CommutingPairError(
-                "the pair commutes ([H_c, H_theta] = 0), so there is no √Δ to place t_c by")
-        if cs.Delta <= 0.0:
+        delta = self.structure.Delta
+        if np.count_nonzero(delta <= 0.0):  # a commuting pair's Δ is 0 too
+            if np.count_nonzero(self._commuting()):
+                raise CommutingPairError(
+                    "the pair commutes ([H_c, H_theta] = 0), so there is no √Δ to place t_c by")
             raise OutOfPhaseError("Δ = 0, so there is no √Δ to place t_c by")
-        return sqrt_delta_tc / math.sqrt(cs.Delta)
+        return sqrt_delta_tc / np.sqrt(delta)
 
     # --- states ----------------------------------------------------------
 
@@ -274,22 +290,31 @@ def require_bright_probe(alpha: complex, consequence: str) -> None:
 def sweep(models: list[ModelParams], alpha: complex, sqrt_delta_tc, columns) -> dict:
     """The columns of a sweep over model values, each stacked model values first.
 
-    One Protocol per model value, with probe alpha and t_c placed at √Δ·t_c;
-    columns(protocol, t_c) returns its named column values. A commuting pair's
+    One Protocol, with probe alpha, holds every value's pair: each entry is an
+    array of shape (k,) + (1,)·ndim(√Δ·t_c), the model value first, or a float
+    for a single value. t_c is placed at √Δ·t_c, and columns(protocol, t_c)
+    returns the named columns of the whole sweep at once; axes of their own
+    (fig2a's t_θ) must trail the phase's. A commuting pair's
     CommutingPairError is raised again naming the model value, and an empty
     list of model values is a ValueError."""
     if not models:
         raise ValueError("a sweep needs at least one model value")
-    rows = []
-    for params in models:
-        protocol = Protocol(*params.pair(), alpha)
-        try:
-            t_c = protocol.preparation_time(sqrt_delta_tc)
-        except CommutingPairError as exc:
-            value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
-            raise CommutingPairError(f"model {value}: {exc}") from exc
-        rows.append(columns(protocol, t_c))
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    pairs = [params.pair() for params in models]
+    if len(models) > 1:
+        shape = (len(models),) + (1,) * np.ndim(sqrt_delta_tc)
+        pairs = [[Quadratic(*np.array(forms).T.reshape(-1, *shape)) for forms in zip(*pairs)]]
+    protocol = Protocol(*pairs[0], alpha)
+    try:
+        t_c = protocol.preparation_time(sqrt_delta_tc)
+    except CommutingPairError as exc:
+        params = models[np.flatnonzero(protocol._commuting())[0]]
+        value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
+        raise CommutingPairError(f"model {value}: {exc}") from exc
+    table = columns(protocol, t_c)
+    if len(models) == 1:  # the floats' columns get the model axis
+        return {name: np.asarray(v)[None] for name, v in table.items()}
+    return {name: np.broadcast_to(v, np.broadcast_shapes(shape, np.shape(v)))
+            for name, v in table.items()}
 
 
 # --- one-point ProtocolSpec wrappers, kept for the benchmark harness -------

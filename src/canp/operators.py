@@ -11,7 +11,7 @@ under i[·, ·], so the nested commutators of the critical structure are exact
 2×2 algebra (:func:`commutator`) with no truncation; cubic or higher terms
 are unrepresentable. The runtime derives the critical structure of each
 model value it touches, so the algebra is plain Python arithmetic on six
-floats; numpy enters only for the flow weights over time arrays.
+floats; numpy enters only for the flow weights over arrays of times.
 
 Quadrature convention used throughout: X = (a + a†)/√2, P = i(a† − a)/√2,
 so [X, P] = i, the vacuum has Var X = Var P = 1/2, and a†a = ½(X² + P²) − ½
@@ -40,8 +40,9 @@ SERIES_SWITCH = 1e-6
 class Quadratic(NamedTuple):
     """Entries (G_xx, G_xp, G_pp, v_x, v_p, c0) of ½ rᵀG r + vᵀr + c0, r = (X, P).
 
-    Floats for one operator, so equal operators compare and hash equal;
-    :class:`canp.metrology.Protocol` reads its QFI from covariances of three.
+    Floats for one operator, so equal operators compare and hash equal, or
+    arrays for a stack of them; :class:`canp.metrology.Protocol` reads its
+    QFI from covariances of three.
     """
 
     gxx: float = 0.0
@@ -164,8 +165,8 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
     return CriticalStructure(C=c_op, D=d_op, Delta=max(delta, 0.0), residual=residual)
 
 
-def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cos(√k t), sin(√k t)/√k, (1 − cos(√k t))/k) over an array of times t.
+def flow_weights(k, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos(√k t), sin(√k t)/√k, (1 − cos(√k t))/k) over arrays of k and times t.
 
     These are the three scalar functions of every closed two-term flow in
     this package. A generator M with M² = −k·I has exp(Mt) = c·I + s·M, and
@@ -173,12 +174,13 @@ def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     give the critical preparation (k = Δ) and the phase-space map of a
     quadratic Hamiltonian (k = det G).
 
-    Three branches: k > 0 uses cos/sin, k < 0 uses cosh/sinh, and wherever
-    |k t²| is below the series switch all three are 4-term Taylor series in
-    x = k t², so the k → 0 limit (1, t, t²/2) is smooth. 1 − cos(y) is
-    written 2 sin²(y/2) (and cosh(y) − 1 as 2 sinh²(y/2)) to avoid
-    cancellation near the switch. The outputs have the shape of t (numpy
-    scalars for a scalar t).
+    Three branches, picked per element: k > 0 uses cos/sin, k < 0 uses
+    cosh/sinh, and wherever |k t²| is below the series switch all three are
+    4-term Taylor series in x = k t², so the k → 0 limit (1, t, t²/2) is
+    smooth. q is written 2 sin²(y/2)/|k| (or 2 sinh²(y/2)/|k|) to avoid the
+    cancellation of 1 − cos(y) near the switch. k and t broadcast;
+    the outputs have their broadcast shape (numpy scalars for scalars), and
+    each element is the one a scalar k gives.
     """
     t = np.asarray(t, dtype=float)
     x = k * t * t
@@ -186,19 +188,23 @@ def flow_weights(k: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_small = np.count_nonzero(small)
     if n_small == small.size:  # includes k = 0 and t = 0
         return _flow_series(t, x)
-    if k > 0.0:
-        root = math.sqrt(k)
-        y = root * t
-        half = np.sin(0.5 * y)
-        c, s, q = np.cos(y), np.sin(y) / root, 2.0 * half * half / k
-    else:
-        root = math.sqrt(-k)
-        y = root * t
-        half = np.sinh(0.5 * y)
-        c, s, q = np.cosh(y), np.sinh(y) / root, -2.0 * half * half / k
+    if n_small and isinstance(k, np.ndarray):  # the series replaces these: no k = 0 divides
+        k, t = np.where(small, 1.0, k), np.broadcast_to(t, x.shape)
+    root, elliptic = np.sqrt(abs(k)), k > 0.0
+    y = root * t
+    half = _branch(np.sin, np.sinh, 0.5 * y, elliptic)
+    c, s, q = (_branch(np.cos, np.cosh, y, elliptic), _branch(np.sin, np.sinh, y, elliptic) / root,
+               2.0 * half * half / abs(k))
     if n_small:
         c[small], s[small], q[small] = _flow_series(t[small], x[small])
     return c, s, q
+
+
+def _branch(trig, hyperbolic, y, elliptic):
+    """trig(y) where elliptic, hyperbolic(y) elsewhere; each element is computed once."""
+    if not isinstance(elliptic, np.ndarray):
+        return (trig if elliptic else hyperbolic)(y)
+    return hyperbolic(y, out=trig(y, out=np.empty(y.shape), where=elliptic), where=~elliptic)
 
 
 def _flow_series(t, x):

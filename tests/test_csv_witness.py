@@ -9,8 +9,10 @@ from its own cell, so the reference shares only the config's parameters and
 the written text with canp's route.
 
 Columns: R (fig2a, fig2b); F, and the skew S as F/(4t_θ²) (fig3a); R_tau
-(fig2b-inset, lmg-threshold); qfi_exact and R (displacement). Rows: all of
-fig2b-inset, lmg-threshold and displacement; every 7th of fig2b and fig3a,
+(fig2b-inset, lmg-threshold); qfi (fig3b); qfi_exact, R, delta_p as the
+reference Δ, and qfi_formula as 4t_θ²·sin²y/Δ·Var[C] with C = i[H_c, H_θ]
+built from the reference's own forms (displacement). Rows: all of
+fig2b-inset, lmg-threshold, fig3b and displacement; every 7th of fig2b and fig3a,
 plus each model value's rows nearest √Δ·t_c = 2π and 4π; every 97th fig2a
 cell. The gate is the flat 1e-14 relative bound of the exact-reference test.
 """
@@ -24,22 +26,35 @@ import numpy as np
 import pytest
 
 from canp import ModelParams, cli
-from test_exact_reference import ALPHA, DPS, reference, reference_delta
+from test_exact_reference import (ALPHA, DPS, _bracket, _forms, _variance, reference,
+                                  reference_delta)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BOUND = 1e-14
 NEAR = (2.0 * math.pi, 4.0 * math.pi)
 # experiment: (fixed phase, or None for the sqrtDelta_tc axis; the checked
-# columns as (CSV column, reference "F", "S" or "R"); the row stride; the
-# phases whose nearest row of each model value is checked too).
+# columns as (CSV column, reference "F", "S", "R", "Delta" or "F_C"); the row
+# stride; the phases whose nearest row of each model value is checked too).
 WITNESSED = {
     "fig2a": (None, (("R", "R"),), 97, ()),
     "fig2b": (None, (("R", "R"),), 7, NEAR),
     "fig2b-inset": (math.pi, (("R_tau", "R"),), 1, ()),
     "fig3a": (None, (("F", "F"), ("S", "S")), 7, NEAR),
+    "fig3b": (math.pi, (("qfi", "F"),), 1, ()),
     "lmg-threshold": (math.pi, (("R_tau", "R"),), 1, ()),
-    "displacement": (0.5 * math.pi, (("qfi_exact", "F"), ("R", "R")), 1, ()),
+    "displacement": (0.5 * math.pi, (("qfi_exact", "F"), ("R", "R"), ("delta_p", "Delta"),
+                                     ("qfi_formula", "F_C")), 1, ()),
 }
+
+
+def single_commutator_qfi(params: ModelParams, y: float, delta, t_theta: float):
+    """4t_θ²·sin²y/Δ·Var[C] in the probe, C = i[H_c, H_θ] from the reference's forms."""
+    mp = mpmath.mp
+    g_c, encoding = _forms(params)
+    c_op = _bracket((g_c, mp.zeros(2, 1)), encoding)
+    probe = mp.sqrt(2) * mp.matrix([mp.mpf(ALPHA.real), mp.mpf(ALPHA.imag)])
+    variance = _variance(c_op, probe, mp.eye(2) / 2)
+    return 4 * mp.mpf(t_theta) ** 2 * mp.sin(mp.mpf(y)) ** 2 / delta * variance
 
 
 def _written(experiment: str, config: Path, tmp_path) -> dict[str, list[str]]:
@@ -86,7 +101,10 @@ def worst_errors(experiment: str, tmp_path) -> dict[str, float]:
             t_c = mpmath.mpf(y) / mpmath.sqrt(deltas[params])
             t_theta = float(table["t_theta"][row]) if "t_theta" in table else config["t_theta"]
             qfi, ratio = reference(params, t_c, t_theta)
-            want = {"F": qfi, "S": qfi / (4 * mpmath.mpf(t_theta) ** 2), "R": ratio}
+            want = {"F": qfi, "S": qfi / (4 * mpmath.mpf(t_theta) ** 2), "R": ratio,
+                    "Delta": deltas[params]}
+            if any(quantity == "F_C" for _, quantity in columns):
+                want["F_C"] = single_commutator_qfi(params, y, deltas[params], t_theta)
             for name, quantity in columns:
                 error = abs((float(table[name][row]) - want[quantity]) / want[quantity])
                 worst[name] = max(worst[name], float(error))

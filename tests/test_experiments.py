@@ -478,6 +478,25 @@ class TestRunners:
         assert len(runs[0][1]) == 11
         assert runs[1] == runs[0]
 
+    def test_fig3b_refinement_reads_only_mean_p(self, tmp_path, monkeypatch):
+        # Each of the crossing probe's 11 refinement steps builds the final
+        # state alone: the homodyne CFI and the QFI are computed once each,
+        # for the table's columns, and at no step.
+        calls = {"_cfi_homodyne": [], "_qfi": [], "_mean_p_at": []}
+        for owner, name in ((Protocol, "_cfi_homodyne"), (Protocol, "_qfi"),
+                            (experiments, "_mean_p_at")):
+            def counting(*args, _original=getattr(owner, name), _name=name):
+                calls[_name].append(args)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counting)
+        out = tmp_path / "probe.csv"
+        assert cli.main(["fig3b", "--config", str(CONFIG_DIR / "fig3b.json"), "--out", str(out),
+                         "--sweep.g.points=12", '--alpha={"re": 1.0, "im": 0.3}',
+                         "--theta0=1.3"]) == 0
+        assert out.read_text().splitlines()[1] == "# meanP_zero_crossing g=0.9836079439444625"
+        assert {name: len(made) for name, made in calls.items()} == {
+            "_cfi_homodyne": 1, "_qfi": 1, "_mean_p_at": 11}
+
     def test_displacement_run(self, tmp_path):
         cfg_dict = small_config("displacement", tmp_path, sweep={
             "g": {"start": 0.5, "stop": 0.95, "points": 7}})
@@ -549,9 +568,10 @@ class TestRunners:
         monkeypatch.setattr(gaussian.Flow, "apply", counting)
         cfg = load_config(str(CONFIG_DIR / "fig3b.json"),
                           {"out": json.dumps(str(tmp_path / "fig3b.csv"))})
-        # One preparation and one encoding per grid point.
+        # One preparation and one encoding for the whole sweep: its 80 model
+        # values are one leading axis of a single Protocol's arrays.
         assert len(run_experiment(cfg)["g"]) == 80
-        assert len(applied) == 160
+        assert len(applied) == 2
 
     # Each CSV experiment on a small config; the grids are not square, so a
     # transposed block or swapped axes change the rows.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,3 +381,20 @@ class TestClosedFormFlow:
             for idx in np.ndindex(t.shape):
                 single = flow_weights(k, float(t[idx]))
                 assert [w[idx] for w in batch] == list(single)
+
+    def test_weights_of_an_array_k(self):
+        # Each k takes its own branch (cos/sin for k > 0, cosh/sinh for k < 0,
+        # the series around k = 0), bit for bit the call with that k alone,
+        # and no element warns: k = 0 never divides.
+        k = np.array([0.8, -2.5, 0.0, 2e-6, -2e-6, 37.0])
+        t = np.array([0.0, 1e-4, 0.5, 1.0, 3.0])
+        small = np.abs(k[:, None] * t * t) < SERIES_SWITCH
+        assert small[3].any() and not small[3].all() and small[4].any() and not small[4].all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = flow_weights(k[:, None], t)
+        for row, k_row in enumerate(k.tolist()):
+            single = flow_weights(k_row, t)
+            for w_batch, w_single in zip(batch, single):
+                assert w_batch.shape == (len(k), len(t))
+                assert w_batch[row].tobytes() == np.asarray(w_single).tobytes()

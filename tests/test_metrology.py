@@ -2,13 +2,14 @@ import cmath
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canp import fock, metrology
+from canp import experiments, fock, metrology
 from canp.errors import (
     CommutingPairError,
     NegativeDeltaError,
@@ -16,7 +17,7 @@ from canp.errors import (
     OutOfPhaseError,
     VacuumProbeError,
 )
-from canp.experiments import load_config, run_experiment
+from canp.experiments import Axis, RunConfig, load_config, run_experiment
 from canp.gaussian import (
     GaussianState,
     coherent,
@@ -697,6 +698,54 @@ class TestSweep:
     def test_no_model_values_is_a_value_error(self):
         with pytest.raises(ValueError, match="at least one model value"):
             sweep([], ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
+
+    # The three shipped pairs, each at three model values in the normal phase.
+    PAIRS = {
+        "QRM-frequency": [ModelParams("QRM-frequency", g=g) for g in (0.5, 0.9, 0.99)],
+        "QRM-displacement": [ModelParams("QRM-displacement", g=g) for g in (0.3, 0.8, 0.995)],
+        "LMG-frequency": [ModelParams("LMG-frequency", lam=lam, gamma=2.0)
+                          for lam in (0.2, 0.6, 0.97)],
+    }
+
+    # Every experiment's columns, at a fixed phase and on a √Δ·t_c axis: the
+    # stacked sweep gives, bit for bit, what one Protocol per value gives. A
+    # value's column may stand on fewer axes (displacement's delta_p is one
+    # number per value), and broadcasts to its stacked row.
+    @pytest.mark.parametrize("experiment", [name for name, row in experiments.TABLE.items()
+                                            if row.columns])
+    @pytest.mark.parametrize("variant", PAIRS)
+    @pytest.mark.parametrize("phase", [1.3, np.linspace(0.0, 4.0 * math.pi, 9)[:, None]],
+                             ids=["fixed", "axis"])
+    def test_stacked_columns_are_the_per_value_columns(self, experiment, variant, phase):
+        models = self.PAIRS[variant]
+        cfg = RunConfig(experiment, models[0], sweep=(Axis("t_theta", 0.5, 20.0, 4),),
+                        t_theta=T_THETA, alpha=ALPHA, theta0=0.2)
+        if experiment == "fig2a":  # its t_theta axis trails the phase's, as _sweep_table places it
+            phase = np.reshape(phase, (-1, 1))
+        columns = partial(experiments.TABLE[experiment].columns, cfg)
+        swept = sweep(models, ALPHA, phase, columns)
+        for i, params in enumerate(models):
+            protocol = Protocol(*params.pair(), ALPHA)
+            row = columns(protocol, protocol.preparation_time(phase))
+            assert list(row) == list(swept)
+            for name, value in row.items():
+                stacked = swept[name][i]
+                assert np.broadcast_shapes(stacked.shape, np.shape(value)) == stacked.shape
+                value = np.broadcast_to(value, stacked.shape)
+                assert stacked.dtype == value.dtype and stacked.tobytes() == value.tobytes(), name
+
+    def test_one_value_keeps_float_entries(self):
+        # A single model value is not stacked: its forms, structure and
+        # covariances stay Python floats, and its columns get the model axis.
+        seen = []
+        swept = sweep([ModelParams("QRM-frequency", g=0.9)], ALPHA, math.pi,
+                      lambda p, t_c: seen.append(p) or {"F": p.qfi(t_c, T_THETA)})
+        (protocol,) = seen
+        cs = protocol.structure
+        for entry in (*protocol.hc, *protocol.htheta, *cs.C, *cs.D, cs.Delta, cs.residual,
+                      *protocol.covariance):
+            assert type(entry) is float
+        assert swept["F"].shape == (1,)
 
 
 class TestRefine:
