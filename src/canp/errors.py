@@ -38,10 +38,6 @@ class TruncationNotConvergedError(CanpError):
         self.pending = pending
 
 
-class NotPositiveError(CanpError):
-    """Matrix expected to be a density operator is not positive / trace one."""
-
-
 class VacuumProbeError(ConfigError):
     """A vacuum probe, |alpha| < 1e-12: its enhancement ratio and ⟨P⟩ sign are undefined."""
 

@@ -407,8 +407,8 @@ def _fig3b_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, math.pi, lambda protocol, t_c: {
-        "meanP": protocol.state(t_c, cfg.t_theta, cfg.theta0).mp})
+    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, TABLE["fig3b"].phase,
+                  lambda protocol, t_c: {"meanP": protocol.state(t_c, cfg.t_theta, cfg.theta0).mp})
     return float(swept["meanP"][0])
 
 

@@ -25,9 +25,11 @@ fidelity: a variance in the prepared number-basis state.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import NotPositiveError, TruncationNotConvergedError
+from .errors import TruncationNotConvergedError
 from .operators import Quadratic
 
 TAIL_TOL = 1e-10
@@ -39,20 +41,13 @@ MAX_DIM = 480
 _SQRT2 = math.sqrt(2.0)
 
 
-class FockState:
-    """Complex amplitudes over a truncated number basis, normalised in place by coherent_fock."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps) -> None:
-        self.amps = np.asarray(amps, dtype=complex).reshape(-1)
+class FockState(NamedTuple):
+    """Complex amplitudes over a truncated number basis, as a 1-D array."""
+    amps: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def _bands(op: Quadratic, dim: int):
@@ -125,14 +120,13 @@ def coherent_fock(alpha: complex, dim: int) -> FockState:
     factors = np.empty(dim, dtype=complex)
     factors[0] = math.exp(-0.5 * (abs(alpha) * abs(alpha)))
     factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
-    state = FockState(np.cumprod(factors))
-    norm = state.norm()
-    if np.sum(np.abs(state.amps[-TAIL_LEVELS:]) ** 2) + abs(1.0 - norm * norm) > TAIL_TOL:
+    amps = np.cumprod(factors)
+    norm = float(np.linalg.norm(amps))
+    if np.sum(np.abs(amps[-TAIL_LEVELS:]) ** 2) + abs(1.0 - norm * norm) > TAIL_TOL:
         raise TruncationNotConvergedError(
             f"coherent state |alpha|={abs(alpha):.3g} does not fit in dim={dim}"
         )
-    state.amps /= norm
-    return state
+    return FockState(amps / norm)
 
 
 class Propagator:
@@ -281,30 +275,3 @@ def qfi_numeric(spec, start_dim: int = DEFAULT_DIM, max_dim: int = MAX_DIM) -> f
                                           start_dim, max_dim)
     return 4.0 * (spec.t_theta * spec.t_theta) * variance_fock(prepared, spec.Htheta)
 
-
-def skew_information_general(b_matrix: np.ndarray, k_matrix: np.ndarray) -> float:
-    """Skew information Tr[B K²] − Tr[√B K √B K] of a state B and observable K.
-
-    B must be positive semidefinite with unit trace; √B is taken through the
-    eigendecomposition. For pure B this reduces to the variance of K, and it
-    vanishes whenever B and K commute (e.g. the maximally mixed state).
-
-    Eigenvalues below 1e-13 are floored to zero before the square root:
-    rounding noise ±ε on a true zero eigenvalue would otherwise enter √B at
-    the √ε level and dominate the error for rank-deficient states.
-    """
-    b = np.asarray(b_matrix, dtype=complex)
-    k = np.asarray(k_matrix, dtype=complex)
-    tr = np.trace(b).real
-    if abs(tr - 1.0) > 1e-10:
-        raise NotPositiveError(f"trace {tr} is not 1")
-    evals, evecs = np.linalg.eigh(b)
-    if np.min(evals) < -1e-10:
-        raise NotPositiveError(f"negative eigenvalue {np.min(evals):.3e}")
-    evals = np.where(evals < 1e-13, 0.0, evals)
-    sqrt_b = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    second_moment = np.trace(b @ k @ k).real
-    s = float(second_moment - np.trace(sqrt_b @ k @ sqrt_b @ k).real)
-    # Mathematically s >= 0; absorb rounding-level negatives only, so a
-    # genuinely negative value (an upstream bug) stays visible.
-    return max(s, 0.0) if s > -1e-12 * max(1.0, abs(second_moment)) else s

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,19 +50,14 @@ ORACLE_GRID = (
 )
 
 
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome; the report times it after it is built."""
-
-    __slots__ = ("name", "passed", "measured", "tolerance", "details", "seconds")
-
-    def __init__(self, name: str, passed: bool, measured: dict | None = None,
-                 tolerance: dict | None = None, details: str = "", seconds: float = 0.0) -> None:
-        self.name, self.passed, self.details, self.seconds = name, passed, details, seconds
-        self.measured = {} if measured is None else measured
-        self.tolerance = {} if tolerance is None else tolerance
-
-    def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self.__slots__}
+    name: str
+    passed: bool
+    measured: dict
+    tolerance: dict
+    details: str = ""
+    seconds: float = 0.0
 
 
 def _protocol(params: ModelParams) -> Protocol:
@@ -124,14 +120,14 @@ def check_operator_constants() -> CheckResult:
     )
 
 
-def _oracle_row(g: float, fractions: list[float]) -> dict:
+def _oracle_row(g: float, fractions: list[float]) -> tuple[list[dict], float]:
     """Gaussian vs number basis at each fraction of one g: one Protocol, one escalation.
 
     Each moment error is relative to the oracle's own scale: the means to
     max(1, n̄), the covariance to max(1, n̄, Var D), n̄ and Var D to themselves.
     The numeric QFI is 4 t_θ² Var[H_θ] in the converged prepared state.
+    Returns the points and the seconds spent on their QFIs.
     """
-    t_row = time.monotonic()
     protocol = _protocol(ModelParams("QRM-frequency", g=g))
     t_c = protocol.preparation_time(2.0 * math.pi * np.array(fractions))
     oracle = fock.converged_states(protocol.hc, protocol.htheta, ALPHA, t_c, 0.1 * T_THETA)
@@ -155,44 +151,41 @@ def _oracle_row(g: float, fractions: list[float]) -> dict:
             "qfi_exact": float(qfi_exact[i]),
             "qfi_numeric": qfi_numeric[i],
         })
-    return {"points": points, "qfi_seconds": qfi_seconds, "seconds": time.monotonic() - t_row}
+    return points, qfi_seconds
 
 
 def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
     """Gaussian moments and exact QFI against the number-basis oracle.
 
     Both checks share one in-process pass over the grid, one row (one g) at
-    a time, so its wall time is split between them in proportion to the time
-    the rows spent on each: the QFI comparison gets the share spent on QFIs.
+    a time. The QFI comparison reports the time the rows spent on QFIs, and
+    the moment comparison the rest of the pass.
     """
     t0 = time.monotonic()
-    rows = []
+    results, qfi_seconds = [], 0.0
     for g in dict.fromkeys(g for g, _ in ORACLE_GRID):
         fractions = [frac for h, frac in ORACLE_GRID if h == g]
         try:
-            rows.append(_oracle_row(g, fractions))
+            points, seconds = _oracle_row(g, fractions)
         except TruncationNotConvergedError as exc:
             failed = ", ".join(f"({g}, {fractions[i]})" for i in exc.pending)
-            return tuple(
-                CheckResult(name=name, passed=False, seconds=seconds,
-                            details=f"oracle did not converge at (g, fraction) {failed}: {exc}")
-                for name, seconds in (("gaussian_fock_moments", time.monotonic() - t0),
-                                      ("qfi_three_way", 0.0))
-            )
-    results = [point for row in rows for point in row["points"]]
+            details = f"oracle did not converge at (g, fraction) {failed}: {exc}"
+            return (CheckResult("gaussian_fock_moments", False, {}, {}, details,
+                                time.monotonic() - t0 - qfi_seconds),
+                    CheckResult("qfi_three_way", False, {}, {}, details, qfi_seconds))
+        results += points
+        qfi_seconds += seconds
 
     mom_tol, qfi_tol = 1e-6, 1e-6
     worst = {f"max_{key}": max(r[key] for r in results)
              for key in ("mu_rel", "sigma_rel", "nbar_rel", "varD_rel")}
-    elapsed = time.monotonic() - t0
-    qfi_share = sum(r["qfi_seconds"] for r in rows) / sum(r["seconds"] for r in rows)
     moments = CheckResult(
         name="gaussian_fock_moments",
         passed=all(value <= mom_tol for value in worst.values()),
         measured={**worst, "max_dim": max(r["dim"] for r in results)},
         tolerance={"moments": mom_tol},
         details="20-point grid g in [0.5, 0.99], t_c in [0, 2pi/sqrt(Delta))",
-        seconds=elapsed * (1.0 - qfi_share),
+        seconds=time.monotonic() - t0 - qfi_seconds,
     )
     worst_qfi = max(
         abs(r["qfi_exact"] - r["qfi_numeric"]) / abs(r["qfi_numeric"]) for r in results
@@ -203,7 +196,7 @@ def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
         measured={"max_qfi_rel_gap": worst_qfi},
         tolerance={"relative": qfi_tol},
         details="generator-variance QFI vs number-basis fidelity-susceptibility QFI",
-        seconds=elapsed * qfi_share,
+        seconds=qfi_seconds,
     )
     return moments, qfi
 
@@ -364,15 +357,15 @@ def check_structural_sanity() -> CheckResult:
 def _timed(check) -> CheckResult:
     t0 = time.monotonic()
     result = check()
-    result.seconds = time.monotonic() - t0
-    return result
+    return result._replace(seconds=time.monotonic() - t0)
 
 
 def run_checks() -> dict:
     """Run every check, in this process, and bundle the outcome as a JSON-ready report.
 
     The single-result checks are timed here (one called directly reports
-    0.0 s); the two oracle checks split the time of their shared pass.
+    0.0 s); the two oracle checks split the time of their shared pass by
+    difference (:func:`check_oracle_agreement`).
     """
     # Named in this body, not in a module-level tuple, so that a check
     # rebound on the module after import is the one that runs.
@@ -384,5 +377,5 @@ def run_checks() -> dict:
     ]
     return {
         "passed": all(r.passed for r in results),
-        "checks": [r.as_dict() for r in results],
+        "checks": [r._asdict() for r in results],
     }

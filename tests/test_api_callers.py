@@ -19,9 +19,6 @@ import canp
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "canp"
 GUARDED = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# Kept on purpose: the general skew information, which the finite Rabi
-# model's mixed field state is planned to call.
-KEPT_FOR_TESTS = {"fock.skew_information_general"}
 # Private methods that the runtime calls on a NamedTuple subclass: the
 # inherited `_replace` builds its result with the class's `_make`, so an
 # override of `_make` is called with no reference to it in the package.
@@ -133,9 +130,8 @@ def uncalled_definitions(definitions, files):
 def test_every_public_name_has_a_caller():
     checked, uncalled = uncalled_definitions(public_definitions, caller_files())
     # The guard reads the package it is meant to guard.
-    assert {"metrology.Protocol.qfi", "models.config_object", "operators.commutator",
-            *KEPT_FOR_TESTS} <= checked
-    assert uncalled - KEPT_FOR_TESTS == set()
+    assert {"metrology.Protocol.qfi", "models.config_object", "operators.commutator"} <= checked
+    assert uncalled == set()
 
 
 def test_every_private_function_has_a_caller():

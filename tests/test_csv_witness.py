@@ -9,16 +9,21 @@ from its own cell, so the reference shares only the config's parameters and
 the written text with canp's route.
 
 Columns: R (fig2a, fig2b); F, and the skew S as F/(4t_θ²) (fig3a); R_tau
-(fig2b-inset, lmg-threshold); qfi (fig3b); qfi_exact, R, delta_p as the
-reference Δ, and qfi_formula as 4t_θ²·sin²y/Δ·Var[C] with C = i[H_c, H_θ]
-built from the reference's own forms (displacement). Rows: all of
-fig2b-inset, lmg-threshold, fig3b and displacement; every 7th of fig2b and fig3a,
-plus each model value's rows nearest √Δ·t_c = 2π and 4π; every 97th fig2a
-cell. The gate is the flat 1e-14 relative bound of the exact-reference test.
+(fig2b-inset, lmg-threshold); qfi, and meanP and cfi from
+`reference_homodyne` (fig3b); qfi_exact, R, delta_p as the reference Δ, and
+qfi_formula as 4t_θ²·sin²y/Δ·Var[C] with C = i[H_c, H_θ] built from the
+reference's own forms (displacement). Rows: all of fig2b-inset,
+lmg-threshold, fig3b and displacement; every 7th of fig2b and fig3a, plus
+each model value's rows nearest √Δ·t_c = 2π and 4π; every 97th fig2a cell.
+The gate is the flat 1e-14 relative bound of the exact-reference test; ⟨P⟩
+crosses zero, so its error is relative to at least √Var P. lmg-threshold's
+`lambda_star` comment is held, like validate's λ*, to 128 ulps of the
+50-digit root of R − 1 in the bracket the comment writes.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -26,21 +31,23 @@ import numpy as np
 import pytest
 
 from canp import ModelParams, cli
-from test_exact_reference import (ALPHA, DPS, _bracket, _forms, _variance, reference,
-                                  reference_delta)
+from test_exact_reference import (ALPHA, DPS, THRESHOLDS, _bracket, _forms, _variance,
+                                  reference, reference_delta, reference_homodyne,
+                                  reference_threshold)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BOUND = 1e-14
 NEAR = (2.0 * math.pi, 4.0 * math.pi)
 # experiment: (fixed phase, or None for the sqrtDelta_tc axis; the checked
-# columns as (CSV column, reference "F", "S", "R", "Delta" or "F_C"); the row
-# stride; the phases whose nearest row of each model value is checked too).
+# columns as (CSV column, reference "F", "S", "R", "Delta", "F_C", "P" or
+# "CFI"); the row stride; the phases whose nearest row of each model value is
+# checked too).
 WITNESSED = {
     "fig2a": (None, (("R", "R"),), 97, ()),
     "fig2b": (None, (("R", "R"),), 7, NEAR),
     "fig2b-inset": (math.pi, (("R_tau", "R"),), 1, ()),
     "fig3a": (None, (("F", "F"), ("S", "S")), 7, NEAR),
-    "fig3b": (math.pi, (("qfi", "F"),), 1, ()),
+    "fig3b": (math.pi, (("qfi", "F"), ("meanP", "P"), ("cfi", "CFI")), 1, ()),
     "lmg-threshold": (math.pi, (("R_tau", "R"),), 1, ()),
     "displacement": (0.5 * math.pi, (("qfi_exact", "F"), ("R", "R"), ("delta_p", "Delta"),
                                      ("qfi_formula", "F_C")), 1, ()),
@@ -57,13 +64,15 @@ def single_commutator_qfi(params: ModelParams, y: float, delta, t_theta: float):
     return 4 * mp.mpf(t_theta) ** 2 * mp.sin(mp.mpf(y)) ** 2 / delta * variance
 
 
-def _written(experiment: str, config: Path, tmp_path) -> dict[str, list[str]]:
-    """The CSV the config writes, as column name -> cell texts."""
+def _written(experiment: str, config: Path, tmp_path) -> tuple[list[str], dict[str, list[str]]]:
+    """The CSV the config writes: its comment lines, and column name -> cell texts."""
     out = tmp_path / f"{experiment}.csv"
     assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
-    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    lines = out.read_text().splitlines()
+    comments = [line[2:] for line in lines if line.startswith("# ")]
+    lines = lines[len(comments):]
     names = lines[0].split(",")
-    return dict(zip(names, zip(*(line.split(",") for line in lines[1:]))))
+    return comments, dict(zip(names, zip(*(line.split(",") for line in lines[1:]))))
 
 
 def _sampled_rows(table: dict, stride: int, near: tuple) -> list[int]:
@@ -86,7 +95,7 @@ def worst_errors(experiment: str, tmp_path) -> dict[str, float]:
     assert complex(config["alpha"]["re"], config["alpha"]["im"]) == ALPHA
     assert config.get("theta0", 0.0) == 0.0  # the reference's working point
     model = ModelParams.from_dict(config["model"])
-    table = _written(experiment, path, tmp_path)
+    _, table = _written(experiment, path, tmp_path)
     swept = next((name for name in ("g", "lambda") if name in table), None)
     worst, deltas = {name: 0.0 for name, _ in columns}, {}
     with mpmath.workdps(DPS):
@@ -103,10 +112,18 @@ def worst_errors(experiment: str, tmp_path) -> dict[str, float]:
             qfi, ratio = reference(params, t_c, t_theta)
             want = {"F": qfi, "S": qfi / (4 * mpmath.mpf(t_theta) ** 2), "R": ratio,
                     "Delta": deltas[params]}
-            if any(quantity == "F_C" for _, quantity in columns):
+            quantities = {quantity for _, quantity in columns}
+            if "F_C" in quantities:
                 want["F_C"] = single_commutator_qfi(params, y, deltas[params], t_theta)
+            # Each error is relative to the value, or for ⟨P⟩, which crosses
+            # zero, to at least its own noise scale √Var P.
+            scale = {}
+            if "P" in quantities:
+                want["P"], var_p, want["CFI"] = reference_homodyne(params, t_c, t_theta)
+                scale["P"] = max(abs(want["P"]), mpmath.sqrt(var_p))
             for name, quantity in columns:
-                error = abs((float(table[name][row]) - want[quantity]) / want[quantity])
+                error = abs(float(table[name][row]) - want[quantity])
+                error /= scale.get(quantity, abs(want[quantity]))
                 worst[name] = max(worst[name], float(error))
     return worst
 
@@ -116,3 +133,22 @@ def test_written_csv_matches_the_50_digit_reference(experiment, tmp_path):
     worst = worst_errors(experiment, tmp_path)
     for name, error in worst.items():
         assert error <= BOUND, f"{experiment} column {name} off by {error:.2e}"
+
+
+def test_lambda_star_comment_is_near_the_50_digit_root(tmp_path):
+    # The threshold lmg-threshold writes, against the root of the 50-digit
+    # R − 1 in the bracket it writes, within the exact-reference gate's ulps.
+    path = CONFIG_DIR / "lmg_threshold.json"
+    config = json.loads(path.read_text())
+    assert complex(config["alpha"]["re"], config["alpha"]["im"]) == ALPHA
+    comments, _ = _written("lmg-threshold", path, tmp_path)
+    [(found, lo, hi)] = [match.groups() for comment in comments
+                         if (match := re.fullmatch(r"lambda_star=(\S+) bracket=\((\S+),(\S+)\)",
+                                                   comment))]
+    found = float(found)
+    [ulps] = [ulps for _, key, ulps in THRESHOLDS if key == "lambda_star"]
+    with mpmath.workdps(DPS):
+        root = reference_threshold(ModelParams.from_dict(config["model"]), config["t_theta"],
+                                   (float(lo), float(hi)))
+        gap = float((found - root) / math.ulp(float(root)))
+    assert abs(gap) <= ulps, f"lambda_star = {found!r} is {gap:+.1f} ulps away"

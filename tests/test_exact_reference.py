@@ -23,9 +23,15 @@ be held to 1e-14 there.
 Δ itself is pinned to one rounding against the 50-digit ratio of
 i[H_c, D] to C, which does not use det G_c. The thresholds of validate's
 two brackets are held against the root of the 50-digit R − 1 at
-t_c = π/√Δ, with Δ and t_c in 50 digits too.
+t_c = π/√Δ, with Δ and t_c in 50 digits too (`reference_threshold`).
+
+`reference_homodyne` carries the prepared state through the encoding at θ
+by the matrix exponential of ΩG_θ·θ·t_θ and gives ⟨P⟩, Var P and the
+homodyne Fisher information, whose θ-derivatives it takes by mpmath.diff;
+canp reads them off the encoding flow's closed form instead.
 """
 
+import functools
 import math
 
 import mpmath
@@ -99,17 +105,22 @@ def reference_delta(params: ModelParams, value=None):
     return sum(x * y for x, y in entries) / sum(x * x for x, _ in entries)
 
 
+def _prepared(params: ModelParams, t_c, value=None):
+    """(μ, σ, (G_θ, v_θ)): the probe's moments after the preparation for t_c, in 50 digits."""
+    mp = mpmath.mp
+    g_c, encoding = _forms(params, value)
+    s_mat = mp.expm(mp.matrix([[0, 1], [-1, 0]]) * g_c * mp.mpf(t_c))
+    mu0 = mp.sqrt(2) * mp.matrix([mp.mpf(ALPHA.real), mp.mpf(ALPHA.imag)])
+    return s_mat * mu0, s_mat * s_mat.T / 2, encoding
+
+
 def reference(params: ModelParams, t_c, t_theta: float, value=None):
     """(QFI, ratio) at preparation time t_c and working point θ0 = 0, in 50 digits.
 
     t_c is a float or a 50-digit number; a 50-digit value replaces g or λ.
     """
     mp = mpmath.mp
-    g_c, encoding = _forms(params, value)
-    omega_sym = mp.matrix([[0, 1], [-1, 0]])
-    s_mat = mp.expm(omega_sym * g_c * mp.mpf(t_c))
-    mu0 = mp.sqrt(2) * mp.matrix([mp.mpf(ALPHA.real), mp.mpf(ALPHA.imag)])
-    mu, sigma = s_mat * mu0, s_mat * s_mat.T / 2
+    mu, sigma, encoding = _prepared(params, t_c, value)
     t_theta = mp.mpf(t_theta)
     qfi = 4 * t_theta**2 * _variance(encoding, mu, sigma)
     nbar = (sigma[0, 0] + sigma[1, 1] + mu[0] ** 2 + mu[1] ** 2 - 1) / 2
@@ -117,6 +128,45 @@ def reference(params: ModelParams, t_c, t_theta: float, value=None):
     total = mp.mpf(t_c) + t_theta
     baseline = 4 * total**2 * _variance(encoding, probe, mp.eye(2) / 2)
     return qfi, qfi / baseline
+
+
+def reference_homodyne(params: ModelParams, t_c, t_theta: float):
+    """(⟨P⟩, Var P, homodyne CFI) after the encoding at θ0 = 0, in 50 digits.
+
+    The state at θ is the prepared one moved by expm(ΩG_θ·θ·t_θ), with Ωv_θ
+    as the last column of a 3 × 3 generator so that the shift comes with it.
+    The CFI is (∂_θ⟨P⟩)²/V + ½(∂_θV)²/V², V = Var P, each ∂_θ by mpmath.diff.
+    """
+    mp = mpmath.mp
+    mu, sigma, (g_theta, v_theta) = _prepared(params, t_c)
+    omega_sym = mp.matrix([[0, 1], [-1, 0]])
+    m, u = omega_sym * g_theta, omega_sym * v_theta
+    generator = mp.matrix([[m[0, 0], m[0, 1], u[0]], [m[1, 0], m[1, 1], u[1]], [0, 0, 0]])
+    t_theta = mp.mpf(t_theta)
+
+    @functools.cache  # both derivatives sample the same θ
+    def p_moments(theta):
+        """(⟨P⟩, Var P) at θ, from the P row of the encoding's affine map."""
+        flow = mp.expm(generator * (theta * t_theta))
+        row = mp.matrix([[flow[1, 0], flow[1, 1]]])
+        return (row * mu)[0] + flow[1, 2], (row * sigma * row.T)[0]
+
+    mean_p, var_p = p_moments(0)
+    d_mean = mp.diff(lambda theta: p_moments(theta)[0], 0)
+    d_var = mp.diff(lambda theta: p_moments(theta)[1], 0)
+    return mean_p, var_p, d_mean**2 / var_p + d_var**2 / (2 * var_p**2)
+
+
+def reference_threshold(params: ModelParams, t_theta: float, bracket):
+    """The root in bracket of the 50-digit R − 1 at t_c = π/√Δ, over g or λ in 50 digits.
+
+    params gives the model's other fields; its own g or λ is not read.
+    """
+    def ratio_minus_one(value):
+        t_c = mpmath.mp.pi / mpmath.sqrt(reference_delta(params, value))
+        return reference(params, t_c, t_theta, value)[1] - 1
+
+    return mpmath.findroot(ratio_minus_one, tuple(map(mpmath.mpf, bracket)), solver="anderson")
 
 
 def worst_errors(variant: str, value: float) -> tuple[float, float]:
@@ -143,6 +193,23 @@ def test_qfi_and_ratio_are_exact_to_rounding(variant, value):
     worst_qfi, worst_ratio = worst_errors(variant, value)
     assert worst_qfi <= bound, f"QFI off by {worst_qfi:.2e}"
     assert worst_ratio <= bound, f"ratio off by {worst_ratio:.2e}"
+
+
+# fig3b's rows (a†a at √Δ·t_c = π) have ∂_θ Var P = 0, so the witness of its
+# CSV sees neither the CFI's variance term nor the shift that the
+# displacement encoding X adds through the generator's last column.
+@pytest.mark.parametrize("variant", ["QRM-frequency", "QRM-displacement"])
+def test_homodyne_is_exact_to_rounding(variant):
+    # ⟨P⟩ (relative to at least √Var P) and the homodyne CFI at ten phases.
+    params = ModelParams(variant, omega=1.0, g=0.96)
+    protocol = Protocol(*params.pair(), ALPHA)
+    t_c = protocol.preparation_time(SQRT_DELTA_TC[::4])
+    mean_p, cfi = protocol.state(t_c, 12.0, 0.0).mp, protocol.cfi_homodyne(t_c, 12.0, 0.0)
+    with mpmath.workdps(DPS):
+        for i, t in enumerate(t_c.tolist()):
+            want_p, var_p, want_cfi = reference_homodyne(params, t, 12.0)
+            assert abs(mean_p[i] - want_p) <= 1e-14 * max(abs(want_p), mpmath.sqrt(var_p))
+            assert abs(cfi[i] - want_cfi) <= 1e-14 * want_cfi
 
 
 @pytest.mark.parametrize("value", [*BOUNDS, 0.99999])
@@ -177,14 +244,8 @@ def test_threshold_is_near_the_50_digit_root(thresholds, variant, key, ulps):
     assert VALIDATE_ALPHA == ALPHA
     name, fields, t_theta = VARIANTS[variant]
     params = ModelParams(variant, **fields, **{name: thresholds[key]})
-
-    def ratio_minus_one(value):
-        t_c = mpmath.mp.pi / mpmath.sqrt(reference_delta(params, value))
-        return reference(params, t_c, t_theta, value)[1] - 1
-
     with mpmath.workdps(DPS):
-        bracket = tuple(map(mpmath.mpf, thresholds[f"{key}_bracket"]))
-        root = mpmath.findroot(ratio_minus_one, bracket, solver="anderson")
+        root = reference_threshold(params, t_theta, thresholds[f"{key}_bracket"])
         found = thresholds[key]
         assert float(abs(found - root)) <= ulps * math.ulp(float(root)), \
             f"{key} = {found!r} is {float((found - root) / math.ulp(float(root))):+.1f} ulps away"

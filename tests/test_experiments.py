@@ -497,6 +497,18 @@ class TestRunners:
         assert {name: len(made) for name, made in calls.items()} == {
             "_cfi_homodyne": 1, "_qfi": 1, "_mean_p_at": 11}
 
+    def test_fig3b_refinement_reads_the_table_phase(self, tmp_path, monkeypatch):
+        # The crossing refinement places t_c by the rule the rows are placed
+        # by: with fig3b's phase moved to a quarter period, ⟨P⟩ at each row's
+        # g is still that row's meanP, bit for bit.
+        monkeypatch.setitem(experiments.TABLE, "fig3b",
+                            experiments.TABLE["fig3b"]._replace(phase=0.5 * math.pi))
+        cfg = config_from_dict(small_config("fig3b", tmp_path, sweep={
+            "g": {"start": 0.9, "stop": 0.98, "points": 3}}))
+        table = run_experiment(cfg)
+        assert [experiments._mean_p_at(cfg, g) for g in table["g"].tolist()] == \
+            table["meanP"].tolist()
+
     def test_displacement_run(self, tmp_path):
         cfg_dict = small_config("displacement", tmp_path, sweep={
             "g": {"start": 0.5, "stop": 0.95, "points": 7}})
@@ -907,7 +919,6 @@ class TestCli:
         (errors.VacuumProbeError, 2), (errors.NoSignChangeError, 2),
         (errors.NonFiniteError, 1), (errors.TruncationNotConvergedError, 1),
         (errors.ConditionViolatedError, 1), (errors.NegativeDeltaError, 1),
-        (errors.NotPositiveError, 1),
     ])
     def test_exit_code_follows_the_error_class(self, tmp_path, monkeypatch, capsys, error, code):
         assert issubclass(error, ConfigError) is (code == 2)
@@ -1221,8 +1232,8 @@ class TestCli:
         from canp import validate as validate_mod
 
         def broken_thresholds():
-            return validate_mod.CheckResult(name="thresholds", passed=False,
-                                            details="injected fault")
+            return validate_mod.CheckResult(name="thresholds", passed=False, measured={},
+                                            tolerance={}, details="injected fault")
 
         monkeypatch.setattr(validate_mod, "check_thresholds", broken_thresholds)
         path = tmp_path / "v.json"
@@ -1246,7 +1257,7 @@ class TestCli:
 
         def nan_thresholds():
             return validate_mod.CheckResult(name="thresholds", passed=False,
-                                            measured={"g_star": float("nan")})
+                                            measured={"g_star": float("nan")}, tolerance={})
 
         monkeypatch.setattr(validate_mod, "check_thresholds", nan_thresholds)
         path, out = tmp_path / "v.json", tmp_path / "report.json"

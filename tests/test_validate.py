@@ -9,8 +9,8 @@ from canp import ModelParams, fock, gaussian, validate
 
 
 def test_oracle_checks_split_their_wall_time(monkeypatch):
-    # Two cheap grid rows; the QFI comparison must report the time it
-    # took, and the two checks together the time of the shared pass.
+    # Two cheap grid rows; the QFI comparison must report the time its QFIs
+    # took, and the moment comparison the rest of the shared pass.
     monkeypatch.setattr(validate, "ORACLE_GRID", ((0.5, 0.0), (0.5, 0.25), (0.7, 0.05)))
     clock = {"now": 0.0}
 
@@ -22,11 +22,11 @@ def test_oracle_checks_split_their_wall_time(monkeypatch):
     moments, qfi = validate.check_oracle_agreement()
     assert moments.passed and qfi.passed
     assert qfi.seconds > 0.0 and moments.seconds > 0.0
-    # Each clock read advances 1 s: one read at the start, four per row
-    # (row start, QFI start, QFI end, row end), one at the end. So the
-    # pass takes 9 s and each row spends 1 of its 3 s on the QFIs.
-    assert moments.seconds + qfi.seconds == pytest.approx(9.0)
-    assert qfi.seconds == pytest.approx(3.0)
+    # Each clock read advances 1 s: one read at the start, two per row
+    # (QFI start, QFI end), one at the end. So the pass takes 5 s, of which
+    # the two rows' QFIs take 2 s.
+    assert moments.seconds + qfi.seconds == pytest.approx(5.0)
+    assert qfi.seconds == pytest.approx(2.0)
 
 
 # Each oracle point's converged truncation, and the truncations each H_c
