@@ -191,26 +191,27 @@ def config_from_dict(obj: dict) -> RunConfig:
     return cfg
 
 
-def _model_values(cfg: RunConfig) -> tuple[str, np.ndarray, list[ModelParams]]:
+def _model_values(cfg: RunConfig) -> tuple[str, np.ndarray, ModelParams | None]:
     """The column of the model field a run sweeps (g or lambda, from its row),
     its values as the config gave them (the g_values, or the g or lambda axis),
-    and the model at each value: a copy with that field moved there."""
+    and the model it reads: one model with that field moved to the values, a
+    1-D array, or the config's model for a row that sweeps none (fig2a).
+    validate reads no model."""
     row = TABLE[cfg.experiment]
     if "g_values" in row.fields:
         name, values = "g", np.array(cfg.g_values)
     elif row.axes in (("g",), ("lambda",)):
         name, values = row.axes[0], cfg.axis(row.axes[0]).values()
-    else:  # a row with columns (fig2a) reads the model alone; validate reads no model
-        return "", np.empty(0), ([cfg.model] if row.columns else [])
-    field = "lam" if name == "lambda" else "g"
-    return name, values, [cfg.model._replace(**{field: value}) for value in values.tolist()]
+    else:
+        return "", np.empty(0), (cfg.model if row.columns else None)
+    return name, values, cfg.model._replace(**{"lam" if name == "lambda" else "g": values})
 
 
 def _validate(cfg: RunConfig, named: dict) -> None:
     """Time axes must be ordered; the config, whose keys are `named`, must name
-    exactly the grid inputs of its experiment's TABLE row; and every model
-    value the run reads must have its variant's fields (checked on building
-    it) and obey its phase rule."""
+    exactly the grid inputs of its experiment's TABLE row; and the model the
+    run reads must have its variant's fields (checked on building it) and
+    every value of it must obey its phase rule."""
     for ax in cfg.sweep:
         if ax.name == "sqrtDelta_tc":
             if ax.start < 0.0 or ax.stop < ax.start:
@@ -230,8 +231,9 @@ def _validate(cfg: RunConfig, named: dict) -> None:
         raise ConfigError(f"experiment {cfg.experiment} does not read {unread[0]}")
     if cfg.experiment == "displacement" and cfg.model.variant != "QRM-displacement":
         raise ConfigError(f"displacement needs variant QRM-displacement, got {cfg.model.variant}")
-    for params in _model_values(cfg)[2]:
-        params.preparation()
+    model = _model_values(cfg)[2]
+    if model is not None:
+        model.preparation()
 
 
 def apply_overrides(obj: dict, overrides: dict[str, str]) -> dict:
@@ -374,14 +376,14 @@ def _sweep_table(cfg: RunConfig) -> dict[str, np.ndarray]:
     (k, n, 1) block, whose trailing axis a row's columns may extend (fig2a's
     t_theta); otherwise they stand at the row's fixed phase √Δ·t_c."""
     row = TABLE[cfg.experiment]
-    name, values, models = _model_values(cfg)
+    name, values, model = _model_values(cfg)
     if row.phase is None:
         phase = cfg.axis("sqrtDelta_tc").values()[:, None]
         values, lead = values[:, None, None], {"sqrtDelta_tc": phase}
     else:
         phase, lead = row.phase, {}
     swept = {name: values} if name else {}
-    return {**swept, **lead, **sweep(models, cfg.alpha, phase, partial(row.columns, cfg))}
+    return {**swept, **lead, **sweep(model, cfg.alpha, phase, partial(row.columns, cfg))}
 
 
 def run_sweep(cfg: RunConfig) -> dict[str, np.ndarray]:
@@ -407,7 +409,7 @@ def _fig3b_columns(cfg: RunConfig, protocol: Protocol, t_c) -> dict:
 
 
 def _mean_p_at(cfg: RunConfig, g: float) -> float:
-    swept = sweep([cfg.model._replace(g=g)], cfg.alpha, TABLE["fig3b"].phase,
+    swept = sweep(cfg.model._replace(g=g), cfg.alpha, TABLE["fig3b"].phase,
                   lambda protocol, t_c: {"meanP": protocol.state(t_c, cfg.t_theta, cfg.theta0).mp})
     return float(swept["meanP"][0])
 

@@ -118,18 +118,10 @@ class Protocol:
 
         A commuting pair (e.g. a free-rotation preparation with frequency
         encoding) has C = D = 0 and Δ = 0, so its generator is just t_θ H_θ.
-        Array entries (:func:`sweep`'s model values) are derived one element
-        at a time, and each field is stacked in their broadcast shape.
+        Array entries (:func:`sweep`'s model values) are derived in one call,
+        each field an array of their broadcast shape.
         """
-        forms = (*self.hc, *self.htheta)
-        if np.ndarray not in map(type, forms):
-            return derive_critical_structure(self.hc, self.htheta)
-        entries = np.broadcast_arrays(*forms)
-        derived = [derive_critical_structure(Quadratic(*pair[:6]), Quadratic(*pair[6:]))
-                   for pair in zip(*(a.ravel().tolist() for a in entries))]
-        shape = entries[0].shape
-        fields = np.array([(*cs.C, *cs.D, *cs[2:]) for cs in derived]).T.reshape(-1, *shape)
-        return CriticalStructure(Quadratic(*fields[:6]), Quadratic(*fields[6:12]), *fields[12:])
+        return derive_critical_structure(self.hc, self.htheta)
 
     @cached_property
     def covariance(self) -> tuple[float, ...]:
@@ -287,31 +279,35 @@ def require_bright_probe(alpha: complex, consequence: str) -> None:
         raise VacuumProbeError(f"alpha={alpha}: {consequence}")
 
 
-def sweep(models: list[ModelParams], alpha: complex, sqrt_delta_tc, columns) -> dict:
+def sweep(model: ModelParams, alpha: complex, sqrt_delta_tc, columns) -> dict:
     """The columns of a sweep over model values, each stacked model values first.
 
-    One Protocol, with probe alpha, holds every value's pair: each entry is an
-    array of shape (k,) + (1,)·ndim(√Δ·t_c), the model value first, or a float
-    for a single value. t_c is placed at √Δ·t_c, and columns(protocol, t_c)
+    The model values are the swept field of `model` (g, or lam for LMG): a
+    float for one value or a 1-D array of them. One Protocol, with probe
+    alpha, holds every value's pair: the swept field enters as shape
+    (k,) + (1,)·ndim(√Δ·t_c), the model value first, so the critical
+    structure of all k values is derived in one call. t_c is placed at √Δ·t_c, and columns(protocol, t_c)
     returns the named columns of the whole sweep at once; axes of their own
     (fig2a's t_θ) must trail the phase's. A commuting pair's
-    CommutingPairError is raised again naming the model value, and an empty
-    list of model values is a ValueError."""
-    if not models:
-        raise ValueError("a sweep needs at least one model value")
-    pairs = [params.pair() for params in models]
-    if len(models) > 1:
-        shape = (len(models),) + (1,) * np.ndim(sqrt_delta_tc)
-        pairs = [[Quadratic(*np.array(forms).T.reshape(-1, *shape)) for forms in zip(*pairs)]]
-    protocol = Protocol(*pairs[0], alpha)
+    CommutingPairError is raised again naming the model value, and no model
+    values is a ValueError."""
+    field = model.swept
+    values = getattr(model, field)
+    stacked = isinstance(values, np.ndarray)  # a float stays a float, off numpy's per-call cost
+    if stacked:
+        if not values.size:
+            raise ValueError("a sweep needs at least one model value")
+        shape = (values.size,) + (1,) * np.ndim(sqrt_delta_tc)
+        model = model._replace(**{field: values.reshape(shape)})
+    protocol = Protocol(*model.pair(), alpha)
     try:
         t_c = protocol.preparation_time(sqrt_delta_tc)
     except CommutingPairError as exc:
-        params = models[np.flatnonzero(protocol._commuting())[0]]
-        value = ", ".join(f"{k}={v}" for k, v in params.to_dict().items())
-        raise CommutingPairError(f"model {value}: {exc}") from exc
+        value = np.ravel(values)[np.flatnonzero(protocol._commuting())[0]].item()
+        named = ", ".join(f"{k}={v}" for k, v in model._replace(**{field: value}).to_dict().items())
+        raise CommutingPairError(f"model {named}: {exc}") from exc
     table = columns(protocol, t_c)
-    if len(models) == 1:  # the floats' columns get the model axis
+    if not stacked:  # the floats' columns get the model axis
         return {name: np.asarray(v)[None] for name, v in table.items()}
     return {name: np.broadcast_to(v, np.broadcast_shapes(shape, np.shape(v)))
             for name, v in table.items()}
@@ -422,7 +418,7 @@ def find_threshold(
         return ModelParams(family, omega=omega, **moved)
 
     def ratio_minus_one(value: float) -> float:
-        swept = sweep([model(value)], alpha, math.pi,
+        swept = sweep(model(value), alpha, math.pi,
                       lambda p, t_c: {"R": p.ratio(t_c, t_theta, theta0)})
         return float(swept["R"][0]) - 1.0
 

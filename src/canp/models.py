@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, OutOfPhaseError
 from .operators import Quadratic
 
@@ -77,6 +79,12 @@ def config_object(obj, parsers: dict, what: str, required=()) -> dict:
     return parsed
 
 
+def _first_outside(values, outside):
+    """The first of values (C order) where outside holds, as a Python number, or None."""
+    if outside is not False and np.any(outside):  # a float's test is a bool: numpy is not called
+        return np.extract(outside, values).item(0)
+
+
 def qrm_effective(omega: float, g: float) -> Quadratic:
     """Normal-phase effective Rabi Hamiltonian ω a†a − (ωg²/4)(a† + a)².
 
@@ -84,10 +92,11 @@ def qrm_effective(omega: float, g: float) -> Quadratic:
     ½[ω(1 − g)(1 + g) X² + ω P²] − ω/2. The constant term is kept for
     bookkeeping (it only shifts the global phase); the qubit splitting
     constant is dropped since it carries a free parameter that affects no
-    observable.
+    observable. g may be an array: the first value outside the phase is named.
     """
-    if not 0.0 <= g < 1.0:
-        raise OutOfPhaseError(f"QRM normal phase requires 0 <= g < 1, got g={g}")
+    bad = _first_outside(g, (g < 0.0) | (g >= 1.0) | (g != g))  # a nan g is outside too
+    if bad is not None:
+        raise OutOfPhaseError(f"QRM normal phase requires 0 <= g < 1, got g={bad}")
     return Quadratic(gxx=omega * (1.0 - g) * (1.0 + g), gpp=omega, c0=-0.5 * omega)
 
 
@@ -95,12 +104,14 @@ def lmg_effective(lam: float, gamma: float) -> Quadratic:
     """Bosonized LMG Hamiltonian 2λ a†a + [γ(a† − a)² − (a + a†)²]/2.
 
     With (a† − a)² = −2P² and (a + a†)² = 2X² this is
-    ½[−2(1 − λ) X² − 2(γ − λ) P²] − λ.
+    ½[−2(1 − λ) X² − 2(γ − λ) P²] − λ. λ may be an array: the first value
+    outside the phase is named.
     """
-    if (gamma - lam) * (1.0 - lam) <= 0.0:
+    bad = _first_outside(lam, (gamma - lam) * (1.0 - lam) <= 0.0)
+    if bad is not None:
         raise OutOfPhaseError(
             f"LMG normal phase requires (gamma − lambda)(1 − lambda) > 0, "
-            f"got lambda={lam}, gamma={gamma}"
+            f"got lambda={bad}, gamma={gamma}"
         )
     return Quadratic(gxx=-2.0 * (1.0 - lam), gpp=-2.0 * (gamma - lam), c0=-lam)
 
@@ -164,7 +175,10 @@ class ModelParams(_ModelFields):
 
     An immutable named tuple that checks the variant and its fields however
     it is built: the constructor, ``_make`` and ``_replace`` (the last two
-    would otherwise skip ``__new__``).
+    would otherwise skip ``__new__``). Its number fields may be arrays of
+    one shape, a stack of models: its pair and published Δ then have array
+    entries, and :meth:`preparation` checks the phase rule of every value.
+    A sweep stacks the :attr:`swept` field (g, or lam for LMG).
     """
 
     __slots__ = ()
@@ -173,7 +187,7 @@ class ModelParams(_ModelFields):
                 lam: float | None = None, gamma: float | None = None) -> "ModelParams":
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        if omega <= 0.0:
+        if _first_outside(omega, omega <= 0.0) is not None:
             raise ConfigError("omega must be positive")
         if variant.startswith("QRM"):
             if g is None:
@@ -190,6 +204,11 @@ class ModelParams(_ModelFields):
     @classmethod
     def _make(cls, iterable) -> "ModelParams":
         return cls(*iterable)
+
+    @property
+    def swept(self) -> str:
+        """The field a sweep moves: lam for LMG, g for the QRM variants."""
+        return "lam" if self.variant == "LMG-frequency" else "g"
 
     def preparation(self) -> Quadratic:
         if self.variant.startswith("QRM"):

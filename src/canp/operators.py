@@ -9,9 +9,10 @@ held as a :class:`Quadratic` of its six real entries. A real form is
 Hermitian by construction. The span {X², XP + PX, P², X, P, 1} is closed
 under i[·, ·], so the nested commutators of the critical structure are exact
 2×2 algebra (:func:`commutator`) with no truncation; cubic or higher terms
-are unrepresentable. The runtime derives the critical structure of each
-model value it touches, so the algebra is plain Python arithmetic on six
-floats; numpy enters only for the flow weights over arrays of times.
+are unrepresentable. The algebra of one pair is plain Python arithmetic on
+six floats; a stack of pairs (array entries, one model value per element)
+runs the same arithmetic elementwise in numpy, as do the flow weights over
+arrays of times.
 
 Quadrature convention used throughout: X = (a + a†)/√2, P = i(a† − a)/√2,
 so [X, P] = i, the vacuum has Var X = Var P = 1/2, and a†a = ½(X² + P²) − ½
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -83,7 +85,8 @@ class CriticalStructure(NamedTuple):
     and residual quantifies how well the proportionality actually holds.
     A commuting pair is the zero structure: C = D = 0, and Delta = 0 and
     residual = 0 by convention, so the generator of
-    :class:`canp.metrology.Protocol` is exactly t_θ H_θ.
+    :class:`canp.metrology.Protocol` is exactly t_θ H_θ. The structure of a
+    stack of pairs holds arrays, one element per pair.
     """
 
     C: Quadratic
@@ -92,24 +95,52 @@ class CriticalStructure(NamedTuple):
     residual: float
 
 
-def _max_abs(op: Quadratic) -> float:
-    """Largest entry magnitude (natural scale of the operator)."""
-    return max(map(abs, op))
+def _total(op: Quadratic):
+    """The sum of the entries, left to right, elementwise for a stack: nan or inf
+    when an entry is, or when the sum leaves the float range (sum() would
+    compensate from Python 3.12, which a stack's sum does not)."""
+    gxx, gxp, gpp, vx, vp, c0 = op
+    return gxx + gxp + gpp + vx + vp + c0
 
 
-def _finite(values) -> bool:
-    """Whether the entries are finite: a nan or inf makes their sum nan or inf.
-
-    A sum beyond the float range reads as not finite too.
-    """
-    return math.isfinite(sum(values))
+def _largest(values):
+    """max(values) elementwise: as in Python, a nan first value stays and a later nan is skipped."""
+    first, *rest = values
+    return np.where(first != first, first, reduce(np.fmax, rest, first))
 
 
-def _non_finite(parts: dict, source: str) -> NonFiniteError:
-    """The error naming each part of a critical structure that is not finite, and its source."""
-    bad = ", ".join(name for name, values in parts.items() if not _finite(values))
+def _choose(cond, a, b):
+    """np.where of one pair."""
+    return a if cond else b
+
+
+def _non_finite(totals: dict, source: str) -> NonFiniteError:
+    """The error naming each part of a critical structure whose total is not finite,
+    and its source."""
+    bad = ", ".join(name for name, total in totals.items() if not math.isfinite(total))
     return NonFiniteError(f"critical structure is not finite ({bad} nan or inf): "
                           f"{source} out of the float range")
+
+
+def _closure(hc: Quadratic, htheta: Quadratic, largest, where) -> tuple:
+    """(C, D, commuting, Delta, residual) of a pair or a stack, untested; largest
+    and where are max and _choose for floats, _largest and np.where for arrays."""
+    c_op = commutator(hc, htheta)
+    d_op = commutator(c_op, hc)
+    c_max = largest(map(abs, c_op))
+    scale = largest(map(abs, hc)) * largest(map(abs, htheta))
+    commuting = c_max <= 1e-13 * largest((scale, 1e-300))
+    gxx, gxp, gpp = hc[:3]
+    g_max = largest(map(abs, hc[:3]))
+    # Where the squares of G_c's entries leave the normal float range, so does det G_c.
+    underflows = (g_max != 0.0) & (g_max * g_max < sys.float_info.min)
+    det = where(underflows, math.nan, gxx * gpp - gxp * gxp)
+    # Below the residual bound, C's quadratic part is the rounding of a commuting one.
+    delta = where(largest(map(abs, c_op[:3])) > RESIDUAL_MAX * c_max, 4.0 * det, det)
+    mismatch = largest([abs(x - delta * y) for x, y in zip(commutator(hc, d_op), c_op)])
+    # The floor keeps the product of a zero Δ's 1e-300 and a c_max below ~2.5e-24 off 0.
+    residual = mismatch / largest((largest((abs(delta), 1e-300)) * c_max, 5e-324))
+    return c_op, d_op, commuting, delta, residual
 
 
 def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStructure:
@@ -125,44 +156,54 @@ def derive_critical_structure(hc: Quadratic, htheta: Quadratic) -> CriticalStruc
 
     A commuting pair (C = 0 to 1e-13 of the pair's scale, e.g. a preparation
     proportional to the encoding) gives the zero structure, C = D = 0 and
-    Delta = residual = 0; this test is made before Delta is computed.
+    Delta = residual = 0, whatever its Delta would be.
 
     Raises ConditionViolatedError when the closure fails, NegativeDeltaError
     when the pair closes with Delta < 0 (det G_c < 0, a hyperbolic H_c, so no
     real gap exists), NonFiniteError when C or D is nan or infinite, or when
     Delta is (det G_c overflows, or the entries of G_c are below ~1.5e-154,
     so that their squares underflow).
+
+    Entries may be arrays, a stack of pairs over their broadcast shape (a
+    sweep's model values): one call derives them all, each field an array
+    of that shape whose every element is, bit for bit, what its pair alone
+    gives, and the first pair (C order) that fails raises its own error.
+    Float entries keep Python-float arithmetic.
     """
-    c_op = commutator(hc, htheta)
-    d_op = commutator(c_op, hc)
-    # Checked before the commuting test, which an infinite C passes.
-    if not (_finite(c_op) and _finite(d_op)):
-        raise _non_finite({"C": c_op, "D": d_op}, "the nested commutators of H_c and H_theta are")
-    c_max = _max_abs(c_op)
-    if c_max <= 1e-13 * max(_max_abs(hc) * _max_abs(htheta), 1e-300):
-        return CriticalStructure(C=Quadratic(), D=Quadratic(), Delta=0.0, residual=0.0)
+    if not isinstance(sum(hc + htheta), np.ndarray):  # float entries
+        c_op, d_op, commuting, delta, residual = _closure(hc, htheta, max, _choose)
+        # Checked before the commuting test, which an infinite C passes.
+        c_total, d_total = _total(c_op), _total(d_op)
+        if not (math.isfinite(c_total) and math.isfinite(d_total)):
+            raise _non_finite({"C": c_total, "D": d_total},
+                              "the nested commutators of H_c and H_theta are")
+        if commuting:
+            return CriticalStructure(C=Quadratic(), D=Quadratic(), Delta=0.0, residual=0.0)
+        # A nan Δ would pass the residual test below.
+        if not math.isfinite(delta):
+            raise _non_finite({"Δ": delta}, "det G_c of H_c's entries "
+                              f"gxx={hc.gxx:.6g}, gxp={hc.gxp:.6g}, gpp={hc.gpp:.6g} is")
+        if residual > RESIDUAL_MAX:
+            raise ConditionViolatedError(
+                f"triple-commutator closure fails: residual {residual:.3e} > {RESIDUAL_MAX:.1e}"
+            )
+        if delta < -1e-12:
+            raise NegativeDeltaError(f"proportionality constant {delta} < 0")
+        return CriticalStructure(C=c_op, D=d_op, Delta=max(delta, 0.0), residual=residual)
 
-    gxx, gxp, gpp = hc[:3]
-    g_max = _max_abs((gxx, gxp, gpp))
-    # Where the squares of G_c's entries leave the normal float range, so does det G_c.
-    det = math.nan if g_max and g_max * g_max < sys.float_info.min else gxx * gpp - gxp * gxp
-    # Below the residual bound, C's quadratic part is the rounding of a commuting one.
-    delta = 4.0 * det if _max_abs(c_op[:3]) > RESIDUAL_MAX * c_max else det
-    # A nan Δ would pass the residual test below.
-    if not math.isfinite(delta):
-        raise _non_finite({"Δ": (delta,)}, "det G_c of H_c's entries "
-                          f"gxx={gxx:.6g}, gxp={gxp:.6g}, gpp={gpp:.6g} is")
-    t3 = commutator(hc, d_op)
-    mismatch = max(abs(x - delta * y) for x, y in zip(t3, c_op))
-    residual = mismatch / (max(abs(delta), 1e-300) * c_max)
-
-    if residual > RESIDUAL_MAX:
-        raise ConditionViolatedError(
-            f"triple-commutator closure fails: residual {residual:.3e} > {RESIDUAL_MAX:.1e}"
-        )
-    if delta < -1e-12:
-        raise NegativeDeltaError(f"proportionality constant {delta} < 0")
-    return CriticalStructure(C=c_op, D=d_op, Delta=max(delta, 0.0), residual=residual)
+    shape = np.broadcast_shapes(*map(np.shape, (*hc, *htheta)))
+    with np.errstate(all="ignore"):  # a failing pair's values are only tested
+        c_op, d_op, commuting, delta, residual = _closure(hc, htheta, _largest, np.where)
+        finite = np.isfinite(_total(c_op)) & np.isfinite(_total(d_op))
+        closes = np.isfinite(delta) & ~(residual > RESIDUAL_MAX) & ~(delta < -1e-12)
+    commuting = np.broadcast_to(commuting, shape)
+    failed = np.flatnonzero(~finite | ~commuting & ~closes)
+    if failed.size:  # the first failing pair raises its own error
+        derive_critical_structure(*(Quadratic(*(np.broadcast_to(x, shape).flat[failed[0]].item()
+                                                for x in form)) for form in (hc, htheta)))
+    zero = partial(np.where, commuting, 0.0)  # a commuting pair has the zero structure
+    return CriticalStructure(Quadratic(*map(zero, c_op)), Quadratic(*map(zero, d_op)),
+                             zero(np.where(0.0 > delta, 0.0, delta)), zero(residual))
 
 
 def flow_weights(k, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -65,27 +66,27 @@ def _protocol(params: ModelParams) -> Protocol:
     return Protocol(params.preparation(), params.encoding(), ALPHA)
 
 
-def _draws(seed: int):
-    """100 seeded draws of (ω, g, λ, γ) inside the normal phases of both families."""
+def _draws(seed: int) -> np.ndarray:
+    """100 seeded draws of (ω, g, λ, γ) in both families' normal phases, one row each."""
     rng = random.Random(seed)
-    for _ in range(100):
-        yield (0.5 + 1.5 * rng.random(), 0.01 + 0.98 * rng.random(),
-               0.01 + 0.98 * rng.random(), 1.05 + 1.95 * rng.random())
+    return np.array([(0.5 + 1.5 * rng.random(), 0.01 + 0.98 * rng.random(),
+                      0.01 + 0.98 * rng.random(), 1.05 + 1.95 * rng.random()) for _ in range(100)])
 
 
 def check_algebraic_criterion() -> CheckResult:
-    """Closure residual and extracted gap for all three shipped pairs."""
+    """Closure residual and extracted gap for all three shipped pairs, one stack per family."""
+    omega, g, lam, gamma = _draws(20240901).T
     worst_residual = 0.0
     worst_delta_err = 0.0
-    for omega, g, lam, gamma in _draws(20240901):
-        for params in (
-            ModelParams("QRM-frequency", omega=omega, g=g),
-            ModelParams("QRM-displacement", omega=omega, g=g),
-            ModelParams("LMG-frequency", lam=lam, gamma=gamma),
-        ):
-            cs = derive_critical_structure(*params.pair())
-            worst_residual = max(worst_residual, cs.residual)
-            worst_delta_err = max(worst_delta_err, abs(cs.Delta - params.published_delta()))
+    for params in (
+        ModelParams("QRM-frequency", omega=omega, g=g),
+        ModelParams("QRM-displacement", omega=omega, g=g),
+        ModelParams("LMG-frequency", lam=lam, gamma=gamma),
+    ):
+        cs = derive_critical_structure(*params.pair())
+        worst_residual = max(worst_residual, float(np.max(cs.residual)))
+        worst_delta_err = max(worst_delta_err,
+                              float(np.max(np.abs(cs.Delta - params.published_delta()))))
     tolerance = {"residual": 1e-10, "delta_error": 1e-12}
     return CheckResult(
         name="algebraic_criterion",
@@ -100,17 +101,17 @@ def check_algebraic_criterion() -> CheckResult:
 def check_operator_constants() -> CheckResult:
     """Derived C and D against the printed closed forms, entrywise in (G, v, c0)."""
     tol = 1e-12
+    omega, g, lam, gamma = _draws(20240902).T
+    qrm = derive_critical_structure(*ModelParams("QRM-frequency", omega=omega, g=g).pair())
+    lmg = derive_critical_structure(*ModelParams("LMG-frequency", lam=lam, gamma=gamma).pair())
     worst = 0.0
-    for omega, g, lam, gamma in _draws(20240902):
-        qrm = derive_critical_structure(*ModelParams("QRM-frequency", omega=omega, g=g).pair())
-        lmg = derive_critical_structure(*ModelParams("LMG-frequency", lam=lam, gamma=gamma).pair())
-        for got, want in (
-            (qrm.C, qrm_commutator_c(omega, g)),
-            (qrm.D, qrm_commutator_d(omega, g)),
-            (lmg.D, lmg_commutator_d(lam, gamma)),
-        ):
-            diff = max(abs(x - y) for x, y in zip(got, want))
-            worst = max(worst, diff / max(1.0, *map(abs, want)))
+    for got, want in (
+        (qrm.C, qrm_commutator_c(omega, g)),
+        (qrm.D, qrm_commutator_d(omega, g)),
+        (lmg.D, lmg_commutator_d(lam, gamma)),
+    ):
+        diff = reduce(np.maximum, (abs(x - y) for x, y in zip(got, want)))
+        worst = max(worst, float(np.max(diff / reduce(np.maximum, map(abs, want), 1.0))))
     return CheckResult(
         name="operator_constants",
         passed=worst <= tol,
@@ -247,7 +248,7 @@ def check_near_critical_scaling() -> CheckResult:
         return {"ratio": p.qfi(t_c, T_THETA) / p.qfi_asymptotic(t_c, T_THETA),
                 "law": delta * (delta * s_tt - 4.0 * s_td) / (4.0 * s_dd)}
     g_values = (0.98, 0.985, 0.99, 0.995)
-    swept = sweep([ModelParams("QRM-frequency", g=g) for g in g_values], ALPHA, math.pi, columns)
+    swept = sweep(ModelParams("QRM-frequency", g=np.array(g_values)), ALPHA, math.pi, columns)
     devs = np.abs(swept["ratio"] - 1.0).tolist()
     law_rel = float(np.max(np.abs((swept["ratio"] - 1.0) / swept["law"] - 1.0)))
     tolerance = {"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10, "law_rel": 1e-12}
@@ -268,7 +269,7 @@ def check_near_critical_scaling() -> CheckResult:
 
 def check_skew_identity() -> CheckResult:
     sdtc_grid = np.linspace(0.0, 4.0 * math.pi, 160)
-    swept = sweep([ModelParams("QRM-frequency", g=g) for g in (0.90, 0.95, 0.98)], ALPHA,
+    swept = sweep(ModelParams("QRM-frequency", g=np.array([0.90, 0.95, 0.98])), ALPHA,
                   sdtc_grid, lambda p, t_c: {"skew": p.skew(t_c), "qfi": p.qfi(t_c, T_THETA)})
     skews, qfis = swept["skew"], swept["qfi"]  # one row per g
     worst_rel = float(np.max(np.abs(4.0 * (T_THETA * T_THETA) * skews - qfis) / qfis))
@@ -287,8 +288,8 @@ def check_homodyne_efficiency() -> CheckResult:
     """cfi/qfi within [0.8, 1] at the critical time. The window's top is the
     bound cfi ≤ qfi: the homodyne CFI, a sum of squares over Var P > 0, is
     never negative."""
-    models = [ModelParams("QRM-frequency", g=g) for g in np.linspace(0.90, 0.98, 9).tolist()]
-    swept = sweep(models, ALPHA, math.pi, lambda p, t_c: {
+    model = ModelParams("QRM-frequency", g=np.linspace(0.90, 0.98, 9))
+    swept = sweep(model, ALPHA, math.pi, lambda p, t_c: {
         "cfi": p.cfi_homodyne(t_c, T_THETA, 0.0), "qfi": p.qfi(t_c, T_THETA)})
     ratios = (swept["cfi"] / swept["qfi"]).tolist()
     tolerance = {"ratio_window": [0.8, 1.0]}

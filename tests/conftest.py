@@ -1,6 +1,7 @@
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canp import fock, metrology
@@ -22,12 +23,14 @@ def propagator_builds(monkeypatch):
 
 @pytest.fixture
 def structure_derivations(monkeypatch):
-    """Record each derive_critical_structure call made through canp.metrology."""
+    """Record each derive_critical_structure call made through canp.metrology:
+    its pair and how many pairs (model values) the call's stack covers."""
     calls: list = []
     original = metrology.derive_critical_structure
 
     def counting(hc, htheta):
-        calls.append((hc, htheta))
+        covered = np.prod(np.broadcast_shapes(*map(np.shape, (*hc, *htheta))), dtype=int)
+        calls.append((hc, htheta, int(covered)))
         return original(hc, htheta)
 
     monkeypatch.setattr(metrology, "derive_critical_structure", counting)

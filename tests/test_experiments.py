@@ -553,21 +553,27 @@ class TestRunners:
         assert 1 <= len(structure_derivations) <= 2
         assert not out.exists()
 
-    # One derivation per model value a run builds. lmg-threshold's 91 are its
-    # 81 rows, 8 refinement steps and both bracket ends, which repeat the
-    # first and last rows; validate's are its five oracle grid rows and
-    # every check that builds a Protocol, the thresholds' 13 + 10 R
-    # evaluations among them.
-    @pytest.mark.parametrize("name, derivations", [
-        ("fig2a", 1), ("fig2b", 4), ("fig2b_inset", 120), ("fig3a", 3), ("fig3b", 80),
-        ("lmg_threshold", 91), ("displacement", 50), ("validate", 47),
-    ])
-    def test_structure_derivation_counts(self, tmp_path, structure_derivations,
-                                         name, derivations):
+    # One derivation per sweep, however many model values it stacks, and one
+    # per R evaluation of a threshold search. Each entry lists the values each
+    # call covers: lmg-threshold's search (both bracket ends and 8 refinement
+    # steps) evaluates one value at a time before its 81-row sweep;
+    # validate's are its five oracle grid rows, the thresholds' 13 + 10 R
+    # evaluations, the short-time check, three sweeps (4, 3 and 9 values) and
+    # the structural check's two Protocols.
+    DERIVATIONS = (
+        ("fig2a", [1]), ("fig2b", [4]), ("fig2b_inset", [120]), ("fig3a", [3]), ("fig3b", [80]),
+        ("lmg_threshold", [1] * 10 + [81]), ("displacement", [50]),
+        ("validate", [1] * 29 + [4, 3, 9, 1, 1]),
+    )
+
+    # Each id names the config and the model values derived in all.
+    @pytest.mark.parametrize("name, values", [
+        pytest.param(name, values, id=f"{name}-{sum(values)}") for name, values in DERIVATIONS])
+    def test_structure_derivation_counts(self, tmp_path, structure_derivations, name, values):
         cfg = load_config(str(CONFIG_DIR / f"{name}.json"),
                           {"out": json.dumps(str(tmp_path / f"{name}.out"))})
         run_experiment(cfg)
-        assert len(structure_derivations) == derivations
+        assert [covered for _, _, covered in structure_derivations] == values
 
     def test_fig3b_computes_each_final_state_once(self, tmp_path, monkeypatch):
         applied = []
@@ -910,6 +916,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not out.exists()
+
+    # Each config error is one exact stderr line, and the run writes nothing.
+    # A model axis that reaches the critical point is refused at config time
+    # naming the first value outside the phase, as each value alone was.
+    @pytest.mark.parametrize("config, override, line", [
+        ("fig2b.json", '--alpha="x"',
+         "bad config alpha 'x': expected a number or {re, im} object"),
+        ("fig2b.json", "--sweep.sqrtDelta_tc.start=-1",
+         "sqrtDelta_tc sweep must be nonnegative and increasing"),
+        ("fig2b.json", "--model.g.x=1", "cannot override model.g.x: g is not an object"),
+        ("fig2b.json", "--model=5", "model must be an object, got 5"),
+        ("fig2b.json", '--model={"omega":1}', "model requires ['variant']"),
+        ("fig2b_inset.json", "--sweep.g.stop=1.0",
+         "QRM normal phase requires 0 <= g < 1, got g=1.0"),
+        ("lmg_threshold.json", "--sweep.lambda.stop=1.0",
+         "LMG normal phase requires (gamma − lambda)(1 − lambda) > 0, "
+         "got lambda=1.0, gamma=2.0"),
+    ])
+    def test_config_error_line(self, tmp_path, capsys, config, override, line):
+        out = tmp_path / "x.csv"
+        rc = cli.main([Path(config).stem.replace("_", "-"), "--config", str(CONFIG_DIR / config),
+                       "--out", str(out), override])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_under_missing_directories_is_written(self, tmp_path):
+        # The config check climbs to the nearest existing ancestor; the write
+        # makes the three missing directories.
+        out = tmp_path / "a" / "b" / "c" / "x.csv"
+        assert cli.main(["fig2b", "--config", str(CONFIG_DIR / "fig2b.json"),
+                         "--out", str(out)]) == 0
+        assert out.read_text().startswith("# canp ")
+
+    def test_module_entry_prints_the_version(self, child_env):
+        done = subprocess.run([sys.executable, "-m", "canp.cli", "--version"], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"canp {canp.__version__}\n", "")
 
     # The class of an error decides the exit code: the inputs CANP's gain
     # cannot be read from subclass ConfigError and exit 2; every other

@@ -94,8 +94,11 @@ class TestBandTable:
         assert np.array_equal(diagonal, np.arange(8.0))
 
     def test_every_shipped_preparation_has_only_offset_two(self):
-        models = [params for path in sorted(CONFIG_DIR.glob("*.json"))
-                  for params in _model_values(load_config(str(path)))[2]]
+        # Each config's model holds its model values stacked in its swept field.
+        stacks = [model for path in sorted(CONFIG_DIR.glob("*.json"))
+                  if (model := _model_values(load_config(str(path)))[2]) is not None]
+        models = [model._replace(**{model.swept: value}) for model in stacks
+                  for value in np.ravel(getattr(model, model.swept)).tolist()]
         assert len(models) == 1 + 4 + 120 + 3 + 80 + 81 + 50
         for params in models:
             assert band_kinds(params.preparation()) == [(2, np.float64)], params
@@ -313,6 +316,10 @@ class TestPropagatorStructure:
         assert tail <= fock.TAIL_TOL
         want = dense_apply(op, amps, t)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(amps)
+
+    def test_one_level_is_refused(self):
+        with pytest.raises(ValueError, match="^dim must be at least 2$"):
+            fock.Propagator(N, 1)
 
     def test_split_propagator_keeps_parity(self):
         amps = np.zeros(120, dtype=complex)

@@ -670,34 +670,49 @@ class TestFindThreshold:
 
 class TestSweep:
     def test_stacks_columns_model_values_first(self):
-        models = [ModelParams("QRM-frequency", g=g) for g in (0.5, 0.9, 0.96)]
+        g_values = [0.5, 0.9, 0.96]
         sdtc = np.linspace(0.5, 6.0, 4)
-        swept = sweep(models, ALPHA, sdtc,
+        swept = sweep(ModelParams("QRM-frequency", g=np.array(g_values)), ALPHA, sdtc,
                       lambda p, t_c: {"F": p.qfi(t_c, T_THETA), "S": p.skew(t_c)})
         assert list(swept) == ["F", "S"]
-        for params, f_row, s_row in zip(models, swept["F"], swept["S"]):
-            protocol = qrm_protocol(params.g)
+        for g, f_row, s_row in zip(g_values, swept["F"], swept["S"]):
+            protocol = qrm_protocol(g)
             t_c = protocol.preparation_time(sdtc)
             np.testing.assert_array_equal(f_row, protocol.qfi(t_c, T_THETA))
             np.testing.assert_array_equal(s_row, protocol.skew(t_c))
         assert swept["F"].shape == swept["S"].shape == (3, 4)
 
-    def test_one_derivation_per_model_value(self, structure_derivations):
-        models = [ModelParams("QRM-frequency", g=g) for g in (0.5, 0.7, 0.9, 0.96, 0.99)]
-        sweep(models, ALPHA, math.pi, lambda p, t_c: {
+    def test_one_derivation_per_sweep(self, structure_derivations):
+        # Five model values, one call: the structure of the whole stack.
+        model = ModelParams("QRM-frequency", g=np.array([0.5, 0.7, 0.9, 0.96, 0.99]))
+        sweep(model, ALPHA, math.pi, lambda p, t_c: {
             "R": p.ratio(t_c, T_THETA, 0.0), "F": p.qfi(t_c, T_THETA),
             "cfi": p.cfi_homodyne(t_c, T_THETA, 0.0)})
-        assert len(structure_derivations) == len(models)
+        assert [covered for _, _, covered in structure_derivations] == [5]
 
     def test_commuting_pair_names_the_model_value(self):
-        models = [ModelParams("QRM-frequency", g=0.5), ModelParams("QRM-frequency", g=0.0)]
-        with pytest.raises(CommutingPairError, match=r"^model variant=QRM-frequency, "
-                                                     r"omega=1.0, g=0.0: the pair commutes"):
-            sweep(models, ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
+        model = ModelParams("QRM-frequency", g=np.array([0.5, 0.0, 0.0]))
+        for phase in (math.pi, np.linspace(0.5, 6.0, 4)):
+            with pytest.raises(CommutingPairError, match=r"^model variant=QRM-frequency, "
+                                                         r"omega=1.0, g=0.0: the pair commutes"):
+                sweep(model, ALPHA, phase, lambda p, t_c: {"t_c": t_c})
 
     def test_no_model_values_is_a_value_error(self):
         with pytest.raises(ValueError, match="at least one model value"):
-            sweep([], ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
+            sweep(ModelParams("QRM-frequency", g=np.empty(0)), ALPHA, math.pi,
+                  lambda p, t_c: {"t_c": t_c})
+
+    # The phase rule holds for every stacked value; the first one outside
+    # it is named, as a single model names its own value.
+    @pytest.mark.parametrize("model, message", [
+        (ModelParams("QRM-frequency", g=np.array([0.5, 1.0, 1.5])), "got g=1.0"),
+        (ModelParams("QRM-frequency", g=np.array([0.5, np.nan])), "got g=nan"),
+        (ModelParams("LMG-frequency", lam=np.array([0.2, 1.5, 1.0]), gamma=2.0),
+         "got lambda=1.5, gamma=2.0"),
+    ])
+    def test_stacked_phase_rule_names_the_first_value_outside(self, model, message):
+        with pytest.raises(OutOfPhaseError, match=f"{re.escape(message)}$"):
+            sweep(model, ALPHA, math.pi, lambda p, t_c: {"t_c": t_c})
 
     # The three shipped pairs, each at three model values in the normal phase.
     PAIRS = {
@@ -723,7 +738,9 @@ class TestSweep:
         if experiment == "fig2a":  # its t_theta axis trails the phase's, as _sweep_table places it
             phase = np.reshape(phase, (-1, 1))
         columns = partial(experiments.TABLE[experiment].columns, cfg)
-        swept = sweep(models, ALPHA, phase, columns)
+        field = models[0].swept
+        stack = models[0]._replace(**{field: np.array([getattr(m, field) for m in models])})
+        swept = sweep(stack, ALPHA, phase, columns)
         for i, params in enumerate(models):
             protocol = Protocol(*params.pair(), ALPHA)
             row = columns(protocol, protocol.preparation_time(phase))
@@ -738,7 +755,7 @@ class TestSweep:
         # A single model value is not stacked: its forms, structure and
         # covariances stay Python floats, and its columns get the model axis.
         seen = []
-        swept = sweep([ModelParams("QRM-frequency", g=0.9)], ALPHA, math.pi,
+        swept = sweep(ModelParams("QRM-frequency", g=0.9), ALPHA, math.pi,
                       lambda p, t_c: seen.append(p) or {"F": p.qfi(t_c, T_THETA)})
         (protocol,) = seen
         cs = protocol.structure

@@ -174,6 +174,19 @@ class TestModelParams:
             ModelParams._make(("LMG-frequency", 1.0, None, 0.4, None))
         assert ModelParams._make(lmg) == lmg._replace() == lmg
 
+    def test_stacked_fields_give_the_elementwise_pair(self):
+        # ω may be stacked with g: each entry is the one-value model's, and
+        # one nonpositive ω refuses the stack.
+        omega, g = np.array([0.5, 1.5, 2.0]), np.array([0.1, 0.6, 0.95])
+        stack = ModelParams("QRM-displacement", omega=omega, g=g)
+        entries = np.broadcast_arrays(*stack.preparation())
+        for i in range(3):
+            one = ModelParams("QRM-displacement", omega=float(omega[i]), g=float(g[i]))
+            assert [e[i] for e in entries] == list(one.preparation())
+            assert stack.published_delta()[i] == one.published_delta()
+        with pytest.raises(ConfigError, match="omega must be positive"):
+            ModelParams("QRM-frequency", omega=np.array([1.0, 0.0]), g=g[:2])
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ModelParams.from_dict({"variant": "QRM-frequency", "g": 0.5, "kappa": 1.0})

@@ -306,3 +306,135 @@ class TestDeriveCriticalStructure:
             cs = derive_critical_structure(hc, Quadratic(gxx=s, gpp=s, c0=-0.5 * s))
             assert cs.Delta == want
             assert cs.residual <= 1e-12
+
+
+# Pair kinds for the stacked derivation, each drawn from a seed, and the
+# changes that push a pair to the float range's edges; a stack mixes them in
+# any order.
+STACK_KINDS = ("closes", "linear", "commuting", "hyperbolic", "open", "singular", "shifted")
+STACK_EDGES = (None, "non-finite", "underflow", "overflow")
+
+
+def stack_pair(kind: str, seed: int, edge: str | None = None) -> tuple[Quadratic, Quadratic]:
+    """One (H_c, H_θ) of a kind: closes (quadratic H_θ, Δ = 4 det G_c), linear
+    (linear H_θ, Δ = det G_c), commuting (H_θ ∝ H_c), hyperbolic (det G_c < 0:
+    NegativeDeltaError), open (H_θ with both parts: ConditionViolatedError),
+    singular (G_c = diag(0, ±p) with linear H_θ: Δ = ±0) or shifted (H_c with
+    a linear part, H_θ = k·½rᵀG_c r: C is linear but for rounding in its
+    quadratic part, Δ = det G_c). An edge then puts an
+    inf or nan at any of the twelve entries (non-finite), scales G_c below
+    ~1e-154 so that det G_c underflows (underflow), or scales both forms up
+    by up to 1e160 so that the nested commutators or their residual reach
+    the float range's end (overflow)."""
+    rng = np.random.default_rng(seed)
+    gxx, gpp = rng.uniform(0.5, 2.0, 2).tolist()  # Python floats, as the scalar path takes
+    hc = Quadratic(gxx, rng.uniform(-0.4, 0.4), gpp, c0=rng.standard_normal())
+    quadratic = Quadratic(*rng.standard_normal(3).tolist(), c0=rng.standard_normal())
+    linear = Quadratic(vx=rng.standard_normal(), vp=rng.standard_normal())
+    k = rng.uniform(0.1, 3.0)
+    htheta = {"linear": linear, "singular": linear, "commuting": Quadratic._make(k * x for x in hc),
+              "open": quadratic._replace(vx=linear.vx, vp=linear.vp)}.get(kind, quadratic)
+    if kind == "hyperbolic":
+        hc = hc._replace(gpp=-gpp)
+    if kind == "singular":
+        hc = Quadratic(0.0, 0.0, [gpp, -gpp][rng.integers(2)], c0=hc.c0)
+    if kind == "shifted":
+        hc, htheta = hc._replace(vx=linear.vx, vp=linear.vp), Quadratic(*(k * x for x in hc[:3]))
+    if edge == "non-finite":
+        entries = [*hc, *htheta]
+        entries[rng.integers(12)] = [math.inf, -math.inf, math.nan][rng.integers(3)]
+        hc, htheta = Quadratic(*entries[:6]), Quadratic(*entries[6:])
+    elif edge in ("underflow", "overflow"):
+        scale_c, scale_theta = ((1e-160, 1.0) if edge == "underflow"
+                                else (10.0 ** rng.uniform(60.0, 160.0, 2)).tolist())
+        hc = Quadratic._make(scale_c * x for x in hc)
+        htheta = Quadratic._make(scale_theta * x for x in htheta)
+    return hc, htheta
+
+
+def scalar_outcome(hc, htheta):
+    """derive_critical_structure of one pair: its structure, or the error it raises."""
+    try:
+        return derive_critical_structure(hc, htheta)
+    except (ConditionViolatedError, NegativeDeltaError, NonFiniteError) as exc:
+        return exc
+
+
+def stack_of(pairs) -> tuple[Quadratic, Quadratic]:
+    """The pairs as one stacked pair: each entry an array over the pairs."""
+    return tuple(Quadratic(*np.array(forms).T) for forms in zip(*pairs))
+
+
+def assert_stack_is_scalar(pairs):
+    """A stack of the pairs raises the error of its first failing pair, message
+    and all, and the stack of the passing pairs derives what each alone
+    derives, bit for bit."""
+    outcomes = [scalar_outcome(*pair) for pair in pairs]
+    failed = [out for out in outcomes if isinstance(out, Exception)]
+    if failed:
+        with pytest.raises(type(failed[0])) as info:
+            derive_critical_structure(*stack_of(pairs))
+        assert str(info.value) == str(failed[0])
+    passed = [(pair, out) for pair, out in zip(pairs, outcomes) if out not in failed]
+    if not passed:
+        return
+    cs = derive_critical_structure(*stack_of([pair for pair, _ in passed]))
+    stacked = [*cs.C, *cs.D, cs.Delta, cs.residual]
+    for i, (_, out) in enumerate(passed):
+        for field, value in zip(stacked, (*out.C, *out.D, out.Delta, out.residual)):
+            assert field.shape == (len(passed),) and field.dtype == np.float64
+            assert field[i].tobytes() == np.float64(value).tobytes()
+
+
+def with_c0(pair, which: int, c0: float):
+    """The pair with the constant of H_c (which = 0) or of H_θ (1) replaced."""
+    return tuple(form._replace(c0=c0) if i == which else form for i, form in enumerate(pair))
+
+
+class TestStackedDerivation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(STACK_KINDS), st.integers(0, 2**32 - 1),
+                              st.sampled_from(STACK_EDGES)), min_size=1, max_size=6))
+    def test_stack_is_the_scalar_derivation(self, draws):
+        assert_stack_is_scalar([stack_pair(*draw) for draw in draws])
+
+    # The scalar derivation's own rules at the float range's edges: its
+    # maxima skip a nan that is not first (a commuting pair with a nan
+    # constant stays commuting), the sum that tests C and D runs left to
+    # right (this D's entries are finite, their sum is not), and a zero Δ
+    # times a C of 1e-24 does not divide the residual by zero.
+    @pytest.mark.parametrize("pair", [
+        with_c0(stack_pair("commuting", 5), 0, math.nan),
+        with_c0(stack_pair("commuting", 6), 1, math.nan),
+        with_c0(stack_pair("closes", 7), 1, math.inf),
+        stack_pair("commuting", 1172, "overflow"),
+        (Quadratic(gpp=1e-6), Quadratic(vx=1e-18)),
+    ], ids=["nan-c0-of-hc", "nan-c0-of-htheta", "inf-c0-of-htheta", "sum-overflows",
+            "tiny-c-at-zero-delta"])
+    def test_float_range_edges(self, pair):
+        assert_stack_is_scalar([stack_pair("closes", 1), pair, stack_pair("linear", 2)])
+
+    @pytest.mark.parametrize("kind, edge, error", [
+        ("hyperbolic", None, NegativeDeltaError), ("open", None, ConditionViolatedError),
+        ("closes", "underflow", NonFiniteError),
+    ])
+    def test_failing_element_after_passing_ones(self, kind, edge, error):
+        pairs = [stack_pair("closes", 1), stack_pair("commuting", 2), stack_pair(kind, 3, edge),
+                 stack_pair("open", 4)]
+        with pytest.raises(error) as want:
+            derive_critical_structure(*pairs[2])
+        with pytest.raises(error) as got:
+            derive_critical_structure(*stack_of(pairs))
+        assert str(got.value) == str(want.value)
+
+    def test_float_entries_broadcast_against_the_stack(self):
+        # A sweep's stack: H_c's entries of shape (k, 1), H_θ floats. Every
+        # field has the broadcast shape, a commuting value the zero structure.
+        g = np.array([0.0, 0.5, 0.9])[:, None]
+        cs = derive_critical_structure(qrm_effective(1.0, g), N)
+        for field in (*cs.C, *cs.D, cs.Delta, cs.residual):
+            assert type(field) is np.ndarray and field.shape == (3, 1)
+        for i, value in enumerate(g.ravel().tolist()):
+            want = derive_critical_structure(qrm_effective(1.0, value), N)
+            assert [float(x[i, 0]) for x in (*cs.C, *cs.D, cs.Delta, cs.residual)] == [
+                *want.C, *want.D, want.Delta, want.residual]
