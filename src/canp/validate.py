@@ -6,8 +6,9 @@ Gaussian engine against the truncated number-basis oracle, the
 generator-variance Fisher information against the oracle's fidelity
 susceptibility 4 t_θ² Var[H_θ] (the exact small-step limit of the fidelity),
 and the resource-constrained thresholds and scalings against their reported
-values. A failed oracle convergence is reported as a failed check, never as
-a crash.
+values. Every check returns what it measured and its bounds under the same
+keys, and one rule (:func:`_check`) decides its verdict. A failed oracle
+convergence measures nothing, so it fails that rule, never as a crash.
 """
 
 from __future__ import annotations
@@ -52,13 +53,33 @@ ORACLE_GRID = (
 
 
 class CheckResult(NamedTuple):
-    """One check's outcome; the report times it after it is built."""
+    """One check's outcome, built by :func:`_check`: `tolerance` maps measured
+    keys to their bounds. The report times it after it is built."""
     name: str
     passed: bool
     measured: dict
     tolerance: dict
     details: str = ""
     seconds: float = 0.0
+
+
+def _check(name: str, measured: dict, bounds: dict, details: str = "",
+           seconds: float = 0.0) -> CheckResult:
+    """The one verdict: every bound holds on the measured value of its key.
+
+    A number is an upper bar (value ≤ bar), a ``[want, tol]`` pair a window
+    (|value − want| ≤ tol) and ``True`` a condition that must hold. A bound
+    whose key was not measured fails; so does a nan.
+    """
+    def holds(value, bound) -> bool:
+        if bound is True:
+            return value is True
+        if isinstance(bound, list):
+            want, tol = bound
+            return abs(value - want) <= tol
+        return value <= bound
+    passed = all(key in measured and holds(measured[key], bound) for key, bound in bounds.items())
+    return CheckResult(name, passed, measured, bounds, details, seconds)
 
 
 def _protocol(params: ModelParams) -> Protocol:
@@ -87,20 +108,14 @@ def check_algebraic_criterion() -> CheckResult:
         worst_residual = max(worst_residual, float(np.max(cs.residual)))
         worst_delta_err = max(worst_delta_err,
                               float(np.max(np.abs(cs.Delta - params.published_delta()))))
-    tolerance = {"residual": 1e-10, "delta_error": 1e-12}
-    return CheckResult(
-        name="algebraic_criterion",
-        passed=(worst_residual < tolerance["residual"]
-                and worst_delta_err <= tolerance["delta_error"]),
-        measured={"max_residual": worst_residual, "max_delta_error": worst_delta_err},
-        tolerance=tolerance,
-        details="100 random draws per family (QRM-frequency, QRM-displacement, LMG)",
-    )
+    return _check("algebraic_criterion",
+                  {"max_residual": worst_residual, "max_delta_error": worst_delta_err},
+                  {"max_residual": 1e-10, "max_delta_error": 1e-12},
+                  "100 random draws per family (QRM-frequency, QRM-displacement, LMG)")
 
 
 def check_operator_constants() -> CheckResult:
     """Derived C and D against the printed closed forms, entrywise in (G, v, c0)."""
-    tol = 1e-12
     omega, g, lam, gamma = _draws(20240902).T
     qrm = derive_critical_structure(*ModelParams("QRM-frequency", omega=omega, g=g).pair())
     lmg = derive_critical_structure(*ModelParams("LMG-frequency", lam=lam, gamma=gamma).pair())
@@ -112,13 +127,9 @@ def check_operator_constants() -> CheckResult:
     ):
         diff = reduce(np.maximum, (abs(x - y) for x, y in zip(got, want)))
         worst = max(worst, float(np.max(diff / reduce(np.maximum, map(abs, want), 1.0))))
-    return CheckResult(
-        name="operator_constants",
-        passed=worst <= tol,
-        measured={"max_coefficient_mismatch": worst},
-        tolerance={"coefficientwise": tol},
-        details="QRM C and D plus LMG D, coefficientwise over 100 draws",
-    )
+    return _check("operator_constants", {"max_coefficient_mismatch": worst},
+                  {"max_coefficient_mismatch": 1e-12},
+                  "QRM C and D plus LMG D, coefficientwise over 100 draws")
 
 
 def _oracle_row(g: float, fractions: list[float]) -> tuple[list[dict], float]:
@@ -162,6 +173,9 @@ def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
     a time. The QFI comparison reports the time the rows spent on QFIs, and
     the moment comparison the rest of the pass.
     """
+    moment_keys = ("mu_rel", "sigma_rel", "nbar_rel", "varD_rel")
+    moment_bounds = {f"max_{key}": 1e-6 for key in moment_keys}
+    qfi_bounds = {"max_qfi_rel_gap": 1e-6}
     t0 = time.monotonic()
     results, qfi_seconds = [], 0.0
     for g in dict.fromkeys(g for g, _ in ORACLE_GRID):
@@ -171,34 +185,21 @@ def check_oracle_agreement() -> tuple[CheckResult, CheckResult]:
         except TruncationNotConvergedError as exc:
             failed = ", ".join(f"({g}, {fractions[i]})" for i in exc.pending)
             details = f"oracle did not converge at (g, fraction) {failed}: {exc}"
-            return (CheckResult("gaussian_fock_moments", False, {}, {}, details,
-                                time.monotonic() - t0 - qfi_seconds),
-                    CheckResult("qfi_three_way", False, {}, {}, details, qfi_seconds))
+            return (_check("gaussian_fock_moments", {}, moment_bounds, details,
+                           time.monotonic() - t0 - qfi_seconds),
+                    _check("qfi_three_way", {}, qfi_bounds, details, qfi_seconds))
         results += points
         qfi_seconds += seconds
 
-    mom_tol, qfi_tol = 1e-6, 1e-6
-    worst = {f"max_{key}": max(r[key] for r in results)
-             for key in ("mu_rel", "sigma_rel", "nbar_rel", "varD_rel")}
-    moments = CheckResult(
-        name="gaussian_fock_moments",
-        passed=all(value <= mom_tol for value in worst.values()),
-        measured={**worst, "max_dim": max(r["dim"] for r in results)},
-        tolerance={"moments": mom_tol},
-        details="20-point grid g in [0.5, 0.99], t_c in [0, 2pi/sqrt(Delta))",
-        seconds=time.monotonic() - t0 - qfi_seconds,
-    )
+    worst = {f"max_{key}": max(r[key] for r in results) for key in moment_keys}
+    moments = _check("gaussian_fock_moments", {**worst, "max_dim": max(r["dim"] for r in results)},
+                     moment_bounds, "20-point grid g in [0.5, 0.99], t_c in [0, 2pi/sqrt(Delta))",
+                     time.monotonic() - t0 - qfi_seconds)
     worst_qfi = max(
         abs(r["qfi_exact"] - r["qfi_numeric"]) / abs(r["qfi_numeric"]) for r in results
     )
-    qfi = CheckResult(
-        name="qfi_three_way",
-        passed=worst_qfi <= qfi_tol,
-        measured={"max_qfi_rel_gap": worst_qfi},
-        tolerance={"relative": qfi_tol},
-        details="generator-variance QFI vs number-basis fidelity-susceptibility QFI",
-        seconds=qfi_seconds,
-    )
+    qfi = _check("qfi_three_way", {"max_qfi_rel_gap": worst_qfi}, qfi_bounds,
+                 "generator-variance QFI vs number-basis fidelity-susceptibility QFI", qfi_seconds)
     return moments, qfi
 
 
@@ -206,18 +207,11 @@ def check_thresholds() -> CheckResult:
     g_bracket, lam_bracket = (0.3, 0.8), (0.2, 0.6)
     g_star = find_threshold("QRM-frequency", 12.0, ALPHA, g_bracket)
     lam_star = find_threshold("LMG-frequency", 1.3, ALPHA, lam_bracket, gamma=2.0)
-    tolerance = {"g_star": [0.5058, 5e-5], "lambda_star": [0.3559, 5e-5]}
-    found = {"g_star": g_star, "lambda_star": lam_star}
-    return CheckResult(
-        name="thresholds",
-        passed=all(abs(found[key] - want) <= tol for key, (want, tol) in tolerance.items()),
-        measured={
-            "g_star": g_star, "g_star_bracket": list(g_bracket),
-            "lambda_star": lam_star, "lambda_star_bracket": list(lam_bracket),
-        },
-        tolerance=tolerance,
-        details="enhancement-ratio unity crossings at preparation time pi/sqrt(Delta)",
-    )
+    return _check("thresholds", {
+        "g_star": g_star, "g_star_bracket": list(g_bracket),
+        "lambda_star": lam_star, "lambda_star_bracket": list(lam_bracket),
+    }, {"g_star": [0.5058, 5e-5], "lambda_star": [0.3559, 5e-5]},
+        "enhancement-ratio unity crossings at preparation time pi/sqrt(Delta)")
 
 
 def check_short_time_scaling() -> CheckResult:
@@ -225,15 +219,8 @@ def check_short_time_scaling() -> CheckResult:
     t_grid = np.logspace(-3, -2, 20)
     values = _protocol(ModelParams("QRM-frequency", g=0.96)).qfi_asymptotic(t_grid, T_THETA)
     slope = float(np.polyfit(np.log(t_grid), np.log(values), 1)[0])
-    tolerance = {"slope": [4.0, 0.05]}
-    want, tol = tolerance["slope"]
-    return CheckResult(
-        name="short_time_scaling",
-        passed=abs(slope - want) <= tol,
-        measured={"slope": slope},
-        tolerance=tolerance,
-        details="t_c in [1e-3, 1e-2] at g=0.96",
-    )
+    return _check("short_time_scaling", {"slope": slope}, {"slope": [4.0, 0.05]},
+                  "t_c in [1e-3, 1e-2] at g=0.96")
 
 
 def check_near_critical_scaling() -> CheckResult:
@@ -251,19 +238,14 @@ def check_near_critical_scaling() -> CheckResult:
     swept = sweep(ModelParams("QRM-frequency", g=np.array(g_values)), ALPHA, math.pi, columns)
     devs = np.abs(swept["ratio"] - 1.0).tolist()
     law_rel = float(np.max(np.abs((swept["ratio"] - 1.0) / swept["law"] - 1.0)))
-    tolerance = {"monotone_decreasing": True, "final": 0.05, "everywhere": 0.10, "law_rel": 1e-12}
-    ok = (
-        all(b < a for a, b in zip(devs, devs[1:]))
-        and devs[-1] <= tolerance["final"]
-        and max(devs) <= tolerance["everywhere"]
-        and law_rel <= tolerance["law_rel"]
-    )
-    return CheckResult(
-        name="near_critical_scaling",
-        passed=ok,
-        measured={f"deviation_g={g}": d for g, d in zip(g_values, devs)} | {"max_law_rel": law_rel},
-        tolerance=tolerance,
-        details="qfi_exact/(16 Delta^-2 t_theta^2 Var[D]) - 1 at t_c=pi/sqrt(Delta)",
+    deviations = {f"deviation_g={g}": d for g, d in zip(g_values, devs)}
+    return _check(
+        "near_critical_scaling",
+        {"monotone_decreasing": all(b < a for a, b in zip(devs, devs[1:])),
+         **deviations, "max_law_rel": law_rel},
+        {"monotone_decreasing": True, **dict.fromkeys(deviations, 0.10),
+         f"deviation_g={g_values[-1]}": 0.05, "max_law_rel": 1e-12},
+        "qfi_exact/(16 Delta^-2 t_theta^2 Var[D]) - 1 at t_c=pi/sqrt(Delta)",
     )
 
 
@@ -274,61 +256,37 @@ def check_skew_identity() -> CheckResult:
     skews, qfis = swept["skew"], swept["qfi"]  # one row per g
     worst_rel = float(np.max(np.abs(4.0 * (T_THETA * T_THETA) * skews - qfis) / qfis))
     argmax_match = bool(np.array_equal(np.argmax(skews, axis=1), np.argmax(qfis, axis=1)))
-    tolerance = {"identity_rel": 1e-9}
-    return CheckResult(
-        name="skew_identity",
-        passed=worst_rel <= tolerance["identity_rel"] and argmax_match,
-        measured={"max_identity_rel": worst_rel, "argmax_match": argmax_match},
-        tolerance=tolerance,
-        details="4 t_theta^2 S = F and shared maxima over t_c for g in {0.90, 0.95, 0.98}",
-    )
+    return _check("skew_identity", {"max_identity_rel": worst_rel, "argmax_match": argmax_match},
+                  {"max_identity_rel": 1e-9, "argmax_match": True},
+                  "4 t_theta^2 S = F and shared maxima over t_c for g in {0.90, 0.95, 0.98}")
 
 
 def check_homodyne_efficiency() -> CheckResult:
-    """cfi/qfi within [0.8, 1] at the critical time. The window's top is the
-    bound cfi ≤ qfi: the homodyne CFI, a sum of squares over Var P > 0, is
-    never negative."""
+    """cfi/qfi within [0.8, 1] (the window 0.9 ± 0.1) at the critical time.
+    The window's top is the bound cfi ≤ qfi: the homodyne CFI, a sum of
+    squares over Var P > 0, is never negative."""
     model = ModelParams("QRM-frequency", g=np.linspace(0.90, 0.98, 9))
     swept = sweep(model, ALPHA, math.pi, lambda p, t_c: {
         "cfi": p.cfi_homodyne(t_c, T_THETA, 0.0), "qfi": p.qfi(t_c, T_THETA)})
     ratios = (swept["cfi"] / swept["qfi"]).tolist()
-    tolerance = {"ratio_window": [0.8, 1.0]}
-    lo, hi = tolerance["ratio_window"]
-    return CheckResult(
-        name="homodyne_efficiency",
-        passed=all(lo <= r <= hi for r in ratios),
-        measured={"min_ratio": min(ratios), "max_ratio": max(ratios)},
-        tolerance=tolerance,
-        details="cfi/qfi at t_c=pi/sqrt(Delta), theta=0, g in [0.90, 0.98]",
-    )
+    return _check("homodyne_efficiency", {"min_ratio": min(ratios), "max_ratio": max(ratios)},
+                  {"min_ratio": [0.9, 0.1], "max_ratio": [0.9, 0.1]},
+                  "cfi/qfi at t_c=pi/sqrt(Delta), theta=0, g in [0.90, 0.98]")
 
 
 def check_structural_sanity() -> CheckResult:
-    measured: dict = {}
-    ok = True
-    tolerance = {
-        "g0_ratio": 1e-12, "tc0_qfi": 1e-12, "theta_invariance": 1e-10,
-        "symplectic": 1e-12, "uncertainty": 1e-12, "purity": 1e-10,
-    }
-
     # Commuting preparation wastes time: R = t_theta^2 / T^2 exactly.
     r0 = float(_protocol(ModelParams("QRM-frequency", g=0.0)).ratio(3.0, T_THETA, 0.0))
     expected = (T_THETA * T_THETA) / ((3.0 + T_THETA) * (3.0 + T_THETA))
-    measured["g0_ratio_error"] = abs(r0 - expected) / expected
-    ok &= measured["g0_ratio_error"] <= tolerance["g0_ratio"] and r0 < 1.0
 
     # No preparation: plain t_theta^2 |alpha|^2 Fisher information.
     protocol = _protocol(ModelParams("QRM-frequency", g=0.96))
     f_tc0 = float(protocol.qfi(0.0, T_THETA))
     expected_f = 4.0 * (T_THETA * T_THETA) * (abs(ALPHA) * abs(ALPHA))
-    measured["tc0_qfi_error"] = abs(f_tc0 - expected_f) / expected_f
-    ok &= measured["tc0_qfi_error"] <= tolerance["tc0_qfi"]
 
     # Frequency encoding conserves the photon number, so the ratio does not
     # depend on the working point.
     r_a, r_b = (float(protocol.ratio(2.5, T_THETA, theta0)) for theta0 in (0.0, 0.37))
-    measured["theta_invariance_ratio"] = abs(r_a - r_b) / r_a
-    ok &= measured["theta_invariance_ratio"] <= tolerance["theta_invariance"]
 
     # Symplectic and uncertainty invariants along evolved trajectories. For
     # a 2×2 S, S Ω Sᵀ = det(S)·Ω, so the symplectic defect is |det S − 1|.
@@ -341,18 +299,18 @@ def check_structural_sanity() -> CheckResult:
         worst_symp = max(worst_symp, float(np.max(np.abs(s00 * s11 - s01 * s10 - 1.0))))
         worst_unc = max(worst_unc, float(np.max(state.uncertainty_defect())))
         worst_purity = max(worst_purity, float(np.max(state.purity_defect())))
-    measured["max_symplectic_defect"] = worst_symp
-    measured["max_uncertainty_defect"] = worst_unc
-    measured["max_purity_defect"] = worst_purity
-    ok &= (worst_symp <= tolerance["symplectic"] and worst_unc <= tolerance["uncertainty"]
-           and worst_purity <= tolerance["purity"])
 
-    return CheckResult(
-        name="structural_sanity",
-        passed=bool(ok),
-        measured=measured,
-        tolerance=tolerance,
-    )
+    return _check("structural_sanity", {
+        "g0_ratio_error": abs(r0 - expected) / expected,
+        "tc0_qfi_error": abs(f_tc0 - expected_f) / expected_f,
+        "theta_invariance_ratio": abs(r_a - r_b) / r_a,
+        "max_symplectic_defect": worst_symp,
+        "max_uncertainty_defect": worst_unc,
+        "max_purity_defect": worst_purity,
+    }, {
+        "g0_ratio_error": 1e-12, "tc0_qfi_error": 1e-12, "theta_invariance_ratio": 1e-10,
+        "max_symplectic_defect": 1e-12, "max_uncertainty_defect": 1e-12, "max_purity_defect": 1e-10,
+    })
 
 
 def _timed(check) -> CheckResult:

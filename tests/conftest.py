@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -42,7 +43,13 @@ def child_env():
     """Environment builder for a child interpreter that imports canp from this checkout.
 
     The child writes no bytecode, so a test run leaves no ``__pycache__``
-    in the source tree; ``child_env(NAME=value)`` adds variables.
+    in the source tree; ``child_env(NAME=value)`` adds variables. Under the
+    line tracer (``tests/linetrace``), the child is traced too.
     """
-    src = str(Path(fock.__file__).resolve().parents[1])
-    return lambda **extra: {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **extra}
+    env = {"PYTHONPATH": str(Path(fock.__file__).resolve().parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    if "CANP_LINETRACE" in os.environ:
+        env["PYTHONPATH"] = os.pathsep.join((str(Path(__file__).parent / "linetrace"),
+                                             env["PYTHONPATH"]))
+        env["CANP_LINETRACE"] = os.environ["CANP_LINETRACE"]
+    return lambda **extra: {**env, **extra}

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -128,9 +129,10 @@ def test_oracle_moments_gate_on_what_they_report(monkeypatch, error, passed):
     monkeypatch.setattr(fock, "fock_moments", perturbed)
     moments, _ = validate.check_oracle_agreement()
     reported = {key: value for key, value in moments.measured.items() if key != "max_dim"}
-    assert set(reported) == {"max_mu_rel", "max_sigma_rel", "max_nbar_rel", "max_varD_rel"}
+    assert set(reported) == set(moments.tolerance) == {
+        "max_mu_rel", "max_sigma_rel", "max_nbar_rel", "max_varD_rel"}
     assert moments.passed is passed
-    assert moments.passed == all(v <= moments.tolerance["moments"] for v in reported.values())
+    assert moments.passed == all(reported[key] <= bar for key, bar in moments.tolerance.items())
 
 
 def test_oracle_pass_reads_the_qfi_from_its_own_states(monkeypatch):
@@ -194,3 +196,50 @@ def test_run_checks_times_every_check(monkeypatch):
     assert all(check["seconds"] > 0.0 for check in checks)
     # A check called directly is not timed.
     assert validate.check_thresholds().seconds == 0.0
+
+
+# The report's ten checks, in order.
+CHECK_NAMES = ("algebraic_criterion", "operator_constants", "gaussian_fock_moments",
+               "qfi_three_way", "thresholds", "short_time_scaling", "near_critical_scaling",
+               "skew_identity", "homodyne_efficiency", "structural_sanity")
+
+
+@pytest.fixture(scope="module")
+def report():
+    return {check["name"]: check for check in validate.run_checks()["checks"]}
+
+
+def _edges(bound):
+    """(a value that meets the bound, one just past it), for each edge of the bound."""
+    if bound is True:
+        return [(True, False)]
+    if isinstance(bound, list):
+        want, tol = bound
+        return [(want + side * tol * (1.0 - 1e-9), want + side * tol * (1.0 + 1e-9))
+                for side in (-1.0, 1.0)]
+    return [(bound, math.nextafter(bound, math.inf)), (0.0, math.nan)]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_one_rule_decides_every_verdict(report, name):
+    # Every bound is keyed by a measured value, and the report's bounds
+    # cover each kind: a bar, a [want, tol] window and a condition. Moving
+    # one measured value onto its bound keeps the check passing, and just
+    # past it (or to nan, or out of the report) fails it.
+    assert tuple(report) == CHECK_NAMES
+    assert {type(bound) for check in report.values() for bound in check["tolerance"].values()} \
+        == {float, list, bool}
+    check = report[name]
+    measured, bounds = check["measured"], check["tolerance"]
+    assert check["passed"] and bounds and set(bounds) <= set(measured)
+
+    def passes(changed: dict) -> bool:
+        return validate._check(name, {**measured, **changed}, bounds).passed
+
+    assert passes({})
+    for key, bound in bounds.items():
+        for meets, past in _edges(bound):
+            assert passes({key: meets}), (key, meets)
+            assert not passes({key: past}), (key, past)
+        removed = {k: v for k, v in measured.items() if k != key}
+        assert not validate._check(name, removed, bounds).passed, key
